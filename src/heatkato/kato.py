@@ -44,10 +44,17 @@ def require_admissible(m: int, q: float) -> None:
 
 @dataclass(frozen=True)
 class KatoControlPair:
-    """(space_factor, time_factor) with sup_y p(t,x,y) <= space(x) * time(t) on (0,1]."""
+    """(space_factor, time_factor) with sup_y p(t,x,y) <= space(x) * time(t) on (0,1].
+
+    ``space_factor`` takes an (n, chart_dim) array of chart coordinates and
+    returns the factor at every row, as anything that broadcasts to (n,) (a
+    scalar for a factor constant in x).  A caller holding one Point passes
+    ``x.coords[None, :]``.  The same callable serves as the weight of
+    ``potentials.lq_norm``.
+    """
 
     model: ManifoldModel
-    space_factor: Callable[[Point], float]
+    space_factor: Callable[[np.ndarray], np.ndarray | float]
     time_factor: Callable[[float], float]
     description: str
     constants: dict = field(default_factory=dict)
@@ -97,17 +104,22 @@ def verify_control_pair(
     kernels are radially decreasing; checked independently by sup_bound)."""
     details = []
     worst = math.inf
+    spaces = [_space_at(pair, x) for x in x_samples]
     for t in t_values:
         if not 0.0 < t <= 1.0:
             raise DomainError("control pairs are calibrated on (0, 1]")
         supval = hk.on_diag(engine, float(t))
-        for x in x_samples:
-            bound = pair.space_factor(x) * pair.time_factor(float(t))
+        for space in spaces:
+            bound = space * pair.time_factor(float(t))
             margin = bound - supval
             details.append({"t": float(t), "margin": margin})
             worst = min(worst, margin)
     ts = [float(t) for t in t_values]
     return PairVerification(worst, (min(ts), max(ts)), len(details), details)
+
+
+def _space_at(pair: KatoControlPair, x: Point) -> float:
+    return float(np.broadcast_to(pair.space_factor(x.coords[None, :]), (1,))[0])
 
 
 def control_pair_from_on_diag(
@@ -232,20 +244,20 @@ def smoothed_abs(
     s: float,
     x: Point,
     grid: QuadratureGrid | None = None,
-    excision: float | None = None,
     refinement: int = 0,
 ) -> SmoothedValue:
     """integral of p(s, x, y) |w(y)| dmu(y).
 
     On the radial-kernel models, radial potential atoms use the exact
-    axisymmetric two-point reduction with analytic near-field handling of
-    singular centers; everything else falls back to grid quadrature.
-    ``refinement`` halves the quadrature cell caps (for error estimation).
+    axisymmetric two-point reduction; the ball excised around a singular
+    center is integrated by a fixed Gauss-Jacobi rule.  Everything else falls
+    back to grid quadrature.  ``refinement`` halves the quadrature cell caps
+    (for error estimation).
     """
-    return _smoothed_against_kernel(engine, w, s, x, grid, excision, refinement)
+    return _smoothed_against_kernel(engine, w, s, x, grid, refinement)
 
 
-def _smoothed_against_kernel(engine, w, s, x, grid, excision, refinement=0):
+def _smoothed_against_kernel(engine, w, s, x, grid, refinement=0):
     model = engine.model
     terms = _flatten(w)
     if not terms:
@@ -273,24 +285,22 @@ def _smoothed_against_kernel(engine, w, s, x, grid, excision, refinement=0):
                     total += coef * mass
                     tail += coef * merr
                 else:
-                    v, tb = _two_point_atom(engine, fker, s, x, ra, excision, refinement)
+                    v, tb = _two_point_atom(engine, fker, s, x, ra, refinement)
                     total += coef * v
                     tail += coef * tb
             return SmoothedValue(total, tail, mixed and len(terms) > 1, "two-point")
     return _smoothed_grid(engine, w, s, x, grid)
 
 
-def _two_point_atom(engine, fker, s, x, ra, excision, refinement=0):
+def _two_point_atom(engine, fker, s, x, ra, refinement=0):
     model = engine.model
     center, profile, support, beta = ra
     d = geom.distance(model, x, center)
-    reach = hk._kernel_reach(engine, s)
     if math.isfinite(support):
-        r_max = min(d + support + 1e-9, max(reach, d + support))
         r_max = d + support  # integrand vanishes beyond the support
         tail = 0.0
     else:
-        r_max = reach + d + 1.0
+        r_max = hk._kernel_reach(engine, s) + d + 1.0
         tail = float(profile(np.array([max(r_max - d, 1e-9)]))[0]) * hk.mass_tail_bound(
             engine, s, r_max
         )
@@ -302,7 +312,7 @@ def _two_point_atom(engine, fker, s, x, ra, excision, refinement=0):
         tail = 0.0
     eps = 0.0
     if beta > 0.0:
-        eps = excision if excision is not None else max(1e-5, min(1e-3, 0.05 * math.sqrt(s)))
+        eps = max(1e-5, min(1e-3, 0.05 * math.sqrt(s)))
     val = qd.two_point_integral(
         model,
         fker,
@@ -315,14 +325,9 @@ def _two_point_atom(engine, fker, s, x, ra, excision, refinement=0):
         max_cell=r_max / (16.0 * 2.0**refinement),
     )
     if eps > 0.0:
-        # excised ball around the singular center: kernel bounded by its value
-        # at the nearest point of each distance sphere (exact when d = 0)
-        def near(u: float) -> float:
-            pk = float(fker(np.array([abs(d - u)]))[0])
-            return float(profile(np.array([u]))[0]) * geom.ball_surface(model, u) * pk
-
-        nf, _ = quad(near, 0.0, eps, epsabs=1e-13, epsrel=1e-9, limit=100)
-        val += nf
+        # the kernel is smooth and even in d - u, so only the profile's power
+        # enters the rule's weight
+        val += qd.near_field_integral(model, fker, profile, d, min(eps, support), beta)
     return val, tail
 
 
@@ -542,7 +547,7 @@ def _short_time_remainder(engine, w, s_min, control, y_grid):
         sup_out = _sup_outside(w, model, center, R)
     best, best_q = math.inf, None
     for q in q_candidates:
-        wq = pot.lq_norm(windowed, q, lambda p: control.space_factor(p), grid)
+        wq = pot.lq_norm(windowed, q, control.space_factor, grid)
         if wq.diverges:
             continue
         integ, _ = quad(
@@ -707,7 +712,7 @@ def holder_bound_check(
     model = engine.model
     require_admissible(model.dim, q)
     norm_grid = grid or _default_y_grid(engine, w, max(s_samples), list(x_samples))
-    wq = pot.lq_norm(w, q, lambda p: control.space_factor(p), norm_grid)
+    wq = pot.lq_norm(w, q, control.space_factor, norm_grid)
     if wq.diverges:
         return HolderReport(q, math.inf, 0.0, True, 0, [])
     details = []
@@ -797,15 +802,32 @@ def classical_kato_functional(
                 g_singular_radius=eps,
             )
             if eps > 0.0:
-                def near(u: float) -> float:
-                    fk_ = float(fker(np.array([abs(d - u)]))[0])
-                    return float(profile(np.array([u]))[0]) * geom.ball_surface(model, u) * fk_
-
-                nf, _ = quad(near, 0.0, eps, epsabs=1e-13, epsrel=1e-9, limit=100)
-                val += nf
+                val += _classical_near_field(model, fker, profile, d, min(eps, support), beta)
             total += abs(c) * val
         best = max(best, total)
     return best
+
+
+def _classical_near_field(model, fker, profile, d, radius, beta) -> float:
+    """The excised ball of the classical functional.  Away from the center
+    h_m(|d - u|) is smooth on it; at the center h_m(u) is the power u^(2-m)
+    (m >= 3), which joins the profile's power, or log(1/u) (m = 2), which is
+    integrated by parts: G(R) log(1/R) + int_0^R G(v)/v dv, G(v) = int_0^v g."""
+    m = model.dim
+    if d > 1e-14 or m == 1:
+        return qd.near_field_integral(model, fker, profile, d, radius, beta)
+    if m >= 3:
+        return qd.near_field_integral(model, fker, profile, d, radius, beta + m - 2.0)
+    one = np.ones_like
+
+    def G(v):
+        return np.array([qd.near_field_integral(model, one, profile, 0.0, float(r), beta) for r in v])
+
+    def g_over_v(v):  # G(v) / v, written as a profile against the sphere area
+        return G(v) / (v * geom.ball_surface_many(model, v))
+
+    rest = qd.near_field_integral(model, one, g_over_v, 0.0, radius, beta)
+    return float(G([radius])[0]) * math.log(1.0 / radius) + rest
 
 
 def classical_is_kato(
@@ -945,7 +967,8 @@ def _fd_ground_energy(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h) -> f
     ).tocsc()
     if m == 2 and count <= 150_000:
         # 2-d fill-in is mild; shift-invert is exact and fast
-        lam = eigsh(A, k=1, sigma=0.0, which="LM", return_eigenvectors=False)
+        # a fixed start vector keeps the result a function of the matrix alone
+        lam = eigsh(A, k=1, sigma=0.0, which="LM", v0=np.ones(count), return_eigenvectors=False)
         return float(lam[0])
     from scipy.sparse.linalg import lobpcg
 
@@ -1129,9 +1152,13 @@ def control_pair_from_faber_krahn(
             mid = float(t) ** (-m / 2.0) + Rx ** (-m)
             rhs = Rx ** (-m) * (float(t) ** (-m / 2.0) * sup_R**m + 1.0)
             chain = min(chain, mid - lhs, rhs - mid)
+
+    def space_factor(ys):
+        return np.array([c_hat * a ** (-m / 2.0) * fk.radius_fn(Point(y)) ** (-m) for y in ys])
+
     pair = KatoControlPair(
         model,
-        space_factor=lambda x, c=c_hat, a=a, m=m, fk=fk: c * a ** (-m / 2.0) * fk.radius_fn(x) ** (-m),
+        space_factor=space_factor,
         time_factor=lambda t, m=m, s=sup_R: float(t) ** (-m / 2.0) * s**m + 1.0,
         description=f"Faber-Krahn induced pair, empirical C={c_hat:.12g} (a={a:.6g})",
         constants={"C_hat": c_hat, "a": a, "sup_R": sup_R},

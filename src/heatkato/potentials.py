@@ -377,7 +377,7 @@ def _weight_values(weight, grid: QuadratureGrid) -> np.ndarray:
     if weight is None:
         return np.ones(grid.size)
     if callable(weight):
-        return np.array([float(weight(geom.Point(c))) for c in grid.node_coords])
+        return np.broadcast_to(np.asarray(weight(grid.node_coords), dtype=float), (grid.size,))
     arr = np.asarray(weight, dtype=float)
     if arr.shape == ():
         return np.full(grid.size, float(arr))
@@ -388,7 +388,7 @@ def _weight_at(weight, model: ManifoldModel, p: Point) -> float:
     if weight is None:
         return 1.0
     if callable(weight):
-        return float(weight(p))
+        return float(np.broadcast_to(weight(p.coords[None, :]), (1,))[0])
     arr = np.asarray(weight, dtype=float)
     if arr.shape == ():
         return float(arr)
@@ -403,6 +403,12 @@ def lq_norm(
     excision_radius: float | None = None,
 ) -> WeightedLqNorm:
     """(integral |w|^q * weight dmu)^(1/q) over the grid window.
+
+    ``weight`` is None (1), a scalar, an array of node values, or a callable
+    that takes an (n, chart_dim) array of chart coordinates and returns values
+    that broadcast to (n,); it is called once for all grid nodes and once per
+    excised center, with that center's coordinates as a (1, chart_dim) array.
+    ``KatoControlPair.space_factor`` has this form.
 
     Integrable point singularities are excised and their ball contribution
     added from the local radial profile; beta*q >= m flags divergence.

@@ -1,6 +1,6 @@
 """Internal quadrature helpers.
 
-Two workhorses live here:
+Three workhorses live here:
 
 * ``radial_integral``   -- 1-d integrals of rho -> f(rho) against the geodesic
   sphere area s_m(rho), with geometric cell ladders around features.
@@ -8,16 +8,22 @@ Two workhorses live here:
   model manifold.  On E^m, H^3, S^2 and the circle such integrands are
   axially symmetric about the geodesic through x and c, which reduces the
   integral to two dimensions regardless of the ambient dimension.
+* ``near_field_integral`` -- the ball of radius eps around a power
+  singularity u^(-beta) that ``two_point_integral`` excises, by one fixed
+  Gauss-Jacobi rule with weight u^(m-1-beta).
 
-All rules are composite Gauss-Legendre over explicit cell partitions, so
-excising a region maps exactly to dropping cells/nodes.
+``radial_integral`` and ``two_point_integral`` are composite Gauss-Legendre
+over explicit cell partitions, so excising a region maps exactly to dropping
+cells/nodes.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
+from scipy.special import roots_jacobi
 
 from .errors import UnsupportedModelError
 from .geometry import Kind, ManifoldModel, ball_surface_many
@@ -191,9 +197,7 @@ def two_point_integral(
 def _full_rotation(model: ManifoldModel) -> float:
     # ball_surface already contains the full direction-sphere volume; the
     # angular jacobian integrates to that same constant, so normalize it out.
-    if model.dim == 2:
-        return 2.0 * math.pi if model.kind is Kind.EUCLIDEAN else 2.0 * math.pi
-    return 4.0 * math.pi
+    return 2.0 * math.pi if model.dim == 2 else 4.0 * math.pi
 
 
 def _two_point_circle(f, g, d: float, g_singular_radius: float) -> float:
@@ -223,6 +227,44 @@ def _two_point_circle(f, g, d: float, g_singular_radius: float) -> float:
     if g_singular_radius > 0.0:
         vals = np.where(dist_c < g_singular_radius, 0.0, vals)
     return float(np.sum(w * vals))
+
+
+# ---------------------------------------------------------------------------
+# excised near field
+
+
+NEAR_FIELD_NODES = 24
+
+
+@lru_cache(maxsize=64)
+def _jacobi_rule(n: int, exponent: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the weight t^exponent on [0, 1], each weight
+    divided by t^exponent at its node: sum(w * h(t)) integrates h itself when
+    h / t^exponent is smooth.  Built on first use; the arrays are read-only
+    because every caller shares them."""
+    x, w = roots_jacobi(n, 0.0, exponent)
+    t = 0.5 * (1.0 + x)
+    w = w / 2.0 ** (exponent + 1.0) / t**exponent
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
+def near_field_integral(model: ManifoldModel, kernel, profile, d: float, radius: float, beta: float) -> float:
+    """integral over [0, radius] of profile(u) * s_m(u) * kernel(|d - u|) du.
+
+    This is the ball of the given radius around a singular center c, at
+    distance d from x, with the kernel bounded on each distance sphere by its
+    value at the point nearest x (exact when d = 0).  ``beta`` is the power
+    singularity of profile(u) * kernel(|d - u|) at u = 0, so that the
+    integrand divided by u^(m-1-beta) is smooth on [0, radius]; beta < m.
+    Pass radius = min(excision radius, support radius) so that a window edge
+    never falls inside the rule.
+    """
+    t, w = _jacobi_rule(NEAR_FIELD_NODES, model.dim - 1.0 - beta)
+    u = radius * t
+    vals = profile(u) * ball_surface_many(model, u) * kernel(np.abs(d - u))
+    return float(radius * np.sum(w * vals))
 
 
 # ---------------------------------------------------------------------------

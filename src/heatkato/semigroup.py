@@ -202,7 +202,9 @@ def ground_energy(op: DiscretizedOperator) -> float:
         return float(op.eig()[0][0])
     # shift strictly below the spectrum: H >= -||w_-||_inf on the grid
     sigma = float(min(op.potential_floor, 0.0)) - 1.0
-    lam = eigsh(op.matrix.tocsc(), k=1, sigma=sigma, which="LM", return_eigenvectors=False)
+    # a fixed start vector keeps the result a function of the operator alone
+    lam = eigsh(op.matrix.tocsc(), k=1, sigma=sigma, which="LM", v0=np.ones(op.size),
+                return_eigenvectors=False)
     return float(lam[0])
 
 

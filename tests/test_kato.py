@@ -9,6 +9,7 @@ from heatkato import geometry as G
 from heatkato import heat_kernel as HK
 from heatkato import kato as K
 from heatkato import potentials as P
+from heatkato import quadrature as Q
 from heatkato.errors import DomainError, UnsupportedModelError
 
 E3 = G.euclidean(3)
@@ -133,6 +134,94 @@ def test_control_pair_on_diag_exact_constants():
     engc = HK.make_engine(G.circle())
     pc = K.control_pair_from_on_diag(engc)
     assert pc.certificates[1.0] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_control_pair_margins_from_coordinate_arrays():
+    # space factors take (n, chart_dim) arrays; margins keep their exact floats
+    ts = [0.01, 0.1, 1.0]
+    xs = [ORIGIN, G.make_point(E3, [0.3, -1.0, 2.0])]
+    ys = np.stack([x.coords for x in xs])
+    pair = K.control_pair_from_on_diag(ENG3)
+    C = pair.constants["C"]
+    ver = K.verify_control_pair(ENG3, pair, ts, xs)
+    assert [e["margin"] for e in ver.details] == [
+        C * pair.time_factor(t) - HK.on_diag(ENG3, t) for t in ts for _ in xs
+    ]
+    fk = K.FaberKrahnControlPair(K.constant_radius_fn(E3), K.faber_krahn_constant(3))
+    fk_pair, rep = K.control_pair_from_faber_krahn(fk, ENG3)
+    space = rep.c_hat * fk.a ** (-1.5) * fk.radius_fn(ORIGIN) ** (-3)
+    assert list(fk_pair.space_factor(ys)) == [space, space]
+    ver = K.verify_control_pair(ENG3, fk_pair, ts, xs)
+    assert [e["margin"] for e in ver.details] == [
+        space * fk_pair.time_factor(t) - HK.on_diag(ENG3, t) for t in ts for _ in xs
+    ]
+
+
+def _quad_near_field(model, kernel, profile, d, radius):
+    # the scalar adaptive quadrature the excised ball used before the fixed rule
+    def near(u):
+        k = float(kernel(np.array([abs(d - u)]))[0])
+        return float(profile(np.array([u]))[0]) * G.ball_surface(model, u) * k
+
+    return quad(near, 0.0, radius, epsabs=1e-13, epsrel=1e-9, limit=100)[0]
+
+
+def _excision_radius(s):
+    return max(1e-5, min(1e-3, 0.05 * math.sqrt(s)))  # as in smoothed_abs
+
+
+@pytest.mark.parametrize("spec", ["euclidean:2", "euclidean:3", "hyperbolic3", "sphere2", "circle"])
+def test_near_field_rule_matches_quad(spec):
+    model = G.parse_manifold(spec)
+    eng = HK.make_engine(model)
+    c = G.base_point(model)
+    betas = [b for b in (0.5, 1.0, 1.5) if b < (1.0 if model.dim == 1 else model.dim)]
+    # sphere2 stops at s = 1e-3: below it the series runs to thousands of terms
+    # per scalar quad node (seconds per case), and at s = 1e-9 the kernel,
+    # summed in cos d, carries ~1e-8 relative noise near d = 0
+    ss = (1e-3, 0.5) if model.kind is G.Kind.SPHERE2 else (1e-9, 1e-6, 1e-3, 0.5)
+    for beta in betas:
+        _, profile, _, _ = K._radial_atom(P.RadialPower(model, c, beta), model)
+        for s in ss:
+            eps = _excision_radius(s)
+            kernel = lambda r, s=s: HK.eval_radial(eng, s, r)
+            for d in (0.0, eps / 2, 0.5):
+                got = Q.near_field_integral(model, kernel, profile, d, eps, beta)
+                ref = _quad_near_field(model, kernel, profile, d, eps)
+                assert abs(got - ref) <= max(1e-9 * abs(ref), 1e-13), (beta, s, d, got, ref)
+
+
+def test_near_field_rule_stops_at_window_edge():
+    s = 1e-6
+    eps = _excision_radius(s)
+    w = P.Windowed(E3, P.RadialPower(E3, ORIGIN, 1.0), G.BallWindow(ORIGIN, eps / 3))
+    _, profile, support, beta = K._radial_atom(w, E3)
+    assert support < eps
+    kernel = lambda r: HK.eval_radial(ENG3, s, r)
+    for d in (0.0, eps / 2):
+        got = Q.near_field_integral(E3, kernel, profile, d, min(eps, support), beta)
+        ref = _quad_near_field(E3, kernel, profile, d, eps)
+        assert abs(got - ref) <= max(1e-9 * abs(ref), 1e-13), (d, got, ref)
+
+
+def test_classical_near_field_at_center_in_the_plane():
+    # h_2 = log(1/u) at the center: int_0^R u^-beta 2 pi u log(1/u) du in closed form
+    e2 = G.euclidean(2)
+    for beta in (0.5, 1.0, 1.5):
+        _, profile, _, _ = K._radial_atom(P.RadialPower(e2, G.base_point(e2), beta), e2)
+        for R in (1e-6, 3e-5):
+            a = 2.0 - beta
+            exact = 2 * math.pi * R**a * (math.log(1 / R) / a + 1 / a**2)
+            got = K._classical_near_field(e2, lambda r: K.h_weight(2, r), profile, 0.0, R, beta)
+            assert got == pytest.approx(exact, rel=1e-13)
+
+
+def test_fd_eigen_solve_repeats_exactly():
+    e2 = G.euclidean(2)
+    region = G.BallWindow(G.base_point(e2), 1.0)
+    first = K.dirichlet_ground_energy(e2, region, 1 / 24, refinements=1)
+    again = K.dirichlet_ground_energy(e2, region, 1 / 24, refinements=1)
+    assert first.raw == again.raw
 
 
 def test_admissible_q_rules():

@@ -118,6 +118,28 @@ def test_lq_norm_monotone_in_window_and_potential():
     assert P.lq_norm(dominated, 2.0, None, small).value <= n_small
 
 
+def test_lq_norm_array_weight_matches_per_node_sum():
+    grid = G.build_grid(E3, 0.05, G.BallWindow(ORIGIN, 1.0))
+    w = P.cosine_potential(E3)  # bounded: nothing is excised
+    got = P.lq_norm(w, 2.0, lambda ys: 1.0 + np.sum(ys**2, axis=1), grid).value
+    vals = np.abs(P.evaluate_many(w, grid.node_coords))
+    ref = 0.0
+    for weight, v, y in zip(grid.weights, vals, grid.node_coords):
+        ref += weight * v**2 * (1.0 + float(y @ y))
+    assert got == pytest.approx(ref**0.5, rel=1e-14)
+    # at an excised center the callable sees that center as a (1, chart_dim) array
+    center = G.make_point(E3, [0.2, 0.0, -0.1])
+    sing = P.RadialPower(E3, center, 0.9)
+    seen = []
+
+    def three(ys):
+        seen.append(ys.shape)
+        return np.full(len(ys), 3.0)
+
+    assert P.lq_norm(sing, 2.0, three, grid).value == P.lq_norm(sing, 2.0, 3.0, grid).value
+    assert seen == [(grid.size, 3), (1, 3)]
+
+
 def test_excised_lq_matches_brute_force_refined():
     # spec property: within 2% of a fine-grid brute force for beta*q < 0.9 m
     w = P.RadialPower(E3, ORIGIN, 0.9)  # q=2: beta q = 1.8 < 2.7

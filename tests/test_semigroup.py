@@ -47,6 +47,11 @@ def test_mathieu_ground_energy_converges():
     assert abs(g1 - g2) < 1e-6
 
 
+def test_sparse_ground_energy_repeats_exactly():
+    op = SG.discretize(CIRCLE, 4096, P.cosine_potential(CIRCLE))
+    assert SG.ground_energy(op) == SG.ground_energy(op)
+
+
 def test_apply_identity_at_zero_and_positivity():
     op = SG.discretize(CIRCLE, 128, P.cosine_potential(CIRCLE))
     f = np.sin(np.arange(128))
