@@ -145,6 +145,9 @@ def validate_manifest(manifest: ExperimentManifest) -> None:
     for name in manifest.checks:
         if name not in CHECKS:
             raise ManifestError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
+        models = CHECKS[name].models
+        if models is not None and not models[1](model):
+            raise ManifestError(f"{name} runs on {models[0]}, not on {manifest.manifold}")
     if manifest.potential is not None:
         target = model
         if manifest.checks == ["project-check"] and model.kind is Kind.PRODUCT:
@@ -154,13 +157,15 @@ def validate_manifest(manifest: ExperimentManifest) -> None:
         except HeatKatoError as exc:
             raise ManifestError(f"potential: {exc}")
     for check, kv in manifest.params.items():
-        spec = CHECKS[check].params
+        spec = CHECKS[check]
         for k, v in kv.items():
-            caster = spec[k][0]
             try:
-                caster(v)
+                value = spec.params[k][0](v)
             except ValueError:
                 raise ManifestError(f"param.{check}.{k}: cannot parse {v!r}")
+            problem = spec.domains[k](value, model) if k in spec.domains else None
+            if problem:
+                raise ManifestError(f"param.{check}.{k} = {v}: {problem}")
 
 
 def manifold_spec(manifest: ExperimentManifest) -> str:
@@ -189,6 +194,18 @@ class CheckSpec:
     runner: object
     params: dict  # name -> (caster, default)
     description: str
+    models: tuple | None = None  # (what, predicate on the model); None runs on every model
+    domains: dict = field(default_factory=dict)  # name -> f(value, model): problem or None
+
+
+_EUCLIDEAN_2_3 = (
+    "euclidean:2 or euclidean:3",
+    lambda model: model.kind is Kind.EUCLIDEAN and model.dim in (2, 3),
+)
+
+
+def _positive(value, model):
+    return None if math.isfinite(value) and value > 0 else "must be finite and > 0"
 
 
 def _params(ctx: CheckContext, name: str) -> dict:
@@ -357,6 +374,13 @@ def _default_fk_sets(model: ManifoldModel):
             (o, BoxWindow(o, (0.8, 0.4))),
         ]
     return [(o, BallWindow(o, 1.0)), (o, BoxWindow(o, (0.7, 0.7, 0.7)))]
+
+
+def _fk_radius(value, model):
+    circum = max(kato_mod._region_circumradius(model, x, region) for x, region in _default_fk_sets(model))
+    if not (math.isfinite(value) and value >= circum - 1e-9):
+        return f"must be finite and >= {circum:.6g}, the circumradius of the default test sets"
+    return None
 
 
 def _check_fk_verify(ctx: CheckContext, name: str) -> CheckResult:
@@ -597,9 +621,12 @@ CHECKS: dict[str, CheckSpec] = {
         _check_fk_verify,
         {"h": (float, 1.0 / 48.0), "a_scale": (float, 1.0), "radius": (float, 2.5)},
         "Faber-Krahn inequality on test sets",
+        models=_EUCLIDEAN_2_3,
+        domains={"h": _positive, "a_scale": _positive, "radius": _fk_radius},
     ),
     "mvi-sweep": CheckSpec(
-        _check_mvi, {"radius": (float, 1.0)}, "parabolic mean value inequality sweep"
+        _check_mvi, {"radius": (float, 1.0)}, "parabolic mean value inequality sweep",
+        models=_EUCLIDEAN_2_3,
     ),
     "heat-bound": CheckSpec(
         _check_heat_bound,

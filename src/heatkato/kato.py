@@ -797,6 +797,10 @@ def classical_kato_functional(
             center, profile, support, beta = ra
             d = geom.distance(model, x, center)
             eps = max(1e-6, 1e-4 * r) if beta > 0 else 0.0
+            if m >= 2 and 1e-14 < d < eps:  # h_m(|d - u|) is singular on the excised ball
+                raise DomainError(
+                    f"x-sample at distance {d:.3g} lies inside the excised ball of radius {eps:.3g}"
+                )
             val = qd.two_point_integral(
                 model, fker, profile, d, r, f_scale=r / 8.0, g_scale=max(eps, r / 16.0),
                 g_singular_radius=eps,
@@ -970,19 +974,9 @@ def _fd_ground_energy(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h) -> f
         # a fixed start vector keeps the result a function of the matrix alone
         lam = eigsh(A, k=1, sigma=0.0, which="LM", v0=np.ones(count), return_eigenvectors=False)
         return float(lam[0])
-    from scipy.sparse.linalg import lobpcg
-
-    try:
-        import pyamg
-
-        ml = pyamg.smoothed_aggregation_solver(A.tocsr())
-        precond = ml.aspreconditioner()
-    except Exception:  # pragma: no cover - pyamg is normally available
-        precond = sparse.diags(1.0 / A.diagonal())
-    rng = np.random.default_rng(12345)
-    X = rng.standard_normal((count, 2))
-    vals, _ = lobpcg(A, X, M=precond, tol=1e-9, maxiter=500, largest=False)
-    return float(np.min(vals))
+    # 3-d factors fill in badly; implicitly restarted Lanczos needs only A @ v
+    lam = eigsh(A, k=1, which="SA", v0=np.ones(count), return_eigenvectors=False)
+    return float(lam[0])
 
 
 def dirichlet_ground_energy(
@@ -1099,9 +1093,11 @@ def faber_krahn_verify(
             "converged": res.converged,
         }
         details.append(entry)
-        if not res.converged:
-            inconclusive.append(entry)
-        worst = min(worst, margin)
+        finite = all(math.isfinite(v) for v in (res.value, rhs, margin))
+        if not (finite and res.converged):
+            reason = "finite differences not converged" if finite else "eigenvalue, rhs or margin is not finite"
+            inconclusive.append({**entry, "reason": reason})
+        worst = min(worst, margin if finite else -math.inf)  # min(inf, nan) would be inf
     return FaberKrahnReport(worst, tol, inconclusive, details)
 
 

@@ -176,3 +176,23 @@ def _write(tmp_path, text):
     path = tmp_path / "manifest.txt"
     path.write_text(text)
     return str(path)
+
+
+@pytest.mark.parametrize(
+    "check, manifold",
+    [("fk-verify", "hyperbolic3"), ("fk-verify", "sphere2"), ("mvi-sweep", "sphere2")],
+)
+def test_unsupported_model_exit_two(check, manifold, capsys):
+    assert cli.main([check, "--manifold", manifold]) == 2
+    err = capsys.readouterr().err
+    assert "runs on euclidean:2 or euclidean:3" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "param",
+    ["h=0", "h=nan", "h=-0.1", "h=inf", "radius=0.1", "radius=nan", "a_scale=0", "a_scale=nan", "a_scale=-1"],
+)
+def test_fk_verify_parameter_domains_exit_two(param, capsys):
+    assert cli.main(["fk-verify", "--manifold", "euclidean:2", "--param", param]) == 2
+    err = capsys.readouterr().err
+    assert f"param.fk-verify.{param.split('=')[0]}" in err and "Traceback" not in err

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.sparse.linalg import eigsh
 from scipy.special import jn_zeros
 
 from heatkato import geometry as G
@@ -217,11 +218,34 @@ def test_classical_near_field_at_center_in_the_plane():
 
 
 def test_fd_eigen_solve_repeats_exactly():
-    e2 = G.euclidean(2)
-    region = G.BallWindow(G.base_point(e2), 1.0)
-    first = K.dirichlet_ground_energy(e2, region, 1 / 24, refinements=1)
-    again = K.dirichlet_ground_energy(e2, region, 1 / 24, refinements=1)
-    assert first.raw == again.raw
+    # 2-d: shift-invert; 3-d: Lanczos on the smallest eigenvalue
+    for model, h in ((G.euclidean(2), 1 / 24), (G.euclidean(3), 1 / 8)):
+        region = G.BallWindow(G.base_point(model), 1.0)
+        first = K.dirichlet_ground_energy(model, region, h, refinements=1)
+        again = K.dirichlet_ground_energy(model, region, h, refinements=1)
+        assert first.raw == again.raw
+
+
+def test_fd_box_3d_matches_discrete_closed_form():
+    # the seven-point Dirichlet operator on a lattice-aligned box separates:
+    # lambda = sum_k (1 - cos(pi / (n_k + 1))) / h_k^2 with n_k interior nodes per axis
+    e3 = G.euclidean(3)
+    hw = (0.5, 0.4, 0.3)
+    res = K.dirichlet_ground_energy(e3, G.BoxWindow(G.base_point(e3), hw), 1 / 10, refinements=1)
+    for j, raw in enumerate(res.raw):
+        cells = [round(2 * w * 10) * 2**j for w in hw]
+        exact = sum((1 - math.cos(math.pi / n)) / (2 * w / n) ** 2 for w, n in zip(hw, cells))
+        assert raw == pytest.approx(exact, rel=1e-12)
+
+
+def test_fd_ball_3d_matches_shift_invert(monkeypatch):
+    seen = []
+    monkeypatch.setattr(K, "eigsh", lambda A, **kw: seen.append(A) or eigsh(A, **kw))
+    e3 = G.euclidean(3)
+    res = K.dirichlet_ground_energy(e3, G.BallWindow(G.base_point(e3), 1.0), 1 / 8, refinements=0)
+    (A,) = seen
+    ref = eigsh(A, k=1, sigma=0.0, which="LM", v0=np.ones(A.shape[0]), return_eigenvectors=False)
+    assert res.raw[0] == pytest.approx(float(ref[0]), rel=1e-12)
 
 
 def test_admissible_q_rules():
@@ -308,6 +332,16 @@ def test_faber_krahn_inconclusive_when_coarse():
         e2, lambda x: 2.0, K.faber_krahn_constant(2), [(o2, G.BallWindow(o2, 1.0))], h=1 / 6
     )
     assert rep.inconclusive
+
+
+def test_faber_krahn_nan_constant_is_inconclusive():
+    # min(inf, nan) is inf: a NaN margin must not slip through as a PASS
+    e2 = G.euclidean(2)
+    o2 = G.base_point(e2)
+    rep = K.faber_krahn_verify(e2, lambda x: 2.0, math.nan, [(o2, G.BoxWindow(o2, (0.5, 0.5)))], h=1 / 16)
+    assert not rep.passed
+    assert rep.min_margin == -math.inf
+    assert [e["reason"] for e in rep.inconclusive] == ["eigenvalue, rhs or margin is not finite"]
 
 
 def test_fk_induced_pair_and_chain():
@@ -409,3 +443,16 @@ def test_classical_one_dimensional_windowed_l1():
     assert v1 == pytest.approx(4 * math.sqrt(0.1), rel=1e-4)
     # beta >= 1 is not locally integrable in one dimension
     assert K.classical_kato_functional(e1, P.RadialPower(e1, o1, 1.0), 0.1, [o1]) == math.inf
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_classical_sample_inside_excised_ball_rejected(m):
+    # h_m(|d - u|) is singular at u = d inside the excised ball of radius eps
+    e = G.euclidean(m)
+    o = G.base_point(e)
+    r = 0.1
+    eps = max(1e-6, 1e-4 * r)
+    v = np.zeros(m)
+    v[0] = eps / 2
+    with pytest.raises(DomainError):
+        K.classical_kato_functional(e, P.RadialPower(e, o, 1.0), r, [G.exp_map(e, o, v)])
