@@ -137,7 +137,7 @@ def load_manifest(path: str) -> ExperimentManifest:
 
 
 def validate_manifest(manifest: ExperimentManifest) -> None:
-    model = geom.parse_manifold(manifold_spec(manifest))
+    model = geom.parse_manifold(manifest.manifold)
     try:
         hk.make_engine(model, manifest.kernel_method)
     except HeatKatoError as exc:
@@ -166,10 +166,6 @@ def validate_manifest(manifest: ExperimentManifest) -> None:
             problem = spec.domains[k](value, model) if k in spec.domains else None
             if problem:
                 raise ManifestError(f"param.{check}.{k} = {v}: {problem}")
-
-
-def manifold_spec(manifest: ExperimentManifest) -> str:
-    return manifest.manifold
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +200,25 @@ _EUCLIDEAN_2_3 = (
 )
 
 
+_CIRCLE = ("circle", lambda model: model.kind is Kind.CIRCLE)
+
+
 def _positive(value, model):
     return None if math.isfinite(value) and value > 0 else "must be finite and > 0"
+
+
+def _at_least(k):
+    return lambda value, model: None if value >= k else f"must be >= {k}"
+
+
+def _positive_list(value, model):
+    try:
+        ts = _floats(value)
+    except ValueError:
+        ts = []
+    if ts and all(math.isfinite(t) and t > 0 for t in ts):
+        return None
+    return "must be a comma-separated list of finite numbers > 0"
 
 
 def _params(ctx: CheckContext, name: str) -> dict:
@@ -443,8 +456,6 @@ def _check_heat_bound(ctx: CheckContext, name: str) -> CheckResult:
 
 def _check_feynman_kac(ctx: CheckContext, name: str) -> CheckResult:
     p = _params(ctx, name)
-    if ctx.model.kind is not Kind.CIRCLE:
-        raise ManifestError("feynman-kac cross-check runs on the circle")
     w = ctx.potential("cosine")
     ts = _floats(p["t_values"])
     start = geom.circle_point(0.0)
@@ -453,20 +464,24 @@ def _check_feynman_kac(ctx: CheckContext, name: str) -> CheckResult:
     node = 0  # start sits at grid node 0
     worst = math.inf
     rows = []
+    reasons = []
     for t in ts:
         sub = ens.truncated(t)
         est = st.feynman_kac(sub, w)
         spectral = float(sg.semigroup_apply(op, t, np.ones(op.size))[node])
-        z = (est.value - spectral) / est.std_error if est.std_error > 0 else 0.0
-        rows.append([t, est.value, est.std_error, spectral, z])
-        worst = min(worst, 4.0 - abs(z))
+        se = est.std_error
+        z = (est.value - spectral) / se if math.isfinite(se) and se > 0 else math.nan
+        if not math.isfinite(z):
+            reasons.append(f"t={t:g}: no finite z-score (mc {est.value}, standard error {se})")
+        rows.append([t, est.value, se, spectral, z])
+        worst = min(worst, 4.0 - abs(z) if math.isfinite(z) else -math.inf)
     return CheckResult(
         name=name,
         verdict="PASS" if worst >= 0 else "FAIL",
         inequality="E[exp(-int_0^t w(X_s) ds) f(X_t)] = (e^{-tH} f)(x)",
         margin_min=worst,
         tolerance=0.0,
-        values={"rows": rows},
+        values={"rows": rows, **({"reasons": reasons} if reasons else {})},
         sweep={"n_paths": int(p["n_paths"]), "h": p["h"], "n_grid": int(p["n_grid"])},
         series={"feynman_kac": {"columns": ["t", "mc", "stderr", "spectral", "z"], "rows": rows}},
     )
@@ -474,8 +489,6 @@ def _check_feynman_kac(ctx: CheckContext, name: str) -> CheckResult:
 
 def _check_project(ctx: CheckContext, name: str) -> CheckResult:
     p = _params(ctx, name)
-    if ctx.model.kind is not Kind.PRODUCT:
-        raise ManifestError("project-check needs a product manifold")
     leaf = pot.leaves(ctx.model)[int(p["leaf"])][0]
     w = ctx.potential("indicator:ball:r=1", target=leaf)
     x = geom.base_point(ctx.model)
@@ -515,8 +528,6 @@ def _check_kato_exponential(ctx: CheckContext, name: str) -> CheckResult:
 
 def _check_semigroup(ctx: CheckContext, name: str) -> CheckResult:
     p = _params(ctx, name)
-    if ctx.model.kind is not Kind.CIRCLE:
-        raise ManifestError("semigroup-bound runs on the circle")
     w_minus = ctx.potential("radialpower:beta=0.5")
     op_minus = sg.discretize(ctx.model, int(p["n_grid"]), pot.Scale(-1.0, pot.absolute(w_minus)))
     bound = sg.bop_bound_check(
@@ -538,8 +549,6 @@ def _check_semigroup(ctx: CheckContext, name: str) -> CheckResult:
 
 def _check_riesz(ctx: CheckContext, name: str) -> CheckResult:
     p = _params(ctx, name)
-    if ctx.model.kind is not Kind.CIRCLE:
-        raise ManifestError("riesz-thorin runs on the circle")
     w = ctx.potential("cosine")
     op = sg.discretize(ctx.model, int(p["n_grid"]), w)
     rep = sg.riesz_thorin_check(op, p["t"], _floats(p["r_values"]))
@@ -642,11 +651,14 @@ CHECKS: dict[str, CheckSpec] = {
             "n_grid": (int, 8192),
         },
         "Monte-Carlo Feynman-Kac against the spectral semigroup",
+        models=_CIRCLE,
+        domains={"t_values": _positive_list, "n_paths": _at_least(2), "h": _positive, "n_grid": _at_least(8)},
     ),
     "project-check": CheckSpec(
         _check_project,
         {"t": (float, 0.3), "leaf": (int, 0), "n_paths": (int, 0), "h": (float, 2e-3)},
         "projection bound for product projections",
+        models=("a product manifold", lambda model: model.kind is Kind.PRODUCT),
     ),
     "kato-exponential": CheckSpec(
         _check_kato_exponential,
@@ -662,11 +674,13 @@ CHECKS: dict[str, CheckSpec] = {
         _check_semigroup,
         {"n_grid": (int, 192), "t_values": (str, "0,0.5,1,2"), "deltas": (str, "1.5,2,4")},
         "L^q -> L^q semigroup bound",
+        models=_CIRCLE,
     ),
     "riesz-thorin": CheckSpec(
         _check_riesz,
         {"n_grid": (int, 192), "t": (float, 0.5), "r_values": (str, "0.25,0.5,0.75")},
         "Riesz-Thorin interpolation margins",
+        models=_CIRCLE,
     ),
     "coulomb": CheckSpec(
         _check_coulomb,

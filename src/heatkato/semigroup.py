@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.sparse.linalg import eigsh
 
 from . import potentials as pot
@@ -116,13 +116,16 @@ def discretize(model: ManifoldModel, n: int, w: pot.Potential) -> DiscretizedOpe
 
 
 def _lanczos_recurrence(H, f, k_max, callback):
-    """Run the Lanczos three-term recurrence, handing (j, v_j) to callback;
-    returns (alphas, betas, steps)."""
+    """Run the Lanczos three-term recurrence from f / ||f|| for at most k_max
+    steps. Before step j, callback(j, v_j, alphas, betas) sees the basis vector
+    and the j alphas and j betas so far, and stops the run by returning True.
+    Returns (alphas, betas)."""
     v_prev = np.zeros_like(f)
     v = f / np.linalg.norm(f)
     alphas, betas = [], []
     for j in range(k_max):
-        callback(j, v)
+        if callback(j, v, alphas, betas):
+            break
         w = H @ v
         a = float(v @ w)
         alphas.append(a)
@@ -135,6 +138,17 @@ def _lanczos_recurrence(H, f, k_max, callback):
     return alphas, betas
 
 
+def _ritz_expm_e1(alphas, betas, t: float) -> np.ndarray:
+    """e^{-tT} e_1 = sum_i e^{-t lam_i} u_i u_i[0] for the Lanczos tridiagonal
+    T, over the Ritz pairs with lam_i <= lam_0 + 40/t only, lam_0 = lam_min(T).
+    As sum_i u_i[0]^2 = 1, the dropped modes change it by at most
+    e^{-40} e^{-t lam_0} ~ 4e-18 e^{-t lam_0} in the 2-norm."""
+    d, e = np.asarray(alphas), np.asarray(betas)
+    lam0 = float(eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0))[0])
+    lam, U = eigh_tridiagonal(d, e, select="v", select_range=(lam0 - 1.0 - abs(lam0), lam0 + 40.0 / t))
+    return U @ (np.exp(-t * lam) * U[0])
+
+
 def _lanczos_expm(H: sparse.csr_matrix, t: float, f: np.ndarray, k_max: int = 6000,
                   tol: float = 1e-13) -> np.ndarray:
     """e^{-tH} f for symmetric H by the two-pass Lanczos approximation.
@@ -142,44 +156,25 @@ def _lanczos_expm(H: sparse.csr_matrix, t: float, f: np.ndarray, k_max: int = 60
     The stiff FD operators here have ||tH|| ~ 1e5 and up, where Taylor-based
     expm_multiply needs as many matvecs as the norm; Lanczos needs
     O(sqrt(||tH||)) iterations, and the second pass regenerates the basis so
-    memory stays at a few vectors."""
-    from scipy.linalg import eigh_tridiagonal
-
+    memory stays at a few vectors. The first pass checks e^{-tT} e_1 against
+    tol every 250 steps; both solves keep only the low Ritz modes."""
     beta0 = float(np.linalg.norm(f))
     if beta0 == 0.0:
         return np.zeros_like(f)
-    # first pass: run the recurrence, checking convergence on the tridiagonal
-    v_prev = np.zeros_like(f)
-    v = f / beta0
-    alphas: list = []
-    betas: list = []
-    chosen = None
-    for j in range(k_max):
-        w = H @ v
-        a = float(v @ w)
-        alphas.append(a)
-        w = w - a * v - (betas[-1] if betas else 0.0) * v_prev
-        b = float(np.linalg.norm(w))
-        if b < 1e-14:
-            chosen = len(alphas)
-            break
-        if len(alphas) % 250 == 0:
-            lam, U = eigh_tridiagonal(np.array(alphas), np.array(betas))
-            coeff = U @ (np.exp(-t * lam) * U[0])
-            if abs(coeff[-1]) < tol * max(1.0, abs(coeff[0])):
-                chosen = len(alphas)
-                break
-        betas.append(b)
-        v_prev, v = v, w / b
-    if chosen is None:
-        chosen = len(alphas)
-    lam, U = eigh_tridiagonal(np.array(alphas[:chosen]), np.array(betas[: chosen - 1]))
-    coeff = U @ (np.exp(-t * lam) * U[0])
+
+    def converged(j, v, alphas, betas):
+        if j == 0 or j % 250:
+            return False
+        coeff = _ritz_expm_e1(alphas, betas[: j - 1], t)
+        return abs(coeff[-1]) < tol * max(1.0, abs(coeff[0]))
+
+    alphas, betas = _lanczos_recurrence(H, f, k_max, converged)
+    chosen = len(alphas)
+    coeff = _ritz_expm_e1(alphas, betas[: chosen - 1], t)
     out = np.zeros_like(f)
 
-    def accumulate(j, v):
-        if j < chosen:
-            out[:] += coeff[j] * v
+    def accumulate(j, v, *_):
+        out[:] += coeff[j] * v
 
     _lanczos_recurrence(H, f, chosen, accumulate)
     return beta0 * out

@@ -1,8 +1,11 @@
 import json
+import math
 
 import pytest
 
 from heatkato import cli
+from heatkato import geometry as G
+from heatkato import heat_kernel as HK
 from heatkato.errors import ManifestError
 from heatkato.reporting import canonical_json
 
@@ -180,12 +183,21 @@ def _write(tmp_path, text):
 
 @pytest.mark.parametrize(
     "check, manifold",
-    [("fk-verify", "hyperbolic3"), ("fk-verify", "sphere2"), ("mvi-sweep", "sphere2")],
+    [
+        ("fk-verify", "hyperbolic3"),
+        ("fk-verify", "sphere2"),
+        ("mvi-sweep", "sphere2"),
+        ("feynman-kac", "sphere2"),
+        ("semigroup-bound", "sphere2"),
+        ("riesz-thorin", "euclidean:1"),
+        ("project-check", "circle"),
+    ],
 )
 def test_unsupported_model_exit_two(check, manifold, capsys):
     assert cli.main([check, "--manifold", manifold]) == 2
     err = capsys.readouterr().err
-    assert "runs on euclidean:2 or euclidean:3" in err and "Traceback" not in err
+    assert f"{check} runs on {cli.CHECKS[check].models[0]}, not on {manifold}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -196,3 +208,29 @@ def test_fk_verify_parameter_domains_exit_two(param, capsys):
     assert cli.main(["fk-verify", "--manifold", "euclidean:2", "--param", param]) == 2
     err = capsys.readouterr().err
     assert f"param.fk-verify.{param.split('=')[0]}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "param",
+    ["n_paths=1", "h=0", "t_values=nan", "t_values=-1", "t_values=0.25,abc", "n_grid=4"],
+)
+def test_feynman_kac_parameter_domains_exit_two(param, capsys):
+    assert cli.main(["feynman-kac", "--manifold", "circle", "--param", "t_values=0.25",
+                     "--param", param]) == 2
+    err = capsys.readouterr().err
+    assert f"param.feynman-kac.{param.split('=')[0]}" in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_feynman_kac_single_path_is_fail_with_reason():
+    # the runner itself, past the n_paths >= 2 domain: one path has a NaN stderr
+    manifest = cli.parse_manifest_text(
+        "manifold = circle\nchecks = feynman-kac\n"
+        "param.feynman-kac.n_paths = 1\nparam.feynman-kac.t_values = 0.25\n"
+        "param.feynman-kac.n_grid = 256\n"
+    )
+    model = G.parse_manifold("circle")
+    ctx = cli.CheckContext(model, HK.make_engine(model), manifest, 0, 1.0)
+    result = cli._check_feynman_kac(ctx, "feynman-kac")
+    assert result.verdict == "FAIL" and result.margin_min == -math.inf
+    assert "no finite z-score" in result.values["reasons"][0]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 from heatkato import geometry as G
 from heatkato import heat_kernel as HK
@@ -77,6 +78,28 @@ def test_constant_potential_commutes():
     a = SG.semigroup_apply(opc, 0.4, f)
     b = math.exp(-1.7 * 0.4) * SG.semigroup_apply(op0, 0.4, f)
     assert np.max(np.abs(a - b)) < 1e-12
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0])
+def test_lanczos_free_cosine_mode_closed_form(t):
+    n, k = 4096, 3  # above the dense limit, so e^{-tH} f runs through Lanczos
+    op = SG.discretize(CIRCLE, n, ZERO)
+    theta = 2 * math.pi * np.arange(n) / n
+    got = SG.semigroup_apply(op, t, 1 + np.cos(k * theta))
+    lam_k = (1 - math.cos(2 * math.pi * k / n)) / op.spacing**2
+    exact = 1 + math.exp(-t * lam_k) * np.cos(k * theta)
+    assert np.max(np.abs(got - exact) / np.abs(exact)) < 1e-9
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0])
+def test_lanczos_matches_spectral_sum_on_cosine_operator(t):
+    op = SG.discretize(CIRCLE, 8192, P.cosine_potential(CIRCLE))
+    ones = np.ones(op.size)
+    got = SG.semigroup_apply(op, t, ones)
+    sigma = op.potential_floor - 1.0
+    lam, V = eigsh(op.matrix.tocsc(), k=60, sigma=sigma, which="LM", v0=ones)
+    ref = V @ (np.exp(-t * lam) * (V.T @ ones))  # modes past the 60th weigh < e^{-110}
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-8
 
 
 def test_semigroup_property_on_grid():
