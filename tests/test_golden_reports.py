@@ -1,0 +1,44 @@
+"""Golden reports: the canonical JSON of fixed runs must not change.
+
+Each file under ``tests/golden/`` holds ``reporting.canonical_json`` of one
+report at seed 0: every entry of the three built-in batteries, plus the two
+checks that no battery runs.  A refactor that keeps verdicts, margins and
+values bit-identical leaves these files untouched.  To regenerate after an
+intended change, run ``python tests/test_golden_reports.py``.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from heatkato import cli
+from heatkato.reporting import canonical_json
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    f"{battery}-{i}": (entry["manifold"], entry["checks"], entry.get("params", {}))
+    for battery, entries in cli.BATTERIES.items()
+    for i, entry in enumerate(entries)
+}
+CASES["kato-norm-euclidean3"] = ("euclidean:3", ["kato-norm"], {})
+CASES["holder-check-torus2"] = ("torus:2:6.2832", ["holder-check"], {})
+
+
+def _report(case: str) -> str:
+    manifold, checks, params = CASES[case]
+    manifest = cli.ExperimentManifest(
+        manifold=manifold, checks=list(checks), params={k: dict(v) for k, v in params.items()}
+    )
+    return canonical_json(cli.run_manifest(manifest))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_report(case):
+    assert _report(case) == (GOLDEN / f"{case}.json").read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case in sorted(CASES):
+        (GOLDEN / f"{case}.json").write_text(_report(case))
