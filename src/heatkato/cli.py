@@ -148,24 +148,25 @@ def validate_manifest(manifest: ExperimentManifest) -> None:
         models = CHECKS[name].models
         if models is not None and not models[1](model):
             raise ManifestError(f"{name} runs on {models[0]}, not on {manifest.manifold}")
+    for check, kv in manifest.params.items():
+        spec = CHECKS[check]
+        for k, v in kv.items():
+            caster, _, domain = spec.params[k]
+            try:
+                value = caster(v)
+            except ValueError:
+                raise ManifestError(f"param.{check}.{k}: cannot parse {v!r}")
+            problem = domain(value, model)
+            if problem:
+                raise ManifestError(f"param.{check}.{k} = {v}: {problem}")
     if manifest.potential is not None:
         target = model
-        if manifest.checks == ["project-check"] and model.kind is Kind.PRODUCT:
-            target = pot.leaves(model)[0][0]
+        if manifest.checks == ["project-check"]:
+            target = pot.leaves(model)[_params(manifest, "project-check")["leaf"]][0]
         try:
             pot.parse_potential(manifest.potential, target)
         except HeatKatoError as exc:
             raise ManifestError(f"potential: {exc}")
-    for check, kv in manifest.params.items():
-        spec = CHECKS[check]
-        for k, v in kv.items():
-            try:
-                value = spec.params[k][0](v)
-            except ValueError:
-                raise ManifestError(f"param.{check}.{k}: cannot parse {v!r}")
-            problem = spec.domains[k](value, model) if k in spec.domains else None
-            if problem:
-                raise ManifestError(f"param.{check}.{k} = {v}: {problem}")
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +187,25 @@ class CheckContext:
 
 
 @dataclass
+class Outcome:
+    """What a check runner decides; ``run_check`` adds name, inequality and verdict."""
+
+    passed: bool
+    margin_min: float
+    tolerance: float
+    values: dict
+    sweep: dict = field(default_factory=dict)
+    empirical_constants: dict = field(default_factory=dict)
+    series: dict = field(default_factory=dict)
+
+
+@dataclass
 class CheckSpec:
-    runner: object
-    params: dict  # name -> (caster, default)
+    runner: object  # (ctx, params) -> Outcome
+    inequality: str  # the inequality being tested, verbatim
+    params: dict  # name -> (caster, default, domain); domain(value, model) gives a problem or None
     description: str
     models: tuple | None = None  # (what, predicate on the model); None runs on every model
-    domains: dict = field(default_factory=dict)  # name -> f(value, model): problem or None
 
 
 _EUCLIDEAN_2_3 = (
@@ -203,35 +217,43 @@ _EUCLIDEAN_2_3 = (
 _CIRCLE = ("circle", lambda model: model.kind is Kind.CIRCLE)
 
 
-def _positive(value, model):
-    return None if math.isfinite(value) and value > 0 else "must be finite and > 0"
+def _floats(text: str) -> list:
+    return [float(v) for v in str(text).split(",") if str(v).strip()]
+
+
+def _auto_or_floats(text: str):
+    return "auto" if text == "auto" else _floats(text)
+
+
+def _domain(ok, what):
+    """A parameter domain: ``ok(value)`` or the problem "must be <what>"."""
+    return lambda value, model: None if ok(value) else f"must be {what}"
+
+
+_POSITIVE = _domain(lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+_NONNEGATIVE = _domain(lambda v: 0 <= v < math.inf, "finite and >= 0")
+_UNIT_TIME = _domain(lambda v: 0 < v <= 1, "in (0, 1]")
+_N_GRID = _domain(lambda v: 8 <= v <= sg._DENSE_LIMIT, f"in 8..{sg._DENSE_LIMIT}")
 
 
 def _at_least(k):
-    return lambda value, model: None if value >= k else f"must be >= {k}"
+    return _domain(lambda v: v >= k, f">= {k}")
 
 
-def _positive_list(value, model):
-    try:
-        ts = _floats(value)
-    except ValueError:
-        ts = []
-    if ts and all(math.isfinite(t) and t > 0 for t in ts):
-        return None
-    return "must be a comma-separated list of finite numbers > 0"
+def _list_of(ok, what):
+    return _domain(
+        lambda vs: bool(vs) and all(math.isfinite(v) and ok(v) for v in vs),
+        f"a comma-separated list of finite numbers {what}",
+    )
 
 
-def _params(ctx: CheckContext, name: str) -> dict:
-    spec = CHECKS[name].params
-    raw = ctx.manifest.params.get(name, {})
-    out = {}
-    for key, (caster, default) in spec.items():
-        out[key] = caster(raw[key]) if key in raw else default
-    return out
+_POSITIVE_LIST = _list_of(lambda v: v > 0, "> 0")
+_DELTAS = _list_of(lambda v: v > 1, "> 1")
 
 
-def _floats(text: str) -> list:
-    return [float(v) for v in str(text).split(",") if str(v).strip()]
+def _params(manifest: ExperimentManifest, name: str) -> dict:
+    raw = manifest.params.get(name, {})
+    return {key: caster(raw.get(key, default)) for key, (caster, default, _) in CHECKS[name].params.items()}
 
 
 def _sample_points(model, n, seed, spread=1.2):
@@ -239,9 +261,8 @@ def _sample_points(model, n, seed, spread=1.2):
     return [geom.random_point(model, rng, spread) for _ in range(n)]
 
 
-def _check_kernel(ctx: CheckContext, name: str) -> CheckResult:
-    p = _params(ctx, name)
-    ts = _floats(p["t_values"])
+def _check_kernel(ctx: CheckContext, p: dict) -> Outcome:
+    ts = p["t_values"]
     pts = _sample_points(ctx.model, p["n_points"], ctx.seed + 1)
     rep = hk.check_consistency(ctx.engine, ts, pts)
     series_free = ctx.engine.method in (hk.Method.CLOSED_FORM,)
@@ -251,13 +272,8 @@ def _check_kernel(ctx: CheckContext, name: str) -> CheckResult:
     margin = min(
         mass_tol - rep.mass_defect, ck_tol - rep.ck_residual, sym_tol - rep.symmetry_residual
     )
-    return CheckResult(
-        name=name,
-        verdict="PASS" if margin >= 0 else "FAIL",
-        inequality="int p(t,x,y) dmu(y) <= 1; int p(t,x,z) p(s,z,y) dmu(z) = p(t+s,x,y); p(t,x,y) = p(t,y,x)",
-        margin_min=margin,
-        tolerance=max(mass_tol, ck_tol),
-        values=rep.to_dict(),
+    return Outcome(
+        margin >= 0, margin, max(mass_tol, ck_tol), rep.to_dict(),
         sweep={"t_values": ts, "n_points": p["n_points"]},
     )
 
@@ -267,26 +283,19 @@ def _default_radial_spec(model: ManifoldModel) -> str:
     return "radialpower:beta=1" if model.dim >= 2 else "radialpower:beta=0.5"
 
 
-def _check_kato_norm(ctx: CheckContext, name: str) -> CheckResult:
-    p = _params(ctx, name)
+def _check_kato_norm(ctx: CheckContext, p: dict) -> Outcome:
     w = ctx.potential(_default_radial_spec(ctx.model))
     xs = [kato_mod._potential_center(w, ctx.model)] + _sample_points(ctx.model, p["n_x"] - 1, ctx.seed + 2)
     val = kato_mod.kato_functional(ctx.engine, w, p["t"], xs, s_min=p["s_min"])
-    return CheckResult(
-        name=name,
-        verdict="PASS" if math.isfinite(val) else "FAIL",
-        inequality="N(t) = sup_x int_0^t int p(s,x,y) |w(y)| dmu(y) ds < inf",
-        margin_min=0.0 if math.isfinite(val) else -math.inf,
-        tolerance=0.0,
-        values={"t": p["t"], "N": val},
-        sweep={"n_x": p["n_x"], "s_min": p["s_min"]},
+    return Outcome(
+        math.isfinite(val), 0.0 if math.isfinite(val) else -math.inf, 0.0,
+        {"t": p["t"], "N": val}, sweep={"n_x": p["n_x"], "s_min": p["s_min"]},
     )
 
 
-def _check_is_kato(ctx: CheckContext, name: str) -> CheckResult:
-    p = _params(ctx, name)
+def _check_is_kato(ctx: CheckContext, p: dict) -> Outcome:
     w = ctx.potential(_default_radial_spec(ctx.model))
-    ts = np.logspace(math.log10(p["t_min"]), math.log10(p["t_max"]), int(p["n_t"]))
+    ts = np.logspace(math.log10(p["t_min"]), math.log10(p["t_max"]), p["n_t"])
     curve, verdict = kato_mod.is_kato(
         ctx.engine, w, ts, threshold_ratio=p["threshold_ratio"], gamma_min=p["gamma_min"],
         s_min=p["s_min"],
@@ -295,29 +304,30 @@ def _check_is_kato(ctx: CheckContext, name: str) -> CheckResult:
         [float(t), float(v), float(b)]
         for t, v, b in zip(curve.t_values, curve.values, curve.tail_bounds)
     ]
-    return CheckResult(
-        name=name,
-        verdict="PASS" if verdict.passed else "FAIL",
-        inequality="lim_{t->0+} sup_x int_0^t int p(s,x,y)|w(y)| dmu ds = 0   [numerical evidence]",
-        margin_min=p["threshold_ratio"] - verdict.decay_ratio,
-        tolerance=0.0,
-        values={
+    return Outcome(
+        verdict.passed, p["threshold_ratio"] - verdict.decay_ratio, 0.0,
+        {
             "gamma": verdict.gamma,
             "decay_ratio": verdict.decay_ratio,
             "reasons": verdict.reasons,
             "label": verdict.label,
         },
-        sweep={"t_min": p["t_min"], "t_max": p["t_max"], "n_t": int(p["n_t"])},
+        sweep={"t_min": p["t_min"], "t_max": p["t_max"], "n_t": p["n_t"]},
         series={"kato_curve": {"columns": ["t", "N", "tail_bound"], "rows": rows}},
     )
 
 
-def _check_holder(ctx: CheckContext, name: str) -> CheckResult:
-    p = _params(ctx, name)
+def _qs(value, model):
+    if value == "auto" or (value and all(math.isfinite(q) and kato_mod.admissible_q(model.dim, q) for q in value)):
+        return None
+    return "must be auto or a comma-separated list of admissible exponents (q >= 1 if m = 1, else q > m/2)"
+
+
+def _check_holder(ctx: CheckContext, p: dict) -> Outcome:
     m = ctx.model.dim
     w = ctx.potential("windowed:r=1.5:radialpower:beta=0.35")
     control = kato_mod.control_pair_from_on_diag(ctx.engine)
-    qs = _floats(p["qs"]) if p["qs"] != "auto" else list(kato_mod.default_qs(m))
+    qs = p["qs"] if p["qs"] != "auto" else list(kato_mod.default_qs(m))
     s_min = p["s_min"]
     grid = None
     if ctx.model.kind not in kato_mod.RADIAL_KERNEL_KINDS:
@@ -325,7 +335,7 @@ def _check_holder(ctx: CheckContext, name: str) -> CheckResult:
         res = hk._compact_resolution(ctx.model) / 2.0
         grid = geom.build_grid(ctx.model, res, geom.FullWindow())
         s_min = max(s_min, (3.0 * res) ** 2)
-    ss = np.logspace(math.log10(s_min), 0.0, int(p["n_s"]))
+    ss = np.logspace(math.log10(s_min), 0.0, p["n_s"])
     xs = [kato_mod._potential_center(w, ctx.model)] + _sample_points(ctx.model, 2, ctx.seed + 3)
     worst = math.inf
     tol = 0.0
@@ -336,21 +346,15 @@ def _check_holder(ctx: CheckContext, name: str) -> CheckResult:
         if not rep.rhs_divergent:
             worst = min(worst, rep.min_margin)
             tol = max(tol, rep.tolerance)
-    return CheckResult(
-        name=name,
-        verdict="PASS" if worst >= -tol else "FAIL",
-        inequality="int p(s,x,y)|w(y)| dmu <= time(s)^{1/q} (int |w|^q space dmu)^{1/q}",
-        margin_min=worst,
-        tolerance=tol,
-        values=per_q,
-        sweep={"qs": qs, "n_s": int(p["n_s"]), "s_min": s_min},
+    return Outcome(
+        worst >= -tol, worst, tol, per_q,
+        sweep={"qs": qs, "n_s": p["n_s"], "s_min": s_min},
         empirical_constants=dict(control.constants),
     )
 
 
-def _check_control_pair(ctx: CheckContext, name: str) -> CheckResult:
-    p = _params(ctx, name)
-    ts = np.logspace(math.log10(p["t_min"]), 0.0, int(p["n_t"]))
+def _check_control_pair(ctx: CheckContext, p: dict) -> Outcome:
+    ts = np.logspace(math.log10(p["t_min"]), 0.0, p["n_t"])
     xs = [geom.base_point(ctx.model)]
     if p["source"] == "liyau":
         pair = kato_mod.control_pair_li_yau(ctx.engine, t_values=ts)
@@ -364,13 +368,9 @@ def _check_control_pair(ctx: CheckContext, name: str) -> CheckResult:
     ver = kato_mod.verify_control_pair(ctx.engine, pair, ts, xs)
     certs_ok = all(math.isfinite(v) for v in pair.certificates.values())
     margin = ver.min_margin if certs_ok else -math.inf
-    return CheckResult(
-        name=name,
-        verdict="PASS" if margin >= -1e-12 * ctx.scale else "FAIL",
-        inequality="sup_y p(t,x,y) <= space(x) * time(t) on (0,1]; int_0^1 time(s)^{1/q} ds < inf",
-        margin_min=margin,
-        tolerance=1e-12 * ctx.scale,
-        values={"certificates": {f"q={q:g}": v for q, v in pair.certificates.items()}},
+    return Outcome(
+        margin >= -1e-12 * ctx.scale, margin, 1e-12 * ctx.scale,
+        {"certificates": {f"q={q:g}": v for q, v in pair.certificates.items()}},
         sweep={"t_min": float(ts.min()), "n_t": int(ts.size), "pair": pair.description},
         empirical_constants=dict(pair.constants),
     )
@@ -396,71 +396,48 @@ def _fk_radius(value, model):
     return None
 
 
-def _check_fk_verify(ctx: CheckContext, name: str) -> CheckResult:
-    p = _params(ctx, name)
+def _check_fk_verify(ctx: CheckContext, p: dict) -> Outcome:
     m = ctx.model.dim
     a = kato_mod.faber_krahn_constant(m) * p["a_scale"]
     radius_fn = lambda x: p["radius"]
     h = p["h"]
-    if "h" not in ctx.manifest.params.get(name, {}) and m == 3:
+    if "h" not in ctx.manifest.params.get("fk-verify", {}) and m == 3:
         h = 1.0 / 12.0  # 3-d eigensolves grow fast; the default stays desk-scale
     rep = kato_mod.faber_krahn_verify(ctx.model, radius_fn, a, _default_fk_sets(ctx.model), h=h)
-    return CheckResult(
-        name=name,
-        verdict="PASS" if rep.passed else "FAIL",
-        inequality="min spec(H_{g|U}) >= a vol(U)^{-2/m} for open U inside B(x, R(x))",
-        margin_min=rep.min_margin,
-        tolerance=rep.tolerance,
-        values=rep.to_dict(),
-        sweep={"h": h, "a_scale": p["a_scale"]},
-        empirical_constants={"a": a},
+    return Outcome(
+        rep.passed, rep.min_margin, rep.tolerance, rep.to_dict(),
+        sweep={"h": h, "a_scale": p["a_scale"]}, empirical_constants={"a": a},
     )
 
 
-def _check_mvi(ctx: CheckContext, name: str) -> CheckResult:
-    p = _params(ctx, name)
+def _check_mvi(ctx: CheckContext, p: dict) -> Outcome:
     a = kato_mod.faber_krahn_constant(ctx.model.dim)
     cfg = mvi_mod.default_config(ctx.model, a, radius=p["radius"])
     rep = mvi_mod.mvi_sweep(cfg)
-    ok = rep.stable and math.isfinite(rep.c_emp)
-    return CheckResult(
-        name=name,
-        verdict="PASS" if ok else "FAIL",
-        inequality="u(t,x)^q <= C / (a^{m/2} tau^{1+m/2}) * int_{t-tau}^t int_{B(x,r)} u^q dmu ds",
-        margin_min=0.10 - rep.drift,
-        tolerance=0.0,
-        values=rep.to_dict(),
-        sweep=rep.sweep,
-        empirical_constants={"C_emp": rep.c_emp},
+    return Outcome(
+        rep.stable and math.isfinite(rep.c_emp), 0.10 - rep.drift, 0.0, rep.to_dict(),
+        sweep=rep.sweep, empirical_constants={"C_emp": rep.c_emp},
     )
 
 
-def _check_heat_bound(ctx: CheckContext, name: str) -> CheckResult:
-    p = _params(ctx, name)
+def _check_heat_bound(ctx: CheckContext, p: dict) -> Outcome:
     a = kato_mod.faber_krahn_constant(min(ctx.model.dim, 3))
-    ts = np.logspace(math.log10(p["t_min"]), math.log10(p["t_max"]), int(p["n_t"]))
+    ts = np.logspace(math.log10(p["t_min"]), math.log10(p["t_max"]), p["n_t"])
     rep = mvi_mod.heat_bound_sweep(
         ctx.engine, lambda x: p["radius"], a, ts, [geom.base_point(ctx.model)]
     )
-    return CheckResult(
-        name=name,
-        verdict="PASS" if rep.stable and math.isfinite(rep.c_hat) else "FAIL",
-        inequality="sup_y p(t,x,y) <= C a^{-m/2} min(t, R(x)^2)^{-m/2}",
-        margin_min=0.10 - rep.drift,
-        tolerance=0.0,
-        values=rep.to_dict(),
-        sweep=rep.sweep,
-        empirical_constants={"C_hat": rep.c_hat, "a": a},
+    return Outcome(
+        rep.stable and math.isfinite(rep.c_hat), 0.10 - rep.drift, 0.0, rep.to_dict(),
+        sweep=rep.sweep, empirical_constants={"C_hat": rep.c_hat, "a": a},
     )
 
 
-def _check_feynman_kac(ctx: CheckContext, name: str) -> CheckResult:
-    p = _params(ctx, name)
+def _check_feynman_kac(ctx: CheckContext, p: dict) -> Outcome:
     w = ctx.potential("cosine")
-    ts = _floats(p["t_values"])
+    ts = p["t_values"]
     start = geom.circle_point(0.0)
-    ens = st.simulate(ctx.model, start, max(ts), p["h"], int(p["n_paths"]), ctx.seed)
-    op = sg.discretize(ctx.model, int(p["n_grid"]), w)
+    ens = st.simulate(ctx.model, start, max(ts), p["h"], p["n_paths"], ctx.seed)
+    op = sg.discretize(ctx.model, p["n_grid"], w)
     node = 0  # start sits at grid node 0
     worst = math.inf
     rows = []
@@ -475,103 +452,75 @@ def _check_feynman_kac(ctx: CheckContext, name: str) -> CheckResult:
             reasons.append(f"t={t:g}: no finite z-score (mc {est.value}, standard error {se})")
         rows.append([t, est.value, se, spectral, z])
         worst = min(worst, 4.0 - abs(z) if math.isfinite(z) else -math.inf)
-    return CheckResult(
-        name=name,
-        verdict="PASS" if worst >= 0 else "FAIL",
-        inequality="E[exp(-int_0^t w(X_s) ds) f(X_t)] = (e^{-tH} f)(x)",
-        margin_min=worst,
-        tolerance=0.0,
-        values={"rows": rows, **({"reasons": reasons} if reasons else {})},
-        sweep={"n_paths": int(p["n_paths"]), "h": p["h"], "n_grid": int(p["n_grid"])},
+    return Outcome(
+        worst >= 0, worst, 0.0, {"rows": rows, **({"reasons": reasons} if reasons else {})},
+        sweep={"n_paths": p["n_paths"], "h": p["h"], "n_grid": p["n_grid"]},
         series={"feynman_kac": {"columns": ["t", "mc", "stderr", "spectral", "z"], "rows": rows}},
     )
 
 
-def _check_project(ctx: CheckContext, name: str) -> CheckResult:
-    p = _params(ctx, name)
-    leaf = pot.leaves(ctx.model)[int(p["leaf"])][0]
+def _leaf_index(value, model):
+    n = len(pot.leaves(model))
+    return None if 0 <= value < n else f"must be a leaf index in 0..{n - 1}"
+
+
+def _check_project(ctx: CheckContext, p: dict) -> Outcome:
+    leaf = pot.leaves(ctx.model)[p["leaf"]][0]
     w = ctx.potential("indicator:ball:r=1", target=leaf)
     x = geom.base_point(ctx.model)
     rep = st.elworthy_projection_check(
-        ctx.model, int(p["leaf"]), w, p["t"], x, N=int(p["n_paths"]), h=p["h"], seed=ctx.seed
+        ctx.model, p["leaf"], w, p["t"], x, N=p["n_paths"], h=p["h"], seed=ctx.seed
     )
-    return CheckResult(
-        name=name,
-        verdict="PASS" if rep.passed else "FAIL",
-        inequality="int p(t,x,y)|w(pi(y))| dmu(y) <= int p'(t,pi(x),z)|w(z)| dmu'(z)",
-        margin_min=rep.rhs_quad - rep.lhs_quad,
-        tolerance=rep.quad_tolerance,
-        values=rep.to_dict(),
-        sweep={"t": p["t"], "leaf": int(p["leaf"]), "n_paths": int(p["n_paths"])},
+    return Outcome(
+        rep.passed, rep.rhs_quad - rep.lhs_quad, rep.quad_tolerance, rep.to_dict(),
+        sweep={"t": p["t"], "leaf": p["leaf"], "n_paths": p["n_paths"]},
     )
 
 
-def _check_kato_exponential(ctx: CheckContext, name: str) -> CheckResult:
-    p = _params(ctx, name)
+def _check_kato_exponential(ctx: CheckContext, p: dict) -> Outcome:
     w = ctx.potential("windowed:r=1:radialpower:beta=0.5")
     rep = st.kato_exponential_estimate(
-        ctx.model, w, _floats(p["t_values"]), _floats(p["deltas"]), int(p["n_paths"]),
-        h=p["h"], seed=ctx.seed,
+        ctx.model, w, p["t_values"], p["deltas"], p["n_paths"], h=p["h"], seed=ctx.seed,
     )
     finite = all(math.isfinite(e["C"]) for e in rep.table) and not rep.overflowed
-    return CheckResult(
-        name=name,
-        verdict="PASS" if finite else "FAIL",
-        inequality="sup_x E[exp(int_0^t w_-(X_s) ds)] <= delta exp(t C(delta))",
-        margin_min=0.0 if finite else -math.inf,
-        tolerance=0.0,
-        values=rep.to_dict(),
-        sweep={"n_paths": int(p["n_paths"]), "h": p["h"]},
+    return Outcome(
+        finite, 0.0 if finite else -math.inf, 0.0, rep.to_dict(),
+        sweep={"n_paths": p["n_paths"], "h": p["h"]},
         empirical_constants={f"C(delta={e['delta']:g})": e["C"] for e in rep.table},
     )
 
 
-def _check_semigroup(ctx: CheckContext, name: str) -> CheckResult:
-    p = _params(ctx, name)
+def _check_semigroup(ctx: CheckContext, p: dict) -> Outcome:
     w_minus = ctx.potential("radialpower:beta=0.5")
-    op_minus = sg.discretize(ctx.model, int(p["n_grid"]), pot.Scale(-1.0, pot.absolute(w_minus)))
-    bound = sg.bop_bound_check(
-        op_minus, _floats(p["t_values"]), _floats(p["deltas"]), qs=(1, 2, 4, np.inf), seed=ctx.seed
-    )
+    op_minus = sg.discretize(ctx.model, p["n_grid"], pot.Scale(-1.0, pot.absolute(w_minus)))
+    bound = sg.bop_bound_check(op_minus, p["t_values"], p["deltas"], qs=(1, 2, 4, np.inf), seed=ctx.seed)
     tol = 1e-10 * ctx.scale
-    ok = bound.min_margin >= -tol and bound.domination_margin >= -tol
-    return CheckResult(
-        name=name,
-        verdict="PASS" if ok else "FAIL",
-        inequality="||e^{-t H^{-w_-}}||_{q->q} <= delta e^{t C(delta)}; |e^{-tH^w} f| <= e^{-tH^{-w_-}} |f|",
-        margin_min=min(bound.min_margin, bound.domination_margin),
-        tolerance=tol,
-        values=bound.to_dict(),
-        sweep={"n_grid": int(p["n_grid"])},
+    return Outcome(
+        bound.min_margin >= -tol and bound.domination_margin >= -tol,
+        min(bound.min_margin, bound.domination_margin), tol, bound.to_dict(),
+        sweep={"n_grid": p["n_grid"]},
         empirical_constants={f"C(delta={e['delta']:g})": e["C"] for e in bound.table},
     )
 
 
-def _check_riesz(ctx: CheckContext, name: str) -> CheckResult:
-    p = _params(ctx, name)
+def _check_riesz(ctx: CheckContext, p: dict) -> Outcome:
     w = ctx.potential("cosine")
-    op = sg.discretize(ctx.model, int(p["n_grid"]), w)
-    rep = sg.riesz_thorin_check(op, p["t"], _floats(p["r_values"]))
+    op = sg.discretize(ctx.model, p["n_grid"], w)
+    rep = sg.riesz_thorin_check(op, p["t"], p["r_values"])
     tol = 1e-10 * ctx.scale
-    return CheckResult(
-        name=name,
-        verdict="PASS" if rep.min_margin >= -tol else "FAIL",
-        inequality="||e^{-tH}||_{q_r->q_r} <= ||.||_{1->1}^{1-r} ||.||_{inf->inf}^{r}",
-        margin_min=rep.min_margin,
-        tolerance=tol,
-        values=rep.to_dict(),
-        sweep={"t": p["t"], "n_grid": int(p["n_grid"])},
+    return Outcome(
+        rep.min_margin >= -tol, rep.min_margin, tol, rep.to_dict(),
+        sweep={"t": p["t"], "n_grid": p["n_grid"]},
     )
 
 
-def _check_coulomb(ctx: CheckContext, name: str) -> CheckResult:
-    p = _params(ctx, name)
+def _check_coulomb(ctx: CheckContext, p: dict) -> Outcome:
     o = geom.base_point(ctx.model)
     profile = pot.coulomb_profile(ctx.model)
     tol = p["rel_tol"] * ctx.scale
     worst = math.inf
     rows = []
-    for r in _floats(p["r_values"]):
+    for r in p["r_values"]:
         v = np.zeros(ctx.model.tangent_dim)
         v[0] = r if ctx.model.kind is Kind.EUCLIDEAN else r * o.coords[2]
         y = geom.exp_map(ctx.model, o, v)
@@ -581,14 +530,8 @@ def _check_coulomb(ctx: CheckContext, name: str) -> CheckResult:
         rel = abs(cv.value - closed) / closed
         rows.append([d, cv.value, closed, rel, cv.tail_bound])
         worst = min(worst, tol - rel)
-    return CheckResult(
-        name=name,
-        verdict="PASS" if worst >= 0 else "FAIL",
-        inequality="V(x,y) = (1/2) int_0^inf p(s,x,y) ds, finite for x != y",
-        margin_min=worst,
-        tolerance=tol,
-        values={"rows": rows},
-        sweep={"r_values": _floats(p["r_values"])},
+    return Outcome(
+        worst >= 0, worst, tol, {"rows": rows}, sweep={"r_values": p["r_values"]},
         series={"coulomb": {"columns": ["d", "quadrature", "closed_form", "rel_err", "tail"], "rows": rows}},
     )
 
@@ -596,95 +539,135 @@ def _check_coulomb(ctx: CheckContext, name: str) -> CheckResult:
 CHECKS: dict[str, CheckSpec] = {
     "kernel-check": CheckSpec(
         _check_kernel,
-        {"t_values": (str, "0.05,0.2,0.7"), "n_points": (int, 4)},
+        "int p(t,x,y) dmu(y) <= 1; int p(t,x,z) p(s,z,y) dmu(z) = p(t+s,x,y); p(t,x,y) = p(t,y,x)",
+        {"t_values": (_floats, "0.05,0.2,0.7", _POSITIVE_LIST), "n_points": (int, 4, _at_least(1))},
         "heat kernel mass / Chapman-Kolmogorov / symmetry",
     ),
     "kato-norm": CheckSpec(
         _check_kato_norm,
-        {"t": (float, 0.1), "n_x": (int, 3), "s_min": (float, 1e-9)},
+        "N(t) = sup_x int_0^t int p(s,x,y) |w(y)| dmu(y) ds < inf",
+        {"t": (float, 0.1, _POSITIVE), "n_x": (int, 3, _at_least(1)), "s_min": (float, 1e-9, _POSITIVE)},
         "Kato functional N(t) at one t",
     ),
     "is-kato": CheckSpec(
         _check_is_kato,
+        "lim_{t->0+} sup_x int_0^t int p(s,x,y)|w(y)| dmu ds = 0   [numerical evidence]",
         {
-            "t_min": (float, 1e-3),
-            "t_max": (float, 0.5),
-            "n_t": (int, 6),
-            "threshold_ratio": (float, 0.3),
-            "gamma_min": (float, 0.05),
-            "s_min": (float, 1e-9),
+            "t_min": (float, 1e-3, _POSITIVE),
+            "t_max": (float, 0.5, _POSITIVE),
+            "n_t": (int, 6, _at_least(2)),
+            "threshold_ratio": (float, 0.3, _POSITIVE),
+            "gamma_min": (float, 0.05, _NONNEGATIVE),
+            "s_min": (float, 1e-9, _POSITIVE),
         },
         "Kato-class membership verdict (numerical evidence)",
     ),
     "holder-check": CheckSpec(
         _check_holder,
-        {"qs": (str, "auto"), "n_s": (int, 10), "s_min": (float, 1e-3)},
+        "int p(s,x,y)|w(y)| dmu <= time(s)^{1/q} (int |w|^q space dmu)^{1/q}",
+        {"qs": (_auto_or_floats, "auto", _qs), "n_s": (int, 10, _at_least(1)), "s_min": (float, 1e-3, _UNIT_TIME)},
         "weighted-L^q smoothing bound margins",
     ),
     "control-pair": CheckSpec(
         _check_control_pair,
-        {"source": (str, "ondiag"), "t_min": (float, 1e-4), "n_t": (int, 50)},
+        "sup_y p(t,x,y) <= space(x) * time(t) on (0,1]; int_0^1 time(s)^{1/q} ds < inf",
+        {
+            "source": (str, "ondiag", _domain(lambda v: v in ("ondiag", "liyau", "fk"), "ondiag, liyau or fk")),
+            "t_min": (float, 1e-4, _UNIT_TIME),
+            "n_t": (int, 50, _at_least(1)),
+        },
         "control pair construction and verification",
     ),
     "fk-verify": CheckSpec(
         _check_fk_verify,
-        {"h": (float, 1.0 / 48.0), "a_scale": (float, 1.0), "radius": (float, 2.5)},
+        "min spec(H_{g|U}) >= a vol(U)^{-2/m} for open U inside B(x, R(x))",
+        {
+            "h": (float, 1.0 / 48.0, _POSITIVE),
+            "a_scale": (float, 1.0, _POSITIVE),
+            "radius": (float, 2.5, _fk_radius),
+        },
         "Faber-Krahn inequality on test sets",
         models=_EUCLIDEAN_2_3,
-        domains={"h": _positive, "a_scale": _positive, "radius": _fk_radius},
     ),
     "mvi-sweep": CheckSpec(
-        _check_mvi, {"radius": (float, 1.0)}, "parabolic mean value inequality sweep",
+        _check_mvi,
+        "u(t,x)^q <= C / (a^{m/2} tau^{1+m/2}) * int_{t-tau}^t int_{B(x,r)} u^q dmu ds",
+        {"radius": (float, 1.0, _POSITIVE)},
+        "parabolic mean value inequality sweep",
         models=_EUCLIDEAN_2_3,
     ),
     "heat-bound": CheckSpec(
         _check_heat_bound,
-        {"t_min": (float, 1e-3), "t_max": (float, 10.0), "n_t": (int, 25), "radius": (float, 1.0)},
+        "sup_y p(t,x,y) <= C a^{-m/2} min(t, R(x)^2)^{-m/2}",
+        {
+            "t_min": (float, 1e-3, _POSITIVE),
+            "t_max": (float, 10.0, _POSITIVE),
+            "n_t": (int, 25, _at_least(1)),
+            "radius": (float, 1.0, _POSITIVE),
+        },
         "min(t, R^2)^{-m/2} heat bound constant",
     ),
     "feynman-kac": CheckSpec(
         _check_feynman_kac,
+        "E[exp(-int_0^t w(X_s) ds) f(X_t)] = (e^{-tH} f)(x)",
         {
-            "t_values": (str, "0.25,0.5,1.0"),
-            "n_paths": (int, 20000),
-            "h": (float, 2e-3),
-            "n_grid": (int, 8192),
+            "t_values": (_floats, "0.25,0.5,1.0", _POSITIVE_LIST),
+            "n_paths": (int, 20000, _at_least(2)),
+            "h": (float, 2e-3, _POSITIVE),
+            "n_grid": (int, 8192, _at_least(8)),
         },
         "Monte-Carlo Feynman-Kac against the spectral semigroup",
         models=_CIRCLE,
-        domains={"t_values": _positive_list, "n_paths": _at_least(2), "h": _positive, "n_grid": _at_least(8)},
     ),
     "project-check": CheckSpec(
         _check_project,
-        {"t": (float, 0.3), "leaf": (int, 0), "n_paths": (int, 0), "h": (float, 2e-3)},
+        "int p(t,x,y)|w(pi(y))| dmu(y) <= int p'(t,pi(x),z)|w(z)| dmu'(z)",
+        {
+            "t": (float, 0.3, _POSITIVE),
+            "leaf": (int, 0, _leaf_index),
+            "n_paths": (int, 0, _domain(lambda v: v == 0 or v >= 2, "0 (no Monte Carlo) or >= 2")),
+            "h": (float, 2e-3, _POSITIVE),
+        },
         "projection bound for product projections",
         models=("a product manifold", lambda model: model.kind is Kind.PRODUCT),
     ),
     "kato-exponential": CheckSpec(
         _check_kato_exponential,
+        "sup_x E[exp(int_0^t w_-(X_s) ds)] <= delta exp(t C(delta))",
         {
-            "t_values": (str, "0.25,0.5,1.0"),
-            "deltas": (str, "1.5,2,4"),
-            "n_paths": (int, 4000),
-            "h": (float, 2e-3),
+            "t_values": (_floats, "0.25,0.5,1.0", _POSITIVE_LIST),
+            "deltas": (_floats, "1.5,2,4", _DELTAS),
+            "n_paths": (int, 4000, _at_least(2)),
+            "h": (float, 2e-3, _POSITIVE),
         },
         "exponential moment table (delta, C(delta))",
     ),
     "semigroup-bound": CheckSpec(
         _check_semigroup,
-        {"n_grid": (int, 192), "t_values": (str, "0,0.5,1,2"), "deltas": (str, "1.5,2,4")},
+        "||e^{-t H^{-w_-}}||_{q->q} <= delta e^{t C(delta)}; |e^{-tH^w} f| <= e^{-tH^{-w_-}} |f|",
+        {
+            "n_grid": (int, 192, _N_GRID),
+            "t_values": (_floats, "0,0.5,1,2", _list_of(lambda v: v >= 0, ">= 0")),
+            "deltas": (_floats, "1.5,2,4", _DELTAS),
+        },
         "L^q -> L^q semigroup bound",
         models=_CIRCLE,
     ),
     "riesz-thorin": CheckSpec(
         _check_riesz,
-        {"n_grid": (int, 192), "t": (float, 0.5), "r_values": (str, "0.25,0.5,0.75")},
+        "||e^{-tH}||_{q_r->q_r} <= ||.||_{1->1}^{1-r} ||.||_{inf->inf}^{r}",
+        {
+            "n_grid": (int, 192, _N_GRID),
+            "t": (float, 0.5, _NONNEGATIVE),
+            "r_values": (_floats, "0.25,0.5,0.75", _list_of(lambda v: 0 < v < 1, "in (0, 1)")),
+        },
         "Riesz-Thorin interpolation margins",
         models=_CIRCLE,
     ),
     "coulomb": CheckSpec(
         _check_coulomb,
-        {"r_values": (str, "0.1,1,10"), "rel_tol": (float, 1e-6)},
+        "V(x,y) = (1/2) int_0^inf p(s,x,y) ds, finite for x != y",
+        {"r_values": (_floats, "0.1,1,10", _POSITIVE_LIST), "rel_tol": (float, 1e-6, _POSITIVE)},
         "Coulomb potential quadrature against the closed form",
     ),
 }
@@ -723,31 +706,40 @@ def list_batteries() -> str:
 # runner
 
 
+def run_check(ctx: CheckContext, name: str) -> CheckResult:
+    """Run one registered check; a package error inside it is a FAIL that
+    carries the message."""
+    spec = CHECKS[name]
+    t0 = time.perf_counter()
+    try:
+        out = spec.runner(ctx, _params(ctx.manifest, name))
+        result = CheckResult(
+            name=name, verdict="PASS" if out.passed else "FAIL", inequality=spec.inequality,
+            margin_min=out.margin_min, tolerance=out.tolerance, values=out.values, sweep=out.sweep,
+            empirical_constants=out.empirical_constants, series=out.series,
+        )
+    except HeatKatoError as exc:
+        result = CheckResult(
+            name=name, verdict="FAIL", inequality="", margin_min=-math.inf,
+            tolerance=0.0, values={"error": str(exc)},
+        )
+    result.runtime_s = time.perf_counter() - t0
+    return result
+
+
 def run_manifest(manifest: ExperimentManifest, parallel: bool = False) -> Report:
     validate_manifest(manifest)
     model = geom.parse_manifold(manifest.manifold)
     engine = hk.make_engine(model, manifest.kernel_method)
     ctx = CheckContext(model, engine, manifest, manifest.seed, manifest.tolerance_scale)
 
-    def run_one(name: str) -> CheckResult:
-        t0 = time.perf_counter()
-        try:
-            result = CHECKS[name].runner(ctx, name)
-        except HeatKatoError as exc:
-            result = CheckResult(
-                name=name, verdict="FAIL", inequality="", margin_min=-math.inf,
-                tolerance=0.0, values={"error": str(exc)},
-            )
-        result.runtime_s = time.perf_counter() - t0
-        return result
-
     if parallel and len(manifest.checks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=min(4, len(manifest.checks))) as ex:
-            results = list(ex.map(run_one, manifest.checks))
+            results = list(ex.map(lambda name: run_check(ctx, name), manifest.checks))
     else:
-        results = [run_one(name) for name in manifest.checks]
+        results = [run_check(ctx, name) for name in manifest.checks]
     return Report(
         manifest=manifest.to_dict(),
         tool_version=__version__,
@@ -823,7 +815,6 @@ def main(argv: list | None = None) -> int:
     sim_p.add_argument("--h", type=float, default=1e-3)
     sim_p.add_argument("--n", type=int, default=1000)
     sim_p.add_argument("--seed", type=int, default=0)
-    sim_p.add_argument("--scheme", default="geodesic_walk")
     sim_p.add_argument("--out", default=None)
     sim_p.add_argument("--dump-paths", default=None, help="CSV path for (path, t, coords...) rows")
     sim_p.add_argument("--max-dump-rows", type=int, default=1_000_000)
@@ -913,8 +904,7 @@ def _cmd_simulate(args) -> int:
     record = None
     if args.dump_paths is None and args.n * (steps_total + 1) * 8 > 2e8:
         record = list(np.linspace(0.0, args.t, 33))
-    ens = st.simulate(model, start, args.t, args.h, args.n, args.seed, scheme=args.scheme,
-                      record_times=record)
+    ens = st.simulate(model, start, args.t, args.h, args.n, args.seed, record_times=record)
     final = ens.chart_at(len(ens.record_times) - 1)
     summary = {
         "manifold": args.manifold,
@@ -922,11 +912,9 @@ def _cmd_simulate(args) -> int:
         "horizon": ens.horizon,
         "step": ens.step,
         "seed": ens.seed,
-        "scheme": ens.scheme,
         "step_warning": ens.step_warning,
         "final_mean": [float(v) for v in final.mean(axis=0)],
         "final_second_moment": [float(v) for v in (final**2).mean(axis=0)],
-        "survival_fraction": float(np.mean(~np.isfinite(ens.lifetimes))),
     }
     import json
 

@@ -45,8 +45,6 @@ class ManifoldModel:
     ricci_lower_bound: float
     side_length: float = 0.0  # torus only
     factors: tuple["ManifoldModel", ...] = ()
-    geodesically_complete: bool = True
-    stochastically_complete: bool = True
 
     @property
     def chart_dim(self) -> int:
@@ -172,12 +170,6 @@ def split_point(model: ManifoldModel, p: Point) -> tuple[Point, ...]:
         out.append(Point(p.coords[i : i + f.chart_dim]))
         i += f.chart_dim
     return tuple(out)
-
-
-def join_points(model: ManifoldModel, *parts: Point) -> Point:
-    if model.kind is not Kind.PRODUCT or len(parts) != len(model.factors):
-        raise UnsupportedModelError("join_points needs a product model and matching parts")
-    return make_point(model, np.concatenate([p.coords for p in parts]))
 
 
 def base_point(model: ManifoldModel) -> Point:
@@ -562,14 +554,16 @@ class QuadratureGrid:
         return self.node_coords.shape[0]
 
 
-def _gl_cells(a: float, b: float, n_cells: int, order: int = 4):
-    """Composite Gauss-Legendre nodes/weights; cells partition [a, b]."""
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, n_cells + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    weights = (half[:, None] * gw[None, :]).ravel()
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
+
+
+def gl_nodes(breaks: np.ndarray):
+    """Composite 4-point Gauss-Legendre nodes/weights over a cell partition."""
+    breaks = np.asarray(breaks, dtype=float)
+    mid = 0.5 * (breaks[:-1] + breaks[1:])
+    half = 0.5 * (breaks[1:] - breaks[:-1])
+    nodes = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
+    weights = (half[:, None] * _GL_W[None, :]).ravel()
     return nodes, weights
 
 
@@ -604,7 +598,7 @@ def _polar_grid(model: ManifoldModel, center: Point, radius: float, h: float, n_
     """
     k = model.kind
     n_rad = max(6, int(math.ceil(radius / h)))
-    rho, w_rho = _gl_cells(0.0, radius, n_rad)
+    rho, w_rho = gl_nodes(np.linspace(0.0, radius, n_rad + 1))
     c = center.coords
     if k is Kind.EUCLIDEAN:
         m = model.dim
@@ -624,14 +618,14 @@ def _polar_grid(model: ManifoldModel, center: Point, radius: float, h: float, n_
         jac = rho ** (m - 1)
     elif k is Kind.CIRCLE:
         r = min(radius, math.pi)
-        off, w_off = _gl_cells(-r, r, max(6, int(math.ceil(2 * r / h))))
+        off, w_off = gl_nodes(np.linspace(-r, r, max(6, int(math.ceil(2 * r / h))) + 1))
         theta0 = math.atan2(c[1], c[0])
         ang = theta0 + off
         coords = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         return coords, w_off
     elif k is Kind.SPHERE2:
         r = min(radius, math.pi)
-        rho, w_rho = _gl_cells(0.0, r, max(6, int(math.ceil(r / h))))
+        rho, w_rho = gl_nodes(np.linspace(0.0, r, max(6, int(math.ceil(r / h))) + 1))
         n_ang = n_dir or 48
         ang = (np.arange(n_ang) + 0.5) * (2.0 * math.pi / n_ang)
         e1, e2 = _tangent_frame_sphere(c)

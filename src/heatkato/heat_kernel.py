@@ -478,27 +478,6 @@ class KernelCheckReport:
         }
 
 
-def default_consistency_grid(
-    engine: HeatKernelEngine, t_max: float, points: list[Point], resolution: float | None = None
-) -> QuadratureGrid:
-    model = engine.model
-    if model.compact:
-        h = resolution or _compact_resolution(model)
-        return geom.build_grid(model, h, geom.FullWindow())
-    if model.kind is Kind.PRODUCT:
-        left, right = model.factors
-        le = make_engine(left)
-        re_ = make_engine(right)
-        lw = _noncompact_window(le, t_max, [Point(geom.split_point(model, p)[0].coords) for p in points])
-        rw = _noncompact_window(re_, t_max, [Point(geom.split_point(model, p)[1].coords) for p in points])
-        radii = [w.radius for w in (lw, rw) if isinstance(w, geom.BallWindow)]
-        h = resolution or (max(radii) / 30.0 if radii else 0.12)
-        return geom.build_grid(model, h, geom.ProductWindow(lw, rw))
-    w = _noncompact_window(engine, t_max, points)
-    h = resolution or (w.radius / 40.0)
-    return geom.build_grid(model, h, w)
-
-
 def _compact_resolution(model: ManifoldModel) -> float:
     if model.kind is Kind.CIRCLE:
         return 2.0 * math.pi / 256.0
@@ -509,27 +488,16 @@ def _compact_resolution(model: ManifoldModel) -> float:
     return 0.1
 
 
-def _noncompact_window(engine, t_max, points):
-    model = engine.model
-    if model.compact:
-        return geom.FullWindow()
-    center = points[0]
-    spread = max((geom.distance(model, center, p) for p in points), default=0.0)
-    radius = spread + t_max + 10.0 * math.sqrt(t_max) + 1.0
-    return geom.BallWindow(center, radius)
-
-
 def check_consistency(
     engine: HeatKernelEngine,
     t_samples,
     point_samples: list[Point],
-    grid: QuadratureGrid | None = None,
 ) -> KernelCheckReport:
     """Mass <= 1 (=1 for the complete built-ins), Chapman-Kolmogorov and symmetry.
 
-    Without an explicit grid, mass uses the exact radial reduction and the
-    Chapman-Kolmogorov convolution the axisymmetric two-point reduction, so
-    the residuals reflect the kernel itself rather than grid resolution.
+    Mass uses the exact radial reduction and the Chapman-Kolmogorov
+    convolution the axisymmetric two-point reduction, so the residuals
+    reflect the kernel itself rather than grid resolution.
     """
     t_samples = list(t_samples)
     if not t_samples or not point_samples:
@@ -540,11 +508,7 @@ def check_consistency(
     for t in t_samples:
         trunc = max(trunc, truncation_bound(engine, t))
         for x in point_samples:
-            if grid is None:
-                mass, tail = kernel_mass(engine, t, x)
-            else:
-                mass = grid.integrate(eval_many(engine, t, x.coords, grid.node_coords))
-                tail = _tail_for_point(engine, t, grid, x)
+            mass, tail = kernel_mass(engine, t, x)
             tail_max = max(tail_max, tail)
             # expected mass 1 (all built-ins are stochastically complete);
             # the defect is charged after the analytic tail allowance
@@ -555,14 +519,7 @@ def check_consistency(
         s = t_samples[(i + 1) % len(t_samples)]
         x = point_samples[i % n]
         y = point_samples[(i + 1) % n]
-        if grid is None:
-            conv, direct, allowance = chapman_kolmogorov(engine, t, s, x, y)
-        else:
-            px = eval_many(engine, t, x.coords, grid.node_coords)
-            py = eval_many(engine, s, y.coords, grid.node_coords)
-            conv = grid.integrate(px * py)
-            direct = eval_kernel(engine, t + s, x, y)
-            allowance = 0.0
+        conv, direct, allowance = chapman_kolmogorov(engine, t, s, x, y)
         ck = max(ck, max(abs(conv - direct) - allowance, 0.0))
     sym = 0.0
     for i, x in enumerate(point_samples):
@@ -579,26 +536,20 @@ def check_consistency(
     )
 
 
-def _tail_for_point(engine, t, grid, x: Point) -> float:
-    w = grid.window
-    if isinstance(w, geom.FullWindow):
-        return 0.0
-    if isinstance(w, geom.BallWindow):
-        eff = w.radius - geom.distance(engine.model, w.center, x)
-        return mass_tail_bound(engine, t, max(eff, 0.0))
-    if isinstance(w, geom.ProductWindow):
-        parts = geom.split_point(engine.model, x)
-        total = 0.0
-        for fe, fw, px in zip(engine.factors, (w.left, w.right), parts):
-            if isinstance(fw, geom.FullWindow):
-                continue
-            eff = fw.radius - geom.distance(fe.model, fw.center, px)
-            total += mass_tail_bound(fe, t, max(eff, 0.0))
-        return min(1.0, total)
-    return 1.0
-
-
 def on_diag_upper(engine: HeatKernelEngine, t_values) -> float:
     """Empirical sup of t^{m/2} p(t, x, x) over the sweep (x-independent here)."""
     m = engine.dim
     return max(float(t) ** (m / 2.0) * on_diag(engine, float(t)) for t in t_values)
+
+
+def heat_bound_constant(engine: HeatKernelEngine, radius_fn, a: float, t_values, x_samples) -> float:
+    """Empirical C in sup_y p(t,x,y) <= C a^{-m/2} min(t, R(x)^2)^{-m/2}: the
+    sweep sup of p(t,x,x) a^{m/2} min(t, R(x)^2)^{m/2}."""
+    m = engine.dim
+    best = 0.0
+    for t in t_values:
+        diag = on_diag(engine, float(t))
+        for x in x_samples:
+            Rx = radius_fn(x)
+            best = max(best, diag * a ** (m / 2.0) * min(float(t), Rx * Rx) ** (m / 2.0))
+    return best

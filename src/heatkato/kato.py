@@ -150,8 +150,6 @@ def control_pair_li_yau(
     sweep; it is reported with the sweep range, never claimed universal.
     """
     model = engine.model
-    if not model.geodesically_complete:
-        raise UnsupportedModelError("needs a geodesically complete model")
     m = model.dim
     ts = np.asarray(t_values if t_values is not None else np.logspace(-4, 0, 60), dtype=float)
     xs = x_samples or [geom.base_point(model)]
@@ -1133,12 +1131,7 @@ def control_pair_from_faber_krahn(
     ts = np.asarray(t_values if t_values is not None else np.logspace(-3, 0.5, 40), dtype=float)
     xs = x_samples or [geom.base_point(model)]
     a = fk.a
-    c_hat = 0.0
-    for t in ts:
-        diag = hk.on_diag(engine, float(t))
-        for x in xs:
-            Rx = fk.radius_fn(x)
-            c_hat = max(c_hat, diag * a ** (m / 2.0) * min(float(t), Rx * Rx) ** (m / 2.0))
+    c_hat = hk.heat_bound_constant(engine, fk.radius_fn, a, ts, xs)
     sup_R = max(fk.radius_fn(x) for x in xs)
     chain = math.inf
     for t in ts:

@@ -186,21 +186,10 @@ def heat_bound_sweep(
 ) -> HeatBoundSweep:
     """Empirical C = sup p(t,x,x) a^{m/2} min(t, R(x)^2)^{m/2}, with a sweep
     doubling (denser t grid) as the stability check."""
-    m = engine.dim
     ts = np.asarray(sorted(float(t) for t in t_values))
-
-    def run(tgrid):
-        best = 0.0
-        for t in tgrid:
-            diag = hk.on_diag(engine, float(t))
-            for x in x_samples:
-                Rx = radius_fn(x)
-                best = max(best, diag * a ** (m / 2.0) * min(float(t), Rx * Rx) ** (m / 2.0))
-        return best
-
-    c1 = run(ts)
+    c1 = hk.heat_bound_constant(engine, radius_fn, a, ts, x_samples)
     dense = np.sort(np.concatenate([ts, np.sqrt(ts[:-1] * ts[1:])]))
-    c2 = run(dense)
+    c2 = hk.heat_bound_constant(engine, radius_fn, a, dense, x_samples)
     drift = abs(c2 - c1) / max(c1, 1e-300)
     return HeatBoundSweep(
         c_hat=max(c1, c2),

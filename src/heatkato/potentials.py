@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 from . import geometry as geom
 from . import heat_kernel as hk
-from .errors import DomainError, SingularityError, UnsupportedModelError
+from .errors import DomainError, ManifestError, SingularityError, UnsupportedModelError
 from .geometry import BallWindow, BoxWindow, Kind, ManifoldModel, Point, QuadratureGrid
 
 
@@ -616,16 +616,22 @@ def many_body_assemble(
 def parse_potential(spec: str, model: ManifoldModel) -> Potential:
     """Parse specs like ``constant:5``, ``radialpower:beta=1:center=0,0,0``,
     ``coulomb:center=0,0,0``, ``indicator:ball:r=1:center=...``,
-    ``pullback:1:<inner>``, ``scale:-2:<inner>``, ``sum[a;b;...]``."""
-    from .errors import ManifestError
+    ``pullback:1:<inner>``, ``scale:-2:<inner>``, ``sum[a;b;...]``.
+    A malformed number or index raises ManifestError."""
+    try:
+        return _parse(spec, model)
+    except (ValueError, IndexError) as exc:
+        raise ManifestError(f"bad number or index in potential {spec!r}: {exc}") from exc
 
+
+def _parse(spec: str, model: ManifoldModel) -> Potential:
     s = spec.strip()
     low = s.lower()
     if low.startswith("sum[") and s.endswith("]"):
         inner = s[4:-1]
         if not inner.strip():
             return Sum(())
-        return Sum(tuple(parse_potential(part, model) for part in inner.split(";")))
+        return Sum(tuple(_parse(part, model) for part in inner.split(";")))
     head, _, rest = s.partition(":")
     head = head.strip().lower()
     if head == "constant":
@@ -634,7 +640,7 @@ def parse_potential(spec: str, model: ManifoldModel) -> Potential:
         return Sum(())
     if head == "scale":
         factor, _, inner = rest.partition(":")
-        return Scale(float(factor), parse_potential(inner, model))
+        return Scale(float(factor), _parse(inner, model))
     if head == "pullback":
         idx, _, inner = rest.partition(":")
         idx = idx.strip()
@@ -642,9 +648,9 @@ def parse_potential(spec: str, model: ManifoldModel) -> Potential:
             i, j = (int(v) for v in idx.split(","))
             ls = leaves(model)
             pair = geom.product(ls[i][0], ls[j][0])
-            return Pullback(model, (i, j), parse_potential(inner, pair))
+            return Pullback(model, (i, j), _parse(inner, pair))
         leaf, _ = _leaf_slice(model, int(idx))
-        return Pullback(model, int(idx), parse_potential(inner, leaf))
+        return Pullback(model, int(idx), _parse(inner, leaf))
     if head == "windowed":
         # leading key=value fields configure the ball; the remainder is the inner spec
         parts = rest.split(":")
@@ -658,7 +664,7 @@ def parse_potential(spec: str, model: ManifoldModel) -> Potential:
                 break
         inner = ":".join(parts[consumed:])
         win = BallWindow(_center_point(fields, model), float(fields.get("r", 1.0)))
-        return Windowed(model, parse_potential(inner, model), win)
+        return Windowed(model, _parse(inner, model), win)
     if head == "indicator":
         kindname = rest.split(":", 1)[0].strip().lower()
         fields = dict(_kv(part) for part in rest.split(":")[1:] if part)
@@ -685,8 +691,6 @@ def parse_potential(spec: str, model: ManifoldModel) -> Potential:
 
 
 def _kv(part: str) -> tuple[str, str]:
-    from .errors import ManifestError
-
     k, sep, v = part.partition("=")
     if not sep:
         raise ManifestError(f"expected key=value, got {part!r}")

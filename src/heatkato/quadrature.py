@@ -13,8 +13,8 @@ Three workhorses live here:
   Gauss-Jacobi rule with weight u^(m-1-beta).
 
 ``radial_integral`` and ``two_point_integral`` are composite Gauss-Legendre
-over explicit cell partitions, so excising a region maps exactly to dropping
-cells/nodes.
+(``geometry.gl_nodes``, shared with the polar grids) over explicit cell
+partitions, so excising a region maps exactly to dropping cells/nodes.
 """
 
 from __future__ import annotations
@@ -26,19 +26,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .errors import UnsupportedModelError
-from .geometry import Kind, ManifoldModel, ball_surface_many
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
-
-
-def gl_nodes(breaks: np.ndarray):
-    """Composite 4-point Gauss-Legendre nodes/weights over a cell partition."""
-    breaks = np.asarray(breaks, dtype=float)
-    mid = 0.5 * (breaks[:-1] + breaks[1:])
-    half = 0.5 * (breaks[1:] - breaks[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    weights = (half[:, None] * _GL_W[None, :]).ravel()
-    return nodes, weights
+from .geometry import Kind, ManifoldModel, ball_surface_many, gl_nodes
 
 
 def feature_breaks(
@@ -65,9 +53,12 @@ def feature_breaks(
                 if 0.0 < v < r_max:
                     pts.add(v)
             u *= 2.0
-    out = np.array(sorted(pts))
-    if max_cell is None:
-        max_cell = r_max / 16.0
+    return _cap_cells(pts, r_max / 16.0 if max_cell is None else max_cell)
+
+
+def _cap_cells(pts, max_cell: float) -> np.ndarray:
+    """The sorted break points, each gap split evenly into cells <= max_cell."""
+    out = sorted(pts)
     refined = [out[0]]
     for right in out[1:]:
         left = refined[-1]
@@ -213,14 +204,7 @@ def _two_point_circle(f, g, d: float, g_singular_radius: float) -> float:
                     pts.add(v)
         if -math.pi < loc < math.pi:
             pts.add(loc)
-    breaks = np.array(sorted(pts))
-    refined = [breaks[0]]
-    for right in breaks[1:]:
-        left = refined[-1]
-        k = int(math.ceil((right - left) / (math.pi / 16.0)))
-        for j in range(1, k + 1):
-            refined.append(left + (right - left) * j / k)
-    theta, w = gl_nodes(np.array(refined))
+    theta, w = gl_nodes(_cap_cells(pts, math.pi / 16.0))
     dist_x = np.abs(theta)
     dist_c = wrap(theta - d)
     vals = f(dist_x) * g(dist_c)

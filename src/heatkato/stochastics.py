@@ -1,9 +1,15 @@
 """Brownian motion on the model manifolds and path-functional estimators.
 
 Sampling scheme: the geodesic random walk (Gaussian tangent step of metric
-covariance h, pushed through the exponential map).  On the flat models the
-increments are exact in distribution; on Sphere2/Hyperbolic3 the walk has
-weak order one, which the 4-sigma testing budgets absorb.
+covariance h, pushed through the exponential map), the only one offered.  On
+the flat models the increments are exact in distribution; on
+Sphere2/Hyperbolic3 the walk has weak order one, which the 4-sigma testing
+budgets absorb.
+
+Every built-in model is stochastically complete: no path explodes before the
+horizon, so ensembles record no explosion times and the estimators need no
+survival indicator.  The kernel's mass (``heat_kernel.kernel_mass``) is where a mass
+defect would show.
 
 Reproducibility contract: path i draws from Philox keyed by (seed, i), so
 results are bit-identical for any block partitioning or worker count, with a
@@ -74,10 +80,6 @@ def _is_flat(model: ManifoldModel) -> bool:
     return False
 
 
-def _has_curved_leaf(model: ManifoldModel) -> bool:
-    return not _is_flat(model)
-
-
 def _wrap_flat(model: ManifoldModel, paths: np.ndarray) -> np.ndarray:
     k = model.kind
     if k is Kind.TORUS:
@@ -108,10 +110,8 @@ class PathEnsemble:
     horizon: float
     n_paths: int
     seed: int
-    scheme: str
     record_times: np.ndarray  # actual recorded times (multiples of step)
     positions: np.ndarray  # (n_paths, n_records, path_dim)
-    lifetimes: np.ndarray  # explosion times; inf on the complete built-ins
     step_warning: bool
     full: bool
 
@@ -132,9 +132,8 @@ class PathEnsemble:
         idx = self.time_index(t)
         return PathEnsemble(
             self.model, self.start, self.step, float(self.record_times[idx]), self.n_paths,
-            self.seed, self.scheme, self.record_times[: idx + 1],
-            self.positions[:, : idx + 1, :], self.lifetimes, self.step_warning,
-            self.full,
+            self.seed, self.record_times[: idx + 1], self.positions[:, : idx + 1, :],
+            self.step_warning, self.full,
         )
 
     def project(self, leaf_index: int) -> "PathEnsemble":
@@ -152,8 +151,7 @@ class PathEnsemble:
             start_chart = Point(start_coords)
         return PathEnsemble(
             leaf, start_chart, self.step, self.horizon, self.n_paths, self.seed,
-            self.scheme + "/projected", self.record_times,
-            self.positions[:, :, off : off + w], self.lifetimes, self.step_warning, self.full,
+            self.record_times, self.positions[:, :, off : off + w], self.step_warning, self.full,
         )
 
 
@@ -195,7 +193,6 @@ def simulate(
     h: float,
     N: int,
     seed: int,
-    scheme: str = "geodesic_walk",
     record_times: Sequence[float] | None = None,
     block_size: int = 4096,
 ) -> PathEnsemble:
@@ -208,15 +205,10 @@ def simulate(
         raise DomainError("step must not exceed the horizon")
     if N < 1:
         raise DomainError("need at least one path")
-    scheme = scheme.lower()
-    if scheme not in ("geodesic_walk", "chart_euler"):
-        raise DomainError(f"unknown scheme {scheme!r}")
-    if scheme == "chart_euler" and not _is_flat(model):
-        raise UnsupportedModelError("chart_euler needs a flat chart (Euclidean/torus/circle)")
     geom.make_point(model, start.coords)
     n_steps = max(1, int(round(t / h)))
     h_eff = t / n_steps
-    warning = bool(_has_curved_leaf(model) and h_eff > 0.01)
+    warning = bool(not _is_flat(model) and h_eff > 0.01)
     if record_times is None:
         record_idx = np.arange(n_steps + 1)
         full = True
@@ -237,10 +229,9 @@ def simulate(
         i1 = min(i0 + block_size, N)
         positions[i0:i1] = _block_paths(model, start_path, n_steps, h_eff, seed, i0, i1, record_idx)
     return PathEnsemble(
-        model, start, h_eff, t, N, seed, scheme,
+        model, start, h_eff, t, N, seed,
         record_times=record_idx * h_eff,
         positions=positions,
-        lifetimes=np.full(N, np.inf),
         step_warning=warning,
         full=full,
     )
@@ -400,8 +391,7 @@ def feynman_kac(
     terminal = np.ones(ensemble.n_paths)
     if f is not None:
         terminal = np.asarray(f(ensemble.chart_at(len(ensemble.record_times) - 1)), dtype=float)
-    alive = ~np.isfinite(ensemble.lifetimes)  # indicator {t < explosion time}
-    weights = np.where(alive, np.exp(-integral) * terminal, 0.0)
+    weights = np.exp(-integral) * terminal
     value = float(np.mean(weights))
     stderr = float(np.std(weights, ddof=1) / math.sqrt(ensemble.n_paths))
     frac = float(np.mean(capped_paths))
@@ -584,49 +574,3 @@ def elworthy_projection_check(
         mc_err = float(np.std(vals[ok], ddof=1) / math.sqrt(ok.sum()))
         mc_z = (mc_val - rhs) / mc_err if mc_err > 0 else 0.0
     return ProjectionReport(lhs, rhs, lhs - rhs, tol, mc_val, mc_err, mc_z)
-
-
-# ---------------------------------------------------------------------------
-# stochastic completeness probe
-
-
-@dataclass
-class CompletenessProbe:
-    t_values: list
-    survival: list  # MC fraction of paths alive (1 on complete models)
-    quad_mass: list
-    defects: list
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t_values,
-            "survival": self.survival,
-            "quad_mass": self.quad_mass,
-            "defect": self.defects,
-        }
-
-
-def stochastic_completeness_probe(
-    model: ManifoldModel,
-    t_grid: Sequence[float],
-    N: int,
-    h: float = 2e-3,
-    seed: int = 0,
-    start: Point | None = None,
-) -> CompletenessProbe:
-    """Survival fraction of the walk against the quadrature kernel mass.
-
-    The built-in models are complete: no path ever explodes, so survival is
-    identically one and the informative number is the mass defect."""
-    start = start or geom.base_point(model)
-    ts = sorted(float(t) for t in t_grid)
-    ens = simulate(model, start, ts[-1], h, N, seed, record_times=ts)
-    eng = hk.make_engine(model)
-    surv, masses, defects = [], [], []
-    alive_frac = float(np.mean(~np.isfinite(ens.lifetimes)))
-    for t in ts:
-        mass, err = hk.kernel_mass(eng, t, start)
-        surv.append(alive_frac)
-        masses.append(mass)
-        defects.append(abs(alive_frac - mass) - err)
-    return CompletenessProbe(ts, surv, masses, defects)

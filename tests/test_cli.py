@@ -158,7 +158,8 @@ def test_simulate_subcommand(tmp_path):
     ])
     assert rc == 0
     summary = json.loads(out.read_text())
-    assert summary["n_paths"] == 50 and summary["survival_fraction"] == 1.0
+    assert summary["n_paths"] == 50
+    assert "survival_fraction" not in summary and "scheme" not in summary
     lines = dump.read_text().splitlines()
     assert lines[0] == "path,t,x0"
     assert len(lines) == 1 + 50 * 21  # header + 50 paths x 21 recorded steps
@@ -221,6 +222,63 @@ def test_feynman_kac_parameter_domains_exit_two(param, capsys):
     assert f"param.feynman-kac.{param.split('=')[0]}" in err and "Traceback" not in err
 
 
+PRODUCT = "product(euclidean:1,circle)"
+
+
+@pytest.mark.parametrize(
+    "check, manifold, param",
+    [
+        ("is-kato", "euclidean:3", "t_min=-1"),
+        ("is-kato", "euclidean:3", "n_t=1"),
+        ("kernel-check", "circle", "t_values=0"),
+        ("kernel-check", "circle", "t_values=nan"),
+        ("kernel-check", "circle", "n_points=0"),
+        ("kato-norm", "euclidean:3", "s_min=0"),
+        ("heat-bound", "euclidean:2", "n_t=0"),
+        ("holder-check", "euclidean:3", "qs=1.2,2"),
+        ("holder-check", "euclidean:3", "s_min=2"),
+        ("control-pair", "euclidean:3", "source=bogus"),
+        ("control-pair", "euclidean:3", "t_min=0"),
+        ("project-check", PRODUCT, "leaf=5"),
+        ("project-check", PRODUCT, "leaf=-1"),
+        ("project-check", PRODUCT, "n_paths=1"),
+        ("semigroup-bound", "circle", "n_grid=4"),
+        ("semigroup-bound", "circle", "n_grid=4096"),
+        ("semigroup-bound", "circle", "t_values=-1,1"),
+        ("semigroup-bound", "circle", "deltas=1"),
+        ("riesz-thorin", "circle", "t=-1"),
+        ("riesz-thorin", "circle", "r_values=0.5,1"),
+        ("mvi-sweep", "euclidean:2", "radius=0"),
+        ("coulomb", "euclidean:3", "rel_tol=-1"),
+        ("coulomb", "euclidean:3", "r_values=0"),
+        ("kato-exponential", "euclidean:1", "n_paths=1"),
+        ("kato-exponential", "euclidean:1", "deltas=0.5"),
+    ],
+)
+def test_check_parameter_domains_exit_two(check, manifold, param, capsys):
+    assert cli.main([check, "--manifold", manifold, "--param", param]) == 2
+    err = capsys.readouterr().err
+    assert f"manifest error: param.{check}.{param.split('=')[0]}" in err and "Traceback" not in err
+
+
+def test_project_check_potential_validated_on_selected_leaf(capsys):
+    # a center on the circle leaf is valid for leaf=1 and rejected for leaf 0
+    pot = "radialpower:beta=0.5:center=1,0"
+    assert cli.main(["project-check", "--manifold", PRODUCT, "--param", "leaf=1", "--potential", pot]) == 0
+    assert cli.main(["project-check", "--manifold", PRODUCT, "--potential", pot]) == 2
+    # a center on the line leaf is an input error once leaf=1 selects the circle
+    assert cli.main(["project-check", "--manifold", PRODUCT, "--param", "leaf=1",
+                     "--potential", "radialpower:beta=0.5:center=0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("manifest error: potential:") == 2 and "Traceback" not in err
+
+
+def test_numeric_error_in_potential_spec_exit_two(capsys):
+    assert cli.main(["kato-norm", "--manifold", "euclidean:3", "--potential", "radialpower:beta=abc"]) == 2
+    err = capsys.readouterr().err
+    assert "manifest error: potential:" in err and "'abc'" in err and "Traceback" not in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_feynman_kac_single_path_is_fail_with_reason():
     # the runner itself, past the n_paths >= 2 domain: one path has a NaN stderr
@@ -231,6 +289,6 @@ def test_feynman_kac_single_path_is_fail_with_reason():
     )
     model = G.parse_manifold("circle")
     ctx = cli.CheckContext(model, HK.make_engine(model), manifest, 0, 1.0)
-    result = cli._check_feynman_kac(ctx, "feynman-kac")
+    result = cli.run_check(ctx, "feynman-kac")
     assert result.verdict == "FAIL" and result.margin_min == -math.inf
     assert "no finite z-score" in result.values["reasons"][0]

@@ -100,6 +100,19 @@ def test_circle_mass_wrapped_sum_oracle():
     assert val == pytest.approx(oracle, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "spec, ts, tol",
+    [("circle", [0.2, 1.0], 1e-9), ("euclidean:2", [0.3], 1e-8), ("product(euclidean:1,circle)", [0.3], 1e-8)],
+    ids=["circle", "euclidean2", "product"],
+)
+def test_kernel_mass_is_one_on_complete_models(spec, ts, tol):
+    model = G.parse_manifold(spec)
+    eng = HK.make_engine(model)
+    for t in ts:
+        mass, _ = HK.kernel_mass(eng, t, G.base_point(model))
+        assert mass == pytest.approx(1.0, abs=tol)
+
+
 def test_legendre_series_against_scipy():
     xs = np.linspace(-1, 1, 7)
     t = 0.4

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from heatkato import geometry as G
 from heatkato import heat_kernel as HK
 from heatkato import potentials as P
-from heatkato.errors import DomainError, SingularityError, UnsupportedModelError
+from heatkato.errors import DomainError, ManifestError, SingularityError, UnsupportedModelError
 
 E3 = G.euclidean(3)
 ORIGIN = G.base_point(E3)
@@ -209,6 +209,16 @@ def test_parse_potential_round_trips():
     prod = G.product(E3, E3)
     wp = P.parse_potential("pullback:1:radialpower:beta=1:center=0,0,0", prod)
     assert P.evaluate(wp, G.make_point(prod, [9, 9, 9, 0.5, 0, 0])) == 2.0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["radialpower:beta=abc", "constant:x", "scale:two:constant:1", "radialpower:center=0,a,0",
+     "pullback:0,7:constant:1", "pullback:x:constant:1"],
+)
+def test_parse_potential_number_errors_are_manifest_errors(spec):
+    with pytest.raises(ManifestError):
+        P.parse_potential(spec, G.product(E3, E3))
 
 
 def test_cosine_potential_on_circle():

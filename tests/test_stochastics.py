@@ -9,7 +9,7 @@ from heatkato import heat_kernel as HK
 from heatkato import potentials as P
 from heatkato import semigroup as SG
 from heatkato import stochastics as S
-from heatkato.errors import DomainError, UnsupportedModelError
+from heatkato.errors import DomainError
 
 CIRCLE = G.circle()
 E1 = G.euclidean(1)
@@ -220,33 +220,11 @@ def test_projected_ensemble_matches_direct_factor_fdd():
     assert rep.max_abs_z < 4.0
 
 
-def test_completeness_probe():
-    rep = S.stochastic_completeness_probe(CIRCLE, [0.2, 1.0], 500, seed=4)
-    assert all(v == 1.0 for v in rep.survival)
-    assert all(abs(m - 1.0) < 1e-9 for m in rep.quad_mass)
-    e2 = G.euclidean(2)
-    rep2 = S.stochastic_completeness_probe(e2, [0.3], 500, seed=4)
-    assert rep2.quad_mass[0] == pytest.approx(1.0, abs=1e-8)
-    prod = G.parse_manifold("product(euclidean:1,circle)")
-    rep3 = S.stochastic_completeness_probe(prod, [0.3], 300, seed=4)
-    assert rep3.quad_mass[0] == pytest.approx(1.0, abs=1e-8)
-
-
 def test_scheme_validation():
-    with pytest.raises(UnsupportedModelError):
-        S.simulate(G.sphere2(), G.base_point(G.sphere2()), 0.1, 1e-2, 10, seed=0,
-                   scheme="chart_euler")
     with pytest.raises(DomainError):
         S.simulate(E1, G.base_point(E1), 0.1, 0.2, 10, seed=0)
     ens = S.simulate(G.sphere2(), G.base_point(G.sphere2()), 0.1, 0.05, 10, seed=0)
     assert ens.step_warning  # h above the curvature-scale guidance
-
-
-def test_chart_euler_matches_geodesic_walk_on_flat():
-    kw = dict(t=0.3, h=5e-3, N=200, seed=13)
-    a = S.simulate(CIRCLE, G.circle_point(0.2), scheme="geodesic_walk", **kw)
-    b = S.simulate(CIRCLE, G.circle_point(0.2), scheme="chart_euler", **kw)
-    assert np.array_equal(a.positions, b.positions)
 
 
 def test_truncated_prefix_property():
