@@ -1,8 +1,9 @@
 """Golden reports: the canonical JSON of fixed runs must not change.
 
 Each file under ``tests/golden/`` holds ``reporting.canonical_json`` of one
-report at seed 0: every entry of the three built-in batteries, plus the two
-checks that no battery runs.  A refactor that keeps verdicts, margins and
+report at seed 0: every entry of the three built-in batteries, the two
+checks that no battery runs, and one case per model the batteries leave
+out or touch only in part.  A refactor that keeps verdicts, margins and
 values bit-identical leaves these files untouched.  To regenerate after an
 intended change, run ``python tests/test_golden_reports.py``.
 """
@@ -23,6 +24,19 @@ CASES = {
 }
 CASES["kato-norm-euclidean3"] = ("euclidean:3", ["kato-norm"], {})
 CASES["holder-check-torus2"] = ("torus:2:6.2832", ["holder-check"], {})
+# one case per model class the batteries leave out or touch only in part
+CASES["sphere2"] = (
+    "sphere2",
+    ["kernel-check", "holder-check", "heat-bound", "kato-exponential"],
+    {"kato-exponential": {"n_paths": "500"}},
+)
+CASES["hyperbolic3"] = (
+    "hyperbolic3",
+    ["kernel-check", "kato-norm", "holder-check", "kato-exponential"],
+    {"kato-exponential": {"n_paths": "500"}},
+)
+CASES["kernel-check-torus2"] = ("torus:2:6.2832", ["kernel-check"], {})
+CASES["product-euclidean1-circle"] = ("product(euclidean:1,circle)", ["kernel-check", "control-pair"], {})
 
 
 def _report(case: str) -> str:
