@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import sys
 import time
@@ -40,7 +41,7 @@ from . import potentials as pot
 from . import semigroup as sg
 from . import stochastics as st
 from .errors import HeatKatoError, ManifestError
-from .geometry import BallWindow, BoxWindow, Kind, ManifoldModel
+from .geometry import BallWindow, BoxWindow, Circle, Euclidean, ManifoldModel, Product
 from .reporting import CheckResult, Report
 
 # ---------------------------------------------------------------------------
@@ -159,6 +160,11 @@ def validate_manifest(manifest: ExperimentManifest) -> None:
             problem = domain(value, model)
             if problem:
                 raise ManifestError(f"param.{check}.{k} = {v}: {problem}")
+    for name in manifest.checks:
+        check = CHECKS[name].check
+        problem = check(_params(manifest, name), model) if check else None
+        if problem:
+            raise ManifestError(f"param.{name}: {problem}")
     if manifest.potential is not None:
         target = model
         if manifest.checks == ["project-check"]:
@@ -206,15 +212,18 @@ class CheckSpec:
     params: dict  # name -> (caster, default, domain); domain(value, model) gives a problem or None
     description: str
     models: tuple | None = None  # (what, predicate on the model); None runs on every model
+    check: object = None  # (params, model) -> a problem of the whole parameter set, or None
 
 
 _EUCLIDEAN_2_3 = (
     "euclidean:2 or euclidean:3",
-    lambda model: model.kind is Kind.EUCLIDEAN and model.dim in (2, 3),
+    lambda model: isinstance(model, Euclidean) and model.dim in (2, 3),
 )
 
 
-_CIRCLE = ("circle", lambda model: model.kind is Kind.CIRCLE)
+_CIRCLE = ("circle", lambda model: isinstance(model, Circle))
+# the Kato functional integrates against a radial kernel or over a full grid
+_KATO_MODELS = ("a model with a radial kernel or a compact model", lambda m: m.radial_kernel or m.compact)
 
 
 def _floats(text: str) -> list:
@@ -330,9 +339,9 @@ def _check_holder(ctx: CheckContext, p: dict) -> Outcome:
     qs = p["qs"] if p["qs"] != "auto" else list(kato_mod.default_qs(m))
     s_min = p["s_min"]
     grid = None
-    if ctx.model.kind not in kato_mod.RADIAL_KERNEL_KINDS:
+    if not ctx.model.radial_kernel:
         # grid-quadrature models: only probe times the grid can resolve
-        res = hk._compact_resolution(ctx.model) / 2.0
+        res = ctx.model.compact_resolution / 2.0
         grid = geom.build_grid(ctx.model, res, geom.FullWindow())
         s_min = max(s_min, (3.0 * res) ** 2)
     ss = np.logspace(math.log10(s_min), 0.0, p["n_s"])
@@ -522,7 +531,7 @@ def _check_coulomb(ctx: CheckContext, p: dict) -> Outcome:
     rows = []
     for r in p["r_values"]:
         v = np.zeros(ctx.model.tangent_dim)
-        v[0] = r if ctx.model.kind is Kind.EUCLIDEAN else r * o.coords[2]
+        v[0] = r  # the metric is the identity at the base point
         y = geom.exp_map(ctx.model, o, v)
         d = geom.distance(ctx.model, o, y)
         cv = pot.coulomb(ctx.engine, o, y, tol=min(tol / 10.0, 1e-8))
@@ -536,18 +545,41 @@ def _check_coulomb(ctx: CheckContext, p: dict) -> Outcome:
     )
 
 
+def _kernel_times(p, model):
+    engine = hk.make_engine(model)
+    capped = [t for t in p["t_values"] if hk.series_cap_exceeded(engine, t)]
+    return f"t_values {capped} need more than {hk.LMAX_CAP} series terms" if capped else None
+
+
+def _fk_grid(p, model):
+    h = max(p["h"], 1.0 / 12.0)  # all finer h pass on the default sets; keeps 3-d masks small
+    coarse = any(kato_mod.fd_grid_too_coarse(model, region, h) for _, region in _default_fk_sets(model))
+    return "h leaves too few grid nodes in the smallest test set" if coarse else None
+
+
+def _fk_times(p, model):
+    horizon = max(p["t_values"])
+    if p["h"] > horizon:
+        return f"h exceeds the largest t ({horizon:g})"
+    step = horizon / max(1, round(horizon / p["h"]))  # the paths' step, as simulate takes it
+    off = [t for t in p["t_values"] if abs(round(t / step) * step - t) > 1e-9 + 1e-9 * t]
+    return f"t_values {off} are not multiples of the step {step:g}" if off else None
+
+
 CHECKS: dict[str, CheckSpec] = {
     "kernel-check": CheckSpec(
         _check_kernel,
         "int p(t,x,y) dmu(y) <= 1; int p(t,x,z) p(s,z,y) dmu(z) = p(t+s,x,y); p(t,x,y) = p(t,y,x)",
         {"t_values": (_floats, "0.05,0.2,0.7", _POSITIVE_LIST), "n_points": (int, 4, _at_least(1))},
         "heat kernel mass / Chapman-Kolmogorov / symmetry",
+        check=_kernel_times,
     ),
     "kato-norm": CheckSpec(
         _check_kato_norm,
         "N(t) = sup_x int_0^t int p(s,x,y) |w(y)| dmu(y) ds < inf",
         {"t": (float, 0.1, _POSITIVE), "n_x": (int, 3, _at_least(1)), "s_min": (float, 1e-9, _POSITIVE)},
         "Kato functional N(t) at one t",
+        models=_KATO_MODELS,
     ),
     "is-kato": CheckSpec(
         _check_is_kato,
@@ -561,12 +593,15 @@ CHECKS: dict[str, CheckSpec] = {
             "s_min": (float, 1e-9, _POSITIVE),
         },
         "Kato-class membership verdict (numerical evidence)",
+        models=_KATO_MODELS,
+        check=lambda p, model: None if p["t_min"] != p["t_max"] else "t_min and t_max must differ",
     ),
     "holder-check": CheckSpec(
         _check_holder,
         "int p(s,x,y)|w(y)| dmu <= time(s)^{1/q} (int |w|^q space dmu)^{1/q}",
         {"qs": (_auto_or_floats, "auto", _qs), "n_s": (int, 10, _at_least(1)), "s_min": (float, 1e-3, _UNIT_TIME)},
         "weighted-L^q smoothing bound margins",
+        models=_KATO_MODELS,
     ),
     "control-pair": CheckSpec(
         _check_control_pair,
@@ -588,6 +623,7 @@ CHECKS: dict[str, CheckSpec] = {
         },
         "Faber-Krahn inequality on test sets",
         models=_EUCLIDEAN_2_3,
+        check=_fk_grid,
     ),
     "mvi-sweep": CheckSpec(
         _check_mvi,
@@ -618,6 +654,7 @@ CHECKS: dict[str, CheckSpec] = {
         },
         "Monte-Carlo Feynman-Kac against the spectral semigroup",
         models=_CIRCLE,
+        check=_fk_times,
     ),
     "project-check": CheckSpec(
         _check_project,
@@ -629,7 +666,8 @@ CHECKS: dict[str, CheckSpec] = {
             "h": (float, 2e-3, _POSITIVE),
         },
         "projection bound for product projections",
-        models=("a product manifold", lambda model: model.kind is Kind.PRODUCT),
+        models=("a product manifold", lambda model: isinstance(model, Product)),
+        check=lambda p, model: f"h exceeds t = {p['t']:g}" if p["n_paths"] and p["h"] > p["t"] else None,
     ),
     "kato-exponential": CheckSpec(
         _check_kato_exponential,
@@ -669,6 +707,7 @@ CHECKS: dict[str, CheckSpec] = {
         "V(x,y) = (1/2) int_0^inf p(s,x,y) ds, finite for x != y",
         {"r_values": (_floats, "0.1,1,10", _POSITIVE_LIST), "rel_tol": (float, 1e-6, _POSITIVE)},
         "Coulomb potential quadrature against the closed form",
+        models=("euclidean:3 or hyperbolic3", pot._coulomb_supported),
     ),
 }
 
@@ -793,19 +832,14 @@ def main(argv: list | None = None) -> int:
     parser = argparse.ArgumentParser(prog="heatkato", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run an experiment manifest")
-    run_p.add_argument("manifest")
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--out", default=None)
-    run_p.add_argument("--parallel", action="store_true")
-    run_p.add_argument("--tolerance-scale", dest="tolerance_scale", type=float, default=None)
-
-    bat_p = sub.add_parser("run-battery", help="run a built-in battery")
-    bat_p.add_argument("name")
-    bat_p.add_argument("--seed", type=int, default=None)
-    bat_p.add_argument("--out", default=None)
-    bat_p.add_argument("--parallel", action="store_true")
-    bat_p.add_argument("--tolerance-scale", dest="tolerance_scale", type=float, default=None)
+    for command, target, helptext in (("run", "manifest", "run an experiment manifest"),
+                                      ("run-battery", "name", "run a built-in battery")):
+        run_p = sub.add_parser(command, help=helptext)
+        run_p.add_argument(target)
+        run_p.add_argument("--seed", type=int, default=None)
+        run_p.add_argument("--out", default=None)
+        run_p.add_argument("--parallel", action="store_true")
+        run_p.add_argument("--tolerance-scale", dest="tolerance_scale", type=float, default=None)
 
     sub.add_parser("list-batteries", help="print battery names")
 
@@ -864,8 +898,6 @@ def main(argv: list | None = None) -> int:
                     "reports": [r.to_dict() for r in reports],
                     "all_pass": all_ok,
                 }
-                import json
-
                 Path(args.out).write_text(json.dumps(combined, sort_keys=True, indent=2) + "\n")
             return 0 if all_ok else 1
         if args.command == "simulate":
@@ -916,8 +948,6 @@ def _cmd_simulate(args) -> int:
         "final_mean": [float(v) for v in final.mean(axis=0)],
         "final_second_moment": [float(v) for v in (final**2).mean(axis=0)],
     }
-    import json
-
     text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -1,124 +1,621 @@
 """Model manifolds: points, distances, volumes, exponential maps and quadrature grids.
 
-All built-in geometries are homogeneous model spaces with closed-form
-distance and ball-volume functions:
+Each built-in geometry is a homogeneous model space with closed-form distance
+and ball volume, one frozen class under ``ManifoldModel``:
 
-* ``Euclidean(m)``        -- flat R^m in Cartesian coordinates
-* ``Torus(m, L)``         -- cube [0, L)^m with opposite faces identified
-* ``Circle``              -- unit circle, points stored as embedded unit vectors
-* ``Sphere2``             -- unit 2-sphere, points stored as embedded unit vectors
-* ``Hyperbolic3``         -- upper half-space {z > 0} with metric (dx^2+dy^2+dz^2)/z^2
-* ``Product(left, right)``-- Riemannian product, chart coords concatenated
+* ``Euclidean(m)``         -- flat R^m in Cartesian coordinates
+* ``Torus(m, L)``          -- cube [0, L)^m with opposite faces identified
+* ``Circle()``             -- unit circle, points stored as embedded unit vectors
+* ``Sphere2()``            -- unit 2-sphere, points stored as embedded unit vectors
+* ``Hyperbolic3()``        -- upper half-space {z > 0} with metric (dx^2+dy^2+dz^2)/z^2
+* ``Product((a, b))``      -- Riemannian product, chart coords concatenated
 
-Everything here is a pure function of its inputs.
+Each class owns its formulas: chart, distance, volumes, exponential map and
+Gaussian step, quadrature grids, the samplers' path chart, and the kernel
+facts the heat-kernel engine looks up (closed-form profile, mass tail, reach,
+diameter, allowed methods).  ``Product.split`` cuts arrays by factor.  The
+module-level functions check arguments and hand the rest to the model;
+everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import erfc, gammaincc
 
 from .errors import DomainError, InvalidPointError, ManifestError, UnsupportedModelError
 
 _UNIT_TOL = 1e-9  # max drift from the unit sphere before a point is rejected
 
 
-class Kind(Enum):
-    EUCLIDEAN = "euclidean"
-    TORUS = "torus"
-    CIRCLE = "circle"
-    SPHERE2 = "sphere2"
-    HYPERBOLIC3 = "hyperbolic3"
-    PRODUCT = "product"
+class ManifoldModel:
+    """Base of the model classes; the defaults are those of a non-compact model
+    with a radial kernel and no period."""
+
+    factors: tuple = ()
+    ricci_lower_bound = 0.0
+    compact = False
+    flat = False  # geodesic random walk increments are exact (chart is flat)
+    radial_kernel = True  # p(t, x, y) is a function of d(x, y) alone
+    period = None  # lattice period of each chart axis (flat periodic models)
+    diameter = math.inf
+    compact_resolution = 0.1  # default full-grid spacing
+    total_volume = math.inf
+
+    # lengths of a chart point, a chart tangent vector (ambient for embedded
+    # models) and a sample-path row (the circle stores its angle)
+    chart_dim = property(lambda self: self.dim)
+    tangent_dim = property(lambda self: self.dim)
+    path_dim = property(lambda self: self.chart_dim)
+
+    def describe(self) -> str:
+        return self.name
+
+    def base_coords(self) -> np.ndarray:
+        return np.array(self.origin)
+
+    def validate(self, c: np.ndarray) -> np.ndarray:
+        return c
+
+    def delta(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Chart displacements ys - x (folded into the fundamental cell on a torus)."""
+        return ys - x
+
+    def sphere_area(self, r: float) -> float:
+        # torus / products: central difference is accurate enough for the
+        # product-volume integrand
+        h = max(1e-6, 1e-6 * r)
+        return (ball_volume_radial(self, r + h) - ball_volume_radial(self, max(r - h, 0.0))) / (
+            r + h - max(r - h, 0.0)
+        )
+
+    def sphere_area_many(self, r: np.ndarray) -> np.ndarray:
+        return np.array([ball_surface(self, float(v)) for v in r])
+
+    def full_nodes(self, resolution: float):
+        raise DomainError(f"{self.describe()} is non-compact; a window is required")
+
+    def full_grid(self, resolution: float) -> "QuadratureGrid":
+        nodes, weights = self.full_nodes(resolution)
+        return QuadratureGrid(self, nodes, weights, FullWindow(), resolution)
+
+    def ball_grid(self, center: Point, radius: float, h: float, n_dir: int | None):
+        raise UnsupportedModelError(f"ball window not supported on {self.describe()}")
+
+    def box_grid(self, center: Point, halfwidth, h: float):
+        raise UnsupportedModelError("box windows only on flat chart models")
+
+    def product_grid(self, window: "ProductWindow", resolution: float, n_dir: int | None):
+        raise UnsupportedModelError("product window needs a product model")
+
+    def cross_distance(self, rho: np.ndarray, theta: np.ndarray, d: float) -> np.ndarray:
+        raise UnsupportedModelError(f"no two-point reduction on {self.describe()}")
+
+    def gaussian_step(self, xs, z, h):
+        return math.sqrt(h) * z  # identity metric in the chart
+
+    # the samplers' path chart and its wrap after a flat walk: the chart itself
+    # except on the circle (stored as its angle), the torus and products
+    chart_from_path = path_from_chart = wrap_path = staticmethod(lambda a: a)
+
+    # heat-kernel facts
+    def mass_tail(self, t: float, radius: float) -> float:
+        """Kernel mass outside a ball of ``radius`` > 0 (compact: a ball as
+        wide as the diameter covers everything)."""
+        return 0.0 if radius >= self.diameter else 1.0
+
+    def kernel_reach(self, t: float) -> float:
+        """Radius outside which the kernel mass is below ~1e-12."""
+        return math.sqrt(2.0 * t * 70.0)
+
+
+def _largest_radius(ok, hi: float) -> float:
+    """Bisection for the largest r in [0, hi] with ok(r) (ok holds near 0)."""
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _radial_cells(radius: float, h: float):
+    return gl_nodes(np.linspace(0.0, radius, max(6, int(math.ceil(radius / h))) + 1))
+
+
+def _exp_polar(model, c, vs, radial_weights, w_dir):
+    """Polar grid nodes exp_c(vs), vs (n_rho, n_dir, 3), with weights radial x direction."""
+    flat_x = np.broadcast_to(c, vs.reshape(-1, 3).shape)
+    nodes = exp_many(model, flat_x, vs.reshape(-1, 3))
+    return nodes, (radial_weights[:, None] * w_dir[None, :]).ravel()
+
+
+class _FlatChart(ManifoldModel):
+    """Cartesian chart with the identity metric: Euclidean and Torus."""
+
+    flat = True
+
+    def wrap(self, chart: np.ndarray) -> np.ndarray:
+        return chart
+
+    def base_coords(self) -> np.ndarray:
+        return np.zeros(self.dim)
+
+    def distance_many(self, x, ys):
+        return np.linalg.norm(self.delta(x, ys), axis=1)
+
+    def exp_many(self, xs, vs):
+        return self.wrap(xs + vs)
+
+    def box_grid(self, center, halfwidth, h):
+        m = self.dim
+        hw = np.asarray(halfwidth, dtype=float)
+        if hw.shape == ():
+            hw = np.full(m, float(hw))
+        if hw.shape != (m,) or np.any(hw <= 0):
+            raise DomainError("box halfwidths must be positive, one per axis")
+        axes, steps = [], []
+        for kdim in range(m):
+            n = max(1, int(round(2.0 * hw[kdim] / h)))
+            delta = 2.0 * hw[kdim] / n
+            axes.append(center.coords[kdim] - hw[kdim] + (np.arange(n) + 0.5) * delta)
+            steps.append(delta)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        nodes = self.wrap(np.stack([g.ravel() for g in mesh], axis=1))
+        return nodes, np.full(nodes.shape[0], float(np.prod(steps)))
 
 
 @dataclass(frozen=True)
-class ManifoldModel:
-    kind: Kind
+class Euclidean(_FlatChart):
     dim: int
-    ricci_lower_bound: float
-    side_length: float = 0.0  # torus only
-    factors: tuple["ManifoldModel", ...] = ()
-
-    @property
-    def chart_dim(self) -> int:
-        """Length of the coordinate vector of a Point in this model's chart."""
-        if self.kind is Kind.CIRCLE:
-            return 2
-        if self.kind is Kind.SPHERE2:
-            return 3
-        if self.kind is Kind.PRODUCT:
-            return sum(f.chart_dim for f in self.factors)
-        return self.dim
-
-    @property
-    def tangent_dim(self) -> int:
-        """Length of a tangent vector in the chart (ambient for embedded models)."""
-        if self.kind is Kind.CIRCLE:
-            return 1
-        if self.kind is Kind.SPHERE2:
-            return 3
-        if self.kind is Kind.PRODUCT:
-            return sum(f.tangent_dim for f in self.factors)
-        return self.dim
-
-    @property
-    def compact(self) -> bool:
-        if self.kind in (Kind.TORUS, Kind.CIRCLE, Kind.SPHERE2):
-            return True
-        if self.kind is Kind.PRODUCT:
-            return all(f.compact for f in self.factors)
-        return False
+    kernel_methods = ("closed",)
 
     def describe(self) -> str:
-        if self.kind is Kind.EUCLIDEAN:
-            return f"euclidean:{self.dim}"
-        if self.kind is Kind.TORUS:
-            return f"torus:{self.dim}:{self.side_length:g}"
-        if self.kind is Kind.PRODUCT:
-            return "product(" + ",".join(f.describe() for f in self.factors) + ")"
-        return self.kind.value
+        return f"euclidean:{self.dim}"
+
+    def random_coords(self, rng, spread):
+        return rng.uniform(-spread, spread, self.dim)
+
+    def ball_volume(self, r: float) -> float:
+        return _omega(self.dim) * r**self.dim
+
+    def sphere_area(self, r):
+        m = self.dim
+        return m * _omega(m) * r ** (m - 1)
+
+    sphere_area_many = sphere_area
+
+    def ball_grid(self, center, radius, h, n_dir):
+        m = self.dim
+        if m == 1:
+            dirs = np.array([[1.0], [-1.0]])
+            w_dir = np.array([1.0, 1.0])
+        elif m == 2:
+            n_ang = n_dir or 64
+            ang = (np.arange(n_ang) + 0.5) * (2.0 * math.pi / n_ang)
+            dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+            w_dir = np.full(n_ang, 2.0 * math.pi / n_ang)
+        elif m == 3:
+            dirs, w_dir = _sphere_directions(n_dir or 20)
+        else:
+            raise UnsupportedModelError("ball grids implemented for m <= 3")
+        rho, w_rho = _radial_cells(radius, h)
+        nodes = center.coords[None, None, :] + rho[:, None, None] * dirs[None, :, :]
+        weights = (w_rho * rho ** (m - 1))[:, None] * w_dir[None, :]
+        return nodes.reshape(-1, m), weights.ravel()
+
+    def cross_distance(self, rho, theta, d):
+        sin_half_sq = np.sin(theta / 2.0) ** 2
+        return np.sqrt((rho - d) ** 2 + 4.0 * rho * d * sin_half_sq)
+
+    def heat_profile(self, t: float, d: np.ndarray) -> np.ndarray:
+        return (2.0 * math.pi * t) ** (-self.dim / 2.0) * np.exp(-d * d / (2.0 * t))
+
+    def mass_tail(self, t, radius):
+        return float(gammaincc(self.dim / 2.0, radius * radius / (2.0 * t)))
+
+    def comparability_radius(self, b: float) -> float:
+        return math.inf  # chart metric = identity everywhere
+
+
+@dataclass(frozen=True)
+class Torus(_FlatChart):
+    dim: int
+    side_length: float
+    compact = True
+    radial_kernel = False  # a product of one periodic kernel per axis
+    kernel_methods = ("imagesum", "series")
+
+    def describe(self) -> str:
+        return f"torus:{self.dim}:{self.side_length:g}"
+
+    period = property(lambda self: self.side_length)
+    diameter = property(lambda self: self.side_length * math.sqrt(self.dim) / 2.0)
+    compact_resolution = property(lambda self: self.side_length / 48.0)
+    total_volume = property(lambda self: self.side_length**self.dim)
+
+    def wrap(self, chart):
+        return np.mod(chart, self.side_length)
+
+    validate = wrap_path = wrap
+
+    def delta(self, x, ys):
+        # signed displacement folded into [-L/2, L/2)
+        L = self.side_length
+        return np.mod(ys - x + L / 2.0, L) - L / 2.0
+
+    def random_coords(self, rng, spread):
+        return rng.uniform(0.0, self.side_length, self.dim)
+
+    def ball_volume(self, r):
+        return _torus_section_area(r, self.side_length, self.dim)
+
+    def full_nodes(self, resolution):
+        L = self.side_length
+        n = max(4, int(round(L / resolution)))
+        axis = np.arange(n) * (L / n)
+        mesh = np.meshgrid(*([axis] * self.dim), indexing="ij")
+        nodes = np.stack([g.ravel() for g in mesh], axis=1)
+        return nodes, np.full(nodes.shape[0], (L / n) ** self.dim)
+
+    def comparability_radius(self, b):
+        return self.side_length / 2.0
+
+
+class _Embedded(ManifoldModel):
+    """Unit vectors in R^(dim+1): Circle and Sphere2."""
+
+    compact = True
+    diameter = math.pi
+
+    def validate(self, c):
+        n = np.linalg.norm(c)
+        if abs(n - 1.0) > _UNIT_TOL:
+            raise InvalidPointError(f"embedded point has norm {n}, expected 1")
+        return c / n
+
+
+@dataclass(frozen=True)
+class Circle(_Embedded):
+    name = "circle"
+    dim = 1
+    chart_dim = 2
+    tangent_dim = 1
+    path_dim = 1  # stored as the angle
+    flat = True
+    period = 2.0 * math.pi
+    compact_resolution = 2.0 * math.pi / 256.0
+    total_volume = 2.0 * math.pi
+    kernel_methods = ("imagesum", "series")
+    origin = (1.0, 0.0)
+
+    def random_coords(self, rng, spread):
+        return circle_point(rng.uniform(0.0, 2 * math.pi)).coords
+
+    def distance_many(self, x, ys):
+        cross = np.abs(x[0] * ys[:, 1] - x[1] * ys[:, 0])
+        return np.arctan2(cross, ys @ x)
+
+    def ball_volume(self, r):
+        return min(2.0 * r, 2.0 * math.pi)
+
+    def sphere_area(self, r):
+        return 2.0 if r < math.pi else 0.0
+
+    def sphere_area_many(self, r):
+        return np.where(r < math.pi, 2.0, 0.0)
+
+    def exp_many(self, xs, vs):
+        a = vs[:, 0]
+        ca, sa = np.cos(a), np.sin(a)
+        return np.stack([ca * xs[:, 0] - sa * xs[:, 1], sa * xs[:, 0] + ca * xs[:, 1]], axis=1)
+
+    def full_nodes(self, resolution):
+        n = max(4, int(round(2.0 * math.pi / resolution)))
+        theta = np.arange(n) * (2.0 * math.pi / n)
+        return np.stack([np.cos(theta), np.sin(theta)], axis=1), np.full(n, 2.0 * math.pi / n)
+
+    def ball_grid(self, center, radius, h, n_dir):
+        r = min(radius, math.pi)
+        off, w_off = gl_nodes(np.linspace(-r, r, max(6, int(math.ceil(2 * r / h))) + 1))
+        ang = math.atan2(center.coords[1], center.coords[0]) + off
+        return np.stack([np.cos(ang), np.sin(ang)], axis=1), w_off
+
+    def chart_from_path(self, paths):
+        a = paths[..., 0]
+        return np.stack([np.cos(a), np.sin(a)], axis=-1)
+
+    def path_from_chart(self, chart):
+        return np.arctan2(chart[..., 1], chart[..., 0])[..., None]
+
+    def wrap_path(self, paths):
+        return np.mod(paths + math.pi, 2.0 * math.pi) - math.pi
+
+    def comparability_radius(self, b):
+        return math.pi
+
+
+@dataclass(frozen=True)
+class Sphere2(_Embedded):
+    # Ric = g on the unit 2-sphere; 0 is still a valid lower bound and matches
+    # the flat-comparison conventions used elsewhere.
+    name = "sphere2"
+    dim = 2
+    chart_dim = 3
+    tangent_dim = 3
+    compact_resolution = math.pi / 48.0
+    total_volume = 4.0 * math.pi
+    kernel_methods = ("series",)
+    origin = (0.0, 0.0, 1.0)
+
+    def random_coords(self, rng, spread):
+        v = rng.standard_normal(3)
+        return v / np.linalg.norm(v)
+
+    def distance_many(self, x, ys):
+        cross = np.linalg.norm(np.cross(np.broadcast_to(x, ys.shape), ys), axis=1)
+        return np.arctan2(cross, ys @ x)
+
+    def ball_volume(self, r):
+        return 2.0 * math.pi * (1.0 - math.cos(min(r, math.pi)))
+
+    def sphere_area(self, r):
+        return 2.0 * math.pi * math.sin(r) if r < math.pi else 0.0
+
+    def sphere_area_many(self, r):
+        return np.where(r < math.pi, 2.0 * math.pi * np.sin(np.minimum(r, math.pi)), 0.0)
+
+    def exp_many(self, xs, vs):
+        # project v onto the tangent plane first so small constraint drift
+        # cannot accumulate along a walk
+        v = vs - np.sum(vs * xs, axis=1, keepdims=True) * xs
+        norm = np.linalg.norm(v, axis=1)
+        safe = np.maximum(norm, 1e-300)
+        out = np.cos(norm)[:, None] * xs + (np.sin(norm) / safe)[:, None] * v
+        return out / np.linalg.norm(out, axis=1, keepdims=True)
+
+    def gaussian_step(self, xs, z, h):
+        v = z - np.sum(z * xs, axis=1, keepdims=True) * xs
+        return math.sqrt(h) * v
+
+    def full_nodes(self, resolution):
+        return _sphere_directions(max(8, int(math.ceil(math.pi / resolution))))
+
+    def ball_grid(self, center, radius, h, n_dir):
+        c = center.coords
+        rho, w_rho = _radial_cells(min(radius, math.pi), h)
+        n_ang = n_dir or 48
+        ang = (np.arange(n_ang) + 0.5) * (2.0 * math.pi / n_ang)
+        e1, e2 = _tangent_frame_sphere(c)
+        dirs = np.cos(ang)[:, None] * e1[None, :] + np.sin(ang)[:, None] * e2[None, :]
+        w_dir = np.full(n_ang, 2.0 * math.pi / n_ang)
+        return _exp_polar(self, c, rho[:, None, None] * dirs[None, :, :], w_rho * np.sin(rho), w_dir)
+
+    def cross_distance(self, rho, theta, d):
+        sin_half_sq = np.sin(theta / 2.0) ** 2
+        one_m_cos = 2.0 * np.sin((rho - d) / 2.0) ** 2 + 2.0 * np.sin(rho) * math.sin(d) * sin_half_sq
+        return 2.0 * np.arcsin(np.sqrt(np.clip(one_m_cos / 2.0, 0.0, 1.0)))
+
+    def comparability_radius(self, b):
+        # normal coordinates: metric eigenvalues between (sin r / r)^2 and 1
+        return _largest_radius(lambda r: (math.sin(r) / r) ** 2 >= 1.0 / b, math.pi - 1e-9)
+
+
+@dataclass(frozen=True)
+class Hyperbolic3(ManifoldModel):
+    name = "hyperbolic3"
+    dim = 3
+    ricci_lower_bound = -2.0
+    kernel_methods = ("closed",)
+    origin = (0.0, 0.0, 1.0)
+
+    def validate(self, c):
+        if c[2] <= 0:
+            raise InvalidPointError("upper half-space chart needs positive height")
+        return c
+
+    def random_coords(self, rng, spread):
+        xy = rng.uniform(-spread, spread, 2)
+        z = math.exp(rng.uniform(-1.0, 1.0))
+        return np.array([xy[0], xy[1], z])
+
+    def distance_many(self, x, ys):
+        # cosh d = 1 + |x-y|^2 / (2 z_x z_y); 2*asinh(sqrt(u/2)) is exact and
+        # stays accurate for tiny separations where arccosh(1+u) would not.
+        diff = ys - x
+        u = np.einsum("ij,ij->i", diff, diff) / (2.0 * x[2] * ys[:, 2])
+        return 2.0 * np.arcsinh(np.sqrt(u / 2.0))
+
+    def ball_volume(self, r):
+        return math.pi * (math.sinh(2.0 * r) - 2.0 * r)
+
+    def sphere_area(self, r):
+        return 4.0 * math.pi * math.sinh(r) ** 2
+
+    def sphere_area_many(self, r):
+        return 4.0 * math.pi * np.sinh(r) ** 2
+
+    def exp_many(self, xs, vs):
+        X = _h3_to_hyperboloid(xs)
+        V = _h3_push_tangent(xs, vs)
+        norm = np.sqrt(np.maximum(_minkowski(V, V), 0.0))
+        safe = np.maximum(norm, 1e-300)
+        Y = np.cosh(norm)[:, None] * X + (np.sinh(norm) / safe)[:, None] * V
+        return _h3_from_hyperboloid(Y)
+
+    def gaussian_step(self, xs, z, h):
+        # chart metric is z^-2 * id, so g-covariance h*id means chart scale z*sqrt(h)
+        return math.sqrt(h) * xs[:, 2:3] * z
+
+    def ball_grid(self, center, radius, h, n_dir):
+        c = center.coords
+        rho, w_rho = _radial_cells(radius, h)
+        dirs, w_dir = _sphere_directions(n_dir or 20)
+        # chart tangent of g-norm rho in direction omega has chart length z*rho
+        vs = (rho[:, None, None] * dirs[None, :, :]) * c[2]
+        return _exp_polar(self, c, vs, w_rho * np.sinh(rho) ** 2, w_dir)
+
+    def cross_distance(self, rho, theta, d):
+        sin_half_sq = np.sin(theta / 2.0) ** 2
+        cosh_m1 = 2.0 * np.sinh((rho - d) / 2.0) ** 2 + 2.0 * np.sinh(rho) * math.sinh(d) * sin_half_sq
+        return 2.0 * np.arcsinh(np.sqrt(cosh_m1 / 2.0))
+
+    def heat_profile(self, t, d):
+        # (2 pi t)^{-3/2} (d / sinh d) exp(-d^2/(2t) - t/2); d/sinh d written as
+        # 2 d e^{-d} / (1 - e^{-2d}) to stay stable for large d
+        pref = (2.0 * math.pi * t) ** -1.5 * math.exp(-t / 2.0)
+        small = d < 1e-6
+        ratio = np.empty_like(d)
+        ds = d[~small]
+        ratio[~small] = 2.0 * ds * np.exp(-ds) / (1.0 - np.exp(-2.0 * ds))
+        ratio[small] = 1.0 - d[small] ** 2 / 6.0
+        return pref * ratio * np.exp(-d * d / (2.0 * t))
+
+    def mass_tail(self, t, radius):
+        # integrand is below (2 pi t)^{-3/2} 2 pi rho e^{-(rho-t)^2/(2t)}
+        pref = (2.0 * math.pi * t) ** -1.5 * 2.0 * math.pi
+        u = radius - t
+        g = t * math.exp(-u * u / (2.0 * t))
+        e = t * math.sqrt(math.pi * t / 2.0) * float(erfc(u / math.sqrt(2.0 * t)))
+        return min(1.0, pref * (g + e))
+
+    def kernel_reach(self, t):
+        return super().kernel_reach(t) + (t + 2.0)
+
+    def comparability_radius(self, b):
+        # normal coordinates: eigenvalues between 1 and (sinh r / r)^2
+        return _largest_radius(lambda r: (math.sinh(r) / r) ** 2 <= b, 50.0)
+
+
+@dataclass(frozen=True)
+class Product(ManifoldModel):
+    factors: tuple
+    radial_kernel = False
+    kernel_methods = ("product",)
+
+    def split(self, a: np.ndarray, width: str = "chart_dim") -> list:
+        """The last axis of ``a`` cut into factor blocks of their ``width`` (a dimension attribute)."""
+        out, i = [], 0
+        for f in self.factors:
+            w = getattr(f, width)
+            out.append(a[..., i : i + w])
+            i += w
+        return out
+
+    dim = property(lambda self: sum(f.dim for f in self.factors))
+    ricci_lower_bound = property(lambda self: min(f.ricci_lower_bound for f in self.factors))
+    compact = property(lambda self: all(f.compact for f in self.factors))
+    flat = property(lambda self: all(f.flat for f in self.factors))
+    chart_dim = property(lambda self: sum(f.chart_dim for f in self.factors))
+    tangent_dim = property(lambda self: sum(f.tangent_dim for f in self.factors))
+    path_dim = property(lambda self: sum(f.path_dim for f in self.factors))
+    total_volume = property(lambda self: self.factors[0].total_volume * self.factors[1].total_volume)
+
+    def describe(self) -> str:
+        return "product(" + ",".join(f.describe() for f in self.factors) + ")"
+
+    def validate(self, c):
+        return np.concatenate([make_point(f, part).coords for f, part in zip(self.factors, self.split(c))])
+
+    def base_coords(self):
+        return np.concatenate([base_point(f).coords for f in self.factors])
+
+    def random_coords(self, rng, spread):
+        return np.concatenate([random_point(f, rng, spread).coords for f in self.factors])
+
+    def distance_many(self, x, ys):
+        total = np.zeros(ys.shape[0])
+        for f, xf, yf in zip(self.factors, self.split(x), self.split(ys)):
+            d = distance_many(f, xf, yf)
+            total += d * d
+        return np.sqrt(total)
+
+    def ball_volume(self, r):
+        # mu(B) = int_0^r V_left'(s) V_right(sqrt(r^2-s^2)) ds
+        left, right = self.factors
+        integrand = lambda s: ball_surface(left, s) * ball_volume_radial(right, math.sqrt(max(r * r - s * s, 0.0)))
+        return quad(integrand, 0.0, r, epsabs=1e-11, epsrel=1e-11, limit=200)[0]
+
+    def exp_many(self, xs, vs):
+        parts = zip(self.factors, self.split(xs), self.split(vs, "tangent_dim"))
+        return np.concatenate([exp_many(f, xf, vf) for f, xf, vf in parts], axis=1)
+
+    def gaussian_step(self, xs, z, h):
+        parts = zip(self.factors, self.split(xs), self.split(z, "tangent_dim"))
+        return np.concatenate([tangent_from_normals(f, xf, zf, h) for f, xf, zf in parts], axis=1)
+
+    def full_grid(self, resolution):
+        return build_grid(self, resolution, ProductWindow(FullWindow(), FullWindow()))
+
+    def product_grid(self, window, resolution, n_dir):
+        gl = build_grid(self.factors[0], resolution, window.left, n_dir)
+        gr = build_grid(self.factors[1], resolution, window.right, n_dir)
+        nl, nr = gl.size, gr.size
+        if nl * nr > 2_000_000:
+            raise DomainError(
+                f"product grid would have {nl * nr} nodes; coarsen the factor windows"
+            )
+        nodes = np.concatenate(
+            [np.repeat(gl.node_coords, nr, axis=0), np.tile(gr.node_coords, (nl, 1))], axis=1
+        )
+        return nodes, (gl.weights[:, None] * gr.weights[None, :]).ravel()
+
+    def _per_factor(self, method: str, a: np.ndarray, width: str) -> np.ndarray:
+        parts = zip(self.factors, self.split(a, width))
+        return np.concatenate([getattr(f, method)(part) for f, part in parts], axis=-1)
+
+    def chart_from_path(self, paths):
+        return self._per_factor("chart_from_path", paths, "path_dim")
+
+    def path_from_chart(self, chart):
+        return self._per_factor("path_from_chart", chart, "chart_dim")
+
+    def wrap_path(self, paths):
+        return self._per_factor("wrap_path", paths, "path_dim")
+
+    def mass_tail(self, t, radius):
+        # d^2 = sum d_i^2 > r^2 forces some d_i > r/sqrt(2) (two factors)
+        r = radius / math.sqrt(2.0)
+        return min(1.0, sum(f.mass_tail(t, r) for f in self.factors))
+
+    def comparability_radius(self, b):
+        return min(f.comparability_radius(b) for f in self.factors)
 
 
 def euclidean(m: int) -> ManifoldModel:
     if m < 1:
         raise DomainError("euclidean dimension must be >= 1")
-    return ManifoldModel(Kind.EUCLIDEAN, m, 0.0)
+    return Euclidean(m)
 
 
 def torus(m: int, side_length: float) -> ManifoldModel:
     if m < 1 or side_length <= 0:
         raise DomainError("torus needs dimension >= 1 and side length > 0")
-    return ManifoldModel(Kind.TORUS, m, 0.0, side_length=side_length)
+    return Torus(m, side_length)
 
 
 def circle() -> ManifoldModel:
-    return ManifoldModel(Kind.CIRCLE, 1, 0.0)
+    return Circle()
 
 
 def sphere2() -> ManifoldModel:
-    # Ric = g on the unit 2-sphere; 0 is still a valid lower bound and matches
-    # the flat-comparison conventions used elsewhere.
-    return ManifoldModel(Kind.SPHERE2, 2, 0.0)
+    return Sphere2()
 
 
 def hyperbolic3() -> ManifoldModel:
-    return ManifoldModel(Kind.HYPERBOLIC3, 3, -2.0)
+    return Hyperbolic3()
 
 
 def product(left: ManifoldModel, right: ManifoldModel) -> ManifoldModel:
-    return ManifoldModel(
-        Kind.PRODUCT,
-        left.dim + right.dim,
-        min(left.ricci_lower_bound, right.ricci_lower_bound),
-        factors=(left, right),
-    )
+    return Product((left, right))
 
 
 @dataclass(frozen=True)
@@ -141,48 +638,17 @@ def make_point(model: ManifoldModel, coords: Sequence[float]) -> Point:
         )
     if not np.all(np.isfinite(c)):
         raise InvalidPointError("coordinates must be finite")
-    k = model.kind
-    if k is Kind.TORUS:
-        c = np.mod(c, model.side_length)
-    elif k in (Kind.CIRCLE, Kind.SPHERE2):
-        n = np.linalg.norm(c)
-        if abs(n - 1.0) > _UNIT_TOL:
-            raise InvalidPointError(f"embedded point has norm {n}, expected 1")
-        c = c / n
-    elif k is Kind.HYPERBOLIC3:
-        if c[2] <= 0:
-            raise InvalidPointError("upper half-space chart needs positive height")
-    elif k is Kind.PRODUCT:
-        i = 0
-        parts = []
-        for f in model.factors:
-            parts.append(make_point(f, c[i : i + f.chart_dim]).coords)
-            i += f.chart_dim
-        c = np.concatenate(parts)
-    return Point(c)
+    return Point(model.validate(c))
 
 
 def split_point(model: ManifoldModel, p: Point) -> tuple[Point, ...]:
-    if model.kind is not Kind.PRODUCT:
+    if not isinstance(model, Product):
         raise UnsupportedModelError("split_point needs a product model")
-    out, i = [], 0
-    for f in model.factors:
-        out.append(Point(p.coords[i : i + f.chart_dim]))
-        i += f.chart_dim
-    return tuple(out)
+    return tuple(Point(c) for c in model.split(p.coords))
 
 
 def base_point(model: ManifoldModel) -> Point:
-    k = model.kind
-    if k is Kind.EUCLIDEAN or k is Kind.TORUS:
-        return Point(np.zeros(model.dim))
-    if k is Kind.CIRCLE:
-        return Point(np.array([1.0, 0.0]))
-    if k is Kind.SPHERE2:
-        return Point(np.array([0.0, 0.0, 1.0]))
-    if k is Kind.HYPERBOLIC3:
-        return Point(np.array([0.0, 0.0, 1.0]))
-    return Point(np.concatenate([base_point(f).coords for f in model.factors]))
+    return Point(model.base_coords())
 
 
 def circle_point(theta: float) -> Point:
@@ -191,62 +657,16 @@ def circle_point(theta: float) -> Point:
 
 def random_point(model: ManifoldModel, rng: np.random.Generator, spread: float = 2.0) -> Point:
     """A random valid point, used by sweeps and property tests."""
-    k = model.kind
-    if k is Kind.EUCLIDEAN:
-        return Point(rng.uniform(-spread, spread, model.dim))
-    if k is Kind.TORUS:
-        return Point(rng.uniform(0.0, model.side_length, model.dim))
-    if k is Kind.CIRCLE:
-        return circle_point(rng.uniform(0.0, 2 * math.pi))
-    if k is Kind.SPHERE2:
-        v = rng.standard_normal(3)
-        return Point(v / np.linalg.norm(v))
-    if k is Kind.HYPERBOLIC3:
-        xy = rng.uniform(-spread, spread, 2)
-        z = math.exp(rng.uniform(-1.0, 1.0))
-        return Point(np.array([xy[0], xy[1], z]))
-    return Point(np.concatenate([random_point(f, rng, spread).coords for f in model.factors]))
+    return Point(model.random_coords(rng, spread))
 
 
 # ---------------------------------------------------------------------------
 # distances
 
 
-def _wrap(delta: np.ndarray, L: float) -> np.ndarray:
-    # signed displacement folded into [-L/2, L/2)
-    return np.mod(delta + L / 2.0, L) - L / 2.0
-
-
 def distance_many(model: ManifoldModel, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Geodesic distances from chart coords ``x`` (d,) to rows of ``ys`` (n, d)."""
-    k = model.kind
-    ys = np.atleast_2d(ys)
-    if k is Kind.EUCLIDEAN:
-        return np.linalg.norm(ys - x, axis=1)
-    if k is Kind.TORUS:
-        return np.linalg.norm(_wrap(ys - x, model.side_length), axis=1)
-    if k in (Kind.CIRCLE, Kind.SPHERE2):
-        dot = ys @ x
-        if k is Kind.CIRCLE:
-            cross = np.abs(x[0] * ys[:, 1] - x[1] * ys[:, 0])
-        else:
-            cross = np.linalg.norm(np.cross(np.broadcast_to(x, ys.shape), ys), axis=1)
-        return np.arctan2(cross, dot)
-    if k is Kind.HYPERBOLIC3:
-        # cosh d = 1 + |x-y|^2 / (2 z_x z_y); 2*asinh(sqrt(u/2)) is exact and
-        # stays accurate for tiny separations where arccosh(1+u) would not.
-        diff = ys - x
-        u = np.einsum("ij,ij->i", diff, diff) / (2.0 * x[2] * ys[:, 2])
-        return 2.0 * np.arcsinh(np.sqrt(u / 2.0))
-    if k is Kind.PRODUCT:
-        total = np.zeros(ys.shape[0])
-        i = 0
-        for f in model.factors:
-            d = distance_many(f, x[i : i + f.chart_dim], ys[:, i : i + f.chart_dim])
-            total += d * d
-            i += f.chart_dim
-        return np.sqrt(total)
-    raise UnsupportedModelError(str(k))
+    return model.distance_many(x, np.atleast_2d(ys))
 
 
 def distance(model: ManifoldModel, x: Point, y: Point) -> float:
@@ -305,64 +725,19 @@ def ball_volume_radial(model: ManifoldModel, r: float) -> float:
     """mu_g(B(x, r)); x-independent on these homogeneous models."""
     if r < 0:
         raise DomainError("radius must be nonnegative")
-    k = model.kind
-    if k is Kind.EUCLIDEAN:
-        return _omega(model.dim) * r**model.dim
-    if k is Kind.TORUS:
-        return _torus_section_area(r, model.side_length, model.dim)
-    if k is Kind.CIRCLE:
-        return min(2.0 * r, 2.0 * math.pi)
-    if k is Kind.SPHERE2:
-        return 2.0 * math.pi * (1.0 - math.cos(min(r, math.pi)))
-    if k is Kind.HYPERBOLIC3:
-        return math.pi * (math.sinh(2.0 * r) - 2.0 * r)
-    if k is Kind.PRODUCT:
-        left, right = model.factors
-        # mu(B) = int_0^r V_left'(s) V_right(sqrt(r^2-s^2)) ds
-        def integrand(s: float) -> float:
-            return ball_surface(left, s) * ball_volume_radial(right, math.sqrt(max(r * r - s * s, 0.0)))
-
-        val, _ = quad(integrand, 0.0, r, epsabs=1e-11, epsrel=1e-11, limit=200)
-        return val
-    raise UnsupportedModelError(str(k))
+    return model.ball_volume(r)
 
 
 def ball_surface(model: ManifoldModel, r: float) -> float:
     """d/dr of ball_volume_radial (the geodesic sphere area)."""
     if r <= 0:
         return 0.0
-    k = model.kind
-    if k is Kind.EUCLIDEAN:
-        m = model.dim
-        return m * _omega(m) * r ** (m - 1)
-    if k is Kind.CIRCLE:
-        return 2.0 if r < math.pi else 0.0
-    if k is Kind.SPHERE2:
-        return 2.0 * math.pi * math.sin(r) if r < math.pi else 0.0
-    if k is Kind.HYPERBOLIC3:
-        return 4.0 * math.pi * math.sinh(r) ** 2
-    # torus / nested products: central difference is accurate enough for the
-    # product-volume integrand
-    h = max(1e-6, 1e-6 * r)
-    return (ball_volume_radial(model, r + h) - ball_volume_radial(model, max(r - h, 0.0))) / (
-        r + h - max(r - h, 0.0)
-    )
+    return model.sphere_area(r)
 
 
 def ball_surface_many(model: ManifoldModel, r: np.ndarray) -> np.ndarray:
-    """Vectorized ball_surface for the closed-form models."""
-    r = np.asarray(r, dtype=float)
-    k = model.kind
-    if k is Kind.EUCLIDEAN:
-        m = model.dim
-        return m * _omega(m) * r ** (m - 1)
-    if k is Kind.CIRCLE:
-        return np.where(r < math.pi, 2.0, 0.0)
-    if k is Kind.SPHERE2:
-        return np.where(r < math.pi, 2.0 * math.pi * np.sin(np.minimum(r, math.pi)), 0.0)
-    if k is Kind.HYPERBOLIC3:
-        return 4.0 * math.pi * np.sinh(r) ** 2
-    return np.array([ball_surface(model, float(v)) for v in r])
+    """Vectorized ball_surface."""
+    return model.sphere_area_many(np.asarray(r, dtype=float))
 
 
 def ball_volume(model: ManifoldModel, x: Point, r: float) -> float:
@@ -370,19 +745,6 @@ def ball_volume(model: ManifoldModel, x: Point, r: float) -> float:
         raise DomainError("radius must be positive")
     make_point(model, x.coords)  # chart validation
     return ball_volume_radial(model, r)
-
-
-def total_volume(model: ManifoldModel) -> float:
-    k = model.kind
-    if k is Kind.TORUS:
-        return model.side_length**model.dim
-    if k is Kind.CIRCLE:
-        return 2.0 * math.pi
-    if k is Kind.SPHERE2:
-        return 4.0 * math.pi
-    if k is Kind.PRODUCT:
-        return total_volume(model.factors[0]) * total_volume(model.factors[1])
-    return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -420,40 +782,7 @@ def _minkowski(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def exp_many(model: ManifoldModel, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Exponential map applied rowwise: xs (n, chart_dim), vs (n, tangent_dim)."""
-    k = model.kind
-    xs = np.atleast_2d(xs)
-    vs = np.atleast_2d(vs)
-    if k is Kind.EUCLIDEAN:
-        return xs + vs
-    if k is Kind.TORUS:
-        return np.mod(xs + vs, model.side_length)
-    if k is Kind.CIRCLE:
-        a = vs[:, 0]
-        ca, sa = np.cos(a), np.sin(a)
-        return np.stack([ca * xs[:, 0] - sa * xs[:, 1], sa * xs[:, 0] + ca * xs[:, 1]], axis=1)
-    if k is Kind.SPHERE2:
-        # project v onto the tangent plane first so small constraint drift
-        # cannot accumulate along a walk
-        v = vs - np.sum(vs * xs, axis=1, keepdims=True) * xs
-        norm = np.linalg.norm(v, axis=1)
-        safe = np.maximum(norm, 1e-300)
-        out = np.cos(norm)[:, None] * xs + (np.sin(norm) / safe)[:, None] * v
-        return out / np.linalg.norm(out, axis=1, keepdims=True)
-    if k is Kind.HYPERBOLIC3:
-        X = _h3_to_hyperboloid(xs)
-        V = _h3_push_tangent(xs, vs)
-        norm = np.sqrt(np.maximum(_minkowski(V, V), 0.0))
-        safe = np.maximum(norm, 1e-300)
-        Y = np.cosh(norm)[:, None] * X + (np.sinh(norm) / safe)[:, None] * V
-        return _h3_from_hyperboloid(Y)
-    if k is Kind.PRODUCT:
-        out, ci, ti = [], 0, 0
-        for f in model.factors:
-            out.append(exp_many(f, xs[:, ci : ci + f.chart_dim], vs[:, ti : ti + f.tangent_dim]))
-            ci += f.chart_dim
-            ti += f.tangent_dim
-        return np.concatenate(out, axis=1)
-    raise UnsupportedModelError(str(k))
+    return model.exp_many(np.atleast_2d(xs), np.atleast_2d(vs))
 
 
 def exp_map(model: ManifoldModel, x: Point, v: Sequence[float]) -> Point:
@@ -471,24 +800,7 @@ def tangent_from_normals(model: ManifoldModel, xs: np.ndarray, z: np.ndarray, h:
     The result has covariance h * (metric identity) on each tangent space, so
     one exp_map step advances the geodesic random walk by time h.
     """
-    k = model.kind
-    root = math.sqrt(h)
-    if k in (Kind.EUCLIDEAN, Kind.TORUS, Kind.CIRCLE):
-        return root * z
-    if k is Kind.SPHERE2:
-        v = z - np.sum(z * xs, axis=1, keepdims=True) * xs
-        return root * v
-    if k is Kind.HYPERBOLIC3:
-        # chart metric is z^-2 * id, so g-covariance h*id means chart scale z*sqrt(h)
-        return root * xs[:, 2:3] * z
-    if k is Kind.PRODUCT:
-        out, ci, ti = [], 0, 0
-        for f in model.factors:
-            out.append(tangent_from_normals(f, xs[:, ci : ci + f.chart_dim], z[:, ti : ti + f.tangent_dim], h))
-            ci += f.chart_dim
-            ti += f.tangent_dim
-        return np.concatenate(out, axis=1)
-    raise UnsupportedModelError(str(k))
+    return model.gaussian_step(xs, z, h)
 
 
 # ---------------------------------------------------------------------------
@@ -588,143 +900,25 @@ def _tangent_frame_sphere(c: np.ndarray):
     return e1, e2
 
 
-def _polar_grid(model: ManifoldModel, center: Point, radius: float, h: float, n_dir: int | None = None):
-    """Ball window grid: composite-GL radial cells x direction grid.
-
-    Radial cells partition [0, radius], so excising a centered ball maps to
-    dropping whole cells.  Direction rules (uniform angles / Gauss-Legendre in
-    z) are spectrally accurate for smooth integrands, so the default angular
-    counts are modest and independent of the radial resolution.
-    """
-    k = model.kind
-    n_rad = max(6, int(math.ceil(radius / h)))
-    rho, w_rho = gl_nodes(np.linspace(0.0, radius, n_rad + 1))
-    c = center.coords
-    if k is Kind.EUCLIDEAN:
-        m = model.dim
-        if m == 1:
-            dirs = np.array([[1.0], [-1.0]])
-            w_dir = np.array([1.0, 1.0])
-        elif m == 2:
-            n_ang = n_dir or 64
-            ang = (np.arange(n_ang) + 0.5) * (2.0 * math.pi / n_ang)
-            dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            w_dir = np.full(n_ang, 2.0 * math.pi / n_ang)
-        elif m == 3:
-            dirs, w_dir = _sphere_directions(n_dir or 20)
-        else:
-            raise UnsupportedModelError("ball grids implemented for m <= 3")
-        nodes = c[None, None, :] + rho[:, None, None] * dirs[None, :, :]
-        jac = rho ** (m - 1)
-    elif k is Kind.CIRCLE:
-        r = min(radius, math.pi)
-        off, w_off = gl_nodes(np.linspace(-r, r, max(6, int(math.ceil(2 * r / h))) + 1))
-        theta0 = math.atan2(c[1], c[0])
-        ang = theta0 + off
-        coords = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        return coords, w_off
-    elif k is Kind.SPHERE2:
-        r = min(radius, math.pi)
-        rho, w_rho = gl_nodes(np.linspace(0.0, r, max(6, int(math.ceil(r / h))) + 1))
-        n_ang = n_dir or 48
-        ang = (np.arange(n_ang) + 0.5) * (2.0 * math.pi / n_ang)
-        e1, e2 = _tangent_frame_sphere(c)
-        dirs = np.cos(ang)[:, None] * e1[None, :] + np.sin(ang)[:, None] * e2[None, :]
-        w_dir = np.full(n_ang, 2.0 * math.pi / n_ang)
-        vs = rho[:, None, None] * dirs[None, :, :]
-        flat_x = np.broadcast_to(c, vs.reshape(-1, 3).shape)
-        nodes = exp_many(model, flat_x, vs.reshape(-1, 3)).reshape(len(rho), n_ang, 3)
-        jac = np.sin(rho)
-        weights = (w_rho * jac)[:, None] * w_dir[None, :]
-        return nodes.reshape(-1, 3), weights.ravel()
-    elif k is Kind.HYPERBOLIC3:
-        dirs, w_dir = _sphere_directions(n_dir or 20)
-        # chart tangent of g-norm rho in direction omega has chart length z*rho
-        vs = (rho[:, None, None] * dirs[None, :, :]) * c[2]
-        flat_x = np.broadcast_to(c, vs.reshape(-1, 3).shape)
-        nodes = exp_many(model, flat_x, vs.reshape(-1, 3)).reshape(len(rho), dirs.shape[0], 3)
-        jac = np.sinh(rho) ** 2
-        weights = (w_rho * jac)[:, None] * w_dir[None, :]
-        return nodes.reshape(-1, 3), weights.ravel()
-    else:
-        raise UnsupportedModelError(f"ball window not supported on {k}")
-    weights = (w_rho * jac)[:, None] * w_dir[None, :]
-    return nodes.reshape(-1, model.chart_dim), weights.ravel()
-
-
-def _box_grid(model: ManifoldModel, center: Point, halfwidth: tuple[float, ...], h: float):
-    k = model.kind
-    if k not in (Kind.EUCLIDEAN, Kind.TORUS):
-        raise UnsupportedModelError("box windows only on flat chart models")
-    m = model.dim
-    hw = np.asarray(halfwidth, dtype=float)
-    if hw.shape == ():
-        hw = np.full(m, float(hw))
-    if hw.shape != (m,) or np.any(hw <= 0):
-        raise DomainError("box halfwidths must be positive, one per axis")
-    axes, steps = [], []
-    for kdim in range(m):
-        n = max(1, int(round(2.0 * hw[kdim] / h)))
-        delta = 2.0 * hw[kdim] / n
-        axes.append(center.coords[kdim] - hw[kdim] + (np.arange(n) + 0.5) * delta)
-        steps.append(delta)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([g.ravel() for g in mesh], axis=1)
-    if k is Kind.TORUS:
-        nodes = np.mod(nodes, model.side_length)
-    weights = np.full(nodes.shape[0], float(np.prod(steps)))
-    return nodes, weights
-
-
 def build_grid(model: ManifoldModel, resolution: float, window, n_dir: int | None = None) -> QuadratureGrid:
-    """Nodes/weights approximating the volume measure over the window."""
+    """Nodes/weights approximating the volume measure over the window.
+
+    Ball windows are polar grids: composite-GL radial cells partition [0, radius]
+    (so excising a centered ball drops whole cells) times a direction rule that
+    is spectrally accurate for smooth integrands."""
     if resolution <= 0:
         raise DomainError("resolution must be positive")
-    k = model.kind
     if isinstance(window, FullWindow):
-        if k is Kind.CIRCLE:
-            n = max(4, int(round(2.0 * math.pi / resolution)))
-            theta = np.arange(n) * (2.0 * math.pi / n)
-            nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-            weights = np.full(n, 2.0 * math.pi / n)
-        elif k is Kind.TORUS:
-            L = model.side_length
-            n = max(4, int(round(L / resolution)))
-            axis = np.arange(n) * (L / n)
-            mesh = np.meshgrid(*([axis] * model.dim), indexing="ij")
-            nodes = np.stack([g.ravel() for g in mesh], axis=1)
-            weights = np.full(nodes.shape[0], (L / n) ** model.dim)
-        elif k is Kind.SPHERE2:
-            n_z = max(8, int(math.ceil(math.pi / resolution)))
-            dirs, w = _sphere_directions(n_z)
-            nodes, weights = dirs, w
-        elif k is Kind.PRODUCT:
-            return build_grid(model, resolution, ProductWindow(FullWindow(), FullWindow()))
-        else:
-            raise DomainError(f"{model.describe()} is non-compact; a window is required")
-        return QuadratureGrid(model, nodes, weights, window, resolution)
+        return model.full_grid(resolution)
     if isinstance(window, BallWindow):
-        nodes, weights = _polar_grid(model, window.center, window.radius, resolution, n_dir)
-        return QuadratureGrid(model, nodes, weights, window, resolution)
-    if isinstance(window, BoxWindow):
-        nodes, weights = _box_grid(model, window.center, window.halfwidth, resolution)
-        return QuadratureGrid(model, nodes, weights, window, resolution)
-    if isinstance(window, ProductWindow):
-        if k is not Kind.PRODUCT:
-            raise UnsupportedModelError("product window needs a product model")
-        gl = build_grid(model.factors[0], resolution, window.left, n_dir)
-        gr = build_grid(model.factors[1], resolution, window.right, n_dir)
-        nl, nr = gl.size, gr.size
-        if nl * nr > 2_000_000:
-            raise DomainError(
-                f"product grid would have {nl * nr} nodes; coarsen the factor windows"
-            )
-        nodes = np.concatenate(
-            [np.repeat(gl.node_coords, nr, axis=0), np.tile(gr.node_coords, (nl, 1))], axis=1
-        )
-        weights = (gl.weights[:, None] * gr.weights[None, :]).ravel()
-        return QuadratureGrid(model, nodes, weights, window, resolution)
-    raise DomainError(f"unknown window spec {window!r}")
+        nodes, weights = model.ball_grid(window.center, window.radius, resolution, n_dir)
+    elif isinstance(window, BoxWindow):
+        nodes, weights = model.box_grid(window.center, window.halfwidth, resolution)
+    elif isinstance(window, ProductWindow):
+        nodes, weights = model.product_grid(window, resolution, n_dir)
+    else:
+        raise DomainError(f"unknown window spec {window!r}")
+    return QuadratureGrid(model, nodes, weights, window, resolution)
 
 
 # ---------------------------------------------------------------------------

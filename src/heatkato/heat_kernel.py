@@ -3,8 +3,8 @@
 The generator is fixed to (1/2) * Laplace-Beltrami throughout; there is
 deliberately no option to switch to the unhalved convention.
 
-Methods:
-* Euclidean, Hyperbolic3: closed forms
+Methods (``model.kernel_methods`` lists those that apply, "auto" first):
+* Euclidean, Hyperbolic3: closed forms (the model's ``heat_profile``)
 * Circle, Torus: image sums over the period lattice (or Fourier series)
 * Sphere2: zonal spectral series with Legendre three-term recurrence
 * Product: pointwise product of the factor kernels
@@ -13,16 +13,18 @@ Methods:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import erfc, gammaincc
 
 from . import geometry as geom
 from . import quadrature
 from .errors import DomainError, TruncationError, UnsupportedModelError
-from .geometry import Kind, ManifoldModel, Point, QuadratureGrid
+from .geometry import ManifoldModel, Point, QuadratureGrid
+
+SERIES_TOL = 1e-12  # tail the adaptive sphere series stops below
+LMAX_CAP = 20000  # most terms the adaptive sphere series takes
 
 
 class Method(Enum):
@@ -38,8 +40,6 @@ class HeatKernelEngine:
     method: Method
     image_radius: int | None = None  # explicit lattice radius K (None = adaptive)
     series_lmax: int | None = None  # explicit series cutoff (None = adaptive)
-    series_tol: float = 1e-12
-    lmax_cap: int = 20000
     strict_truncation: bool = False
     factors: tuple["HeatKernelEngine", ...] = ()
 
@@ -48,37 +48,26 @@ class HeatKernelEngine:
         return self.model.dim
 
 
-def make_engine(model: ManifoldModel, method: str = "auto", **kw) -> HeatKernelEngine:
-    """Build an evaluator; ``method`` is "auto" | "series[:lmax]" | "imagesum[:K]"."""
+def make_engine(model: ManifoldModel, method: str = "auto") -> HeatKernelEngine:
+    """Build an evaluator; ``method`` is "auto" (the model's first kernel
+    method) or one of ``model.kernel_methods``, as "series[:lmax]",
+    "imagesum[:K]", "closed" or "product"."""
     name, _, arg = method.partition(":")
     name = name.strip().lower()
-    k = model.kind
-    if k is Kind.PRODUCT:
-        if name not in ("auto", "product"):
-            raise DomainError("product models take the product rule; use method='auto'")
-        facs = tuple(make_engine(f, "auto", **kw) for f in model.factors)
-        return HeatKernelEngine(model, Method.PRODUCT_RULE, factors=facs, **kw)
-    if name == "auto":
-        if k in (Kind.EUCLIDEAN, Kind.HYPERBOLIC3):
-            return HeatKernelEngine(model, Method.CLOSED_FORM, **kw)
-        if k in (Kind.CIRCLE, Kind.TORUS):
-            return HeatKernelEngine(model, Method.IMAGE_SUM, **kw)
-        return HeatKernelEngine(model, Method.SPECTRAL_SERIES, **kw)
-    if name == "imagesum":
-        if k not in (Kind.CIRCLE, Kind.TORUS):
-            raise UnsupportedModelError("image sums need a flat periodic model")
-        K = int(arg) if arg else None
-        return HeatKernelEngine(model, Method.IMAGE_SUM, image_radius=K, **kw)
-    if name == "series":
-        if k not in (Kind.CIRCLE, Kind.TORUS, Kind.SPHERE2):
-            raise UnsupportedModelError("spectral series need a compact model")
-        lmax = int(arg) if arg else None
-        return HeatKernelEngine(model, Method.SPECTRAL_SERIES, series_lmax=lmax, **kw)
-    if name == "closed":
-        if k not in (Kind.EUCLIDEAN, Kind.HYPERBOLIC3):
-            raise UnsupportedModelError("no closed form for this model")
-        return HeatKernelEngine(model, Method.CLOSED_FORM, **kw)
-    raise DomainError(f"unknown kernel method {method!r}")
+    chosen = model.kernel_methods[0] if name == "auto" else name
+    if chosen not in {m.value for m in Method}:
+        raise DomainError(f"unknown kernel method {method!r}")
+    if chosen not in model.kernel_methods:
+        raise UnsupportedModelError(f"{model.describe()} takes kernel methods {model.kernel_methods}, not {name}")
+    if arg and not arg.strip().isdecimal():
+        raise DomainError(f"kernel method {method!r}: the cutoff must be a nonnegative integer")
+    number = int(arg) if arg and name in ("imagesum", "series") else None
+    return HeatKernelEngine(
+        model, Method(chosen),
+        image_radius=number if name == "imagesum" else None,
+        series_lmax=number if name == "series" else None,
+        factors=tuple(make_engine(f) for f in model.factors),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +153,6 @@ def sphere_series(t: float, cos_d, lmax: int):
     return acc
 
 
-def _h3_profile(d: np.ndarray, t: float) -> np.ndarray:
-    # (2 pi t)^{-3/2} (d / sinh d) exp(-d^2/(2t) - t/2); d/sinh d written as
-    # 2 d e^{-d} / (1 - e^{-2d}) to stay stable for large d
-    pref = (2.0 * math.pi * t) ** -1.5 * math.exp(-t / 2.0)
-    small = d < 1e-6
-    ratio = np.empty_like(d)
-    ds = d[~small]
-    ratio[~small] = 2.0 * ds * np.exp(-ds) / (1.0 - np.exp(-2.0 * ds))
-    ratio[small] = 1.0 - d[small] ** 2 / 6.0
-    return pref * ratio * np.exp(-d * d / (2.0 * t))
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -184,30 +161,46 @@ def eval_radial(engine: HeatKernelEngine, t: float, d) -> np.ndarray:
     """Kernel as a function of geodesic distance (radial models only)."""
     if t <= 0:
         raise DomainError("time must be positive")
-    k = engine.model.kind
+    model = engine.model
     d = np.asarray(d, dtype=float)
-    if k is Kind.EUCLIDEAN:
-        m = engine.dim
-        return (2.0 * math.pi * t) ** (-m / 2.0) * np.exp(-d * d / (2.0 * t))
-    if k is Kind.HYPERBOLIC3:
-        return _h3_profile(d, t)
-    if k is Kind.CIRCLE:
-        if engine.method is Method.SPECTRAL_SERIES:
-            return circle_fourier(d, t, 2.0 * math.pi, engine.series_lmax)
-        return wrapped_gaussian(d, t, 2.0 * math.pi, engine.image_radius)
-    if k is Kind.SPHERE2:
-        lmax = engine.series_lmax or sphere_lmax(t, engine.series_tol, engine.lmax_cap)
-        _check_truncation(engine, t, lmax)
-        return sphere_series(t, np.cos(d), lmax)
-    raise UnsupportedModelError(f"{k} kernel is not a function of distance alone")
+    if not model.radial_kernel:
+        raise UnsupportedModelError(f"the {model.describe()} kernel is not a function of distance alone")
+    if engine.method is Method.CLOSED_FORM:
+        return model.heat_profile(t, d)
+    if model.period:
+        return _axis_kernel(engine, t, d)
+    lmax = _sphere_cutoff(engine, t)
+    _check_truncation(engine, t, lmax)
+    return sphere_series(t, np.cos(d), lmax)
+
+
+def _axis_kernel(engine: HeatKernelEngine, t: float, d):
+    """The kernel of one periodic axis (circumference ``model.period``)."""
+    L = engine.model.period
+    if engine.method is Method.SPECTRAL_SERIES:
+        return circle_fourier(d, t, L, engine.series_lmax)
+    return wrapped_gaussian(d, t, L, engine.image_radius)
+
+
+def _sphere_cutoff(engine: HeatKernelEngine, t: float) -> int:
+    return engine.series_lmax or sphere_lmax(t, SERIES_TOL, LMAX_CAP)
+
+
+def series_cap_exceeded(engine: HeatKernelEngine, t: float) -> bool:
+    """True when an adaptive sphere series (of the model or a factor) would stop
+    at its cap with a tail above SERIES_TOL at time t (strict truncation raises there)."""
+    if engine.factors:
+        return any(series_cap_exceeded(fe, t) for fe in engine.factors)
+    adaptive = engine.method is Method.SPECTRAL_SERIES and not engine.model.period
+    return adaptive and engine.series_lmax is None and sphere_tail_bound(LMAX_CAP, t) > SERIES_TOL
 
 
 def _check_truncation(engine: HeatKernelEngine, t: float, lmax: int) -> None:
     if engine.strict_truncation and engine.series_lmax is None:
         bound = sphere_tail_bound(lmax, t)
-        if bound > engine.series_tol:
+        if bound > SERIES_TOL:
             raise TruncationError(
-                f"series cap {engine.lmax_cap} leaves tail {bound:.3e} > tol at t={t:g}", bound
+                f"series cap {LMAX_CAP} leaves tail {bound:.3e} > tol at t={t:g}", bound
             )
 
 
@@ -215,30 +208,19 @@ def eval_many(engine: HeatKernelEngine, t: float, x: np.ndarray, ys: np.ndarray)
     """p(t, x, y_i) for chart coords x (d,) against rows of ys (n, d)."""
     if t <= 0:
         raise DomainError("time must be positive")
-    k = engine.model.kind
+    model = engine.model
     ys = np.atleast_2d(ys)
-    if k is Kind.TORUS:
-        L = engine.model.side_length
-        delta = geom._wrap(ys - x, L)
-        if engine.method is Method.SPECTRAL_SERIES:
-            acc = circle_fourier(delta[:, 0], t, L, engine.series_lmax)
-            for j in range(1, engine.dim):
-                acc = acc * circle_fourier(delta[:, j], t, L, engine.series_lmax)
-        else:
-            acc = wrapped_gaussian(delta[:, 0], t, L, engine.image_radius)
-            for j in range(1, engine.dim):
-                acc = acc * wrapped_gaussian(delta[:, j], t, L, engine.image_radius)
+    if engine.method is Method.PRODUCT_RULE:
+        parts = zip(engine.factors, model.split(x), model.split(ys))
+        return math.prod(eval_many(fe, t, xf, yf) for fe, xf, yf in parts)
+    if not model.radial_kernel:
+        # flat torus: the product over chart axes of the periodic 1-d kernel
+        delta = model.delta(x, ys)
+        acc = _axis_kernel(engine, t, delta[:, 0])
+        for j in range(1, engine.dim):
+            acc = acc * _axis_kernel(engine, t, delta[:, j])
         return acc
-    if k is Kind.PRODUCT:
-        acc = None
-        i = 0
-        for fe in engine.factors:
-            w = fe.model.chart_dim
-            part = eval_many(fe, t, x[i : i + w], ys[:, i : i + w])
-            acc = part if acc is None else acc * part
-            i += w
-        return acc
-    d = geom.distance_many(engine.model, x, ys)
+    d = geom.distance_many(model, x, ys)
     return eval_radial(engine, t, d)
 
 
@@ -249,13 +231,9 @@ def eval_kernel(engine: HeatKernelEngine, t: float, x: Point, y: Point) -> float
 
 def on_diag(engine: HeatKernelEngine, t: float) -> float:
     """p(t, x, x); x-independent on these homogeneous models."""
-    k = engine.model.kind
-    if k is Kind.PRODUCT:
-        val = 1.0
-        for fe in engine.factors:
-            val *= on_diag(fe, t)
-        return val
-    if k is Kind.TORUS:
+    if engine.method is Method.PRODUCT_RULE:
+        return math.prod(on_diag(fe, t) for fe in engine.factors)
+    if not engine.model.radial_kernel:
         x = geom.base_point(engine.model).coords
         return float(eval_many(engine, t, x, x[None, :])[0])
     return float(eval_radial(engine, t, np.array([0.0]))[0])
@@ -263,38 +241,32 @@ def on_diag(engine: HeatKernelEngine, t: float) -> float:
 
 def truncation_bound(engine: HeatKernelEngine, t: float) -> float:
     """Analytic bound on the series/image-sum truncation error of eval at time t."""
-    k = engine.model.kind
-    if k is Kind.SPHERE2:
-        lmax = engine.series_lmax or sphere_lmax(t, engine.series_tol, engine.lmax_cap)
-        return sphere_tail_bound(lmax, t)
-    if k in (Kind.CIRCLE, Kind.TORUS):
-        L = 2.0 * math.pi if k is Kind.CIRCLE else engine.model.side_length
-        if engine.method is Method.SPECTRAL_SERIES:
-            kmax = engine.series_lmax or max(
-                1, int(math.ceil((L / (2.0 * math.pi)) * math.sqrt(2.0 * 40.0 / t)))
-            )
-            lam = 0.5 * (2.0 * math.pi * (kmax + 1) / L) ** 2
-            tail1 = 2.0 * math.exp(-lam * t) / (L * max(1.0 - math.exp(-lam * t), 0.5))
-        else:
-            K = _image_radius(t, L, engine.image_radius)
-            tail1 = image_sum_tail(t, L, K)
-        if k is Kind.CIRCLE:
-            return tail1
-        # product of m 1-d factors, each bounded by its own on-diagonal value
-        peak = wrapped_gaussian(0.0, t, L, engine.image_radius) + tail1
-        return engine.dim * tail1 * float(peak) ** (engine.dim - 1)
-    if k is Kind.PRODUCT:
-        total, peak = 0.0, []
-        for fe in engine.factors:
-            peak.append(on_diag(fe, t) + truncation_bound(fe, t))
-        for i, fe in enumerate(engine.factors):
-            others = 1.0
-            for j, pv in enumerate(peak):
-                if j != i:
-                    others *= pv
-            total += truncation_bound(fe, t) * others
+    model = engine.model
+    if engine.method is Method.CLOSED_FORM:
+        return 0.0
+    if engine.method is Method.PRODUCT_RULE:
+        bounds = [truncation_bound(fe, t) for fe in engine.factors]
+        peak = [on_diag(fe, t) + b for fe, b in zip(engine.factors, bounds)]
+        total = 0.0
+        for i, b in enumerate(bounds):
+            total += b * math.prod(pv for j, pv in enumerate(peak) if j != i)
         return total
-    return 0.0
+    L = model.period
+    if not L:
+        return sphere_tail_bound(_sphere_cutoff(engine, t), t)
+    if engine.method is Method.SPECTRAL_SERIES:
+        kmax = engine.series_lmax or max(
+            1, int(math.ceil((L / (2.0 * math.pi)) * math.sqrt(2.0 * 40.0 / t)))
+        )
+        lam = 0.5 * (2.0 * math.pi * (kmax + 1) / L) ** 2
+        tail1 = 2.0 * math.exp(-lam * t) / (L * max(1.0 - math.exp(-lam * t), 0.5))
+    else:
+        K = _image_radius(t, L, engine.image_radius)
+        tail1 = image_sum_tail(t, L, K)
+    # product of m 1-d factors (one on the circle), each bounded by its own
+    # on-diagonal value
+    peak = wrapped_gaussian(0.0, t, L, engine.image_radius) + tail1
+    return engine.dim * tail1 * float(peak) ** (engine.dim - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -304,29 +276,9 @@ def truncation_bound(engine: HeatKernelEngine, t: float) -> float:
 def mass_tail_bound(engine: HeatKernelEngine, t: float, radius: float) -> float:
     """Upper bound for the kernel mass outside a geodesic ball of ``radius``
     around the evaluation point."""
-    k = engine.model.kind
     if radius <= 0:
         return 1.0
-    if k is Kind.EUCLIDEAN:
-        return float(gammaincc(engine.dim / 2.0, radius * radius / (2.0 * t)))
-    if k is Kind.HYPERBOLIC3:
-        # integrand is below (2 pi t)^{-3/2} 2 pi rho e^{-(rho-t)^2/(2t)}
-        pref = (2.0 * math.pi * t) ** -1.5 * 2.0 * math.pi
-        u = radius - t
-        g = t * math.exp(-u * u / (2.0 * t))
-        e = t * math.sqrt(math.pi * t / 2.0) * float(erfc(u / math.sqrt(2.0 * t)))
-        return min(1.0, pref * (g + e))
-    if k in (Kind.CIRCLE, Kind.SPHERE2, Kind.TORUS):
-        # compact: a ball of radius >= diameter covers everything
-        diam = {Kind.CIRCLE: math.pi, Kind.SPHERE2: math.pi}.get(k)
-        if diam is None:
-            diam = engine.model.side_length * math.sqrt(engine.dim) / 2.0
-        return 0.0 if radius >= diam else 1.0
-    if k is Kind.PRODUCT:
-        # d^2 = sum d_i^2 > r^2 forces some d_i > r/sqrt(2) (two factors)
-        r = radius / math.sqrt(2.0)
-        return min(1.0, sum(mass_tail_bound(fe, t, r) for fe in engine.factors))
-    raise UnsupportedModelError(str(k))
+    return engine.model.mass_tail(t, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -351,102 +303,59 @@ def sup_bound(engine: HeatKernelEngine, t: float, x: Point, y_grid: QuadratureGr
 # adapted quadrature per sample: exact radial / axisymmetric reductions
 
 
-def _kernel_reach(engine: HeatKernelEngine, t: float) -> float:
-    # radius outside which the kernel mass is below ~1e-12
-    r = math.sqrt(2.0 * t * 70.0)
-    if engine.model.kind is Kind.HYPERBOLIC3:
-        r += t + 2.0
-    return r
-
-
 def kernel_mass(engine: HeatKernelEngine, t: float, x: Point) -> tuple[float, float]:
     """(integral of p(t, x, .) dmu, analytic error allowance)."""
-    k = engine.model.kind
+    model = engine.model
     sigma = math.sqrt(t)
-    if k is Kind.CIRCLE:
-        val = quadrature.radial_integral(
-            engine.model, lambda r: eval_radial(engine, t, r), math.pi,
-            scales_at_zero=(sigma,), max_cell=min(sigma / 4.0, math.pi / 16.0),
-        )
-        return val, truncation_bound(engine, t) * 2.0 * math.pi
-    if k is Kind.SPHERE2:
-        val = quadrature.radial_integral(
-            engine.model, lambda r: eval_radial(engine, t, r), math.pi,
-            scales_at_zero=(sigma,), max_cell=min(sigma / 4.0, math.pi / 16.0),
-        )
-        return val, truncation_bound(engine, t) * 4.0 * math.pi
-    if k in (Kind.EUCLIDEAN, Kind.HYPERBOLIC3):
-        reach = _kernel_reach(engine, t)
-        val = quadrature.radial_integral(
-            engine.model, lambda r: eval_radial(engine, t, r), reach,
-            scales_at_zero=(sigma,), max_cell=min(sigma / 4.0, reach / 16.0),
-        )
-        return val, mass_tail_bound(engine, t, reach)
-    if k is Kind.TORUS:
-        L = engine.model.side_length
+    if engine.method is Method.PRODUCT_RULE:
+        parts = [kernel_mass(fe, t, Point(xf)) for fe, xf in zip(engine.factors, model.split(x.coords))]
+        return math.prod(v for v, _ in parts), sum(e for _, e in parts)
+    if not model.radial_kernel:
+        L = model.period
         n = 64
         delta = (np.arange(n) + 0.5) * (L / n)
         per_axis = float(np.sum(wrapped_gaussian(delta - L / 2.0, t, L)) * (L / n))
         val = per_axis**engine.dim
-        return val, engine.dim * truncation_bound(engine, t) * total_vol_bound(engine)
-    if k is Kind.PRODUCT:
-        val, err = 1.0, 0.0
-        for fe in engine.factors:
-            v, e = kernel_mass(fe, t, Point(_factor_slice(engine, fe, x)))
-            val *= v
-            err += e
-        return val, err
-    raise UnsupportedModelError(str(k))
-
-
-def total_vol_bound(engine: HeatKernelEngine) -> float:
-    v = geom.total_volume(engine.model)
-    return v if math.isfinite(v) else 1.0
-
-
-def _factor_slice(engine: HeatKernelEngine, fe: HeatKernelEngine, x: Point) -> np.ndarray:
-    i = 0
-    for f in engine.factors:
-        if f is fe:
-            return x.coords[i : i + f.model.chart_dim]
-        i += f.model.chart_dim
-    raise ValueError("factor not part of engine")
+        return val, engine.dim * truncation_bound(engine, t) * model.total_volume
+    # exact radial reduction: over the whole of a compact model, else out to
+    # the kernel's reach with the analytic mass tail beyond it
+    reach = model.diameter if model.compact else model.kernel_reach(t)
+    val = quadrature.radial_integral(
+        model, lambda r: eval_radial(engine, t, r), reach,
+        scales_at_zero=(sigma,), max_cell=min(sigma / 4.0, reach / 16.0),
+    )
+    if model.compact:
+        return val, truncation_bound(engine, t) * model.total_volume
+    return val, mass_tail_bound(engine, t, reach)
 
 
 def chapman_kolmogorov(
     engine: HeatKernelEngine, t: float, s: float, x: Point, y: Point
 ) -> tuple[float, float, float]:
     """(convolution integral, direct kernel at t+s, error allowance)."""
-    k = engine.model.kind
-    if k is Kind.PRODUCT:
-        conv, direct, err = 1.0, 1.0, 0.0
-        for fe in engine.factors:
-            xi = Point(_factor_slice(engine, fe, x))
-            yi = Point(_factor_slice(engine, fe, y))
-            c, dv, e = chapman_kolmogorov(fe, t, s, xi, yi)
-            conv *= c
-            direct *= dv
-            err += e
-        return conv, direct, err
-    if k is Kind.TORUS:
-        L = engine.model.side_length
-        grid = geom.build_grid(engine.model, L / 48.0, geom.FullWindow())
+    model = engine.model
+    if engine.method is Method.PRODUCT_RULE:
+        factors = zip(engine.factors, model.split(x.coords), model.split(y.coords))
+        parts = [chapman_kolmogorov(fe, t, s, Point(xf), Point(yf)) for fe, xf, yf in factors]
+        return math.prod(p[0] for p in parts), math.prod(p[1] for p in parts), sum(p[2] for p in parts)
+    if not model.radial_kernel:
+        grid = geom.build_grid(model, model.compact_resolution, geom.FullWindow())
         px = eval_many(engine, t, x.coords, grid.node_coords)
         py = eval_many(engine, s, y.coords, grid.node_coords)
         conv = grid.integrate(px * py)
         direct = eval_kernel(engine, t + s, x, y)
         return conv, direct, 2.0 * truncation_bound(engine, min(t, s))
-    d = geom.distance(engine.model, x, y)
-    if k in (Kind.CIRCLE, Kind.SPHERE2):
-        r_max = math.pi
+    d = geom.distance(model, x, y)
+    if model.compact:
+        r_max = model.diameter
         tail = truncation_bound(engine, t) + truncation_bound(engine, s)
     else:
-        r_max = d + max(_kernel_reach(engine, t), _kernel_reach(engine, s))
+        r_max = d + max(model.kernel_reach(t), model.kernel_reach(s))
         tail = mass_tail_bound(engine, t, r_max - d) * on_diag(engine, s) + mass_tail_bound(
             engine, s, r_max - d
         ) * on_diag(engine, t)
     conv = quadrature.two_point_integral(
-        engine.model,
+        model,
         lambda r: eval_radial(engine, t, r),
         lambda r: eval_radial(engine, s, r),
         d,
@@ -468,24 +377,7 @@ class KernelCheckReport:
     n_samples: int
 
     def to_dict(self) -> dict:
-        return {
-            "mass_defect": self.mass_defect,
-            "ck_residual": self.ck_residual,
-            "symmetry_residual": self.symmetry_residual,
-            "truncation_bound": self.truncation_bound,
-            "mass_tail_bound": self.mass_tail_bound,
-            "n_samples": self.n_samples,
-        }
-
-
-def _compact_resolution(model: ManifoldModel) -> float:
-    if model.kind is Kind.CIRCLE:
-        return 2.0 * math.pi / 256.0
-    if model.kind is Kind.SPHERE2:
-        return math.pi / 48.0
-    if model.kind is Kind.TORUS:
-        return model.side_length / 48.0
-    return 0.1
+        return asdict(self)
 
 
 def check_consistency(

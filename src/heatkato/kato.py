@@ -14,16 +14,15 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.sparse.linalg import eigsh
-from scipy.special import jn_zeros
+from scipy.optimize import brentq
+from scipy.special import jn_zeros, jv
 
 from . import geometry as geom
 from . import heat_kernel as hk
 from . import potentials as pot
 from . import quadrature as qd
 from .errors import DomainError, UnsupportedModelError
-from .geometry import BallWindow, BoxWindow, Kind, ManifoldModel, Point, QuadratureGrid
-
-RADIAL_KERNEL_KINDS = (Kind.EUCLIDEAN, Kind.CIRCLE, Kind.SPHERE2, Kind.HYPERBOLIC3)
+from .geometry import BallWindow, BoxWindow, Euclidean, ManifoldModel, Point, QuadratureGrid, Torus
 
 
 def admissible_q(m: int, q: float) -> bool:
@@ -262,7 +261,7 @@ def _smoothed_against_kernel(engine, w, s, x, grid, refinement=0):
         return SmoothedValue(0.0, 0.0, False, "empty")
     signs = {math.copysign(1.0, c) for c, _ in terms if c != 0.0}
     mixed = len(signs) > 1
-    if model.kind in RADIAL_KERNEL_KINDS:
+    if model.radial_kernel:
         atoms = []
         ok = True
         for c, atom in terms:
@@ -298,15 +297,12 @@ def _two_point_atom(engine, fker, s, x, ra, refinement=0):
         r_max = d + support  # integrand vanishes beyond the support
         tail = 0.0
     else:
-        r_max = hk._kernel_reach(engine, s) + d + 1.0
+        r_max = model.kernel_reach(s) + d + 1.0
         tail = float(profile(np.array([max(r_max - d, 1e-9)]))[0]) * hk.mass_tail_bound(
             engine, s, r_max
         )
-    if model.kind is Kind.SPHERE2:
-        r_max = min(r_max, math.pi)
-        tail = 0.0
-    if model.kind is Kind.CIRCLE:
-        r_max = math.pi
+    if model.compact:
+        r_max = min(r_max, model.diameter)
         tail = 0.0
     eps = 0.0
     if beta > 0.0:
@@ -378,7 +374,7 @@ def _smoothed_grid(engine, w, s, x, grid):
 
 def _potential_center(w: pot.Potential, model: ManifoldModel) -> Point:
     for _, atom in _flatten(w):
-        ra = _radial_atom(atom, model) if model.kind in RADIAL_KERNEL_KINDS else None
+        ra = _radial_atom(atom, model) if model.radial_kernel else None
         if ra is not None:
             return ra[0]
         if isinstance(atom, pot.Indicator) and isinstance(atom.window, (BallWindow, BoxWindow)):
@@ -389,10 +385,10 @@ def _potential_center(w: pot.Potential, model: ManifoldModel) -> Point:
 def _default_y_grid(engine, w, t_max, x_samples) -> QuadratureGrid:
     model = engine.model
     if model.compact:
-        return geom.build_grid(model, hk._compact_resolution(model), geom.FullWindow())
+        return geom.build_grid(model, model.compact_resolution, geom.FullWindow())
     center = _potential_center(w, model)
     spread = max((geom.distance(model, center, x) for x in x_samples), default=0.0)
-    radius = spread + hk._kernel_reach(engine, t_max) + 2.0
+    radius = spread + model.kernel_reach(t_max) + 2.0
     return geom.build_grid(model, radius / 120.0, BallWindow(center, radius))
 
 
@@ -536,7 +532,7 @@ def _short_time_remainder(engine, w, s_min, control, y_grid):
     center = _potential_center(w, model)
     R = 3.0
     if model.compact:
-        grid = y_grid or geom.build_grid(model, hk._compact_resolution(model), geom.FullWindow())
+        grid = y_grid or geom.build_grid(model, model.compact_resolution, geom.FullWindow())
         windowed = w
         sup_out = 0.0
     else:
@@ -570,7 +566,7 @@ def _sup_outside(w, model, center, R) -> float:
         if isinstance(atom, pot.Constant):
             total += abs(c * atom.value)
             continue
-        ra = _radial_atom(atom, model) if model.kind in RADIAL_KERNEL_KINDS else None
+        ra = _radial_atom(atom, model) if model.radial_kernel else None
         if ra is None:
             return math.inf
         ac, profile, support, _ = ra
@@ -762,7 +758,7 @@ def classical_kato_functional(
     For m = 1 this is the windowed L^1 criterion sup_x int_{|x-y|<=r} |w|.
     Returns inf when the weighted integral diverges at a singular center.
     """
-    if model.kind is not Kind.EUCLIDEAN:
+    if not isinstance(model, Euclidean):
         raise UnsupportedModelError("classical characterization is Euclidean")
     m = model.dim
     if r <= 0:
@@ -872,11 +868,24 @@ class FaberKrahnControlPair:
 def faber_krahn_constant(m: int) -> float:
     """Sharp constant for -(1/2) Laplace with Dirichlet conditions: equality on
     balls, min spec(H_U) >= a vol(U)^{-2/m}."""
-    j = float(jn_zeros(m / 2.0 - 1.0, 1)[0]) if m != 3 else math.pi
-    if m == 2:
-        j = float(jn_zeros(0, 1)[0])
+    j = _first_bessel_zero(m / 2.0 - 1.0)
     omega = geom._omega(m)
     return 0.5 * j * j * omega ** (2.0 / m)
+
+
+def _first_bessel_zero(nu: float) -> float:
+    """First positive zero j of J_nu, nu = m/2 - 1."""
+    if nu == -0.5:
+        return math.pi / 2.0  # J_{-1/2}(x) is a multiple of cos(x) / sqrt(x)
+    if nu == 0.5:
+        return math.pi  # J_{1/2}(x) is a multiple of sin(x) / sqrt(x)
+    if nu == int(nu):
+        return float(jn_zeros(int(nu), 1)[0])
+    # half-integer order: J_nu > 0 on (0, j) and j > nu; bracket the first sign change
+    lo = nu
+    while jv(nu, lo + 0.5) > 0.0:
+        lo += 0.5
+    return brentq(lambda x: jv(nu, x), lo, lo + 0.5, xtol=1e-15, rtol=4 * np.finfo(float).eps)
 
 
 def euclidean_comparability_radius(model: ManifoldModel, b: float = 4.0) -> float:
@@ -884,38 +893,7 @@ def euclidean_comparability_radius(model: ManifoldModel, b: float = 4.0) -> floa
     between (1/b) id and b id; feeds constant Faber-Krahn radius functions."""
     if b <= 1:
         raise DomainError("comparability accuracy must exceed 1")
-    k = model.kind
-    if k is Kind.EUCLIDEAN:
-        return math.inf
-    if k is Kind.TORUS:
-        return model.side_length / 2.0
-    if k is Kind.CIRCLE:
-        return math.pi
-    if k is Kind.SPHERE2:
-        # normal coordinates: metric eigenvalues between (sin r / r)^2 and 1
-        lo, hi = 0.0, math.pi - 1e-9
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            ratio = (math.sin(mid) / mid) ** 2 if mid > 0 else 1.0
-            if ratio >= 1.0 / b:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-    if k is Kind.HYPERBOLIC3:
-        # normal coordinates: eigenvalues between 1 and (sinh r / r)^2
-        lo, hi = 0.0, 50.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            ratio = (math.sinh(mid) / mid) ** 2 if mid > 0 else 1.0
-            if ratio <= b:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-    if k is Kind.PRODUCT:
-        return min(euclidean_comparability_radius(f, b) for f in model.factors)
-    raise UnsupportedModelError(str(k))
+    return model.comparability_radius(b)
 
 
 def constant_radius_fn(model: ManifoldModel, b: float = 4.0, eps1: float = 1.0, eps2: float = 2.0):
@@ -932,15 +910,23 @@ class FDEigenResult:
     order: int
 
 
-def _fd_ground_energy(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h) -> float:
+_FD_MIN_NODES = 20  # fewest interior nodes a finite-difference solve accepts
+
+
+def _fd_mask(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h):
+    """(interior-node mask of the lattice from lo to hi, per-axis spacings)."""
     hs = [float(h)] * m if np.isscalar(h) else [float(v) for v in h]
     ns = [int(math.floor((hi[k] - lo[k]) / hs[k] + 1e-9)) + 1 for k in range(m)]
     axes = [lo[k] + np.arange(ns[k]) * hs[k] for k in range(m)]
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([g.ravel() for g in mesh], axis=1)
-    mask = inside_fn(coords).reshape(mesh[0].shape)
+    return inside_fn(coords).reshape(mesh[0].shape), hs
+
+
+def _fd_ground_energy(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h) -> float:
+    mask, hs = _fd_mask(m, inside_fn, lo, hi, h)
     count = int(mask.sum())
-    if count < 20:
+    if count < _FD_MIN_NODES:
         raise DomainError("grid too coarse for the region")
     index = -np.ones(mask.shape, dtype=np.int64)
     index[mask] = np.arange(count)
@@ -977,21 +963,16 @@ def _fd_ground_energy(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h) -> f
     return float(lam[0])
 
 
-def dirichlet_ground_energy(
-    model: ManifoldModel, region, h: float, refinements: int = 1
-) -> FDEigenResult:
-    """Smallest Dirichlet eigenvalue of -(1/2) Laplace on the region by finite
-    differences, with Richardson extrapolation across refinements.
-
-    Ball regions have a staircase boundary (first-order error); box regions
-    align with the lattice (second-order)."""
-    if model.kind is Kind.TORUS:
+def _fd_levels(model: ManifoldModel, region, h: float, refinements: int):
+    """(m, one (inside, lo, hi, spacings, reported spacing) per refinement,
+    Richardson order) of the finite-difference grids for the region."""
+    if isinstance(model, Torus):
         # small boxes lift isometrically to Euclidean space
         if isinstance(region, BoxWindow) and max(region.halfwidth) < model.side_length / 2.0:
             model = geom.euclidean(model.dim)
         else:
             raise UnsupportedModelError("torus regions must be small boxes")
-    if model.kind is not Kind.EUCLIDEAN:
+    if not isinstance(model, Euclidean):
         raise UnsupportedModelError("finite differences implemented on flat charts")
     m = model.dim
     if m not in (2, 3):
@@ -1001,27 +982,41 @@ def dirichlet_ground_energy(
         R = region.radius
         lo, hi = c - R, c + R
         inside = lambda pts: np.linalg.norm(pts - c, axis=1) < R - 1e-12
-        order = 1
-        spac = [h / (2.0**j) for j in range(refinements + 1)]
-        raw = [_fd_ground_energy(m, inside, lo, hi, s) for s in spac]
-    elif isinstance(region, BoxWindow):
+        return m, [(inside, lo, hi, s, s) for s in (h / (2.0**j) for j in range(refinements + 1))], 1
+    if isinstance(region, BoxWindow):
         c = np.asarray(region.center.coords[:m], dtype=float)
         hw = np.asarray(region.halfwidth, dtype=float)
-        order = 2
-        raw, spac = [], []
+        inside = lambda pts: np.all(np.abs(pts - c) < hw - 1e-12, axis=1)
+        levels = []
         n0 = [max(4, int(round(2.0 * hwk / h))) for hwk in hw]
         for j in range(refinements + 1):
             # per-axis spacings align every face with the lattice; doubling the
             # counts halves each spacing exactly, keeping Richardson clean
             ns = [nk * 2**j for nk in n0]
             hs = [2.0 * hwk / nk for hwk, nk in zip(hw, ns)]
-            lo = c - hw + np.asarray(hs)
-            hi = c + hw - np.asarray(hs) / 2.0
-            inside = lambda pts, c=c, hw=hw: np.all(np.abs(pts - c) < hw - 1e-12, axis=1)
-            raw.append(_fd_ground_energy(m, inside, lo, hi, hs))
-            spac.append(max(hs))
-    else:
-        raise DomainError(f"unsupported region {region!r}")
+            levels.append((inside, c - hw + np.asarray(hs), c + hw - np.asarray(hs) / 2.0, hs, max(hs)))
+        return m, levels, 2
+    raise DomainError(f"unsupported region {region!r}")
+
+
+def fd_grid_too_coarse(model: ManifoldModel, region, h: float) -> bool:
+    """True when dirichlet_ground_energy's coarsest grid for the region at
+    spacing h would have too few interior nodes to solve on."""
+    m, levels, _ = _fd_levels(model, region, h, 0)
+    return int(_fd_mask(m, *levels[0][:4])[0].sum()) < _FD_MIN_NODES
+
+
+def dirichlet_ground_energy(
+    model: ManifoldModel, region, h: float, refinements: int = 1
+) -> FDEigenResult:
+    """Smallest Dirichlet eigenvalue of -(1/2) Laplace on the region by finite
+    differences, with Richardson extrapolation across refinements.
+
+    Ball regions have a staircase boundary (first-order error); box regions
+    align with the lattice (second-order)."""
+    m, levels, order = _fd_levels(model, region, h, refinements)
+    raw = [_fd_ground_energy(m, inside, lo, hi, hs) for inside, lo, hi, hs, _ in levels]
+    spac = [spacing for *_, spacing in levels]
     if len(raw) >= 2:
         r = 2.0**order
         value = (r * raw[-1] - raw[-2]) / (r - 1.0)

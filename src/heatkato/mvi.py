@@ -8,7 +8,7 @@ cell ratio is pure quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from . import geometry as geom
 from . import heat_kernel as hk
 from . import quadrature as qd
 from .errors import DomainError, UnsupportedModelError
-from .geometry import Kind, ManifoldModel, Point
+from .geometry import Euclidean, ManifoldModel, Point
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class MviSweepConfig:
     source_offsets: tuple = (0.0, 0.5, 2.0)  # d(x, y0) in units of the radius
 
     def __post_init__(self):
-        if self.model.kind is not Kind.EUCLIDEAN or self.model.dim not in (2, 3):
+        if not isinstance(self.model, Euclidean) or self.model.dim not in (2, 3):
             raise UnsupportedModelError("the sweep runs on Euclidean(2) or Euclidean(3)")
         r2 = self.radius * self.radius
         if any(not 0.0 < tau <= r2 for tau in self.tau_values):
@@ -52,14 +52,7 @@ class MviReport:
     sweep: dict
 
     def to_dict(self) -> dict:
-        return {
-            "c_emp": self.c_emp,
-            "n_cells": self.n_cells,
-            "drift": self.drift,
-            "stable": self.stable,
-            "worst_cell": self.worst_cell,
-            "sweep": self.sweep,
-        }
+        return asdict(self)
 
 
 def _cylinder_integral(engine, x, y0, t, tau, q, radius, n_s, max_cell_scale):

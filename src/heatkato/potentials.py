@@ -8,7 +8,7 @@ singular centers (never a silent overflow).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -17,7 +17,7 @@ from scipy.integrate import quad
 from . import geometry as geom
 from . import heat_kernel as hk
 from .errors import DomainError, ManifestError, SingularityError, UnsupportedModelError
-from .geometry import BallWindow, BoxWindow, Kind, ManifoldModel, Point, QuadratureGrid
+from .geometry import BallWindow, BoxWindow, Euclidean, Hyperbolic3, ManifoldModel, Point, Product, QuadratureGrid
 
 
 class Potential:
@@ -144,20 +144,12 @@ def absolute(w: Potential) -> Potential:
 # product leaf bookkeeping
 
 
-def leaves(model: ManifoldModel) -> list[tuple[ManifoldModel, int]]:
+def leaves(model: ManifoldModel, off: int = 0) -> list[tuple[ManifoldModel, int]]:
     """Flatten a product tree into (leaf model, chart offset) pairs."""
-    out: list[tuple[ManifoldModel, int]] = []
-
-    def walk(m: ManifoldModel, off: int):
-        if m.kind is Kind.PRODUCT:
-            for f in m.factors:
-                walk(f, off)
-                off += f.chart_dim
-        else:
-            out.append((m, off))
-
-    walk(model, 0)
-    return out
+    if not model.factors:
+        return [(model, off)]
+    left, right = model.factors
+    return leaves(left, off) + leaves(right, off + left.chart_dim)
 
 
 def _leaf_slice(model: ManifoldModel, index: int) -> tuple[ManifoldModel, slice]:
@@ -188,9 +180,7 @@ def evaluate_many(w: Potential, ys: np.ndarray) -> np.ndarray:
             return (d <= win.radius).astype(float)
         if isinstance(win, BoxWindow):
             hw = np.asarray(win.halfwidth, dtype=float)
-            delta = ys - win.center.coords
-            if w.model.kind is Kind.TORUS:
-                delta = geom._wrap(delta, w.model.side_length)
+            delta = w.model.delta(win.center.coords, ys)
             return np.all(np.abs(delta) <= hw, axis=1).astype(float)
         raise DomainError(f"indicator window {win!r} not supported")
     if isinstance(w, CoulombPotential):
@@ -363,14 +353,7 @@ class WeightedLqNorm:
     window: str
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "value": self.value,
-            "diverges": self.diverges,
-            "excision_radius": self.excision_radius,
-            "excised_nodes": self.excised_nodes,
-            "window": self.window,
-        }
+        return asdict(self)
 
 
 def _weight_values(weight, grid: QuadratureGrid) -> np.ndarray:
@@ -485,9 +468,7 @@ class CoulombValue:
 
 def _coulomb_supported(model: ManifoldModel) -> bool:
     # needs p(t,x,x) <= C t^{-3/2} for all t > 0
-    if model.kind is Kind.EUCLIDEAN and model.dim == 3:
-        return True
-    return model.kind is Kind.HYPERBOLIC3
+    return isinstance(model, Hyperbolic3) or (isinstance(model, Euclidean) and model.dim == 3)
 
 
 def coulomb(
@@ -521,7 +502,7 @@ def coulomb(
         return integrand(s) * 2.0 * u**-3.0
 
     def tail(sm: float) -> float:
-        if model.kind is Kind.EUCLIDEAN:
+        if model.flat:  # R^3: no exponential factor, only the s^(-3/2) decay
             return 0.5 * (2.0 * math.pi) ** -1.5 * 2.0 / math.sqrt(sm)
         ratio = 1.0 if d < 1e-8 else 2.0 * d * math.exp(-d) / (1.0 - math.exp(-2.0 * d))
         return 0.5 * ratio * (2.0 * math.pi * sm) ** -1.5 * 2.0 * math.exp(-sm / 2.0)
@@ -543,7 +524,7 @@ def coulomb(
         for _ in range(200):
             if tail(sm) < tol * max(val, 1e-300):
                 break
-            if model.kind is Kind.EUCLIDEAN:
+            if model.flat:
                 # invert the sqrt tail directly rather than doubling 70 times
                 sm = max(4.0 * sm, ((2.0 * math.pi) ** -1.5 / (tol * max(val, 1e-300))) ** 2)
             else:
@@ -554,11 +535,11 @@ def coulomb(
 
 def coulomb_profile(model: ManifoldModel) -> Callable[[np.ndarray], np.ndarray]:
     """Closed-form radial profile of the Coulomb potential."""
-    if model.kind is Kind.EUCLIDEAN and model.dim == 3:
+    if not _coulomb_supported(model):
+        raise UnsupportedModelError(f"no Coulomb profile on {model.describe()}")
+    if model.flat:
         return lambda d: 1.0 / (4.0 * math.pi * d)
-    if model.kind is Kind.HYPERBOLIC3:
-        return lambda d: np.exp(-d) / (4.0 * math.pi * np.sinh(d))
-    raise UnsupportedModelError(f"no Coulomb profile on {model.describe()}")
+    return lambda d: np.exp(-d) / (4.0 * math.pi * np.sinh(d))
 
 
 def make_coulomb_potential(model: ManifoldModel, center: Point) -> CoulombPotential:
@@ -579,7 +560,7 @@ def many_body_assemble(
     model = engine.model
     if l1 == 1:
         base = model
-        if base.kind is Kind.PRODUCT:
+        if isinstance(base, Product):
             raise DomainError("one-electron assembly expects the base model itself")
     else:
         ls = leaves(model)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .errors import UnsupportedModelError
-from .geometry import Kind, ManifoldModel, ball_surface_many, gl_nodes
+from .geometry import ManifoldModel, ball_surface_many, gl_nodes
 
 
 def feature_breaks(
@@ -82,23 +82,6 @@ def radial_integral(model: ManifoldModel, f, r_max: float, breaks: np.ndarray | 
 # two-point (axisymmetric) integrals
 
 
-def _cross_distance(model: ManifoldModel, rho: np.ndarray, theta: np.ndarray, d: float) -> np.ndarray:
-    """d(y, c) for y at polar coords (rho, theta) about x, with c on the axis
-    at distance d.  Written in difference form so nearby points keep full
-    precision."""
-    k = model.kind
-    sin_half_sq = np.sin(theta / 2.0) ** 2
-    if k is Kind.EUCLIDEAN:
-        return np.sqrt((rho - d) ** 2 + 4.0 * rho * d * sin_half_sq)
-    if k is Kind.HYPERBOLIC3:
-        cosh_m1 = 2.0 * np.sinh((rho - d) / 2.0) ** 2 + 2.0 * np.sinh(rho) * math.sinh(d) * sin_half_sq
-        return 2.0 * np.arcsinh(np.sqrt(cosh_m1 / 2.0))
-    if k is Kind.SPHERE2:
-        one_m_cos = 2.0 * np.sin((rho - d) / 2.0) ** 2 + 2.0 * np.sin(rho) * math.sin(d) * sin_half_sq
-        return 2.0 * np.arcsin(np.sqrt(np.clip(one_m_cos / 2.0, 0.0, 1.0)))
-    raise UnsupportedModelError(str(k))
-
-
 def _angular_jacobian(model: ManifoldModel, theta: np.ndarray) -> np.ndarray:
     """Weight of the direction sphere at polar angle theta (full rotation)."""
     if model.dim == 2:
@@ -125,11 +108,9 @@ def two_point_integral(
     Nodes with d(y,c) < g_singular_radius are dropped (the caller accounts for
     the excised ball analytically).
     """
-    k = model.kind
-    if k is Kind.CIRCLE:
-        return _two_point_circle(f, g, d, g_singular_radius)
-    if k is Kind.SPHERE2:
-        r_max = min(r_max, math.pi)
+    if model.dim == 1 and model.period:
+        return _two_point_periodic(f, g, d, g_singular_radius, model.period)
+    r_max = min(r_max, model.diameter)
     if d <= 1e-14:
         # concentric: purely radial (any dimension, including m = 1)
         def combined(rho):
@@ -145,7 +126,7 @@ def two_point_integral(
             scales_at_zero=(f_scale, g_scale, g_singular_radius or f_scale),
             max_cell=max_cell,
         )
-    if k is Kind.EUCLIDEAN and model.dim == 1:
+    if model.dim == 1:  # the line: both sides of x
         breaks = feature_breaks(
             r_max,
             scales_at_zero=(f_scale,),
@@ -176,7 +157,7 @@ def two_point_integral(
     theta, w_theta = gl_nodes(ang_breaks)
 
     R, T = np.meshgrid(rho, theta, indexing="ij")
-    dc = _cross_distance(model, R, T, d)
+    dc = model.cross_distance(R, T, d)  # d(y, c) in difference form, exact for nearby points
     vals = g(dc.ravel()).reshape(dc.shape)
     if g_singular_radius > 0.0:
         vals = np.where(dc < g_singular_radius, 0.0, vals)
@@ -191,20 +172,23 @@ def _full_rotation(model: ManifoldModel) -> float:
     return 2.0 * math.pi if model.dim == 2 else 4.0 * math.pi
 
 
-def _two_point_circle(f, g, d: float, g_singular_radius: float) -> float:
-    # chart variable: signed angle from x; c sits at +d
-    def wrap(a):
-        return np.abs(np.mod(a + math.pi, 2.0 * math.pi) - math.pi)
+def _two_point_periodic(f, g, d: float, g_singular_radius: float, L: float) -> float:
+    # chart variable: signed arc length from x on a circle of circumference L;
+    # c sits at +d
+    half = L / 2.0
 
-    pts = {-math.pi, 0.0, math.pi}
-    for loc in (0.0, d, d - 2.0 * math.pi):
+    def wrap(a):
+        return np.abs(np.mod(a + half, L) - half)
+
+    pts = {-half, 0.0, half}
+    for loc in (0.0, d, d - L):
         for s in (1e-4, 1e-3, 1e-2, 0.1, 0.5):
             for v in (loc - s, loc + s):
-                if -math.pi < v < math.pi:
+                if -half < v < half:
                     pts.add(v)
-        if -math.pi < loc < math.pi:
+        if -half < loc < half:
             pts.add(loc)
-    theta, w = gl_nodes(_cap_cells(pts, math.pi / 16.0))
+    theta, w = gl_nodes(_cap_cells(pts, L / 32.0))
     dist_x = np.abs(theta)
     dist_c = wrap(theta - d)
     vals = f(dist_x) * g(dist_c)
@@ -268,8 +252,11 @@ def certificate_integral(time_factor, q: float) -> float:
         return time_factor(s) ** (1.0 / q) * s
 
     # direct integration on [0, X]; e^{-X} stays comfortably above the float
-    # floor so the time factor cannot overflow internally
+    # floor, and X is halved until the time factor itself stays finite there
+    # (s^(-m/2) overflows at s = e^{-350} for m >= 5)
     X = 350.0
+    while X > 1.0 and not _finite_at(time_factor, math.exp(-X)):
+        X /= 2.0
     breaks = np.arange(0.0, X + 0.25, 0.5)
     nodes, weights = gl_nodes(breaks)
     vals = np.array([g(float(x)) for x in nodes])
@@ -280,8 +267,16 @@ def certificate_integral(time_factor, q: float) -> float:
     if gX > 1e-18 * max(total, 1e-300):
         # wide baseline keeps the fitted rate exact to ~1e-15 even when the
         # tail carries a sizable share of the total
-        lam = math.log(g(X - 50.0) / gX) / 50.0
+        base = min(50.0, X / 2.0)
+        lam = math.log(g(X - base) / gX) / base
         if lam <= 0.0:
             return math.inf  # not integrable at 0
         total += gX / lam
     return total
+
+
+def _finite_at(time_factor, s: float) -> bool:
+    try:
+        return math.isfinite(time_factor(s))
+    except OverflowError:
+        return False

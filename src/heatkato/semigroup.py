@@ -19,7 +19,7 @@ from scipy.sparse.linalg import eigsh
 
 from . import potentials as pot
 from .errors import DomainError, UnsupportedModelError
-from .geometry import Kind, ManifoldModel
+from .geometry import ManifoldModel
 
 _DENSE_LIMIT = 2048
 
@@ -55,11 +55,6 @@ class DiscretizedOperator:
         return (U * np.exp(-t * lam)) @ U.T
 
 
-def _circle_nodes(n: int) -> tuple[np.ndarray, float]:
-    theta = np.arange(n) * (2.0 * math.pi / n)
-    return theta, 2.0 * math.pi / n
-
-
 def _periodic_second_difference(n: int, spacing: float) -> sparse.csr_matrix:
     main = np.full(n, 2.0)
     off = np.full(n, -1.0)
@@ -70,30 +65,23 @@ def _periodic_second_difference(n: int, spacing: float) -> sparse.csr_matrix:
 
 
 def discretize(model: ManifoldModel, n: int, w: pot.Potential) -> DiscretizedOperator:
-    """Periodic finite-difference H = -(1/2) Laplace + w on Circle or Torus(2).
+    """Periodic finite-difference H = -(1/2) Laplace + w on the circle or a
+    flat torus of dimension <= 2, n nodes per axis (the model's full grid).
 
     The potential is sampled at the nodes; values within half a cell of a
     singular center are capped at the half-cell value (count reported)."""
     if n < 8:
         raise DomainError("need at least 8 nodes per axis")
-    k = model.kind
-    if k is Kind.CIRCLE:
-        theta, spacing = _circle_nodes(n)
-        coords = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        lap = _periodic_second_difference(n, spacing)
-        cell = spacing
-    elif k is Kind.TORUS and model.dim == 2:
-        L = model.side_length
-        spacing = L / n
-        axis = np.arange(n) * spacing
-        mesh = np.meshgrid(axis, axis, indexing="ij")
-        coords = np.stack([g.ravel() for g in mesh], axis=1)
-        one = _periodic_second_difference(n, spacing)
+    if not model.period or model.dim > 2:
+        raise UnsupportedModelError("discretize supports the circle and flat tori of dimension <= 2")
+    spacing = model.period / n
+    coords, _ = model.full_nodes(spacing)
+    lap = _periodic_second_difference(n, spacing)
+    cell = spacing
+    if model.dim == 2:
         eye = sparse.identity(n, format="csr")
-        lap = sparse.kron(one, eye) + sparse.kron(eye, one)
+        lap = sparse.kron(lap, eye) + sparse.kron(eye, lap)
         cell = spacing * spacing
-    else:
-        raise UnsupportedModelError("discretize supports Circle and Torus(2)")
     vals = pot.evaluate_many(w, coords)
     sings = pot.singularities(w)
     capped = 0

@@ -19,7 +19,7 @@ fixed (pairwise/blockwise) reduction order for all estimators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,71 +29,13 @@ from . import heat_kernel as hk
 from . import kato as kato_mod
 from . import potentials as pot
 from .errors import DomainError, UnsupportedModelError
-from .geometry import Kind, ManifoldModel, Point
+from .geometry import ManifoldModel, Point, Product
 
 _MAX_STORE_BYTES = 600_000_000
 
 
-def _path_dim(model: ManifoldModel) -> int:
-    if model.kind is Kind.CIRCLE:
-        return 1  # stored as the angle
-    if model.kind is Kind.PRODUCT:
-        return sum(_path_dim(f) for f in model.factors)
-    return model.chart_dim
-
-
-def _chart_from_path(model: ManifoldModel, paths: np.ndarray) -> np.ndarray:
-    """(n, path_dim) -> (n, chart_dim)."""
-    k = model.kind
-    if k is Kind.CIRCLE:
-        a = paths[..., 0]
-        return np.stack([np.cos(a), np.sin(a)], axis=-1)
-    if k is Kind.PRODUCT:
-        out, i = [], 0
-        for f in model.factors:
-            w = _path_dim(f)
-            out.append(_chart_from_path(f, paths[..., i : i + w]))
-            i += w
-        return np.concatenate(out, axis=-1)
-    return paths
-
-
-def _path_from_chart(model: ManifoldModel, chart: np.ndarray) -> np.ndarray:
-    k = model.kind
-    if k is Kind.CIRCLE:
-        return np.arctan2(chart[..., 1], chart[..., 0])[..., None]
-    if k is Kind.PRODUCT:
-        out, i = [], 0
-        for f in model.factors:
-            w = f.chart_dim
-            out.append(_path_from_chart(f, chart[..., i : i + w]))
-            i += w
-        return np.concatenate(out, axis=-1)
-    return chart
-
-
 def _is_flat(model: ManifoldModel) -> bool:
-    if model.kind in (Kind.EUCLIDEAN, Kind.TORUS, Kind.CIRCLE):
-        return True
-    if model.kind is Kind.PRODUCT:
-        return all(_is_flat(f) for f in model.factors)
-    return False
-
-
-def _wrap_flat(model: ManifoldModel, paths: np.ndarray) -> np.ndarray:
-    k = model.kind
-    if k is Kind.TORUS:
-        return np.mod(paths, model.side_length)
-    if k is Kind.CIRCLE:
-        return np.mod(paths + math.pi, 2.0 * math.pi) - math.pi
-    if k is Kind.PRODUCT:
-        out, i = [], 0
-        for f in model.factors:
-            w = _path_dim(f)
-            out.append(_wrap_flat(f, paths[..., i : i + w]))
-            i += w
-        return np.concatenate(out, axis=-1)
-    return paths
+    return model.flat
 
 
 def path_generator(seed: int, path_index: int) -> np.random.Generator:
@@ -116,10 +58,7 @@ class PathEnsemble:
     full: bool
 
     def chart_at(self, time_index: int) -> np.ndarray:
-        return _chart_from_path(self.model, self.positions[:, time_index, :])
-
-    def points_at(self, time_index: int) -> list[Point]:
-        return [Point(c) for c in self.chart_at(time_index)]
+        return self.model.chart_from_path(self.positions[:, time_index, :])
 
     def time_index(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.record_times - t)))
@@ -139,16 +78,16 @@ class PathEnsemble:
     def project(self, leaf_index: int) -> "PathEnsemble":
         """Ensemble of the projected paths on one product factor."""
         model = self.model
-        if model.kind is not Kind.PRODUCT:
+        if not isinstance(model, Product):
             raise UnsupportedModelError("projection needs a product ensemble")
         ls = pot.leaves(model)
         leaf = ls[leaf_index][0]
-        off = sum(_path_dim(ls[j][0]) for j in range(leaf_index))
-        w = _path_dim(leaf)
-        start_chart = geom.split_point(model, self.start)[leaf_index] if len(model.factors) == len(ls) else None
-        if start_chart is None:
-            start_coords = _chart_from_path(leaf, self.positions[0, 0, off : off + w][None, :])[0]
-            start_chart = Point(start_coords)
+        off = sum(ls[j][0].path_dim for j in range(leaf_index))
+        w = leaf.path_dim
+        if len(model.factors) == len(ls):
+            start_chart = geom.split_point(model, self.start)[leaf_index]
+        else:
+            start_chart = Point(leaf.chart_from_path(self.positions[0, 0, off : off + w][None, :])[0])
         return PathEnsemble(
             leaf, start_chart, self.step, self.horizon, self.n_paths, self.seed,
             self.record_times, self.positions[:, :, off : off + w], self.step_warning, self.full,
@@ -167,21 +106,21 @@ def _block_paths(model, start_path, n_steps, h, seed, i0, i1, record_idx):
         inc = math.sqrt(h) * z
         paths = np.concatenate(
             [np.zeros((B, 1, td)), np.cumsum(inc, axis=1)], axis=1
-        ) + _path_from_chart(model, start_path[None, :])[0]
-        paths = _wrap_flat(model, paths)
+        ) + model.path_from_chart(start_path[None, :])[0]
+        paths = model.wrap_path(paths)
         return paths[:, record_idx, :]
     # curved: sequential exponential-map steps in chart coordinates
     X = np.broadcast_to(start_path, (B, start_path.size)).copy()
-    out = np.empty((B, len(record_idx), _path_dim(model)))
+    out = np.empty((B, len(record_idx), model.path_dim))
     rec_pos = 0
     if record_idx[0] == 0:
-        out[:, 0, :] = _path_from_chart(model, X)
+        out[:, 0, :] = model.path_from_chart(X)
         rec_pos = 1
     for k in range(n_steps):
         v = geom.tangent_from_normals(model, X, z[:, k, :], h)
         X = geom.exp_many(model, X, v)
         if rec_pos < len(record_idx) and record_idx[rec_pos] == k + 1:
-            out[:, rec_pos, :] = _path_from_chart(model, X)
+            out[:, rec_pos, :] = model.path_from_chart(X)
             rec_pos += 1
     return out
 
@@ -218,13 +157,13 @@ def simulate(
             raise DomainError("record times must lie within the horizon")
         record_idx = np.array(record_idx, dtype=int)
         full = False
-    need = N * len(record_idx) * _path_dim(model) * 8
+    need = N * len(record_idx) * model.path_dim * 8
     if need > _MAX_STORE_BYTES:
         raise DomainError(
             f"ensemble would need {need / 1e9:.1f} GB; pass coarser record_times"
         )
     start_path = start.coords.copy()
-    positions = np.empty((N, len(record_idx), _path_dim(model)))
+    positions = np.empty((N, len(record_idx), model.path_dim))
     for i0 in range(0, N, block_size):
         i1 = min(i0 + block_size, N)
         positions[i0:i1] = _block_paths(model, start_path, n_steps, h_eff, seed, i0, i1, record_idx)
@@ -266,8 +205,8 @@ class FddReport:
 def _fdd_grid(model: ManifoldModel, start: Point, t_max: float):
     eng = hk.make_engine(model)
     if model.compact:
-        return eng, geom.build_grid(model, hk._compact_resolution(model), geom.FullWindow())
-    radius = hk._kernel_reach(eng, t_max) + 1.0
+        return eng, geom.build_grid(model, model.compact_resolution, geom.FullWindow())
+    radius = model.kernel_reach(t_max) + 1.0
     h = radius / 60.0
     return eng, geom.build_grid(model, h, geom.BallWindow(start, radius))
 
@@ -351,7 +290,7 @@ def _potential_values_on_paths(w: pot.Potential, model, positions: np.ndarray, e
     """(values (N, n_rec), capped-path mask).  Values within eps_sing of a
     singular set are replaced by the value at distance eps_sing."""
     N, R, _ = positions.shape
-    chart = _chart_from_path(model, positions.reshape(N * R, -1))
+    chart = model.chart_from_path(positions.reshape(N * R, -1))
     vals = pot.evaluate_many(w, chart)
     sings = pot.singularities(w)
     capped = np.zeros(N * R, dtype=bool)
@@ -510,15 +449,7 @@ class ProjectionReport:
         return self.lhs_quad <= self.rhs_quad + max(tol, 1e-12)
 
     def to_dict(self) -> dict:
-        return {
-            "lhs_quad": self.lhs_quad,
-            "rhs_quad": self.rhs_quad,
-            "defect": self.defect,
-            "quad_tolerance": self.quad_tolerance,
-            "mc_value": self.mc_value,
-            "mc_std_error": self.mc_std_error,
-            "mc_z": self.mc_z,
-        }
+        return asdict(self)
 
 
 def elworthy_projection_check(
@@ -538,7 +469,7 @@ def elworthy_projection_check(
     integral contributes the factor masses); the optional Monte-Carlo route
     estimates the left side from projected product paths.
     """
-    if model.kind is not Kind.PRODUCT:
+    if not isinstance(model, Product):
         raise UnsupportedModelError("projection check needs a product model")
     ls = pot.leaves(model)
     leaf, off = ls[leaf_index]

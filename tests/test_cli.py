@@ -192,6 +192,12 @@ def _write(tmp_path, text):
         ("semigroup-bound", "sphere2"),
         ("riesz-thorin", "euclidean:1"),
         ("project-check", "circle"),
+        ("coulomb", "sphere2"),
+        ("coulomb", "euclidean:2"),
+        ("coulomb", "circle"),
+        ("kato-norm", "product(euclidean:1,circle)"),
+        ("is-kato", "product(euclidean:1,euclidean:1)"),
+        ("holder-check", "product(euclidean:1,circle)"),
     ],
 )
 def test_unsupported_model_exit_two(check, manifold, capsys):
@@ -259,6 +265,46 @@ def test_check_parameter_domains_exit_two(check, manifold, param, capsys):
     assert cli.main([check, "--manifold", manifold, "--param", param]) == 2
     err = capsys.readouterr().err
     assert f"manifest error: param.{check}.{param.split('=')[0]}" in err and "Traceback" not in err
+
+
+
+@pytest.mark.parametrize(
+    "check, manifold, params",
+    [
+        ("is-kato", "euclidean:3", ["t_min=0.5", "t_max=0.5"]),
+        ("fk-verify", "euclidean:2", ["h=1"]),
+        ("feynman-kac", "circle", ["t_values=0.25", "h=0.5"]),
+        ("feynman-kac", "circle", ["t_values=0.25,0.3", "h=0.1"]),
+        ("project-check", PRODUCT, ["n_paths=100", "h=0.5"]),
+        ("kernel-check", "sphere2", ["t_values=1e-9"]),
+        ("kernel-check", "product(sphere2,circle)", ["t_values=1e-9"]),
+    ],
+)
+def test_cross_parameter_errors_exit_two(check, manifold, params, capsys):
+    argv = [check, "--manifold", manifold]
+    for p in params:
+        argv += ["--param", p]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"manifest error: param.{check}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["series:abc", "imagesum:-3"])
+def test_malformed_kernel_method_exit_two(method, capsys):
+    assert cli.main(["kernel-check", "--manifold", "circle", "--kernel-method", method]) == 2
+    err = capsys.readouterr().err
+    assert "manifest error: kernel.method:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "check, manifold",
+    [("heat-bound", "circle"), ("heat-bound", "euclidean:1"),
+     ("control-pair", "product(euclidean:3,euclidean:3)")],
+)
+def test_dimensions_without_special_cases_run(check, manifold, capsys):
+    # half-integer Bessel orders (m = 1) and t^(-m/2) past the float range (m = 6)
+    assert cli.main([check, "--manifold", manifold]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_project_check_potential_validated_on_selected_leaf(capsys):

@@ -232,9 +232,9 @@ def test_method_selection_errors():
 def test_strict_truncation_raises_with_bound():
     from heatkato.errors import TruncationError
 
-    eng = HK.make_engine(G.sphere2(), strict_truncation=True, lmax_cap=40)
+    eng = HK.HeatKernelEngine(G.sphere2(), HK.Method.SPECTRAL_SERIES, strict_truncation=True)
     with pytest.raises(TruncationError) as err:
-        HK.eval_radial(eng, 1e-4, np.array([0.5]))
+        HK.eval_radial(eng, 1e-8, np.array([0.5]))
     assert err.value.bound > 1e-12
 
 

@@ -180,7 +180,7 @@ def test_near_field_rule_matches_quad(spec):
     # sphere2 stops at s = 1e-3: below it the series runs to thousands of terms
     # per scalar quad node (seconds per case), and at s = 1e-9 the kernel,
     # summed in cos d, carries ~1e-8 relative noise near d = 0
-    ss = (1e-3, 0.5) if model.kind is G.Kind.SPHERE2 else (1e-9, 1e-6, 1e-3, 0.5)
+    ss = (1e-3, 0.5) if isinstance(model, G.Sphere2) else (1e-9, 1e-6, 1e-3, 0.5)
     for beta in betas:
         _, profile, _, _ = K._radial_atom(P.RadialPower(model, c, beta), model)
         for s in ss:
@@ -285,6 +285,21 @@ def test_faber_krahn_constants():
         0.5 * math.pi**2 * (4 * math.pi / 3) ** (2 / 3), rel=1e-12
     )
 
+
+
+def test_faber_krahn_constant_at_half_integer_orders():
+    # m = 1: j = pi/2, omega_1 = 2, so a = pi^2/2; m = 5: j is the first zero
+    # of the spherical Bessel j_1, tan x = x
+    assert K.faber_krahn_constant(1) == pytest.approx(math.pi**2 / 2, rel=1e-15)
+    j = K._first_bessel_zero(1.5)
+    assert math.tan(j) == pytest.approx(j, rel=1e-12) and 4.0 < j < 5.0
+
+
+def test_certificate_integral_past_float_range_of_the_time_factor():
+    # s^(-3) overflows a float at s = e^{-350}; the integral of s^(-3/4) is 4
+    m, q = 6, 4.0
+    cert = Q.certificate_integral(lambda s: float(s) ** (-m / 2.0), q)
+    assert cert == pytest.approx(1.0 / (1.0 - m / (2.0 * q)), abs=1e-12)
 
 def test_disk_eigenvalue_within_half_percent():
     e2 = G.euclidean(2)
