@@ -932,9 +932,9 @@ def main(argv: list | None = None) -> int:
 def _cmd_simulate(args) -> int:
     model = geom.parse_manifold(args.manifold)
     start = geom.base_point(model)
-    steps_total = int(round(args.t / args.h))
+    steps_total = st.step_count(args.t, args.h)
     record = None
-    if args.dump_paths is None and args.n * (steps_total + 1) * 8 > 2e8:
+    if args.dump_paths is None and args.n * (steps_total + 1) * model.path_dim * 8 > 2e8:
         record = list(np.linspace(0.0, args.t, 33))
     ens = st.simulate(model, start, args.t, args.h, args.n, args.seed, record_times=record)
     final = ens.chart_at(len(ens.record_times) - 1)

@@ -100,6 +100,20 @@ class ManifoldModel:
     def gaussian_step(self, xs, z, h):
         return math.sqrt(h) * z  # identity metric in the chart
 
+    def random_walk(self, start, z, h, record_idx, out):
+        """Geodesic random walk from chart point ``start``: step k of row j is
+        driven by the normals z[j, k] (z is (B, n_steps, tangent_dim)), and the
+        path rows after the steps in ``record_idx`` are written to ``out``
+        (B, len(record_idx), path_dim)."""
+        slot = {int(k): j for j, k in enumerate(record_idx)}
+        X = np.broadcast_to(start, (len(z), start.size)).copy()
+        if 0 in slot:
+            out[:, slot[0], :] = self.path_from_chart(X)
+        for k in range(z.shape[1]):
+            X = exp_many(self, X, tangent_from_normals(self, X, z[:, k, :], h))
+            if k + 1 in slot:
+                out[:, slot[k + 1], :] = self.path_from_chart(X)
+
     # the samplers' path chart and its wrap after a flat walk: the chart itself
     # except on the circle (stored as its angle), the torus and products
     chart_from_path = path_from_chart = wrap_path = staticmethod(lambda a: a)
@@ -385,6 +399,44 @@ class Sphere2(_Embedded):
     def gaussian_step(self, xs, z, h):
         v = z - np.sum(z * xs, axis=1, keepdims=True) * xs
         return math.sqrt(h) * v
+
+    def random_walk(self, start, z, h, record_idx, out):
+        # gaussian_step then exp_many, fused and in place on (3, B) component
+        # rows with the same operations in the same order, so each row is
+        # bit-identical to the two-call loop (a row sum over axis 1 of a
+        # (B, 3) array is ((a0 + a1) + a2), and so is a norm's square)
+        slot = {int(k): j for j, k in enumerate(record_idx)}
+        B = len(z)
+        x = np.empty((3, B))
+        x[:] = start[:, None]
+        zk, prod, step = np.empty((3, B)), np.empty((3, B)), np.empty((3, B))
+        dot, c, s = np.empty(B), np.empty(B), np.empty(B)
+        root_h = math.sqrt(h)
+
+        def row_sum(a):
+            np.add(np.add(a[0], a[1], out=dot), a[2], out=dot)
+
+        if 0 in slot:
+            out[:, slot[0], :] = x.T
+        for k in range(z.shape[1]):
+            zk[:] = z[:, k, :].T  # one strided gather, then contiguous rows
+            row_sum(np.multiply(zk, x, out=prod))  # tangent projection of z
+            np.subtract(zk, np.multiply(dot, x, out=prod), out=step)
+            step *= root_h
+            row_sum(np.multiply(step, x, out=prod))  # exp_many's own projection
+            step -= np.multiply(dot, x, out=prod)
+            row_sum(np.multiply(step, step, out=prod))
+            np.sqrt(dot, out=dot)
+            np.cos(dot, out=c)
+            np.sin(dot, out=s)
+            s /= np.maximum(dot, 1e-300, out=dot)
+            x *= c
+            step *= s
+            x += step
+            row_sum(np.multiply(x, x, out=prod))  # renormalise onto the sphere
+            x /= np.sqrt(dot, out=dot)
+            if k + 1 in slot:
+                out[:, slot[k + 1], :] = x.T
 
     def full_nodes(self, resolution):
         return _sphere_directions(max(8, int(math.ceil(math.pi / resolution))))

@@ -11,9 +11,16 @@ horizon, so ensembles record no explosion times and the estimators need no
 survival indicator.  The kernel's mass (``heat_kernel.kernel_mass``) is where a mass
 defect would show.
 
-Reproducibility contract: path i draws from Philox keyed by (seed, i), so
-results are bit-identical for any block partitioning or worker count, with a
-fixed (pairwise/blockwise) reduction order for all estimators.
+Reproducibility contract: path i draws from Philox keyed by (seed, i)
+(``path_generator``), so results are bit-identical for any block partitioning
+or worker count, with a fixed (pairwise/blockwise) reduction order for all
+estimators.  The sampler does not build a generator per path: one Philox per
+block is re-keyed to (seed, i) with counter 0 and an empty buffer, which
+yields the same draws.  A block's normals go to one buffer of at most
+_BLOCK_BYTES (at least one path), filled a few paths at a time; per-path
+streams make that split invisible in the output.  Feynman-Kac evaluates the
+potential on blocks of paths of the same size; a path's trapezoid does not
+depend on its neighbours, so that split is invisible too.
 """
 
 from __future__ import annotations
@@ -32,6 +39,10 @@ from .errors import DomainError, UnsupportedModelError
 from .geometry import ManifoldModel, Point, Product
 
 _MAX_STORE_BYTES = 600_000_000
+# one block's working buffer: the normals that drive its paths, or the chart
+# rows Feynman-Kac evaluates a potential on
+_BLOCK_BYTES = 1 << 24
+_U64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _is_flat(model: ManifoldModel) -> bool:
@@ -40,7 +51,7 @@ def _is_flat(model: ManifoldModel) -> bool:
 
 def path_generator(seed: int, path_index: int) -> np.random.Generator:
     """Counter-based stream for one path, independent of any partitioning."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, path_index], dtype=np.uint64)
+    key = np.array([seed & _U64, path_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -94,35 +105,57 @@ class PathEnsemble:
         )
 
 
-def _block_paths(model, start_path, n_steps, h, seed, i0, i1, record_idx):
-    """Paths i0..i1-1 at the recorded step indices, via per-path streams."""
+def _fill_normals(seed: int, i0: int, z: np.ndarray) -> None:
+    """Fill row j of z with ``path_generator(seed, i0 + j).standard_normal(z[j].shape)``.
+
+    One Philox is re-keyed per path (key (seed, i), counter 0, empty buffer)
+    instead of one being built per path, which also reads os.urandom for a
+    seed sequence it never uses."""
+    key = np.array([seed & _U64, i0], dtype=np.uint64)
+    zeros = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    for j in range(len(z)):
+        key[1] = i0 + j
+        bitgen.state = state
+        gen.standard_normal(out=z[j])
+
+
+def _block_paths(model, start_path, n_steps, h, seed, i0, i1, record_idx, out):
+    """Paths i0..i1-1 at the recorded step indices, written to ``out``.
+
+    The normals are drawn a few paths at a time into one buffer of at most
+    _BLOCK_BYTES (or one path's worth); each path has its own stream, so
+    the result does not depend on that split."""
     td = model.tangent_dim
-    B = i1 - i0
-    z = np.empty((B, n_steps, td))
-    for j in range(B):
-        z[j] = path_generator(seed, i0 + j).standard_normal((n_steps, td))
-    if _is_flat(model):
-        # increments are exact; the whole path is a cumulative sum
-        inc = math.sqrt(h) * z
-        paths = np.concatenate(
-            [np.zeros((B, 1, td)), np.cumsum(inc, axis=1)], axis=1
-        ) + model.path_from_chart(start_path[None, :])[0]
-        paths = model.wrap_path(paths)
-        return paths[:, record_idx, :]
-    # curved: sequential exponential-map steps in chart coordinates
-    X = np.broadcast_to(start_path, (B, start_path.size)).copy()
-    out = np.empty((B, len(record_idx), model.path_dim))
-    rec_pos = 0
-    if record_idx[0] == 0:
-        out[:, 0, :] = model.path_from_chart(X)
-        rec_pos = 1
-    for k in range(n_steps):
-        v = geom.tangent_from_normals(model, X, z[:, k, :], h)
-        X = geom.exp_many(model, X, v)
-        if rec_pos < len(record_idx) and record_idx[rec_pos] == k + 1:
-            out[:, rec_pos, :] = model.path_from_chart(X)
-            rec_pos += 1
-    return out
+    rows = min(i1 - i0, max(1, _BLOCK_BYTES // (8 * n_steps * td)))
+    buf = np.empty((rows, n_steps, td))
+    for a in range(i0, i1, rows):
+        b = min(a + rows, i1)
+        z = buf[: b - a]
+        _fill_normals(seed, a, z)
+        dest = out[a - i0 : b - i0]
+        if _is_flat(model):
+            # increments are exact; the path after step k is the sum of the
+            # first k increments plus the start
+            z *= math.sqrt(h)
+            np.cumsum(z, axis=1, out=z)
+            dest[:] = z[:, np.maximum(record_idx - 1, 0), :]
+            dest[:, record_idx == 0, :] = 0.0
+            dest += model.path_from_chart(start_path[None, :])[0]
+            dest[:] = model.wrap_path(dest)
+        else:
+            model.random_walk(start_path, z, h, record_idx, dest)
+
+
+def step_count(t: float, h: float) -> int:
+    """Number of steps of a walk to horizon t at nominal step h; the step
+    taken is t / step_count(t, h)."""
+    if not (math.isfinite(t) and t > 0.0 and math.isfinite(h) and h > 0.0 and math.isfinite(t / h)):
+        raise DomainError(f"horizon t and step h must be positive with a finite t / h, got t={t}, h={h}")
+    return max(1, int(round(t / h)))
 
 
 def simulate(
@@ -140,12 +173,12 @@ def simulate(
     ``record_times=None`` records every step (needed by feynman_kac); pass a
     coarse list for large-N distribution checks.
     """
+    n_steps = step_count(t, h)
     if h > t:
         raise DomainError("step must not exceed the horizon")
     if N < 1:
         raise DomainError("need at least one path")
     geom.make_point(model, start.coords)
-    n_steps = max(1, int(round(t / h)))
     h_eff = t / n_steps
     warning = bool(not _is_flat(model) and h_eff > 0.01)
     if record_times is None:
@@ -166,7 +199,7 @@ def simulate(
     positions = np.empty((N, len(record_idx), model.path_dim))
     for i0 in range(0, N, block_size):
         i1 = min(i0 + block_size, N)
-        positions[i0:i1] = _block_paths(model, start_path, n_steps, h_eff, seed, i0, i1, record_idx)
+        _block_paths(model, start_path, n_steps, h_eff, seed, i0, i1, record_idx, positions[i0:i1])
     return PathEnsemble(
         model, start, h_eff, t, N, seed,
         record_times=record_idx * h_eff,
@@ -190,7 +223,7 @@ class FddReport:
 
     @property
     def max_abs_z(self) -> float:
-        return max(abs(z) for z in self.z_scores)
+        return max(abs(z) if math.isfinite(z) else math.inf for z in self.z_scores)
 
     def to_dict(self) -> dict:
         return {
@@ -234,12 +267,17 @@ def fdd_check(
         for f, ch in zip(fs, charts):
             prod = prod * np.asarray(f(ch), dtype=float)
         mc = float(np.mean(prod))
-        se = float(np.std(prod, ddof=1) / math.sqrt(ensemble.n_paths))
         quad_val = _nested_kernel_expectation(eng, grid, ensemble.start, times, fs)
+        n = ensemble.n_paths
+        if n > 1:
+            se = float(np.std(prod, ddof=1) / math.sqrt(n))
+            z = (mc - quad_val) / se if se > 0 else 0.0  # se = 0: a constant, averaged exactly
+        else:
+            se = z = math.nan  # one sample: no standard error, and max_abs_z fails every bound
         mc_vals.append(mc)
         quads.append(quad_val)
         errs.append(se)
-        zs.append((mc - quad_val) / se if se > 0 else 0.0)
+        zs.append(z)
     return FddReport(times, mc_vals, quads, errs, zs)
 
 
@@ -324,9 +362,23 @@ def feynman_kac(
         raise DomainError("feynman_kac needs an ensemble recorded at every step")
     model = ensemble.model
     eps_sing = math.sqrt(ensemble.step)
-    vals, capped_paths, cap_val = _potential_values_on_paths(w, model, ensemble.positions, eps_sing)
     h = ensemble.step
-    integral = h * (np.sum(vals, axis=1) - 0.5 * vals[:, 0] - 0.5 * vals[:, -1])
+    N, R, _ = ensemble.positions.shape
+    integral = np.empty(N)
+    capped_paths = np.empty(N, dtype=bool)
+    caps = []
+    # a row's trapezoid does not depend on the rows beside it, so the paths
+    # are evaluated a block at a time to bound the chart and potential arrays
+    rows = max(1, _BLOCK_BYTES // (8 * R * model.chart_dim))
+    for a in range(0, N, rows):
+        b = min(a + rows, N)
+        vals, capped_paths[a:b], cap = _potential_values_on_paths(
+            w, model, ensemble.positions[a:b], eps_sing
+        )
+        if capped_paths[a:b].any():
+            caps.append(cap)
+        integral[a:b] = h * (np.sum(vals, axis=1) - 0.5 * vals[:, 0] - 0.5 * vals[:, -1])
+    cap_val = max(caps, default=0.0)
     terminal = np.ones(ensemble.n_paths)
     if f is not None:
         terminal = np.asarray(f(ensemble.chart_at(len(ensemble.record_times) - 1)), dtype=float)
@@ -397,9 +449,8 @@ def kato_exponential_estimate(
         start_path = x.coords.copy()
         for i0 in range(0, N, block_size):
             i1 = min(i0 + block_size, N)
-            block = _block_paths(
-                model, start_path, n_steps, h_eff, seed, i0, i1, np.arange(n_steps + 1)
-            )
+            block = np.empty((i1 - i0, n_steps + 1, model.path_dim))
+            _block_paths(model, start_path, n_steps, h_eff, seed, i0, i1, np.arange(n_steps + 1), block)
             vals, _, _ = _potential_values_on_paths(w_minus, model, block, eps_sing)
             cum = np.cumsum(vals, axis=1)
             for j, k in enumerate(t_idx):

@@ -6,7 +6,7 @@ import pytest
 from heatkato import cli
 from heatkato import geometry as G
 from heatkato import heat_kernel as HK
-from heatkato.errors import ManifestError
+from heatkato.errors import DomainError, ManifestError
 from heatkato.reporting import canonical_json
 
 
@@ -163,6 +163,30 @@ def test_simulate_subcommand(tmp_path):
     lines = dump.read_text().splitlines()
     assert lines[0] == "path,t,x0"
     assert len(lines) == 1 + 50 * 21  # header + 50 paths x 21 recorded steps
+
+
+@pytest.mark.parametrize("flags", [["--h", "0"], ["--h", "nan"], ["--t", "inf"]])
+def test_simulate_bad_horizon_or_step_exit_two(flags, capsys):
+    argv = ["simulate", "--manifold", "circle", "--t", "1", "--n", "10"] + flags
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "step h must be positive" in err and "Traceback" not in err
+
+
+def test_simulate_coarsens_by_stored_floats(monkeypatch):
+    # 2000 paths x 10001 rows is 160 MB at one float per row (euclidean:1)
+    # and 480 MB at sphere2's three: only the latter is coarsened
+    seen = {}
+
+    def fake_simulate(model, start, t, h, N, seed, record_times=None):
+        seen[model.describe()] = record_times
+        raise DomainError("stop before sampling")
+
+    monkeypatch.setattr(cli.st, "simulate", fake_simulate)
+    for spec in ("euclidean:1", "sphere2"):
+        assert cli.main(["simulate", "--manifold", spec, "--t", "1", "--h", "1e-4", "--n", "2000"]) == 2
+    assert seen[G.euclidean(1).describe()] is None
+    assert len(seen["sphere2"]) == 33
 
 
 def test_tolerance_scale_flows_through():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,3 +233,99 @@ def test_truncated_prefix_property():
     sub = ens.truncated(0.5)
     assert sub.horizon == pytest.approx(0.5)
     assert np.array_equal(sub.positions, ens.positions[:, : sub.positions.shape[1], :])
+
+
+# ---------------------------------------------------------------------------
+# the fast sampling paths against the per-path reference they replace
+
+
+def _reference_paths(model, start, t, h, N, seed, record_idx):
+    """One Philox per path and the tangent_from_normals + exp_many loop."""
+    n_steps = max(1, round(t / h))
+    h_eff = t / n_steps
+    z = np.stack([S.path_generator(seed, i).standard_normal((n_steps, model.tangent_dim))
+                  for i in range(N)])
+    X = np.broadcast_to(start.coords, (N, start.coords.size)).copy()
+    rows = [X]
+    for k in range(n_steps):
+        X = G.exp_many(model, X, G.tangent_from_normals(model, X, z[:, k, :], h_eff))
+        rows.append(X)
+    return np.stack([rows[k] for k in record_idx], axis=1)
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**64 + 3])
+def test_rekeyed_normals_match_per_path_generators(seed):
+    z = np.empty((5, 7, 3))
+    S._fill_normals(seed, 11, z)
+    for j in range(5):
+        assert np.array_equal(z[j], S.path_generator(seed, 11 + j).standard_normal((7, 3)))
+
+
+@pytest.mark.parametrize("N, block_size", [(1, 1), (10, 3)])
+def test_sphere_walk_matches_two_call_loop(N, block_size):
+    s2 = G.sphere2()
+    start = G.make_point(s2, [0.6, 0.0, 0.8])
+    ens = S.simulate(s2, start, 0.2, 1e-3, N, seed=5, record_times=[0.0, 0.05, 0.2],
+                     block_size=block_size)
+    ref = _reference_paths(s2, start, 0.2, 1e-3, N, 5, [0, 50, 200])
+    assert np.array_equal(ens.positions, ref)
+
+
+def test_normals_buffer_split_keeps_paths(monkeypatch):
+    s2 = G.sphere2()
+    whole = S.simulate(s2, G.base_point(s2), 0.1, 1e-3, 9, seed=2)
+    monkeypatch.setattr(S, "_BLOCK_BYTES", 8 * 100 * 3 * 4)  # four paths per buffer
+    split = S.simulate(s2, G.base_point(s2), 0.1, 1e-3, 9, seed=2)
+    assert np.array_equal(whole.positions, split.positions)
+    assert np.array_equal(whole.positions, _reference_paths(s2, G.base_point(s2), 0.1, 1e-3, 9, 2, range(101)))
+
+
+def test_normals_buffer_bounded():
+    tracemalloc.start()
+    try:
+        ens = S.simulate(E1, G.base_point(E1), 1.0, 1e-4, 1024, seed=0, record_times=[1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.positions.nbytes == 1024 * 8
+    assert peak < S._BLOCK_BYTES + 2_000_000  # one buffer, not 1024 x 10^4 normals
+
+
+def test_streamed_feynman_kac_matches_unstreamed(monkeypatch):
+    e3 = G.euclidean(3)
+    w = P.RadialPower(e3, G.base_point(e3), 1.0)
+    ens = S.simulate(e3, G.base_point(e3), 0.05, 1e-3, 101, seed=8)
+    vals, capped, cap = S._potential_values_on_paths(w, e3, ens.positions, math.sqrt(ens.step))
+    integral = ens.step * (np.sum(vals, axis=1) - 0.5 * vals[:, 0] - 0.5 * vals[:, -1])
+    weights = np.exp(-integral)
+    monkeypatch.setattr(S, "_BLOCK_BYTES", 8 * 51 * 3 * 7)  # blocks of 7 paths
+    est = S.feynman_kac(ens, w)
+    assert est.capped_fraction > 0.0 and cap > 0.0
+    assert est.value == float(np.mean(weights))
+    assert est.std_error == float(np.std(weights, ddof=1) / math.sqrt(101))
+    assert est.capped_fraction == float(np.mean(capped))
+    assert est.cap_value == cap
+
+
+def test_kato_exponential_on_hyperbolic3_unchanged():
+    # pinned from the per-path-generator sampler; the curved default walk
+    h3 = G.hyperbolic3()
+    w = P.RadialPower(h3, G.base_point(h3), 1.0, 0.3)
+    rep = S.kato_exponential_estimate(h3, w, [0.1, 0.2], [1.5, 2.0], 300, h=2e-3, seed=5,
+                                      block_size=128)
+    assert rep.sup_estimates == [1.1486770687567562, 1.2213678384658542]
+    assert rep.std_errors == [0.0027467929728239283, 0.004206458505170488]
+
+
+def test_fdd_single_sample_fails():
+    ens = S.simulate(CIRCLE, G.circle_point(0.3), 0.2, 1e-2, 1, seed=1, record_times=[0.2])
+    rep = S.fdd_check(ens, [0.2], [[lambda ch: ch[:, 0]]])
+    assert math.isnan(rep.std_errors[0]) and math.isnan(rep.z_scores[0])
+    assert rep.max_abs_z == math.inf and not rep.max_abs_z < 4.0
+
+
+@pytest.mark.parametrize("t, h", [(1.0, 0.0), (1.0, math.nan), (math.inf, 1e-3), (0.0, 1e-3),
+                                  (1e300, 1e-300)])
+def test_simulate_rejects_bad_horizon_and_step(t, h):
+    with pytest.raises(DomainError):
+        S.simulate(E1, G.base_point(E1), t, h, 10, seed=0)
