@@ -766,19 +766,12 @@ def run_check(ctx: CheckContext, name: str) -> CheckResult:
     return result
 
 
-def run_manifest(manifest: ExperimentManifest, parallel: bool = False) -> Report:
+def run_manifest(manifest: ExperimentManifest) -> Report:
     validate_manifest(manifest)
     model = geom.parse_manifold(manifest.manifold)
     engine = hk.make_engine(model, manifest.kernel_method)
     ctx = CheckContext(model, engine, manifest, manifest.seed, manifest.tolerance_scale)
-
-    if parallel and len(manifest.checks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(4, len(manifest.checks))) as ex:
-            results = list(ex.map(lambda name: run_check(ctx, name), manifest.checks))
-    else:
-        results = [run_check(ctx, name) for name in manifest.checks]
+    results = [run_check(ctx, name) for name in manifest.checks]
     return Report(
         manifest=manifest.to_dict(),
         tool_version=__version__,
@@ -838,7 +831,6 @@ def main(argv: list | None = None) -> int:
         run_p.add_argument(target)
         run_p.add_argument("--seed", type=int, default=None)
         run_p.add_argument("--out", default=None)
-        run_p.add_argument("--parallel", action="store_true")
         run_p.add_argument("--tolerance-scale", dest="tolerance_scale", type=float, default=None)
 
     sub.add_parser("list-batteries", help="print battery names")
@@ -870,7 +862,7 @@ def main(argv: list | None = None) -> int:
             return 0
         if args.command == "run":
             manifest = _apply_overrides(load_manifest(args.manifest), args)
-            report = run_manifest(manifest, parallel=args.parallel)
+            report = run_manifest(manifest)
             write_outputs(report, manifest)
             _print_summary(report)
             return 0 if report.all_pass else 1
@@ -887,7 +879,7 @@ def main(argv: list | None = None) -> int:
                 )
                 manifest = _apply_overrides(manifest, args)
                 manifest.out = None
-                report = run_manifest(manifest, parallel=args.parallel)
+                report = run_manifest(manifest)
                 print(f"== {entry['manifold']} ==")
                 _print_summary(report)
                 all_ok &= report.all_pass

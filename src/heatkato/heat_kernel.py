@@ -103,10 +103,8 @@ def wrapped_gaussian(dist, t: float, L: float, K: int | None = None):
     return pref * acc
 
 
-def circle_fourier(dist, t: float, L: float, kmax: int | None = None):
+def circle_fourier(dist, t: float, L: float, kmax: int):
     d = np.asarray(dist, dtype=float)
-    if kmax is None:
-        kmax = max(1, int(math.ceil((L / (2.0 * math.pi)) * math.sqrt(2.0 * 40.0 / t))))
     acc = np.ones_like(d)
     for k in range(1, kmax + 1):
         lam = 0.5 * (2.0 * math.pi * k / L) ** 2
@@ -169,7 +167,7 @@ def eval_radial(engine: HeatKernelEngine, t: float, d) -> np.ndarray:
         return model.heat_profile(t, d)
     if model.period:
         return _axis_kernel(engine, t, d)
-    lmax = _sphere_cutoff(engine, t)
+    lmax = _series_cutoff(engine, t)
     _check_truncation(engine, t, lmax)
     return sphere_series(t, np.cos(d), lmax)
 
@@ -178,12 +176,20 @@ def _axis_kernel(engine: HeatKernelEngine, t: float, d):
     """The kernel of one periodic axis (circumference ``model.period``)."""
     L = engine.model.period
     if engine.method is Method.SPECTRAL_SERIES:
-        return circle_fourier(d, t, L, engine.series_lmax)
+        return circle_fourier(d, t, L, _series_cutoff(engine, t))
     return wrapped_gaussian(d, t, L, engine.image_radius)
 
 
-def _sphere_cutoff(engine: HeatKernelEngine, t: float) -> int:
-    return engine.series_lmax or sphere_lmax(t, SERIES_TOL, LMAX_CAP)
+def _series_cutoff(engine: HeatKernelEngine, t: float) -> int:
+    """The explicit series cutoff, else the adaptive one: on a periodic axis
+    the first dropped Fourier mode has lambda t >= 40, on the sphere the tail
+    bound falls below SERIES_TOL (up to LMAX_CAP)."""
+    if engine.series_lmax is not None:
+        return engine.series_lmax
+    L = engine.model.period
+    if L:
+        return max(1, int(math.ceil((L / (2.0 * math.pi)) * math.sqrt(2.0 * 40.0 / t))))
+    return sphere_lmax(t, SERIES_TOL, LMAX_CAP)
 
 
 def series_cap_exceeded(engine: HeatKernelEngine, t: float) -> bool:
@@ -253,13 +259,13 @@ def truncation_bound(engine: HeatKernelEngine, t: float) -> float:
         return total
     L = model.period
     if not L:
-        return sphere_tail_bound(_sphere_cutoff(engine, t), t)
+        return sphere_tail_bound(_series_cutoff(engine, t), t)
     if engine.method is Method.SPECTRAL_SERIES:
-        kmax = engine.series_lmax or max(
-            1, int(math.ceil((L / (2.0 * math.pi)) * math.sqrt(2.0 * 40.0 / t)))
-        )
-        lam = 0.5 * (2.0 * math.pi * (kmax + 1) / L) ** 2
-        tail1 = 2.0 * math.exp(-lam * t) / (L * max(1.0 - math.exp(-lam * t), 0.5))
+        # sum_{k > K} 2 e^{-c k^2 t} / L, c = (2 pi / L)^2 / 2: from k = K + 1 on
+        # consecutive terms shrink by e^{-c (2k + 1) t} <= e^{-c (2K + 3) t}
+        K = _series_cutoff(engine, t)
+        c = 0.5 * (2.0 * math.pi / L) ** 2
+        tail1 = 2.0 * math.exp(-c * (K + 1) ** 2 * t) / (L * -math.expm1(-c * (2 * K + 3) * t))
     else:
         K = _image_radius(t, L, engine.image_radius)
         tail1 = image_sum_tail(t, L, K)

@@ -251,10 +251,6 @@ def smoothed_abs(
     back to grid quadrature.  ``refinement`` halves the quadrature cell caps
     (for error estimation).
     """
-    return _smoothed_against_kernel(engine, w, s, x, grid, refinement)
-
-
-def _smoothed_against_kernel(engine, w, s, x, grid, refinement=0):
     model = engine.model
     terms = _flatten(w)
     if not terms:

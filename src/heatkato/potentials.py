@@ -383,7 +383,6 @@ def lq_norm(
     q: float,
     weight,
     grid: QuadratureGrid,
-    excision_radius: float | None = None,
 ) -> WeightedLqNorm:
     """(integral |w|^q * weight dmu)^(1/q) over the grid window.
 
@@ -393,8 +392,9 @@ def lq_norm(
     excised center, with that center's coordinates as a (1, chart_dim) array.
     ``KatoControlPair.space_factor`` has this form.
 
-    Integrable point singularities are excised and their ball contribution
-    added from the local radial profile; beta*q >= m flags divergence.
+    Integrable point singularities are excised out to twice the grid
+    resolution and their ball contribution added from the local radial
+    profile; beta*q >= m flags divergence.
     """
     if q < 1:
         raise DomainError("q must be >= 1")
@@ -404,7 +404,7 @@ def lq_norm(
     for s in sings:
         if s.beta * q >= s.model.dim:
             return WeightedLqNorm(q, math.inf, True, 0.0, 0, grid.window.describe())
-    eps = excision_radius if excision_radius is not None else 2.0 * grid.resolution
+    eps = 2.0 * grid.resolution
     vals = np.abs(evaluate_many(w, grid.node_coords))
     wvals = _weight_values(weight, grid)
     keep = np.ones(grid.size, dtype=bool)

@@ -398,7 +398,7 @@ def feynman_kac(
 @dataclass
 class KatoExponentialReport:
     t_values: list
-    sup_estimates: list  # sup over starts of E[exp(int w_minus)]
+    sup_estimates: list  # E[exp(int w_minus)] from the base point
     std_errors: list
     table: list  # per delta: {"delta": d, "C": smallest valid constant}
     overflowed: bool
@@ -423,60 +423,49 @@ def kato_exponential_estimate(
     N: int,
     h: float = 2e-3,
     seed: int = 0,
-    x_starts: Sequence[Point] | None = None,
     block_size: int = 4096,
 ) -> KatoExponentialReport:
-    """sup_x E[exp(int_0^t w_minus(X_s) ds)] on the t-grid, then for each
-    delta > 1 the smallest C with sup <= delta * exp(t C) across the grid."""
+    """E[exp(int_0^t w_minus(X_s) ds)] from the model's base point on the
+    t-grid, then for each delta > 1 the smallest C with the estimate
+    <= delta * exp(t C) across the grid."""
     ts = sorted(float(t) for t in t_grid)
     if any(t <= 0 for t in ts):
         raise DomainError("t grid must be positive")
     if any(d <= 1.0 for d in delta_grid):
         raise DomainError("delta must exceed 1")
-    starts = list(x_starts) if x_starts else [geom.base_point(model)]
     horizon = ts[-1]
-    n_steps = max(1, int(round(horizon / h)))
+    n_steps = step_count(horizon, h)
     h_eff = horizon / n_steps
     t_idx = [max(1, int(round(t / h_eff))) for t in ts]
     eps_sing = math.sqrt(h_eff)
-    sup_est = np.full(len(ts), -np.inf)
-    sup_err = np.zeros(len(ts))
-    overflow = False
-    for x in starts:
-        acc_mean = np.zeros(len(ts))
-        acc_m2 = np.zeros(len(ts))
-        count = 0
-        start_path = x.coords.copy()
-        for i0 in range(0, N, block_size):
-            i1 = min(i0 + block_size, N)
-            block = np.empty((i1 - i0, n_steps + 1, model.path_dim))
-            _block_paths(model, start_path, n_steps, h_eff, seed, i0, i1, np.arange(n_steps + 1), block)
-            vals, _, _ = _potential_values_on_paths(w_minus, model, block, eps_sing)
-            cum = np.cumsum(vals, axis=1)
-            for j, k in enumerate(t_idx):
-                integral = h_eff * (cum[:, k] - 0.5 * vals[:, 0] - 0.5 * vals[:, k])
-                ev = np.exp(integral)
-                acc_mean[j] += np.sum(ev)
-                acc_m2[j] += np.sum(ev * ev)
-            count += i1 - i0
-        mean = acc_mean / count
-        var = np.maximum(acc_m2 / count - mean**2, 0.0)
-        err = np.sqrt(var / count)
-        if not np.all(np.isfinite(mean)):
-            overflow = True
-        better = mean > sup_est
-        sup_est = np.where(better, mean, sup_est)
-        sup_err = np.where(better, err, sup_err)
+    acc_mean = np.zeros(len(ts))
+    acc_m2 = np.zeros(len(ts))
+    start_path = geom.base_point(model).coords.copy()
+    for i0 in range(0, N, block_size):
+        i1 = min(i0 + block_size, N)
+        block = np.empty((i1 - i0, n_steps + 1, model.path_dim))
+        _block_paths(model, start_path, n_steps, h_eff, seed, i0, i1, np.arange(n_steps + 1), block)
+        vals, _, _ = _potential_values_on_paths(w_minus, model, block, eps_sing)
+        cum = np.cumsum(vals, axis=1)
+        for j, k in enumerate(t_idx):
+            integral = h_eff * (cum[:, k] - 0.5 * vals[:, 0] - 0.5 * vals[:, k])
+            ev = np.exp(integral)
+            acc_mean[j] += np.sum(ev)
+            acc_m2[j] += np.sum(ev * ev)
+    mean = acc_mean / N
+    var = np.maximum(acc_m2 / N - mean**2, 0.0)
+    err = np.sqrt(var / N)
+    overflow = not np.all(np.isfinite(mean))
     table = []
     for delta in delta_grid:
         cs = [
-            (math.log(sup_est[j]) - math.log(delta)) / ts[j]
+            (math.log(mean[j]) - math.log(delta)) / ts[j]
             for j in range(len(ts))
-            if np.isfinite(sup_est[j]) and sup_est[j] > 0
+            if np.isfinite(mean[j]) and mean[j] > 0
         ]
         table.append({"delta": float(delta), "C": max(0.0, max(cs)) if cs else math.inf})
     return KatoExponentialReport(
-        list(ts), [float(v) for v in sup_est], [float(e) for e in sup_err], table, overflow, N
+        list(ts), [float(v) for v in mean], [float(e) for e in err], table, overflow, N
     )
 
 

@@ -101,19 +101,6 @@ param.control-pair.n_t = 10
     assert json.loads(canonical_json(c))["seed"] == 124
 
 
-def test_parallel_matches_serial():
-    text = """
-manifold = circle
-checks = kernel-check, riesz-thorin
-seed = 3
-param.riesz-thorin.n_grid = 96
-"""
-    manifest = cli.parse_manifest_text(text)
-    serial = cli.run_manifest(manifest, parallel=False)
-    par = cli.run_manifest(manifest, parallel=True)
-    assert canonical_json(serial) == canonical_json(par)
-
-
 def test_list_batteries_stable_and_idempotent():
     a = cli.list_batteries()
     b = cli.list_batteries()

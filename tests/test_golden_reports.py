@@ -5,9 +5,11 @@ report at seed 0: every entry of the three built-in batteries, the two
 checks that no battery runs, and one case per model the batteries leave
 out or touch only in part.  A refactor that keeps verdicts, margins and
 values bit-identical leaves these files untouched.  To regenerate after an
-intended change, run ``python tests/test_golden_reports.py``.
+intended change, run ``python tests/test_golden_reports.py [case ...]``; with
+no case named it rewrites them all.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,6 +55,10 @@ def test_golden_report(case):
 
 
 if __name__ == "__main__":
+    cases = sys.argv[1:] or sorted(CASES)
+    unknown = sorted(set(cases) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown cases {unknown}; the cases are {sorted(CASES)}")
     GOLDEN.mkdir(exist_ok=True)
-    for case in sorted(CASES):
+    for case in cases:
         (GOLDEN / f"{case}.json").write_text(_report(case))

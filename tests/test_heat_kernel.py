@@ -132,6 +132,20 @@ def test_sphere_truncation_bound_honored():
     assert abs(short[0] - longer[0]) <= HK.sphere_tail_bound(lmax, t) + 1e-15
 
 
+@pytest.mark.parametrize("spec", ["circle", "sphere2", "torus:2:5.0"])
+@pytest.mark.parametrize("t", [0.05, 0.3, 1.0])
+def test_explicit_zero_cutoff_bound_covers_its_error(spec, t):
+    # series:0 keeps only the constant mode; its bound must cover what it drops
+    model = G.parse_manifold(spec)
+    short, full = HK.make_engine(model, "series:0"), HK.make_engine(model)
+    x = G.base_point(model).coords
+    rng = np.random.default_rng(1)
+    ys = np.array([G.random_point(model, rng).coords for _ in range(50)] + [x])
+    err = np.max(np.abs(HK.eval_many(short, t, x, ys) - HK.eval_many(full, t, x, ys)))
+    assert err <= HK.truncation_bound(short, t) + HK.truncation_bound(full, t)
+    assert err > 1e-3  # the dropped modes are not negligible here
+
+
 def test_euclidean2_ck_by_direct_convolution_grid():
     # explicit-grid route on a 6 sigma window
     e2 = HK.make_engine(G.euclidean(2))

@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
 from heatkato import geometry as G
@@ -82,7 +85,7 @@ def test_constant_potential_commutes():
 
 @pytest.mark.parametrize("t", [0.25, 1.0])
 def test_lanczos_free_cosine_mode_closed_form(t):
-    n, k = 4096, 3  # above the dense limit, so e^{-tH} f runs through Lanczos
+    n, k = 4096, 3  # above the dense limit, so e^{-tH} f runs through the contour rule
     op = SG.discretize(CIRCLE, n, ZERO)
     theta = 2 * math.pi * np.arange(n) / n
     got = SG.semigroup_apply(op, t, 1 + np.cos(k * theta))
@@ -100,6 +103,40 @@ def test_lanczos_matches_spectral_sum_on_cosine_operator(t):
     lam, V = eigsh(op.matrix.tocsc(), k=60, sigma=sigma, which="LM", v0=ones)
     ref = V @ (np.exp(-t * lam) * (V.T @ ones))  # modes past the 60th weigh < e^{-110}
     assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-8
+
+
+def test_contour_rule_matches_exponential_on_the_half_line(monkeypatch):
+    # a diagonal A with shift 0 and t = 1 returns the scalar rule r(x) itself
+    monkeypatch.setattr(SG, "ground_energy", lambda op: 0.0)
+    x = np.concatenate([[0.0], np.logspace(-8, 9, 400)])
+    op = SimpleNamespace(matrix=sparse.diags(x).tocsr())
+    r = SG._contour_expm(op, 1.0, np.ones(x.size))
+    assert np.max(np.abs(r - np.exp(-x))) <= 1e-13
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_contour_matches_spectral_sum_in_deep_narrow_well(t):
+    # the potential's floor (-60) lies far below the ground energy (about
+    # -0.76); a shift by the floor would scale the rule's error by e^{59 t}
+    w = P.parse_potential("scale:-60:indicator:ball:r=0.01", CIRCLE)
+    op = SG.discretize(CIRCLE, 8192, w)
+    ones = np.ones(op.size)
+    got = SG.semigroup_apply(op, t, ones)
+    lam, V = eigsh(op.matrix.tocsc(), k=60, sigma=op.potential_floor - 1.0, which="LM", v0=ones)
+    assert lam.min() > -1.0 and lam.max() > 400.0  # modes past the 60th weigh < e^{-200}
+    ref = V @ (np.exp(-t * lam) * (V.T @ ones))
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-8
+
+
+def test_contour_matches_dense_on_2d_torus():
+    tor = G.torus(2, 2 * math.pi)
+    op = SG.discretize(tor, 48, P.cosine_potential(tor))
+    assert op.size > SG._DENSE_LIMIT
+    f = np.random.default_rng(0).standard_normal(op.size)
+    lam, U = eigh(op.matrix.toarray())
+    for t in (0.1, 0.5):
+        ref = U @ (np.exp(-t * lam) * (U.T @ f))
+        assert np.max(np.abs(SG.semigroup_apply(op, t, f) - ref)) < 1e-12
 
 
 def test_semigroup_property_on_grid():

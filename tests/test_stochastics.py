@@ -329,3 +329,9 @@ def test_fdd_single_sample_fails():
 def test_simulate_rejects_bad_horizon_and_step(t, h):
     with pytest.raises(DomainError):
         S.simulate(E1, G.base_point(E1), t, h, 10, seed=0)
+
+
+@pytest.mark.parametrize("h", [0.0, math.nan, -1e-3, math.inf])
+def test_kato_exponential_rejects_bad_step(h):
+    with pytest.raises(DomainError):
+        S.kato_exponential_estimate(CIRCLE, P.Constant(1.0), [0.5], [2.0], 10, h=h)
