@@ -265,9 +265,9 @@ def _params(manifest: ExperimentManifest, name: str) -> dict:
     return {key: caster(raw.get(key, default)) for key, (caster, default, _) in CHECKS[name].params.items()}
 
 
-def _sample_points(model, n, seed, spread=1.2):
+def _sample_points(model, n, seed):
     rng = np.random.default_rng(seed)
-    return [geom.random_point(model, rng, spread) for _ in range(n)]
+    return [geom.random_point(model, rng, 1.2) for _ in range(n)]
 
 
 def _check_kernel(ctx: CheckContext, p: dict) -> Outcome:
@@ -294,7 +294,7 @@ def _default_radial_spec(model: ManifoldModel) -> str:
 
 def _check_kato_norm(ctx: CheckContext, p: dict) -> Outcome:
     w = ctx.potential(_default_radial_spec(ctx.model))
-    xs = [kato_mod._potential_center(w, ctx.model)] + _sample_points(ctx.model, p["n_x"] - 1, ctx.seed + 2)
+    xs = [pot.center_of(w, ctx.model)] + _sample_points(ctx.model, p["n_x"] - 1, ctx.seed + 2)
     val = kato_mod.kato_functional(ctx.engine, w, p["t"], xs, s_min=p["s_min"])
     return Outcome(
         math.isfinite(val), 0.0 if math.isfinite(val) else -math.inf, 0.0,
@@ -345,7 +345,7 @@ def _check_holder(ctx: CheckContext, p: dict) -> Outcome:
         grid = geom.build_grid(ctx.model, res, geom.FullWindow())
         s_min = max(s_min, (3.0 * res) ** 2)
     ss = np.logspace(math.log10(s_min), 0.0, p["n_s"])
-    xs = [kato_mod._potential_center(w, ctx.model)] + _sample_points(ctx.model, 2, ctx.seed + 3)
+    xs = [pot.center_of(w, ctx.model)] + _sample_points(ctx.model, 2, ctx.seed + 3)
     worst = math.inf
     tol = 0.0
     per_q = {}
@@ -781,8 +781,8 @@ def run_manifest(manifest: ExperimentManifest) -> Report:
     )
 
 
-def write_outputs(report: Report, manifest: ExperimentManifest, out_override: str | None = None):
-    out = out_override or manifest.out
+def write_outputs(report: Report, manifest: ExperimentManifest):
+    out = manifest.out
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
         Path(out).write_text(report.to_json())
@@ -795,16 +795,12 @@ def write_outputs(report: Report, manifest: ExperimentManifest, out_override: st
                     writer = csv.writer(fh)
                     writer.writerow(data["columns"])
                     writer.writerows(data["rows"])
-    return out
 
 
-def _print_summary(report: Report, stream=sys.stdout):
+def _print_summary(report: Report):
     for c in report.checks:
-        print(
-            f"[{c.verdict}] {c.name}: margin_min={c.margin_min:.6g} tol={c.tolerance:.3g} ({c.runtime_s:.2f}s)",
-            file=stream,
-        )
-    print(("all checks PASS" if report.all_pass else "some checks FAILED"), file=stream)
+        print(f"[{c.verdict}] {c.name}: margin_min={c.margin_min:.6g} tol={c.tolerance:.3g} ({c.runtime_s:.2f}s)")
+    print("all checks PASS" if report.all_pass else "some checks FAILED")
 
 
 # ---------------------------------------------------------------------------

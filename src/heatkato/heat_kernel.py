@@ -85,7 +85,7 @@ def image_sum_tail(t: float, L: float, K: int) -> float:
     # |d + kL| >= (|k| - 1/2) L for |d| <= L/2; geometric comparison from k=K+1
     lead = 2.0 * math.exp(-(((K + 0.5) * L) ** 2) / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
     ratio = math.exp(-(K + 1) * L * L / t)
-    return lead / max(1.0 - ratio, 0.5)
+    return lead / (1.0 - ratio)
 
 
 def wrapped_gaussian(dist, t: float, L: float, K: int | None = None):

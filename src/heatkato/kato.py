@@ -87,8 +87,6 @@ class PairVerification:
     n_samples: int
     details: list
 
-    def passed(self, tol: float = 0.0) -> bool:
-        return self.min_margin >= -tol
 
 
 def verify_control_pair(
@@ -138,11 +136,7 @@ def control_pair_from_on_diag(
     return with_certificates(pair, default_qs(m))
 
 
-def control_pair_li_yau(
-    engine: hk.HeatKernelEngine,
-    t_values: Sequence[float] | None = None,
-    x_samples: Sequence[Point] | None = None,
-) -> KatoControlPair:
+def control_pair_li_yau(engine: hk.HeatKernelEngine, t_values: Sequence[float] | None = None) -> KatoControlPair:
     """Ricci-lower-bound pair: space(x) = C5 / mu(B(x,1)), time(t) = t^{-m/2}.
 
     C5 is the smallest constant making the bound hold on the calibration
@@ -151,7 +145,6 @@ def control_pair_li_yau(
     model = engine.model
     m = model.dim
     ts = np.asarray(t_values if t_values is not None else np.logspace(-4, 0, 60), dtype=float)
-    xs = x_samples or [geom.base_point(model)]
     vol1 = geom.ball_volume_radial(model, 1.0)
     C5 = 0.0
     for t in ts:
@@ -167,16 +160,14 @@ def control_pair_li_yau(
     return with_certificates(pair, default_qs(m))
 
 
-def doubling_check(
-    model: ManifoldModel, n_samples: int = 40, rng: np.random.Generator | None = None
-) -> float:
-    """min over sampled 0 < s' <= s of
+def doubling_check(model: ManifoldModel) -> float:
+    """min over 40 sampled 0 < s' <= s of
     mu(B(x,s')) (s/s')^m exp(sqrt((m-1) kappa) s) - mu(B(x,s)); >= 0 expected."""
-    rng = rng or np.random.default_rng(20240901)
+    rng = np.random.default_rng(20240901)
     kappa = max(-model.ricci_lower_bound, 0.0)
     m = model.dim
     worst = math.inf
-    for _ in range(n_samples):
+    for _ in range(40):
         s = rng.uniform(0.05, 3.0)
         sp = rng.uniform(0.01, 1.0) * s
         lhs = geom.ball_volume_radial(model, s)
@@ -189,42 +180,6 @@ def doubling_check(
 
 # ---------------------------------------------------------------------------
 # kernel-smoothed |w|: the left side of the Hoelder bound
-
-
-def _flatten(w: pot.Potential, scale: float = 1.0):
-    if isinstance(w, pot.Scale):
-        return _flatten(w.inner, scale * w.factor)
-    if isinstance(w, pot.Sum):
-        out = []
-        for term in w.terms:
-            out.extend(_flatten(term, scale))
-        return out
-    return [(scale, w)]
-
-
-def _radial_atom(atom: pot.Potential, model: ManifoldModel):
-    """(center, |profile|(rho), support_radius, singular_beta) or None."""
-    if isinstance(atom, pot.RadialPower):
-        beta, coef = atom.beta, abs(atom.coefficient)
-        return atom.center, (lambda r, c=coef, b=beta: c * np.asarray(r, float) ** (-b)), math.inf, beta
-    if isinstance(atom, pot.RadialFunction):
-        return atom.center, (lambda r, p=atom.profile: np.abs(p(np.asarray(r, float)))), math.inf, 0.0
-    if isinstance(atom, pot.CoulombPotential):
-        return atom.center, (lambda r, p=atom.profile: np.abs(p(np.asarray(r, float)))), math.inf, 1.0
-    if isinstance(atom, pot.Indicator) and isinstance(atom.window, BallWindow):
-        R = atom.window.radius
-        return atom.window.center, (lambda r, R=R: (np.asarray(r, float) <= R).astype(float)), R, 0.0
-    if isinstance(atom, pot.Windowed) and isinstance(atom.window, BallWindow):
-        inner = _radial_atom(atom.inner, model)
-        if inner is None:
-            return None
-        c_in, prof, sup, beta = inner
-        cw = atom.window.center
-        if geom.distance(model, c_in, cw) > 1e-12:
-            return None  # off-center truncation: no one-center reduction
-        R = atom.window.radius
-        return c_in, (lambda r, p=prof, R=R: p(r) * (np.asarray(r, float) <= R)), min(sup, R), beta
-    return None
 
 
 @dataclass
@@ -252,7 +207,7 @@ def smoothed_abs(
     (for error estimation).
     """
     model = engine.model
-    terms = _flatten(w)
+    terms = pot.terms(w)
     if not terms:
         return SmoothedValue(0.0, 0.0, False, "empty")
     signs = {math.copysign(1.0, c) for c, _ in terms if c != 0.0}
@@ -264,7 +219,7 @@ def smoothed_abs(
             if isinstance(atom, pot.Constant):
                 atoms.append((abs(c * atom.value), None))
             else:
-                ra = _radial_atom(atom, model)
+                ra = atom.radial()
                 if ra is None:
                     ok = False
                     break
@@ -287,8 +242,8 @@ def smoothed_abs(
 
 def _two_point_atom(engine, fker, s, x, ra, refinement=0):
     model = engine.model
-    center, profile, support, beta = ra
-    d = geom.distance(model, x, center)
+    profile, support, beta = ra.profile, ra.support, ra.beta
+    d = geom.distance(model, x, ra.center)
     if math.isfinite(support):
         r_max = d + support  # integrand vanishes beyond the support
         tail = 0.0
@@ -336,7 +291,7 @@ def _smoothed_grid(engine, w, s, x, grid):
     base = float(np.sum(grid.weights[keep] * p[keep] * vals[keep]))
     correction = 0.0
     for sg in sings:
-        if sg.pair_slices is not None:
+        if sg.pair_cols is not None:
             continue
         # kernel bounded over the excised ball by its largest nearby value
         dc = float(sg.distances(x.coords[None, :])[0])
@@ -368,21 +323,22 @@ def _smoothed_grid(engine, w, s, x, grid):
     return SmoothedValue(base * factor + correction, 0.0, False, "grid-excised")
 
 
-def _potential_center(w: pot.Potential, model: ManifoldModel) -> Point:
-    for _, atom in _flatten(w):
-        ra = _radial_atom(atom, model) if model.radial_kernel else None
-        if ra is not None:
-            return ra[0]
-        if isinstance(atom, pot.Indicator) and isinstance(atom.window, (BallWindow, BoxWindow)):
-            return atom.window.center
-    return geom.base_point(model)
+def _center_and_offsets(w: pot.Potential, model: ManifoldModel, offsets) -> list[Point]:
+    """The potential's center, then one point per offset along the first axis."""
+    c = pot.center_of(w, model)
+    xs = [c]
+    for off in offsets:
+        v = np.zeros(model.tangent_dim)
+        v[0] = off
+        xs.append(geom.exp_map(model, c, v))
+    return xs
 
 
 def _default_y_grid(engine, w, t_max, x_samples) -> QuadratureGrid:
     model = engine.model
     if model.compact:
         return geom.build_grid(model, model.compact_resolution, geom.FullWindow())
-    center = _potential_center(w, model)
+    center = pot.center_of(w, model)
     spread = max((geom.distance(model, center, x) for x in x_samples), default=0.0)
     radius = spread + model.kernel_reach(t_max) + 2.0
     return geom.build_grid(model, radius / 120.0, BallWindow(center, radius))
@@ -436,7 +392,7 @@ def _s_breaks(t: float, s_min: float) -> np.ndarray:
 
 
 def _inner_divergent(w: pot.Potential) -> bool:
-    return any(s.beta >= s.model.dim for s in pot.singularities(w) if s.pair_slices is None)
+    return any(s.beta >= s.model.dim for s in pot.singularities(w) if s.pair_cols is None)
 
 
 def kato_functional(
@@ -444,8 +400,6 @@ def kato_functional(
     w: pot.Potential,
     t: float,
     x_grid: Sequence[Point],
-    y_grid: QuadratureGrid | None = None,
-    control: KatoControlPair | None = None,
     s_min: float = 1e-6,
 ) -> float:
     """max over the x-grid of int_0^t int p(s,x,y) |w(y)| dmu(y) ds.
@@ -456,12 +410,12 @@ def kato_functional(
     """
     if t <= 0:
         raise DomainError("t must be positive")
-    rem, _ = _short_time_remainder(engine, w, s_min, control, y_grid)
-    core, _ = _kato_core(engine, w, t, x_grid, y_grid, s_min)
+    rem, _ = _short_time_remainder(engine, w, s_min)
+    core, _ = _kato_core(engine, w, t, x_grid, s_min)
     return core + rem
 
 
-def _kato_core(engine, w, t, x_grid, y_grid, s_min):
+def _kato_core(engine, w, t, x_grid, s_min):
     """(max over x of the dyadic part over [s_min, t], quadrature tail allowance)."""
     if _inner_divergent(w):
         return math.inf, math.inf
@@ -471,7 +425,7 @@ def _kato_core(engine, w, t, x_grid, y_grid, s_min):
     for x in x_grid:
         total, tails = 0.0, 0.0
         for s, ws in zip(s_nodes, s_weights):
-            sv = smoothed_abs(engine, w, float(s), x, grid=y_grid)
+            sv = smoothed_abs(engine, w, float(s), x)
             total += ws * sv.value
             tails += ws * sv.tail_bound
         if total > best:
@@ -479,27 +433,7 @@ def _kato_core(engine, w, t, x_grid, y_grid, s_min):
     return best, best_tail
 
 
-def _bounded_sup(w: pot.Potential, model: ManifoldModel) -> float:
-    """sup |w| when every atom is bounded (inf otherwise)."""
-    total = 0.0
-    for c, atom in _flatten(w):
-        if isinstance(atom, pot.Constant):
-            total += abs(c * atom.value)
-        elif isinstance(atom, pot.Indicator):
-            total += abs(c)
-        elif isinstance(atom, pot.RadialFunction):
-            total += abs(c) * atom.sup
-        elif isinstance(atom, pot.Windowed):
-            inner = _bounded_sup(atom.inner, model)
-            if not math.isfinite(inner):
-                return math.inf
-            total += abs(c) * inner
-        else:
-            return math.inf
-    return total
-
-
-def _short_time_remainder(engine, w, s_min, control, y_grid):
+def _short_time_remainder(engine, w, s_min):
     """Bound for int_0^{s_min} of the smoothed potential: s_min * sup|w| when w
     is bounded, otherwise the windowed L^q norm against the control pair (with
     q chosen to minimize the bound) plus the outside sup times s_min."""
@@ -507,11 +441,11 @@ def _short_time_remainder(engine, w, s_min, control, y_grid):
         return 0.0, "none"
     model = engine.model
     m = model.dim
-    sup_w = _bounded_sup(w, model)
+    sup_w = pot.sup_abs(w)
     if math.isfinite(sup_w):
         return s_min * sup_w, "bounded potential: s_min * sup|w|"
-    control = control or control_pair_from_on_diag(engine)
-    sings = [s for s in pot.singularities(w) if s.pair_slices is None]
+    control = control_pair_from_on_diag(engine)
+    sings = [s for s in pot.singularities(w) if s.pair_cols is None]
     beta_max = max((s.beta for s in sings), default=0.0)
     if m == 1:
         q_candidates = [1.0, 0.5 * (1.0 + 1.0 / beta_max)] if beta_max < 1.0 else []
@@ -525,16 +459,16 @@ def _short_time_remainder(engine, w, s_min, control, y_grid):
     q_candidates = [q for q in q_candidates if admissible_q(m, q) and beta_max * q < m]
     if not q_candidates:
         return math.inf, "no admissible q gives a finite weighted norm"
-    center = _potential_center(w, model)
+    center = pot.center_of(w, model)
     R = 3.0
     if model.compact:
-        grid = y_grid or geom.build_grid(model, model.compact_resolution, geom.FullWindow())
+        grid = geom.build_grid(model, model.compact_resolution, geom.FullWindow())
         windowed = w
         sup_out = 0.0
     else:
         grid = geom.build_grid(model, R / 60.0, BallWindow(center, R), n_dir=8)
         windowed = pot.Windowed(model, w, BallWindow(center, R))
-        sup_out = _sup_outside(w, model, center, R)
+        sup_out = pot.sup_abs(w, outside=(center, R))
     best, best_q = math.inf, None
     for q in q_candidates:
         wq = pot.lq_norm(windowed, q, control.space_factor, grid)
@@ -556,32 +490,12 @@ def _short_time_remainder(engine, w, s_min, control, y_grid):
     return best, f"control-pair remainder with q={best_q:.3g}"
 
 
-def _sup_outside(w, model, center, R) -> float:
-    total = 0.0
-    for c, atom in _flatten(w):
-        if isinstance(atom, pot.Constant):
-            total += abs(c * atom.value)
-            continue
-        ra = _radial_atom(atom, model) if model.radial_kernel else None
-        if ra is None:
-            return math.inf
-        ac, profile, support, _ = ra
-        dist = R - geom.distance(model, center, ac)
-        if dist >= support:
-            continue
-        total += abs(c) * float(profile(np.array([max(dist, 1e-6)]))[0])
-    return total
-
-
 def is_kato(
     engine: hk.HeatKernelEngine,
     w: pot.Potential,
     t_sequence: Sequence[float],
-    grids: QuadratureGrid | None = None,
-    x_samples: Sequence[Point] | None = None,
     threshold_ratio: float = 0.3,
     gamma_min: float = 0.05,
-    control: KatoControlPair | None = None,
     s_min: float = 1e-9,
 ) -> tuple[KatoFunctionalCurve, KatoVerdict]:
     """Kato-functional curve N(t) on a decreasing t-sequence plus a verdict.
@@ -605,27 +519,20 @@ def is_kato(
         verdict = KatoVerdict(False, "numerical evidence", 0.0, math.inf, threshold_ratio, gamma_min,
                               ["divergent smoothing integral"])
         return curve, verdict
-    if x_samples is None:
-        c = _potential_center(w, model)
-        xs = [c]
-        for off in (0.5, 1.5):
-            v = np.zeros(model.tangent_dim)
-            v[0] = off
-            xs.append(geom.exp_map(model, c, v))
-        x_samples = xs
-    rem, rem_note = _short_time_remainder(engine, w, s_min, control, grids)
+    x_samples = _center_and_offsets(w, model, (0.5, 1.5))
+    rem, rem_note = _short_time_remainder(engine, w, s_min)
     if not math.isfinite(rem):
         notes.append("short-time tail estimate divergent; values cover s >= s_min only")
         rem = 0.0  # the divergence is reflected in the verdict via decay failure
     # the functional is largest at the potential center for the radial battery;
     # rank the x-samples once at the largest t, then sweep the winner
     t0 = float(ts[0])
-    scored = [(_kato_core(engine, w, t0, [x], grids, s_min), x) for x in x_samples]
+    scored = [(_kato_core(engine, w, t0, [x], s_min), x) for x in x_samples]
     scored.sort(key=lambda it: -it[0][0])
     (v0, tb0), x_best = scored[0]
     values, tails = [v0], [tb0 + rem]
     for t in ts[1:]:
-        v, tb = _kato_core(engine, w, float(t), [x_best], grids, s_min)
+        v, tb = _kato_core(engine, w, float(t), [x_best], s_min)
         values.append(v)
         tails.append(tb + rem)
     values = np.array(values)
@@ -695,7 +602,6 @@ def holder_bound_check(
     s_samples: Sequence[float],
     x_samples: Sequence[Point],
     grid: QuadratureGrid | None = None,
-    tolerance: float | None = None,
 ) -> HolderReport:
     """min over samples of RHS - LHS for
     int p(s,x,y)|w(y)| dmu <= time(s)^{1/q} (int |w|^q space dmu)^{1/q}."""
@@ -718,7 +624,7 @@ def holder_bound_check(
             tail_worst = max(tail_worst, sv.tail_bound)
             details.append({"s": float(s), "margin": margin})
             worst = min(worst, margin)
-    tol = tolerance if tolerance is not None else max(1e-8, 10.0 * tail_worst)
+    tol = max(1e-8, 10.0 * tail_worst)
     return HolderReport(q, worst, tol, False, len(details), details)
 
 
@@ -740,7 +646,7 @@ def _classical_divergent(w: pot.Potential, m: int) -> bool:
     beta + (m - 2) >= m for m >= 2 (i.e. beta >= 2), and when beta >= 1 = m
     for the windowed-L^1 case m = 1."""
     thresh = 2.0 if m >= 2 else 1.0
-    return any(s.beta >= thresh for s in pot.singularities(w) if s.pair_slices is None)
+    return any(s.beta >= thresh for s in pot.singularities(w) if s.pair_cols is None)
 
 
 def classical_kato_functional(
@@ -769,7 +675,7 @@ def classical_kato_functional(
     best = 0.0
     for x in x_samples:
         total = 0.0
-        for c, atom in _flatten(w):
+        for c, atom in pot.terms(w):
             if isinstance(atom, pot.Constant):
                 val, _ = quad(
                     lambda u: float(fker(np.array([u]))[0]) * geom.ball_surface(model, u),
@@ -781,11 +687,11 @@ def classical_kato_functional(
                 )
                 total += abs(c * atom.value) * val
                 continue
-            ra = _radial_atom(atom, model)
+            ra = atom.radial()
             if ra is None:
                 raise UnsupportedModelError("classical functional implemented for radial batteries")
-            center, profile, support, beta = ra
-            d = geom.distance(model, x, center)
+            profile, support, beta = ra.profile, ra.support, ra.beta
+            d = geom.distance(model, x, ra.center)
             eps = max(1e-6, 1e-4 * r) if beta > 0 else 0.0
             if m >= 2 and 1e-14 < d < eps:  # h_m(|d - u|) is singular on the excised ball
                 raise DomainError(
@@ -825,29 +731,18 @@ def _classical_near_field(model, fker, profile, d, radius, beta) -> float:
 
 
 def classical_is_kato(
-    model: ManifoldModel,
-    w: pot.Potential,
-    r_sequence: Sequence[float],
-    x_samples: Sequence[Point] | None = None,
-    threshold_ratio: float = 0.25,
+    model: ManifoldModel, w: pot.Potential, r_sequence: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(radii, values, verdict) for the h_m characterization; verdict mirrors is_kato."""
-    if _classical_divergent(w, model.dim):
-        rs = np.asarray(sorted(set(map(float, r_sequence)), reverse=True))
-        return rs, np.full(rs.size, math.inf), False
-    if x_samples is None:
-        c = _potential_center(w, model)
-        xs = [c]
-        v = np.zeros(model.tangent_dim)
-        v[0] = 0.5
-        xs.append(geom.exp_map(model, c, v))
-        x_samples = xs
+    """(radii, values, verdict) for the h_m characterization; verdict mirrors
+    is_kato: the value at the smallest radius at most 1/4 of that at the largest."""
     rs = np.asarray(sorted(set(map(float, r_sequence)), reverse=True))
-    vals = np.array([classical_kato_functional(model, w, float(r), x_samples) for r in rs])
+    if _classical_divergent(w, model.dim):
+        return rs, np.full(rs.size, math.inf), False
+    xs = _center_and_offsets(w, model, (0.5,))
+    vals = np.array([classical_kato_functional(model, w, float(r), xs) for r in rs])
     if not np.all(np.isfinite(vals)) or vals[0] <= 0:
         return rs, vals, bool(np.allclose(vals, 0.0))
-    ratio = vals[-1] / vals[0]
-    return rs, vals, bool(ratio <= threshold_ratio)
+    return rs, vals, bool(vals[-1] / vals[0] <= 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -884,16 +779,10 @@ def _first_bessel_zero(nu: float) -> float:
     return brentq(lambda x: jv(nu, x), lo, lo + 0.5, xtol=1e-15, rtol=4 * np.finfo(float).eps)
 
 
-def euclidean_comparability_radius(model: ManifoldModel, b: float = 4.0) -> float:
-    """Largest radius (constant per model) on which a chart keeps the metric
-    between (1/b) id and b id; feeds constant Faber-Krahn radius functions."""
-    if b <= 1:
-        raise DomainError("comparability accuracy must exceed 1")
-    return model.comparability_radius(b)
-
-
-def constant_radius_fn(model: ManifoldModel, b: float = 4.0, eps1: float = 1.0, eps2: float = 2.0):
-    R = min(euclidean_comparability_radius(model, b), eps1) / eps2
+def constant_radius_fn(model: ManifoldModel):
+    """R = min(r_4, 1) / 2, with r_4 the largest radius (constant per model) on
+    which a chart keeps the metric between id / 4 and 4 id."""
+    R = min(model.comparability_radius(4.0), 1.0) / 2.0
     return lambda x, R=R: R
 
 
@@ -1113,14 +1002,13 @@ def control_pair_from_faber_krahn(
     fk: FaberKrahnControlPair,
     engine: hk.HeatKernelEngine,
     t_values: Sequence[float] | None = None,
-    x_samples: Sequence[Point] | None = None,
 ) -> tuple[KatoControlPair, HeatBoundReport]:
     """Empirical constant for sup_y p <= C a^{-m/2} min(t, R(x)^2)^{-m/2}, then
     the induced pair (C a^{-m/2} R^{-m}, t^{-m/2} sup R^m + 1)."""
     model = engine.model
     m = model.dim
     ts = np.asarray(t_values if t_values is not None else np.logspace(-3, 0.5, 40), dtype=float)
-    xs = x_samples or [geom.base_point(model)]
+    xs = [geom.base_point(model)]
     a = fk.a
     c_hat = hk.heat_bound_constant(engine, fk.radius_fn, a, ts, xs)
     sup_R = max(fk.radius_fn(x) for x in xs)

@@ -77,7 +77,7 @@ def _cylinder_integral(engine, x, y0, t, tau, q, radius, n_s, max_cell_scale):
     return total
 
 
-def mvi_sweep(config: MviSweepConfig, n_s: int = 6) -> MviReport:
+def mvi_sweep(config: MviSweepConfig) -> MviReport:
     """Empirical constant sup over cells of
     u(t,x)^q a^{m/2} tau^{1+m/2} / integral of u^q over the backward cylinder.
 
@@ -123,8 +123,8 @@ def mvi_sweep(config: MviSweepConfig, n_s: int = 6) -> MviReport:
                             worst = {"tau": tau, "t": t, "q": q, "source_offset": off, "ratio": ratio}
         return best, worst, count
 
-    c1, worst, n_cells = run(n_s, 1.0)
-    c2, _, _ = run(2 * n_s, 0.5)
+    c1, worst, n_cells = run(6, 1.0)
+    c2, _, _ = run(12, 0.5)
     drift = abs(c2 - c1) / max(c1, 1e-300)
     return MviReport(
         c_emp=max(c1, c2),

@@ -20,8 +20,28 @@ from .errors import DomainError, ManifestError, SingularityError, UnsupportedMod
 from .geometry import BallWindow, BoxWindow, Euclidean, Hyperbolic3, ManifoldModel, Point, Product, QuadratureGrid
 
 
+@dataclass(frozen=True)
+class Radial:
+    """The radial facts of a one-center atom: |w(y)| = profile(d(y, center)),
+    zero beyond ``support``, singular like d^(-beta) at the center (beta = 0:
+    bounded)."""
+
+    center: Point
+    profile: Callable[[np.ndarray], np.ndarray]
+    support: float = math.inf
+    beta: float = 0.0
+
+
+def _abs_of(profile):
+    return lambda r: np.abs(profile(np.asarray(r, float)))
+
+
 class Potential:
     """Base class; concrete variants below."""
+
+    def radial(self) -> Radial | None:
+        """The atom's radial facts, or None when it has no one-center form."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -39,14 +59,24 @@ class RadialPower(Potential):
     coefficient: float = 1.0
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise DomainError("radial power exponent must be positive")
+
+    def radial(self):
+        c, b = abs(self.coefficient), self.beta
+        return Radial(self.center, lambda r: c * np.asarray(r, float) ** (-b), math.inf, b)
 
 
 @dataclass(frozen=True)
 class Indicator(Potential):
     model: ManifoldModel
     window: object  # BallWindow or BoxWindow
+
+    def radial(self):
+        if not isinstance(self.window, BallWindow):
+            return None
+        R = self.window.radius
+        return Radial(self.window.center, lambda r: (np.asarray(r, float) <= R).astype(float), R)
 
 
 @dataclass(frozen=True)
@@ -56,6 +86,9 @@ class CoulombPotential(Potential):
     model: ManifoldModel
     center: Point
     profile: Callable[[np.ndarray], np.ndarray]
+
+    def radial(self):
+        return Radial(self.center, _abs_of(self.profile), math.inf, 1.0)
 
 
 @dataclass(frozen=True)
@@ -85,6 +118,9 @@ class RadialFunction(Potential):
     sup: float
     name: str = "radial"
 
+    def radial(self):
+        return Radial(self.center, _abs_of(self.profile))
+
 
 def cosine_potential(model: ManifoldModel, center: Point | None = None) -> RadialFunction:
     """w(y) = cos(d(y, center)); on the circle with the default center this is
@@ -100,6 +136,15 @@ class Windowed(Potential):
     model: ManifoldModel
     inner: Potential
     window: object  # BallWindow (or BoxWindow)
+
+    def radial(self):
+        inner = self.inner.radial() if isinstance(self.window, BallWindow) else None
+        if inner is None or geom.distance(self.model, inner.center, self.window.center) > 1e-12:
+            return None  # off-center truncation: no one-center reduction
+        R = self.window.radius
+        return Radial(
+            inner.center, lambda r: inner.profile(r) * (np.asarray(r, float) <= R), min(inner.support, R), inner.beta
+        )
 
 
 @dataclass(frozen=True)
@@ -241,40 +286,34 @@ class SingularityInfo:
     center: Point
     beta: float
     profile: Callable[[np.ndarray], np.ndarray]  # local |w| as a function of distance
-    coord_slice: slice  # where the leaf coordinates sit in the full chart
-    pair_slices: tuple | None = None  # for diagonal (two-body) singular sets
+    cols: np.ndarray  # the full-chart columns of the leaf coordinates
+    pair_cols: tuple | None = None  # for diagonal (two-body) singular sets
 
     def distances(self, ys: np.ndarray) -> np.ndarray:
         ys = np.atleast_2d(ys)
-        if self.pair_slices is not None:
-            si, sj = self.pair_slices
+        if self.pair_cols is not None:
+            ci, cj = self.pair_cols
             d = np.array(
-                [geom.distance_many(self.model, row[si], row[None, sj])[0] for row in ys]
+                [geom.distance_many(self.model, row[ci], row[None, cj])[0] for row in ys]
             )
             return d / math.sqrt(2.0)  # distance to the diagonal in the product metric
-        return geom.distance_many(self.model, self.center.coords, ys[:, self.coord_slice])
+        cols = self.cols
+        if np.all(np.diff(cols) == 1):  # one run of columns: a view, not a copy
+            cols = slice(cols[0], cols[-1] + 1)
+        return geom.distance_many(self.model, self.center.coords, ys[:, cols])
 
 
-def singularities(w: Potential, scale: float = 1.0, coord_slice: slice | None = None) -> list[SingularityInfo]:
-    if isinstance(w, RadialPower):
-        cs = coord_slice or slice(0, w.model.chart_dim)
-        coef = abs(scale * w.coefficient)
-        beta = w.beta
-        return [
-            SingularityInfo(w.model, w.center, beta, lambda r, c=coef, b=beta: c * r ** (-b), cs)
-        ]
-    if isinstance(w, CoulombPotential):
-        cs = coord_slice or slice(0, w.model.chart_dim)
-        sc = abs(scale)
-        return [
-            SingularityInfo(w.model, w.center, 1.0, lambda r, s=sc, p=w.profile: s * np.abs(p(r)), cs)
-        ]
+def singularities(w: Potential, scale: float = 1.0, cols: np.ndarray | None = None) -> list[SingularityInfo]:
+    """The point and diagonal singular sets of w; ``cols`` maps the chart
+    columns of w's model into the full chart (identity when None)."""
+    if isinstance(w, (Pullback, RadialPower, CoulombPotential, TwoBody, Windowed)) and cols is None:
+        cols = np.arange(w.model.chart_dim)
+    if isinstance(w, (RadialPower, CoulombPotential)):
+        ra, sc = w.radial(), abs(scale)
+        return [SingularityInfo(w.model, ra.center, ra.beta, lambda r, p=ra.profile: sc * p(r), cols)]
     if isinstance(w, TwoBody):
         left, _ = w.model.factors
         cl = left.chart_dim
-        cs = coord_slice or slice(0, w.model.chart_dim)
-        si = slice(cs.start, cs.start + cl)
-        sj = slice(cs.start + cl, cs.start + 2 * cl)
         sc = abs(scale)
         return [
             SingularityInfo(
@@ -282,61 +321,114 @@ def singularities(w: Potential, scale: float = 1.0, coord_slice: slice | None = 
                 geom.base_point(left),
                 1.0,
                 lambda r, s=sc, p=w.profile: s * np.abs(p(r)),
-                cs,
-                pair_slices=(si, sj),
+                cols,
+                pair_cols=(cols[:cl], cols[cl : 2 * cl]),
             )
         ]
     if isinstance(w, Pullback):
-        if isinstance(w.index, tuple):
-            i, j = w.index
-            _, si = _leaf_slice(w.model, i)
-            _, sj = _leaf_slice(w.model, j)
-            if sj.start != si.stop:
-                # non-adjacent leaves: rebuild inner singularities with explicit pair slices
-                out = []
-                for s in singularities(w.inner, scale):
-                    if s.pair_slices is not None:
-                        out.append(
-                            SingularityInfo(s.model, s.center, s.beta, s.profile, si, pair_slices=(si, sj))
-                        )
-                    else:
-                        out.append(SingularityInfo(s.model, s.center, s.beta, s.profile, si))
-                return out
-            return singularities(w.inner, scale, slice(si.start, sj.stop))
-        _, s = _leaf_slice(w.model, int(w.index))
-        return singularities(w.inner, scale, s)
+        index = w.index if isinstance(w.index, tuple) else (int(w.index),)
+        sub = np.concatenate([np.arange(w.model.chart_dim)[_leaf_slice(w.model, i)[1]] for i in index])
+        return singularities(w.inner, scale, cols[sub])
     if isinstance(w, Windowed):
-        kept = []
-        for s in singularities(w.inner, scale, coord_slice):
-            if s.pair_slices is not None:
-                kept.append(s)
-                continue
-            inside = evaluate_many(Indicator(w.model, w.window), s.center.coords[None, :])[0]
-            if inside > 0:
-                kept.append(s)
-        return kept
+        # a set that is not a point of the window's chart (a diagonal, or a
+        # pullback's subspace) is kept unchecked
+        return [
+            s
+            for s in singularities(w.inner, scale, cols)
+            if s.pair_cols is not None
+            or not np.array_equal(s.cols, cols)
+            or evaluate_many(Indicator(w.model, w.window), s.center.coords[None, :])[0] > 0
+        ]
     if isinstance(w, Sum):
-        out = []
-        for term in w.terms:
-            out.extend(singularities(term, scale, coord_slice))
-        return out
+        return [s for term in w.terms for s in singularities(term, scale, cols)]
     if isinstance(w, Scale):
-        return singularities(w.inner, scale * w.factor, coord_slice)
+        return singularities(w.inner, scale * w.factor, cols)
     if isinstance(w, (PosPart, NegPart, AbsVal)):
-        return singularities(w.inner, scale, coord_slice)
+        return singularities(w.inner, scale, cols)
     return []
 
 
 def singular_distance_many(w: Potential, ys: np.ndarray) -> np.ndarray:
     """Distance from each row to the nearest singular set (inf if none)."""
-    sings = singularities(w)
     ys = np.atleast_2d(ys)
-    if not sings:
-        return np.full(ys.shape[0], np.inf)
     d = np.full(ys.shape[0], np.inf)
-    for s in sings:
+    for s in singularities(w):
         d = np.minimum(d, s.distances(ys))
     return d
+
+
+def capped_values(w: Potential, ys: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(values, near, cap): w on chart rows, finite everywhere.  Within eps of
+    a singular set a value keeps its sign and |value| is capped at the sum of
+    the singular profiles at eps (``cap``; 0 when no row is near); any other
+    non-finite value becomes 0."""
+    vals = evaluate_many(w, ys)
+    sings = singularities(w)
+    near = singular_distance_many(w, ys) < eps if sings else np.zeros(len(vals), dtype=bool)
+    cap = 0.0
+    if np.any(near):
+        cap = sum(float(s.profile(np.array([eps]))[0]) for s in sings)
+        vals = np.where(near, np.sign(vals) * np.minimum(np.abs(vals), cap), vals)
+    return np.where(np.isfinite(vals), vals, 0.0), near, cap
+
+
+# ---------------------------------------------------------------------------
+# the atoms of a potential and what they bound
+
+
+def terms(w: Potential, scale: float = 1.0) -> list[tuple[float, Potential]]:
+    """(coefficient, atom) pairs with w = sum of coefficient * atom; sums and
+    scalings are flattened, everything else is an atom."""
+    if isinstance(w, Scale):
+        return terms(w.inner, scale * w.factor)
+    if isinstance(w, Sum):
+        return [pair for term in w.terms for pair in terms(term, scale)]
+    return [(scale, w)]
+
+
+def center_of(w: Potential, model: ManifoldModel) -> Point:
+    """The center of the first radial (on a radial-kernel model) or indicator
+    atom, else the model's base point."""
+    for _, atom in terms(w):
+        ra = atom.radial() if model.radial_kernel else None
+        if ra is not None:
+            return ra.center
+        if isinstance(atom, Indicator):
+            return atom.window.center
+    return geom.base_point(model)
+
+
+def _atom_sup(atom: Potential) -> float:
+    if isinstance(atom, Constant):
+        return abs(atom.value)
+    if isinstance(atom, Indicator):
+        return 1.0
+    if isinstance(atom, RadialFunction):
+        return atom.sup
+    if isinstance(atom, Windowed):
+        return sup_abs(atom.inner)
+    return math.inf
+
+
+def sup_abs(w: Potential, outside: tuple[Point, float] | None = None) -> float:
+    """A bound on |w|, everywhere or, with outside=(center, R), beyond
+    B(center, R); inf when none is known.  Bounded atoms give their own sup,
+    singular radial atoms their (decreasing) profile at the ball's edge, and
+    radial atoms supported inside the ball nothing."""
+    total = 0.0
+    for c, atom in terms(w):
+        sup, ra = _atom_sup(atom), atom.radial()
+        if outside is not None and ra is not None:
+            center, R = outside
+            dist = R - geom.distance(atom.model, center, ra.center)
+            if dist >= ra.support:
+                continue
+            if not math.isfinite(sup):
+                sup = float(ra.profile(np.array([max(dist, 1e-6)]))[0])
+        if not math.isfinite(sup):
+            return math.inf
+        total += abs(c) * sup
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +491,7 @@ def lq_norm(
     if q < 1:
         raise DomainError("q must be >= 1")
     model = grid.model
-    sings = [s for s in singularities(w) if s.pair_slices is None]
-    subspace = [s for s in singularities(w) if s.pair_slices is not None]
+    sings = [s for s in singularities(w) if s.pair_cols is None]
     for s in sings:
         if s.beta * q >= s.model.dim:
             return WeightedLqNorm(q, math.inf, True, 0.0, 0, grid.window.describe())
@@ -408,20 +499,17 @@ def lq_norm(
     vals = np.abs(evaluate_many(w, grid.node_coords))
     wvals = _weight_values(weight, grid)
     keep = np.ones(grid.size, dtype=bool)
-    for s in sings:
-        keep &= s.distances(grid.node_coords) >= eps
-    for s in subspace:
+    for s in singularities(w):
         keep &= s.distances(grid.node_coords) >= eps
     base = float(np.sum(grid.weights[keep] * vals[keep] ** q * wvals[keep]))
     correction = 0.0
     for s in sings:
-        center_full = _embed_center(model, s)
-        if center_full is None:
-            continue
-        wc = _weight_at(weight, model, center_full)
+        if not np.array_equal(s.cols, np.arange(model.chart_dim)):
+            continue  # a pullback's singular set is a subspace: excised nodewise, no ball
+        wc = _weight_at(weight, model, s.center)
         integrand = lambda r, s=s: s.profile(np.atleast_1d(r))[0] ** q * geom.ball_surface(s.model, float(r))
         val, _ = quad(integrand, 0.0, eps, epsabs=1e-12, epsrel=1e-10, limit=200)
-        rest = _smooth_rest_at(w, s, center_full)
+        rest = _smooth_rest_at(sings, s.center)
         correction += wc * (val + rest**q * geom.ball_volume_radial(s.model, eps))
     total = base + correction
     return WeightedLqNorm(
@@ -429,26 +517,14 @@ def lq_norm(
     )
 
 
-def _embed_center(model: ManifoldModel, s: SingularityInfo) -> Point | None:
-    """Singularity center as a point of the grid's model (None for diagonals)."""
-    if s.pair_slices is not None:
-        return None
-    if s.coord_slice.start == 0 and s.coord_slice.stop == model.chart_dim:
-        return s.center
-    # pullback center: singular set is a subspace; excision handled nodewise,
-    # the ball correction does not apply
-    return None
-
-
-def _smooth_rest_at(w: Potential, s: SingularityInfo, center: Point) -> float:
-    """|w - singular term| near the center, used to correct the excised ball."""
+def _smooth_rest_at(sings: list[SingularityInfo], center: Point) -> float:
+    """The other point singularities' profiles at a center, used to correct
+    its excised ball."""
     other = 0.0
-    for s2 in singularities(w):
-        if s2 is s or s2.pair_slices is not None:
-            continue
-        d = float(s2.distances(center.coords[None, :])[0])
+    for s in sings:
+        d = float(s.distances(center.coords[None, :])[0])
         if d > 1e-12:
-            other += float(s2.profile(np.array([d]))[0])
+            other += float(s.profile(np.array([d]))[0])
     return other
 
 
@@ -475,10 +551,10 @@ def coulomb(
     engine: hk.HeatKernelEngine,
     x: Point,
     y: Point,
-    s_max: float | None = None,
     tol: float = 1e-10,
 ) -> CoulombValue:
-    """(1/2) * integral over (0, s_max] of p(s, x, y) ds, plus a tail bound.
+    """(1/2) * integral over (0, s_max] of p(s, x, y) ds, plus a tail bound,
+    with s_max grown until the bound falls below ``tol`` of the value.
 
     Convergence needs the on-diagonal decay t^{-3/2}; only Euclidean(3) and
     Hyperbolic3 qualify among the built-ins.
@@ -515,21 +591,17 @@ def coulomb(
         b, _ = quad(integrand_u, sm**-0.5, split**-0.5, epsabs=1e-14, epsrel=1e-12, limit=300)
         return a + b
 
-    if s_max is not None:
-        sm = s_max
+    sm = max(10.0, 4.0 * d * d)
+    val = compute(sm)
+    for _ in range(200):
+        if tail(sm) < tol * max(val, 1e-300):
+            break
+        if model.flat:
+            # invert the sqrt tail directly rather than doubling 70 times
+            sm = max(4.0 * sm, ((2.0 * math.pi) ** -1.5 / (tol * max(val, 1e-300))) ** 2)
+        else:
+            sm *= 4.0
         val = compute(sm)
-    else:
-        sm = max(10.0, 4.0 * d * d)
-        val = compute(sm)
-        for _ in range(200):
-            if tail(sm) < tol * max(val, 1e-300):
-                break
-            if model.flat:
-                # invert the sqrt tail directly rather than doubling 70 times
-                sm = max(4.0 * sm, ((2.0 * math.pi) ** -1.5 / (tol * max(val, 1e-300))) ** 2)
-            else:
-                sm *= 4.0
-            val = compute(sm)
     return CoulombValue(value=val, tail_bound=tail(sm), s_max=sm)
 
 
@@ -628,6 +700,8 @@ def _parse(spec: str, model: ManifoldModel) -> Potential:
         if "," in idx:
             i, j = (int(v) for v in idx.split(","))
             ls = leaves(model)
+            if min(i, j) < 0:
+                raise ManifestError(f"negative factor index in {idx!r}")
             pair = geom.product(ls[i][0], ls[j][0])
             return Pullback(model, (i, j), _parse(inner, pair))
         leaf, _ = _leaf_slice(model, int(idx))
@@ -655,7 +729,9 @@ def _parse(spec: str, model: ManifoldModel) -> Potential:
         if kindname == "box":
             hw = tuple(float(v) for v in str(fields.get("w", "1")).split(","))
             if len(hw) == 1:
-                hw = hw * model.dim
+                hw = hw * model.chart_dim
+            if len(hw) != model.chart_dim:
+                raise ManifestError(f"a box on {model.describe()} needs 1 or {model.chart_dim} half-widths")
             return Indicator(model, BoxWindow(center, hw))
         raise ManifestError(f"unknown indicator region {kindname!r}")
     fields = dict(_kv(part) for part in rest.split(":") if part) if rest else {}

@@ -3,7 +3,7 @@
 Three workhorses live here:
 
 * ``radial_integral``   -- 1-d integrals of rho -> f(rho) against the geodesic
-  sphere area s_m(rho), with geometric cell ladders around features.
+  sphere area s_m(rho), with a geometric cell ladder at rho = 0.
 * ``two_point_integral``-- integrals of y -> f(d(y,x)) g(d(y,c)) over a whole
   model manifold.  On E^m, H^3, S^2 and the circle such integrands are
   axially symmetric about the geodesic through x and c, which reduces the
@@ -68,12 +68,9 @@ def _cap_cells(pts, max_cell: float) -> np.ndarray:
     return np.array(refined)
 
 
-def radial_integral(model: ManifoldModel, f, r_max: float, breaks: np.ndarray | None = None,
-                    scales_at_zero=(), features=(), max_cell=None) -> float:
+def radial_integral(model: ManifoldModel, f, r_max: float, scales_at_zero=(), max_cell=None) -> float:
     """integral over B(x, r_max) of f(d(x, y)) dmu(y), reduced to 1-d."""
-    if breaks is None:
-        breaks = feature_breaks(r_max, scales_at_zero, features, max_cell)
-    rho, w = gl_nodes(breaks)
+    rho, w = gl_nodes(feature_breaks(r_max, scales_at_zero, (), max_cell))
     area = ball_surface_many(model, rho)
     return float(np.sum(w * area * f(rho)))
 

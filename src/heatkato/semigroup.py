@@ -82,8 +82,8 @@ def discretize(model: ManifoldModel, n: int, w: pot.Potential) -> DiscretizedOpe
     """Periodic finite-difference H = -(1/2) Laplace + w on the circle or a
     flat torus of dimension <= 2, n nodes per axis (the model's full grid).
 
-    The potential is sampled at the nodes; values within half a cell of a
-    singular center are capped at the half-cell value (count reported)."""
+    The potential is sampled at the nodes by ``potentials.capped_values``
+    with eps half a cell (capped node count and cap reported)."""
     if n < 8:
         raise DomainError("need at least 8 nodes per axis")
     if not model.period or model.dim > 2:
@@ -96,23 +96,10 @@ def discretize(model: ManifoldModel, n: int, w: pot.Potential) -> DiscretizedOpe
         eye = sparse.identity(n, format="csr")
         lap = sparse.kron(lap, eye) + sparse.kron(eye, lap)
         cell = spacing * spacing
-    vals = pot.evaluate_many(w, coords)
-    sings = pot.singularities(w)
-    capped = 0
-    cap_val = 0.0
-    if sings:
-        dist = pot.singular_distance_many(w, coords)
-        near = (dist < spacing / 2.0) | ~np.isfinite(vals)
-        if np.any(near):
-            cap = 0.0
-            for s in sings:
-                cap += float(s.profile(np.array([spacing / 2.0]))[0])
-            cap_val = cap
-            capped = int(np.sum(near))
-            vals = np.where(near, np.sign(np.where(np.isfinite(vals), vals, 1.0)) * cap, vals)
+    vals, near, cap = pot.capped_values(w, coords, spacing / 2.0)
     H = 0.5 * lap + sparse.diags(vals)
     return DiscretizedOperator(
-        model, n, spacing, H.tocsr(), coords, cell, type(w).__name__, capped, cap_val,
+        model, n, spacing, H.tocsr(), coords, cell, type(w).__name__, int(np.sum(near)), cap,
         potential_floor=float(np.min(vals)),
     )
 

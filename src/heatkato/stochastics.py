@@ -325,26 +325,10 @@ class FeynmanKacEstimate:
 
 
 def _potential_values_on_paths(w: pot.Potential, model, positions: np.ndarray, eps_sing: float):
-    """(values (N, n_rec), capped-path mask).  Values within eps_sing of a
-    singular set are replaced by the value at distance eps_sing."""
+    """(values (N, n_rec), capped-path mask, cap) by ``potentials.capped_values``."""
     N, R, _ = positions.shape
-    chart = model.chart_from_path(positions.reshape(N * R, -1))
-    vals = pot.evaluate_many(w, chart)
-    sings = pot.singularities(w)
-    capped = np.zeros(N * R, dtype=bool)
-    cap_val = 0.0
-    if sings:
-        dist = pot.singular_distance_many(w, chart)
-        near = dist < eps_sing
-        if np.any(near):
-            capped |= near
-            caps = np.zeros_like(vals)
-            for s in sings:
-                caps += float(s.profile(np.array([eps_sing]))[0])
-            cap_val = float(np.max(caps[near])) if np.any(near) else 0.0
-            vals = np.where(near, np.sign(vals) * np.minimum(np.abs(vals), caps), vals)
-    vals = np.where(np.isfinite(vals), vals, 0.0)
-    return vals.reshape(N, R), capped.reshape(N, R).any(axis=1), cap_val
+    vals, near, cap = pot.capped_values(w, model.chart_from_path(positions.reshape(N * R, -1)), eps_sing)
+    return vals.reshape(N, R), near.reshape(N, R).any(axis=1), cap
 
 
 def feynman_kac(

@@ -132,12 +132,22 @@ def test_sphere_truncation_bound_honored():
     assert abs(short[0] - longer[0]) <= HK.sphere_tail_bound(lmax, t) + 1e-15
 
 
-@pytest.mark.parametrize("spec", ["circle", "sphere2", "torus:2:5.0"])
-@pytest.mark.parametrize("t", [0.05, 0.3, 1.0])
-def test_explicit_zero_cutoff_bound_covers_its_error(spec, t):
-    # series:0 keeps only the constant mode; its bound must cover what it drops
+_ZERO_CUTOFF_ROWS = [(spec, t, "series:0") for t in (0.05, 0.3, 1.0) for spec in ("circle", "sphere2", "torus:2:5.0")]
+# imagesum:0 at large t: the image ratio e^(-L^2/t) is near 1 (a clamped
+# denominator reported 0.110 against an error of 0.132)
+_ZERO_CUTOFF_ROWS.append(("circle", 200.0, "imagesum:0"))
+
+
+@pytest.mark.parametrize(
+    "spec, t, method",
+    _ZERO_CUTOFF_ROWS,
+    ids=[f"{t}-{spec}" + ("" if method == "series:0" else f"-{method}") for spec, t, method in _ZERO_CUTOFF_ROWS],
+)
+def test_explicit_zero_cutoff_bound_covers_its_error(spec, t, method):
+    # series:0 keeps only the constant mode, imagesum:0 only the nearest
+    # image; the bound must cover what the cutoff drops
     model = G.parse_manifold(spec)
-    short, full = HK.make_engine(model, "series:0"), HK.make_engine(model)
+    short, full = HK.make_engine(model, method), HK.make_engine(model)
     x = G.base_point(model).coords
     rng = np.random.default_rng(1)
     ys = np.array([G.random_point(model, rng).coords for _ in range(50)] + [x])

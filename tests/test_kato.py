@@ -182,7 +182,7 @@ def test_near_field_rule_matches_quad(spec):
     # summed in cos d, carries ~1e-8 relative noise near d = 0
     ss = (1e-3, 0.5) if isinstance(model, G.Sphere2) else (1e-9, 1e-6, 1e-3, 0.5)
     for beta in betas:
-        _, profile, _, _ = K._radial_atom(P.RadialPower(model, c, beta), model)
+        profile = P.RadialPower(model, c, beta).radial().profile
         for s in ss:
             eps = _excision_radius(s)
             kernel = lambda r, s=s: HK.eval_radial(eng, s, r)
@@ -196,7 +196,8 @@ def test_near_field_rule_stops_at_window_edge():
     s = 1e-6
     eps = _excision_radius(s)
     w = P.Windowed(E3, P.RadialPower(E3, ORIGIN, 1.0), G.BallWindow(ORIGIN, eps / 3))
-    _, profile, support, beta = K._radial_atom(w, E3)
+    ra = w.radial()
+    profile, support, beta = ra.profile, ra.support, ra.beta
     assert support < eps
     kernel = lambda r: HK.eval_radial(ENG3, s, r)
     for d in (0.0, eps / 2):
@@ -209,7 +210,7 @@ def test_classical_near_field_at_center_in_the_plane():
     # h_2 = log(1/u) at the center: int_0^R u^-beta 2 pi u log(1/u) du in closed form
     e2 = G.euclidean(2)
     for beta in (0.5, 1.0, 1.5):
-        _, profile, _, _ = K._radial_atom(P.RadialPower(e2, G.base_point(e2), beta), e2)
+        profile = P.RadialPower(e2, G.base_point(e2), beta).radial().profile
         for R in (1e-6, 3e-5):
             a = 2.0 - beta
             exact = 2 * math.pi * R**a * (math.log(1 / R) / a + 1 / a**2)
@@ -434,7 +435,7 @@ def test_weighted_inclusion_integrated_form():
 
 def test_constant_radius_fn_constant_per_model():
     for model in (E3, G.sphere2(), G.hyperbolic3(), G.torus(2, 5.0)):
-        R = K.constant_radius_fn(model, b=4.0)
+        R = K.constant_radius_fn(model)
         rng = np.random.default_rng(2)
         vals = {R(G.random_point(model, rng)) for _ in range(5)}
         assert len(vals) == 1

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from heatkato import geometry as G
 from heatkato import heat_kernel as HK
 from heatkato import potentials as P
-from heatkato.errors import DomainError, ManifestError, SingularityError, UnsupportedModelError
+from heatkato.errors import DomainError, HeatKatoError, ManifestError, SingularityError, UnsupportedModelError
 
 E3 = G.euclidean(3)
 ORIGIN = G.base_point(E3)
@@ -214,7 +215,7 @@ def test_parse_potential_round_trips():
 @pytest.mark.parametrize(
     "spec",
     ["radialpower:beta=abc", "constant:x", "scale:two:constant:1", "radialpower:center=0,a,0",
-     "pullback:0,7:constant:1", "pullback:x:constant:1"],
+     "pullback:0,7:constant:1", "pullback:x:constant:1", "pullback:-1,0:constant:1", "indicator:box:w=1,2"],
 )
 def test_parse_potential_number_errors_are_manifest_errors(spec):
     with pytest.raises(ManifestError):
@@ -226,3 +227,114 @@ def test_cosine_potential_on_circle():
     w = P.cosine_potential(c)
     for theta in (0.0, 0.7, 2.5):
         assert P.evaluate(w, G.circle_point(theta)) == pytest.approx(math.cos(theta), abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# property test over the documented spec grammar, malformed fields included
+
+_MODELS = ["euclidean:3", "circle", "product(euclidean:1,circle)"]
+_VALID_CENTERS = {
+    "euclidean:3": ["0,0,0", "1,-0.5,2"],
+    "euclidean:1": ["0", "0.7"],
+    "circle": ["1,0", "0,-1"],
+    "product(euclidean:1,circle)": ["0.5,1,0", "-1,0,1"],
+    "product(circle,euclidean:1)": ["1,0,0.5"],
+}
+# pullback index -> the model its inner spec lives on
+_FACTORS = {"product(euclidean:1,circle)": {"0": "euclidean:1", "1": "circle", "0,1": "product(euclidean:1,circle)",
+                                            "1,0": "product(circle,euclidean:1)"}}
+_GOOD = st.floats(0.1, 2.5).map(lambda v: f"{v:.3g}")
+_BAD = st.sampled_from(["0", "-1.5", "nan", "inf", "1e400", "abc", ""])
+_NUMBERS = st.integers(0, 7).flatmap(lambda k: _BAD if k == 0 else _GOOD)  # one field in eight malformed
+
+
+def _spec_strategy(model_name, depth=2):
+    center = st.integers(0, 7).flatmap(
+        lambda k: st.lists(_NUMBERS, min_size=1, max_size=4).map(lambda v: ":center=" + ",".join(v))
+        if k == 0
+        else st.sampled_from([""] + [":center=" + c for c in _VALID_CENTERS[model_name]])
+    )
+    leaf = st.one_of(
+        _NUMBERS.map(lambda v: "constant:" + v),
+        st.just("zero"),
+        st.tuples(_NUMBERS, st.one_of(st.just(""), _NUMBERS.map(lambda v: ":coeff=" + v)), center).map(
+            lambda a: f"radialpower:beta={''.join(a)}"
+        ),
+        center.map(lambda c: "coulomb" + c),
+        center.map(lambda c: "cosine" + c),
+        st.tuples(_NUMBERS, center).map(lambda a: f"indicator:ball:r={a[0]}{a[1]}"),
+        st.tuples(st.lists(_NUMBERS, min_size=1, max_size=3), center).map(
+            lambda a: f"indicator:box:w={','.join(a[0])}{a[1]}"
+        ),
+    )
+    if depth == 0:
+        return leaf
+    inner = _spec_strategy(model_name, depth - 1)
+    factors = _FACTORS.get(model_name, {"0": model_name})
+    return st.one_of(
+        leaf,
+        st.tuples(_NUMBERS, inner).map(lambda a: f"scale:{a[0]}:{a[1]}"),
+        st.tuples(_NUMBERS, center, inner).map(lambda a: f"windowed:r={a[0]}{a[1]}:{a[2]}"),
+        st.sampled_from(sorted(factors)).flatmap(
+            lambda i: _spec_strategy(factors[i], depth - 1).map(lambda v: f"pullback:{i}:{v}")
+        ),
+        st.tuples(st.sampled_from(["-1", "0,-1", "2", "0,5", "x", "0.5"]), leaf).map(lambda a: f"pullback:{a[0]}:{a[1]}"),
+        st.lists(leaf, min_size=1, max_size=3).map(lambda v: "sum[" + ";".join(v) + "]"),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_spec_grammar_parses_caps_and_bounds(data):
+    name = data.draw(st.sampled_from(_MODELS))
+    model = G.parse_manifold(name)
+    spec = data.draw(_spec_strategy(name))
+    try:
+        w = P.parse_potential(spec, model)
+    except HeatKatoError:
+        return
+    assert isinstance(w, P.Potential)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    center = P.center_of(w, model)
+    ys = np.array([G.random_point(model, rng).coords for _ in range(40)] + [center.coords])
+    eps = 1e-3
+    with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf and the like are part of the grammar
+        vals, near, cap = P.capped_values(w, ys, eps)
+        size = np.abs(P.evaluate_many(w, ys))
+    assert vals.shape == near.shape == (ys.shape[0],) and np.all(np.isfinite(vals)), spec
+    # bounds hold away from singular sets; the margins cover rounding only
+    away = P.singular_distance_many(w, ys) >= eps
+    sup = P.sup_abs(w)
+    if math.isfinite(sup):
+        assert np.all(size[away] <= sup * (1 + 1e-12)), spec
+    R = data.draw(st.floats(0.1, 3.0))
+    sup_out = P.sup_abs(w, outside=(center, R))
+    beyond = away & (G.distance_many(model, center.coords, ys) > R * (1 + 1e-9) + 1e-9)
+    if math.isfinite(sup_out):
+        assert np.all(size[beyond] <= sup_out * (1 + 1e-12)), (spec, R)
+
+
+def test_pullback_singular_sets_read_their_own_columns():
+    # swapped and nested pullbacks map their leaf coordinates through the
+    # product chart; a window around a pullback keeps its subspace set
+    prod = G.parse_manifold("product(euclidean:1,circle)")
+    rng = np.random.default_rng(0)
+    ys = np.array([G.random_point(prod, rng).coords for _ in range(5)])
+    swapped = G.parse_manifold("product(circle,euclidean:1)")
+    cases = [
+        ("pullback:1,0:radialpower:beta=0.5:center=1,0,0.5",
+         G.distance_many(swapped, np.array([1.0, 0.0, 0.5]), np.concatenate([ys[:, 1:3], ys[:, :1]], axis=1))),
+        ("pullback:1:pullback:0:radialpower:beta=0.5:center=0,1",
+         G.distance_many(G.circle(), np.array([0.0, 1.0]), ys[:, 1:3])),
+        ("windowed:r=1:pullback:0:radialpower:beta=0.5", np.abs(ys[:, 0])),
+    ]
+    for spec, expected in cases:
+        got = P.singular_distance_many(P.parse_potential(spec, prod), ys)
+        assert np.array_equal(got, expected), spec
+
+
+def test_box_indicator_on_a_product():
+    prod = G.parse_manifold("product(euclidean:1,circle)")
+    w = P.parse_potential("indicator:box:w=0.5", prod)
+    inside, outside = G.base_point(prod).coords, G.make_point(prod, [2.0, 1.0, 0.0]).coords
+    assert list(P.evaluate_many(w, np.array([inside, outside]))) == [1.0, 0.0]

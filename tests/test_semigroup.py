@@ -195,6 +195,17 @@ def test_bop_bound_spike_table_and_domination():
     assert bound.domination_margin >= -1e-12
 
 
+def test_capped_attractive_node_keeps_its_sign():
+    # -|d|^(-1/2) is -inf at its center: the capped node is the bottom of the
+    # well, -cap, not +cap above its neighbours
+    spike = P.absolute(P.RadialPower(CIRCLE, G.circle_point(0.0), 0.5))
+    op = SG.discretize(CIRCLE, 192, P.Scale(-1.0, spike))
+    assert op.capped_nodes == 1 and op.cap_value > 0.0
+    node0 = op.matrix[0, 0] - 1.0 / op.spacing**2  # minus the Laplacian's diagonal
+    assert node0 == pytest.approx(-op.cap_value, rel=1e-12)
+    assert op.potential_floor == -op.cap_value
+
+
 def test_domination_is_equality_for_negative_part_and_positive_data():
     # w = -w_-: |e^{-tH} f| = e^{-tH} |f| whenever f >= 0
     spike = P.absolute(P.RadialPower(CIRCLE, G.circle_point(0.0), 0.5))
