@@ -26,7 +26,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -193,21 +193,8 @@ class CheckContext:
 
 
 @dataclass
-class Outcome:
-    """What a check runner decides; ``run_check`` adds name, inequality and verdict."""
-
-    passed: bool
-    margin_min: float
-    tolerance: float
-    values: dict
-    sweep: dict = field(default_factory=dict)
-    empirical_constants: dict = field(default_factory=dict)
-    series: dict = field(default_factory=dict)
-
-
-@dataclass
 class CheckSpec:
-    runner: object  # (ctx, params) -> Outcome
+    runner: object  # (ctx, params) -> CheckResult without name and inequality
     inequality: str  # the inequality being tested, verbatim
     params: dict  # name -> (caster, default, domain); domain(value, model) gives a problem or None
     description: str
@@ -270,7 +257,7 @@ def _sample_points(model, n, seed):
     return [geom.random_point(model, rng, 1.2) for _ in range(n)]
 
 
-def _check_kernel(ctx: CheckContext, p: dict) -> Outcome:
+def _check_kernel(ctx: CheckContext, p: dict) -> CheckResult:
     ts = p["t_values"]
     pts = _sample_points(ctx.model, p["n_points"], ctx.seed + 1)
     rep = hk.check_consistency(ctx.engine, ts, pts)
@@ -281,8 +268,8 @@ def _check_kernel(ctx: CheckContext, p: dict) -> Outcome:
     margin = min(
         mass_tol - rep.mass_defect, ck_tol - rep.ck_residual, sym_tol - rep.symmetry_residual
     )
-    return Outcome(
-        margin >= 0, margin, max(mass_tol, ck_tol), rep.to_dict(),
+    return CheckResult(
+        margin >= 0, margin, max(mass_tol, ck_tol), rep,
         sweep={"t_values": ts, "n_points": p["n_points"]},
     )
 
@@ -292,17 +279,17 @@ def _default_radial_spec(model: ManifoldModel) -> str:
     return "radialpower:beta=1" if model.dim >= 2 else "radialpower:beta=0.5"
 
 
-def _check_kato_norm(ctx: CheckContext, p: dict) -> Outcome:
+def _check_kato_norm(ctx: CheckContext, p: dict) -> CheckResult:
     w = ctx.potential(_default_radial_spec(ctx.model))
     xs = [pot.center_of(w, ctx.model)] + _sample_points(ctx.model, p["n_x"] - 1, ctx.seed + 2)
     val = kato_mod.kato_functional(ctx.engine, w, p["t"], xs, s_min=p["s_min"])
-    return Outcome(
+    return CheckResult(
         math.isfinite(val), 0.0 if math.isfinite(val) else -math.inf, 0.0,
         {"t": p["t"], "N": val}, sweep={"n_x": p["n_x"], "s_min": p["s_min"]},
     )
 
 
-def _check_is_kato(ctx: CheckContext, p: dict) -> Outcome:
+def _check_is_kato(ctx: CheckContext, p: dict) -> CheckResult:
     w = ctx.potential(_default_radial_spec(ctx.model))
     ts = np.logspace(math.log10(p["t_min"]), math.log10(p["t_max"]), p["n_t"])
     curve, verdict = kato_mod.is_kato(
@@ -313,7 +300,7 @@ def _check_is_kato(ctx: CheckContext, p: dict) -> Outcome:
         [float(t), float(v), float(b)]
         for t, v, b in zip(curve.t_values, curve.values, curve.tail_bounds)
     ]
-    return Outcome(
+    return CheckResult(
         verdict.passed, p["threshold_ratio"] - verdict.decay_ratio, 0.0,
         {
             "gamma": verdict.gamma,
@@ -332,7 +319,7 @@ def _qs(value, model):
     return "must be auto or a comma-separated list of admissible exponents (q >= 1 if m = 1, else q > m/2)"
 
 
-def _check_holder(ctx: CheckContext, p: dict) -> Outcome:
+def _check_holder(ctx: CheckContext, p: dict) -> CheckResult:
     m = ctx.model.dim
     w = ctx.potential("windowed:r=1.5:radialpower:beta=0.35")
     control = kato_mod.control_pair_from_on_diag(ctx.engine)
@@ -351,18 +338,18 @@ def _check_holder(ctx: CheckContext, p: dict) -> Outcome:
     per_q = {}
     for q in qs:
         rep = kato_mod.holder_bound_check(ctx.engine, control, w, q, ss, xs, grid=grid)
-        per_q[f"q={q:g}"] = rep.to_dict()
+        per_q[f"q={q:g}"] = rep
         if not rep.rhs_divergent:
             worst = min(worst, rep.min_margin)
             tol = max(tol, rep.tolerance)
-    return Outcome(
+    return CheckResult(
         worst >= -tol, worst, tol, per_q,
         sweep={"qs": qs, "n_s": p["n_s"], "s_min": s_min},
         empirical_constants=dict(control.constants),
     )
 
 
-def _check_control_pair(ctx: CheckContext, p: dict) -> Outcome:
+def _check_control_pair(ctx: CheckContext, p: dict) -> CheckResult:
     ts = np.logspace(math.log10(p["t_min"]), 0.0, p["n_t"])
     xs = [geom.base_point(ctx.model)]
     if p["source"] == "liyau":
@@ -377,7 +364,7 @@ def _check_control_pair(ctx: CheckContext, p: dict) -> Outcome:
     ver = kato_mod.verify_control_pair(ctx.engine, pair, ts, xs)
     certs_ok = all(math.isfinite(v) for v in pair.certificates.values())
     margin = ver.min_margin if certs_ok else -math.inf
-    return Outcome(
+    return CheckResult(
         margin >= -1e-12 * ctx.scale, margin, 1e-12 * ctx.scale,
         {"certificates": {f"q={q:g}": v for q, v in pair.certificates.items()}},
         sweep={"t_min": float(ts.min()), "n_t": int(ts.size), "pair": pair.description},
@@ -405,7 +392,7 @@ def _fk_radius(value, model):
     return None
 
 
-def _check_fk_verify(ctx: CheckContext, p: dict) -> Outcome:
+def _check_fk_verify(ctx: CheckContext, p: dict) -> CheckResult:
     m = ctx.model.dim
     a = kato_mod.faber_krahn_constant(m) * p["a_scale"]
     radius_fn = lambda x: p["radius"]
@@ -413,35 +400,35 @@ def _check_fk_verify(ctx: CheckContext, p: dict) -> Outcome:
     if "h" not in ctx.manifest.params.get("fk-verify", {}) and m == 3:
         h = 1.0 / 12.0  # 3-d eigensolves grow fast; the default stays desk-scale
     rep = kato_mod.faber_krahn_verify(ctx.model, radius_fn, a, _default_fk_sets(ctx.model), h=h)
-    return Outcome(
+    return CheckResult(
         rep.passed, rep.min_margin, rep.tolerance, rep.to_dict(),
         sweep={"h": h, "a_scale": p["a_scale"]}, empirical_constants={"a": a},
     )
 
 
-def _check_mvi(ctx: CheckContext, p: dict) -> Outcome:
+def _check_mvi(ctx: CheckContext, p: dict) -> CheckResult:
     a = kato_mod.faber_krahn_constant(ctx.model.dim)
     cfg = mvi_mod.default_config(ctx.model, a, radius=p["radius"])
     rep = mvi_mod.mvi_sweep(cfg)
-    return Outcome(
-        rep.stable and math.isfinite(rep.c_emp), 0.10 - rep.drift, 0.0, rep.to_dict(),
+    return CheckResult(
+        rep.stable and math.isfinite(rep.c_emp), 0.10 - rep.drift, 0.0, rep,
         sweep=rep.sweep, empirical_constants={"C_emp": rep.c_emp},
     )
 
 
-def _check_heat_bound(ctx: CheckContext, p: dict) -> Outcome:
+def _check_heat_bound(ctx: CheckContext, p: dict) -> CheckResult:
     a = kato_mod.faber_krahn_constant(min(ctx.model.dim, 3))
     ts = np.logspace(math.log10(p["t_min"]), math.log10(p["t_max"]), p["n_t"])
     rep = mvi_mod.heat_bound_sweep(
         ctx.engine, lambda x: p["radius"], a, ts, [geom.base_point(ctx.model)]
     )
-    return Outcome(
-        rep.stable and math.isfinite(rep.c_hat), 0.10 - rep.drift, 0.0, rep.to_dict(),
+    return CheckResult(
+        rep.stable and math.isfinite(rep.c_hat), 0.10 - rep.drift, 0.0, rep,
         sweep=rep.sweep, empirical_constants={"C_hat": rep.c_hat, "a": a},
     )
 
 
-def _check_feynman_kac(ctx: CheckContext, p: dict) -> Outcome:
+def _check_feynman_kac(ctx: CheckContext, p: dict) -> CheckResult:
     w = ctx.potential("cosine")
     ts = p["t_values"]
     start = geom.circle_point(0.0)
@@ -461,7 +448,7 @@ def _check_feynman_kac(ctx: CheckContext, p: dict) -> Outcome:
             reasons.append(f"t={t:g}: no finite z-score (mc {est.value}, standard error {se})")
         rows.append([t, est.value, se, spectral, z])
         worst = min(worst, 4.0 - abs(z) if math.isfinite(z) else -math.inf)
-    return Outcome(
+    return CheckResult(
         worst >= 0, worst, 0.0, {"rows": rows, **({"reasons": reasons} if reasons else {})},
         sweep={"n_paths": p["n_paths"], "h": p["h"], "n_grid": p["n_grid"]},
         series={"feynman_kac": {"columns": ["t", "mc", "stderr", "spectral", "z"], "rows": rows}},
@@ -473,57 +460,57 @@ def _leaf_index(value, model):
     return None if 0 <= value < n else f"must be a leaf index in 0..{n - 1}"
 
 
-def _check_project(ctx: CheckContext, p: dict) -> Outcome:
+def _check_project(ctx: CheckContext, p: dict) -> CheckResult:
     leaf = pot.leaves(ctx.model)[p["leaf"]][0]
     w = ctx.potential("indicator:ball:r=1", target=leaf)
     x = geom.base_point(ctx.model)
     rep = st.elworthy_projection_check(
         ctx.model, p["leaf"], w, p["t"], x, N=p["n_paths"], h=p["h"], seed=ctx.seed
     )
-    return Outcome(
-        rep.passed, rep.rhs_quad - rep.lhs_quad, rep.quad_tolerance, rep.to_dict(),
+    return CheckResult(
+        rep.passed, rep.rhs_quad - rep.lhs_quad, rep.quad_tolerance, rep,
         sweep={"t": p["t"], "leaf": p["leaf"], "n_paths": p["n_paths"]},
     )
 
 
-def _check_kato_exponential(ctx: CheckContext, p: dict) -> Outcome:
+def _check_kato_exponential(ctx: CheckContext, p: dict) -> CheckResult:
     w = ctx.potential("windowed:r=1:radialpower:beta=0.5")
     rep = st.kato_exponential_estimate(
         ctx.model, w, p["t_values"], p["deltas"], p["n_paths"], h=p["h"], seed=ctx.seed,
     )
     finite = all(math.isfinite(e["C"]) for e in rep.table) and not rep.overflowed
-    return Outcome(
-        finite, 0.0 if finite else -math.inf, 0.0, rep.to_dict(),
+    return CheckResult(
+        finite, 0.0 if finite else -math.inf, 0.0, rep,
         sweep={"n_paths": p["n_paths"], "h": p["h"]},
         empirical_constants={f"C(delta={e['delta']:g})": e["C"] for e in rep.table},
     )
 
 
-def _check_semigroup(ctx: CheckContext, p: dict) -> Outcome:
+def _check_semigroup(ctx: CheckContext, p: dict) -> CheckResult:
     w_minus = ctx.potential("radialpower:beta=0.5")
     op_minus = sg.discretize(ctx.model, p["n_grid"], pot.Scale(-1.0, pot.absolute(w_minus)))
     bound = sg.bop_bound_check(op_minus, p["t_values"], p["deltas"], qs=(1, 2, 4, np.inf), seed=ctx.seed)
     tol = 1e-10 * ctx.scale
-    return Outcome(
+    return CheckResult(
         bound.min_margin >= -tol and bound.domination_margin >= -tol,
-        min(bound.min_margin, bound.domination_margin), tol, bound.to_dict(),
+        min(bound.min_margin, bound.domination_margin), tol, bound,
         sweep={"n_grid": p["n_grid"]},
         empirical_constants={f"C(delta={e['delta']:g})": e["C"] for e in bound.table},
     )
 
 
-def _check_riesz(ctx: CheckContext, p: dict) -> Outcome:
+def _check_riesz(ctx: CheckContext, p: dict) -> CheckResult:
     w = ctx.potential("cosine")
     op = sg.discretize(ctx.model, p["n_grid"], w)
     rep = sg.riesz_thorin_check(op, p["t"], p["r_values"])
     tol = 1e-10 * ctx.scale
-    return Outcome(
-        rep.min_margin >= -tol, rep.min_margin, tol, rep.to_dict(),
+    return CheckResult(
+        rep.min_margin >= -tol, rep.min_margin, tol, rep,
         sweep={"t": p["t"], "n_grid": p["n_grid"]},
     )
 
 
-def _check_coulomb(ctx: CheckContext, p: dict) -> Outcome:
+def _check_coulomb(ctx: CheckContext, p: dict) -> CheckResult:
     o = geom.base_point(ctx.model)
     profile = pot.coulomb_profile(ctx.model)
     tol = p["rel_tol"] * ctx.scale
@@ -539,7 +526,7 @@ def _check_coulomb(ctx: CheckContext, p: dict) -> Outcome:
         rel = abs(cv.value - closed) / closed
         rows.append([d, cv.value, closed, rel, cv.tail_bound])
         worst = min(worst, tol - rel)
-    return Outcome(
+    return CheckResult(
         worst >= 0, worst, tol, {"rows": rows}, sweep={"r_values": p["r_values"]},
         series={"coulomb": {"columns": ["d", "quadrature", "closed_form", "rel_err", "tail"], "rows": rows}},
     )
@@ -751,17 +738,9 @@ def run_check(ctx: CheckContext, name: str) -> CheckResult:
     spec = CHECKS[name]
     t0 = time.perf_counter()
     try:
-        out = spec.runner(ctx, _params(ctx.manifest, name))
-        result = CheckResult(
-            name=name, verdict="PASS" if out.passed else "FAIL", inequality=spec.inequality,
-            margin_min=out.margin_min, tolerance=out.tolerance, values=out.values, sweep=out.sweep,
-            empirical_constants=out.empirical_constants, series=out.series,
-        )
+        result = replace(spec.runner(ctx, _params(ctx.manifest, name)), name=name, inequality=spec.inequality)
     except HeatKatoError as exc:
-        result = CheckResult(
-            name=name, verdict="FAIL", inequality="", margin_min=-math.inf,
-            tolerance=0.0, values={"error": str(exc)},
-        )
+        result = CheckResult(False, -math.inf, 0.0, {"error": str(exc)}, name=name)
     result.runtime_s = time.perf_counter() - t0
     return result
 

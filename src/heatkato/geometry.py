@@ -337,12 +337,6 @@ class Circle(_Embedded):
         theta = np.arange(n) * (2.0 * math.pi / n)
         return np.stack([np.cos(theta), np.sin(theta)], axis=1), np.full(n, 2.0 * math.pi / n)
 
-    def ball_grid(self, center, radius, h, n_dir):
-        r = min(radius, math.pi)
-        off, w_off = gl_nodes(np.linspace(-r, r, max(6, int(math.ceil(2 * r / h))) + 1))
-        ang = math.atan2(center.coords[1], center.coords[0]) + off
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1), w_off
-
     def chart_from_path(self, paths):
         a = paths[..., 0]
         return np.stack([np.cos(a), np.sin(a)], axis=-1)
@@ -441,16 +435,6 @@ class Sphere2(_Embedded):
     def full_nodes(self, resolution):
         return _sphere_directions(max(8, int(math.ceil(math.pi / resolution))))
 
-    def ball_grid(self, center, radius, h, n_dir):
-        c = center.coords
-        rho, w_rho = _radial_cells(min(radius, math.pi), h)
-        n_ang = n_dir or 48
-        ang = (np.arange(n_ang) + 0.5) * (2.0 * math.pi / n_ang)
-        e1, e2 = _tangent_frame_sphere(c)
-        dirs = np.cos(ang)[:, None] * e1[None, :] + np.sin(ang)[:, None] * e2[None, :]
-        w_dir = np.full(n_ang, 2.0 * math.pi / n_ang)
-        return _exp_polar(self, c, rho[:, None, None] * dirs[None, :, :], w_rho * np.sin(rho), w_dir)
-
     def cross_distance(self, rho, theta, d):
         sin_half_sq = np.sin(theta / 2.0) ** 2
         one_m_cos = 2.0 * np.sin((rho - d) / 2.0) ** 2 + 2.0 * np.sin(rho) * math.sin(d) * sin_half_sq
@@ -483,7 +467,7 @@ class Hyperbolic3(ManifoldModel):
         # cosh d = 1 + |x-y|^2 / (2 z_x z_y); 2*asinh(sqrt(u/2)) is exact and
         # stays accurate for tiny separations where arccosh(1+u) would not.
         diff = ys - x
-        u = np.einsum("ij,ij->i", diff, diff) / (2.0 * x[2] * ys[:, 2])
+        u = np.einsum("ij,ij->i", diff, diff) / (2.0 * x[..., 2] * ys[:, 2])
         return 2.0 * np.arcsinh(np.sqrt(u / 2.0))
 
     def ball_volume(self, r):
@@ -717,7 +701,8 @@ def random_point(model: ManifoldModel, rng: np.random.Generator, spread: float =
 
 
 def distance_many(model: ManifoldModel, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Geodesic distances from chart coords ``x`` (d,) to rows of ``ys`` (n, d)."""
+    """Geodesic distances from chart coords ``x`` (d,) to rows of ``ys`` (n, d).
+    On Euclidean and Hyperbolic3 ``x`` may be (n, d) too, paired row by row."""
     return model.distance_many(x, np.atleast_2d(ys))
 
 
@@ -906,10 +891,6 @@ class QuadratureGrid:
         if np.any(self.weights <= 0):
             raise DomainError("quadrature weights must be strictly positive")
 
-    @property
-    def nodes(self) -> list[Point]:
-        return [Point(c) for c in self.node_coords]
-
     def integrate(self, values: np.ndarray) -> float:
         return float(self.weights @ np.asarray(values))
 
@@ -944,14 +925,6 @@ def _sphere_directions(n_z: int):
     return dirs, w
 
 
-def _tangent_frame_sphere(c: np.ndarray):
-    u = np.array([1.0, 0.0, 0.0]) if abs(c[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = u - (u @ c) * c
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(c, e1)
-    return e1, e2
-
-
 def build_grid(model: ManifoldModel, resolution: float, window, n_dir: int | None = None) -> QuadratureGrid:
     """Nodes/weights approximating the volume measure over the window.
 
@@ -977,22 +950,28 @@ def build_grid(model: ManifoldModel, resolution: float, window, n_dir: int | Non
 # manifold spec strings
 
 
+def split_top_level(text: str, sep: str, brackets: str) -> list[str]:
+    """Split text at each ``sep`` outside the bracket pair ``brackets``
+    (e.g. "()"), so a nested term stays whole."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == brackets[0]:
+            depth += 1
+        elif ch == brackets[1]:
+            depth -= 1
+        elif ch == sep and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
+
+
 def parse_manifold(spec: str) -> ManifoldModel:
     """Parse specs like ``euclidean:3``, ``torus:2:6.2832``, ``sphere2``,
     ``hyperbolic3``, ``circle``, ``product(euclidean:3,euclidean:3)``."""
     s = spec.strip().lower()
     if s.startswith("product(") and s.endswith(")"):
-        inner = s[len("product(") : -1]
-        parts, depth, start = [], 0, 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                parts.append(inner[start:i])
-                start = i + 1
-        parts.append(inner[start:])
+        parts = split_top_level(s[len("product(") : -1], ",", "()")
         if len(parts) < 2 or any(not p.strip() for p in parts):
             raise ManifestError(f"product needs at least two factors: {spec!r}")
         models = [parse_manifold(p) for p in parts]

@@ -13,7 +13,7 @@ Methods (``model.kernel_methods`` lists those that apply, "auto" first):
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -381,9 +381,6 @@ class KernelCheckReport:
     truncation_bound: float
     mass_tail_bound: float
     n_samples: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def check_consistency(

@@ -83,10 +83,8 @@ def default_qs(m: int) -> tuple[float, ...]:
 @dataclass
 class PairVerification:
     min_margin: float
-    t_range: tuple[float, float]
     n_samples: int
     details: list
-
 
 
 def verify_control_pair(
@@ -111,8 +109,7 @@ def verify_control_pair(
             margin = bound - supval
             details.append({"t": float(t), "margin": margin})
             worst = min(worst, margin)
-    ts = [float(t) for t in t_values]
-    return PairVerification(worst, (min(ts), max(ts)), len(details), details)
+    return PairVerification(worst, len(details), details)
 
 
 def _space_at(pair: KatoControlPair, x: Point) -> float:
@@ -186,8 +183,6 @@ def doubling_check(model: ManifoldModel) -> float:
 class SmoothedValue:
     value: float
     tail_bound: float
-    is_upper_bound: bool  # triangle-inequality bound on |sum| for mixed signs
-    method: str
 
 
 def smoothed_abs(
@@ -209,9 +204,7 @@ def smoothed_abs(
     model = engine.model
     terms = pot.terms(w)
     if not terms:
-        return SmoothedValue(0.0, 0.0, False, "empty")
-    signs = {math.copysign(1.0, c) for c, _ in terms if c != 0.0}
-    mixed = len(signs) > 1
+        return SmoothedValue(0.0, 0.0)
     if model.radial_kernel:
         atoms = []
         ok = True
@@ -236,7 +229,7 @@ def smoothed_abs(
                     v, tb = _two_point_atom(engine, fker, s, x, ra, refinement)
                     total += coef * v
                     tail += coef * tb
-            return SmoothedValue(total, tail, mixed and len(terms) > 1, "two-point")
+            return SmoothedValue(total, tail)
     return _smoothed_grid(engine, w, s, x, grid)
 
 
@@ -314,13 +307,13 @@ def _smoothed_grid(engine, w, s, x, grid):
         # self-normalize so an under-resolved kernel still reports the
         # kernel-weighted average times the true mass
         value = base / raw_mass * mass
-        return SmoothedValue(value, merr * float(np.max(vals)), False, "grid-normalized")
+        return SmoothedValue(value, merr * float(np.max(vals)))
     # singular case: normalize the node sum by the same mass ratio within a
     # guard band (excised near-field stays analytic)
     factor = 1.0
     if raw_mass > 0.0:
         factor = min(max(mass / raw_mass, 0.25), 4.0)
-    return SmoothedValue(base * factor + correction, 0.0, False, "grid-excised")
+    return SmoothedValue(base * factor + correction, 0.0)
 
 
 def _center_and_offsets(w: pot.Potential, model: ManifoldModel, offsets) -> list[Point]:
@@ -353,31 +346,15 @@ class KatoFunctionalCurve:
     t_values: np.ndarray  # decreasing
     values: np.ndarray
     tail_bounds: np.ndarray  # short-time remainder + quadrature tails
-    gamma: float  # power-law fit N(t) ~ c t^gamma
-    prefactor: float
     diverges: bool
-    notes: list
-
-    def to_dict(self) -> dict:
-        return {
-            "t_values": list(map(float, self.t_values)),
-            "values": list(map(float, self.values)),
-            "tail_bounds": list(map(float, self.tail_bounds)),
-            "gamma": self.gamma,
-            "prefactor": self.prefactor,
-            "diverges": self.diverges,
-            "notes": self.notes,
-        }
 
 
 @dataclass
 class KatoVerdict:
     passed: bool
     label: str  # always "numerical evidence"
-    gamma: float
+    gamma: float  # power-law fit N(t) ~ c t^gamma
     decay_ratio: float
-    threshold_ratio: float
-    gamma_min: float
     reasons: list
 
 
@@ -410,7 +387,7 @@ def kato_functional(
     """
     if t <= 0:
         raise DomainError("t must be positive")
-    rem, _ = _short_time_remainder(engine, w, s_min)
+    rem = _short_time_remainder(engine, w, s_min)
     core, _ = _kato_core(engine, w, t, x_grid, s_min)
     return core + rem
 
@@ -438,12 +415,12 @@ def _short_time_remainder(engine, w, s_min):
     is bounded, otherwise the windowed L^q norm against the control pair (with
     q chosen to minimize the bound) plus the outside sup times s_min."""
     if s_min <= 0:
-        return 0.0, "none"
+        return 0.0
     model = engine.model
     m = model.dim
     sup_w = pot.sup_abs(w)
     if math.isfinite(sup_w):
-        return s_min * sup_w, "bounded potential: s_min * sup|w|"
+        return s_min * sup_w
     control = control_pair_from_on_diag(engine)
     sings = [s for s in pot.singularities(w) if s.pair_cols is None]
     beta_max = max((s.beta for s in sings), default=0.0)
@@ -458,7 +435,7 @@ def _short_time_remainder(engine, w, s_min):
             q_candidates = [m / 2.0 + f * (hi - m / 2.0) for f in (0.3, 0.5, 0.7, 0.85, 0.95)]
     q_candidates = [q for q in q_candidates if admissible_q(m, q) and beta_max * q < m]
     if not q_candidates:
-        return math.inf, "no admissible q gives a finite weighted norm"
+        return math.inf  # no admissible q gives a finite weighted norm
     center = pot.center_of(w, model)
     R = 3.0
     if model.compact:
@@ -469,7 +446,7 @@ def _short_time_remainder(engine, w, s_min):
         grid = geom.build_grid(model, R / 60.0, BallWindow(center, R), n_dir=8)
         windowed = pot.Windowed(model, w, BallWindow(center, R))
         sup_out = pot.sup_abs(w, outside=(center, R))
-    best, best_q = math.inf, None
+    best = math.inf
     for q in q_candidates:
         wq = pot.lq_norm(windowed, q, control.space_factor, grid)
         if wq.diverges:
@@ -482,12 +459,8 @@ def _short_time_remainder(engine, w, s_min):
             epsrel=1e-9,
             limit=200,
         )
-        bound = wq.value * s_min * integ + s_min * sup_out
-        if bound < best:
-            best, best_q = bound, q
-    if not math.isfinite(best):
-        return math.inf, "windowed norm diverges"
-    return best, f"control-pair remainder with q={best_q:.3g}"
+        best = min(best, wq.value * s_min * integ + s_min * sup_out)
+    return best
 
 
 def is_kato(
@@ -510,20 +483,15 @@ def is_kato(
     if ts.size < 2:
         raise DomainError("need at least two t values")
     model = engine.model
-    notes = []
     if _inner_divergent(w):
-        curve = KatoFunctionalCurve(
-            ts, np.full(ts.size, math.inf), np.full(ts.size, math.inf), 0.0, math.inf, True,
-            ["inner space integral diverges (beta >= m at a singular center)"],
-        )
-        verdict = KatoVerdict(False, "numerical evidence", 0.0, math.inf, threshold_ratio, gamma_min,
-                              ["divergent smoothing integral"])
-        return curve, verdict
+        curve = KatoFunctionalCurve(ts, np.full(ts.size, math.inf), np.full(ts.size, math.inf), True)
+        return curve, KatoVerdict(False, "numerical evidence", 0.0, math.inf, ["divergent smoothing integral"])
     x_samples = _center_and_offsets(w, model, (0.5, 1.5))
-    rem, rem_note = _short_time_remainder(engine, w, s_min)
+    rem = _short_time_remainder(engine, w, s_min)
     if not math.isfinite(rem):
-        notes.append("short-time tail estimate divergent; values cover s >= s_min only")
-        rem = 0.0  # the divergence is reflected in the verdict via decay failure
+        # the values then cover s >= s_min only; the divergence is reflected
+        # in the verdict via decay failure
+        rem = 0.0
     # the functional is largest at the potential center for the radial battery;
     # rank the x-samples once at the largest t, then sweep the winner
     t0 = float(ts[0])
@@ -537,15 +505,12 @@ def is_kato(
         tails.append(tb + rem)
     values = np.array(values)
     tails = np.array(tails)
-    notes.append(rem_note)
     finite = np.isfinite(values) & (values > 0)
+    gamma = 0.0
     if finite.sum() >= 2:
-        coef = np.polyfit(np.log(ts[finite]), np.log(values[finite]), 1)
-        gamma, pref = float(coef[0]), float(math.exp(coef[1]))
-    else:
-        gamma, pref = 0.0, math.inf
+        gamma = float(np.polyfit(np.log(ts[finite]), np.log(values[finite]), 1)[0])
     diverges = bool(np.any(~np.isfinite(values)))
-    curve = KatoFunctionalCurve(ts, values, tails, gamma, pref, diverges, notes)
+    curve = KatoFunctionalCurve(ts, values, tails, diverges)
     if diverges or values[0] <= 0:
         ratio = math.inf if diverges else 0.0
     else:
@@ -564,7 +529,7 @@ def is_kato(
             reasons.append(f"fitted exponent {gamma:.3g} below {gamma_min}")
     if passed:
         reasons.append(f"decay ratio {ratio:.3g}, fitted exponent {gamma:.3g}")
-    return curve, KatoVerdict(passed, "numerical evidence", gamma, ratio, threshold_ratio, gamma_min, reasons)
+    return curve, KatoVerdict(passed, "numerical evidence", gamma, ratio, reasons)
 
 
 # ---------------------------------------------------------------------------
@@ -578,20 +543,10 @@ class HolderReport:
     tolerance: float
     rhs_divergent: bool
     n_samples: int
-    details: list
 
     @property
     def passed(self) -> bool:
         return self.rhs_divergent or self.min_margin >= -self.tolerance
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "min_margin": self.min_margin,
-            "tolerance": self.tolerance,
-            "rhs_divergent": self.rhs_divergent,
-            "n_samples": self.n_samples,
-        }
 
 
 def holder_bound_check(
@@ -610,8 +565,8 @@ def holder_bound_check(
     norm_grid = grid or _default_y_grid(engine, w, max(s_samples), list(x_samples))
     wq = pot.lq_norm(w, q, control.space_factor, norm_grid)
     if wq.diverges:
-        return HolderReport(q, math.inf, 0.0, True, 0, [])
-    details = []
+        return HolderReport(q, math.inf, 0.0, True, 0)
+    n_samples = 0
     worst = math.inf
     tail_worst = 0.0
     for s in s_samples:
@@ -622,10 +577,10 @@ def holder_bound_check(
             sv = smoothed_abs(engine, w, float(s), x, grid=grid)
             margin = rhs_factor * wq.value - sv.value
             tail_worst = max(tail_worst, sv.tail_bound)
-            details.append({"s": float(s), "margin": margin})
+            n_samples += 1
             worst = min(worst, margin)
     tol = max(1e-8, 10.0 * tail_worst)
-    return HolderReport(q, worst, tol, False, len(details), details)
+    return HolderReport(q, worst, tol, False, n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -790,9 +745,7 @@ def constant_radius_fn(model: ManifoldModel):
 class FDEigenResult:
     value: float  # extrapolated smallest eigenvalue of -(1/2) Laplace, Dirichlet
     raw: list  # per-resolution values
-    spacings: list
     converged: bool
-    order: int
 
 
 _FD_MIN_NODES = 20  # fewest interior nodes a finite-difference solve accepts
@@ -849,8 +802,8 @@ def _fd_ground_energy(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h) -> f
 
 
 def _fd_levels(model: ManifoldModel, region, h: float, refinements: int):
-    """(m, one (inside, lo, hi, spacings, reported spacing) per refinement,
-    Richardson order) of the finite-difference grids for the region."""
+    """(m, one (inside, lo, hi, spacings) per refinement, Richardson order)
+    of the finite-difference grids for the region."""
     if isinstance(model, Torus):
         # small boxes lift isometrically to Euclidean space
         if isinstance(region, BoxWindow) and max(region.halfwidth) < model.side_length / 2.0:
@@ -867,7 +820,7 @@ def _fd_levels(model: ManifoldModel, region, h: float, refinements: int):
         R = region.radius
         lo, hi = c - R, c + R
         inside = lambda pts: np.linalg.norm(pts - c, axis=1) < R - 1e-12
-        return m, [(inside, lo, hi, s, s) for s in (h / (2.0**j) for j in range(refinements + 1))], 1
+        return m, [(inside, lo, hi, h / (2.0**j)) for j in range(refinements + 1)], 1
     if isinstance(region, BoxWindow):
         c = np.asarray(region.center.coords[:m], dtype=float)
         hw = np.asarray(region.halfwidth, dtype=float)
@@ -879,7 +832,7 @@ def _fd_levels(model: ManifoldModel, region, h: float, refinements: int):
             # counts halves each spacing exactly, keeping Richardson clean
             ns = [nk * 2**j for nk in n0]
             hs = [2.0 * hwk / nk for hwk, nk in zip(hw, ns)]
-            levels.append((inside, c - hw + np.asarray(hs), c + hw - np.asarray(hs) / 2.0, hs, max(hs)))
+            levels.append((inside, c - hw + np.asarray(hs), c + hw - np.asarray(hs) / 2.0, hs))
         return m, levels, 2
     raise DomainError(f"unsupported region {region!r}")
 
@@ -888,7 +841,7 @@ def fd_grid_too_coarse(model: ManifoldModel, region, h: float) -> bool:
     """True when dirichlet_ground_energy's coarsest grid for the region at
     spacing h would have too few interior nodes to solve on."""
     m, levels, _ = _fd_levels(model, region, h, 0)
-    return int(_fd_mask(m, *levels[0][:4])[0].sum()) < _FD_MIN_NODES
+    return int(_fd_mask(m, *levels[0])[0].sum()) < _FD_MIN_NODES
 
 
 def dirichlet_ground_energy(
@@ -900,15 +853,14 @@ def dirichlet_ground_energy(
     Ball regions have a staircase boundary (first-order error); box regions
     align with the lattice (second-order)."""
     m, levels, order = _fd_levels(model, region, h, refinements)
-    raw = [_fd_ground_energy(m, inside, lo, hi, hs) for inside, lo, hi, hs, _ in levels]
-    spac = [spacing for *_, spacing in levels]
+    raw = [_fd_ground_energy(m, *level) for level in levels]
     if len(raw) >= 2:
         r = 2.0**order
         value = (r * raw[-1] - raw[-2]) / (r - 1.0)
         converged = abs(raw[-1] - raw[-2]) <= 0.05 * abs(raw[-1])
     else:
         value, converged = raw[-1], False
-    return FDEigenResult(value, raw, spac, converged, order)
+    return FDEigenResult(value, raw, converged)
 
 
 def region_volume(model: ManifoldModel, region) -> float:
@@ -993,9 +945,6 @@ class HeatBoundReport:
     c_hat: float
     chain_margin: float
     sweep: dict
-
-    def to_dict(self) -> dict:
-        return {"c_hat": self.c_hat, "chain_margin": self.chain_margin, "sweep": self.sweep}
 
 
 def control_pair_from_faber_krahn(

@@ -8,7 +8,7 @@ cell ratio is pure quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,9 +50,6 @@ class MviReport:
     stable: bool
     worst_cell: dict
     sweep: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _cylinder_integral(engine, x, y0, t, tau, q, radius, n_s, max_cell_scale):
@@ -165,9 +162,6 @@ class HeatBoundSweep:
     drift: float  # relative change under sweep doubling
     stable: bool
     sweep: dict
-
-    def to_dict(self) -> dict:
-        return {"c_hat": self.c_hat, "drift": self.drift, "stable": self.stable, "sweep": self.sweep}
 
 
 def heat_bound_sweep(

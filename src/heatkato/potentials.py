@@ -8,7 +8,7 @@ singular centers (never a silent overflow).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -95,7 +95,7 @@ class CoulombPotential(Potential):
 class TwoBody(Potential):
     """On a two-copy product: w(y1, y2) = profile(d_base(y1, y2))."""
 
-    model: ManifoldModel  # product(base, base)
+    model: ManifoldModel  # product(base, base); base is Euclidean or Hyperbolic3
     profile: Callable[[np.ndarray], np.ndarray]
 
 
@@ -156,6 +156,10 @@ class Sum(Potential):
 class Scale(Potential):
     factor: float
     inner: Potential
+
+    def __post_init__(self):
+        if not math.isfinite(self.factor):
+            raise DomainError("scale factor must be finite")  # inf or nan times a zero value is nan
 
 
 @dataclass(frozen=True)
@@ -233,11 +237,8 @@ def evaluate_many(w: Potential, ys: np.ndarray) -> np.ndarray:
         out = np.where(d > 0.0, w.profile(np.maximum(d, 1e-300)), np.inf)
         return out
     if isinstance(w, TwoBody):
-        left, right = w.model.factors
-        cl = left.chart_dim
-        d = np.array(
-            [geom.distance_many(left, row[:cl], row[None, cl:])[0] for row in ys]
-        )
+        left = w.model.factors[0]
+        d = geom.distance_many(left, ys[:, : left.chart_dim], ys[:, left.chart_dim :])
         return np.where(d > 0.0, w.profile(np.maximum(d, 1e-300)), np.inf)
     if isinstance(w, Pullback):
         if isinstance(w.index, tuple):
@@ -293,14 +294,14 @@ class SingularityInfo:
         ys = np.atleast_2d(ys)
         if self.pair_cols is not None:
             ci, cj = self.pair_cols
-            d = np.array(
-                [geom.distance_many(self.model, row[ci], row[None, cj])[0] for row in ys]
-            )
+            d = geom.distance_many(self.model, ys[:, _run(ci)], ys[:, _run(cj)])
             return d / math.sqrt(2.0)  # distance to the diagonal in the product metric
-        cols = self.cols
-        if np.all(np.diff(cols) == 1):  # one run of columns: a view, not a copy
-            cols = slice(cols[0], cols[-1] + 1)
-        return geom.distance_many(self.model, self.center.coords, ys[:, cols])
+        return geom.distance_many(self.model, self.center.coords, ys[:, _run(self.cols)])
+
+
+def _run(cols: np.ndarray):
+    """One run of columns as a slice (a view, not a copy), else the columns."""
+    return slice(cols[0], cols[-1] + 1) if np.all(np.diff(cols) == 1) else cols
 
 
 def singularities(w: Potential, scale: float = 1.0, cols: np.ndarray | None = None) -> list[SingularityInfo]:
@@ -440,12 +441,7 @@ class WeightedLqNorm:
     q: float
     value: float
     diverges: bool
-    excision_radius: float
     excised_nodes: int
-    window: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _weight_values(weight, grid: QuadratureGrid) -> np.ndarray:
@@ -494,7 +490,7 @@ def lq_norm(
     sings = [s for s in singularities(w) if s.pair_cols is None]
     for s in sings:
         if s.beta * q >= s.model.dim:
-            return WeightedLqNorm(q, math.inf, True, 0.0, 0, grid.window.describe())
+            return WeightedLqNorm(q, math.inf, True, 0)
     eps = 2.0 * grid.resolution
     vals = np.abs(evaluate_many(w, grid.node_coords))
     wvals = _weight_values(weight, grid)
@@ -512,9 +508,7 @@ def lq_norm(
         rest = _smooth_rest_at(sings, s.center)
         correction += wc * (val + rest**q * geom.ball_volume_radial(s.model, eps))
     total = base + correction
-    return WeightedLqNorm(
-        q, total ** (1.0 / q), False, eps, int(np.sum(~keep)), grid.window.describe()
-    )
+    return WeightedLqNorm(q, total ** (1.0 / q), False, int(np.sum(~keep)))
 
 
 def _smooth_rest_at(sings: list[SingularityInfo], center: Point) -> float:
@@ -536,10 +530,6 @@ def _smooth_rest_at(sings: list[SingularityInfo], center: Point) -> float:
 class CoulombValue:
     value: float
     tail_bound: float
-    s_max: float
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "tail_bound": self.tail_bound, "s_max": self.s_max}
 
 
 def _coulomb_supported(model: ManifoldModel) -> bool:
@@ -602,7 +592,7 @@ def coulomb(
         else:
             sm *= 4.0
         val = compute(sm)
-    return CoulombValue(value=val, tail_bound=tail(sm), s_max=sm)
+    return CoulombValue(value=val, tail_bound=tail(sm))
 
 
 def coulomb_profile(model: ManifoldModel) -> Callable[[np.ndarray], np.ndarray]:
@@ -684,7 +674,7 @@ def _parse(spec: str, model: ManifoldModel) -> Potential:
         inner = s[4:-1]
         if not inner.strip():
             return Sum(())
-        return Sum(tuple(_parse(part, model) for part in inner.split(";")))
+        return Sum(tuple(_parse(part, model) for part in geom.split_top_level(inner, ";", "[]")))
     head, _, rest = s.partition(":")
     head = head.strip().lower()
     if head == "constant":

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 
 def _jsonable(obj):
+    """JSON-ready copy of a report value; a dataclass record becomes the dict
+    of its fields."""
+    if is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -18,44 +22,34 @@ def _jsonable(obj):
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         return obj
-    if hasattr(obj, "item"):  # numpy scalars
-        return _jsonable(obj.item())
-    if hasattr(obj, "tolist"):
+    if hasattr(obj, "tolist"):  # numpy scalars and arrays
         return _jsonable(obj.tolist())
     return obj
 
 
 @dataclass
 class CheckResult:
-    name: str
-    verdict: str  # "PASS" | "FAIL"
-    inequality: str  # the inequality being tested, verbatim
+    """One check's outcome.  A runner decides the first seven fields;
+    ``cli.run_check`` adds the name, the inequality and the runtime."""
+
+    passed: bool
     margin_min: float
     tolerance: float
-    values: dict = field(default_factory=dict)
+    values: object = field(default_factory=dict)  # a report record or a dict
     sweep: dict = field(default_factory=dict)
     empirical_constants: dict = field(default_factory=dict)
-    runtime_s: float = 0.0
     series: dict = field(default_factory=dict)  # name -> {"columns": [...], "rows": [[...]]}
+    name: str = ""
+    inequality: str = ""  # the inequality being tested, verbatim
+    runtime_s: float = 0.0
 
     @property
-    def passed(self) -> bool:
-        return self.verdict == "PASS"
+    def verdict(self) -> str:
+        return "PASS" if self.passed else "FAIL"
 
     def to_dict(self) -> dict:
-        return _jsonable(
-            {
-                "name": self.name,
-                "verdict": self.verdict,
-                "inequality": self.inequality,
-                "margin_min": self.margin_min,
-                "tolerance": self.tolerance,
-                "values": self.values,
-                "sweep": self.sweep,
-                "empirical_constants": self.empirical_constants,
-                "runtime_s": self.runtime_s,
-            }
-        )
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("passed", "series")}
+        return _jsonable({**d, "verdict": self.verdict})
 
 
 @dataclass

@@ -203,24 +203,13 @@ def q_norm(op: DiscretizedOperator, t: float, q) -> float:
 
 @dataclass
 class QNormBound:
-    qs: list
-    t_values: list
+    qs: list  # str(q), the keys of norms
+    t: list
     norms: dict  # str(q) -> list of norms over t
     table: list  # per delta: {"delta", "C"}
     min_margin: float
     domination_margin: float
     capped_nodes: int
-
-    def to_dict(self) -> dict:
-        return {
-            "qs": [str(q) for q in self.qs],
-            "t": self.t_values,
-            "norms": self.norms,
-            "table": self.table,
-            "min_margin": self.min_margin,
-            "domination_margin": self.domination_margin,
-            "capped_nodes": self.capped_nodes,
-        }
 
 
 def fit_growth_constant(t_values, norms_max, delta: float) -> float:
@@ -265,7 +254,7 @@ def bop_bound_check(
             for j, t in enumerate(ts):
                 margin = min(margin, math.log(d) + t * C - math.log(norms[str(q)][j]))
     dom = _domination_margin(op_minus, op_full or op_minus, ts, seed)
-    return QNormBound(list(qs), ts, norms, table, margin, dom, op_minus.capped_nodes)
+    return QNormBound([str(q) for q in qs], ts, norms, table, margin, dom, op_minus.capped_nodes)
 
 
 def _domination_margin(op_minus, op_full, ts, seed) -> float:
@@ -287,9 +276,6 @@ class InterpolationReport:
     t: float
     entries: list  # {"r", "q", "norm", "bound", "margin"}
     min_margin: float
-
-    def to_dict(self) -> dict:
-        return {"t": self.t, "entries": self.entries, "min_margin": self.min_margin}
 
 
 def riesz_thorin_check(

@@ -26,7 +26,7 @@ depend on its neighbours, so that split is invisible too.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -225,15 +225,6 @@ class FddReport:
     def max_abs_z(self) -> float:
         return max(abs(z) if math.isfinite(z) else math.inf for z in self.z_scores)
 
-    def to_dict(self) -> dict:
-        return {
-            "times": self.times,
-            "mc": self.mc_values,
-            "quad": self.quad_values,
-            "stderr": self.std_errors,
-            "z": self.z_scores,
-        }
-
 
 def _fdd_grid(model: ManifoldModel, start: Point, t_max: float):
     eng = hk.make_engine(model)
@@ -311,17 +302,6 @@ class FeynmanKacEstimate:
     capped_fraction: float
     cap_value: float
     reliability_warning: bool
-    potential: str
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "n_paths": self.n_paths,
-            "capped_fraction": self.capped_fraction,
-            "cap_value": self.cap_value,
-            "reliability_warning": self.reliability_warning,
-        }
 
 
 def _potential_values_on_paths(w: pot.Potential, model, positions: np.ndarray, eps_sing: float):
@@ -370,9 +350,7 @@ def feynman_kac(
     value = float(np.mean(weights))
     stderr = float(np.std(weights, ddof=1) / math.sqrt(ensemble.n_paths))
     frac = float(np.mean(capped_paths))
-    return FeynmanKacEstimate(
-        value, stderr, ensemble.n_paths, frac, cap_val, frac > 0.01, type(w).__name__
-    )
+    return FeynmanKacEstimate(value, stderr, ensemble.n_paths, frac, cap_val, frac > 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -381,22 +359,12 @@ def feynman_kac(
 
 @dataclass
 class KatoExponentialReport:
-    t_values: list
-    sup_estimates: list  # E[exp(int w_minus)] from the base point
-    std_errors: list
+    t: list
+    sup_estimate: list  # E[exp(int w_minus)] from the base point, per t
+    stderr: list
     table: list  # per delta: {"delta": d, "C": smallest valid constant}
     overflowed: bool
     n_paths: int
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t_values,
-            "sup_estimate": self.sup_estimates,
-            "stderr": self.std_errors,
-            "table": self.table,
-            "overflowed": self.overflowed,
-            "n_paths": self.n_paths,
-        }
 
 
 def kato_exponential_estimate(
@@ -471,9 +439,6 @@ class ProjectionReport:
     def passed(self) -> bool:
         tol = self.quad_tolerance + 3.0 * (self.mc_std_error or 0.0)
         return self.lhs_quad <= self.rhs_quad + max(tol, 1e-12)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def elworthy_projection_check(

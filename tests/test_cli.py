@@ -349,3 +349,22 @@ def test_feynman_kac_single_path_is_fail_with_reason():
     result = cli.run_check(ctx, "feynman-kac")
     assert result.verdict == "FAIL" and result.margin_min == -math.inf
     assert "no finite z-score" in result.values["reasons"][0]
+
+
+def test_bench_tracer_targets_exist():
+    # the benchmark wraps these module attributes; a rename here would
+    # otherwise break only a traced benchmark run
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        (module, attr)
+        for _, module, attr, _ in tracer.TARGETS
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert tracer.TARGETS and not missing, missing

@@ -185,6 +185,19 @@ def test_singular_distance_to_diagonal():
     assert d == pytest.approx(1 / math.sqrt(2), rel=1e-12)
 
 
+@pytest.mark.parametrize("base", ["euclidean:3", "hyperbolic3"])
+def test_two_body_pairs_rows_in_one_distance_call(base):
+    # one vectorized call gives the same bits as the per-row loop it replaced
+    b = G.parse_manifold(base)
+    prod = G.product(b, b)
+    two = P.many_body_assemble(2, [], HK.make_engine(prod))
+    rng = np.random.default_rng(17)
+    ys = np.array([G.random_point(prod, rng).coords for _ in range(5000)])
+    loop = np.array([G.distance_many(b, row[:3], row[None, 3:])[0] for row in ys])
+    assert np.array_equal(P.evaluate_many(two, ys), P.coulomb_profile(b)(loop))
+    assert np.array_equal(P.singular_distance_many(two, ys), loop / math.sqrt(2.0))
+
+
 def test_windowed_potential():
     w = P.Windowed(E3, P.RadialPower(E3, ORIGIN, 1.0), G.BallWindow(ORIGIN, 1.0))
     assert P.evaluate(w, G.make_point(E3, [0.5, 0, 0])) == 2.0
@@ -220,6 +233,22 @@ def test_parse_potential_round_trips():
 def test_parse_potential_number_errors_are_manifest_errors(spec):
     with pytest.raises(ManifestError):
         P.parse_potential(spec, G.product(E3, E3))
+
+
+def test_parse_nested_sums():
+    # a sum splits only at its own top-level ';', so sums nest at any depth
+    w = P.parse_potential("sum[constant:1;scale:2:sum[constant:1;constant:2]]", E3)
+    ys = np.random.default_rng(3).normal(size=(20, 3))
+    assert np.all(P.evaluate_many(w, ys) == 7.0)
+    with pytest.raises(ManifestError, match="could not convert string to float: ''"):
+        P.parse_potential("windowed:r=0.5:sum[sum[constant:1e400;constant:]]", E3)
+
+
+@pytest.mark.parametrize("spec", ["scale:nan:zero", "scale:inf:indicator:ball:r=0"])
+def test_non_finite_scale_factor_is_rejected(spec):
+    # nan * 0 would read as a value no bound covers
+    with pytest.raises(DomainError, match="finite"):
+        P.parse_potential(spec, E3)
 
 
 def test_cosine_potential_on_circle():
@@ -279,7 +308,7 @@ def _spec_strategy(model_name, depth=2):
             lambda i: _spec_strategy(factors[i], depth - 1).map(lambda v: f"pullback:{i}:{v}")
         ),
         st.tuples(st.sampled_from(["-1", "0,-1", "2", "0,5", "x", "0.5"]), leaf).map(lambda a: f"pullback:{a[0]}:{a[1]}"),
-        st.lists(leaf, min_size=1, max_size=3).map(lambda v: "sum[" + ";".join(v) + "]"),
+        st.lists(inner, min_size=1, max_size=3).map(lambda v: "sum[" + ";".join(v) + "]"),
     )
 
 

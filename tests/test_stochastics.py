@@ -174,14 +174,14 @@ def test_kato_exponential_constant_and_zero():
     rep = S.kato_exponential_estimate(CIRCLE, P.Constant(c), [0.25, 0.5, 1.0], [1.5, 2.0, 4.0],
                                       400, seed=2)
     # deterministic integrand: sup estimate is exactly e^{ct}
-    for t, v in zip(rep.t_values, rep.sup_estimates):
+    for t, v in zip(rep.t, rep.sup_estimate):
         assert v == pytest.approx(math.exp(c * t), rel=1e-12)
     # fitted constants: smallest valid on the grid, decreasing in delta, <= c
     cs = [e["C"] for e in rep.table]
     assert all(a >= b for a, b in zip(cs, cs[1:]))
     assert all(cv <= c + 1e-12 for cv in cs)
     for e in rep.table:
-        for t, v in zip(rep.t_values, rep.sup_estimates):
+        for t, v in zip(rep.t, rep.sup_estimate):
             assert e["delta"] * math.exp(t * e["C"]) >= v * (1 - 1e-12)
 
 
@@ -313,8 +313,8 @@ def test_kato_exponential_on_hyperbolic3_unchanged():
     w = P.RadialPower(h3, G.base_point(h3), 1.0, 0.3)
     rep = S.kato_exponential_estimate(h3, w, [0.1, 0.2], [1.5, 2.0], 300, h=2e-3, seed=5,
                                       block_size=128)
-    assert rep.sup_estimates == [1.1486770687567562, 1.2213678384658542]
-    assert rep.std_errors == [0.0027467929728239283, 0.004206458505170488]
+    assert rep.sup_estimate == [1.1486770687567562, 1.2213678384658542]
+    assert rep.stderr == [0.0027467929728239283, 0.004206458505170488]
 
 
 def test_fdd_single_sample_fails():
