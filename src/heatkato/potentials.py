@@ -61,6 +61,8 @@ class RadialPower(Potential):
     def __post_init__(self):
         if not self.beta > 0:
             raise DomainError("radial power exponent must be positive")
+        if not math.isfinite(self.coefficient):
+            raise DomainError("radial power coefficient must be finite")
 
     def radial(self):
         c, b = abs(self.coefficient), self.beta

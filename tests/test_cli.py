@@ -1,5 +1,8 @@
+import importlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -354,10 +357,6 @@ def test_feynman_kac_single_path_is_fail_with_reason():
 def test_bench_tracer_targets_exist():
     # the benchmark wraps these module attributes; a rename here would
     # otherwise break only a traced benchmark run
-    import importlib
-    import importlib.util
-    from pathlib import Path
-
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)

@@ -244,8 +244,10 @@ def test_parse_nested_sums():
         P.parse_potential("windowed:r=0.5:sum[sum[constant:1e400;constant:]]", E3)
 
 
-@pytest.mark.parametrize("spec", ["scale:nan:zero", "scale:inf:indicator:ball:r=0"])
-def test_non_finite_scale_factor_is_rejected(spec):
+@pytest.mark.parametrize(
+    "spec", ["scale:nan:zero", "scale:inf:indicator:ball:r=0", "windowed:r=0:radialpower:beta=1:coeff=nan"]
+)
+def test_non_finite_factor_is_rejected(spec):
     # nan * 0 would read as a value no bound covers
     with pytest.raises(DomainError, match="finite"):
         P.parse_potential(spec, E3)
