@@ -466,8 +466,10 @@ class Hyperbolic3(ManifoldModel):
     def distance_many(self, x, ys):
         # cosh d = 1 + |x-y|^2 / (2 z_x z_y); 2*asinh(sqrt(u/2)) is exact and
         # stays accurate for tiny separations where arccosh(1+u) would not.
+        # the squares are summed in a fixed order, so the last bit does not
+        # depend on the memory order of the operands
         diff = ys - x
-        u = np.einsum("ij,ij->i", diff, diff) / (2.0 * x[..., 2] * ys[:, 2])
+        u = (diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2) / (2.0 * x[..., 2] * ys[:, 2])
         return 2.0 * np.arcsinh(np.sqrt(u / 2.0))
 
     def ball_volume(self, r):

@@ -172,6 +172,17 @@ def eval_radial(engine: HeatKernelEngine, t: float, d) -> np.ndarray:
     return sphere_series(t, np.cos(d), lmax)
 
 
+def eval_radial_rows(engine: HeatKernelEngine, ts, d) -> np.ndarray:
+    """p(t_i, d) with one row per time t_i: a 1-d ``d`` is shared by every
+    row, a 2-d ``d`` gives row i its own distances."""
+    d = np.asarray(d, dtype=float)
+    rows = np.broadcast_to(d, (len(ts), d.shape[-1]))
+    out = np.empty(rows.shape)
+    for i, t in enumerate(ts):
+        out[i] = eval_radial(engine, float(t), rows[i])
+    return out
+
+
 def _axis_kernel(engine: HeatKernelEngine, t: float, d):
     """The kernel of one periodic axis (circumference ``model.period``)."""
     L = engine.model.period

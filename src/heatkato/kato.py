@@ -7,7 +7,9 @@ proofs; every report records the sweep and its tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,10 +121,14 @@ def _space_at(pair: KatoControlPair, x: Point) -> float:
 def control_pair_from_on_diag(
     engine: hk.HeatKernelEngine, t_values: Sequence[float] | None = None
 ) -> KatoControlPair:
-    """(C, t^{-m/2}) with C the sweep sup of t^{m/2} p(t,x,x); constant in x."""
+    """(C, t^{-m/2}) with C the sweep sup of t^{m/2} p(t,x,x); constant in x.
+
+    The default sweep's pair is built once per engine and shared, so its
+    ``constants`` and ``certificates`` are read-only mappings."""
+    if t_values is None:
+        return _default_on_diag_pair(engine)
     m = engine.dim
-    ts = t_values if t_values is not None else np.logspace(-4, 0, 60)
-    C = hk.on_diag_upper(engine, ts)
+    C = hk.on_diag_upper(engine, t_values)
     pair = KatoControlPair(
         engine.model,
         space_factor=lambda x, C=C: C,
@@ -131,6 +137,14 @@ def control_pair_from_on_diag(
         constants={"C": C},
     )
     return with_certificates(pair, default_qs(m))
+
+
+@lru_cache(maxsize=16)
+def _default_on_diag_pair(engine: hk.HeatKernelEngine) -> KatoControlPair:
+    pair = control_pair_from_on_diag(engine, np.logspace(-4, 0, 60))
+    return replace(
+        pair, constants=MappingProxyType(pair.constants), certificates=MappingProxyType(pair.certificates)
+    )
 
 
 def control_pair_li_yau(engine: hk.HeatKernelEngine, t_values: Sequence[float] | None = None) -> KatoControlPair:
@@ -181,118 +195,115 @@ def doubling_check(model: ManifoldModel) -> float:
 
 @dataclass
 class SmoothedValue:
-    value: float
-    tail_bound: float
+    value: float | np.ndarray  # one value per s when s is an array
+    tail_bound: float | np.ndarray
 
 
 def smoothed_abs(
     engine: hk.HeatKernelEngine,
     w: pot.Potential,
-    s: float,
+    s,
     x: Point,
     grid: QuadratureGrid | None = None,
     refinement: int = 0,
 ) -> SmoothedValue:
-    """integral of p(s, x, y) |w(y)| dmu(y).
+    """integral of p(s, x, y) |w(y)| dmu(y), for one s or an array of s.
 
     On the radial-kernel models, radial potential atoms use the exact
-    axisymmetric two-point reduction; the ball excised around a singular
-    center is integrated by a fixed Gauss-Jacobi rule.  Everything else falls
-    back to grid quadrature.  ``refinement`` halves the quadrature cell caps
-    (for error estimation).
+    axisymmetric two-point reduction, one cell set per atom for all s; the
+    ball excised around a singular center is integrated by a fixed
+    Gauss-Jacobi rule.  Everything else falls back to grid quadrature.
+    ``refinement`` halves the quadrature cell caps (for error estimation).
     """
-    model = engine.model
+    ss = np.atleast_1d(np.asarray(s, dtype=float))
+    value, tail = _smoothed(engine, w, ss, x, grid, refinement) if ss.size else (ss, ss)
+    if np.ndim(s) == 0:
+        return SmoothedValue(float(value[0]), float(tail[0]))
+    return SmoothedValue(value, tail)
+
+
+def _smoothed(engine, w, ss, x, grid, refinement):
+    """(values, tail bounds), one per s."""
     terms = pot.terms(w)
+    total, tail = np.zeros(ss.size), np.zeros(ss.size)
     if not terms:
-        return SmoothedValue(0.0, 0.0)
-    if model.radial_kernel:
-        atoms = []
-        ok = True
-        for c, atom in terms:
-            if isinstance(atom, pot.Constant):
-                atoms.append((abs(c * atom.value), None))
-            else:
-                ra = atom.radial()
-                if ra is None:
-                    ok = False
-                    break
-                atoms.append((abs(c), ra))
-        if ok:
-            fker = lambda r: hk.eval_radial(engine, s, r)
-            total, tail = 0.0, 0.0
-            for coef, ra in atoms:
-                if ra is None:
-                    mass, merr = hk.kernel_mass(engine, s, x)
-                    total += coef * mass
-                    tail += coef * merr
-                else:
-                    v, tb = _two_point_atom(engine, fker, s, x, ra, refinement)
-                    total += coef * v
-                    tail += coef * tb
-            return SmoothedValue(total, tail)
-    return _smoothed_grid(engine, w, s, x, grid)
+        return total, tail
+    if not engine.model.radial_kernel or any(
+        not isinstance(atom, pot.Constant) and atom.radial() is None for _, atom in terms
+    ):
+        return _smoothed_grid(engine, w, ss, x, grid)
+    for c, atom in terms:
+        if isinstance(atom, pot.Constant):
+            coef = abs(c * atom.value)
+            mass, merr = np.array([hk.kernel_mass(engine, float(s), x) for s in ss]).T
+        else:
+            coef = abs(c)
+            mass, merr = _two_point_atom(engine, ss, x, atom.radial(), refinement)
+        total += coef * mass
+        tail += coef * merr
+    return total, tail
 
 
-def _two_point_atom(engine, fker, s, x, ra, refinement=0):
+def _excision_radius(s):
+    """Radius of the ball cut around a singular center at time s: 5% of the
+    kernel scale within [1e-5, 1e-3], snapped down to a power of two so that
+    a batch of s holds only a few distinct radii."""
+    return np.exp2(np.floor(np.log2(np.clip(0.05 * np.sqrt(s), 1e-5, 1e-3))))
+
+
+def _two_point_atom(engine, ss, x, ra, refinement=0):
     model = engine.model
     profile, support, beta = ra.profile, ra.support, ra.beta
     d = geom.distance(model, x, ra.center)
     if math.isfinite(support):
-        r_max = d + support  # integrand vanishes beyond the support
-        tail = 0.0
+        r_max = np.full(ss.size, d + support)  # integrand vanishes beyond the support
+        tail = np.zeros(ss.size)
     else:
-        r_max = model.kernel_reach(s) + d + 1.0
-        tail = float(profile(np.array([max(r_max - d, 1e-9)]))[0]) * hk.mass_tail_bound(
-            engine, s, r_max
-        )
+        r_max = np.array([model.kernel_reach(s) for s in ss]) + d + 1.0
+        reach_profile = profile(np.maximum(r_max - d, 1e-9))
+        tail = reach_profile * np.array([hk.mass_tail_bound(engine, s, r) for s, r in zip(ss, r_max)])
     if model.compact:
-        r_max = min(r_max, model.diameter)
-        tail = 0.0
-    eps = 0.0
-    if beta > 0.0:
-        eps = max(1e-5, min(1e-3, 0.05 * math.sqrt(s)))
+        r_max = np.minimum(r_max, model.diameter)
+        tail = np.zeros(ss.size)
+    eps = _excision_radius(ss) if beta > 0.0 else np.zeros(ss.size)
+    kernel = lambda r: hk.eval_radial_rows(engine, ss, r)
+    sigma = np.sqrt(ss)
     val = qd.two_point_integral(
         model,
-        fker,
+        kernel,
         profile,
         d,
         r_max,
-        f_scale=math.sqrt(s),
-        g_scale=max(math.sqrt(s) / 4.0, eps, 1e-4),
+        f_scale=sigma,
+        g_scale=np.maximum(np.maximum(sigma / 4.0, eps), 1e-4),
         g_singular_radius=eps,
         max_cell=r_max / (16.0 * 2.0**refinement),
     )
-    if eps > 0.0:
+    if beta > 0.0:
         # the kernel is smooth and even in d - u, so only the profile's power
         # enters the rule's weight
-        val += qd.near_field_integral(model, fker, profile, d, min(eps, support), beta)
+        val = val + qd.near_field_integral(model, kernel, profile, d, np.minimum(eps, support), beta)
     return val, tail
 
 
-def _smoothed_grid(engine, w, s, x, grid):
-    model = engine.model
+def _smoothed_grid(engine, w, ss, x, grid):
+    """Grid quadrature for each s; everything that does not depend on s (the
+    potential values, the excision mask and each excised ball's L^1 mass) is
+    computed once."""
     if grid is None:
         grid = _default_y_grid(engine, w, 1.0, [x])
-    p = hk.eval_many(engine, s, x.coords, grid.node_coords)
     vals = np.abs(pot.evaluate_many(w, grid.node_coords))
     sings = pot.singularities(w)
     eps = 2.0 * grid.resolution
     keep = np.ones(grid.size, dtype=bool)
     for sg in sings:
         keep &= sg.distances(grid.node_coords) >= eps
-    raw_mass = float(np.sum(grid.weights * p))
-    base = float(np.sum(grid.weights[keep] * p[keep] * vals[keep]))
-    correction = 0.0
+    weights_kept, vals_kept = grid.weights[keep], vals[keep]
+    balls = []  # (x lies in the excised ball, the ball's L^1 mass) per point singularity
     for sg in sings:
         if sg.pair_cols is not None:
             continue
-        # kernel bounded over the excised ball by its largest nearby value
         dc = float(sg.distances(x.coords[None, :])[0])
-        pk = float(
-            hk.eval_many(engine, s, x.coords, x.coords[None, :])[0]
-            if dc <= eps
-            else np.max(p[~keep]) if np.any(~keep) else 0.0
-        )
         l1, _ = quad(
             lambda r, sg=sg: float(sg.profile(np.atleast_1d(r))[0]) * geom.ball_surface(sg.model, float(r)),
             0.0,
@@ -301,19 +312,35 @@ def _smoothed_grid(engine, w, s, x, grid):
             epsrel=1e-9,
             limit=100,
         )
-        correction += pk * l1
-    mass, merr = hk.kernel_mass(engine, s, x)
-    if not sings and raw_mass > 0.0:
-        # self-normalize so an under-resolved kernel still reports the
-        # kernel-weighted average times the true mass
-        value = base / raw_mass * mass
-        return SmoothedValue(value, merr * float(np.max(vals)))
-    # singular case: normalize the node sum by the same mass ratio within a
-    # guard band (excised near-field stays analytic)
-    factor = 1.0
-    if raw_mass > 0.0:
-        factor = min(max(mass / raw_mass, 0.25), 4.0)
-    return SmoothedValue(base * factor + correction, 0.0)
+        balls.append((dc <= eps, l1))
+    values, tails = np.empty(ss.size), np.empty(ss.size)
+    for i, s in enumerate(ss):
+        s = float(s)
+        p = hk.eval_many(engine, s, x.coords, grid.node_coords)
+        raw_mass = float(np.sum(grid.weights * p))
+        base = float(np.sum(weights_kept * p[keep] * vals_kept))
+        correction = 0.0
+        for at_x, l1 in balls:
+            # kernel bounded over the excised ball by its largest nearby value
+            pk = float(
+                hk.eval_many(engine, s, x.coords, x.coords[None, :])[0]
+                if at_x
+                else np.max(p[~keep]) if np.any(~keep) else 0.0
+            )
+            correction += pk * l1
+        mass, merr = hk.kernel_mass(engine, s, x)
+        if not sings and raw_mass > 0.0:
+            # self-normalize so an under-resolved kernel still reports the
+            # kernel-weighted average times the true mass
+            values[i], tails[i] = base / raw_mass * mass, merr * float(np.max(vals))
+            continue
+        # singular case: normalize the node sum by the same mass ratio within a
+        # guard band (excised near-field stays analytic)
+        factor = 1.0
+        if raw_mass > 0.0:
+            factor = min(max(mass / raw_mass, 0.25), 4.0)
+        values[i], tails[i] = base * factor + correction, 0.0
+    return values, tails
 
 
 def _center_and_offsets(w: pot.Potential, model: ManifoldModel, offsets) -> list[Point]:
@@ -330,11 +357,22 @@ def _center_and_offsets(w: pot.Potential, model: ManifoldModel, offsets) -> list
 def _default_y_grid(engine, w, t_max, x_samples) -> QuadratureGrid:
     model = engine.model
     if model.compact:
-        return geom.build_grid(model, model.compact_resolution, geom.FullWindow())
+        return _shared_grid(model, model.compact_resolution, None, 0.0)
     center = pot.center_of(w, model)
     spread = max((geom.distance(model, center, x) for x in x_samples), default=0.0)
     radius = spread + model.kernel_reach(t_max) + 2.0
-    return geom.build_grid(model, radius / 120.0, BallWindow(center, radius))
+    return _shared_grid(model, radius / 120.0, tuple(center.coords), radius)
+
+
+@lru_cache(maxsize=8)
+def _shared_grid(model: ManifoldModel, resolution: float, center: tuple | None, radius: float) -> QuadratureGrid:
+    """The grid over the whole compact model (center None) or over a ball,
+    built once; its arrays are read-only because every caller shares them."""
+    window = geom.FullWindow() if center is None else BallWindow(Point(np.array(center)), radius)
+    grid = geom.build_grid(model, resolution, window)
+    grid.node_coords.flags.writeable = False
+    grid.weights.flags.writeable = False
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +434,13 @@ def _kato_core(engine, w, t, x_grid, s_min):
     """(max over x of the dyadic part over [s_min, t], quadrature tail allowance)."""
     if _inner_divergent(w):
         return math.inf, math.inf
-    breaks = _s_breaks(t, s_min)
-    s_nodes, s_weights = qd.gl_nodes(breaks)
+    s_nodes, s_weights = qd.gl_nodes(_s_breaks(t, s_min))
     best, best_tail = 0.0, 0.0
     for x in x_grid:
-        total, tails = 0.0, 0.0
-        for s, ws in zip(s_nodes, s_weights):
-            sv = smoothed_abs(engine, w, float(s), x)
-            total += ws * sv.value
-            tails += ws * sv.tail_bound
+        sv = smoothed_abs(engine, w, s_nodes, x)
+        total = float(s_weights @ sv.value)
         if total > best:
-            best, best_tail = total, tails
+            best, best_tail = total, float(s_weights @ sv.tail_bound)
     return best, best_tail
 
 
@@ -439,7 +473,7 @@ def _short_time_remainder(engine, w, s_min):
     center = pot.center_of(w, model)
     R = 3.0
     if model.compact:
-        grid = geom.build_grid(model, model.compact_resolution, geom.FullWindow())
+        grid = _shared_grid(model, model.compact_resolution, None, 0.0)
         windowed = w
         sup_out = 0.0
     else:
@@ -566,19 +600,18 @@ def holder_bound_check(
     wq = pot.lq_norm(w, q, control.space_factor, norm_grid)
     if wq.diverges:
         return HolderReport(q, math.inf, 0.0, True, 0)
-    n_samples = 0
+    ss = np.asarray(s_samples, dtype=float)
+    if not np.all((ss > 0.0) & (ss <= 1.0)):
+        raise DomainError("the bound is calibrated for s in (0, 1]")
+    rhs = np.array([control.time_factor(float(s)) ** (1.0 / q) for s in ss]) * wq.value
     worst = math.inf
     tail_worst = 0.0
-    for s in s_samples:
-        if not 0.0 < s <= 1.0:
-            raise DomainError("the bound is calibrated for s in (0, 1]")
-        rhs_factor = control.time_factor(float(s)) ** (1.0 / q)
-        for x in x_samples:
-            sv = smoothed_abs(engine, w, float(s), x, grid=grid)
-            margin = rhs_factor * wq.value - sv.value
-            tail_worst = max(tail_worst, sv.tail_bound)
-            n_samples += 1
-            worst = min(worst, margin)
+    for x in x_samples:
+        sv = smoothed_abs(engine, w, ss, x, grid=grid)
+        # builtin min and max skip a NaN margin, as a scalar comparison would
+        worst = min([worst, *(rhs - sv.value).tolist()])
+        tail_worst = max([tail_worst, *sv.tail_bound.tolist()])
+    n_samples = ss.size * len(x_samples)
     tol = max(1e-8, 10.0 * tail_worst)
     return HolderReport(q, worst, tol, False, n_samples)
 

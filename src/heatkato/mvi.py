@@ -52,26 +52,29 @@ class MviReport:
     sweep: dict
 
 
-def _cylinder_integral(engine, x, y0, t, tau, q, radius, n_s, max_cell_scale):
-    """integral over [t-tau, t] x B(x, r) of p(s, y, y0)^q dmu(y) ds."""
+def _cylinder_integral(engine, x, y0, t, tau, qs, radius, n_s, max_cell_scale):
+    """integral over [t-tau, t] x B(x, r) of p(s, y, y0)^q dmu(y) ds, one per q.
+
+    One two-point rule serves every (q, s-node) pair; p^q is its batched side."""
     model = engine.model
     d = geom.distance(model, x, y0)
-    s_breaks = np.linspace(t - tau, t, n_s + 1)
-    s_nodes, s_weights = qd.gl_nodes(s_breaks)
-    total = 0.0
-    for s, ws in zip(s_nodes, s_weights):
-        s = float(max(s, 1e-12))
-        inner = qd.two_point_integral(
-            model,
-            lambda r: (np.asarray(r, float) <= radius).astype(float),
-            lambda r, s=s: hk.eval_radial(engine, s, r) ** q,
-            d,
-            radius,
-            f_scale=radius / 8.0,
-            g_scale=max(math.sqrt(s / q), 1e-4) * max_cell_scale,
-        )
-        total += ws * inner
-    return total
+    s_nodes, s_weights = qd.gl_nodes(np.linspace(t - tau, t, n_s + 1))
+    s_nodes = np.maximum(s_nodes, 1e-12)
+    q = np.asarray(qs, dtype=float)
+
+    def kernel_powers(r):  # row i * len(s_nodes) + j is p(s_j, .)^(q_i)
+        return (hk.eval_radial_rows(engine, s_nodes, r)[None] ** q[:, None, None]).reshape(q.size * s_nodes.size, -1)
+
+    inner = qd.two_point_integral(
+        model,
+        lambda r: (np.asarray(r, float) <= radius).astype(float),
+        kernel_powers,
+        d,
+        radius,
+        f_scale=radius / 8.0,
+        g_scale=np.maximum(np.sqrt(s_nodes[None, :] / q[:, None]), 1e-4).ravel() * max_cell_scale,
+    )
+    return inner.reshape(q.size, s_nodes.size) @ s_weights
 
 
 def mvi_sweep(config: MviSweepConfig) -> MviReport:
@@ -99,13 +102,13 @@ def mvi_sweep(config: MviSweepConfig) -> MviReport:
                 for t in config.t_values:
                     if t < tau:
                         continue
-                    for q in config.q_values:
-                        u_tx = float(hk.eval_radial(engine, t, np.array([dxy]))[0])
-                        if u_tx == 0.0:
-                            continue  # trivial cell: both sides vanish
-                        denom = _cylinder_integral(
-                            engine, x, y0, t, tau, q, config.radius, ns, cell_scale
-                        )
+                    u_tx = float(hk.eval_radial(engine, t, np.array([dxy]))[0])
+                    if u_tx == 0.0:
+                        continue  # trivial cell: both sides vanish
+                    denoms = _cylinder_integral(
+                        engine, x, y0, t, tau, config.q_values, config.radius, ns, cell_scale
+                    )
+                    for q, denom in zip(config.q_values, denoms.tolist()):
                         if denom <= 0.0:
                             continue
                         ratio = (

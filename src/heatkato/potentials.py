@@ -48,6 +48,10 @@ class Potential:
 class Constant(Potential):
     value: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise DomainError("constant potential value must be finite")  # inf or nan would read as 0 once capped
+
 
 @dataclass(frozen=True)
 class RadialPower(Potential):
@@ -140,10 +144,15 @@ class Windowed(Potential):
     window: object  # BallWindow (or BoxWindow)
 
     def radial(self):
-        inner = self.inner.radial() if isinstance(self.window, BallWindow) else None
+        if not isinstance(self.window, BallWindow):
+            return None
+        R = self.window.radius
+        if isinstance(self.inner, Constant):
+            v = abs(self.inner.value)
+            return Radial(self.window.center, lambda r: v * (np.asarray(r, float) <= R), R)
+        inner = self.inner.radial()
         if inner is None or geom.distance(self.model, inner.center, self.window.center) > 1e-12:
             return None  # off-center truncation: no one-center reduction
-        R = self.window.radius
         return Radial(
             inner.center, lambda r: inner.profile(r) * (np.asarray(r, float) <= R), min(inner.support, R), inner.beta
         )

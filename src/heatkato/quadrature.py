@@ -7,7 +7,8 @@ Three workhorses live here:
 * ``two_point_integral``-- integrals of y -> f(d(y,x)) g(d(y,c)) over a whole
   model manifold.  On E^m, H^3, S^2 and the circle such integrands are
   axially symmetric about the geodesic through x and c, which reduces the
-  integral to two dimensions regardless of the ambient dimension.
+  integral to two dimensions regardless of the ambient dimension.  One cell
+  set serves a whole batch of kernel times.
 * ``near_field_integral`` -- the ball of radius eps around a power
   singularity u^(-beta) that ``two_point_integral`` excises, by one fixed
   Gauss-Jacobi rule with weight u^(m-1-beta).
@@ -33,10 +34,11 @@ def feature_breaks(
     r_max: float,
     scales_at_zero=(),
     features=(),
-    max_cell: float | None = None,
+    max_cell=None,
 ) -> np.ndarray:
     """Cell boundaries on [0, r_max]: geometric ladders out of 0 and around
-    interior feature locations, then a global cap on the cell width."""
+    interior feature locations, then a cap on the cell width (see
+    ``_cap_cells``; r_max / 16 by default)."""
     pts = {0.0, r_max}
     for s in scales_at_zero:
         u = max(s, 1e-12) / 4.0
@@ -56,13 +58,14 @@ def feature_breaks(
     return _cap_cells(pts, r_max / 16.0 if max_cell is None else max_cell)
 
 
-def _cap_cells(pts, max_cell: float) -> np.ndarray:
-    """The sorted break points, each gap split evenly into cells <= max_cell."""
+def _cap_cells(pts, max_cell) -> np.ndarray:
+    """The sorted break points, each gap split evenly into cells no wider than
+    max_cell: a width, or a function of the gap's left end."""
     out = sorted(pts)
     refined = [out[0]]
     for right in out[1:]:
         left = refined[-1]
-        k = int(math.ceil((right - left) / max_cell))
+        k = int(math.ceil((right - left) / (max_cell(left) if callable(max_cell) else max_cell)))
         for j in range(1, k + 1):
             refined.append(left + (right - left) * j / k)
     return np.array(refined)
@@ -88,79 +91,142 @@ def _angular_jacobian(model: ManifoldModel, theta: np.ndarray) -> np.ndarray:
     raise UnsupportedModelError("two-point reduction implemented for m in {2, 3}")
 
 
+def _ladder_starts(scales) -> tuple[float, ...]:
+    """Ladder scales that make one ladder at least as fine as each row's own.
+
+    A ratio-2 ladder from the smallest scale holds every row's ladder when the
+    rows' scales are that scale times powers of two.  Otherwise the ladder
+    steps by sqrt(2); each of its cells is then narrower than the cell that
+    any row's own ratio-2 ladder puts at the same place."""
+    s = np.asarray(scales, dtype=float)
+    lo = float(s.min())
+    k = np.log2(s / lo)
+    return (lo,) if np.array_equal(k, np.round(k)) else (lo, lo * math.sqrt(2.0))
+
+
+def _reach_cap(r_rows: np.ndarray, cap: np.ndarray):
+    """The radial cell cap of a batch: one width when the rows share it, else
+    a function of the radius that gives the smallest cap among the rows whose
+    r_max passes that radius, so each row keeps its own cap out to its r_max."""
+    r, c = np.broadcast_arrays(r_rows, cap)
+    if c.min() == c.max():
+        return float(c.min())
+    order = np.argsort(r.ravel())
+    r_sorted = r.ravel()[order]
+    cap_beyond = np.minimum.accumulate(c.ravel()[order][::-1])[::-1]  # min cap of rows i.. in r order
+    last = r_sorted.size - 1
+    return lambda left: float(cap_beyond[min(int(np.searchsorted(r_sorted, left, side="right")), last)])
+
+
+_MESH_BUDGET = 1 << 17  # most values (1 MB) one block of a batch's (rho, theta) mesh may hold
+
+
 def two_point_integral(
     model: ManifoldModel,
     f,
     g,
     d: float,
-    r_max: float,
-    f_scale: float,
-    g_scale: float,
-    g_singular_radius: float = 0.0,
-    max_cell: float | None = None,
-) -> float:
-    """integral of f(d(y,x)) * g(d(y,c)) dmu(y) with d = d(x, c).
+    r_max,
+    f_scale,
+    g_scale,
+    g_singular_radius=0.0,
+    max_cell=None,
+):
+    """integral of f(d(y,x)) * g(d(y,c)) dmu(y) with d = d(x, c), for a batch.
 
     ``f_scale``/``g_scale`` control cell refinement near the two centers.
     Nodes with d(y,c) < g_singular_radius are dropped (the caller accounts for
     the excised ball analytically).
+
+    ``r_max``, the two scales, ``g_singular_radius`` and ``max_cell`` take one
+    value or one per batch row.  One side, f or g, may give one row per batch
+    row: shape (k, n) for n distances.  One cell set serves the batch.  It
+    reaches the largest r_max, its ladders start at the smallest scales, and
+    out to each row's r_max that row's cap bounds its cells, so it is at
+    least as fine as each row's own set.  Returns one value per row, or a
+    float when nothing is batched.
     """
+    eps = np.asarray(g_singular_radius, dtype=float)
     if model.dim == 1 and model.period:
-        return _two_point_periodic(f, g, d, g_singular_radius, model.period)
-    r_max = min(r_max, model.diameter)
+        return _total(_two_point_periodic(f, g, d, eps, model.period))
+    r_rows = np.minimum(np.asarray(r_max, dtype=float), model.diameter)
+    reach = float(r_rows.max())
+    cap = np.asarray(r_rows / 16.0 if max_cell is None else max_cell, dtype=float)
+    radial_cap = _reach_cap(r_rows, cap)
+    excised = eps.max() > 0.0
     if d <= 1e-14:
         # concentric: purely radial (any dimension, including m = 1)
-        def combined(rho):
-            vals = f(rho) * g(rho)
-            if g_singular_radius > 0.0:
-                vals = np.where(rho < g_singular_radius, 0.0, vals)
-            return vals
-
-        return radial_integral(
-            model,
-            combined,
-            r_max,
-            scales_at_zero=(f_scale, g_scale, g_singular_radius or f_scale),
-            max_cell=max_cell,
-        )
+        scales = _ladder_starts(f_scale) + _ladder_starts(g_scale)
+        scales += _ladder_starts(np.where(eps > 0.0, eps, f_scale))
+        rho, w = gl_nodes(feature_breaks(reach, scales, (), radial_cap))
+        vals = f(rho) * g(rho)
+        if excised:
+            vals = np.where(rho < eps[..., None], 0.0, vals)
+        return _total(np.sum(w * ball_surface_many(model, rho) * vals, axis=-1))
+    g_width = np.minimum(g_scale, np.where(eps > 0.0, eps, g_scale))
+    breaks = feature_breaks(
+        reach,
+        scales_at_zero=_ladder_starts(f_scale),
+        features=[(d, u) for u in _ladder_starts(g_width)],
+        max_cell=radial_cap,
+    )
+    rho, w_rho = gl_nodes(breaks)
     if model.dim == 1:  # the line: both sides of x
-        breaks = feature_breaks(
-            r_max,
-            scales_at_zero=(f_scale,),
-            features=((d, min(g_scale, g_singular_radius or g_scale)),),
-            max_cell=max_cell,
-        )
-        rho, w = gl_nodes(breaks)
         gplus = g(rho + d)
         gminus = g(np.abs(rho - d))
-        if g_singular_radius > 0.0:
-            gplus = np.where(rho + d < g_singular_radius, 0.0, gplus)
-            gminus = np.where(np.abs(rho - d) < g_singular_radius, 0.0, gminus)
-        return float(np.sum(w * f(rho) * (gplus + gminus)))
-    rad_breaks = feature_breaks(
-        r_max,
-        scales_at_zero=(f_scale,),
-        features=((d, min(g_scale, g_singular_radius or g_scale)),),
-        max_cell=max_cell,
-    )
-    rho, w_rho = gl_nodes(rad_breaks)
+        if excised:
+            gplus = np.where(rho + d < eps[..., None], 0.0, gplus)
+            gminus = np.where(np.abs(rho - d) < eps[..., None], 0.0, gminus)
+        return _total(np.sum(w_rho * f(rho) * (gplus + gminus), axis=-1))
     # angular feature width: the g-structure around the axis seen from x;
     # the angular cap shrinks together with the radial one
-    w_ang = max(g_scale, g_singular_radius, 1e-6) / max(d, 1e-6)
+    w_ang = np.minimum(np.maximum(np.maximum(g_scale, eps), 1e-6) / max(d, 1e-6), math.pi)
     ang_cap = math.pi / 8.0
     if max_cell is not None:
-        ang_cap *= max_cell / (r_max / 16.0)
-    ang_breaks = feature_breaks(math.pi, scales_at_zero=(min(w_ang, math.pi),), max_cell=ang_cap)
-    theta, w_theta = gl_nodes(ang_breaks)
+        ang_cap *= float(np.min(cap / (r_rows / 16.0)))
+    theta, w_theta = gl_nodes(feature_breaks(math.pi, scales_at_zero=_ladder_starts(w_ang), max_cell=ang_cap))
 
-    R, T = np.meshgrid(rho, theta, indexing="ij")
-    dc = model.cross_distance(R, T, d)  # d(y, c) in difference form, exact for nearby points
-    vals = g(dc.ravel()).reshape(dc.shape)
-    if g_singular_radius > 0.0:
-        vals = np.where(dc < g_singular_radius, 0.0, vals)
     radial_part = w_rho * ball_surface_many(model, rho) * f(rho)
     ang_part = w_theta * _angular_jacobian(model, theta) / _full_rotation(model)
-    return float(radial_part @ vals @ ang_part)
+    rows = max(np.size(v) for v in (r_max, f_scale, g_scale, g_singular_radius, max_cell))
+    return _total(_mesh_sum(model, g, d, rho, theta, radial_part, eps, rows) @ ang_part)
+
+
+def _mesh_sum(model, g, d, rho, theta, radial_part, eps, rows) -> np.ndarray:
+    """radial_part @ g(d(y,c)) over the (rho, theta) mesh without the nodes at
+    d(y,c) < eps: shape (n_theta,), or one row per batch row.  A batch builds
+    the mesh in blocks of rho rows of at most _MESH_BUDGET values, counting
+    each node's g values and the few arrays cross_distance makes per node; a
+    single row takes the whole mesh in one block.  Excision radii that
+    differ by row need a g shared by the rows."""
+    n_rho, n_theta = rho.size, theta.size
+    per_node = (1 if radial_part.ndim == 2 else rows) + 5
+    step = n_rho if rows == 1 else max(1, _MESH_BUDGET // (per_node * n_theta))
+    radii = np.unique(eps)
+    acc = 0.0
+    for lo in range(0, n_rho, step):
+        R, T = np.meshgrid(rho[lo : lo + step], theta, indexing="ij")
+        block = model.cross_distance(R, T, d)  # d(y, c) in difference form, exact for nearby points
+        vals = g(block.ravel())
+        vals = vals.reshape(vals.shape[:-1] + block.shape)
+        part = radial_part[..., lo : lo + step]
+        if radii.size == 1:
+            if radii[0] > 0.0:
+                vals = np.where(block < radii[0], 0.0, vals)
+            acc = acc + part @ vals
+        else:
+            # radii per row come with a g shared by the rows: mask g once per
+            # distinct radius, never once per row
+            out = np.empty((rows, n_theta))
+            for e in radii:
+                sel = eps == e
+                out[sel] = (part[sel] if part.ndim == 2 else part) @ np.where(block < e, 0.0, vals)
+            acc = acc + out
+    return acc
+
+
+def _total(values):
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def _full_rotation(model: ManifoldModel) -> float:
@@ -169,7 +235,7 @@ def _full_rotation(model: ManifoldModel) -> float:
     return 2.0 * math.pi if model.dim == 2 else 4.0 * math.pi
 
 
-def _two_point_periodic(f, g, d: float, g_singular_radius: float, L: float) -> float:
+def _two_point_periodic(f, g, d: float, eps: np.ndarray, L: float) -> np.ndarray:
     # chart variable: signed arc length from x on a circle of circumference L;
     # c sits at +d
     half = L / 2.0
@@ -189,9 +255,9 @@ def _two_point_periodic(f, g, d: float, g_singular_radius: float, L: float) -> f
     dist_x = np.abs(theta)
     dist_c = wrap(theta - d)
     vals = f(dist_x) * g(dist_c)
-    if g_singular_radius > 0.0:
-        vals = np.where(dist_c < g_singular_radius, 0.0, vals)
-    return float(np.sum(w * vals))
+    if eps.max() > 0.0:
+        vals = np.where(dist_c < eps[..., None], 0.0, vals)
+    return np.sum(w * vals, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +281,7 @@ def _jacobi_rule(n: int, exponent: float) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def near_field_integral(model: ManifoldModel, kernel, profile, d: float, radius: float, beta: float) -> float:
+def near_field_integral(model: ManifoldModel, kernel, profile, d: float, radius, beta: float):
     """integral over [0, radius] of profile(u) * s_m(u) * kernel(|d - u|) du.
 
     This is the ball of the given radius around a singular center c, at
@@ -225,11 +291,15 @@ def near_field_integral(model: ManifoldModel, kernel, profile, d: float, radius:
     integrand divided by u^(m-1-beta) is smooth on [0, radius]; beta < m.
     Pass radius = min(excision radius, support radius) so that a window edge
     never falls inside the rule.
+
+    For a batch, ``radius`` holds one value per row and ``kernel`` takes the
+    (k, n) array of nodes, row i for batch row i; one value per row returns.
     """
     t, w = _jacobi_rule(NEAR_FIELD_NODES, model.dim - 1.0 - beta)
-    u = radius * t
-    vals = profile(u) * ball_surface_many(model, u) * kernel(np.abs(d - u))
-    return float(radius * np.sum(w * vals))
+    radius = np.asarray(radius, dtype=float)
+    u = radius[..., None] * t
+    vals = profile(u) * ball_surface_many(model, u.ravel()).reshape(u.shape) * kernel(np.abs(d - u))
+    return _total(radius * np.sum(w * vals, axis=-1))
 
 
 # ---------------------------------------------------------------------------

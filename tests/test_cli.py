@@ -339,6 +339,14 @@ def test_numeric_error_in_potential_spec_exit_two(capsys):
     assert "manifest error: potential:" in err and "'abc'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["1e400", "nan"])
+def test_non_finite_constant_exit_two(capsys, value):
+    # a non-finite constant would be capped to 0 and pass as w = 0
+    assert cli.main(["riesz-thorin", "--manifold", "circle", "--potential", f"constant:{value}"]) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "Traceback" not in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_feynman_kac_single_path_is_fail_with_reason():
     # the runner itself, past the n_paths >= 2 domain: one path has a NaN stderr

@@ -57,6 +57,18 @@ def test_hyperbolic_distance_vs_geodesic_length_oracle():
     assert abs(length - G.distance(h3, x, y)) < 5e-7
 
 
+def test_hyperbolic_distance_independent_of_memory_order():
+    # fancy indexing gives F-ordered copies, slicing C-ordered views; the
+    # distances must agree bit for bit
+    prod = G.product(G.hyperbolic3(), G.hyperbolic3())
+    rng = np.random.default_rng(5)
+    ys = np.array([G.random_point(prod, rng).coords for _ in range(50)])
+    h3 = prod.factors[0]
+    fancy = G.distance_many(h3, ys[:, [0, 1, 2]], ys[:, [3, 4, 5]])
+    sliced = G.distance_many(h3, ys[:, :3], ys[:, 3:])
+    assert np.array_equal(fancy, sliced)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_distance_symmetry_and_triangle(seed):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.sparse.linalg import eigsh
-from scipy.special import jn_zeros
+from scipy.special import erf, gamma, jn_zeros
+from scipy.stats import chi2, ncx2
 
 from heatkato import geometry as G
 from heatkato import heat_kernel as HK
@@ -29,6 +30,97 @@ def test_smoothed_abs_matches_first_moment_oracle():
     for s in (1e-6, 1e-3, 0.3):
         sv = K.smoothed_abs(ENG3, w, s, ORIGIN)
         assert sv.value == pytest.approx(math.sqrt(2 / (math.pi * s)), rel=2e-5)
+
+
+# closed forms of the smoothing integral on R^3 at s in [1e-9, 1]; each bound
+# is the largest error the rule built once per s showed on these rows
+ORACLE_S = np.logspace(-9, 0, 10)
+
+
+def _smoothed_at(w, d):
+    return K.smoothed_abs(ENG3, w, ORACLE_S, G.make_point(E3, [d, 0.0, 0.0])).value
+
+
+@pytest.mark.parametrize("d", [2e-3, 0.05, 0.5, 2.0])
+def test_batched_rule_matches_coulomb_oracle(d):
+    # E 1/(4 pi |x + B_s|) = erf(d / sqrt(2s)) / (4 pi d); at d = 2e-3 the
+    # kernel still weighs the nodes between the rows' excision radii
+    got = _smoothed_at(P.RadialPower(E3, ORIGIN, 1.0, 1.0 / (4.0 * math.pi)), d)
+    ref = erf(d / np.sqrt(2.0 * ORACLE_S)) / (4.0 * math.pi * d)
+    assert np.max(np.abs(got / ref - 1.0)) <= 5.3e-5
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.5, 2.5])
+def test_batched_rule_matches_power_moment_oracle(beta):
+    # E |B_s|^-beta = (2s)^(-beta/2) Gamma((3 - beta)/2) / Gamma(3/2)
+    got = _smoothed_at(P.RadialPower(E3, ORIGIN, beta), 0.0)
+    ref = (2.0 * ORACLE_S) ** (-beta / 2.0) * gamma((3.0 - beta) / 2.0) / gamma(1.5)
+    assert np.max(np.abs(got / ref - 1.0)) <= 1.2e-5
+
+
+@pytest.mark.parametrize("d", [0.0, 0.05])
+def test_batched_rule_matches_ball_probability_oracle(d):
+    # P(|x + B_s| <= R): |x + B_s|^2 / s is chi-square with 3 degrees of
+    # freedom, noncentral with d^2 / s
+    R = 0.3
+    got = _smoothed_at(P.Indicator(E3, G.BallWindow(ORIGIN, R)), d)
+    ref = chi2.cdf(R * R / ORACLE_S, 3) if d == 0.0 else ncx2.cdf(R * R / ORACLE_S, 3, d * d / ORACLE_S)
+    assert np.max(np.abs(got - ref)) <= 6.3e-4
+
+
+def test_is_kato_builds_few_two_point_rules(monkeypatch):
+    # one rule per (x, t) serves all of that t's s-nodes
+    calls = []
+    rule = Q.two_point_integral
+    monkeypatch.setattr(Q, "two_point_integral", lambda *a, **k: calls.append(1) or rule(*a, **k))
+    K.is_kato(ENG3, P.RadialPower(E3, ORIGIN, 1.0), TS)
+    n_x = len(K._center_and_offsets(P.RadialPower(E3, ORIGIN, 1.0), E3, (0.5, 1.5)))
+    assert 0 < len(calls) <= 3 * n_x
+
+
+@pytest.mark.parametrize("spec", ["euclidean:3", "hyperbolic3"])
+def test_windowed_constant_takes_the_two_point_rule(spec):
+    # Windowed(Constant(2), ball) and Scale(2, Indicator(ball)) are one function
+    model = G.parse_manifold(spec)
+    eng = HK.make_engine(model)
+    o = G.base_point(model)
+    ss = np.array([1e-3, 1e-2])
+    for R in (0.3, 1.5):
+        ball = G.BallWindow(o, R)
+        windowed = P.Windowed(model, P.Constant(2.0), ball)
+        scaled = P.Scale(2.0, P.Indicator(model, ball))
+        for d in (0.9 * R, R, 1.1 * R):
+            off = np.zeros(model.tangent_dim)
+            off[0] = d
+            x = G.exp_map(model, o, off)
+            got = K.smoothed_abs(eng, windowed, ss, x).value
+            ref = K.smoothed_abs(eng, scaled, ss, x).value
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), (R, d, got, ref)
+
+
+def test_default_grid_and_pair_are_built_once_and_read_only():
+    w = P.RadialPower(E3, ORIGIN, 0.5)
+    grid = K._default_y_grid(ENG3, w, 1.0, [ORIGIN])
+    assert K._default_y_grid(ENG3, w, 1.0, [ORIGIN]) is grid
+    with pytest.raises(ValueError):
+        grid.weights[0] = 1.0
+    pair = K.control_pair_from_on_diag(HK.make_engine(E3))
+    assert K.control_pair_from_on_diag(HK.make_engine(E3)) is pair
+    with pytest.raises(TypeError):
+        pair.constants["C"] = 0.0
+    with pytest.raises(TypeError):
+        pair.certificates[2.0] = 0.0
+    fresh = K.control_pair_from_on_diag(ENG3, np.logspace(-4, 0, 60))
+    assert dict(pair.constants) == fresh.constants and dict(pair.certificates) == fresh.certificates
+
+
+def test_smoothed_abs_takes_one_s_or_an_array():
+    w = P.RadialPower(E3, ORIGIN, 1.0)
+    one = K.smoothed_abs(ENG3, w, 1e-3, ORIGIN)
+    assert isinstance(one.value, float) and isinstance(one.tail_bound, float)
+    batch = K.smoothed_abs(ENG3, w, np.array([1e-3]), ORIGIN)
+    assert batch.value.shape == (1,) and batch.value[0] == one.value
+    assert K.smoothed_abs(ENG3, w, np.array([]), ORIGIN).value.shape == (0,)
 
 
 def test_kato_functional_constant_and_zero():
@@ -168,7 +260,7 @@ def _quad_near_field(model, kernel, profile, d, radius):
 
 
 def _excision_radius(s):
-    return max(1e-5, min(1e-3, 0.05 * math.sqrt(s)))  # as in smoothed_abs
+    return float(K._excision_radius(s))
 
 
 @pytest.mark.parametrize("spec", ["euclidean:2", "euclidean:3", "hyperbolic3", "sphere2", "circle"])

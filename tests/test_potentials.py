@@ -240,12 +240,20 @@ def test_parse_nested_sums():
     w = P.parse_potential("sum[constant:1;scale:2:sum[constant:1;constant:2]]", E3)
     ys = np.random.default_rng(3).normal(size=(20, 3))
     assert np.all(P.evaluate_many(w, ys) == 7.0)
-    with pytest.raises(ManifestError, match="could not convert string to float: ''"):
+    # the first term of the nested sum is parsed first, and 1e400 is inf
+    with pytest.raises(DomainError, match="constant potential value must be finite"):
         P.parse_potential("windowed:r=0.5:sum[sum[constant:1e400;constant:]]", E3)
 
 
 @pytest.mark.parametrize(
-    "spec", ["scale:nan:zero", "scale:inf:indicator:ball:r=0", "windowed:r=0:radialpower:beta=1:coeff=nan"]
+    "spec",
+    [
+        "scale:nan:zero",
+        "scale:inf:indicator:ball:r=0",
+        "windowed:r=0:radialpower:beta=1:coeff=nan",
+        "constant:1e400",
+        "constant:nan",
+    ],
 )
 def test_non_finite_factor_is_rejected(spec):
     # nan * 0 would read as a value no bound covers
