@@ -467,8 +467,11 @@ def _check_project(ctx: CheckContext, p: dict) -> CheckResult:
     rep = st.elworthy_projection_check(
         ctx.model, p["leaf"], w, p["t"], x, N=p["n_paths"], h=p["h"], seed=ctx.seed
     )
+    margin = rep.rhs_quad - rep.lhs_quad
+    if rep.mc_z is not None:  # the Monte Carlo side's 4-sigma margin, as the fdd checks report it
+        margin = min(margin, 4.0 - abs(rep.mc_z) if math.isfinite(rep.mc_z) else -math.inf)
     return CheckResult(
-        rep.passed, rep.rhs_quad - rep.lhs_quad, rep.quad_tolerance, rep,
+        rep.passed, margin, rep.quad_tolerance, rep,
         sweep={"t": p["t"], "leaf": p["leaf"], "n_paths": p["n_paths"]},
     )
 
@@ -539,8 +542,11 @@ def _kernel_times(p, model):
 
 
 def _fk_grid(p, model):
+    regions = [region for _, region in _default_fk_sets(model)]
+    if any(kato_mod.fd_grid_too_fine(model, region, p["h"]) for region in regions):
+        return f"h leaves more than {kato_mod._FD_MAX_NODES:,} lattice nodes in the finest grid of a test set"
     h = max(p["h"], 1.0 / 12.0)  # all finer h pass on the default sets; keeps 3-d masks small
-    coarse = any(kato_mod.fd_grid_too_coarse(model, region, h) for _, region in _default_fk_sets(model))
+    coarse = any(kato_mod.fd_grid_too_coarse(model, region, h) for region in regions)
     return "h leaves too few grid nodes in the smallest test set" if coarse else None
 
 

@@ -481,12 +481,11 @@ def _short_time_remainder(engine, w, s_min):
         windowed = pot.Windowed(model, w, BallWindow(center, R))
         sup_out = pot.sup_abs(w, outside=(center, R))
     best = math.inf
-    for q in q_candidates:
-        wq = pot.lq_norm(windowed, q, control.space_factor, grid)
+    for wq in pot.lq_norm(windowed, q_candidates, control.space_factor, grid):
         if wq.diverges:
             continue
         integ, _ = quad(
-            lambda u, q=q: control.time_factor(max(s_min * u, 1e-300)) ** (1.0 / q),
+            lambda u, q=wq.q: control.time_factor(max(s_min * u, 1e-300)) ** (1.0 / q),
             0.0,
             1.0,
             epsabs=1e-12,
@@ -782,23 +781,32 @@ class FDEigenResult:
 
 
 _FD_MIN_NODES = 20  # fewest interior nodes a finite-difference solve accepts
+# most lattice nodes a finest grid may hold: building a 3-d mask takes about
+# 110 bytes a node (1.1 GB at the cap); the 3-d unit ball at h = 1/48 has
+# 193^3 = 7.2e6, and the CLI validates 3-d runs at that h
+_FD_MAX_NODES = 10_000_000
+
+
+def _fd_axes(m: int, lo: np.ndarray, hi: np.ndarray, h):
+    """(per-axis spacings, per-axis node counts) of the lattice from lo to hi."""
+    hs = [float(h)] * m if np.isscalar(h) else [float(v) for v in h]
+    return hs, [int(math.floor((hi[k] - lo[k]) / hs[k] + 1e-9)) + 1 for k in range(m)]
 
 
 def _fd_mask(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h):
     """(interior-node mask of the lattice from lo to hi, per-axis spacings)."""
-    hs = [float(h)] * m if np.isscalar(h) else [float(v) for v in h]
-    ns = [int(math.floor((hi[k] - lo[k]) / hs[k] + 1e-9)) + 1 for k in range(m)]
+    hs, ns = _fd_axes(m, lo, hi, h)
     axes = [lo[k] + np.arange(ns[k]) * hs[k] for k in range(m)]
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([g.ravel() for g in mesh], axis=1)
     return inside_fn(coords).reshape(mesh[0].shape), hs
 
 
-def _fd_ground_energy(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h) -> float:
-    mask, hs = _fd_mask(m, inside_fn, lo, hi, h)
+def _fd_operator(mask: np.ndarray, hs) -> sparse.csc_matrix:
+    """Finite-difference -(1/2) Laplace with Dirichlet conditions on the
+    mask's nodes, numbered in C order."""
+    m = mask.ndim
     count = int(mask.sum())
-    if count < _FD_MIN_NODES:
-        raise DomainError("grid too coarse for the region")
     index = -np.ones(mask.shape, dtype=np.int64)
     index[mask] = np.arange(count)
     rows, cols, vals = [], [], []
@@ -817,20 +825,50 @@ def _fd_ground_energy(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h) -> f
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
     diag = sum(1.0 / (hk * hk) for hk in hs)
-    A = sparse.coo_matrix(
+    return sparse.coo_matrix(
         (
             np.concatenate([vals, vals, np.full(count, diag)]),
             (np.concatenate([rows, cols, np.arange(count)]), np.concatenate([cols, rows, np.arange(count)])),
         ),
         shape=(count, count),
     ).tocsc()
-    if m == 2 and count <= 150_000:
+
+
+def _fd_ground_energy(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h) -> float:
+    """Smallest eigenvalue of the finite-difference Dirichlet operator A on the
+    lattice's interior nodes, solved on the mask's mirror-symmetry orbit space.
+
+    Axis k folds when the mask equals its own reflection along k, and P is the
+    (nodes x orbits) matrix whose columns are orbit indicators divided by
+    sqrt(orbit size); P is the identity when no axis folds. A = D - N with D a
+    constant diagonal and N >= 0, so by Perron-Frobenius A has a nonnegative
+    ground state. A commutes with each reflection of its mask, so the average
+    of that ground state over the reflections is again a ground state: still
+    nonnegative, so nonzero, and constant on orbits, so in the range of P.
+    Hence lambda_min(P^T A P) = lambda_min(A) in exact arithmetic, on about
+    2^k times fewer unknowns for k folding axes. The 2-d shift-invert branch's
+    150 000 limit reads the folded count."""
+    mask, hs = _fd_mask(m, inside_fn, lo, hi, h)
+    count = int(mask.sum())
+    if count < _FD_MIN_NODES:
+        raise DomainError("grid too coarse for the region")
+    A = _fd_operator(mask, hs)
+    label = np.cumsum(mask).reshape(mask.shape)  # node index + 1 on the mask
+    for k in range(m):
+        if np.array_equal(mask, np.flip(mask, k)):
+            label = np.minimum(label, np.flip(label, k))  # reflections map the mask to itself
+    _, orbit = np.unique(label[mask], return_inverse=True)
+    size = np.bincount(orbit)
+    P = sparse.csc_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(count), orbit)))
+    B = (P.T @ A @ P).tocsc()
+    n = size.size
+    if m == 2 and n <= 150_000:
         # 2-d fill-in is mild; shift-invert is exact and fast
         # a fixed start vector keeps the result a function of the matrix alone
-        lam = eigsh(A, k=1, sigma=0.0, which="LM", v0=np.ones(count), return_eigenvectors=False)
+        lam = eigsh(B, k=1, sigma=0.0, which="LM", v0=np.ones(n), return_eigenvectors=False)
         return float(lam[0])
-    # 3-d factors fill in badly; implicitly restarted Lanczos needs only A @ v
-    lam = eigsh(A, k=1, which="SA", v0=np.ones(count), return_eigenvectors=False)
+    # 3-d factors fill in badly; implicitly restarted Lanczos needs only B @ v
+    lam = eigsh(B, k=1, which="SA", v0=np.ones(n), return_eigenvectors=False)
     return float(lam[0])
 
 
@@ -868,6 +906,20 @@ def _fd_levels(model: ManifoldModel, region, h: float, refinements: int):
             levels.append((inside, c - hw + np.asarray(hs), c + hw - np.asarray(hs) / 2.0, hs))
         return m, levels, 2
     raise DomainError(f"unsupported region {region!r}")
+
+
+def fd_grid_too_fine(model: ManifoldModel, region, h: float) -> bool:
+    """True when dirichlet_ground_energy's finest lattice for the region at
+    spacing h, with its default one refinement, would hold more than
+    _FD_MAX_NODES nodes. The size comes from the per-axis node counts; no
+    array is built."""
+    try:
+        with np.errstate(over="raise", divide="raise"):
+            m, levels, _ = _fd_levels(model, region, h, 1)
+            _, ns = _fd_axes(m, *levels[-1][1:])
+    except (OverflowError, FloatingPointError):  # a per-axis count past the float range
+        return True
+    return math.prod(ns) > _FD_MAX_NODES
 
 
 def fd_grid_too_coarse(model: ManifoldModel, region, h: float) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -479,11 +479,15 @@ def _weight_at(weight, model: ManifoldModel, p: Point) -> float:
 
 def lq_norm(
     w: Potential,
-    q: float,
+    q: float | Sequence[float],
     weight,
     grid: QuadratureGrid,
-) -> WeightedLqNorm:
+) -> WeightedLqNorm | list[WeightedLqNorm]:
     """(integral |w|^q * weight dmu)^(1/q) over the grid window.
+
+    ``q`` is one exponent (one ``WeightedLqNorm`` back) or a sequence of them
+    (a list back); |w|, the weight and the excision are evaluated once for
+    all of them.
 
     ``weight`` is None (1), a scalar, an array of node values, or a callable
     that takes an (n, chart_dim) array of chart coordinates and returns values
@@ -495,31 +499,39 @@ def lq_norm(
     resolution and their ball contribution added from the local radial
     profile; beta*q >= m flags divergence.
     """
-    if q < 1:
+    qs = [q] if np.ndim(q) == 0 else list(q)
+    if any(qk < 1 for qk in qs):
         raise DomainError("q must be >= 1")
     model = grid.model
     sings = [s for s in singularities(w) if s.pair_cols is None]
-    for s in sings:
-        if s.beta * q >= s.model.dim:
-            return WeightedLqNorm(q, math.inf, True, 0)
-    eps = 2.0 * grid.resolution
-    vals = np.abs(evaluate_many(w, grid.node_coords))
-    wvals = _weight_values(weight, grid)
-    keep = np.ones(grid.size, dtype=bool)
-    for s in singularities(w):
-        keep &= s.distances(grid.node_coords) >= eps
-    base = float(np.sum(grid.weights[keep] * vals[keep] ** q * wvals[keep]))
-    correction = 0.0
-    for s in sings:
-        if not np.array_equal(s.cols, np.arange(model.chart_dim)):
-            continue  # a pullback's singular set is a subspace: excised nodewise, no ball
-        wc = _weight_at(weight, model, s.center)
-        integrand = lambda r, s=s: s.profile(np.atleast_1d(r))[0] ** q * geom.ball_surface(s.model, float(r))
-        val, _ = quad(integrand, 0.0, eps, epsabs=1e-12, epsrel=1e-10, limit=200)
-        rest = _smooth_rest_at(sings, s.center)
-        correction += wc * (val + rest**q * geom.ball_volume_radial(s.model, eps))
-    total = base + correction
-    return WeightedLqNorm(q, total ** (1.0 / q), False, int(np.sum(~keep)))
+    norms = [WeightedLqNorm(qk, math.inf, True, 0) for qk in qs]
+    finite = [j for j, qk in enumerate(qs) if all(s.beta * qk < s.model.dim for s in sings)]
+    if finite:
+        eps = 2.0 * grid.resolution
+        vals = np.abs(evaluate_many(w, grid.node_coords))
+        wvals = _weight_values(weight, grid)
+        keep = np.ones(grid.size, dtype=bool)
+        for s in singularities(w):
+            keep &= s.distances(grid.node_coords) >= eps
+        node_w, node_v, node_wv = grid.weights[keep], vals[keep], wvals[keep]
+        # a pullback's singular set is a subspace: excised nodewise, no ball
+        balls = [
+            (s, _weight_at(weight, model, s.center), _smooth_rest_at(sings, s.center))
+            for s in sings
+            if np.array_equal(s.cols, np.arange(model.chart_dim))
+        ]
+        for j in finite:
+            qk = qs[j]
+            base = float(np.sum(node_w * node_v**qk * node_wv))
+            correction = 0.0
+            for s, wc, rest in balls:
+                integrand = lambda r, s=s, qk=qk: (
+                    s.profile(np.atleast_1d(r))[0] ** qk * geom.ball_surface(s.model, float(r))
+                )
+                val, _ = quad(integrand, 0.0, eps, epsabs=1e-12, epsrel=1e-10, limit=200)
+                correction += wc * (val + rest**qk * geom.ball_volume_radial(s.model, eps))
+            norms[j] = WeightedLqNorm(qk, (base + correction) ** (1.0 / qk), False, int(np.sum(~keep)))
+    return norms[0] if np.ndim(q) == 0 else norms
 
 
 def _smooth_rest_at(sings: list[SingularityInfo], center: Point) -> float:

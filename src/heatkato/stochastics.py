@@ -437,8 +437,11 @@ class ProjectionReport:
 
     @property
     def passed(self) -> bool:
+        # the Monte Carlo side must also agree with the factor smoothing within
+        # 4 sigma, the fdd checks' rule; a NaN z fails
         tol = self.quad_tolerance + 3.0 * (self.mc_std_error or 0.0)
-        return self.lhs_quad <= self.rhs_quad + max(tol, 1e-12)
+        mc_ok = self.mc_z is None or abs(self.mc_z) <= 4.0
+        return mc_ok and self.lhs_quad <= self.rhs_quad + max(tol, 1e-12)
 
 
 def elworthy_projection_check(
@@ -492,5 +495,8 @@ def elworthy_projection_check(
         ok = ~np.isnan(vals)
         mc_val = float(np.mean(vals[ok]))
         mc_err = float(np.std(vals[ok], ddof=1) / math.sqrt(ok.sum()))
-        mc_z = (mc_val - rhs) / mc_err if mc_err > 0 else 0.0
+        # NaN when fewer than two sampled values are finite
+        mc_z = (mc_val - rhs) / mc_err if mc_err > 0 else math.nan
+        if mc_err == 0:  # all sampled values equal, so no z-score: match within the quadrature tolerance
+            mc_z = 0.0 if abs(mc_val - rhs) <= max(tol, 1e-12) else math.inf
     return ProjectionReport(lhs, rhs, lhs - rhs, tol, mc_val, mc_err, mc_z)

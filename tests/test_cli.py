@@ -2,6 +2,8 @@ import importlib
 import importlib.util
 import json
 import math
+import time
+import types
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from heatkato import cli
 from heatkato import geometry as G
 from heatkato import heat_kernel as HK
+from heatkato import potentials as P
 from heatkato.errors import DomainError, ManifestError
 from heatkato.reporting import canonical_json
 
@@ -301,6 +304,39 @@ def test_cross_parameter_errors_exit_two(check, manifold, params, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert f"manifest error: param.{check}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("h", ["1e-300", "1e-5"])
+def test_fk_verify_fine_h_exits_two_before_building_a_lattice(h, capsys):
+    # 1e-5 asks for a 4e5 x 4e5 lattice; 1e-300 for one numpy cannot even size
+    start = time.perf_counter()
+    assert cli.main(["fk-verify", "--manifold", "euclidean:2", "--param", f"h={h}"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "manifest error: param.fk-verify: h leaves more than 10,000,000 lattice nodes" in err
+    assert "Traceback" not in err
+
+
+PROJECT_MC = ["project-check", "--manifold", PRODUCT, "--param", "n_paths=4000"]
+
+
+def test_project_check_monte_carlo_side_passes_when_it_agrees():
+    assert cli.main(PROJECT_MC) == 0
+
+
+@pytest.mark.parametrize("potential", [[], ["--potential", "constant:1"]])
+def test_project_check_fails_when_the_monte_carlo_side_disagrees(potential, monkeypatch):
+    # |w| x 3 on the sampled paths only (mc_z = 156 on the default indicator);
+    # the quadrature sides still agree. A constant has no sample variance, so
+    # no z-score: its Monte Carlo mean 3 must still fail against 1
+    tripled = types.SimpleNamespace(**vars(P))
+    tripled.evaluate_many = lambda w, pts: 3.0 * P.evaluate_many(w, pts)
+    monkeypatch.setattr(cli.st, "pot", tripled)
+    assert cli.main(PROJECT_MC + potential) == 1
+
+
+def test_project_check_constant_potential_passes_with_no_sample_variance():
+    assert cli.main(PROJECT_MC + ["--potential", "constant:1"]) == 0
 
 
 @pytest.mark.parametrize("method", ["series:abc", "imagesum:-3"])

@@ -341,6 +341,74 @@ def test_fd_ball_3d_matches_shift_invert(monkeypatch):
     assert res.raw[0] == pytest.approx(float(ref[0]), rel=1e-12)
 
 
+def _unfolded_ground_energy(m, level):
+    # the same eigsh calls on the full lattice operator, with no fold
+    mask, hs = K._fd_mask(m, *level)
+    A = K._fd_operator(mask, hs)
+    n = A.shape[0]
+    kw = {"sigma": 0.0, "which": "LM"} if m == 2 and n <= 150_000 else {"which": "SA"}
+    return float(eigsh(A, k=1, v0=np.ones(n), return_eigenvectors=False, **kw)[0])
+
+
+def _solved_sizes(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(K, "eigsh", lambda B, **kw: sizes.append(B.shape[0]) or eigsh(B, **kw))
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "hw, h",
+    [((math.sqrt(math.pi) / 2,) * 2, 1 / 48), ((0.8, 0.4), 1 / 48), ((1.2, 0.3), 1 / 48), ((0.7, 0.7, 0.7), 1 / 12)],
+)
+def test_folded_box_solve_matches_the_kronecker_sum(hw, h):
+    # N_k - 1 interior nodes on axis k: lambda = sum_k (2 / h_k^2) sin^2(pi / (2 N_k))
+    model = G.euclidean(len(hw))
+    res = K.dirichlet_ground_energy(model, G.BoxWindow(G.base_point(model), hw), h, refinements=1)
+    assert len(res.raw) == 2
+    for j, raw in enumerate(res.raw):
+        cells = [max(4, round(2 * w / h)) * 2**j for w in hw]
+        exact = sum(2 / (2 * w / n) ** 2 * math.sin(math.pi / (2 * n)) ** 2 for w, n in zip(hw, cells))
+        assert raw == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("m, R, h", [(2, 1.0, 1 / 48), (2, 0.5, 1 / 48), (3, 1.0, 1 / 12)])
+def test_fold_matches_the_unfolded_solve_on_the_default_balls(m, R, h, monkeypatch):
+    model = G.euclidean(m)
+    _, levels, _ = K._fd_levels(model, G.BallWindow(G.base_point(model), R), h, 1)
+    for level in levels:
+        mask, _ = K._fd_mask(m, *level)
+        sizes = _solved_sizes(monkeypatch)
+        folded = K._fd_ground_energy(m, *level)
+        # every axis folds: one unknown per node of the closed positive orthant
+        assert sizes == [int(mask[tuple(slice(n // 2, None) for n in mask.shape)].sum())]
+        assert folded == pytest.approx(_unfolded_ground_energy(m, level), rel=1e-12)
+
+
+def test_fold_is_the_identity_on_an_asymmetric_lattice(monkeypatch):
+    # the lattice from c - R spaced 1/96 misses c + R, so no axis mirrors the mask
+    e2 = G.euclidean(2)
+    _, levels, _ = K._fd_levels(e2, G.BallWindow(G.base_point(e2), 0.77), 1 / 48, 1)
+    for level in levels:
+        mask, _ = K._fd_mask(2, *level)
+        assert not any(np.array_equal(mask, np.flip(mask, k)) for k in range(2))
+        sizes = _solved_sizes(monkeypatch)
+        folded = K._fd_ground_energy(2, *level)
+        assert sizes == [int(mask.sum())]
+        assert folded == pytest.approx(_unfolded_ground_energy(2, level), rel=1e-12)
+
+
+@pytest.mark.parametrize("m, h", [(2, 1 / 3), (3, 1 / 2)])
+def test_coarse_grid_test_counts_the_full_lattice(m, h, monkeypatch):
+    # 25 (2-d) and 27 (3-d) interior nodes pass the 20-node floor; their 9 and 8 orbits would not
+    model = G.euclidean(m)
+    ball = G.BallWindow(G.base_point(model), 1.0)
+    assert not K.fd_grid_too_coarse(model, ball, h)
+    sizes = _solved_sizes(monkeypatch)
+    res = K.dirichlet_ground_energy(model, ball, h, refinements=0)
+    assert sizes[0] < K._FD_MIN_NODES and math.isfinite(res.value)
+    assert K.fd_grid_too_coarse(model, ball, 0.4 if m == 2 else 1.0)
+
+
 def test_admissible_q_rules():
     assert K.admissible_q(1, 1.0) and not K.admissible_q(1, 0.9)
     assert K.admissible_q(3, 1.6) and not K.admissible_q(3, 1.5)

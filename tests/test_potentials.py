@@ -108,6 +108,16 @@ def test_lq_norm_divergence_flag():
     assert n2.diverges
 
 
+def test_lq_norm_of_a_q_sequence_repeats_each_single_q():
+    grid = G.build_grid(E3, 0.05, G.BallWindow(ORIGIN, 1.0))
+    w = P.Sum((P.RadialPower(E3, ORIGIN, 1.2), P.Constant(0.5)))
+    weight = lambda pts: 1.0 + np.sum(pts**2, axis=1)
+    qs = [1.0, 1.7, 2.4, 2.5, 3.0]  # beta * q >= 3 from q = 2.5 on
+    batch = P.lq_norm(w, qs, weight, grid)
+    assert batch == [P.lq_norm(w, q, weight, grid) for q in qs]
+    assert [n.diverges for n in batch] == [False, False, False, True, True]
+
+
 def test_lq_norm_monotone_in_window_and_potential():
     w = P.RadialPower(E3, ORIGIN, 0.8)
     small = G.build_grid(E3, 0.03, G.BallWindow(ORIGIN, 0.8))
