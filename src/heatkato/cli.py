@@ -227,6 +227,7 @@ def _domain(ok, what):
 
 
 _POSITIVE = _domain(lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+_AUTO_OR_POSITIVE = _domain(lambda v: v == "auto" or math.isfinite(v) and v > 0, "auto or finite and > 0")
 _NONNEGATIVE = _domain(lambda v: 0 <= v < math.inf, "finite and >= 0")
 _UNIT_TIME = _domain(lambda v: 0 < v <= 1, "in (0, 1]")
 _N_GRID = _domain(lambda v: 8 <= v <= sg._DENSE_LIMIT, f"in 8..{sg._DENSE_LIMIT}")
@@ -392,13 +393,18 @@ def _fk_radius(value, model):
     return None
 
 
+def _fk_h(p: dict, model: ManifoldModel) -> float:
+    """fk-verify's lattice spacing: the given h, else 1/48 in 2-d and 1/12 in
+    3-d, where eigensolves grow fast (the default stays desk-scale)."""
+    if p["h"] != "auto":
+        return p["h"]
+    return 1.0 / 48.0 if model.dim == 2 else 1.0 / 12.0
+
+
 def _check_fk_verify(ctx: CheckContext, p: dict) -> CheckResult:
-    m = ctx.model.dim
-    a = kato_mod.faber_krahn_constant(m) * p["a_scale"]
+    a = kato_mod.faber_krahn_constant(ctx.model.dim) * p["a_scale"]
     radius_fn = lambda x: p["radius"]
-    h = p["h"]
-    if "h" not in ctx.manifest.params.get("fk-verify", {}) and m == 3:
-        h = 1.0 / 12.0  # 3-d eigensolves grow fast; the default stays desk-scale
+    h = _fk_h(p, ctx.model)
     rep = kato_mod.faber_krahn_verify(ctx.model, radius_fn, a, _default_fk_sets(ctx.model), h=h)
     return CheckResult(
         rep.passed, rep.min_margin, rep.tolerance, rep.to_dict(),
@@ -543,9 +549,10 @@ def _kernel_times(p, model):
 
 def _fk_grid(p, model):
     regions = [region for _, region in _default_fk_sets(model)]
-    if any(kato_mod.fd_grid_too_fine(model, region, p["h"]) for region in regions):
+    h = _fk_h(p, model)
+    if any(kato_mod.fd_grid_too_fine(model, region, h) for region in regions):
         return f"h leaves more than {kato_mod._FD_MAX_NODES:,} lattice nodes in the finest grid of a test set"
-    h = max(p["h"], 1.0 / 12.0)  # all finer h pass on the default sets; keeps 3-d masks small
+    h = max(h, 1.0 / 12.0)  # all finer h pass on the default sets; keeps 3-d masks small
     coarse = any(kato_mod.fd_grid_too_coarse(model, region, h) for region in regions)
     return "h leaves too few grid nodes in the smallest test set" if coarse else None
 
@@ -610,7 +617,7 @@ CHECKS: dict[str, CheckSpec] = {
         _check_fk_verify,
         "min spec(H_{g|U}) >= a vol(U)^{-2/m} for open U inside B(x, R(x))",
         {
-            "h": (float, 1.0 / 48.0, _POSITIVE),
+            "h": (lambda v: "auto" if v == "auto" else float(v), "auto", _AUTO_OR_POSITIVE),
             "a_scale": (float, 1.0, _POSITIVE),
             "radius": (float, 2.5, _fk_radius),
         },

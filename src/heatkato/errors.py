@@ -21,17 +21,6 @@ class SingularityError(HeatKatoError):
     """Evaluation exactly at a singular point."""
 
 
-class TruncationError(HeatKatoError):
-    """A series truncation cannot reach the requested tolerance.
-
-    Carries the best available analytic tail bound in ``bound``.
-    """
-
-    def __init__(self, message: str, bound: float):
-        super().__init__(message)
-        self.bound = bound
-
-
 class ManifestError(HeatKatoError):
     """Experiment manifest failed to parse or validate."""
 

@@ -13,7 +13,8 @@ and ball volume, one frozen class under ``ManifoldModel``:
 Each class owns its formulas: chart, distance, volumes, exponential map and
 Gaussian step, quadrature grids, the samplers' path chart, and the kernel
 facts the heat-kernel engine looks up (closed-form profile, mass tail, reach,
-diameter, allowed methods).  ``Product.split`` cuts arrays by factor.  The
+diameter, allowed methods, and the kernel factors: a product's factors, a
+flat torus's periodic axes).  ``split`` cuts arrays by kernel factor.  The
 module-level functions check arguments and hand the rest to the model;
 everything here is a pure function of its inputs.
 """
@@ -39,10 +40,12 @@ class ManifoldModel:
     with a radial kernel and no period."""
 
     factors: tuple = ()
+    kernel_factors: tuple = ()  # models whose kernels multiply to this one's
     ricci_lower_bound = 0.0
     compact = False
     flat = False  # geodesic random walk increments are exact (chart is flat)
-    radial_kernel = True  # p(t, x, y) is a function of d(x, y) alone
+    # p(t, x, y) is a function of d(x, y) alone unless it is a product
+    radial_kernel = property(lambda self: not self.kernel_factors)
     period = None  # lattice period of each chart axis (flat periodic models)
     diameter = math.inf
     compact_resolution = 0.1  # default full-grid spacing
@@ -62,6 +65,15 @@ class ManifoldModel:
 
     def validate(self, c: np.ndarray) -> np.ndarray:
         return c
+
+    def split(self, a: np.ndarray, width: str = "chart_dim") -> list:
+        """The last axis of ``a`` cut into kernel-factor blocks of their ``width`` (a dimension attribute)."""
+        out, i = [], 0
+        for f in self.kernel_factors:
+            w = getattr(f, width)
+            out.append(a[..., i : i + w])
+            i += w
+        return out
 
     def delta(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Chart displacements ys - x (folded into the fundamental cell on a torus)."""
@@ -245,13 +257,14 @@ class Torus(_FlatChart):
     dim: int
     side_length: float
     compact = True
-    radial_kernel = False  # a product of one periodic kernel per axis
     kernel_methods = ("imagesum", "series")
 
     def describe(self) -> str:
         return f"torus:{self.dim}:{self.side_length:g}"
 
     period = property(lambda self: self.side_length)
+    # the product of one periodic axis per chart axis
+    kernel_factors = property(lambda self: (Torus(1, self.side_length),) * self.dim if self.dim > 1 else ())
     diameter = property(lambda self: self.side_length * math.sqrt(self.dim) / 2.0)
     compact_resolution = property(lambda self: self.side_length / 48.0)
     total_volume = property(lambda self: self.side_length**self.dim)
@@ -271,6 +284,13 @@ class Torus(_FlatChart):
 
     def ball_volume(self, r):
         return _torus_section_area(r, self.side_length, self.dim)
+
+    def sphere_area_many(self, r):
+        # out to L/2 the sphere meets no face of the cell: the Euclidean area
+        out = self.dim * _omega(self.dim) * r ** (self.dim - 1)
+        far = r > self.side_length / 2.0
+        out[far] = super().sphere_area_many(r[far])
+        return out
 
     def full_nodes(self, resolution):
         L = self.side_length
@@ -536,17 +556,8 @@ class Hyperbolic3(ManifoldModel):
 @dataclass(frozen=True)
 class Product(ManifoldModel):
     factors: tuple
-    radial_kernel = False
+    kernel_factors = property(lambda self: self.factors)
     kernel_methods = ("product",)
-
-    def split(self, a: np.ndarray, width: str = "chart_dim") -> list:
-        """The last axis of ``a`` cut into factor blocks of their ``width`` (a dimension attribute)."""
-        out, i = [], 0
-        for f in self.factors:
-            w = getattr(f, width)
-            out.append(a[..., i : i + w])
-            i += w
-        return out
 
     dim = property(lambda self: sum(f.dim for f in self.factors))
     ricci_lower_bound = property(lambda self: min(f.ricci_lower_bound for f in self.factors))
@@ -618,11 +629,6 @@ class Product(ManifoldModel):
 
     def wrap_path(self, paths):
         return self._per_factor("wrap_path", paths, "path_dim")
-
-    def mass_tail(self, t, radius):
-        # d^2 = sum d_i^2 > r^2 forces some d_i > r/sqrt(2) (two factors)
-        r = radius / math.sqrt(2.0)
-        return min(1.0, sum(f.mass_tail(t, r) for f in self.factors))
 
     def comparability_radius(self, b):
         return min(f.comparability_radius(b) for f in self.factors)
@@ -848,8 +854,7 @@ def tangent_from_normals(model: ManifoldModel, xs: np.ndarray, z: np.ndarray, h:
 
 @dataclass(frozen=True)
 class FullWindow:
-    def describe(self) -> str:
-        return "full"
+    pass
 
 
 @dataclass(frozen=True)
@@ -874,9 +879,6 @@ class BoxWindow:
 class ProductWindow:
     left: object
     right: object
-
-    def describe(self) -> str:
-        return f"product({self.left.describe()},{self.right.describe()})"
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,15 @@ deliberately no option to switch to the unhalved convention.
 
 Methods (``model.kernel_methods`` lists those that apply, "auto" first):
 * Euclidean, Hyperbolic3: closed forms (the model's ``heat_profile``)
-* Circle, Torus: image sums over the period lattice (or Fourier series)
+* Circle, one-axis Torus: image sums over the period lattice (or Fourier series)
 * Sphere2: zonal spectral series with Legendre three-term recurrence
-* Product: pointwise product of the factor kernels
+
+Every other model is a product of kernel factors (``model.kernel_factors``),
+and its kernel is the pointwise product of theirs: a Product of its factors,
+each with its own "auto" method; a flat Torus of dimension m >= 2 of m
+one-axis tori, each with the torus's method and cutoff.  Values, bounds, mass
+and Chapman-Kolmogorov recurse on ``engine.factors``, so the kernel layer has
+two families, radial and product.
 """
 
 from __future__ import annotations
@@ -15,12 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from . import geometry as geom
 from . import quadrature
-from .errors import DomainError, TruncationError, UnsupportedModelError
+from .errors import DomainError, UnsupportedModelError
 from .geometry import ManifoldModel, Point, QuadratureGrid
 
 SERIES_TOL = 1e-12  # tail the adaptive sphere series stops below
@@ -40,7 +47,6 @@ class HeatKernelEngine:
     method: Method
     image_radius: int | None = None  # explicit lattice radius K (None = adaptive)
     series_lmax: int | None = None  # explicit series cutoff (None = adaptive)
-    strict_truncation: bool = False
     factors: tuple["HeatKernelEngine", ...] = ()
 
     @property
@@ -62,11 +68,12 @@ def make_engine(model: ManifoldModel, method: str = "auto") -> HeatKernelEngine:
     if arg and not arg.strip().isdecimal():
         raise DomainError(f"kernel method {method!r}: the cutoff must be a nonnegative integer")
     number = int(arg) if arg and name in ("imagesum", "series") else None
+    factor_method = "auto" if chosen == Method.PRODUCT_RULE.value else method
     return HeatKernelEngine(
         model, Method(chosen),
         image_radius=number if name == "imagesum" else None,
         series_lmax=number if name == "series" else None,
-        factors=tuple(make_engine(f) for f in model.factors),
+        factors=tuple(make_engine(f, factor_method) for f in model.kernel_factors),
     )
 
 
@@ -161,15 +168,15 @@ def eval_radial(engine: HeatKernelEngine, t: float, d) -> np.ndarray:
         raise DomainError("time must be positive")
     model = engine.model
     d = np.asarray(d, dtype=float)
-    if not model.radial_kernel:
+    if engine.factors:
         raise UnsupportedModelError(f"the {model.describe()} kernel is not a function of distance alone")
     if engine.method is Method.CLOSED_FORM:
         return model.heat_profile(t, d)
-    if model.period:
-        return _axis_kernel(engine, t, d)
-    lmax = _series_cutoff(engine, t)
-    _check_truncation(engine, t, lmax)
-    return sphere_series(t, np.cos(d), lmax)
+    if not model.period:
+        return sphere_series(t, np.cos(d), _series_cutoff(engine, t))
+    if engine.method is Method.SPECTRAL_SERIES:
+        return circle_fourier(d, t, model.period, _series_cutoff(engine, t))
+    return wrapped_gaussian(d, t, model.period, engine.image_radius)
 
 
 def eval_radial_rows(engine: HeatKernelEngine, ts, d) -> np.ndarray:
@@ -181,14 +188,6 @@ def eval_radial_rows(engine: HeatKernelEngine, ts, d) -> np.ndarray:
     for i, t in enumerate(ts):
         out[i] = eval_radial(engine, float(t), rows[i])
     return out
-
-
-def _axis_kernel(engine: HeatKernelEngine, t: float, d):
-    """The kernel of one periodic axis (circumference ``model.period``)."""
-    L = engine.model.period
-    if engine.method is Method.SPECTRAL_SERIES:
-        return circle_fourier(d, t, L, _series_cutoff(engine, t))
-    return wrapped_gaussian(d, t, L, engine.image_radius)
 
 
 def _series_cutoff(engine: HeatKernelEngine, t: float) -> int:
@@ -205,20 +204,11 @@ def _series_cutoff(engine: HeatKernelEngine, t: float) -> int:
 
 def series_cap_exceeded(engine: HeatKernelEngine, t: float) -> bool:
     """True when an adaptive sphere series (of the model or a factor) would stop
-    at its cap with a tail above SERIES_TOL at time t (strict truncation raises there)."""
+    at its cap with a tail above SERIES_TOL at time t."""
     if engine.factors:
         return any(series_cap_exceeded(fe, t) for fe in engine.factors)
     adaptive = engine.method is Method.SPECTRAL_SERIES and not engine.model.period
     return adaptive and engine.series_lmax is None and sphere_tail_bound(LMAX_CAP, t) > SERIES_TOL
-
-
-def _check_truncation(engine: HeatKernelEngine, t: float, lmax: int) -> None:
-    if engine.strict_truncation and engine.series_lmax is None:
-        bound = sphere_tail_bound(lmax, t)
-        if bound > SERIES_TOL:
-            raise TruncationError(
-                f"series cap {LMAX_CAP} leaves tail {bound:.3e} > tol at t={t:g}", bound
-            )
 
 
 def eval_many(engine: HeatKernelEngine, t: float, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -227,16 +217,9 @@ def eval_many(engine: HeatKernelEngine, t: float, x: np.ndarray, ys: np.ndarray)
         raise DomainError("time must be positive")
     model = engine.model
     ys = np.atleast_2d(ys)
-    if engine.method is Method.PRODUCT_RULE:
+    if engine.factors:
         parts = zip(engine.factors, model.split(x), model.split(ys))
         return math.prod(eval_many(fe, t, xf, yf) for fe, xf, yf in parts)
-    if not model.radial_kernel:
-        # flat torus: the product over chart axes of the periodic 1-d kernel
-        delta = model.delta(x, ys)
-        acc = _axis_kernel(engine, t, delta[:, 0])
-        for j in range(1, engine.dim):
-            acc = acc * _axis_kernel(engine, t, delta[:, j])
-        return acc
     d = geom.distance_many(model, x, ys)
     return eval_radial(engine, t, d)
 
@@ -248,11 +231,8 @@ def eval_kernel(engine: HeatKernelEngine, t: float, x: Point, y: Point) -> float
 
 def on_diag(engine: HeatKernelEngine, t: float) -> float:
     """p(t, x, x); x-independent on these homogeneous models."""
-    if engine.method is Method.PRODUCT_RULE:
+    if engine.factors:
         return math.prod(on_diag(fe, t) for fe in engine.factors)
-    if not engine.model.radial_kernel:
-        x = geom.base_point(engine.model).coords
-        return float(eval_many(engine, t, x, x[None, :])[0])
     return float(eval_radial(engine, t, np.array([0.0]))[0])
 
 
@@ -261,7 +241,7 @@ def truncation_bound(engine: HeatKernelEngine, t: float) -> float:
     model = engine.model
     if engine.method is Method.CLOSED_FORM:
         return 0.0
-    if engine.method is Method.PRODUCT_RULE:
+    if engine.factors:
         bounds = [truncation_bound(fe, t) for fe in engine.factors]
         peak = [on_diag(fe, t) + b for fe, b in zip(engine.factors, bounds)]
         total = 0.0
@@ -276,14 +256,8 @@ def truncation_bound(engine: HeatKernelEngine, t: float) -> float:
         # consecutive terms shrink by e^{-c (2k + 1) t} <= e^{-c (2K + 3) t}
         K = _series_cutoff(engine, t)
         c = 0.5 * (2.0 * math.pi / L) ** 2
-        tail1 = 2.0 * math.exp(-c * (K + 1) ** 2 * t) / (L * -math.expm1(-c * (2 * K + 3) * t))
-    else:
-        K = _image_radius(t, L, engine.image_radius)
-        tail1 = image_sum_tail(t, L, K)
-    # product of m 1-d factors (one on the circle), each bounded by its own
-    # on-diagonal value
-    peak = wrapped_gaussian(0.0, t, L, engine.image_radius) + tail1
-    return engine.dim * tail1 * float(peak) ** (engine.dim - 1)
+        return 2.0 * math.exp(-c * (K + 1) ** 2 * t) / (L * -math.expm1(-c * (2 * K + 3) * t))
+    return image_sum_tail(t, L, _image_radius(t, L, engine.image_radius))
 
 
 # ---------------------------------------------------------------------------
@@ -322,24 +296,27 @@ def sup_bound(engine: HeatKernelEngine, t: float, x: Point, y_grid: QuadratureGr
 
 def kernel_mass(engine: HeatKernelEngine, t: float, x: Point) -> tuple[float, float]:
     """(integral of p(t, x, .) dmu, analytic error allowance)."""
+    if engine.factors:
+        xs = engine.model.split(x.coords)
+        parts = [kernel_mass(fe, t, Point(xf)) for fe, xf in zip(engine.factors, xs)]
+        return math.prod(v for v, _ in parts), sum(e for _, e in parts)
+    return _radial_mass(engine, t)
+
+
+@lru_cache(maxsize=256)
+def _radial_mass(engine: HeatKernelEngine, t: float) -> tuple[float, float]:
+    """kernel_mass on a radial model, where it does not depend on x: the exact
+    radial reduction over the whole of a compact model, else out to the
+    kernel's reach with the analytic mass tail beyond it.  Cells are capped at
+    sigma / 4 out to the reach, and at 1/16 of the radius beyond it."""
     model = engine.model
     sigma = math.sqrt(t)
-    if engine.method is Method.PRODUCT_RULE:
-        parts = [kernel_mass(fe, t, Point(xf)) for fe, xf in zip(engine.factors, model.split(x.coords))]
-        return math.prod(v for v, _ in parts), sum(e for _, e in parts)
-    if not model.radial_kernel:
-        L = model.period
-        n = 64
-        delta = (np.arange(n) + 0.5) * (L / n)
-        per_axis = float(np.sum(wrapped_gaussian(delta - L / 2.0, t, L)) * (L / n))
-        val = per_axis**engine.dim
-        return val, engine.dim * truncation_bound(engine, t) * model.total_volume
-    # exact radial reduction: over the whole of a compact model, else out to
-    # the kernel's reach with the analytic mass tail beyond it
-    reach = model.diameter if model.compact else model.kernel_reach(t)
+    reach = model.kernel_reach(t)
+    r_max = model.diameter if model.compact else reach
+    cap = min(sigma / 4.0, r_max / 16.0)
     val = quadrature.radial_integral(
-        model, lambda r: eval_radial(engine, t, r), reach,
-        scales_at_zero=(sigma,), max_cell=min(sigma / 4.0, reach / 16.0),
+        model, lambda r: eval_radial(engine, t, r), r_max,
+        scales_at_zero=(sigma,), max_cell=lambda left: cap if left < reach else r_max / 16.0,
     )
     if model.compact:
         return val, truncation_bound(engine, t) * model.total_volume
@@ -351,17 +328,10 @@ def chapman_kolmogorov(
 ) -> tuple[float, float, float]:
     """(convolution integral, direct kernel at t+s, error allowance)."""
     model = engine.model
-    if engine.method is Method.PRODUCT_RULE:
+    if engine.factors:
         factors = zip(engine.factors, model.split(x.coords), model.split(y.coords))
         parts = [chapman_kolmogorov(fe, t, s, Point(xf), Point(yf)) for fe, xf, yf in factors]
         return math.prod(p[0] for p in parts), math.prod(p[1] for p in parts), sum(p[2] for p in parts)
-    if not model.radial_kernel:
-        grid = geom.build_grid(model, model.compact_resolution, geom.FullWindow())
-        px = eval_many(engine, t, x.coords, grid.node_coords)
-        py = eval_many(engine, s, y.coords, grid.node_coords)
-        conv = grid.integrate(px * py)
-        direct = eval_kernel(engine, t + s, x, y)
-        return conv, direct, 2.0 * truncation_bound(engine, min(t, s))
     d = geom.distance(model, x, y)
     if model.compact:
         r_max = model.diameter

@@ -365,11 +365,13 @@ def _default_y_grid(engine, w, t_max, x_samples) -> QuadratureGrid:
 
 
 @lru_cache(maxsize=8)
-def _shared_grid(model: ManifoldModel, resolution: float, center: tuple | None, radius: float) -> QuadratureGrid:
+def _shared_grid(
+    model: ManifoldModel, resolution: float, center: tuple | None, radius: float, n_dir: int | None = None
+) -> QuadratureGrid:
     """The grid over the whole compact model (center None) or over a ball,
     built once; its arrays are read-only because every caller shares them."""
     window = geom.FullWindow() if center is None else BallWindow(Point(np.array(center)), radius)
-    grid = geom.build_grid(model, resolution, window)
+    grid = geom.build_grid(model, resolution, window, n_dir)
     grid.node_coords.flags.writeable = False
     grid.weights.flags.writeable = False
     return grid
@@ -477,7 +479,7 @@ def _short_time_remainder(engine, w, s_min):
         windowed = w
         sup_out = 0.0
     else:
-        grid = geom.build_grid(model, R / 60.0, BallWindow(center, R), n_dir=8)
+        grid = _shared_grid(model, R / 60.0, tuple(center.coords), R, 8)
         windowed = pot.Windowed(model, w, BallWindow(center, R))
         sup_out = pot.sup_abs(w, outside=(center, R))
     best = math.inf
@@ -783,7 +785,7 @@ class FDEigenResult:
 _FD_MIN_NODES = 20  # fewest interior nodes a finite-difference solve accepts
 # most lattice nodes a finest grid may hold: building a 3-d mask takes about
 # 110 bytes a node (1.1 GB at the cap); the 3-d unit ball at h = 1/48 has
-# 193^3 = 7.2e6, and the CLI validates 3-d runs at that h
+# 193^3 = 7.2e6
 _FD_MAX_NODES = 10_000_000
 
 

@@ -317,6 +317,44 @@ def test_fk_verify_fine_h_exits_two_before_building_a_lattice(h, capsys):
     assert "Traceback" not in err
 
 
+def test_fk_verify_validator_and_run_share_h(monkeypatch):
+    # with no h given, the node checks and the eigensolves see the same 3-d h
+    seen = []
+    too_fine = cli.kato_mod.fd_grid_too_fine
+
+    def validate(model, region, h):
+        seen.append(("validate", h))
+        return too_fine(model, region, h)
+
+    def run(model, radius_fn, a, sets, h):
+        seen.append(("run", h))
+        return cli.kato_mod.FaberKrahnReport(0.0, 0.0, [], [])
+
+    monkeypatch.setattr(cli.kato_mod, "fd_grid_too_fine", validate)
+    monkeypatch.setattr(cli.kato_mod, "faber_krahn_verify", run)
+    report = cli.run_manifest(cli.ExperimentManifest(manifold="euclidean:3", checks=["fk-verify"]))
+    assert {k for k, _ in seen} == {"validate", "run"}
+    assert {h for _, h in seen} == {1.0 / 12.0}
+    assert report.checks[0].sweep["h"] == 1.0 / 12.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel-check", "--manifold", "torus:2:6.2832", "--param", "t_values=0.001,0.01"],
+        ["control-pair", "--manifold", "circle", "--param", "source=fk"],
+        ["control-pair", "--manifold", PRODUCT, "--param", "source=fk"],
+    ],
+    ids=["kernel-check-torus-small-t", "control-pair-fk-circle", "control-pair-fk-product"],
+)
+def test_checks_pass_exit_zero(argv, capsys):
+    # the torus kernel's mass at small t (a 64-node rule once lost half of
+    # it); the Faber-Krahn pair reaches the circle's and the product's
+    # comparability radii
+    assert cli.main(argv) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 PROJECT_MC = ["project-check", "--manifold", PRODUCT, "--param", "n_paths=4000"]
 
 

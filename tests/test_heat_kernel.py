@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -253,13 +254,53 @@ def test_method_selection_errors():
     assert HK.make_engine(G.circle(), "imagesum:7").image_radius == 7
 
 
-def test_strict_truncation_raises_with_bound():
-    from heatkato.errors import TruncationError
+TORUS = G.torus(2, 2 * math.pi)
 
-    eng = HK.HeatKernelEngine(G.sphere2(), HK.Method.SPECTRAL_SERIES, strict_truncation=True)
-    with pytest.raises(TruncationError) as err:
-        HK.eval_radial(eng, 1e-8, np.array([0.5]))
-    assert err.value.bound > 1e-12
+
+@pytest.mark.parametrize("t", [1e-4, 1e-3, 1e-2, 1.0])
+def test_torus_mass_is_one_within_its_allowance(t):
+    mass, allowance = HK.kernel_mass(HK.make_engine(TORUS), t, G.make_point(TORUS, [0.3, 5.0]))
+    assert abs(mass - 1.0) <= allowance + 1e-12
+
+
+def test_torus_chapman_kolmogorov_at_small_times():
+    # a 48^2 grid once put this 78 % off; each axis now takes the periodic
+    # two-point rule, 8.7e-5 off here (its fixed cells are coarser on the
+    # diagonal: 6e-4 off at d = 0 on the circle)
+    eng = HK.make_engine(TORUS)
+    x, y = G.make_point(TORUS, [0.3, 5.0]), G.make_point(TORUS, [0.35, 5.02])
+    conv, direct, allowance = HK.chapman_kolmogorov(eng, 1e-3, 2e-3, x, y)
+    assert abs(conv - direct) <= 1e-4 * direct + allowance
+
+
+def test_torus_kernel_is_the_product_of_its_axes():
+    eng = HK.make_engine(TORUS)
+    rng = np.random.default_rng(8)
+    x = G.random_point(TORUS, rng).coords
+    ys = np.array([G.random_point(TORUS, rng).coords for _ in range(40)] + [x])
+    delta = TORUS.delta(x, ys)
+    for t in (1e-3, 0.05, 0.7):
+        axes = HK.wrapped_gaussian(delta[:, 0], t, TORUS.side_length)
+        axes = axes * HK.wrapped_gaussian(delta[:, 1], t, TORUS.side_length)
+        assert np.array_equal(HK.eval_many(eng, t, x, ys), axes)
+
+
+@pytest.mark.parametrize("method, field, value", [("series:40", "series_lmax", 40), ("imagesum:2", "image_radius", 2)])
+def test_torus_cutoff_reaches_each_axis(method, field, value):
+    eng = HK.make_engine(G.torus(2, 5.0), method)
+    assert len(eng.factors) == 2
+    for axis in eng.factors:
+        assert axis.model == G.torus(1, 5.0) and axis.method is eng.method
+        assert getattr(axis, field) == value
+
+
+def test_circle_mass_at_tiny_time_is_fast():
+    # cells at sigma / 4 reach only as far as the kernel does (about 0.5 ms;
+    # 0.34 s when they spanned the whole circle)
+    start = time.perf_counter()
+    mass, allowance = HK.kernel_mass(HK.make_engine(G.circle()), 1e-9, G.circle_point(0.0))
+    assert time.perf_counter() - start < 0.05
+    assert abs(mass - 1.0) <= allowance + 1e-12
 
 
 def test_sup_bound_grid_containing_x():
