@@ -126,9 +126,17 @@ class ManifoldModel:
             if k + 1 in slot:
                 out[:, slot[k + 1], :] = self.path_from_chart(X)
 
-    # the samplers' path chart and its wrap after a flat walk: the chart itself
-    # except on the circle (stored as its angle), the torus and products
-    chart_from_path = path_from_chart = wrap_path = staticmethod(lambda a: a)
+    # the samplers' path chart: the chart itself except on the circle (stored
+    # as its angle) and products of it
+    chart_from_path = path_from_chart = staticmethod(lambda a: a)
+
+    def wrap_path(self, paths: np.ndarray) -> None:
+        """Fold path rows back into the path chart in place after a flat walk
+        (the circle and the torus; nothing to do elsewhere)."""
+
+    def path_distance_many(self, x: np.ndarray, paths: np.ndarray) -> np.ndarray:
+        """Geodesic distances from chart coords ``x`` to path rows."""
+        return distance_many(self, x, paths)
 
     # heat-kernel facts
     def mass_tail(self, t: float, radius: float) -> float:
@@ -272,7 +280,10 @@ class Torus(_FlatChart):
     def wrap(self, chart):
         return np.mod(chart, self.side_length)
 
-    validate = wrap_path = wrap
+    validate = wrap
+
+    def wrap_path(self, paths):
+        np.mod(paths, self.side_length, out=paths)
 
     def delta(self, x, ys):
         # signed displacement folded into [-L/2, L/2)
@@ -365,7 +376,15 @@ class Circle(_Embedded):
         return np.arctan2(chart[..., 1], chart[..., 0])[..., None]
 
     def wrap_path(self, paths):
-        return np.mod(paths + math.pi, 2.0 * math.pi) - math.pi
+        paths += math.pi
+        np.mod(paths, 2.0 * math.pi, out=paths)
+        paths -= math.pi
+
+    def path_distance_many(self, x, paths):
+        # stored angles lie in [-pi, pi], so |theta - theta_c| <= 2 pi
+        d = paths[:, 0] - math.atan2(x[1], x[0])
+        np.abs(d, out=d)
+        return np.minimum(d, 2.0 * math.pi - d, out=d)
 
     def comparability_radius(self, b):
         return math.pi
@@ -580,12 +599,18 @@ class Product(ManifoldModel):
     def random_coords(self, rng, spread):
         return np.concatenate([random_point(f, rng, spread).coords for f in self.factors])
 
-    def distance_many(self, x, ys):
+    def _root_sum_squares(self, dist, x, ys, width):
         total = np.zeros(ys.shape[0])
-        for f, xf, yf in zip(self.factors, self.split(x), self.split(ys)):
-            d = distance_many(f, xf, yf)
+        for f, xf, yf in zip(self.factors, self.split(x), self.split(ys, width)):
+            d = dist(f, xf, yf)
             total += d * d
         return np.sqrt(total)
+
+    def distance_many(self, x, ys):
+        return self._root_sum_squares(distance_many, x, ys, "chart_dim")
+
+    def path_distance_many(self, x, paths):
+        return self._root_sum_squares(lambda f, xf, yf: f.path_distance_many(xf, yf), x, paths, "path_dim")
 
     def ball_volume(self, r):
         # mu(B) = int_0^r V_left'(s) V_right(sqrt(r^2-s^2)) ds
@@ -628,7 +653,8 @@ class Product(ManifoldModel):
         return self._per_factor("path_from_chart", chart, "chart_dim")
 
     def wrap_path(self, paths):
-        return self._per_factor("wrap_path", paths, "path_dim")
+        for f, part in zip(self.factors, self.split(paths, "path_dim")):
+            f.wrap_path(part)
 
     def comparability_radius(self, b):
         return min(f.comparability_radius(b) for f in self.factors)

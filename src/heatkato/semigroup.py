@@ -51,6 +51,7 @@ class DiscretizedOperator:
     cap_value: float
     potential_floor: float = 0.0  # min of the sampled potential values
     _eig: tuple | None = field(default=None, repr=False)
+    _ground: float | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -137,12 +138,14 @@ def semigroup_apply(op: DiscretizedOperator, t: float, f: np.ndarray) -> np.ndar
 def ground_energy(op: DiscretizedOperator) -> float:
     if op.size <= _DENSE_LIMIT:
         return float(op.eig()[0][0])
-    # shift strictly below the spectrum: H >= -||w_-||_inf on the grid
-    sigma = float(min(op.potential_floor, 0.0)) - 1.0
-    # a fixed start vector keeps the result a function of the operator alone
-    lam = eigsh(op.matrix.tocsc(), k=1, sigma=sigma, which="LM", v0=np.ones(op.size),
-                return_eigenvectors=False)
-    return float(lam[0])
+    if op._ground is None:  # one shift-invert solve per operator, like the dense eig
+        # shift strictly below the spectrum: H >= -||w_-||_inf on the grid
+        sigma = float(min(op.potential_floor, 0.0)) - 1.0
+        # a fixed start vector keeps the result a function of the operator alone
+        lam = eigsh(op.matrix.tocsc(), k=1, sigma=sigma, which="LM", v0=np.ones(op.size),
+                    return_eigenvectors=False)
+        op._ground = float(lam[0])
+    return op._ground
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,15 @@ estimators.  The sampler does not build a generator per path: one Philox per
 block is re-keyed to (seed, i) with counter 0 and an empty buffer, which
 yields the same draws.  A block's normals go to one buffer of at most
 _BLOCK_BYTES (at least one path), filled a few paths at a time; per-path
-streams make that split invisible in the output.  Feynman-Kac evaluates the
-potential on blocks of paths of the same size; a path's trapezoid does not
-depend on its neighbours, so that split is invisible too.
+streams make that split invisible in the output.
+
+Path functionals: Feynman-Kac and the exponential Kato estimate integrate w
+along paths by one routine (``_path_integrals``), a block of paths at a
+time, sized like the normals buffer.  Each block is evaluated on the stored
+path rows (``potentials.capped_values`` with ``path=True``): on the circle
+the distance to a center is |theta - theta_c| folded at pi, with no chart
+rows built, and a path's trapezoid does not depend on its neighbours, so the
+split is invisible too.
 """
 
 from __future__ import annotations
@@ -91,9 +97,8 @@ class PathEnsemble:
         model = self.model
         if not isinstance(model, Product):
             raise UnsupportedModelError("projection needs a product ensemble")
-        ls = pot.leaves(model)
-        leaf = ls[leaf_index][0]
-        off = sum(ls[j][0].path_dim for j in range(leaf_index))
+        ls = pot.leaves(model, width="path_dim")
+        leaf, off = ls[leaf_index]
         w = leaf.path_dim
         if len(model.factors) == len(ls):
             start_chart = geom.split_point(model, self.start)[leaf_index]
@@ -142,10 +147,14 @@ def _block_paths(model, start_path, n_steps, h, seed, i0, i1, record_idx, out):
             # first k increments plus the start
             z *= math.sqrt(h)
             np.cumsum(z, axis=1, out=z)
-            dest[:] = z[:, np.maximum(record_idx - 1, 0), :]
-            dest[:, record_idx == 0, :] = 0.0
+            if len(record_idx) == n_steps + 1:  # every step: copy by slice, not by gather
+                dest[:, 0, :] = 0.0
+                dest[:, 1:, :] = z
+            else:
+                dest[:] = z[:, np.maximum(record_idx - 1, 0), :]
+                dest[:, record_idx == 0, :] = 0.0
             dest += model.path_from_chart(start_path[None, :])[0]
-            dest[:] = model.wrap_path(dest)
+            model.wrap_path(dest)
         else:
             model.random_walk(start_path, z, h, record_idx, dest)
 
@@ -304,11 +313,40 @@ class FeynmanKacEstimate:
     reliability_warning: bool
 
 
-def _potential_values_on_paths(w: pot.Potential, model, positions: np.ndarray, eps_sing: float):
-    """(values (N, n_rec), capped-path mask, cap) by ``potentials.capped_values``."""
+def _path_integrals(
+    w: pot.Potential, model: ManifoldModel, positions: np.ndarray, h: float, steps: Sequence[int] | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Trapezoid integrals of w along paths recorded at every step h.
+
+    ``positions`` is (N, R, path_dim).  With ``steps`` None the integral runs
+    over the whole path (one column, numpy's pairwise row sum); otherwise up
+    to each of the step indices in ``steps`` (one column each, read off one
+    running sum).  Returns (integrals (N, columns), capped-path mask (N,),
+    cap).  w is evaluated on the path rows themselves
+    (``potentials.capped_values`` with eps = sqrt(h)); a path is capped when
+    one of its rows lies within eps of a singular set, and ``cap`` is 0 when
+    none does.  The paths go a block of at most _BLOCK_BYTES at a time; a
+    path's integral does not depend on the paths beside it, so that split is
+    invisible in the output."""
     N, R, _ = positions.shape
-    vals, near, cap = pot.capped_values(w, model.chart_from_path(positions.reshape(N * R, -1)), eps_sing)
-    return vals.reshape(N, R), near.reshape(N, R).any(axis=1), cap
+    eps = math.sqrt(h)
+    integrals = np.empty((N, 1 if steps is None else len(steps)))
+    capped = np.empty(N, dtype=bool)
+    cap = 0.0
+    rows = max(1, _BLOCK_BYTES // (8 * R * model.chart_dim))
+    for a in range(0, N, rows):
+        b = min(a + rows, N)
+        vals, near, block_cap = pot.capped_values(w, positions[a:b].reshape((b - a) * R, -1), eps, path=True)
+        vals = vals.reshape(b - a, R)
+        capped[a:b] = near.reshape(b - a, R).any(axis=1)
+        cap = max(cap, block_cap)
+        if steps is None:
+            integrals[a:b, 0] = h * (np.sum(vals, axis=1) - 0.5 * vals[:, 0] - 0.5 * vals[:, -1])
+        else:
+            cum = np.cumsum(vals, axis=1)
+            for j, k in enumerate(steps):
+                integrals[a:b, j] = h * (cum[:, k] - 0.5 * vals[:, 0] - 0.5 * vals[:, k])
+    return integrals, capped, cap
 
 
 def feynman_kac(
@@ -324,29 +362,11 @@ def feynman_kac(
     """
     if not ensemble.full:
         raise DomainError("feynman_kac needs an ensemble recorded at every step")
-    model = ensemble.model
-    eps_sing = math.sqrt(ensemble.step)
-    h = ensemble.step
-    N, R, _ = ensemble.positions.shape
-    integral = np.empty(N)
-    capped_paths = np.empty(N, dtype=bool)
-    caps = []
-    # a row's trapezoid does not depend on the rows beside it, so the paths
-    # are evaluated a block at a time to bound the chart and potential arrays
-    rows = max(1, _BLOCK_BYTES // (8 * R * model.chart_dim))
-    for a in range(0, N, rows):
-        b = min(a + rows, N)
-        vals, capped_paths[a:b], cap = _potential_values_on_paths(
-            w, model, ensemble.positions[a:b], eps_sing
-        )
-        if capped_paths[a:b].any():
-            caps.append(cap)
-        integral[a:b] = h * (np.sum(vals, axis=1) - 0.5 * vals[:, 0] - 0.5 * vals[:, -1])
-    cap_val = max(caps, default=0.0)
+    integrals, capped_paths, cap_val = _path_integrals(w, ensemble.model, ensemble.positions, ensemble.step)
     terminal = np.ones(ensemble.n_paths)
     if f is not None:
         terminal = np.asarray(f(ensemble.chart_at(len(ensemble.record_times) - 1)), dtype=float)
-    weights = np.exp(-integral) * terminal
+    weights = np.exp(-integrals[:, 0]) * terminal
     value = float(np.mean(weights))
     stderr = float(np.std(weights, ddof=1) / math.sqrt(ensemble.n_paths))
     frac = float(np.mean(capped_paths))
@@ -385,11 +405,12 @@ def kato_exponential_estimate(
         raise DomainError("t grid must be positive")
     if any(d <= 1.0 for d in delta_grid):
         raise DomainError("delta must exceed 1")
+    if N < 1:
+        raise DomainError("need at least one path")
     horizon = ts[-1]
     n_steps = step_count(horizon, h)
     h_eff = horizon / n_steps
     t_idx = [max(1, int(round(t / h_eff))) for t in ts]
-    eps_sing = math.sqrt(h_eff)
     acc_mean = np.zeros(len(ts))
     acc_m2 = np.zeros(len(ts))
     start_path = geom.base_point(model).coords.copy()
@@ -397,11 +418,9 @@ def kato_exponential_estimate(
         i1 = min(i0 + block_size, N)
         block = np.empty((i1 - i0, n_steps + 1, model.path_dim))
         _block_paths(model, start_path, n_steps, h_eff, seed, i0, i1, np.arange(n_steps + 1), block)
-        vals, _, _ = _potential_values_on_paths(w_minus, model, block, eps_sing)
-        cum = np.cumsum(vals, axis=1)
-        for j, k in enumerate(t_idx):
-            integral = h_eff * (cum[:, k] - 0.5 * vals[:, 0] - 0.5 * vals[:, k])
-            ev = np.exp(integral)
+        integrals, _, _ = _path_integrals(w_minus, model, block, h_eff, t_idx)
+        for j in range(len(ts)):
+            ev = np.exp(integrals[:, j])
             acc_mean[j] += np.sum(ev)
             acc_m2[j] += np.sum(ev * ev)
     mean = acc_mean / N

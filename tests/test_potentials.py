@@ -387,3 +387,129 @@ def test_box_indicator_on_a_product():
     w = P.parse_potential("indicator:box:w=0.5", prod)
     inside, outside = G.base_point(prod).coords, G.make_point(prod, [2.0, 1.0, 0.0]).coords
     assert list(P.evaluate_many(w, np.array([inside, outside]))) == [1.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# path rows (the samplers' stored angles) against chart rows
+
+CIRCLE = G.circle()
+E1_CIRCLE = G.parse_manifold("product(euclidean:1,circle)")
+CIRCLE_E1 = G.parse_manifold("product(circle,euclidean:1)")  # path and chart columns differ past the circle
+
+
+def _circle_potentials(tc):
+    c = G.circle_point(tc)
+    rp = P.RadialPower(CIRCLE, c, 0.5, 2.0)
+    cos = P.cosine_potential(CIRCLE, c)
+    return {
+        "constant": P.Constant(1.5),
+        "radial-function": cos,
+        "radial-power": rp,
+        "ball": P.Indicator(CIRCLE, G.BallWindow(c, 0.7)),
+        "box": P.Indicator(CIRCLE, G.BoxWindow(c, (0.5, 0.5))),
+        "windowed-constant": P.Windowed(CIRCLE, P.Constant(2.0), G.BallWindow(c, 1.0)),
+        "windowed-power": P.Windowed(CIRCLE, rp, G.BallWindow(c, 1.0)),
+        "sum-scale": P.Sum((cos, P.Scale(-2.0, rp))),
+        "pos": P.PosPart(P.Scale(-1.0, cos)),
+        "neg": P.NegPart(cos),
+        "abs": P.AbsVal(P.Scale(-3.0, rp)),
+    }
+
+
+def _product_potentials(tc):
+    c = G.circle_point(tc)
+    cc = ",".join(repr(float(v)) for v in c.coords)
+    specs = [
+        f"pullback:1,0:radialpower:beta=0.5:center={cc},0.3",
+        f"pullback:1:pullback:0:radialpower:beta=0.5:center={cc}",
+        "windowed:r=1:pullback:0:radialpower:beta=0.5",
+        "indicator:box:w=0.5",
+        f"sum[pullback:0:indicator:ball:r=0.4;scale:-2:pullback:1:cosine:center={cc}]",
+    ]
+    out = {spec: P.parse_potential(spec, E1_CIRCLE) for spec in specs}
+    center = G.make_point(E1_CIRCLE, [0.3, *c.coords])
+    out["radial-function"] = P.cosine_potential(E1_CIRCLE, center)
+    out["radial-power"] = P.RadialPower(E1_CIRCLE, center, 1.0)
+    return out
+
+
+def _swapped_potentials(tc):
+    cc = ",".join(repr(float(v)) for v in G.circle_point(tc).coords)
+    specs = [
+        f"pullback:0:cosine:center={cc}",
+        "pullback:1:radialpower:beta=0.5:center=0.3",
+        f"pullback:0,1:radialpower:beta=0.5:center={cc},0.3",
+    ]
+    return {spec: P.parse_potential(spec, CIRCLE_E1) for spec in specs}
+
+
+def _angles(tc, n=400, seed=0):
+    """Random stored angles, the +-pi seam, and angles within eps = 0.05 of
+    the center (wrapped into [-pi, pi) as the sampler stores them)."""
+    rng = np.random.default_rng(seed)
+    near = np.mod(tc + np.array([0.0, 1e-3, -1e-3, 0.02, -0.03]) + math.pi, 2 * math.pi) - math.pi
+    seam = [-math.pi, math.pi, np.nextafter(-math.pi, 0.0), np.nextafter(math.pi, 0.0)]
+    return np.concatenate([rng.uniform(-math.pi, math.pi, n), seam, near])
+
+
+def _path_cases():
+    for tc in (0.0, 2.0, math.pi):
+        theta = _angles(tc)
+        for name, w in _circle_potentials(tc).items():
+            yield f"circle-{tc:g}-{name}", tc, w, theta[:, None], CIRCLE
+        xs = np.random.default_rng(1).uniform(-1.0, 1.0, theta.size)
+        xs[-5:] = 0.3  # the product centers' euclidean coordinate
+        for name, w in _product_potentials(tc).items():
+            yield f"product-{tc:g}-{name}", tc, w, np.stack([xs, theta], axis=1), E1_CIRCLE
+        for name, w in _swapped_potentials(tc).items():
+            yield f"swapped-{tc:g}-{name}", tc, w, np.stack([theta, xs], axis=1), CIRCLE_E1
+
+
+_PATH_CASES = list(_path_cases())
+
+
+@pytest.mark.parametrize("case", _PATH_CASES, ids=[c[0] for c in _PATH_CASES])
+def test_path_rows_evaluate_as_chart_rows(case, monkeypatch):
+    # with the circle's path distance routed through the chart, path rows and
+    # chart rows run the same arithmetic: every class, window, pullback and
+    # singular set reads its own columns
+    _, _, w, paths, model = case
+    monkeypatch.setattr(G.Circle, "path_distance_many",
+                        lambda self, x, p: G.distance_many(self, x, self.chart_from_path(p)))
+    chart = model.chart_from_path(paths)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = P.capped_values(w, paths, 0.05, path=True)
+        want = P.capped_values(w, chart, 0.05)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", _PATH_CASES, ids=[c[0] for c in _PATH_CASES])
+def test_path_rows_agree_with_chart_rows(case):
+    _, tc, w, paths, model = case
+    chart = model.chart_from_path(paths)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals, near, cap = P.capped_values(w, paths, 0.05, path=True)
+        want, want_near, want_cap = P.capped_values(w, chart, 0.05)
+    assert np.array_equal(near, want_near) and cap == want_cap
+    diff = np.abs(vals - want)
+    if tc == 0.0:
+        # centered at angle 0 both distances are |theta| to within one ulp, so
+        # is a circle atom's value; a sum, a scaling or the product's root sum
+        # of squares rounds once more
+        atom = model is CIRCLE and not isinstance(w, (P.Sum, P.Scale, P.AbsVal))
+        assert np.all(diff <= (1 if atom else 2) * np.spacing(np.maximum(np.abs(vals), np.abs(want))))
+    else:
+        # off it the two distances differ by up to two ulps of pi (both are
+        # rounded: the center's angle, or the chart's cos and sin), which a
+        # profile's slope carries into the values
+        assert np.max(diff) <= 32 * np.spacing(np.max(np.abs(want)))
+
+
+def test_path_distance_within_two_ulps_of_pi():
+    theta = _angles(2.0, n=20000)[:, None]
+    for tc in (0.0, 1.0, 2.0, -2.5, math.pi):
+        x = G.circle_point(tc).coords
+        d = CIRCLE.path_distance_many(x, theta)
+        assert np.all((d >= 0.0) & (d <= math.pi))
+        assert np.max(np.abs(d - G.distance_many(CIRCLE, x, CIRCLE.chart_from_path(theta)))) <= 2 * np.spacing(math.pi)

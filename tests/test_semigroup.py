@@ -56,6 +56,23 @@ def test_sparse_ground_energy_repeats_exactly():
     assert SG.ground_energy(op) == SG.ground_energy(op)
 
 
+def test_sparse_ground_energy_solved_once_per_operator(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(SG, "eigsh", counted)
+    op = SG.discretize(CIRCLE, 4096, P.cosine_potential(CIRCLE))
+    first = SG.ground_energy(op)
+    SG.semigroup_apply(op, 0.25, np.ones(op.size))
+    assert SG.ground_energy(op) == first
+    assert len(calls) == 1
+    assert SG.ground_energy(SG.discretize(CIRCLE, 4096, P.cosine_potential(CIRCLE))) == first
+    assert len(calls) == 2  # a new operator solves its own
+
+
 def test_apply_identity_at_zero_and_positivity():
     op = SG.discretize(CIRCLE, 128, P.cosine_potential(CIRCLE))
     f = np.sin(np.arange(128))

@@ -280,6 +280,35 @@ def test_normals_buffer_split_keeps_paths(monkeypatch):
     assert np.array_equal(whole.positions, _reference_paths(s2, G.base_point(s2), 0.1, 1e-3, 9, 2, range(101)))
 
 
+def _reference_flat_paths(model, start, t, h, N, seed, record_idx):
+    """The cumulative sums gathered at the recorded steps, then wrapped out of
+    place per leaf: a reference for the sampler's in-place flat walk."""
+    n_steps = max(1, round(t / h))
+    h_eff = t / n_steps
+    z = np.stack([S.path_generator(seed, i).standard_normal((n_steps, model.tangent_dim))
+                  for i in range(N)]) * math.sqrt(h_eff)
+    z = np.cumsum(z, axis=1)
+    record_idx = np.asarray(record_idx)
+    out = z[:, np.maximum(record_idx - 1, 0), :]
+    out[:, record_idx == 0, :] = 0.0
+    out += model.path_from_chart(start.coords[None, :])[0]
+    for leaf, off in P.leaves(model, width="path_dim"):
+        if isinstance(leaf, G.Circle):
+            out[..., off] = np.mod(out[..., off] + math.pi, 2.0 * math.pi) - math.pi
+    return out
+
+
+@pytest.mark.parametrize("spec", ["circle", "euclidean:2", "product(euclidean:1,circle)"])
+@pytest.mark.parametrize("record_times, record_idx", [(None, range(301)), ([0.0, 0.1, 0.3], [0, 100, 300]),
+                                                      ([0.3, 0.05], [50, 300])])
+def test_flat_walk_matches_gather_and_wrap(spec, record_times, record_idx):
+    model = G.parse_manifold(spec)
+    start = G.random_point(model, np.random.default_rng(4))
+    ens = S.simulate(model, start, 0.3, 1e-3, 37, seed=6, record_times=record_times, block_size=16)
+    ref = _reference_flat_paths(model, start, 0.3, 1e-3, 37, 6, list(record_idx))
+    assert np.array_equal(ens.positions, ref)
+
+
 def test_normals_buffer_bounded():
     tracemalloc.start()
     try:
@@ -295,7 +324,8 @@ def test_streamed_feynman_kac_matches_unstreamed(monkeypatch):
     e3 = G.euclidean(3)
     w = P.RadialPower(e3, G.base_point(e3), 1.0)
     ens = S.simulate(e3, G.base_point(e3), 0.05, 1e-3, 101, seed=8)
-    vals, capped, cap = S._potential_values_on_paths(w, e3, ens.positions, math.sqrt(ens.step))
+    vals, near, cap = P.capped_values(w, ens.positions.reshape(101 * 51, 3), math.sqrt(ens.step), path=True)
+    vals, capped = vals.reshape(101, 51), near.reshape(101, 51).any(axis=1)
     integral = ens.step * (np.sum(vals, axis=1) - 0.5 * vals[:, 0] - 0.5 * vals[:, -1])
     weights = np.exp(-integral)
     monkeypatch.setattr(S, "_BLOCK_BYTES", 8 * 51 * 3 * 7)  # blocks of 7 paths
@@ -305,6 +335,29 @@ def test_streamed_feynman_kac_matches_unstreamed(monkeypatch):
     assert est.std_error == float(np.std(weights, ddof=1) / math.sqrt(101))
     assert est.capped_fraction == float(np.mean(capped))
     assert est.cap_value == cap
+
+
+def test_feynman_kac_on_the_circle_evaluates_stored_angles(monkeypatch):
+    ens = S.simulate(CIRCLE, G.circle_point(1.0), 0.2, 2e-3, 50, seed=3)
+    want = S.feynman_kac(ens, P.cosine_potential(CIRCLE))
+
+    def no_chart(self, paths):
+        raise AssertionError("chart rows built")
+
+    monkeypatch.setattr(G.Circle, "chart_from_path", no_chart)
+    assert S.feynman_kac(ens, P.cosine_potential(CIRCLE)) == want
+
+
+def test_feynman_kac_and_kato_exponential_share_one_integral():
+    # E[exp(-int w)] and E[exp(int w_-)] with w_- = -w read the same path integral
+    e3 = G.euclidean(3)
+    w = P.Windowed(e3, P.RadialPower(e3, G.base_point(e3), 1.0, 0.3), G.BallWindow(G.base_point(e3), 1.0))
+    rep = S.kato_exponential_estimate(e3, P.Scale(-1.0, w), [0.1], [2.0], 200, h=2e-3, seed=4)
+    ens = S.simulate(e3, G.base_point(e3), 0.1, 2e-3, 200, seed=4)
+    integrals, _, _ = S._path_integrals(w, e3, ens.positions, ens.step, [50])
+    assert rep.sup_estimate[0] == float(np.sum(np.exp(-integrals[:, 0]))) / 200
+    fk = S.feynman_kac(ens, w)
+    assert fk.value == pytest.approx(rep.sup_estimate[0], rel=1e-14)
 
 
 def test_kato_exponential_on_hyperbolic3_unchanged():
@@ -335,3 +388,9 @@ def test_simulate_rejects_bad_horizon_and_step(t, h):
 def test_kato_exponential_rejects_bad_step(h):
     with pytest.raises(DomainError):
         S.kato_exponential_estimate(CIRCLE, P.Constant(1.0), [0.5], [2.0], 10, h=h)
+
+
+@pytest.mark.parametrize("N", [0, -3])
+def test_kato_exponential_rejects_no_paths(N):
+    with pytest.raises(DomainError):
+        S.kato_exponential_estimate(CIRCLE, P.Constant(1.0), [0.5], [2.0], N)
