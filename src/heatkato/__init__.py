@@ -1,7 +1,21 @@
 """heatkato: desk-scale numerical checks for heat kernels, Kato-class
 potentials, Feynman-Kac functionals and Schrodinger semigroup bounds on model
-Riemannian manifolds."""
+Riemannian manifolds.
+
+Importing the package loads no submodule: ``heatkato.kato`` and the other
+submodule attributes load on first access, so a CLI command pays only for the
+layers it uses (``kato`` and ``semigroup`` import scipy's solvers).
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from . import geometry, heat_kernel, kato, mvi, potentials, semigroup, stochastics  # noqa: F401
+_SUBMODULES = ("cli", "errors", "geometry", "heat_kernel", "kato", "mvi", "potentials", "quadrature",
+               "reporting", "semigroup", "stochastics")
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -35,11 +35,9 @@ import numpy as np
 from . import __version__
 from . import geometry as geom
 from . import heat_kernel as hk
-from . import kato as kato_mod
 from . import mvi as mvi_mod
 from . import potentials as pot
-from . import semigroup as sg
-from . import stochastics as st
+from . import stochastics as st  # kato and semigroup load scipy: imported by the checks that call them
 from .errors import HeatKatoError, ManifestError
 from .geometry import BallWindow, BoxWindow, Circle, Euclidean, ManifoldModel, Product
 from .reporting import CheckResult, Report
@@ -230,7 +228,12 @@ _POSITIVE = _domain(lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 _AUTO_OR_POSITIVE = _domain(lambda v: v == "auto" or math.isfinite(v) and v > 0, "auto or finite and > 0")
 _NONNEGATIVE = _domain(lambda v: 0 <= v < math.inf, "finite and >= 0")
 _UNIT_TIME = _domain(lambda v: 0 < v <= 1, "in (0, 1]")
-_N_GRID = _domain(lambda v: 8 <= v <= sg._DENSE_LIMIT, f"in 8..{sg._DENSE_LIMIT}")
+
+
+def _n_grid(value, model):
+    from .semigroup import _DENSE_LIMIT
+
+    return None if 8 <= value <= _DENSE_LIMIT else f"must be in 8..{_DENSE_LIMIT}"
 
 
 def _at_least(k):
@@ -281,6 +284,8 @@ def _default_radial_spec(model: ManifoldModel) -> str:
 
 
 def _check_kato_norm(ctx: CheckContext, p: dict) -> CheckResult:
+    from . import kato as kato_mod
+
     w = ctx.potential(_default_radial_spec(ctx.model))
     xs = [pot.center_of(w, ctx.model)] + _sample_points(ctx.model, p["n_x"] - 1, ctx.seed + 2)
     val = kato_mod.kato_functional(ctx.engine, w, p["t"], xs, s_min=p["s_min"])
@@ -291,6 +296,8 @@ def _check_kato_norm(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_is_kato(ctx: CheckContext, p: dict) -> CheckResult:
+    from . import kato as kato_mod
+
     w = ctx.potential(_default_radial_spec(ctx.model))
     ts = np.logspace(math.log10(p["t_min"]), math.log10(p["t_max"]), p["n_t"])
     curve, verdict = kato_mod.is_kato(
@@ -315,12 +322,16 @@ def _check_is_kato(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _qs(value, model):
+    from . import kato as kato_mod
+
     if value == "auto" or (value and all(math.isfinite(q) and kato_mod.admissible_q(model.dim, q) for q in value)):
         return None
     return "must be auto or a comma-separated list of admissible exponents (q >= 1 if m = 1, else q > m/2)"
 
 
 def _check_holder(ctx: CheckContext, p: dict) -> CheckResult:
+    from . import kato as kato_mod
+
     m = ctx.model.dim
     w = ctx.potential("windowed:r=1.5:radialpower:beta=0.35")
     control = kato_mod.control_pair_from_on_diag(ctx.engine)
@@ -351,6 +362,8 @@ def _check_holder(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_control_pair(ctx: CheckContext, p: dict) -> CheckResult:
+    from . import kato as kato_mod
+
     ts = np.logspace(math.log10(p["t_min"]), 0.0, p["n_t"])
     xs = [geom.base_point(ctx.model)]
     if p["source"] == "liyau":
@@ -387,6 +400,8 @@ def _default_fk_sets(model: ManifoldModel):
 
 
 def _fk_radius(value, model):
+    from . import kato as kato_mod
+
     circum = max(kato_mod._region_circumradius(model, x, region) for x, region in _default_fk_sets(model))
     if not (math.isfinite(value) and value >= circum - 1e-9):
         return f"must be finite and >= {circum:.6g}, the circumradius of the default test sets"
@@ -402,6 +417,8 @@ def _fk_h(p: dict, model: ManifoldModel) -> float:
 
 
 def _check_fk_verify(ctx: CheckContext, p: dict) -> CheckResult:
+    from . import kato as kato_mod
+
     a = kato_mod.faber_krahn_constant(ctx.model.dim) * p["a_scale"]
     radius_fn = lambda x: p["radius"]
     h = _fk_h(p, ctx.model)
@@ -413,6 +430,8 @@ def _check_fk_verify(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_mvi(ctx: CheckContext, p: dict) -> CheckResult:
+    from . import kato as kato_mod
+
     a = kato_mod.faber_krahn_constant(ctx.model.dim)
     cfg = mvi_mod.default_config(ctx.model, a, radius=p["radius"])
     rep = mvi_mod.mvi_sweep(cfg)
@@ -423,6 +442,8 @@ def _check_mvi(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_heat_bound(ctx: CheckContext, p: dict) -> CheckResult:
+    from . import kato as kato_mod
+
     a = kato_mod.faber_krahn_constant(min(ctx.model.dim, 3))
     ts = np.logspace(math.log10(p["t_min"]), math.log10(p["t_max"]), p["n_t"])
     rep = mvi_mod.heat_bound_sweep(
@@ -435,6 +456,8 @@ def _check_heat_bound(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_feynman_kac(ctx: CheckContext, p: dict) -> CheckResult:
+    from . import semigroup as sg
+
     w = ctx.potential("cosine")
     ts = p["t_values"]
     start = geom.circle_point(0.0)
@@ -496,6 +519,8 @@ def _check_kato_exponential(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_semigroup(ctx: CheckContext, p: dict) -> CheckResult:
+    from . import semigroup as sg
+
     w_minus = ctx.potential("radialpower:beta=0.5")
     op_minus = sg.discretize(ctx.model, p["n_grid"], pot.Scale(-1.0, pot.absolute(w_minus)))
     bound = sg.bop_bound_check(op_minus, p["t_values"], p["deltas"], qs=(1, 2, 4, np.inf), seed=ctx.seed)
@@ -509,6 +534,8 @@ def _check_semigroup(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_riesz(ctx: CheckContext, p: dict) -> CheckResult:
+    from . import semigroup as sg
+
     w = ctx.potential("cosine")
     op = sg.discretize(ctx.model, p["n_grid"], w)
     rep = sg.riesz_thorin_check(op, p["t"], p["r_values"])
@@ -548,6 +575,8 @@ def _kernel_times(p, model):
 
 
 def _fk_grid(p, model):
+    from . import kato as kato_mod
+
     regions = [region for _, region in _default_fk_sets(model)]
     h = _fk_h(p, model)
     if any(kato_mod.fd_grid_too_fine(model, region, h) for region in regions):
@@ -684,7 +713,7 @@ CHECKS: dict[str, CheckSpec] = {
         _check_semigroup,
         "||e^{-t H^{-w_-}}||_{q->q} <= delta e^{t C(delta)}; |e^{-tH^w} f| <= e^{-tH^{-w_-}} |f|",
         {
-            "n_grid": (int, 192, _N_GRID),
+            "n_grid": (int, 192, _n_grid),
             "t_values": (_floats, "0,0.5,1,2", _list_of(lambda v: v >= 0, ">= 0")),
             "deltas": (_floats, "1.5,2,4", _DELTAS),
         },
@@ -695,7 +724,7 @@ CHECKS: dict[str, CheckSpec] = {
         _check_riesz,
         "||e^{-tH}||_{q_r->q_r} <= ||.||_{1->1}^{1-r} ||.||_{inf->inf}^{r}",
         {
-            "n_grid": (int, 192, _N_GRID),
+            "n_grid": (int, 192, _n_grid),
             "t": (float, 0.5, _NONNEGATIVE),
             "r_values": (_floats, "0.25,0.5,0.75", _list_of(lambda v: 0 < v < 1, "in (0, 1)")),
         },

@@ -16,7 +16,8 @@ facts the heat-kernel engine looks up (closed-form profile, mass tail, reach,
 diameter, allowed methods, and the kernel factors: a product's factors, a
 flat torus's periodic axes).  ``split`` cuts arrays by kernel factor.  The
 module-level functions check arguments and hand the rest to the model;
-everything here is a pure function of its inputs.
+everything here is a pure function of its inputs.  scipy is imported inside
+the few functions that call it, since every command imports this module.
 """
 
 from __future__ import annotations
@@ -27,12 +28,22 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc, gammaincc
 
 from .errors import DomainError, InvalidPointError, ManifestError, UnsupportedModelError
 
 _UNIT_TOL = 1e-9  # max drift from the unit sphere before a point is rejected
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported at the first call.
+
+    Importing scipy.integrate takes about 0.6 s, and most commands integrate
+    no scalar function.  ``potentials`` imports this same function; both
+    modules call it by bare name.
+    """
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
 
 
 class ManifoldModel:
@@ -254,6 +265,8 @@ class Euclidean(_FlatChart):
         return (2.0 * math.pi * t) ** (-self.dim / 2.0) * np.exp(-d * d / (2.0 * t))
 
     def mass_tail(self, t, radius):
+        from scipy.special import gammaincc
+
         return float(gammaincc(self.dim / 2.0, radius * radius / (2.0 * t)))
 
     def comparability_radius(self, b: float) -> float:
@@ -557,6 +570,8 @@ class Hyperbolic3(ManifoldModel):
         return pref * ratio * np.exp(-d * d / (2.0 * t))
 
     def mass_tail(self, t, radius):
+        from scipy.special import erfc
+
         # integrand is below (2 pi t)^{-3/2} 2 pi rho e^{-(rho-t)^2/(2t)}
         pref = (2.0 * math.pi * t) ** -1.5 * 2.0 * math.pi
         u = radius - t

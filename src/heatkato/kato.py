@@ -2,6 +2,10 @@
 
 All verdicts produced here are numerical evidence from finite sweeps, never
 proofs; every report records the sweep and its tolerances.
+
+scipy is imported at the top, unlike in the layers every command loads: this
+module's own core runs on quad, brentq, the Bessel functions and sparse eigsh,
+so deferring them would only move their import into the first check.
 """
 
 from __future__ import annotations
@@ -783,10 +787,13 @@ class FDEigenResult:
 
 
 _FD_MIN_NODES = 20  # fewest interior nodes a finite-difference solve accepts
-# most lattice nodes a finest grid may hold: building a 3-d mask takes about
-# 110 bytes a node (1.1 GB at the cap); the 3-d unit ball at h = 1/48 has
-# 193^3 = 7.2e6
+# most lattice nodes a finest grid may hold. The mask takes a byte a node plus
+# about 7 MB of coordinates (1.6 bytes a node in all on the 3-d unit ball at
+# h = 1/48, whose finest grid has 193^3 = 7.2e6 nodes); assembling the
+# operator and its fold then peaks at about 160 bytes a node before the
+# eigensolve (1.2 GB there; tracemalloc, numpy 2.4)
 _FD_MAX_NODES = 10_000_000
+_FD_MASK_ROWS = 65_536  # lattice nodes whose coordinates _fd_mask holds at once (about 7 MB)
 
 
 def _fd_axes(m: int, lo: np.ndarray, hi: np.ndarray, h):
@@ -796,12 +803,20 @@ def _fd_axes(m: int, lo: np.ndarray, hi: np.ndarray, h):
 
 
 def _fd_mask(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h):
-    """(interior-node mask of the lattice from lo to hi, per-axis spacings)."""
+    """(interior-node mask of the lattice from lo to hi, per-axis spacings).
+
+    ``inside_fn`` tests its coordinate rows one by one, so it runs on a few
+    first-axis slabs of the lattice at a time (about _FD_MASK_ROWS nodes, one
+    slab at least): besides the mask, only their float coordinates are held."""
     hs, ns = _fd_axes(m, lo, hi, h)
     axes = [lo[k] + np.arange(ns[k]) * hs[k] for k in range(m)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([g.ravel() for g in mesh], axis=1)
-    return inside_fn(coords).reshape(mesh[0].shape), hs
+    step = max(1, _FD_MASK_ROWS // math.prod(ns[1:]))
+    mask = np.empty(ns, dtype=bool)
+    for i in range(0, ns[0], step):
+        mesh = np.meshgrid(axes[0][i : i + step], *axes[1:], indexing="ij")
+        coords = np.stack([g.ravel() for g in mesh], axis=1)
+        mask[i : i + step] = inside_fn(coords).reshape(mesh[0].shape)
+    return mask, hs
 
 
 def _fd_operator(mask: np.ndarray, hs) -> sparse.csc_matrix:

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import geometry as geom
 from . import heat_kernel as hk
 from .errors import DomainError, ManifestError, SingularityError, UnsupportedModelError
-from .geometry import BallWindow, BoxWindow, Euclidean, Hyperbolic3, ManifoldModel, Point, Product, QuadratureGrid
+from .geometry import (BallWindow, BoxWindow, Euclidean, Hyperbolic3, ManifoldModel, Point, Product,
+                       QuadratureGrid, quad)
 
 
 @dataclass(frozen=True)

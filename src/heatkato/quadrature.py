@@ -24,7 +24,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import UnsupportedModelError
 from .geometry import ManifoldModel, ball_surface_many, gl_nodes
@@ -272,7 +271,10 @@ def _jacobi_rule(n: int, exponent: float) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss rule for the weight t^exponent on [0, 1], each weight
     divided by t^exponent at its node: sum(w * h(t)) integrates h itself when
     h / t^exponent is smooth.  Built on first use; the arrays are read-only
-    because every caller shares them."""
+    because every caller shares them.  scipy.special is imported here, so
+    that importing this module does not load it."""
+    from scipy.special import roots_jacobi
+
     x, w = roots_jacobi(n, 0.0, exponent)
     t = 0.5 * (1.0 + x)
     w = w / 2.0 ** (exponent + 1.0) / t**exponent

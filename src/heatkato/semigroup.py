@@ -8,6 +8,10 @@ sparse complex solves) on t(H - E_0), E_0 the ground energy (_contour_expm).
 
 Grid L^q norms use cell-volume weights, so q = 1 and q = infinity are exact
 duals on the uniform grids used here.
+
+scipy's sparse matrices, splu, eigsh and eigh are imported at the top: every
+function here runs on them, and only the commands that need a semigroup import
+this module.
 """
 
 from __future__ import annotations

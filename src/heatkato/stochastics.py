@@ -39,7 +39,6 @@ import numpy as np
 
 from . import geometry as geom
 from . import heat_kernel as hk
-from . import kato as kato_mod
 from . import potentials as pot
 from .errors import DomainError, UnsupportedModelError
 from .geometry import ManifoldModel, Point, Product
@@ -48,6 +47,7 @@ _MAX_STORE_BYTES = 600_000_000
 # one block's working buffer: the normals that drive its paths, or the chart
 # rows Feynman-Kac evaluates a potential on
 _BLOCK_BYTES = 1 << 24
+_CAPPED_WARNING = 0.01  # capped-path fraction above which a path estimate is flagged unreliable
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -370,7 +370,7 @@ def feynman_kac(
     value = float(np.mean(weights))
     stderr = float(np.std(weights, ddof=1) / math.sqrt(ensemble.n_paths))
     frac = float(np.mean(capped_paths))
-    return FeynmanKacEstimate(value, stderr, ensemble.n_paths, frac, cap_val, frac > 0.01)
+    return FeynmanKacEstimate(value, stderr, ensemble.n_paths, frac, cap_val, frac > _CAPPED_WARNING)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +385,9 @@ class KatoExponentialReport:
     table: list  # per delta: {"delta": d, "C": smallest valid constant}
     overflowed: bool
     n_paths: int
+    capped_fraction: float  # paths that came within sqrt(h) of a singular set, as in feynman_kac
+    cap_value: float
+    reliability_warning: bool
 
 
 def kato_exponential_estimate(
@@ -399,7 +402,8 @@ def kato_exponential_estimate(
 ) -> KatoExponentialReport:
     """E[exp(int_0^t w_minus(X_s) ds)] from the model's base point on the
     t-grid, then for each delta > 1 the smallest C with the estimate
-    <= delta * exp(t C) across the grid."""
+    <= delta * exp(t C) across the grid.  Capped paths are reported as
+    ``feynman_kac`` reports them; they do not change the table."""
     ts = sorted(float(t) for t in t_grid)
     if any(t <= 0 for t in ts):
         raise DomainError("t grid must be positive")
@@ -413,12 +417,15 @@ def kato_exponential_estimate(
     t_idx = [max(1, int(round(t / h_eff))) for t in ts]
     acc_mean = np.zeros(len(ts))
     acc_m2 = np.zeros(len(ts))
+    n_capped, cap = 0, 0.0
     start_path = geom.base_point(model).coords.copy()
     for i0 in range(0, N, block_size):
         i1 = min(i0 + block_size, N)
         block = np.empty((i1 - i0, n_steps + 1, model.path_dim))
         _block_paths(model, start_path, n_steps, h_eff, seed, i0, i1, np.arange(n_steps + 1), block)
-        integrals, _, _ = _path_integrals(w_minus, model, block, h_eff, t_idx)
+        integrals, capped_paths, block_cap = _path_integrals(w_minus, model, block, h_eff, t_idx)
+        n_capped += int(np.count_nonzero(capped_paths))
+        cap = max(cap, block_cap)
         for j in range(len(ts)):
             ev = np.exp(integrals[:, j])
             acc_mean[j] += np.sum(ev)
@@ -435,8 +442,10 @@ def kato_exponential_estimate(
             if np.isfinite(mean[j]) and mean[j] > 0
         ]
         table.append({"delta": float(delta), "C": max(0.0, max(cs)) if cs else math.inf})
+    frac = n_capped / N
     return KatoExponentialReport(
-        list(ts), [float(v) for v in mean], [float(e) for e in err], table, overflow, N
+        list(ts), [float(v) for v in mean], [float(e) for e in err], table, overflow, N,
+        frac, cap, frac > _CAPPED_WARNING,
     )
 
 
@@ -480,6 +489,8 @@ def elworthy_projection_check(
     integral contributes the factor masses); the optional Monte-Carlo route
     estimates the left side from projected product paths.
     """
+    from . import kato as kato_mod  # scipy's solvers: only this check needs them
+
     if not isinstance(model, Product):
         raise UnsupportedModelError("projection check needs a product model")
     ls = pot.leaves(model)

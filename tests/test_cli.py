@@ -2,6 +2,9 @@ import importlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import types
 from pathlib import Path
@@ -11,6 +14,7 @@ import pytest
 from heatkato import cli
 from heatkato import geometry as G
 from heatkato import heat_kernel as HK
+from heatkato import kato as K
 from heatkato import potentials as P
 from heatkato.errors import DomainError, ManifestError
 from heatkato.reporting import canonical_json
@@ -320,7 +324,7 @@ def test_fk_verify_fine_h_exits_two_before_building_a_lattice(h, capsys):
 def test_fk_verify_validator_and_run_share_h(monkeypatch):
     # with no h given, the node checks and the eigensolves see the same 3-d h
     seen = []
-    too_fine = cli.kato_mod.fd_grid_too_fine
+    too_fine = K.fd_grid_too_fine
 
     def validate(model, region, h):
         seen.append(("validate", h))
@@ -328,10 +332,10 @@ def test_fk_verify_validator_and_run_share_h(monkeypatch):
 
     def run(model, radius_fn, a, sets, h):
         seen.append(("run", h))
-        return cli.kato_mod.FaberKrahnReport(0.0, 0.0, [], [])
+        return K.FaberKrahnReport(0.0, 0.0, [], [])
 
-    monkeypatch.setattr(cli.kato_mod, "fd_grid_too_fine", validate)
-    monkeypatch.setattr(cli.kato_mod, "faber_krahn_verify", run)
+    monkeypatch.setattr(K, "fd_grid_too_fine", validate)
+    monkeypatch.setattr(K, "faber_krahn_verify", run)
     report = cli.run_manifest(cli.ExperimentManifest(manifold="euclidean:3", checks=["fk-verify"]))
     assert {k for k, _ in seen} == {"validate", "run"}
     assert {h for _, h in seen} == {1.0 / 12.0}
@@ -449,3 +453,64 @@ def test_bench_tracer_targets_exist():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert tracer.TARGETS and not missing, missing
+
+
+# runs cli.main in a fresh interpreter, then prints the exit code and the
+# scipy modules that the command loaded
+_IMPORT_PROBE = """
+import sys
+from heatkato import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:  # --help
+    code = exc.code
+print(code)
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _fresh_python(code, argv, cwd):
+    """The stdout lines of ``python -c code argv`` with this heatkato on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split("\n")[:-1]
+
+
+def _scipy_loaded_by(argv, cwd):
+    *_, code, modules = _fresh_python(_IMPORT_PROBE, argv, cwd)
+    return int(code), set(modules.split())
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["list-batteries"], 0),
+        (["--help"], 0),
+        (["kernel-check", "--manifold", "circle", "--kernel-method", "series:abc"], 2),
+    ],
+    ids=["list-batteries", "help", "bad-kernel-method"],
+)
+def test_commands_without_numerics_load_no_scipy(argv, code, tmp_path):
+    assert _scipy_loaded_by(argv, tmp_path) == (code, set())
+
+
+def test_semigroup_battery_loads_no_quadrature_special_or_optimize(tmp_path):
+    # the semigroup checks need only scipy's linear algebra
+    code, modules = _scipy_loaded_by(["run-battery", "semigroup"], tmp_path)
+    assert code == 0 and "scipy.sparse.linalg" in modules
+    heavy = ("scipy.integrate", "scipy.special", "scipy.optimize")
+    assert not [m for m in modules if m.startswith(heavy)]
+
+
+def test_package_submodules_load_on_first_access(tmp_path):
+    probe = (
+        "import sys, heatkato\n"
+        "print(sorted(m for m in sys.modules if m.startswith('heatkato.')))\n"
+        "print(heatkato.kato.is_kato.__qualname__)\n"
+        "try:\n    heatkato.no_such_module\nexcept AttributeError:\n    print('AttributeError')\n"
+    )
+    assert _fresh_python(probe, [], tmp_path) == ["[]", "is_kato", "AttributeError"]
+    assert G.quad is P.quad  # one lazy scipy quad, called by bare name in both modules

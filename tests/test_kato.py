@@ -7,6 +7,7 @@ from scipy.sparse.linalg import eigsh
 from scipy.special import erf, gamma, jn_zeros
 from scipy.stats import chi2, ncx2
 
+from heatkato import cli
 from heatkato import geometry as G
 from heatkato import heat_kernel as HK
 from heatkato import kato as K
@@ -395,6 +396,28 @@ def test_fold_is_the_identity_on_an_asymmetric_lattice(monkeypatch):
         folded = K._fd_ground_energy(2, *level)
         assert sizes == [int(mask.sum())]
         assert folded == pytest.approx(_unfolded_ground_energy(2, level), rel=1e-12)
+
+
+def _stacked_mask(m, inside_fn, lo, hi, h):
+    # the reference: every lattice node's coordinates stacked into one array
+    hs, ns = K._fd_axes(m, lo, hi, h)
+    mesh = np.meshgrid(*[lo[k] + np.arange(ns[k]) * hs[k] for k in range(m)], indexing="ij")
+    return inside_fn(np.stack([g.ravel() for g in mesh], axis=1)).reshape(mesh[0].shape)
+
+
+@pytest.mark.parametrize("manifold", ["euclidean:2", "euclidean:3"])
+def test_chunked_mask_equals_the_stacked_lattice_mask(manifold):
+    # fk-verify's default test sets at its default h, both refinement levels,
+    # plus an off-lattice ball whose far edge misses the lattice; the 3-d
+    # unit ball's finer level takes 49 slabs of 49^2 nodes in two chunks
+    model = G.parse_manifold(manifold)
+    o = G.base_point(model)
+    sets = [region for _, region in cli._default_fk_sets(model)] + [G.BallWindow(o, 0.77)]
+    for region in sets:
+        _, levels, _ = K._fd_levels(model, region, cli._fk_h({"h": "auto"}, model), 1)
+        for level in levels:
+            mask, _ = K._fd_mask(model.dim, *level)
+            assert mask.dtype == bool and np.array_equal(mask, _stacked_mask(model.dim, *level))
 
 
 @pytest.mark.parametrize("m, h", [(2, 1 / 3), (3, 1 / 2)])

@@ -195,6 +195,22 @@ def test_kato_exponential_truncated_coulomb_finite():
     assert all(a >= b - 1e-12 for a, b in zip(cs, cs[1:]))
 
 
+def test_kato_exponential_reports_capped_paths():
+    # every path starts on the singular center, so every path is capped with
+    # the cap 0.3 / sqrt(h), as feynman_kac reports it on the same paths
+    e3 = G.euclidean(3)
+    o = G.base_point(e3)
+    w = P.Windowed(e3, P.RadialPower(e3, o, 1.0, 0.3), G.BallWindow(o, 1.0))
+    rep = S.kato_exponential_estimate(e3, w, [0.4], [2.0], 500, h=1e-3, seed=0)
+    assert rep.capped_fraction == 1.0 and rep.reliability_warning
+    assert rep.cap_value == pytest.approx(0.3 / math.sqrt(1e-3), rel=1e-12)
+    assert round(rep.cap_value, 2) == 9.49
+    fk = S.feynman_kac(S.simulate(e3, o, 0.4, 1e-3, 500, seed=0), w)
+    assert (fk.capped_fraction, fk.cap_value) == (rep.capped_fraction, rep.cap_value)
+    smooth = S.kato_exponential_estimate(CIRCLE, P.Constant(0.8), [0.5], [2.0], 100, seed=0)
+    assert (smooth.capped_fraction, smooth.cap_value, smooth.reliability_warning) == (0.0, 0.0, False)
+
+
 def test_projection_trivial_mass():
     model = G.parse_manifold("product(euclidean:1,circle)")
     rep = S.elworthy_projection_check(model, 0, P.Constant(1.0), 0.4, G.base_point(model))
