@@ -228,6 +228,9 @@ _POSITIVE = _domain(lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 _AUTO_OR_POSITIVE = _domain(lambda v: v == "auto" or math.isfinite(v) and v > 0, "auto or finite and > 0")
 _NONNEGATIVE = _domain(lambda v: 0 <= v < math.inf, "finite and >= 0")
 _UNIT_TIME = _domain(lambda v: 0 < v <= 1, "in (0, 1]")
+# a kernel time: far below 1e-12 the Euclidean prefactor (2 pi t)^(-m/2)
+# overflows, far above 1e6 the circle's image sum needs millions of terms
+_TIME = _domain(lambda v: 1e-12 <= v <= 1e6, "in [1e-12, 1e6]")
 
 
 def _n_grid(value, model):
@@ -248,6 +251,7 @@ def _list_of(ok, what):
 
 
 _POSITIVE_LIST = _list_of(lambda v: v > 0, "> 0")
+_TIMES = _list_of(lambda v: 1e-12 <= v <= 1e6, "in [1e-12, 1e6]")
 _DELTAS = _list_of(lambda v: v > 1, "> 1")
 
 
@@ -309,7 +313,7 @@ def _check_is_kato(ctx: CheckContext, p: dict) -> CheckResult:
         for t, v, b in zip(curve.t_values, curve.values, curve.tail_bounds)
     ]
     return CheckResult(
-        verdict.passed, p["threshold_ratio"] - verdict.decay_ratio, 0.0,
+        verdict.passed, min(p["threshold_ratio"] - verdict.decay_ratio, verdict.gamma - p["gamma_min"]), 0.0,
         {
             "gamma": verdict.gamma,
             "decay_ratio": verdict.decay_ratio,
@@ -370,7 +374,7 @@ def _check_control_pair(ctx: CheckContext, p: dict) -> CheckResult:
         pair = kato_mod.control_pair_li_yau(ctx.engine, t_values=ts)
     elif p["source"] == "fk":
         fk = kato_mod.FaberKrahnControlPair(
-            kato_mod.constant_radius_fn(ctx.model), kato_mod.faber_krahn_constant(ctx.model.dim)
+            kato_mod.constant_radius_fn(ctx.model), mvi_mod.faber_krahn_constant(ctx.model.dim)
         )
         pair, _ = kato_mod.control_pair_from_faber_krahn(fk, ctx.engine)
     else:
@@ -419,7 +423,7 @@ def _fk_h(p: dict, model: ManifoldModel) -> float:
 def _check_fk_verify(ctx: CheckContext, p: dict) -> CheckResult:
     from . import kato as kato_mod
 
-    a = kato_mod.faber_krahn_constant(ctx.model.dim) * p["a_scale"]
+    a = mvi_mod.faber_krahn_constant(ctx.model.dim) * p["a_scale"]
     radius_fn = lambda x: p["radius"]
     h = _fk_h(p, ctx.model)
     rep = kato_mod.faber_krahn_verify(ctx.model, radius_fn, a, _default_fk_sets(ctx.model), h=h)
@@ -430,9 +434,7 @@ def _check_fk_verify(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_mvi(ctx: CheckContext, p: dict) -> CheckResult:
-    from . import kato as kato_mod
-
-    a = kato_mod.faber_krahn_constant(ctx.model.dim)
+    a = mvi_mod.faber_krahn_constant(ctx.model.dim)
     cfg = mvi_mod.default_config(ctx.model, a, radius=p["radius"])
     rep = mvi_mod.mvi_sweep(cfg)
     return CheckResult(
@@ -442,9 +444,7 @@ def _check_mvi(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_heat_bound(ctx: CheckContext, p: dict) -> CheckResult:
-    from . import kato as kato_mod
-
-    a = kato_mod.faber_krahn_constant(min(ctx.model.dim, 3))
+    a = mvi_mod.faber_krahn_constant(min(ctx.model.dim, 3))
     ts = np.logspace(math.log10(p["t_min"]), math.log10(p["t_max"]), p["n_t"])
     rep = mvi_mod.heat_bound_sweep(
         ctx.engine, lambda x: p["radius"], a, ts, [geom.base_point(ctx.model)]
@@ -574,6 +574,14 @@ def _kernel_times(p, model):
     return f"t_values {capped} need more than {hk.LMAX_CAP} series terms" if capped else None
 
 
+def _is_kato_times(p, model):
+    if p["t_min"] == p["t_max"]:
+        return "t_min and t_max must differ"
+    # N(t) integrates s over [s_min, t] only: at t <= s_min it reads 0
+    low = min(p["t_min"], p["t_max"]) <= p["s_min"]
+    return f"t_min and t_max must exceed s_min = {p['s_min']:g}" if low else None
+
+
 def _fk_grid(p, model):
     from . import kato as kato_mod
 
@@ -599,14 +607,14 @@ CHECKS: dict[str, CheckSpec] = {
     "kernel-check": CheckSpec(
         _check_kernel,
         "int p(t,x,y) dmu(y) <= 1; int p(t,x,z) p(s,z,y) dmu(z) = p(t+s,x,y); p(t,x,y) = p(t,y,x)",
-        {"t_values": (_floats, "0.05,0.2,0.7", _POSITIVE_LIST), "n_points": (int, 4, _at_least(1))},
+        {"t_values": (_floats, "0.05,0.2,0.7", _TIMES), "n_points": (int, 4, _at_least(1))},
         "heat kernel mass / Chapman-Kolmogorov / symmetry",
         check=_kernel_times,
     ),
     "kato-norm": CheckSpec(
         _check_kato_norm,
         "N(t) = sup_x int_0^t int p(s,x,y) |w(y)| dmu(y) ds < inf",
-        {"t": (float, 0.1, _POSITIVE), "n_x": (int, 3, _at_least(1)), "s_min": (float, 1e-9, _POSITIVE)},
+        {"t": (float, 0.1, _TIME), "n_x": (int, 3, _at_least(1)), "s_min": (float, 1e-9, _TIME)},
         "Kato functional N(t) at one t",
         models=_KATO_MODELS,
     ),
@@ -614,16 +622,16 @@ CHECKS: dict[str, CheckSpec] = {
         _check_is_kato,
         "lim_{t->0+} sup_x int_0^t int p(s,x,y)|w(y)| dmu ds = 0   [numerical evidence]",
         {
-            "t_min": (float, 1e-3, _POSITIVE),
-            "t_max": (float, 0.5, _POSITIVE),
+            "t_min": (float, 1e-3, _TIME),
+            "t_max": (float, 0.5, _TIME),
             "n_t": (int, 6, _at_least(2)),
             "threshold_ratio": (float, 0.3, _POSITIVE),
             "gamma_min": (float, 0.05, _NONNEGATIVE),
-            "s_min": (float, 1e-9, _POSITIVE),
+            "s_min": (float, 1e-9, _TIME),
         },
         "Kato-class membership verdict (numerical evidence)",
         models=_KATO_MODELS,
-        check=lambda p, model: None if p["t_min"] != p["t_max"] else "t_min and t_max must differ",
+        check=_is_kato_times,
     ),
     "holder-check": CheckSpec(
         _check_holder,
@@ -665,8 +673,8 @@ CHECKS: dict[str, CheckSpec] = {
         _check_heat_bound,
         "sup_y p(t,x,y) <= C a^{-m/2} min(t, R(x)^2)^{-m/2}",
         {
-            "t_min": (float, 1e-3, _POSITIVE),
-            "t_max": (float, 10.0, _POSITIVE),
+            "t_min": (float, 1e-3, _TIME),
+            "t_max": (float, 10.0, _TIME),
             "n_t": (int, 25, _at_least(1)),
             "radius": (float, 1.0, _POSITIVE),
         },
@@ -734,7 +742,8 @@ CHECKS: dict[str, CheckSpec] = {
     "coulomb": CheckSpec(
         _check_coulomb,
         "V(x,y) = (1/2) int_0^inf p(s,x,y) ds, finite for x != y",
-        {"r_values": (_floats, "0.1,1,10", _POSITIVE_LIST), "rel_tol": (float, 1e-6, _POSITIVE)},
+        {"r_values": (_floats, "0.1,1,10", _list_of(lambda v: 0 < v <= 1e6, "in (0, 1e6]")),
+         "rel_tol": (float, 1e-6, _POSITIVE)},
         "Coulomb potential quadrature against the closed form",
         models=("euclidean:3 or hyperbolic3", pot._coulomb_supported),
     ),

@@ -4,8 +4,9 @@ All verdicts produced here are numerical evidence from finite sweeps, never
 proofs; every report records the sweep and its tolerances.
 
 scipy is imported at the top, unlike in the layers every command loads: this
-module's own core runs on quad, brentq, the Bessel functions and sparse eigsh,
-so deferring them would only move their import into the first check.
+module's own core runs on quad and sparse eigsh, so deferring them would only
+move their import into the first check.  The Faber-Krahn constant, whose
+Bessel zeros need scipy's special functions and root finder, lives in ``mvi``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.sparse.linalg import eigsh
-from scipy.optimize import brentq
-from scipy.special import jn_zeros, jv
 
 from . import geometry as geom
 from . import heat_kernel as hk
@@ -747,29 +746,6 @@ class FaberKrahnControlPair:
     radius_fn: Callable[[Point], float]  # continuous bounded R
     a: float
     description: str = ""
-
-
-def faber_krahn_constant(m: int) -> float:
-    """Sharp constant for -(1/2) Laplace with Dirichlet conditions: equality on
-    balls, min spec(H_U) >= a vol(U)^{-2/m}."""
-    j = _first_bessel_zero(m / 2.0 - 1.0)
-    omega = geom._omega(m)
-    return 0.5 * j * j * omega ** (2.0 / m)
-
-
-def _first_bessel_zero(nu: float) -> float:
-    """First positive zero j of J_nu, nu = m/2 - 1."""
-    if nu == -0.5:
-        return math.pi / 2.0  # J_{-1/2}(x) is a multiple of cos(x) / sqrt(x)
-    if nu == 0.5:
-        return math.pi  # J_{1/2}(x) is a multiple of sin(x) / sqrt(x)
-    if nu == int(nu):
-        return float(jn_zeros(int(nu), 1)[0])
-    # half-integer order: J_nu > 0 on (0, j) and j > nu; bracket the first sign change
-    lo = nu
-    while jv(nu, lo + 0.5) > 0.0:
-        lo += 0.5
-    return brentq(lambda x: jv(nu, x), lo, lo + 0.5, xtol=1e-15, rtol=4 * np.finfo(float).eps)
 
 
 def constant_radius_fn(model: ManifoldModel):

@@ -1,4 +1,5 @@
-"""Parabolic L^q mean value inequality sweeps and the induced heat bound.
+"""Parabolic L^q mean value inequality sweeps, the induced heat bound, and the
+Faber-Krahn constant a that both take.
 
 Test solutions are heat-kernel columns u(s, y) = p(s, y, y0): they are exact
 nonnegative solutions of the heat equation, so no PDE solver enters and every
@@ -17,6 +18,33 @@ from . import heat_kernel as hk
 from . import quadrature as qd
 from .errors import DomainError, UnsupportedModelError
 from .geometry import Euclidean, ManifoldModel, Point
+
+
+def faber_krahn_constant(m: int) -> float:
+    """Sharp constant for -(1/2) Laplace with Dirichlet conditions: equality on
+    balls, min spec(H_U) >= a vol(U)^{-2/m}."""
+    j = _first_bessel_zero(m / 2.0 - 1.0)
+    return 0.5 * j * j * geom._omega(m) ** (2.0 / m)
+
+
+def _first_bessel_zero(nu: float) -> float:
+    """First positive zero j of J_nu, nu = m/2 - 1.  scipy is imported only
+    for the orders without a closed form."""
+    if nu == -0.5:
+        return math.pi / 2.0  # J_{-1/2}(x) is a multiple of cos(x) / sqrt(x)
+    if nu == 0.5:
+        return math.pi  # J_{1/2}(x) is a multiple of sin(x) / sqrt(x)
+    from scipy.special import jn_zeros, jv
+
+    if nu == int(nu):
+        return float(jn_zeros(int(nu), 1)[0])
+    from scipy.optimize import brentq
+
+    # half-integer order: J_nu > 0 on (0, j) and j > nu; bracket the first sign change
+    lo = nu
+    while jv(nu, lo + 0.5) > 0.0:
+        lo += 0.5
+    return brentq(lambda x: jv(nu, x), lo, lo + 0.5, xtol=1e-15, rtol=4 * np.finfo(float).eps)
 
 
 @dataclass(frozen=True)

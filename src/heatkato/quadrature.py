@@ -5,10 +5,10 @@ Three workhorses live here:
 * ``radial_integral``   -- 1-d integrals of rho -> f(rho) against the geodesic
   sphere area s_m(rho), with a geometric cell ladder at rho = 0.
 * ``two_point_integral``-- integrals of y -> f(d(y,x)) g(d(y,c)) over a whole
-  model manifold.  On E^m, H^3, S^2 and the circle such integrands are
-  axially symmetric about the geodesic through x and c, which reduces the
-  integral to two dimensions regardless of the ambient dimension.  One cell
-  set serves a whole batch of kernel times.
+  model manifold.  Such integrands are axially symmetric about the geodesic
+  through x and c: on E^m, H^3 and S^2 the integral reduces to two dimensions,
+  in dimension 1 to the two sides of x (a periodic axis folds the far side).
+  One cell set serves a whole batch of kernel times.
 * ``near_field_integral`` -- the ball of radius eps around a power
   singularity u^(-beta) that ``two_point_integral`` excises, by one fixed
   Gauss-Jacobi rule with weight u^(m-1-beta).
@@ -135,7 +135,9 @@ def two_point_integral(
 
     ``f_scale``/``g_scale`` control cell refinement near the two centers.
     Nodes with d(y,c) < g_singular_radius are dropped (the caller accounts for
-    the excised ball analytically).
+    the excised ball analytically).  In dimension 1, y at distance rho from x
+    lies at |rho - d| or rho + d from c; a periodic axis of period L folds the
+    latter to min(rho + d, L - rho - d).
 
     ``r_max``, the two scales, ``g_singular_radius`` and ``max_cell`` take one
     value or one per batch row.  One side, f or g, may give one row per batch
@@ -146,8 +148,6 @@ def two_point_integral(
     float when nothing is batched.
     """
     eps = np.asarray(g_singular_radius, dtype=float)
-    if model.dim == 1 and model.period:
-        return _total(_two_point_periodic(f, g, d, eps, model.period))
     r_rows = np.minimum(np.asarray(r_max, dtype=float), model.diameter)
     reach = float(r_rows.max())
     cap = np.asarray(r_rows / 16.0 if max_cell is None else max_cell, dtype=float)
@@ -170,13 +170,10 @@ def two_point_integral(
         max_cell=radial_cap,
     )
     rho, w_rho = gl_nodes(breaks)
-    if model.dim == 1:  # the line: both sides of x
-        gplus = g(rho + d)
-        gminus = g(np.abs(rho - d))
-        if excised:
-            gplus = np.where(rho + d < eps[..., None], 0.0, gplus)
-            gminus = np.where(np.abs(rho - d) < eps[..., None], 0.0, gminus)
-        return _total(np.sum(w_rho * f(rho) * (gplus + gminus), axis=-1))
+    if model.dim == 1:  # both sides of x; a periodic axis folds the far side
+        sides = (np.abs(rho - d), rho + d if not model.period else np.minimum(rho + d, model.period - rho - d))
+        vals = sum(np.where(u < eps[..., None], 0.0, g(u)) if excised else g(u) for u in sides)
+        return _total(np.sum(w_rho * f(rho) * vals, axis=-1))
     # angular feature width: the g-structure around the axis seen from x;
     # the angular cap shrinks together with the radial one
     w_ang = np.minimum(np.maximum(np.maximum(g_scale, eps), 1e-6) / max(d, 1e-6), math.pi)
@@ -232,31 +229,6 @@ def _full_rotation(model: ManifoldModel) -> float:
     # ball_surface already contains the full direction-sphere volume; the
     # angular jacobian integrates to that same constant, so normalize it out.
     return 2.0 * math.pi if model.dim == 2 else 4.0 * math.pi
-
-
-def _two_point_periodic(f, g, d: float, eps: np.ndarray, L: float) -> np.ndarray:
-    # chart variable: signed arc length from x on a circle of circumference L;
-    # c sits at +d
-    half = L / 2.0
-
-    def wrap(a):
-        return np.abs(np.mod(a + half, L) - half)
-
-    pts = {-half, 0.0, half}
-    for loc in (0.0, d, d - L):
-        for s in (1e-4, 1e-3, 1e-2, 0.1, 0.5):
-            for v in (loc - s, loc + s):
-                if -half < v < half:
-                    pts.add(v)
-        if -half < loc < half:
-            pts.add(loc)
-    theta, w = gl_nodes(_cap_cells(pts, L / 32.0))
-    dist_x = np.abs(theta)
-    dist_c = wrap(theta - d)
-    vals = f(dist_x) * g(dist_c)
-    if eps.max() > 0.0:
-        vals = np.where(dist_c < eps[..., None], 0.0, vals)
-    return np.sum(w * vals, axis=-1)
 
 
 # ---------------------------------------------------------------------------

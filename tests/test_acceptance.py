@@ -137,7 +137,7 @@ def test_criterion_4_faber_krahn():
         assert res.converged
         assert abs(res.value - exact) / exact < 0.005
         # equality case: sharp constant gives |margin| within the FD gap on the disk
-        a2, a3 = K.faber_krahn_constant(2), K.faber_krahn_constant(3)
+        a2, a3 = M.faber_krahn_constant(2), M.faber_krahn_constant(3)
         eq = K.faber_krahn_verify(e2, lambda x: 2.5, a2, [(o2, G.BallWindow(o2, 1.0))], h=1 / 48)
         assert abs(eq.details[0]["margin"]) <= eq.details[0]["fd_gap"] + 1e-9
         # strict margins on 10 sets with one percent of slack on the constant
@@ -283,7 +283,7 @@ def test_criterion_9_mvi():
     with criterion(9, "parabolic MVI constant stable under refinement, q in {1,1.5,2}, m in {2,3}", 300):
         for m in (2, 3):
             model = G.euclidean(m)
-            a = K.faber_krahn_constant(m)
+            a = M.faber_krahn_constant(m)
             cfg = M.default_config(model, a)
             assert set(cfg.q_values) == {1.0, 1.5, 2.0}
             rep = M.mvi_sweep(cfg)

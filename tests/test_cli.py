@@ -88,6 +88,15 @@ out = {out}
     assert data["all_pass"] is False
 
 
+def test_is_kato_margin_reads_both_criteria():
+    # the decay ratio passes here and the fitted exponent does not: the
+    # margin once read the ratio alone and reported a FAIL at +0.3
+    rep = run_text("manifold = circle\nchecks = is-kato\nparam.is-kato.gamma_min = 10\n")
+    res = rep.checks[0]
+    assert not res.passed and res.values["decay_ratio"] < 0.3
+    assert res.margin_min == pytest.approx(res.values["gamma"] - 10.0)
+
+
 def test_parse_error_exit_two(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("manifold = circle\nwhat even is this line\n")
@@ -280,6 +289,12 @@ PRODUCT = "product(euclidean:1,circle)"
         ("coulomb", "euclidean:3", "r_values=0"),
         ("kato-exponential", "euclidean:1", "n_paths=1"),
         ("kato-exponential", "euclidean:1", "deltas=0.5"),
+        # each of these once ended in a traceback inside the numerics
+        ("kernel-check", "circle", "t_values=1e300"),
+        ("kernel-check", "euclidean:3", "t_values=1e-300"),
+        ("kato-norm", "euclidean:3", "t=1e300"),
+        ("coulomb", "euclidean:3", "r_values=1e300"),
+        ("is-kato", "circle", "t_min=1e-300"),
     ],
 )
 def test_check_parameter_domains_exit_two(check, manifold, param, capsys):
@@ -299,6 +314,7 @@ def test_check_parameter_domains_exit_two(check, manifold, param, capsys):
         ("project-check", PRODUCT, ["n_paths=100", "h=0.5"]),
         ("kernel-check", "sphere2", ["t_values=1e-9"]),
         ("kernel-check", "product(sphere2,circle)", ["t_values=1e-9"]),
+        ("is-kato", "circle", ["t_min=1e-9"]),  # N(t) reads 0 for t <= s_min
     ],
 )
 def test_cross_parameter_errors_exit_two(check, manifold, params, capsys):
@@ -495,6 +511,16 @@ def _scipy_loaded_by(argv, cwd):
 )
 def test_commands_without_numerics_load_no_scipy(argv, code, tmp_path):
     assert _scipy_loaded_by(argv, tmp_path) == (code, set())
+
+
+@pytest.mark.parametrize(
+    "argv", [["heat-bound", "--manifold", "circle"], ["mvi-sweep", "--manifold", "euclidean:3"]],
+    ids=["heat-bound-circle", "mvi-sweep-euclidean3"],
+)
+def test_faber_krahn_commands_in_closed_form_load_no_scipy(argv, tmp_path):
+    # the Faber-Krahn constant lives in mvi; its Bessel zero has a closed form
+    # at m = 1 and m = 3, so neither kato nor scipy is loaded
+    assert _scipy_loaded_by(argv, tmp_path) == (0, set())
 
 
 def test_semigroup_battery_loads_no_quadrature_special_or_optimize(tmp_path):

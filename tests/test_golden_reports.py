@@ -54,6 +54,11 @@ def test_golden_report(case):
     assert _report(case) == (GOLDEN / f"{case}.json").read_text()
 
 
+def test_every_golden_file_has_a_case():
+    # an orphaned file would silently stop being checked
+    assert sorted(p.stem for p in GOLDEN.iterdir()) == sorted(CASES)
+
+
 if __name__ == "__main__":
     cases = sys.argv[1:] or sorted(CASES)
     unknown = sorted(set(cases) - set(CASES))

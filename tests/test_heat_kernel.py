@@ -264,13 +264,24 @@ def test_torus_mass_is_one_within_its_allowance(t):
 
 
 def test_torus_chapman_kolmogorov_at_small_times():
-    # a 48^2 grid once put this 78 % off; each axis now takes the periodic
-    # two-point rule, 8.7e-5 off here (its fixed cells are coarser on the
-    # diagonal: 6e-4 off at d = 0 on the circle)
+    # each axis takes the 1-d two-point rule with its far side folded (a 48^2
+    # grid once put this 78 % off)
     eng = HK.make_engine(TORUS)
     x, y = G.make_point(TORUS, [0.3, 5.0]), G.make_point(TORUS, [0.35, 5.02])
     conv, direct, allowance = HK.chapman_kolmogorov(eng, 1e-3, 2e-3, x, y)
     assert abs(conv - direct) <= 1e-4 * direct + allowance
+
+
+@pytest.mark.parametrize("spec", ["circle", "torus:2:6.2832"])
+@pytest.mark.parametrize("t", [1e-4, 1e-3])
+def test_periodic_chapman_kolmogorov_on_the_diagonal(spec, t):
+    # the convolution resolves the kernel at its own scale: a rule with break
+    # points at fixed offsets was 3.1e-2 (circle) and 6.2e-2 (torus) off at
+    # t = 1e-4
+    model = G.parse_manifold(spec)
+    x = G.base_point(model)
+    conv, direct, _ = HK.chapman_kolmogorov(HK.make_engine(model), t, t, x, x)
+    assert abs(conv / direct - 1.0) <= 1e-5
 
 
 def test_torus_kernel_is_the_product_of_its_axes():

@@ -11,6 +11,7 @@ from heatkato import cli
 from heatkato import geometry as G
 from heatkato import heat_kernel as HK
 from heatkato import kato as K
+from heatkato import mvi as M
 from heatkato import potentials as P
 from heatkato import quadrature as Q
 from heatkato.errors import DomainError, UnsupportedModelError
@@ -67,6 +68,39 @@ def test_batched_rule_matches_ball_probability_oracle(d):
     got = _smoothed_at(P.Indicator(E3, G.BallWindow(ORIGIN, R)), d)
     ref = chi2.cdf(R * R / ORACLE_S, 3) if d == 0.0 else ncx2.cdf(R * R / ORACLE_S, 3, d * d / ORACLE_S)
     assert np.max(np.abs(got - ref)) <= 6.3e-4
+
+
+CIRCLE = G.circle()
+ENG_CIRCLE = HK.make_engine(CIRCLE)
+
+
+def _circle_smoothing_by_quad(s, d, beta):
+    """int p(s, x, y) d(y, c)^-beta dy by scalar quad in the angle of y, x at
+    angle 0 and c at angle d, split at x, at c and at c's antipode; the pieces
+    that end at c take the endpoint power as a quad weight."""
+    kernel = lambda phi: float(HK.eval_radial(ENG_CIRCLE, s, np.array([abs(phi)]))[0])
+    to_c = lambda phi: abs((phi - d + math.pi) % (2.0 * math.pi) - math.pi)
+    pts = sorted({-math.pi, 0.0, d, d - math.pi, math.pi})
+    opts = dict(epsabs=0.0, epsrel=1e-12, limit=500)
+    total = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        if min(to_c(a), to_c(b)) < 1e-12:
+            wvar = (-beta, 0.0) if to_c(a) < to_c(b) else (0.0, -beta)
+            total += quad(kernel, a, b, weight="alg", wvar=wvar, **opts)[0]
+        else:
+            total += quad(lambda phi: kernel(phi) * to_c(phi) ** -beta, a, b, **opts)[0]
+    return total
+
+
+@pytest.mark.parametrize("d", [2.0, math.pi - 1e-3, math.pi])
+@pytest.mark.parametrize("s", [1e-3, 0.1])
+def test_circle_smoothing_matches_quad(d, s):
+    # the folded far side of the 1-d rule resolves the kernel at its own
+    # scale; a rule with break points at fixed offsets was 4.4e-5 off at
+    # s = 1e-3
+    w = P.RadialPower(CIRCLE, G.circle_point(d), 0.5)
+    got = K.smoothed_abs(ENG_CIRCLE, w, s, G.circle_point(0.0)).value
+    assert abs(got / _circle_smoothing_by_quad(s, d, 0.5) - 1.0) <= 1e-5
 
 
 def test_is_kato_builds_few_two_point_rules(monkeypatch):
@@ -241,7 +275,7 @@ def test_control_pair_margins_from_coordinate_arrays():
     assert [e["margin"] for e in ver.details] == [
         C * pair.time_factor(t) - HK.on_diag(ENG3, t) for t in ts for _ in xs
     ]
-    fk = K.FaberKrahnControlPair(K.constant_radius_fn(E3), K.faber_krahn_constant(3))
+    fk = K.FaberKrahnControlPair(K.constant_radius_fn(E3), M.faber_krahn_constant(3))
     fk_pair, rep = K.control_pair_from_faber_krahn(fk, ENG3)
     space = rep.c_hat * fk.a ** (-1.5) * fk.radius_fn(ORIGIN) ** (-3)
     assert list(fk_pair.space_factor(ys)) == [space, space]
@@ -464,8 +498,8 @@ def test_doubling_inequality_sampled():
 
 def test_faber_krahn_constants():
     j01 = float(jn_zeros(0, 1)[0])
-    assert K.faber_krahn_constant(2) == pytest.approx(0.5 * j01**2 * math.pi, rel=1e-12)
-    assert K.faber_krahn_constant(3) == pytest.approx(
+    assert M.faber_krahn_constant(2) == pytest.approx(0.5 * j01**2 * math.pi, rel=1e-12)
+    assert M.faber_krahn_constant(3) == pytest.approx(
         0.5 * math.pi**2 * (4 * math.pi / 3) ** (2 / 3), rel=1e-12
     )
 
@@ -474,8 +508,8 @@ def test_faber_krahn_constants():
 def test_faber_krahn_constant_at_half_integer_orders():
     # m = 1: j = pi/2, omega_1 = 2, so a = pi^2/2; m = 5: j is the first zero
     # of the spherical Bessel j_1, tan x = x
-    assert K.faber_krahn_constant(1) == pytest.approx(math.pi**2 / 2, rel=1e-15)
-    j = K._first_bessel_zero(1.5)
+    assert M.faber_krahn_constant(1) == pytest.approx(math.pi**2 / 2, rel=1e-15)
+    j = M._first_bessel_zero(1.5)
     assert math.tan(j) == pytest.approx(j, rel=1e-12) and 4.0 < j < 5.0
 
 
@@ -505,7 +539,7 @@ def test_square_eigenvalue_exact_order2():
 def test_faber_krahn_verify_margins():
     e2 = G.euclidean(2)
     o2 = G.base_point(e2)
-    a = K.faber_krahn_constant(2)
+    a = M.faber_krahn_constant(2)
     sets = [
         (o2, G.BallWindow(o2, 1.0)),
         (o2, G.BoxWindow(o2, (math.sqrt(math.pi) / 2,) * 2)),
@@ -528,7 +562,7 @@ def test_faber_krahn_inconclusive_when_coarse():
     e2 = G.euclidean(2)
     o2 = G.base_point(e2)
     rep = K.faber_krahn_verify(
-        e2, lambda x: 2.0, K.faber_krahn_constant(2), [(o2, G.BallWindow(o2, 1.0))], h=1 / 6
+        e2, lambda x: 2.0, M.faber_krahn_constant(2), [(o2, G.BallWindow(o2, 1.0))], h=1 / 6
     )
     assert rep.inconclusive
 
@@ -544,7 +578,7 @@ def test_faber_krahn_nan_constant_is_inconclusive():
 
 
 def test_fk_induced_pair_and_chain():
-    fk = K.FaberKrahnControlPair(lambda x: 1.0, K.faber_krahn_constant(3))
+    fk = K.FaberKrahnControlPair(lambda x: 1.0, M.faber_krahn_constant(3))
     pair, report = K.control_pair_from_faber_krahn(fk, ENG3)
     # ratio is time-independent for t <= R^2 on flat space
     expected = (2 * math.pi) ** -1.5 * fk.a**1.5
@@ -557,7 +591,7 @@ def test_fk_induced_pair_and_chain():
 def test_fk_pair_long_time_torus():
     tor = G.torus(2, 2 * math.pi)
     engt = HK.make_engine(tor)
-    fk = K.FaberKrahnControlPair(lambda x: math.pi / 2, K.faber_krahn_constant(2))
+    fk = K.FaberKrahnControlPair(lambda x: math.pi / 2, M.faber_krahn_constant(2))
     pair, report = K.control_pair_from_faber_krahn(
         fk, engt, t_values=np.logspace(-2, 0, 30)
     )

@@ -5,7 +5,6 @@ import pytest
 
 from heatkato import geometry as G
 from heatkato import heat_kernel as HK
-from heatkato import kato as K
 from heatkato import mvi as M
 from heatkato.errors import DomainError, UnsupportedModelError
 
@@ -14,7 +13,7 @@ E3 = G.euclidean(3)
 
 
 def test_config_validation():
-    a = K.faber_krahn_constant(2)
+    a = M.faber_krahn_constant(2)
     with pytest.raises(DomainError):
         M.MviSweepConfig(E2, G.base_point(E2), 1.0, a, (2.0,), (2.5,), (1.0,))  # tau > r^2
     with pytest.raises(DomainError):
@@ -26,7 +25,7 @@ def test_config_validation():
 @pytest.mark.parametrize("m", [2, 3])
 def test_sweep_stable_and_finite(m):
     model = G.euclidean(m)
-    a = K.faber_krahn_constant(m)
+    a = M.faber_krahn_constant(m)
     rep = M.mvi_sweep(M.default_config(model, a))
     assert math.isfinite(rep.c_emp) and rep.c_emp > 0
     assert rep.stable and rep.drift <= 0.10
@@ -35,7 +34,7 @@ def test_sweep_stable_and_finite(m):
 
 def test_tau_refinement_does_not_drift():
     # adding smaller-tau cells never inflates the sup (ratios shrink with tau)
-    a = K.faber_krahn_constant(3)
+    a = M.faber_krahn_constant(3)
     base = M.default_config(E3, a)
     refined = M.MviSweepConfig(
         base.model, base.center, base.radius, base.a,
@@ -48,7 +47,7 @@ def test_tau_refinement_does_not_drift():
 
 
 def test_sweep_enlargement_monotone():
-    a = K.faber_krahn_constant(2)
+    a = M.faber_krahn_constant(2)
     small = M.MviSweepConfig(E2, G.base_point(E2), 1.0, a, (1.0, 0.5), (1.25, 2.0), (1.0, 2.0))
     large = M.MviSweepConfig(
         E2, G.base_point(E2), 1.0, a, (1.0, 0.5, 0.25), (1.25, 2.0, 4.0), (1.0, 1.5, 2.0)
@@ -61,7 +60,7 @@ def test_sweep_enlargement_monotone():
 def test_vanishing_solution_cells_are_skipped():
     # a source far beyond the kernel reach makes u(t, x) underflow to zero;
     # those cells contribute nothing rather than a 0/0 ratio
-    a = K.faber_krahn_constant(2)
+    a = M.faber_krahn_constant(2)
     near = M.MviSweepConfig(E2, G.base_point(E2), 1.0, a, (1.0,), (1.25,), (1.0,),
                             source_offsets=(0.0,))
     far = M.MviSweepConfig(E2, G.base_point(E2), 1.0, a, (1.0,), (1.25,), (1.0,),
@@ -73,7 +72,7 @@ def test_vanishing_solution_cells_are_skipped():
 
 
 def test_per_cell_ratios_below_c_emp():
-    a = K.faber_krahn_constant(2)
+    a = M.faber_krahn_constant(2)
     cfg = M.default_config(E2, a)
     rep = M.mvi_sweep(cfg)
     assert rep.worst_cell["ratio"] == pytest.approx(rep.c_emp, rel=1e-9)
@@ -82,7 +81,7 @@ def test_per_cell_ratios_below_c_emp():
 
 def test_heat_bound_flat_closed_form():
     eng = HK.make_engine(E3)
-    a = K.faber_krahn_constant(3)
+    a = M.faber_krahn_constant(3)
     rep = M.heat_bound_sweep(eng, lambda x: 1.0, a, np.logspace(-3, 0, 20), [G.base_point(E3)])
     # for t <= R^2 the ratio is exactly (2 pi)^{-3/2} a^{3/2}, t-independent
     assert rep.c_hat == pytest.approx((2 * math.pi) ** -1.5 * a**1.5, rel=1e-12)
@@ -91,7 +90,7 @@ def test_heat_bound_flat_closed_form():
 
 def test_heat_bound_long_time_regime():
     eng = HK.make_engine(E3)
-    a = K.faber_krahn_constant(3)
+    a = M.faber_krahn_constant(3)
     R = 0.5
     ts = np.logspace(-1, 1, 15)  # includes t >> R^2
     rep = M.heat_bound_sweep(eng, lambda x: R, a, ts, [G.base_point(E3)])
@@ -105,7 +104,7 @@ def test_heat_bound_long_time_regime():
 def test_heat_bound_torus_long_time():
     tor = G.torus(2, 2 * math.pi)
     eng = HK.make_engine(tor)
-    a = K.faber_krahn_constant(2)
+    a = M.faber_krahn_constant(2)
     rep = M.heat_bound_sweep(eng, lambda x: math.pi / 2, a, np.logspace(-2, 2, 25),
                              [G.base_point(tor)])
     assert math.isfinite(rep.c_hat) and rep.stable
