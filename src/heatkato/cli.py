@@ -697,7 +697,7 @@ CHECKS: dict[str, CheckSpec] = {
         _check_project,
         "int p(t,x,y)|w(pi(y))| dmu(y) <= int p'(t,pi(x),z)|w(z)| dmu'(z)",
         {
-            "t": (float, 0.3, _POSITIVE),
+            "t": (float, 0.3, _TIME),
             "leaf": (int, 0, _leaf_index),
             "n_paths": (int, 0, _domain(lambda v: v == 0 or v >= 2, "0 (no Monte Carlo) or >= 2")),
             "h": (float, 2e-3, _POSITIVE),

@@ -16,7 +16,13 @@ Reproducibility contract: path i draws from Philox keyed by (seed, i)
 or worker count, with a fixed (pairwise/blockwise) reduction order for all
 estimators.  The sampler does not build a generator per path: one Philox per
 block is re-keyed to (seed, i) with counter 0 and an empty buffer, which
-yields the same draws.  A block's normals go to one buffer of at most
+yields the same draws.  A flat walk recorded at only some steps draws the
+first len(record_idx) x tangent_dim normals of path i's stream, one per
+recorded interval and axis: n steps of N(0, h) sum to one N(0, n h) draw
+(the random-walk construction), so the law is the same and the cost follows
+the records, not the steps.  Every curved walk, and every flat walk recorded
+at every step, draws one normal per step and axis.  A flat walk draws
+into its output rows; a curved walk's normals go to one buffer of at most
 _BLOCK_BYTES (at least one path), filled a few paths at a time; per-path
 streams make that split invisible in the output.
 
@@ -44,14 +50,14 @@ from .errors import DomainError, UnsupportedModelError
 from .geometry import ManifoldModel, Point, Product
 
 _MAX_STORE_BYTES = 600_000_000
-# one block's working buffer: the normals that drive its paths, or the chart
-# rows Feynman-Kac evaluates a potential on
+# one block's working buffer: the normals that drive its curved paths, or the
+# chart rows Feynman-Kac evaluates a potential on
 _BLOCK_BYTES = 1 << 24
 _CAPPED_WARNING = 0.01  # capped-path fraction above which a path estimate is flagged unreliable
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _is_flat(model: ManifoldModel) -> bool:
+def _is_flat(model: ManifoldModel) -> bool:  # read by bench/tracer.py; the package reads model.flat
     return model.flat
 
 
@@ -129,34 +135,27 @@ def _fill_normals(seed: int, i0: int, z: np.ndarray) -> None:
 
 
 def _block_paths(model, start_path, n_steps, h, seed, i0, i1, record_idx, out):
-    """Paths i0..i1-1 at the recorded step indices, written to ``out``.
-
-    The normals are drawn a few paths at a time into one buffer of at most
-    _BLOCK_BYTES (or one path's worth); each path has its own stream, so
-    the result does not depend on that split."""
-    td = model.tangent_dim
-    rows = min(i1 - i0, max(1, _BLOCK_BYTES // (8 * n_steps * td)))
-    buf = np.empty((rows, n_steps, td))
+    """Paths i0..i1-1 at the recorded step indices, written to ``out``: a flat
+    walk's normals are drawn into ``out`` itself, a curved walk's into a
+    buffer (the module docstring's reproducibility contract)."""
+    if model.flat:
+        if len(record_idx) == n_steps + 1:
+            out[:, 0, :] = 0.0
+            z, scale = out[:, 1:, :], math.sqrt(h)
+        else:  # the interval before a t = 0 record has length 0
+            z, scale = out, np.sqrt(np.diff(record_idx, prepend=0) * h)[:, None]
+        _fill_normals(seed, i0, z)
+        z *= scale
+        np.cumsum(z, axis=1, out=z)
+        out += model.path_from_chart(start_path[None, :])[0]
+        model.wrap_path(out)
+        return
+    rows = min(i1 - i0, max(1, _BLOCK_BYTES // (8 * n_steps * model.tangent_dim)))
+    buf = np.empty((rows, n_steps, model.tangent_dim))
     for a in range(i0, i1, rows):
         b = min(a + rows, i1)
-        z = buf[: b - a]
-        _fill_normals(seed, a, z)
-        dest = out[a - i0 : b - i0]
-        if _is_flat(model):
-            # increments are exact; the path after step k is the sum of the
-            # first k increments plus the start
-            z *= math.sqrt(h)
-            np.cumsum(z, axis=1, out=z)
-            if len(record_idx) == n_steps + 1:  # every step: copy by slice, not by gather
-                dest[:, 0, :] = 0.0
-                dest[:, 1:, :] = z
-            else:
-                dest[:] = z[:, np.maximum(record_idx - 1, 0), :]
-                dest[:, record_idx == 0, :] = 0.0
-            dest += model.path_from_chart(start_path[None, :])[0]
-            model.wrap_path(dest)
-        else:
-            model.random_walk(start_path, z, h, record_idx, dest)
+        _fill_normals(seed, a, buf[: b - a])
+        model.random_walk(start_path, buf[: b - a], h, record_idx, out[a - i0 : b - i0])
 
 
 def step_count(t: float, h: float) -> int:
@@ -189,7 +188,7 @@ def simulate(
         raise DomainError("need at least one path")
     geom.make_point(model, start.coords)
     h_eff = t / n_steps
-    warning = bool(not _is_flat(model) and h_eff > 0.01)
+    warning = bool(not model.flat and h_eff > 0.01)
     if record_times is None:
         record_idx = np.arange(n_steps + 1)
         full = True

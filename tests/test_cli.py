@@ -278,6 +278,8 @@ PRODUCT = "product(euclidean:1,circle)"
         ("project-check", PRODUCT, "leaf=5"),
         ("project-check", PRODUCT, "leaf=-1"),
         ("project-check", PRODUCT, "n_paths=1"),
+        ("project-check", PRODUCT, "t=1e12"),
+        ("project-check", PRODUCT, "t=1e-13"),
         ("semigroup-bound", "circle", "n_grid=4"),
         ("semigroup-bound", "circle", "n_grid=4096"),
         ("semigroup-bound", "circle", "t_values=-1,1"),

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,11 @@ def test_partition_invariance():
     kw = dict(t=0.05, h=5e-3, N=300, seed=3)
     a = S.simulate(s2, G.base_point(s2), block_size=31, **kw)
     b = S.simulate(s2, G.base_point(s2), block_size=300, **kw)
+    assert np.array_equal(a.positions, b.positions)
+    prod = G.parse_manifold("product(euclidean:1,circle)")
+    kw = dict(t=0.4, h=2e-3, N=500, seed=3, record_times=[0.1, 0.4])
+    a = S.simulate(prod, G.base_point(prod), block_size=17, **kw)
+    b = S.simulate(prod, G.base_point(prod), block_size=499, **kw)
     assert np.array_equal(a.positions, b.positions)
 
 
@@ -297,16 +303,24 @@ def test_normals_buffer_split_keeps_paths(monkeypatch):
 
 
 def _reference_flat_paths(model, start, t, h, N, seed, record_idx):
-    """The cumulative sums gathered at the recorded steps, then wrapped out of
-    place per leaf: a reference for the sampler's in-place flat walk."""
+    """A reference for the sampler's in-place flat walk, wrapped out of place
+    per leaf.  Every step recorded: the cumulative sums of one N(0, h) normal
+    per step, gathered at the recorded steps.  Some steps recorded: the
+    cumulative sums of one normal per recorded interval, scaled by the square
+    root of its length."""
     n_steps = max(1, round(t / h))
     h_eff = t / n_steps
-    z = np.stack([S.path_generator(seed, i).standard_normal((n_steps, model.tangent_dim))
-                  for i in range(N)]) * math.sqrt(h_eff)
-    z = np.cumsum(z, axis=1)
     record_idx = np.asarray(record_idx)
-    out = z[:, np.maximum(record_idx - 1, 0), :]
-    out[:, record_idx == 0, :] = 0.0
+    if len(record_idx) == n_steps + 1:
+        z = np.stack([S.path_generator(seed, i).standard_normal((n_steps, model.tangent_dim))
+                      for i in range(N)]) * math.sqrt(h_eff)
+        z = np.cumsum(z, axis=1)
+        out = z[:, np.maximum(record_idx - 1, 0), :]
+        out[:, record_idx == 0, :] = 0.0
+    else:
+        z = np.stack([S.path_generator(seed, i).standard_normal((len(record_idx), model.tangent_dim))
+                      for i in range(N)]) * np.sqrt(np.diff(record_idx, prepend=0) * h_eff)[:, None]
+        out = np.cumsum(z, axis=1)
     out += model.path_from_chart(start.coords[None, :])[0]
     for leaf, off in P.leaves(model, width="path_dim"):
         if isinstance(leaf, G.Circle):
@@ -323,6 +337,37 @@ def test_flat_walk_matches_gather_and_wrap(spec, record_times, record_idx):
     ens = S.simulate(model, start, 0.3, 1e-3, 37, seed=6, record_times=record_times, block_size=16)
     ref = _reference_flat_paths(model, start, 0.3, 1e-3, 37, 6, list(record_idx))
     assert np.array_equal(ens.positions, ref)
+
+
+def test_sparse_flat_increments_have_the_brownian_law():
+    # one normal per recorded interval: each interval's increment is
+    # N(0, dt I), and the two intervals are uncorrelated (4-sigma rule)
+    e2 = G.euclidean(2)
+    N = 20000
+    ens = S.simulate(e2, G.base_point(e2), 0.3, 1e-3, N, seed=17, record_times=[0.1, 0.3])
+    x = ens.positions
+    incs = [x[:, 0, :], x[:, 1, :] - x[:, 0, :]]
+    for inc, dt in zip(incs, (0.1, 0.2)):
+        assert np.all(np.abs(inc.mean(axis=0)) < 4.0 * math.sqrt(dt / N))
+        assert np.all(np.abs(inc.var(axis=0) - dt) < 4.0 * math.sqrt(2.0) * dt / math.sqrt(N))
+    # E[a b] = 0 with sd sqrt(0.1 * 0.2 / N) for independent centred a, b
+    cross = np.mean(incs[0] * incs[1], axis=0)
+    assert np.all(np.abs(cross) < 4.0 * math.sqrt(0.1 * 0.2 / N))
+
+
+def test_sparse_flat_walk_costs_the_records_not_the_steps():
+    # 10^7 steps, two records: 512 normals, not 2.56e9
+    tracemalloc.start()
+    try:
+        began = time.perf_counter()
+        ens = S.simulate(E1, G.base_point(E1), 1.0, 1e-7, 256, seed=0, record_times=[0.5, 1.0])
+        elapsed = time.perf_counter() - began
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.positions.shape == (256, 2, 1)
+    assert elapsed < 1.0
+    assert peak < S._BLOCK_BYTES // 16
 
 
 def test_normals_buffer_bounded():
