@@ -603,6 +603,12 @@ def _fk_times(p, model):
     return f"t_values {off} are not multiples of the step {step:g}" if off else None
 
 
+def _project_walk(p, model):
+    if p["n_paths"] and p["h"] > p["t"]:
+        return f"h exceeds t = {p['t']:g}"
+    return st.walk_problem(model, st.step_count(p["t"], p["h"]), False) if p["n_paths"] else None  # t recorded alone
+
+
 CHECKS: dict[str, CheckSpec] = {
     "kernel-check": CheckSpec(
         _check_kernel,
@@ -704,7 +710,7 @@ CHECKS: dict[str, CheckSpec] = {
         },
         "projection bound for product projections",
         models=("a product manifold", lambda model: isinstance(model, Product)),
-        check=lambda p, model: f"h exceeds t = {p['t']:g}" if p["n_paths"] and p["h"] > p["t"] else None,
+        check=_project_walk,
     ),
     "kato-exponential": CheckSpec(
         _check_kato_exponential,
@@ -716,6 +722,7 @@ CHECKS: dict[str, CheckSpec] = {
             "h": (float, 2e-3, _POSITIVE),
         },
         "exponential moment table (delta, C(delta))",
+        check=lambda p, model: st.walk_problem(model, st.step_count(max(p["t_values"]), p["h"]), True),
     ),
     "semigroup-bound": CheckSpec(
         _check_semigroup,

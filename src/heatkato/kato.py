@@ -766,8 +766,8 @@ _FD_MIN_NODES = 20  # fewest interior nodes a finite-difference solve accepts
 # most lattice nodes a finest grid may hold. The mask takes a byte a node plus
 # about 7 MB of coordinates (1.6 bytes a node in all on the 3-d unit ball at
 # h = 1/48, whose finest grid has 193^3 = 7.2e6 nodes); assembling the
-# operator and its fold then peaks at about 160 bytes a node before the
-# eigensolve (1.2 GB there; tracemalloc, numpy 2.4)
+# operator on the fundamental domain then peaks at about 21 bytes a node
+# before the eigensolve (153 MB there; tracemalloc, numpy 2.4)
 _FD_MAX_NODES = 10_000_000
 _FD_MASK_ROWS = 65_536  # lattice nodes whose coordinates _fd_mask holds at once (about 7 MB)
 
@@ -796,40 +796,8 @@ def _fd_mask(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h):
 
 
 def _fd_operator(mask: np.ndarray, hs) -> sparse.csc_matrix:
-    """Finite-difference -(1/2) Laplace with Dirichlet conditions on the
-    mask's nodes, numbered in C order."""
-    m = mask.ndim
-    count = int(mask.sum())
-    index = -np.ones(mask.shape, dtype=np.int64)
-    index[mask] = np.arange(count)
-    rows, cols, vals = [], [], []
-    for axis in range(m):
-        sl_a = [slice(None)] * m
-        sl_b = [slice(None)] * m
-        sl_a[axis] = slice(0, -1)
-        sl_b[axis] = slice(1, None)
-        a = index[tuple(sl_a)]
-        b = index[tuple(sl_b)]
-        both = (a >= 0) & (b >= 0)
-        rows.append(a[both])
-        cols.append(b[both])
-        vals.append(np.full(int(both.sum()), -1.0 / (2.0 * hs[axis] * hs[axis])))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    diag = sum(1.0 / (hk * hk) for hk in hs)
-    return sparse.coo_matrix(
-        (
-            np.concatenate([vals, vals, np.full(count, diag)]),
-            (np.concatenate([rows, cols, np.arange(count)]), np.concatenate([cols, rows, np.arange(count)])),
-        ),
-        shape=(count, count),
-    ).tocsc()
-
-
-def _fd_ground_energy(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h) -> float:
-    """Smallest eigenvalue of the finite-difference Dirichlet operator A on the
-    lattice's interior nodes, solved on the mask's mirror-symmetry orbit space.
+    """B = P^T A P, A the finite-difference -(1/2) Laplace with Dirichlet
+    conditions on the mask's nodes, built on its fundamental domain alone.
 
     Axis k folds when the mask equals its own reflection along k, and P is the
     (nodes x orbits) matrix whose columns are orbit indicators divided by
@@ -839,22 +807,50 @@ def _fd_ground_energy(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h) -> f
     of that ground state over the reflections is again a ground state: still
     nonnegative, so nonzero, and constant on orbits, so in the range of P.
     Hence lambda_min(P^T A P) = lambda_min(A) in exact arithmetic, on about
-    2^k times fewer unknowns for k folding axes. The 2-d shift-invert branch's
-    150 000 limit reads the folded count."""
+    2^k times fewer unknowns for k folding axes.
+
+    The unknowns are the mask's nodes with index >= n_k // 2 on every folding
+    axis, in C order; an orbit has 2 nodes per folding axis, 1 on an odd
+    axis's mirror plane. B_ab = -n(a -> b) / (2 h_k^2) sqrt(|a| / |b|) for the
+    n(a -> b) lattice neighbours of a's node in orbit b. Orbit sizes are
+    powers of 2, so B is exactly symmetric."""
+    m = mask.ndim
+    folds = [np.array_equal(mask, np.flip(mask, k)) for k in range(m)]
+    dom = mask[tuple(slice(n // 2 if f else 0, None) for n, f in zip(mask.shape, folds))]
+    count = int(dom.sum())
+    index = np.full(dom.shape, -1, dtype=np.int32)  # _FD_MAX_NODES fits
+    index[dom] = np.arange(count)
+    size = np.ones(dom.shape)
+    diag = np.arange(count, dtype=np.int32)
+    rows, cols, coefs = [diag], [diag], [np.full(count, sum(1.0 / (hk * hk) for hk in hs))]
+    for k, n in enumerate(mask.shape):
+        cut = lambda lo, hi: (slice(None),) * k + (slice(lo, hi),)
+        below = index
+        if folds[k]:  # below the first slab lies its mirror: the second slab (odd n_k) or itself
+            below = np.concatenate([index[cut(n % 2, n % 2 + 1)], index], axis=k)
+            size *= 2.0
+            size[cut(0, 1)] /= 1 + n % 2  # an odd axis's mirror plane is its own image
+        for a, b in ((index[cut(0, -1)], index[cut(1, None)]), (below[cut(1, None)], below[cut(0, -1)])):
+            both = (a >= 0) & (b >= 0)  # each domain node a and its neighbour b above, then below
+            rows.append(a[both])
+            cols.append(b[both])
+            coefs.append(np.full(rows[-1].size, -1.0 / (2.0 * hs[k] * hs[k])))
+    size = size[dom]
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(coefs) * np.sqrt(size[rows] / size[cols])
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(count, count)).tocsc()
+
+
+def _fd_ground_energy(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h) -> float:
+    """Smallest eigenvalue of the finite-difference Dirichlet operator on the
+    lattice's interior nodes, solved as ``_fd_operator``'s B; the 2-d
+    shift-invert branch's 150 000 limit reads the folded count."""
     mask, hs = _fd_mask(m, inside_fn, lo, hi, h)
-    count = int(mask.sum())
-    if count < _FD_MIN_NODES:
+    if int(mask.sum()) < _FD_MIN_NODES:
         raise DomainError("grid too coarse for the region")
-    A = _fd_operator(mask, hs)
-    label = np.cumsum(mask).reshape(mask.shape)  # node index + 1 on the mask
-    for k in range(m):
-        if np.array_equal(mask, np.flip(mask, k)):
-            label = np.minimum(label, np.flip(label, k))  # reflections map the mask to itself
-    _, orbit = np.unique(label[mask], return_inverse=True)
-    size = np.bincount(orbit)
-    P = sparse.csc_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(count), orbit)))
-    B = (P.T @ A @ P).tocsc()
-    n = size.size
+    B = _fd_operator(mask, hs)
+    n = B.shape[0]
     if m == 2 and n <= 150_000:
         # 2-d fill-in is mild; shift-invert is exact and fast
         # a fixed start vector keeps the result a function of the matrix alone

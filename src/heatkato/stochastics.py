@@ -166,6 +166,17 @@ def step_count(t: float, h: float) -> int:
     return max(1, int(round(t / h)))
 
 
+def walk_problem(model: ManifoldModel, n_steps: int, full: bool) -> str | None:
+    """Why one path of an n_steps walk cannot be sampled, or None. A curved
+    walk holds a path's normals at once, and a walk recorded at every step
+    (``full``) its n_steps + 1 rows; either over _MAX_STORE_BYTES is refused
+    before anything is allocated."""
+    need = 8 * max((n_steps + 1) * model.path_dim if full else 0, 0 if model.flat else n_steps * model.tangent_dim)
+    if need > _MAX_STORE_BYTES:
+        return f"one path of {n_steps:,} steps would need {need / 1e9:.3g} GB; take a larger step h"
+    return None
+
+
 def simulate(
     model: ManifoldModel,
     start: Point,
@@ -186,6 +197,8 @@ def simulate(
         raise DomainError("step must not exceed the horizon")
     if N < 1:
         raise DomainError("need at least one path")
+    if problem := walk_problem(model, n_steps, record_times is None):
+        raise DomainError(problem)
     geom.make_point(model, start.coords)
     h_eff = t / n_steps
     warning = bool(not model.flat and h_eff > 0.01)
@@ -412,6 +425,9 @@ def kato_exponential_estimate(
         raise DomainError("need at least one path")
     horizon = ts[-1]
     n_steps = step_count(horizon, h)
+    if problem := walk_problem(model, n_steps, True):
+        raise DomainError(problem)
+    block_size = min(block_size, _MAX_STORE_BYTES // (8 * (n_steps + 1) * model.path_dim))
     h_eff = horizon / n_steps
     t_idx = [max(1, int(round(t / h_eff))) for t in ts]
     acc_mean = np.zeros(len(ts))

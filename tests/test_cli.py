@@ -179,6 +179,13 @@ def test_simulate_bad_horizon_or_step_exit_two(flags, capsys):
     assert "step h must be positive" in err and "Traceback" not in err
 
 
+def test_simulate_walk_too_long_to_hold_exits_two(capsys):
+    # one path's normals would take 21.8 TiB
+    assert cli.main(["simulate", "--manifold", "sphere2", "--t", "1", "--h", "1e-12", "--n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "take a larger step h" in err and "Traceback" not in err
+
+
 def test_simulate_coarsens_by_stored_floats(monkeypatch):
     # 2000 paths x 10001 rows is 160 MB at one float per row (euclidean:1)
     # and 480 MB at sphere2's three: only the latter is coarsened
@@ -317,6 +324,10 @@ def test_check_parameter_domains_exit_two(check, manifold, param, capsys):
         ("kernel-check", "sphere2", ["t_values=1e-9"]),
         ("kernel-check", "product(sphere2,circle)", ["t_values=1e-9"]),
         ("is-kato", "circle", ["t_min=1e-9"]),  # N(t) reads 0 for t <= s_min
+        # walks whose one path would hold 8.7 TiB of normals, and 21.8 TiB of
+        # record and normals (85 PiB for a 4096-path block)
+        ("project-check", "product(sphere2,euclidean:1)", ["n_paths=2", "h=1e-12"]),
+        ("kato-exponential", "sphere2", ["h=1e-12"]),
     ],
 )
 def test_cross_parameter_errors_exit_two(check, manifold, params, capsys):
@@ -325,6 +336,7 @@ def test_cross_parameter_errors_exit_two(check, manifold, params, capsys):
         argv += ["--param", p]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
     assert f"manifest error: param.{check}: " in err and "Traceback" not in err
 
 

@@ -1,7 +1,10 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import quad
 from scipy.sparse.linalg import eigsh
 from scipy.special import erf, gamma, jn_zeros
@@ -377,9 +380,16 @@ def test_fd_ball_3d_matches_shift_invert(monkeypatch):
 
 
 def _unfolded_ground_energy(m, level):
-    # the same eigsh calls on the full lattice operator, with no fold
+    # the same eigsh calls on the full lattice operator, with no fold: the
+    # Kronecker sum of 1-d second differences, restricted to the mask's nodes
     mask, hs = K._fd_mask(m, *level)
-    A = K._fd_operator(mask, hs)
+    eye = [sparse.identity(n, format="csr") for n in mask.shape]
+    A = 0
+    for k, (n, hk) in enumerate(zip(mask.shape, hs)):
+        factors = eye[:k] + [sparse.diags([-0.5, 1.0, -0.5], [-1, 0, 1], shape=(n, n)) / hk**2] + eye[k + 1 :]
+        A = A + functools.reduce(sparse.kron, factors)
+    inside = np.flatnonzero(mask)
+    A = A.tocsr()[inside][:, inside].tocsc()
     n = A.shape[0]
     kw = {"sigma": 0.0, "which": "LM"} if m == 2 and n <= 150_000 else {"which": "SA"}
     return float(eigsh(A, k=1, v0=np.ones(n), return_eigenvectors=False, **kw)[0])
@@ -430,6 +440,39 @@ def test_fold_is_the_identity_on_an_asymmetric_lattice(monkeypatch):
         folded = K._fd_ground_energy(2, *level)
         assert sizes == [int(mask.sum())]
         assert folded == pytest.approx(_unfolded_ground_energy(2, level), rel=1e-12)
+
+
+def test_fd_operator_peak_memory_before_the_eigensolve(monkeypatch):
+    # the 3-d unit ball at h = 1/48: 97^3 lattice nodes, under 40 bytes each
+    # from the mask to the assembled B
+    def stop(*args, **kwargs):
+        raise RuntimeError("stop before the eigensolve")
+
+    monkeypatch.setattr(K, "eigsh", stop)
+    _, levels, _ = K._fd_levels(E3, G.BallWindow(ORIGIN, 1.0), 1 / 48, 0)
+    nodes = math.prod(K._fd_axes(3, *levels[0][1:])[1])
+    assert nodes == 97**3
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="stop before"):
+            K._fd_ground_energy(3, *levels[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * nodes
+
+
+@pytest.mark.parametrize("manifold", ["euclidean:2", "euclidean:3"])
+def test_fd_operator_is_exactly_symmetric(manifold):
+    # fk-verify's default sets at both levels, plus the off-lattice ball:
+    # even folds (boxes), odd folds (balls) and no fold
+    model = G.parse_manifold(manifold)
+    sets = [region for _, region in cli._default_fk_sets(model)] + [G.BallWindow(G.base_point(model), 0.77)]
+    for region in sets:
+        _, levels, _ = K._fd_levels(model, region, cli._fk_h({"h": "auto"}, model), 1)
+        for level in levels:
+            B = K._fd_operator(*K._fd_mask(model.dim, *level))
+            assert (B != B.T).nnz == 0
 
 
 def _stacked_mask(m, inside_fn, lo, hi, h):

@@ -431,6 +431,23 @@ def test_kato_exponential_on_hyperbolic3_unchanged():
     assert rep.stderr == [0.0027467929728239283, 0.004206458505170488]
 
 
+def test_kato_exponential_blocks_fit_the_store(monkeypatch):
+    # a block of full records is cut to the store: 7 paths of 101 rows of 3
+    # floats; only the per-block sums split differently
+    e3 = G.euclidean(3)
+    args = (e3, P.RadialPower(e3, G.base_point(e3), 1.0, 0.3), [0.1, 0.2], [2.0], 40)
+    want = S.kato_exponential_estimate(*args, h=2e-3, seed=3)
+    blocks = []
+    block_paths = S._block_paths
+    monkeypatch.setattr(S, "_block_paths", lambda *a: blocks.append(a[6] - a[5]) or block_paths(*a))
+    monkeypatch.setattr(S, "_MAX_STORE_BYTES", 7 * 101 * 3 * 8)
+    got = S.kato_exponential_estimate(*args, h=2e-3, seed=3)
+    assert blocks == [7] * 5 + [5]
+    assert got.sup_estimate == pytest.approx(want.sup_estimate, rel=1e-14)
+    with pytest.raises(DomainError, match="take a larger step h"):  # one path of 2001 rows
+        S.kato_exponential_estimate(*args, h=1e-4, seed=3)
+
+
 def test_fdd_single_sample_fails():
     ens = S.simulate(CIRCLE, G.circle_point(0.3), 0.2, 1e-2, 1, seed=1, record_times=[0.2])
     rep = S.fdd_check(ens, [0.2], [[lambda ch: ch[:, 0]]])
