@@ -568,6 +568,12 @@ def _check_coulomb(ctx: CheckContext, p: dict) -> CheckResult:
     )
 
 
+def _coulomb_distances(values, model):
+    # on hyperbolic3 the closed form e^{-r} / (4 pi sinh r) is a normal double up to r = 350
+    top = 350.0 if isinstance(model, geom.Hyperbolic3) else 1e6
+    return _list_of(lambda v: 0 < v <= top, f"in (0, {top:g}]")(values, model)
+
+
 def _kernel_times(p, model):
     engine = hk.make_engine(model)
     capped = [t for t in p["t_values"] if hk.series_cap_exceeded(engine, t)]
@@ -600,7 +606,9 @@ def _fk_times(p, model):
         return f"h exceeds the largest t ({horizon:g})"
     step = horizon / max(1, round(horizon / p["h"]))  # the paths' step, as simulate takes it
     off = [t for t in p["t_values"] if abs(round(t / step) * step - t) > 1e-9 + 1e-9 * t]
-    return f"t_values {off} are not multiples of the step {step:g}" if off else None
+    if off:
+        return f"t_values {off} are not multiples of the step {step:g}"
+    return st.walk_problem(model, st.step_count(horizon, p["h"]), True, p["n_paths"])  # as simulate refuses it
 
 
 def _project_walk(p, model):
@@ -749,7 +757,7 @@ CHECKS: dict[str, CheckSpec] = {
     "coulomb": CheckSpec(
         _check_coulomb,
         "V(x,y) = (1/2) int_0^inf p(s,x,y) ds, finite for x != y",
-        {"r_values": (_floats, "0.1,1,10", _list_of(lambda v: 0 < v <= 1e6, "in (0, 1e6]")),
+        {"r_values": (_floats, "0.1,1,10", _coulomb_distances),
          "rel_tol": (float, 1e-6, _POSITIVE)},
         "Coulomb potential quadrature against the closed form",
         models=("euclidean:3 or hyperbolic3", pot._coulomb_supported),

@@ -90,16 +90,20 @@ class ManifoldModel:
         """Chart displacements ys - x (folded into the fundamental cell on a torus)."""
         return ys - x
 
-    def sphere_area(self, r: float) -> float:
-        # torus / products: central difference is accurate enough for the
-        # product-volume integrand
-        h = max(1e-6, 1e-6 * r)
-        return (ball_volume_radial(self, r + h) - ball_volume_radial(self, max(r - h, 0.0))) / (
-            r + h - max(r - h, 0.0)
-        )
-
     def sphere_area_many(self, r: np.ndarray) -> np.ndarray:
-        return np.array([ball_surface(self, float(v)) for v in r])
+        """Geodesic sphere areas at the radii of a 1-d array.  A flat model's
+        chart is an isometry out to its comparability radius (the smallest
+        half-period), so there the area is Euclidean; beyond it, and on
+        curved products, a central difference of the ball volume."""
+        m = self.dim
+        out = m * _omega(m) * r ** (m - 1) if self.flat else np.zeros(r.shape)
+        for i in np.flatnonzero(r > (self.comparability_radius(4.0) if self.flat else 0.0)):
+            v = float(r[i])
+            h = max(1e-6, 1e-6 * v)
+            out[i] = (ball_volume_radial(self, v + h) - ball_volume_radial(self, max(v - h, 0.0))) / (
+                v + h - max(v - h, 0.0)
+            )
+        return out
 
     def full_nodes(self, resolution: float):
         raise DomainError(f"{self.describe()} is non-compact; a window is required")
@@ -232,12 +236,6 @@ class Euclidean(_FlatChart):
     def ball_volume(self, r: float) -> float:
         return _omega(self.dim) * r**self.dim
 
-    def sphere_area(self, r):
-        m = self.dim
-        return m * _omega(m) * r ** (m - 1)
-
-    sphere_area_many = sphere_area
-
     def ball_grid(self, center, radius, h, n_dir):
         m = self.dim
         if m == 1:
@@ -309,13 +307,6 @@ class Torus(_FlatChart):
     def ball_volume(self, r):
         return _torus_section_area(r, self.side_length, self.dim)
 
-    def sphere_area_many(self, r):
-        # out to L/2 the sphere meets no face of the cell: the Euclidean area
-        out = self.dim * _omega(self.dim) * r ** (self.dim - 1)
-        far = r > self.side_length / 2.0
-        out[far] = super().sphere_area_many(r[far])
-        return out
-
     def full_nodes(self, resolution):
         L = self.side_length
         n = max(4, int(round(L / resolution)))
@@ -354,6 +345,7 @@ class Circle(_Embedded):
     total_volume = 2.0 * math.pi
     kernel_methods = ("imagesum", "series")
     origin = (1.0, 0.0)
+    sphere_area_many = staticmethod(lambda r: np.where(r < math.pi, 2.0, 0.0))  # exact at the kink r = pi
 
     def random_coords(self, rng, spread):
         return circle_point(rng.uniform(0.0, 2 * math.pi)).coords
@@ -364,12 +356,6 @@ class Circle(_Embedded):
 
     def ball_volume(self, r):
         return min(2.0 * r, 2.0 * math.pi)
-
-    def sphere_area(self, r):
-        return 2.0 if r < math.pi else 0.0
-
-    def sphere_area_many(self, r):
-        return np.where(r < math.pi, 2.0, 0.0)
 
     def exp_many(self, xs, vs):
         a = vs[:, 0]
@@ -426,9 +412,6 @@ class Sphere2(_Embedded):
 
     def ball_volume(self, r):
         return 2.0 * math.pi * (1.0 - math.cos(min(r, math.pi)))
-
-    def sphere_area(self, r):
-        return 2.0 * math.pi * math.sin(r) if r < math.pi else 0.0
 
     def sphere_area_many(self, r):
         return np.where(r < math.pi, 2.0 * math.pi * np.sin(np.minimum(r, math.pi)), 0.0)
@@ -526,9 +509,6 @@ class Hyperbolic3(ManifoldModel):
 
     def ball_volume(self, r):
         return math.pi * (math.sinh(2.0 * r) - 2.0 * r)
-
-    def sphere_area(self, r):
-        return 4.0 * math.pi * math.sinh(r) ** 2
 
     def sphere_area_many(self, r):
         return 4.0 * math.pi * np.sinh(r) ** 2
@@ -816,14 +796,13 @@ def ball_volume_radial(model: ManifoldModel, r: float) -> float:
 
 def ball_surface(model: ManifoldModel, r: float) -> float:
     """d/dr of ball_volume_radial (the geodesic sphere area)."""
-    if r <= 0:
-        return 0.0
-    return model.sphere_area(r)
+    return float(ball_surface_many(model, np.array([r]))[0]) if r > 0 else 0.0
 
 
 def ball_surface_many(model: ManifoldModel, r: np.ndarray) -> np.ndarray:
-    """Vectorized ball_surface."""
-    return model.sphere_area_many(np.asarray(r, dtype=float))
+    """The geodesic sphere areas at an array of radii."""
+    r = np.asarray(r, dtype=float)
+    return model.sphere_area_many(r.ravel()).reshape(r.shape)
 
 
 def ball_volume(model: ManifoldModel, x: Point, r: float) -> float:

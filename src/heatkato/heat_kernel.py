@@ -180,14 +180,25 @@ def eval_radial(engine: HeatKernelEngine, t: float, d) -> np.ndarray:
 
 
 def eval_radial_rows(engine: HeatKernelEngine, ts, d) -> np.ndarray:
-    """p(t_i, d) with one row per time t_i: a 1-d ``d`` is shared by every
-    row, a 2-d ``d`` gives row i its own distances."""
+    """eval_geodesic(t_i, d) with one row per time t_i: a 1-d ``d`` is shared
+    by every row, a 2-d ``d`` gives row i its own distances."""
     d = np.asarray(d, dtype=float)
     rows = np.broadcast_to(d, (len(ts), d.shape[-1]))
     out = np.empty(rows.shape)
     for i, t in enumerate(ts):
-        out[i] = eval_radial(engine, float(t), rows[i])
+        out[i] = eval_geodesic(engine, float(t), rows[i])
     return out
+
+
+def eval_geodesic(engine: HeatKernelEngine, t: float, d) -> np.ndarray:
+    """p(t, x, y) for y at distance d from x along one kernel factor's
+    geodesic, the other factors at their diagonal: the radial kernel itself
+    on a radial model, on a product the largest such value over its factors."""
+    if not engine.factors:
+        return eval_radial(engine, t, d)
+    diag = [on_diag(fe, t) for fe in engine.factors]
+    along = [eval_geodesic(fe, t, d) * math.prod(diag[:i] + diag[i + 1 :]) for i, fe in enumerate(engine.factors)]
+    return np.max(along, axis=0)
 
 
 def _series_cutoff(engine: HeatKernelEngine, t: float) -> int:

@@ -213,10 +213,12 @@ def smoothed_abs(
     """integral of p(s, x, y) |w(y)| dmu(y), for one s or an array of s.
 
     On the radial-kernel models, radial potential atoms use the exact
-    axisymmetric two-point reduction, one cell set per atom for all s; the
-    ball excised around a singular center is integrated by a fixed
-    Gauss-Jacobi rule.  Everything else falls back to grid quadrature.
-    ``refinement`` halves the quadrature cell caps (for error estimation).
+    axisymmetric two-point reduction, one cell set per atom for all s.
+    Everything else falls back to grid quadrature.  On both paths the ball
+    excised around a singular center is integrated for all s at once by the
+    near-field rule (``quadrature.near_field_integral``); away from the
+    center the grid stays approximate at small s.  ``refinement`` halves
+    the two-point cell caps (for error estimation).
     """
     ss = np.atleast_1d(np.asarray(s, dtype=float))
     value, tail = _smoothed(engine, w, ss, x, grid, refinement) if ss.size else (ss, ss)
@@ -247,13 +249,6 @@ def _smoothed(engine, w, ss, x, grid, refinement):
     return total, tail
 
 
-def _excision_radius(s):
-    """Radius of the ball cut around a singular center at time s: 5% of the
-    kernel scale within [1e-5, 1e-3], snapped down to a power of two so that
-    a batch of s holds only a few distinct radii."""
-    return np.exp2(np.floor(np.log2(np.clip(0.05 * np.sqrt(s), 1e-5, 1e-3))))
-
-
 def _two_point_atom(engine, ss, x, ra, refinement=0):
     model = engine.model
     profile, support, beta = ra.profile, ra.support, ra.beta
@@ -268,9 +263,9 @@ def _two_point_atom(engine, ss, x, ra, refinement=0):
     if model.compact:
         r_max = np.minimum(r_max, model.diameter)
         tail = np.zeros(ss.size)
-    eps = _excision_radius(ss) if beta > 0.0 else np.zeros(ss.size)
-    kernel = lambda r: hk.eval_radial_rows(engine, ss, r)
     sigma = np.sqrt(ss)
+    eps = qd.excision_radius(sigma) if beta > 0.0 else np.zeros(ss.size)
+    kernel = lambda r: hk.eval_radial_rows(engine, ss, r)
     val = qd.two_point_integral(
         model,
         kernel,
@@ -285,14 +280,14 @@ def _two_point_atom(engine, ss, x, ra, refinement=0):
     if beta > 0.0:
         # the kernel is smooth and even in d - u, so only the profile's power
         # enters the rule's weight
-        val = val + qd.near_field_integral(model, kernel, profile, d, np.minimum(eps, support), beta)
+        val = val + qd.near_field_integral(model, kernel, profile, d, np.minimum(eps, support), beta, sigma)
     return val, tail
 
 
 def _smoothed_grid(engine, w, ss, x, grid):
-    """Grid quadrature for each s; everything that does not depend on s (the
-    potential values, the excision mask and each excised ball's L^1 mass) is
-    computed once."""
+    """Grid quadrature for each s.  The ball excised around each singular set
+    is integrated for all s at once by the near-field rule; the potential
+    values and the excision mask do not depend on s and are computed once."""
     if grid is None:
         grid = _default_y_grid(engine, w, 1.0, [x])
     vals = np.abs(pot.evaluate_many(w, grid.node_coords))
@@ -302,48 +297,40 @@ def _smoothed_grid(engine, w, ss, x, grid):
     for sg in sings:
         keep &= sg.distances(grid.node_coords) >= eps
     weights_kept, vals_kept = grid.weights[keep], vals[keep]
-    balls = []  # (x lies in the excised ball, the ball's L^1 mass) per point singularity
-    for sg in sings:
-        if sg.pair_cols is not None:
-            continue
-        dc = float(sg.distances(x.coords[None, :])[0])
-        l1, _ = quad(
-            lambda r, sg=sg: float(sg.profile(np.atleast_1d(r))[0]) * geom.ball_surface(sg.model, float(r)),
-            0.0,
-            eps,
-            epsabs=1e-12,
-            epsrel=1e-9,
-            limit=100,
-        )
-        balls.append((dc <= eps, l1))
-    values, tails = np.empty(ss.size), np.empty(ss.size)
+    balls = sum((_excised_ball(engine, sg, ss, x, eps) for sg in sings if sg.pair_cols is None), np.zeros(ss.size))
+    values, tails = np.empty(ss.size), np.zeros(ss.size)
     for i, s in enumerate(ss):
-        s = float(s)
-        p = hk.eval_many(engine, s, x.coords, grid.node_coords)
+        p = hk.eval_many(engine, float(s), x.coords, grid.node_coords)
         raw_mass = float(np.sum(grid.weights * p))
         base = float(np.sum(weights_kept * p[keep] * vals_kept))
-        correction = 0.0
-        for at_x, l1 in balls:
-            # kernel bounded over the excised ball by its largest nearby value
-            pk = float(
-                hk.eval_many(engine, s, x.coords, x.coords[None, :])[0]
-                if at_x
-                else np.max(p[~keep]) if np.any(~keep) else 0.0
-            )
-            correction += pk * l1
-        mass, merr = hk.kernel_mass(engine, s, x)
+        mass, merr = hk.kernel_mass(engine, float(s), x)
         if not sings and raw_mass > 0.0:
             # self-normalize so an under-resolved kernel still reports the
             # kernel-weighted average times the true mass
             values[i], tails[i] = base / raw_mass * mass, merr * float(np.max(vals))
-            continue
-        # singular case: normalize the node sum by the same mass ratio within a
-        # guard band (excised near-field stays analytic)
-        factor = 1.0
-        if raw_mass > 0.0:
-            factor = min(max(mass / raw_mass, 0.25), 4.0)
-        values[i], tails[i] = base * factor + correction, 0.0
+        else:
+            # singular case: the node sum normalized by the same mass ratio
+            # within a guard band, plus the balls
+            factor = min(max(mass / raw_mass, 0.25), 4.0) if raw_mass > 0.0 else 1.0
+            values[i] = base * factor + balls[i]
     return values, tails
+
+
+def _excised_ball(engine, sg, ss, x, eps):
+    """int p(s, x, y) |w(y)| within eps of a singular set, for each s: the
+    near-field rule on the ball of the leaf the set is a point of, against
+    that leaf's kernel along a factor geodesic.  A pullback's set is a tube;
+    its ball takes the other leaves' kernel mass (they run "auto" kernels)."""
+    tube = len(sg.cols) < engine.model.chart_dim
+    leaf = hk.make_engine(sg.model) if tube else engine
+    d = float(sg.distances(x.coords[None, :])[0])
+    kernel = lambda r: hk.eval_radial_rows(leaf, ss, r)
+    ball = qd.near_field_integral(sg.model, kernel, sg.profile, d, eps, sg.beta, np.sqrt(ss))
+    for f, off in pot.leaves(engine.model) if tube else ():
+        if off != sg.cols[0]:
+            xf = Point(x.coords[off : off + f.chart_dim])
+            ball = ball * np.array([hk.kernel_mass(hk.make_engine(f), float(s), xf)[0] for s in ss])
+    return ball
 
 
 def _center_and_offsets(w: pot.Potential, model: ManifoldModel, offsets) -> list[Point]:
@@ -669,15 +656,8 @@ def classical_kato_functional(
         total = 0.0
         for c, atom in pot.terms(w):
             if isinstance(atom, pot.Constant):
-                val, _ = quad(
-                    lambda u: float(fker(np.array([u]))[0]) * geom.ball_surface(model, u),
-                    0.0,
-                    r,
-                    epsabs=1e-12,
-                    epsrel=1e-10,
-                    limit=200,
-                )
-                total += abs(c * atom.value) * val
+                rho = min(r, 1.0) if m == 2 else r  # h_2 = log+(1/u) ends at u = 1
+                total += abs(c * atom.value) * _classical_near_field(model, fker, np.ones_like, 0.0, rho, 0.0)
                 continue
             ra = atom.radial()
             if ra is None:
@@ -711,9 +691,7 @@ def _classical_near_field(model, fker, profile, d, radius, beta) -> float:
     if m >= 3:
         return qd.near_field_integral(model, fker, profile, d, radius, beta + m - 2.0)
     one = np.ones_like
-
-    def G(v):
-        return np.array([qd.near_field_integral(model, one, profile, 0.0, float(r), beta) for r in v])
+    G = lambda v: qd.near_field_integral(model, one, profile, 0.0, v, beta)  # one row per radius in v
 
     def g_over_v(v):  # G(v) / v, written as a profile against the sphere area
         return G(v) / (v * geom.ball_surface_many(model, v))

@@ -18,6 +18,7 @@ from . import heat_kernel as hk
 from .errors import DomainError, ManifestError, SingularityError, UnsupportedModelError
 from .geometry import (BallWindow, BoxWindow, Euclidean, Hyperbolic3, ManifoldModel, Point, Product,
                        QuadratureGrid, quad)
+from .quadrature import near_field_integral
 
 
 @dataclass(frozen=True)
@@ -552,10 +553,7 @@ def lq_norm(
             base = float(np.sum(node_w * node_v**qk * node_wv))
             correction = 0.0
             for s, wc, rest in balls:
-                integrand = lambda r, s=s, qk=qk: (
-                    s.profile(np.atleast_1d(r))[0] ** qk * geom.ball_surface(s.model, float(r))
-                )
-                val, _ = quad(integrand, 0.0, eps, epsabs=1e-12, epsrel=1e-10, limit=200)
+                val = near_field_integral(s.model, np.ones_like, lambda r: s.profile(r) ** qk, 0.0, eps, s.beta * qk)
                 correction += wc * (val + rest**qk * geom.ball_volume_radial(s.model, eps))
             norms[j] = WeightedLqNorm(qk, (base + correction) ** (1.0 / qk), False, int(np.sum(~keep)))
     return norms[0] if np.ndim(q) == 0 else norms
@@ -625,10 +623,12 @@ def coulomb(
 
     def compute(sm: float) -> float:
         split = min(d * d, sm)
-        a, _ = quad(integrand, 0.0, split, points=[split / 10.0], epsabs=1e-14, epsrel=1e-12, limit=300)
+        # a purely relative tolerance: far from x the value falls like e^{-2d}
+        # on hyperbolic3, below any fixed absolute floor
+        a, _ = quad(integrand, 0.0, split, points=[split / 10.0], epsabs=0.0, epsrel=1e-12, limit=300)
         if sm <= split:
             return a
-        b, _ = quad(integrand_u, sm**-0.5, split**-0.5, epsabs=1e-14, epsrel=1e-12, limit=300)
+        b, _ = quad(integrand_u, sm**-0.5, split**-0.5, epsabs=0.0, epsrel=1e-12, limit=300)
         return a + b
 
     sm = max(10.0, 4.0 * d * d)

@@ -9,9 +9,9 @@ Three workhorses live here:
   through x and c: on E^m, H^3 and S^2 the integral reduces to two dimensions,
   in dimension 1 to the two sides of x (a periodic axis folds the far side).
   One cell set serves a whole batch of kernel times.
-* ``near_field_integral`` -- the ball of radius eps around a power
-  singularity u^(-beta) that ``two_point_integral`` excises, by one fixed
-  Gauss-Jacobi rule with weight u^(m-1-beta).
+* ``near_field_integral`` -- every ball cut around a power singularity
+  u^(-beta), on every path: one fixed Gauss-Jacobi rule with weight
+  u^(m-1-beta) out to the excision radius, Gauss-Legendre cells beyond it.
 
 ``radial_integral`` and ``two_point_integral`` are composite Gauss-Legendre
 (``geometry.gl_nodes``, shared with the polar grids) over explicit cell
@@ -255,25 +255,51 @@ def _jacobi_rule(n: int, exponent: float) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def near_field_integral(model: ManifoldModel, kernel, profile, d: float, radius, beta: float):
+def excision_radius(scale):
+    """Radius of the ball cut around a singular center for a kernel of length
+    scale sqrt(s): 5% of the scale within [1e-5, 1e-3], snapped down to a
+    power of two so that a batch of s holds only a few distinct radii."""
+    return np.exp2(np.floor(np.log2(np.clip(0.05 * scale, 1e-5, 1e-3))))
+
+
+def near_field_integral(model: ManifoldModel, kernel, profile, d: float, radius, beta: float, scale=None):
     """integral over [0, radius] of profile(u) * s_m(u) * kernel(|d - u|) du.
 
     This is the ball of the given radius around a singular center c, at
     distance d from x, with the kernel bounded on each distance sphere by its
-    value at the point nearest x (exact when d = 0).  ``beta`` is the power
-    singularity of profile(u) * kernel(|d - u|) at u = 0, so that the
-    integrand divided by u^(m-1-beta) is smooth on [0, radius]; beta < m.
-    Pass radius = min(excision radius, support radius) so that a window edge
-    never falls inside the rule.
+    value at the point nearest x (exact when d = 0).  u^beta * profile(u) *
+    kernel(|d - u|) is smooth near 0; beta < m.  Pass radius = min(ball
+    radius, support radius), so no window edge falls inside a cell.
 
-    For a batch, ``radius`` holds one value per row and ``kernel`` takes the
-    (k, n) array of nodes, row i for batch row i; one value per row returns.
+    ``scale`` is the kernel scale sqrt(s): out to excision_radius(scale) one
+    Gauss-Jacobi rule with weight u^(m-1-beta) integrates the ball, beyond it
+    composite Gauss-Legendre cells.  Without it (a kernel smooth on the ball,
+    or none) the Gauss-Jacobi rule covers the whole ball.  For a batch,
+    ``radius`` and ``scale`` hold one value per row or one for all, and
+    ``kernel`` takes a (k, n) array of distances, row i for batch row i, or
+    n distances shared by the rows; one value per row returns.
     """
     t, w = _jacobi_rule(NEAR_FIELD_NODES, model.dim - 1.0 - beta)
     radius = np.asarray(radius, dtype=float)
-    u = radius[..., None] * t
-    vals = profile(u) * ball_surface_many(model, u.ravel()).reshape(u.shape) * kernel(np.abs(d - u))
-    return _total(radius * np.sum(w * vals, axis=-1))
+    core = radius if scale is None else np.minimum(radius, excision_radius(scale))
+    # profile and sphere area once per distinct core radius
+    cores, row = np.unique(core, return_inverse=True)
+    u, row = cores[:, None] * t, row.reshape(core.shape)
+    near = profile(u) * ball_surface_many(model, u)
+    total = core * np.sum(w * (near[row] * kernel(np.abs(d - u[row]))), axis=-1)
+    if scale is None or np.all(core == radius):
+        return _total(total)
+    # beyond the cores: cells out of the smallest core (so every core, a power
+    # of two, is a break), a quarter as wide as their distance from 0 at most,
+    # with ladders at the kernel scales around 0 and d; one set for the batch
+    lo = float(core[core < radius].min())
+    starts = _ladder_starts(scale)
+    cap = lambda left: max(left, lo) / 4.0
+    breaks = feature_breaks(float(radius.max()), (4.0 * lo,) + starts, [(d, v) for v in starts], cap)
+    rho, w_rho = gl_nodes(np.union1d(breaks[breaks >= lo], radius))
+    shell = (rho > core[..., None]) & (rho < radius[..., None])
+    vals = profile(rho) * ball_surface_many(model, rho) * kernel(np.abs(d - rho))
+    return _total(total + np.sum(np.where(shell, w_rho * vals, 0.0), axis=-1))
 
 
 # ---------------------------------------------------------------------------

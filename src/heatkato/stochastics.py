@@ -166,14 +166,18 @@ def step_count(t: float, h: float) -> int:
     return max(1, int(round(t / h)))
 
 
-def walk_problem(model: ManifoldModel, n_steps: int, full: bool) -> str | None:
-    """Why one path of an n_steps walk cannot be sampled, or None. A curved
-    walk holds a path's normals at once, and a walk recorded at every step
-    (``full``) its n_steps + 1 rows; either over _MAX_STORE_BYTES is refused
-    before anything is allocated."""
+def walk_problem(model: ManifoldModel, n_steps: int, full: bool, n_paths: int = 0, n_records: int = 0) -> str | None:
+    """Why an n_steps walk cannot be sampled, or None. A curved walk holds a
+    path's normals at once, and a walk recorded at every step (``full``) its
+    n_steps + 1 rows; either over _MAX_STORE_BYTES is refused before anything
+    is allocated.  So is, as ``simulate`` refuses it, an ensemble of n_paths
+    whose record (n_records rows a path; n_steps + 1 when ``full``) would."""
     need = 8 * max((n_steps + 1) * model.path_dim if full else 0, 0 if model.flat else n_steps * model.tangent_dim)
     if need > _MAX_STORE_BYTES:
         return f"one path of {n_steps:,} steps would need {need / 1e9:.3g} GB; take a larger step h"
+    need = 8 * n_paths * (n_steps + 1 if full else n_records) * model.path_dim
+    if need > _MAX_STORE_BYTES:
+        return f"ensemble would need {need / 1e9:.1f} GB; take fewer paths, a larger step h or coarser record_times"
     return None
 
 
@@ -197,25 +201,17 @@ def simulate(
         raise DomainError("step must not exceed the horizon")
     if N < 1:
         raise DomainError("need at least one path")
-    if problem := walk_problem(model, n_steps, record_times is None):
-        raise DomainError(problem)
-    geom.make_point(model, start.coords)
     h_eff = t / n_steps
-    warning = bool(not model.flat and h_eff > 0.01)
-    if record_times is None:
-        record_idx = np.arange(n_steps + 1)
-        full = True
-    else:
+    full = record_times is None
+    if not full:
         record_idx = sorted({int(round(tt / h_eff)) for tt in record_times} | {n_steps})
         if any(i < 0 or i > n_steps for i in record_idx):
             raise DomainError("record times must lie within the horizon")
-        record_idx = np.array(record_idx, dtype=int)
-        full = False
-    need = N * len(record_idx) * model.path_dim * 8
-    if need > _MAX_STORE_BYTES:
-        raise DomainError(
-            f"ensemble would need {need / 1e9:.1f} GB; pass coarser record_times"
-        )
+    if problem := walk_problem(model, n_steps, full, N, 0 if full else len(record_idx)):
+        raise DomainError(problem)
+    geom.make_point(model, start.coords)
+    warning = bool(not model.flat and h_eff > 0.01)
+    record_idx = np.arange(n_steps + 1) if full else np.array(record_idx, dtype=int)
     start_path = start.coords.copy()
     positions = np.empty((N, len(record_idx), model.path_dim))
     for i0 in range(0, N, block_size):

@@ -304,6 +304,9 @@ PRODUCT = "product(euclidean:1,circle)"
         ("kato-norm", "euclidean:3", "t=1e300"),
         ("coulomb", "euclidean:3", "r_values=1e300"),
         ("is-kato", "circle", "t_min=1e-300"),
+        # past r = 350 the hyperbolic closed form leaves the normal doubles
+        ("coulomb", "hyperbolic3", "r_values=400"),
+        ("coulomb", "hyperbolic3", "r_values=1e6"),
     ],
 )
 def test_check_parameter_domains_exit_two(check, manifold, param, capsys):
@@ -328,6 +331,9 @@ def test_check_parameter_domains_exit_two(check, manifold, param, capsys):
         # record and normals (85 PiB for a 4096-path block)
         ("project-check", "product(sphere2,euclidean:1)", ["n_paths=2", "h=1e-12"]),
         ("kato-exponential", "sphere2", ["h=1e-12"]),
+        # one 8 GB path, then a 16 GB ensemble of 20000 paths
+        ("feynman-kac", "circle", ["h=1e-9"]),
+        ("feynman-kac", "circle", ["h=1e-5"]),
     ],
 )
 def test_cross_parameter_errors_exit_two(check, manifold, params, capsys):
@@ -378,13 +384,25 @@ def test_fk_verify_validator_and_run_share_h(monkeypatch):
         ["kernel-check", "--manifold", "torus:2:6.2832", "--param", "t_values=0.001,0.01"],
         ["control-pair", "--manifold", "circle", "--param", "source=fk"],
         ["control-pair", "--manifold", PRODUCT, "--param", "source=fk"],
+        ["is-kato", "--manifold", "torus:2:6.2832"],
+        ["is-kato", "--manifold", "product(circle,circle)"],
+        ["is-kato", "--manifold", "product(circle,circle)", "--potential", "pullback:0:radialpower:beta=0.5"],
+        ["coulomb", "--manifold", "hyperbolic3", "--param", "r_values=40"],
+        ["coulomb", "--manifold", "hyperbolic3", "--param", "r_values=100"],
     ],
-    ids=["kernel-check-torus-small-t", "control-pair-fk-circle", "control-pair-fk-product"],
+    ids=[
+        "kernel-check-torus-small-t", "control-pair-fk-circle", "control-pair-fk-product",
+        "is-kato-torus2", "is-kato-circle-circle", "is-kato-circle-circle-pullback",
+        "coulomb-hyperbolic3-r40", "coulomb-hyperbolic3-r100",
+    ],
 )
 def test_checks_pass_exit_zero(argv, capsys):
     # the torus kernel's mass at small t (a 64-node rule once lost half of
     # it); the Faber-Krahn pair reaches the circle's and the product's
-    # comparability radii
+    # comparability radii; L^q potentials with q > m/2 on flat products are
+    # Kato (the grid path once bounded their excised ball by p(s,x,x) times
+    # its L^1 mass); the Coulomb quadrature once stopped at an absolute
+    # floor above e^{-2r}
     assert cli.main(argv) == 0
     assert "Traceback" not in capsys.readouterr().err
 

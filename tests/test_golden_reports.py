@@ -6,9 +6,12 @@ checks that no battery runs, and one case per model the batteries leave
 out or touch only in part.  A refactor that keeps verdicts, margins and
 values bit-identical leaves these files untouched.  To regenerate after an
 intended change, run ``python tests/test_golden_reports.py [case ...]``; with
-no case named it rewrites them all.
+no case named it rewrites them all.  A mismatch lists every JSON path that
+moved, with its old and new value, so the change can be reported field by
+field.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -49,9 +52,26 @@ def _report(case: str) -> str:
     return canonical_json(cli.run_manifest(manifest))
 
 
+def _moved(old, new, path=""):
+    """One line per JSON path whose value differs: old -> new, with the
+    relative change of numbers."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        keys = sorted(set(old) | set(new))
+        return [line for k in keys for line in _moved(old.get(k), new.get(k), f"{path}.{k}")]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [line for i, (a, b) in enumerate(zip(old, new)) for line in _moved(a, b, f"{path}[{i}]")]
+    if old == new and type(old) is type(new):
+        return []
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new))
+    rel = f" (relative {(new - old) / abs(old):+.3g})" if numbers and old else ""
+    return [f"{path or '.'}: {old!r} -> {new!r}{rel}"]
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_report(case):
-    assert _report(case) == (GOLDEN / f"{case}.json").read_text()
+    got, want = _report(case), (GOLDEN / f"{case}.json").read_text()
+    moved = "" if got == want else "\n".join(_moved(json.loads(want), json.loads(got))) or "formatting only"
+    assert got == want, f"{case}.json moved:\n{moved}"
 
 
 def test_every_golden_file_has_a_case():

@@ -229,6 +229,49 @@ def test_classical_examples():
     assert v1 == pytest.approx(4 * math.pi * 0.1, rel=1e-6)
     # 1/|y|^2: divergent, flagged as inf
     assert K.classical_kato_functional(E3, P.RadialPower(E3, ORIGIN, 2.0), 0.1, [ORIGIN]) == math.inf
+    # bounded w in the plane: h_2 = log+(1/u) ends at u = 1, so the value is
+    # pi rho^2 (1/2 + ln(1/rho)) with rho = min(r, 1)
+    e2 = G.euclidean(2)
+    for r in (0.3, 2.0):
+        rho = min(r, 1.0)
+        val = K.classical_kato_functional(e2, P.Constant(1.0), r, [G.base_point(e2)])
+        assert val == pytest.approx(math.pi * rho**2 * (0.5 + math.log(1.0 / rho)), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec, betas", [("euclidean:2", (0.5, 1.0, 1.2)), ("euclidean:3", (0.5, 1.0, 1.5))])
+def test_grid_path_matches_two_point_path_at_the_center(spec, betas):
+    # a zero-scaled box indicator has no radial form, so it sends the whole
+    # potential down the grid path; at the center the excised ball carries the
+    # value, and the grid once bounded it by p(s, x, x) times its L^1 mass
+    model = G.parse_manifold(spec)
+    eng, c = HK.make_engine(model), G.base_point(model)
+    ss = np.array([1e-9, 1e-6, 1e-4, 1e-2, 0.1, 0.5])
+    for beta in betas:
+        w = P.RadialPower(model, c, beta)
+        grid_only = P.Sum((w, P.Scale(0.0, P.Indicator(model, G.BoxWindow(c, (1.0,) * model.dim)))))
+        two_point = K.smoothed_abs(eng, w, ss, c).value
+        grid = K.smoothed_abs(eng, grid_only, ss, c).value
+        np.testing.assert_allclose(grid, two_point, rtol=1e-6, err_msg=f"beta={beta}")
+
+
+def test_excised_balls_call_no_scalar_quad(monkeypatch):
+    # every excised ball goes through the near-field rule: the grid path of
+    # holder_bound_check, the L^q norm and a constant atom's classical term
+    calls = []
+    counted = lambda *a, **k: calls.append(1) or quad(*a, **k)
+    for module in (G, K, P):
+        monkeypatch.setattr(module, "quad", counted)
+    w = P.RadialPower(E3, ORIGIN, 1.0)
+    for model in (E3, G.torus(2, 6.2832)):
+        eng, c = HK.make_engine(model), G.base_point(model)
+        hw = P.Windowed(model, P.RadialPower(model, c, 0.35), G.BallWindow(c, 1.5))
+        pair = K.control_pair_from_on_diag(eng)
+        grid = G.build_grid(model, model.compact_resolution / 2.0, G.FullWindow()) if model.compact else None
+        K.holder_bound_check(eng, pair, hw, 2.0, [1e-3, 0.1, 1.0], [c, G.exp_map(model, c, [0.3] * model.dim)], grid)
+    P.lq_norm(w, [1.6, 2.0, 2.9], None, G.build_grid(E3, 0.1, G.BallWindow(ORIGIN, 2.0)))
+    for model in (G.euclidean(1), G.euclidean(2), E3):
+        K.classical_kato_functional(model, P.Constant(1.0), 0.5, [G.base_point(model)])
+    assert calls == []
 
 
 def test_is_kato_agrees_with_classical_on_euclidean_battery():
@@ -298,7 +341,7 @@ def _quad_near_field(model, kernel, profile, d, radius):
 
 
 def _excision_radius(s):
-    return float(K._excision_radius(s))
+    return float(Q.excision_radius(math.sqrt(s)))
 
 
 @pytest.mark.parametrize("spec", ["euclidean:2", "euclidean:3", "hyperbolic3", "sphere2", "circle"])
