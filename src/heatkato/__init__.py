@@ -4,7 +4,7 @@ Riemannian manifolds.
 
 Importing the package loads no submodule: ``heatkato.kato`` and the other
 submodule attributes load on first access, so a CLI command pays only for the
-layers it uses (``kato`` and ``semigroup`` import scipy's solvers).
+layers it uses (only ``kato`` and ``semigroup`` import scipy at load).
 """
 
 import importlib

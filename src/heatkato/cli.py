@@ -404,9 +404,7 @@ def _default_fk_sets(model: ManifoldModel):
 
 
 def _fk_radius(value, model):
-    from . import kato as kato_mod
-
-    circum = max(kato_mod._region_circumradius(model, x, region) for x, region in _default_fk_sets(model))
+    circum = max(mvi_mod._region_circumradius(model, x, region) for x, region in _default_fk_sets(model))
     if not (math.isfinite(value) and value >= circum - 1e-9):
         return f"must be finite and >= {circum:.6g}, the circumradius of the default test sets"
     return None
@@ -421,12 +419,10 @@ def _fk_h(p: dict, model: ManifoldModel) -> float:
 
 
 def _check_fk_verify(ctx: CheckContext, p: dict) -> CheckResult:
-    from . import kato as kato_mod
-
     a = mvi_mod.faber_krahn_constant(ctx.model.dim) * p["a_scale"]
     radius_fn = lambda x: p["radius"]
     h = _fk_h(p, ctx.model)
-    rep = kato_mod.faber_krahn_verify(ctx.model, radius_fn, a, _default_fk_sets(ctx.model), h=h)
+    rep = mvi_mod.faber_krahn_verify(ctx.model, radius_fn, a, _default_fk_sets(ctx.model), h=h)
     return CheckResult(
         rep.passed, rep.min_margin, rep.tolerance, rep.to_dict(),
         sweep={"h": h, "a_scale": p["a_scale"]}, empirical_constants={"a": a},
@@ -589,14 +585,12 @@ def _is_kato_times(p, model):
 
 
 def _fk_grid(p, model):
-    from . import kato as kato_mod
-
     regions = [region for _, region in _default_fk_sets(model)]
     h = _fk_h(p, model)
-    if any(kato_mod.fd_grid_too_fine(model, region, h) for region in regions):
-        return f"h leaves more than {kato_mod._FD_MAX_NODES:,} lattice nodes in the finest grid of a test set"
+    if any(mvi_mod.fd_grid_too_fine(model, region, h) for region in regions):
+        return f"h leaves more than {mvi_mod._FD_MAX_NODES:,} lattice nodes in the finest grid of a test set"
     h = max(h, 1.0 / 12.0)  # all finer h pass on the default sets; keeps 3-d masks small
-    coarse = any(kato_mod.fd_grid_too_coarse(model, region, h) for region in regions)
+    coarse = any(mvi_mod.fd_grid_too_coarse(model, region, h) for region in regions)
     return "h leaves too few grid nodes in the smallest test set" if coarse else None
 
 

@@ -1,12 +1,12 @@
-"""Kato functional, Kato-class verdicts, control pairs and Faber-Krahn checks.
+"""Kato functional, Kato-class verdicts, Hoelder bounds and control pairs.
 
 All verdicts produced here are numerical evidence from finite sweeps, never
 proofs; every report records the sweep and its tolerances.
 
-scipy is imported at the top, unlike in the layers every command loads: this
-module's own core runs on quad and sparse eigsh, so deferring them would only
-move their import into the first check.  The Faber-Krahn constant, whose
-Bessel zeros need scipy's special functions and root finder, lives in ``mvi``.
+``is_kato`` bounds its short-time remainder with scalar ``quad``, imported at
+the top.  Lighter commands never load this module: kernel smoothing
+(``smoothed_abs``) lives in ``potentials``, the Faber-Krahn constant and its
+finite-difference check in ``mvi``; neither imports scipy at load.
 """
 
 from __future__ import annotations
@@ -18,16 +18,16 @@ from types import MappingProxyType
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
 from scipy.integrate import quad
-from scipy.sparse.linalg import eigsh
 
 from . import geometry as geom
 from . import heat_kernel as hk
 from . import potentials as pot
 from . import quadrature as qd
 from .errors import DomainError, UnsupportedModelError
-from .geometry import BallWindow, BoxWindow, Euclidean, ManifoldModel, Point, QuadratureGrid, Torus
+from .geometry import BallWindow, Euclidean, ManifoldModel, Point, QuadratureGrid
+from .mvi import dirichlet_ground_energy  # unused here: the benchmark's tracer wraps it at this address
+from .potentials import smoothed_abs
 
 
 def admissible_q(m: int, q: float) -> bool:
@@ -192,147 +192,6 @@ def doubling_check(model: ManifoldModel) -> float:
     return worst
 
 
-# ---------------------------------------------------------------------------
-# kernel-smoothed |w|: the left side of the Hoelder bound
-
-
-@dataclass
-class SmoothedValue:
-    value: float | np.ndarray  # one value per s when s is an array
-    tail_bound: float | np.ndarray
-
-
-def smoothed_abs(
-    engine: hk.HeatKernelEngine,
-    w: pot.Potential,
-    s,
-    x: Point,
-    grid: QuadratureGrid | None = None,
-    refinement: int = 0,
-) -> SmoothedValue:
-    """integral of p(s, x, y) |w(y)| dmu(y), for one s or an array of s.
-
-    On the radial-kernel models, radial potential atoms use the exact
-    axisymmetric two-point reduction, one cell set per atom for all s.
-    Everything else falls back to grid quadrature.  On both paths the ball
-    excised around a singular center is integrated for all s at once by the
-    near-field rule (``quadrature.near_field_integral``); away from the
-    center the grid stays approximate at small s.  ``refinement`` halves
-    the two-point cell caps (for error estimation).
-    """
-    ss = np.atleast_1d(np.asarray(s, dtype=float))
-    value, tail = _smoothed(engine, w, ss, x, grid, refinement) if ss.size else (ss, ss)
-    if np.ndim(s) == 0:
-        return SmoothedValue(float(value[0]), float(tail[0]))
-    return SmoothedValue(value, tail)
-
-
-def _smoothed(engine, w, ss, x, grid, refinement):
-    """(values, tail bounds), one per s."""
-    terms = pot.terms(w)
-    total, tail = np.zeros(ss.size), np.zeros(ss.size)
-    if not terms:
-        return total, tail
-    if not engine.model.radial_kernel or any(
-        not isinstance(atom, pot.Constant) and atom.radial() is None for _, atom in terms
-    ):
-        return _smoothed_grid(engine, w, ss, x, grid)
-    for c, atom in terms:
-        if isinstance(atom, pot.Constant):
-            coef = abs(c * atom.value)
-            mass, merr = np.array([hk.kernel_mass(engine, float(s), x) for s in ss]).T
-        else:
-            coef = abs(c)
-            mass, merr = _two_point_atom(engine, ss, x, atom.radial(), refinement)
-        total += coef * mass
-        tail += coef * merr
-    return total, tail
-
-
-def _two_point_atom(engine, ss, x, ra, refinement=0):
-    model = engine.model
-    profile, support, beta = ra.profile, ra.support, ra.beta
-    d = geom.distance(model, x, ra.center)
-    if math.isfinite(support):
-        r_max = np.full(ss.size, d + support)  # integrand vanishes beyond the support
-        tail = np.zeros(ss.size)
-    else:
-        r_max = np.array([model.kernel_reach(s) for s in ss]) + d + 1.0
-        reach_profile = profile(np.maximum(r_max - d, 1e-9))
-        tail = reach_profile * np.array([hk.mass_tail_bound(engine, s, r) for s, r in zip(ss, r_max)])
-    if model.compact:
-        r_max = np.minimum(r_max, model.diameter)
-        tail = np.zeros(ss.size)
-    sigma = np.sqrt(ss)
-    eps = qd.excision_radius(sigma) if beta > 0.0 else np.zeros(ss.size)
-    kernel = lambda r: hk.eval_radial_rows(engine, ss, r)
-    val = qd.two_point_integral(
-        model,
-        kernel,
-        profile,
-        d,
-        r_max,
-        f_scale=sigma,
-        g_scale=np.maximum(np.maximum(sigma / 4.0, eps), 1e-4),
-        g_singular_radius=eps,
-        max_cell=r_max / (16.0 * 2.0**refinement),
-    )
-    if beta > 0.0:
-        # the kernel is smooth and even in d - u, so only the profile's power
-        # enters the rule's weight
-        val = val + qd.near_field_integral(model, kernel, profile, d, np.minimum(eps, support), beta, sigma)
-    return val, tail
-
-
-def _smoothed_grid(engine, w, ss, x, grid):
-    """Grid quadrature for each s.  The ball excised around each singular set
-    is integrated for all s at once by the near-field rule; the potential
-    values and the excision mask do not depend on s and are computed once."""
-    if grid is None:
-        grid = _default_y_grid(engine, w, 1.0, [x])
-    vals = np.abs(pot.evaluate_many(w, grid.node_coords))
-    sings = pot.singularities(w)
-    eps = 2.0 * grid.resolution
-    keep = np.ones(grid.size, dtype=bool)
-    for sg in sings:
-        keep &= sg.distances(grid.node_coords) >= eps
-    weights_kept, vals_kept = grid.weights[keep], vals[keep]
-    balls = sum((_excised_ball(engine, sg, ss, x, eps) for sg in sings if sg.pair_cols is None), np.zeros(ss.size))
-    values, tails = np.empty(ss.size), np.zeros(ss.size)
-    for i, s in enumerate(ss):
-        p = hk.eval_many(engine, float(s), x.coords, grid.node_coords)
-        raw_mass = float(np.sum(grid.weights * p))
-        base = float(np.sum(weights_kept * p[keep] * vals_kept))
-        mass, merr = hk.kernel_mass(engine, float(s), x)
-        if not sings and raw_mass > 0.0:
-            # self-normalize so an under-resolved kernel still reports the
-            # kernel-weighted average times the true mass
-            values[i], tails[i] = base / raw_mass * mass, merr * float(np.max(vals))
-        else:
-            # singular case: the node sum normalized by the same mass ratio
-            # within a guard band, plus the balls
-            factor = min(max(mass / raw_mass, 0.25), 4.0) if raw_mass > 0.0 else 1.0
-            values[i] = base * factor + balls[i]
-    return values, tails
-
-
-def _excised_ball(engine, sg, ss, x, eps):
-    """int p(s, x, y) |w(y)| within eps of a singular set, for each s: the
-    near-field rule on the ball of the leaf the set is a point of, against
-    that leaf's kernel along a factor geodesic.  A pullback's set is a tube;
-    its ball takes the other leaves' kernel mass (they run "auto" kernels)."""
-    tube = len(sg.cols) < engine.model.chart_dim
-    leaf = hk.make_engine(sg.model) if tube else engine
-    d = float(sg.distances(x.coords[None, :])[0])
-    kernel = lambda r: hk.eval_radial_rows(leaf, ss, r)
-    ball = qd.near_field_integral(sg.model, kernel, sg.profile, d, eps, sg.beta, np.sqrt(ss))
-    for f, off in pot.leaves(engine.model) if tube else ():
-        if off != sg.cols[0]:
-            xf = Point(x.coords[off : off + f.chart_dim])
-            ball = ball * np.array([hk.kernel_mass(hk.make_engine(f), float(s), xf)[0] for s in ss])
-    return ball
-
-
 def _center_and_offsets(w: pot.Potential, model: ManifoldModel, offsets) -> list[Point]:
     """The potential's center, then one point per offset along the first axis."""
     c = pot.center_of(w, model)
@@ -342,29 +201,6 @@ def _center_and_offsets(w: pot.Potential, model: ManifoldModel, offsets) -> list
         v[0] = off
         xs.append(geom.exp_map(model, c, v))
     return xs
-
-
-def _default_y_grid(engine, w, t_max, x_samples) -> QuadratureGrid:
-    model = engine.model
-    if model.compact:
-        return _shared_grid(model, model.compact_resolution, None, 0.0)
-    center = pot.center_of(w, model)
-    spread = max((geom.distance(model, center, x) for x in x_samples), default=0.0)
-    radius = spread + model.kernel_reach(t_max) + 2.0
-    return _shared_grid(model, radius / 120.0, tuple(center.coords), radius)
-
-
-@lru_cache(maxsize=8)
-def _shared_grid(
-    model: ManifoldModel, resolution: float, center: tuple | None, radius: float, n_dir: int | None = None
-) -> QuadratureGrid:
-    """The grid over the whole compact model (center None) or over a ball,
-    built once; its arrays are read-only because every caller shares them."""
-    window = geom.FullWindow() if center is None else BallWindow(Point(np.array(center)), radius)
-    grid = geom.build_grid(model, resolution, window, n_dir)
-    grid.node_coords.flags.writeable = False
-    grid.weights.flags.writeable = False
-    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +301,11 @@ def _short_time_remainder(engine, w, s_min):
     center = pot.center_of(w, model)
     R = 3.0
     if model.compact:
-        grid = _shared_grid(model, model.compact_resolution, None, 0.0)
+        grid = pot._shared_grid(model, model.compact_resolution, None, 0.0)
         windowed = w
         sup_out = 0.0
     else:
-        grid = _shared_grid(model, R / 60.0, tuple(center.coords), R, 8)
+        grid = pot._shared_grid(model, R / 60.0, tuple(center.coords), R, 8)
         windowed = pot.Windowed(model, w, BallWindow(center, R))
         sup_out = pot.sup_abs(w, outside=(center, R))
     best = math.inf
@@ -587,7 +423,7 @@ def holder_bound_check(
     int p(s,x,y)|w(y)| dmu <= time(s)^{1/q} (int |w|^q space dmu)^{1/q}."""
     model = engine.model
     require_admissible(model.dim, q)
-    norm_grid = grid or _default_y_grid(engine, w, max(s_samples), list(x_samples))
+    norm_grid = grid or pot._default_y_grid(engine, w, max(s_samples), list(x_samples))
     wq = pot.lq_norm(w, q, control.space_factor, norm_grid)
     if wq.diverges:
         return HolderReport(q, math.inf, 0.0, True, 0)
@@ -716,7 +552,7 @@ def classical_is_kato(
 
 
 # ---------------------------------------------------------------------------
-# Faber-Krahn control pairs and Dirichlet eigenvalues
+# Faber-Krahn control pairs
 
 
 @dataclass(frozen=True)
@@ -731,265 +567,6 @@ def constant_radius_fn(model: ManifoldModel):
     which a chart keeps the metric between id / 4 and 4 id."""
     R = min(model.comparability_radius(4.0), 1.0) / 2.0
     return lambda x, R=R: R
-
-
-@dataclass
-class FDEigenResult:
-    value: float  # extrapolated smallest eigenvalue of -(1/2) Laplace, Dirichlet
-    raw: list  # per-resolution values
-    converged: bool
-
-
-_FD_MIN_NODES = 20  # fewest interior nodes a finite-difference solve accepts
-# most lattice nodes a finest grid may hold. The mask takes a byte a node plus
-# about 7 MB of coordinates (1.6 bytes a node in all on the 3-d unit ball at
-# h = 1/48, whose finest grid has 193^3 = 7.2e6 nodes); assembling the
-# operator on the fundamental domain then peaks at about 21 bytes a node
-# before the eigensolve (153 MB there; tracemalloc, numpy 2.4)
-_FD_MAX_NODES = 10_000_000
-_FD_MASK_ROWS = 65_536  # lattice nodes whose coordinates _fd_mask holds at once (about 7 MB)
-
-
-def _fd_axes(m: int, lo: np.ndarray, hi: np.ndarray, h):
-    """(per-axis spacings, per-axis node counts) of the lattice from lo to hi."""
-    hs = [float(h)] * m if np.isscalar(h) else [float(v) for v in h]
-    return hs, [int(math.floor((hi[k] - lo[k]) / hs[k] + 1e-9)) + 1 for k in range(m)]
-
-
-def _fd_mask(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h):
-    """(interior-node mask of the lattice from lo to hi, per-axis spacings).
-
-    ``inside_fn`` tests its coordinate rows one by one, so it runs on a few
-    first-axis slabs of the lattice at a time (about _FD_MASK_ROWS nodes, one
-    slab at least): besides the mask, only their float coordinates are held."""
-    hs, ns = _fd_axes(m, lo, hi, h)
-    axes = [lo[k] + np.arange(ns[k]) * hs[k] for k in range(m)]
-    step = max(1, _FD_MASK_ROWS // math.prod(ns[1:]))
-    mask = np.empty(ns, dtype=bool)
-    for i in range(0, ns[0], step):
-        mesh = np.meshgrid(axes[0][i : i + step], *axes[1:], indexing="ij")
-        coords = np.stack([g.ravel() for g in mesh], axis=1)
-        mask[i : i + step] = inside_fn(coords).reshape(mesh[0].shape)
-    return mask, hs
-
-
-def _fd_operator(mask: np.ndarray, hs) -> sparse.csc_matrix:
-    """B = P^T A P, A the finite-difference -(1/2) Laplace with Dirichlet
-    conditions on the mask's nodes, built on its fundamental domain alone.
-
-    Axis k folds when the mask equals its own reflection along k, and P is the
-    (nodes x orbits) matrix whose columns are orbit indicators divided by
-    sqrt(orbit size); P is the identity when no axis folds. A = D - N with D a
-    constant diagonal and N >= 0, so by Perron-Frobenius A has a nonnegative
-    ground state. A commutes with each reflection of its mask, so the average
-    of that ground state over the reflections is again a ground state: still
-    nonnegative, so nonzero, and constant on orbits, so in the range of P.
-    Hence lambda_min(P^T A P) = lambda_min(A) in exact arithmetic, on about
-    2^k times fewer unknowns for k folding axes.
-
-    The unknowns are the mask's nodes with index >= n_k // 2 on every folding
-    axis, in C order; an orbit has 2 nodes per folding axis, 1 on an odd
-    axis's mirror plane. B_ab = -n(a -> b) / (2 h_k^2) sqrt(|a| / |b|) for the
-    n(a -> b) lattice neighbours of a's node in orbit b. Orbit sizes are
-    powers of 2, so B is exactly symmetric."""
-    m = mask.ndim
-    folds = [np.array_equal(mask, np.flip(mask, k)) for k in range(m)]
-    dom = mask[tuple(slice(n // 2 if f else 0, None) for n, f in zip(mask.shape, folds))]
-    count = int(dom.sum())
-    index = np.full(dom.shape, -1, dtype=np.int32)  # _FD_MAX_NODES fits
-    index[dom] = np.arange(count)
-    size = np.ones(dom.shape)
-    diag = np.arange(count, dtype=np.int32)
-    rows, cols, coefs = [diag], [diag], [np.full(count, sum(1.0 / (hk * hk) for hk in hs))]
-    for k, n in enumerate(mask.shape):
-        cut = lambda lo, hi: (slice(None),) * k + (slice(lo, hi),)
-        below = index
-        if folds[k]:  # below the first slab lies its mirror: the second slab (odd n_k) or itself
-            below = np.concatenate([index[cut(n % 2, n % 2 + 1)], index], axis=k)
-            size *= 2.0
-            size[cut(0, 1)] /= 1 + n % 2  # an odd axis's mirror plane is its own image
-        for a, b in ((index[cut(0, -1)], index[cut(1, None)]), (below[cut(1, None)], below[cut(0, -1)])):
-            both = (a >= 0) & (b >= 0)  # each domain node a and its neighbour b above, then below
-            rows.append(a[both])
-            cols.append(b[both])
-            coefs.append(np.full(rows[-1].size, -1.0 / (2.0 * hs[k] * hs[k])))
-    size = size[dom]
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(coefs) * np.sqrt(size[rows] / size[cols])
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(count, count)).tocsc()
-
-
-def _fd_ground_energy(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h) -> float:
-    """Smallest eigenvalue of the finite-difference Dirichlet operator on the
-    lattice's interior nodes, solved as ``_fd_operator``'s B; the 2-d
-    shift-invert branch's 150 000 limit reads the folded count."""
-    mask, hs = _fd_mask(m, inside_fn, lo, hi, h)
-    if int(mask.sum()) < _FD_MIN_NODES:
-        raise DomainError("grid too coarse for the region")
-    B = _fd_operator(mask, hs)
-    n = B.shape[0]
-    if m == 2 and n <= 150_000:
-        # 2-d fill-in is mild; shift-invert is exact and fast
-        # a fixed start vector keeps the result a function of the matrix alone
-        lam = eigsh(B, k=1, sigma=0.0, which="LM", v0=np.ones(n), return_eigenvectors=False)
-        return float(lam[0])
-    # 3-d factors fill in badly; implicitly restarted Lanczos needs only B @ v
-    lam = eigsh(B, k=1, which="SA", v0=np.ones(n), return_eigenvectors=False)
-    return float(lam[0])
-
-
-def _fd_levels(model: ManifoldModel, region, h: float, refinements: int):
-    """(m, one (inside, lo, hi, spacings) per refinement, Richardson order)
-    of the finite-difference grids for the region."""
-    if isinstance(model, Torus):
-        # small boxes lift isometrically to Euclidean space
-        if isinstance(region, BoxWindow) and max(region.halfwidth) < model.side_length / 2.0:
-            model = geom.euclidean(model.dim)
-        else:
-            raise UnsupportedModelError("torus regions must be small boxes")
-    if not isinstance(model, Euclidean):
-        raise UnsupportedModelError("finite differences implemented on flat charts")
-    m = model.dim
-    if m not in (2, 3):
-        raise UnsupportedModelError("finite differences implemented for m in {2, 3}")
-    if isinstance(region, BallWindow):
-        c = region.center.coords[:m]
-        R = region.radius
-        lo, hi = c - R, c + R
-        inside = lambda pts: np.linalg.norm(pts - c, axis=1) < R - 1e-12
-        return m, [(inside, lo, hi, h / (2.0**j)) for j in range(refinements + 1)], 1
-    if isinstance(region, BoxWindow):
-        c = np.asarray(region.center.coords[:m], dtype=float)
-        hw = np.asarray(region.halfwidth, dtype=float)
-        inside = lambda pts: np.all(np.abs(pts - c) < hw - 1e-12, axis=1)
-        levels = []
-        n0 = [max(4, int(round(2.0 * hwk / h))) for hwk in hw]
-        for j in range(refinements + 1):
-            # per-axis spacings align every face with the lattice; doubling the
-            # counts halves each spacing exactly, keeping Richardson clean
-            ns = [nk * 2**j for nk in n0]
-            hs = [2.0 * hwk / nk for hwk, nk in zip(hw, ns)]
-            levels.append((inside, c - hw + np.asarray(hs), c + hw - np.asarray(hs) / 2.0, hs))
-        return m, levels, 2
-    raise DomainError(f"unsupported region {region!r}")
-
-
-def fd_grid_too_fine(model: ManifoldModel, region, h: float) -> bool:
-    """True when dirichlet_ground_energy's finest lattice for the region at
-    spacing h, with its default one refinement, would hold more than
-    _FD_MAX_NODES nodes. The size comes from the per-axis node counts; no
-    array is built."""
-    try:
-        with np.errstate(over="raise", divide="raise"):
-            m, levels, _ = _fd_levels(model, region, h, 1)
-            _, ns = _fd_axes(m, *levels[-1][1:])
-    except (OverflowError, FloatingPointError):  # a per-axis count past the float range
-        return True
-    return math.prod(ns) > _FD_MAX_NODES
-
-
-def fd_grid_too_coarse(model: ManifoldModel, region, h: float) -> bool:
-    """True when dirichlet_ground_energy's coarsest grid for the region at
-    spacing h would have too few interior nodes to solve on."""
-    m, levels, _ = _fd_levels(model, region, h, 0)
-    return int(_fd_mask(m, *levels[0])[0].sum()) < _FD_MIN_NODES
-
-
-def dirichlet_ground_energy(
-    model: ManifoldModel, region, h: float, refinements: int = 1
-) -> FDEigenResult:
-    """Smallest Dirichlet eigenvalue of -(1/2) Laplace on the region by finite
-    differences, with Richardson extrapolation across refinements.
-
-    Ball regions have a staircase boundary (first-order error); box regions
-    align with the lattice (second-order)."""
-    m, levels, order = _fd_levels(model, region, h, refinements)
-    raw = [_fd_ground_energy(m, *level) for level in levels]
-    if len(raw) >= 2:
-        r = 2.0**order
-        value = (r * raw[-1] - raw[-2]) / (r - 1.0)
-        converged = abs(raw[-1] - raw[-2]) <= 0.05 * abs(raw[-1])
-    else:
-        value, converged = raw[-1], False
-    return FDEigenResult(value, raw, converged)
-
-
-def region_volume(model: ManifoldModel, region) -> float:
-    if isinstance(region, BallWindow):
-        return geom.ball_volume_radial(model, region.radius)
-    if isinstance(region, BoxWindow):
-        return float(np.prod(2.0 * np.asarray(region.halfwidth)))
-    raise DomainError(f"unsupported region {region!r}")
-
-
-@dataclass
-class FaberKrahnReport:
-    min_margin: float
-    tolerance: float
-    inconclusive: list
-    details: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.inconclusive and self.min_margin >= -self.tolerance
-
-    def to_dict(self) -> dict:
-        return {
-            "min_margin": self.min_margin,
-            "tolerance": self.tolerance,
-            "inconclusive": self.inconclusive,
-            "n_sets": len(self.details),
-        }
-
-
-def faber_krahn_verify(
-    model: ManifoldModel,
-    radius_fn,
-    a: float,
-    test_sets: Sequence[tuple[Point, object]],
-    h: float = 1.0 / 48.0,
-) -> FaberKrahnReport:
-    """Checks min spec(H_U) >= a vol(U)^{-2/m} on each test set (ball/box inside
-    B(x, R(x))) by finite-difference Dirichlet eigenvalues."""
-    details, inconclusive = [], []
-    worst = math.inf
-    tol = 0.0
-    for x, region in test_sets:
-        Rx = radius_fn(x)
-        circum = _region_circumradius(model, x, region)
-        if circum > Rx + 1e-9:
-            raise DomainError(f"test set of circumradius {circum:.3g} exceeds R(x)={Rx:.3g}")
-        res = dirichlet_ground_energy(model, region, h)
-        vol = region_volume(model, region)
-        rhs = a * vol ** (-2.0 / model.dim)
-        margin = res.value - rhs
-        fd_tol = abs(res.raw[-1] - res.raw[-2]) if len(res.raw) >= 2 else 0.1 * res.value
-        tol = max(tol, fd_tol + 1e-9)
-        entry = {
-            "region": region.describe(),
-            "eigenvalue": res.value,
-            "rhs": rhs,
-            "margin": margin,
-            "fd_gap": fd_tol,
-            "converged": res.converged,
-        }
-        details.append(entry)
-        finite = all(math.isfinite(v) for v in (res.value, rhs, margin))
-        if not (finite and res.converged):
-            reason = "finite differences not converged" if finite else "eigenvalue, rhs or margin is not finite"
-            inconclusive.append({**entry, "reason": reason})
-        worst = min(worst, margin if finite else -math.inf)  # min(inf, nan) would be inf
-    return FaberKrahnReport(worst, tol, inconclusive, details)
-
-
-def _region_circumradius(model: ManifoldModel, x: Point, region) -> float:
-    if isinstance(region, BallWindow):
-        return geom.distance(model, x, region.center) + region.radius
-    if isinstance(region, BoxWindow):
-        corner = float(np.linalg.norm(np.asarray(region.halfwidth)))
-        return geom.distance(model, x, region.center) + corner
-    raise DomainError(f"unsupported region {region!r}")
 
 
 @dataclass

@@ -1,15 +1,17 @@
-"""Parabolic L^q mean value inequality sweeps, the induced heat bound, and the
-Faber-Krahn constant a that both take.
+"""Parabolic L^q mean value inequality sweeps, the induced heat bound, the
+Faber-Krahn constant a that both take, and its finite-difference check.
 
 Test solutions are heat-kernel columns u(s, y) = p(s, y, y0): they are exact
 nonnegative solutions of the heat equation, so no PDE solver enters and every
-cell ratio is pure quadrature.
+cell ratio is pure quadrature.  Every command loads this module, so scipy is
+imported inside the functions that call it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -17,34 +19,7 @@ from . import geometry as geom
 from . import heat_kernel as hk
 from . import quadrature as qd
 from .errors import DomainError, UnsupportedModelError
-from .geometry import Euclidean, ManifoldModel, Point
-
-
-def faber_krahn_constant(m: int) -> float:
-    """Sharp constant for -(1/2) Laplace with Dirichlet conditions: equality on
-    balls, min spec(H_U) >= a vol(U)^{-2/m}."""
-    j = _first_bessel_zero(m / 2.0 - 1.0)
-    return 0.5 * j * j * geom._omega(m) ** (2.0 / m)
-
-
-def _first_bessel_zero(nu: float) -> float:
-    """First positive zero j of J_nu, nu = m/2 - 1.  scipy is imported only
-    for the orders without a closed form."""
-    if nu == -0.5:
-        return math.pi / 2.0  # J_{-1/2}(x) is a multiple of cos(x) / sqrt(x)
-    if nu == 0.5:
-        return math.pi  # J_{1/2}(x) is a multiple of sin(x) / sqrt(x)
-    from scipy.special import jn_zeros, jv
-
-    if nu == int(nu):
-        return float(jn_zeros(int(nu), 1)[0])
-    from scipy.optimize import brentq
-
-    # half-integer order: J_nu > 0 on (0, j) and j > nu; bracket the first sign change
-    lo = nu
-    while jv(nu, lo + 0.5) > 0.0:
-        lo += 0.5
-    return brentq(lambda x: jv(nu, x), lo, lo + 0.5, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+from .geometry import BallWindow, BoxWindow, Euclidean, ManifoldModel, Point, Torus
 
 
 @dataclass(frozen=True)
@@ -215,3 +190,297 @@ def heat_bound_sweep(
         stable=drift <= 0.10,
         sweep={"t_min": float(ts.min()), "t_max": float(ts.max()), "n_t": int(ts.size), "n_x": len(x_samples)},
     )
+
+
+# ---------------------------------------------------------------------------
+# Faber-Krahn: the sharp constant and the finite-difference eigenvalue check
+
+
+def faber_krahn_constant(m: int) -> float:
+    """Sharp constant for -(1/2) Laplace with Dirichlet conditions: equality on
+    balls, min spec(H_U) >= a vol(U)^{-2/m}."""
+    j = _first_bessel_zero(m / 2.0 - 1.0)
+    return 0.5 * j * j * geom._omega(m) ** (2.0 / m)
+
+
+def _first_bessel_zero(nu: float) -> float:
+    """First positive zero j of J_nu, nu = m/2 - 1.  scipy is imported only
+    for the orders without a closed form."""
+    if nu == -0.5:
+        return math.pi / 2.0  # J_{-1/2}(x) is a multiple of cos(x) / sqrt(x)
+    if nu == 0.5:
+        return math.pi  # J_{1/2}(x) is a multiple of sin(x) / sqrt(x)
+    from scipy.special import jn_zeros, jv
+
+    if nu == int(nu):
+        return float(jn_zeros(int(nu), 1)[0])
+    from scipy.optimize import brentq
+
+    # half-integer order: J_nu > 0 on (0, j) and j > nu; bracket the first sign change
+    lo = nu
+    while jv(nu, lo + 0.5) > 0.0:
+        lo += 0.5
+    return brentq(lambda x: jv(nu, x), lo, lo + 0.5, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+
+
+@dataclass
+class FDEigenResult:
+    value: float  # extrapolated smallest eigenvalue of -(1/2) Laplace, Dirichlet
+    raw: list  # per-resolution values
+    converged: bool
+
+
+_FD_MIN_NODES = 20  # fewest interior nodes a finite-difference solve accepts
+# most lattice nodes a finest grid may hold. The mask takes a byte a node plus
+# about 7 MB of coordinates (1.6 bytes a node in all on the 3-d unit ball at
+# h = 1/48, whose finest grid has 193^3 = 7.2e6 nodes); assembling the
+# operator on the fundamental domain then peaks at about 21 bytes a node
+# before the eigensolve (153 MB there; tracemalloc, numpy 2.4)
+_FD_MAX_NODES = 10_000_000
+_FD_MASK_ROWS = 65_536  # lattice nodes whose coordinates _fd_mask holds at once (about 7 MB)
+
+
+def _fd_axes(m: int, lo: np.ndarray, hi: np.ndarray, h):
+    """(per-axis spacings, per-axis node counts) of the lattice from lo to hi."""
+    hs = [float(h)] * m if np.isscalar(h) else [float(v) for v in h]
+    return hs, [int(math.floor((hi[k] - lo[k]) / hs[k] + 1e-9)) + 1 for k in range(m)]
+
+
+def _fd_mask(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h):
+    """(interior-node mask of the lattice from lo to hi, per-axis spacings).
+
+    ``inside_fn`` tests its coordinate rows one by one, so it runs on a few
+    first-axis slabs of the lattice at a time (about _FD_MASK_ROWS nodes, one
+    slab at least): besides the mask, only their float coordinates are held."""
+    hs, ns = _fd_axes(m, lo, hi, h)
+    axes = [lo[k] + np.arange(ns[k]) * hs[k] for k in range(m)]
+    step = max(1, _FD_MASK_ROWS // math.prod(ns[1:]))
+    mask = np.empty(ns, dtype=bool)
+    for i in range(0, ns[0], step):
+        mesh = np.meshgrid(axes[0][i : i + step], *axes[1:], indexing="ij")
+        coords = np.stack([g.ravel() for g in mesh], axis=1)
+        mask[i : i + step] = inside_fn(coords).reshape(mesh[0].shape)
+    return mask, hs
+
+
+def _fd_operator(mask: np.ndarray, hs):
+    """B = P^T A P as a CSC matrix, A the finite-difference -(1/2) Laplace with
+    Dirichlet conditions on the mask's nodes, built on its fundamental domain alone.
+
+    Axis k folds when the mask equals its own reflection along k, and P is the
+    (nodes x orbits) matrix whose columns are orbit indicators divided by
+    sqrt(orbit size); P is the identity when no axis folds. A = D - N with D a
+    constant diagonal and N >= 0, so by Perron-Frobenius A has a nonnegative
+    ground state. A commutes with each reflection of its mask, so the average
+    of that ground state over the reflections is again a ground state: still
+    nonnegative, so nonzero, and constant on orbits, so in the range of P.
+    Hence lambda_min(P^T A P) = lambda_min(A) in exact arithmetic, on about
+    2^k times fewer unknowns for k folding axes.
+
+    The unknowns are the mask's nodes with index >= n_k // 2 on every folding
+    axis, in C order; an orbit has 2 nodes per folding axis, 1 on an odd
+    axis's mirror plane. B_ab = -n(a -> b) / (2 h_k^2) sqrt(|a| / |b|) for the
+    n(a -> b) lattice neighbours of a's node in orbit b. Orbit sizes are
+    powers of 2, so B is exactly symmetric."""
+    m = mask.ndim
+    folds = [np.array_equal(mask, np.flip(mask, k)) for k in range(m)]
+    dom = mask[tuple(slice(n // 2 if f else 0, None) for n, f in zip(mask.shape, folds))]
+    count = int(dom.sum())
+    index = np.full(dom.shape, -1, dtype=np.int32)  # _FD_MAX_NODES fits
+    index[dom] = np.arange(count)
+    size = np.ones(dom.shape)
+    diag = np.arange(count, dtype=np.int32)
+    rows, cols, coefs = [diag], [diag], [np.full(count, sum(1.0 / (hk * hk) for hk in hs))]
+    for k, n in enumerate(mask.shape):
+        cut = lambda lo, hi: (slice(None),) * k + (slice(lo, hi),)
+        below = index
+        if folds[k]:  # below the first slab lies its mirror: the second slab (odd n_k) or itself
+            below = np.concatenate([index[cut(n % 2, n % 2 + 1)], index], axis=k)
+            size *= 2.0
+            size[cut(0, 1)] /= 1 + n % 2  # an odd axis's mirror plane is its own image
+        for a, b in ((index[cut(0, -1)], index[cut(1, None)]), (below[cut(1, None)], below[cut(0, -1)])):
+            both = (a >= 0) & (b >= 0)  # each domain node a and its neighbour b above, then below
+            rows.append(a[both])
+            cols.append(b[both])
+            coefs.append(np.full(rows[-1].size, -1.0 / (2.0 * hs[k] * hs[k])))
+    size = size[dom]
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(coefs) * np.sqrt(size[rows] / size[cols])
+    from scipy import sparse
+
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(count, count)).tocsc()
+
+
+def _fd_ground_energy(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h) -> float:
+    """Smallest eigenvalue of the finite-difference Dirichlet operator on the
+    lattice's interior nodes, solved as ``_fd_operator``'s B; the 2-d
+    shift-invert branch's 150 000 limit reads the folded count."""
+    mask, hs = _fd_mask(m, inside_fn, lo, hi, h)
+    if int(mask.sum()) < _FD_MIN_NODES:
+        raise DomainError("grid too coarse for the region")
+    B = _fd_operator(mask, hs)
+    from scipy.sparse.linalg import eigsh
+
+    n = B.shape[0]
+    if m == 2 and n <= 150_000:
+        # 2-d fill-in is mild; shift-invert is exact and fast
+        # a fixed start vector keeps the result a function of the matrix alone
+        lam = eigsh(B, k=1, sigma=0.0, which="LM", v0=np.ones(n), return_eigenvectors=False)
+        return float(lam[0])
+    # 3-d factors fill in badly; implicitly restarted Lanczos needs only B @ v
+    lam = eigsh(B, k=1, which="SA", v0=np.ones(n), return_eigenvectors=False)
+    return float(lam[0])
+
+
+def _fd_levels(model: ManifoldModel, region, h: float, refinements: int):
+    """(m, one (inside, lo, hi, spacings) per refinement, Richardson order)
+    of the finite-difference grids for the region."""
+    if isinstance(model, Torus):
+        # small boxes lift isometrically to Euclidean space
+        if isinstance(region, BoxWindow) and max(region.halfwidth) < model.side_length / 2.0:
+            model = geom.euclidean(model.dim)
+        else:
+            raise UnsupportedModelError("torus regions must be small boxes")
+    if not isinstance(model, Euclidean):
+        raise UnsupportedModelError("finite differences implemented on flat charts")
+    m = model.dim
+    if m not in (2, 3):
+        raise UnsupportedModelError("finite differences implemented for m in {2, 3}")
+    if isinstance(region, BallWindow):
+        c = region.center.coords[:m]
+        R = region.radius
+        lo, hi = c - R, c + R
+        inside = lambda pts: np.linalg.norm(pts - c, axis=1) < R - 1e-12
+        return m, [(inside, lo, hi, h / (2.0**j)) for j in range(refinements + 1)], 1
+    if isinstance(region, BoxWindow):
+        c = np.asarray(region.center.coords[:m], dtype=float)
+        hw = np.asarray(region.halfwidth, dtype=float)
+        inside = lambda pts: np.all(np.abs(pts - c) < hw - 1e-12, axis=1)
+        levels = []
+        n0 = [max(4, int(round(2.0 * hwk / h))) for hwk in hw]
+        for j in range(refinements + 1):
+            # per-axis spacings align every face with the lattice; doubling the
+            # counts halves each spacing exactly, keeping Richardson clean
+            ns = [nk * 2**j for nk in n0]
+            hs = [2.0 * hwk / nk for hwk, nk in zip(hw, ns)]
+            levels.append((inside, c - hw + np.asarray(hs), c + hw - np.asarray(hs) / 2.0, hs))
+        return m, levels, 2
+    raise DomainError(f"unsupported region {region!r}")
+
+
+def fd_grid_too_fine(model: ManifoldModel, region, h: float) -> bool:
+    """True when dirichlet_ground_energy's finest lattice for the region at
+    spacing h, with its default one refinement, would hold more than
+    _FD_MAX_NODES nodes. The size comes from the per-axis node counts; no
+    array is built."""
+    try:
+        with np.errstate(over="raise", divide="raise"):
+            m, levels, _ = _fd_levels(model, region, h, 1)
+            _, ns = _fd_axes(m, *levels[-1][1:])
+    except (OverflowError, FloatingPointError):  # a per-axis count past the float range
+        return True
+    return math.prod(ns) > _FD_MAX_NODES
+
+
+def fd_grid_too_coarse(model: ManifoldModel, region, h: float) -> bool:
+    """True when dirichlet_ground_energy's coarsest grid for the region at
+    spacing h would have too few interior nodes to solve on."""
+    m, levels, _ = _fd_levels(model, region, h, 0)
+    return int(_fd_mask(m, *levels[0])[0].sum()) < _FD_MIN_NODES
+
+
+def dirichlet_ground_energy(
+    model: ManifoldModel, region, h: float, refinements: int = 1
+) -> FDEigenResult:
+    """Smallest Dirichlet eigenvalue of -(1/2) Laplace on the region by finite
+    differences, with Richardson extrapolation across refinements.
+
+    Ball regions have a staircase boundary (first-order error); box regions
+    align with the lattice (second-order)."""
+    m, levels, order = _fd_levels(model, region, h, refinements)
+    raw = [_fd_ground_energy(m, *level) for level in levels]
+    if len(raw) >= 2:
+        r = 2.0**order
+        value = (r * raw[-1] - raw[-2]) / (r - 1.0)
+        converged = abs(raw[-1] - raw[-2]) <= 0.05 * abs(raw[-1])
+    else:
+        value, converged = raw[-1], False
+    return FDEigenResult(value, raw, converged)
+
+
+def region_volume(model: ManifoldModel, region) -> float:
+    if isinstance(region, BallWindow):
+        return geom.ball_volume_radial(model, region.radius)
+    if isinstance(region, BoxWindow):
+        return float(np.prod(2.0 * np.asarray(region.halfwidth)))
+    raise DomainError(f"unsupported region {region!r}")
+
+
+@dataclass
+class FaberKrahnReport:
+    min_margin: float
+    tolerance: float
+    inconclusive: list
+    details: list
+
+    @property
+    def passed(self) -> bool:
+        return not self.inconclusive and self.min_margin >= -self.tolerance
+
+    def to_dict(self) -> dict:
+        return {
+            "min_margin": self.min_margin,
+            "tolerance": self.tolerance,
+            "inconclusive": self.inconclusive,
+            "n_sets": len(self.details),
+        }
+
+
+def faber_krahn_verify(
+    model: ManifoldModel,
+    radius_fn,
+    a: float,
+    test_sets: Sequence[tuple[Point, object]],
+    h: float = 1.0 / 48.0,
+) -> FaberKrahnReport:
+    """Checks min spec(H_U) >= a vol(U)^{-2/m} on each test set (ball/box inside
+    B(x, R(x))) by finite-difference Dirichlet eigenvalues."""
+    details, inconclusive = [], []
+    worst = math.inf
+    tol = 0.0
+    for x, region in test_sets:
+        Rx = radius_fn(x)
+        circum = _region_circumradius(model, x, region)
+        if circum > Rx + 1e-9:
+            raise DomainError(f"test set of circumradius {circum:.3g} exceeds R(x)={Rx:.3g}")
+        res = dirichlet_ground_energy(model, region, h)
+        vol = region_volume(model, region)
+        rhs = a * vol ** (-2.0 / model.dim)
+        margin = res.value - rhs
+        fd_tol = abs(res.raw[-1] - res.raw[-2]) if len(res.raw) >= 2 else 0.1 * res.value
+        tol = max(tol, fd_tol + 1e-9)
+        entry = {
+            "region": region.describe(),
+            "eigenvalue": res.value,
+            "rhs": rhs,
+            "margin": margin,
+            "fd_gap": fd_tol,
+            "converged": res.converged,
+        }
+        details.append(entry)
+        finite = all(math.isfinite(v) for v in (res.value, rhs, margin))
+        if not (finite and res.converged):
+            reason = "finite differences not converged" if finite else "eigenvalue, rhs or margin is not finite"
+            inconclusive.append({**entry, "reason": reason})
+        worst = min(worst, margin if finite else -math.inf)  # min(inf, nan) would be inf
+    return FaberKrahnReport(worst, tol, inconclusive, details)
+
+
+def _region_circumradius(model: ManifoldModel, x: Point, region) -> float:
+    if isinstance(region, BallWindow):
+        return geom.distance(model, x, region.center) + region.radius
+    if isinstance(region, BoxWindow):
+        corner = float(np.linalg.norm(np.asarray(region.halfwidth)))
+        return geom.distance(model, x, region.center) + corner
+    raise DomainError(f"unsupported region {region!r}")

@@ -1,24 +1,26 @@
 """Potential descriptors: radial powers, indicators, Coulomb terms, pullbacks
-along product projections, sums and sign decompositions.
+along product projections, sums and sign decompositions; weighted L^q norms,
+kernel smoothing int p(s, x, y) |w(y)| dmu(y) and the Coulomb potential.
 
 Potentials are immutable descriptor trees.  Evaluation returns +inf exactly at
-singular centers (never a silent overflow).
+singular centers (never a silent overflow); this module imports no scipy at load.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import geometry as geom
 from . import heat_kernel as hk
+from . import quadrature as qd
 from .errors import DomainError, ManifestError, SingularityError, UnsupportedModelError
 from .geometry import (BallWindow, BoxWindow, Euclidean, Hyperbolic3, ManifoldModel, Point, Product,
                        QuadratureGrid, quad)
-from .quadrature import near_field_integral
 
 
 @dataclass(frozen=True)
@@ -553,7 +555,7 @@ def lq_norm(
             base = float(np.sum(node_w * node_v**qk * node_wv))
             correction = 0.0
             for s, wc, rest in balls:
-                val = near_field_integral(s.model, np.ones_like, lambda r: s.profile(r) ** qk, 0.0, eps, s.beta * qk)
+                val = qd.near_field_integral(s.model, np.ones_like, lambda r: s.profile(r) ** qk, 0.0, eps, s.beta * qk)
                 correction += wc * (val + rest**qk * geom.ball_volume_radial(s.model, eps))
             norms[j] = WeightedLqNorm(qk, (base + correction) ** (1.0 / qk), False, int(np.sum(~keep)))
     return norms[0] if np.ndim(q) == 0 else norms
@@ -568,6 +570,171 @@ def _smooth_rest_at(sings: list[SingularityInfo], center: Point) -> float:
         if d > 1e-12:
             other += float(s.profile(np.array([d]))[0])
     return other
+
+
+# ---------------------------------------------------------------------------
+# kernel-smoothed |w|: the left side of the Hoelder bound
+
+
+@dataclass
+class SmoothedValue:
+    value: float | np.ndarray  # one value per s when s is an array
+    tail_bound: float | np.ndarray
+
+
+def smoothed_abs(
+    engine: hk.HeatKernelEngine,
+    w: Potential,
+    s,
+    x: Point,
+    grid: QuadratureGrid | None = None,
+    refinement: int = 0,
+) -> SmoothedValue:
+    """integral of p(s, x, y) |w(y)| dmu(y), for one s or an array of s.
+
+    On the radial-kernel models, radial potential atoms use the exact
+    axisymmetric two-point reduction, one cell set per atom for all s.
+    Everything else falls back to grid quadrature.  On both paths the ball
+    excised around a singular center is integrated for all s at once by the
+    near-field rule (``quadrature.near_field_integral``); away from the
+    center the grid stays approximate at small s.  ``refinement`` halves
+    the two-point cell caps (for error estimation).
+    """
+    ss = np.atleast_1d(np.asarray(s, dtype=float))
+    value, tail = _smoothed(engine, w, ss, x, grid, refinement) if ss.size else (ss, ss)
+    if np.ndim(s) == 0:
+        return SmoothedValue(float(value[0]), float(tail[0]))
+    return SmoothedValue(value, tail)
+
+
+def _smoothed(engine, w, ss, x, grid, refinement):
+    """(values, tail bounds), one per s."""
+    atoms = terms(w)
+    total, tail = np.zeros(ss.size), np.zeros(ss.size)
+    if not atoms:
+        return total, tail
+    if not engine.model.radial_kernel or any(
+        not isinstance(atom, Constant) and atom.radial() is None for _, atom in atoms
+    ):
+        return _smoothed_grid(engine, w, ss, x, grid)
+    for c, atom in atoms:
+        if isinstance(atom, Constant):
+            coef = abs(c * atom.value)
+            mass, merr = np.array([hk.kernel_mass(engine, float(s), x) for s in ss]).T
+        else:
+            coef = abs(c)
+            mass, merr = _two_point_atom(engine, ss, x, atom.radial(), refinement)
+        total += coef * mass
+        tail += coef * merr
+    return total, tail
+
+
+def _two_point_atom(engine, ss, x, ra, refinement=0):
+    model = engine.model
+    profile, support, beta = ra.profile, ra.support, ra.beta
+    d = geom.distance(model, x, ra.center)
+    if math.isfinite(support):
+        r_max = np.full(ss.size, d + support)  # integrand vanishes beyond the support
+        tail = np.zeros(ss.size)
+    else:
+        r_max = np.array([model.kernel_reach(s) for s in ss]) + d + 1.0
+        reach_profile = profile(np.maximum(r_max - d, 1e-9))
+        tail = reach_profile * np.array([hk.mass_tail_bound(engine, s, r) for s, r in zip(ss, r_max)])
+    if model.compact:
+        r_max = np.minimum(r_max, model.diameter)
+        tail = np.zeros(ss.size)
+    sigma = np.sqrt(ss)
+    eps = qd.excision_radius(sigma) if beta > 0.0 else np.zeros(ss.size)
+    kernel = lambda r: hk.eval_radial_rows(engine, ss, r)
+    val = qd.two_point_integral(
+        model,
+        kernel,
+        profile,
+        d,
+        r_max,
+        f_scale=sigma,
+        g_scale=np.maximum(np.maximum(sigma / 4.0, eps), 1e-4),
+        g_singular_radius=eps,
+        max_cell=r_max / (16.0 * 2.0**refinement),
+    )
+    if beta > 0.0:
+        # the kernel is smooth and even in d - u, so only the profile's power
+        # enters the rule's weight
+        val = val + qd.near_field_integral(model, kernel, profile, d, np.minimum(eps, support), beta, sigma)
+    return val, tail
+
+
+def _smoothed_grid(engine, w, ss, x, grid):
+    """Grid quadrature for each s.  The ball excised around each singular set
+    is integrated for all s at once by the near-field rule; the potential
+    values and the excision mask do not depend on s and are computed once."""
+    if grid is None:
+        grid = _default_y_grid(engine, w, 1.0, [x])
+    vals = np.abs(evaluate_many(w, grid.node_coords))
+    sings = singularities(w)
+    eps = 2.0 * grid.resolution
+    keep = np.ones(grid.size, dtype=bool)
+    for sg in sings:
+        keep &= sg.distances(grid.node_coords) >= eps
+    weights_kept, vals_kept = grid.weights[keep], vals[keep]
+    balls = sum((_excised_ball(engine, sg, ss, x, eps) for sg in sings if sg.pair_cols is None), np.zeros(ss.size))
+    values, tails = np.empty(ss.size), np.zeros(ss.size)
+    for i, s in enumerate(ss):
+        p = hk.eval_many(engine, float(s), x.coords, grid.node_coords)
+        raw_mass = float(np.sum(grid.weights * p))
+        base = float(np.sum(weights_kept * p[keep] * vals_kept))
+        mass, merr = hk.kernel_mass(engine, float(s), x)
+        if not sings and raw_mass > 0.0:
+            # self-normalize so an under-resolved kernel still reports the
+            # kernel-weighted average times the true mass
+            values[i], tails[i] = base / raw_mass * mass, merr * float(np.max(vals))
+        else:
+            # singular case: the node sum normalized by the same mass ratio
+            # within a guard band, plus the balls
+            factor = min(max(mass / raw_mass, 0.25), 4.0) if raw_mass > 0.0 else 1.0
+            values[i] = base * factor + balls[i]
+    return values, tails
+
+
+def _excised_ball(engine, sg, ss, x, eps):
+    """int p(s, x, y) |w(y)| within eps of a singular set, for each s: the
+    near-field rule on the ball of the leaf the set is a point of, against
+    that leaf's kernel along a factor geodesic.  A pullback's set is a tube;
+    its ball takes the other leaves' kernel mass (they run "auto" kernels)."""
+    tube = len(sg.cols) < engine.model.chart_dim
+    leaf = hk.make_engine(sg.model) if tube else engine
+    d = float(sg.distances(x.coords[None, :])[0])
+    kernel = lambda r: hk.eval_radial_rows(leaf, ss, r)
+    ball = qd.near_field_integral(sg.model, kernel, sg.profile, d, eps, sg.beta, np.sqrt(ss))
+    for f, off in leaves(engine.model) if tube else ():
+        if off != sg.cols[0]:
+            xf = Point(x.coords[off : off + f.chart_dim])
+            ball = ball * np.array([hk.kernel_mass(hk.make_engine(f), float(s), xf)[0] for s in ss])
+    return ball
+
+
+
+def _default_y_grid(engine, w, t_max, x_samples) -> QuadratureGrid:
+    model = engine.model
+    if model.compact:
+        return _shared_grid(model, model.compact_resolution, None, 0.0)
+    center = center_of(w, model)
+    spread = max((geom.distance(model, center, x) for x in x_samples), default=0.0)
+    radius = spread + model.kernel_reach(t_max) + 2.0
+    return _shared_grid(model, radius / 120.0, tuple(center.coords), radius)
+
+
+@lru_cache(maxsize=8)
+def _shared_grid(
+    model: ManifoldModel, resolution: float, center: tuple | None, radius: float, n_dir: int | None = None
+) -> QuadratureGrid:
+    """The grid over the whole compact model (center None) or over a ball,
+    built once; its arrays are read-only because every caller shares them."""
+    window = geom.FullWindow() if center is None else BallWindow(Point(np.array(center)), radius)
+    grid = geom.build_grid(model, resolution, window, n_dir)
+    grid.node_coords.flags.writeable = False
+    grid.weights.flags.writeable = False
+    return grid
 
 
 # ---------------------------------------------------------------------------

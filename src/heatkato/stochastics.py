@@ -54,6 +54,7 @@ _MAX_STORE_BYTES = 600_000_000
 # chart rows Feynman-Kac evaluates a potential on
 _BLOCK_BYTES = 1 << 24
 _CAPPED_WARNING = 0.01  # capped-path fraction above which a path estimate is flagged unreliable
+_FOUR_SIGMA_TAIL = 6.33e-5  # P(|Z| > 4) for a standard normal Z
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -500,16 +501,14 @@ def elworthy_projection_check(
     integral contributes the factor masses); the optional Monte-Carlo route
     estimates the left side from projected product paths.
     """
-    from . import kato as kato_mod  # scipy's solvers: only this check needs them
-
     if not isinstance(model, Product):
         raise UnsupportedModelError("projection check needs a product model")
     ls = pot.leaves(model)
     leaf, off = ls[leaf_index]
     leaf_eng = hk.make_engine(leaf)
     xi = Point(x.coords[off : off + leaf.chart_dim])
-    inner = kato_mod.smoothed_abs(leaf_eng, w, t, xi)
-    refined = kato_mod.smoothed_abs(leaf_eng, w, t, xi, refinement=1)
+    inner = pot.smoothed_abs(leaf_eng, w, t, xi)
+    refined = pot.smoothed_abs(leaf_eng, w, t, xi, refinement=1)
     quad_err = abs(refined.value - inner.value)
     rhs = refined.value
     mass_total, mass_err = 1.0, 0.0
@@ -534,10 +533,16 @@ def elworthy_projection_check(
         vals = np.abs(pot.evaluate_many(w, chart))
         vals = np.where(np.isfinite(vals), vals, np.nan)
         ok = ~np.isnan(vals)
+        n_ok = int(ok.sum())
         mc_val = float(np.mean(vals[ok]))
-        mc_err = float(np.std(vals[ok], ddof=1) / math.sqrt(ok.sum()))
+        mc_err = float(np.std(vals[ok], ddof=1) / math.sqrt(n_ok))
         # NaN when fewer than two sampled values are finite
         mc_z = (mc_val - rhs) / mc_err if mc_err > 0 else math.nan
-        if mc_err == 0:  # all sampled values equal, so no z-score: match within the quadrature tolerance
+        sup_w = pot.sup_abs(w)
+        if mc_err == 0 and 0.0 < sup_w < math.inf:
+            # all sampled values equal, so no z-score: Hoeffding's bound for values
+            # in [0, sup|w|] at the two-sided 4-sigma level is scaled to |mc_z| = 4
+            mc_z = 4.0 * (mc_val - rhs) / (sup_w * math.sqrt(math.log(2.0 / _FOUR_SIGMA_TAIL) / (2.0 * n_ok)))
+        elif mc_err == 0:  # no bound on the values: match within the quadrature tolerance
             mc_z = 0.0 if abs(mc_val - rhs) <= max(tol, 1e-12) else math.inf
     return ProjectionReport(lhs, rhs, lhs - rhs, tol, mc_val, mc_err, mc_z)

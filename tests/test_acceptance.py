@@ -133,12 +133,12 @@ def test_criterion_4_faber_krahn():
         e2, e3 = G.euclidean(2), G.euclidean(3)
         o2, o3 = G.base_point(e2), G.base_point(e3)
         exact = float(jn_zeros(0, 1)[0]) ** 2 / 2.0
-        res = K.dirichlet_ground_energy(e2, G.BallWindow(o2, 1.0), 1 / 48, refinements=1)
+        res = M.dirichlet_ground_energy(e2, G.BallWindow(o2, 1.0), 1 / 48, refinements=1)
         assert res.converged
         assert abs(res.value - exact) / exact < 0.005
         # equality case: sharp constant gives |margin| within the FD gap on the disk
         a2, a3 = M.faber_krahn_constant(2), M.faber_krahn_constant(3)
-        eq = K.faber_krahn_verify(e2, lambda x: 2.5, a2, [(o2, G.BallWindow(o2, 1.0))], h=1 / 48)
+        eq = M.faber_krahn_verify(e2, lambda x: 2.5, a2, [(o2, G.BallWindow(o2, 1.0))], h=1 / 48)
         assert abs(eq.details[0]["margin"]) <= eq.details[0]["fd_gap"] + 1e-9
         # strict margins on 10 sets with one percent of slack on the constant
         s = math.sqrt(math.pi) / 2
@@ -152,10 +152,10 @@ def test_criterion_4_faber_krahn():
             (o2, G.BoxWindow(o2, (0.6, 0.6))),
             (o2, G.BallWindow(o2, 1.4)),
         ]
-        rep2 = K.faber_krahn_verify(e2, lambda x: 2.5, 0.99 * a2, sets2, h=1 / 48)
+        rep2 = M.faber_krahn_verify(e2, lambda x: 2.5, 0.99 * a2, sets2, h=1 / 48)
         assert not rep2.inconclusive and rep2.min_margin >= 0.0
         sets3 = [(o3, G.BallWindow(o3, 1.0)), (o3, G.BoxWindow(o3, (0.7, 0.7, 0.7)))]
-        rep3 = K.faber_krahn_verify(e3, lambda x: 2.0, 0.99 * a3, sets3, h=1 / 12)
+        rep3 = M.faber_krahn_verify(e3, lambda x: 2.0, 0.99 * a3, sets3, h=1 / 12)
         assert not rep3.inconclusive and rep3.min_margin >= 0.0
         assert len(sets2) + len(sets3) == 10
         # heat-bound constant stable under sweep doubling

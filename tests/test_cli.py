@@ -14,7 +14,7 @@ import pytest
 from heatkato import cli
 from heatkato import geometry as G
 from heatkato import heat_kernel as HK
-from heatkato import kato as K
+from heatkato import mvi as M
 from heatkato import potentials as P
 from heatkato.errors import DomainError, ManifestError
 from heatkato.reporting import canonical_json
@@ -360,7 +360,7 @@ def test_fk_verify_fine_h_exits_two_before_building_a_lattice(h, capsys):
 def test_fk_verify_validator_and_run_share_h(monkeypatch):
     # with no h given, the node checks and the eigensolves see the same 3-d h
     seen = []
-    too_fine = K.fd_grid_too_fine
+    too_fine = M.fd_grid_too_fine
 
     def validate(model, region, h):
         seen.append(("validate", h))
@@ -368,10 +368,10 @@ def test_fk_verify_validator_and_run_share_h(monkeypatch):
 
     def run(model, radius_fn, a, sets, h):
         seen.append(("run", h))
-        return K.FaberKrahnReport(0.0, 0.0, [], [])
+        return M.FaberKrahnReport(0.0, 0.0, [], [])
 
-    monkeypatch.setattr(K, "fd_grid_too_fine", validate)
-    monkeypatch.setattr(K, "faber_krahn_verify", run)
+    monkeypatch.setattr(M, "fd_grid_too_fine", validate)
+    monkeypatch.setattr(M, "faber_krahn_verify", run)
     report = cli.run_manifest(cli.ExperimentManifest(manifold="euclidean:3", checks=["fk-verify"]))
     assert {k for k, _ in seen} == {"validate", "run"}
     assert {h for _, h in seen} == {1.0 / 12.0}
@@ -427,6 +427,14 @@ def test_project_check_fails_when_the_monte_carlo_side_disagrees(potential, monk
 
 def test_project_check_constant_potential_passes_with_no_sample_variance():
     assert cli.main(PROJECT_MC + ["--potential", "constant:1"]) == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_project_check_two_paths_pass(seed):
+    # at seeds 0-2 both sampled |w| are 1, so there is no standard error and
+    # Hoeffding's bound for values in [0, sup|w|] stands in for 4 sigma
+    argv = ["project-check", "--manifold", PRODUCT, "--param", "n_paths=2", "--seed", str(seed)]
+    assert cli.main(argv) == 0
 
 
 @pytest.mark.parametrize("method", ["series:abc", "imagesum:-3"])
@@ -553,6 +561,37 @@ def test_faber_krahn_commands_in_closed_form_load_no_scipy(argv, tmp_path):
     # the Faber-Krahn constant lives in mvi; its Bessel zero has a closed form
     # at m = 1 and m = 3, so neither kato nor scipy is loaded
     assert _scipy_loaded_by(argv, tmp_path) == (0, set())
+
+
+_SCIPY_FAMILIES = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse")
+
+
+@pytest.mark.parametrize(
+    "argv, families",
+    [
+        (["run-battery", "stochastic"], set()),
+        (["project-check", "--manifold", PRODUCT, "--param", "n_paths=400"], set()),
+        (["fk-verify", "--manifold", "euclidean:3"], {"scipy.sparse"}),
+        (["run", "fk-mvi.txt"], {"scipy.sparse"}),
+        (["run-battery", "paper-core"], set(_SCIPY_FAMILIES)),
+    ],
+    ids=["stochastic-battery", "project-check", "fk-verify", "fk-verify-mvi-sweep-manifest", "paper-core-battery"],
+)
+def test_commands_load_only_the_scipy_families_they_call(argv, families, tmp_path):
+    # which of quad, the root finders, special functions and sparse matrices
+    # a cold start pays for; only checks that call quad load heatkato.kato
+    (tmp_path / "fk-mvi.txt").write_text("manifold = euclidean:3\nchecks = fk-verify, mvi-sweep\n")
+    code, modules = _scipy_loaded_by(argv, tmp_path)
+    loaded = {f for f in _SCIPY_FAMILIES if any(m == f or m.startswith(f + ".") for m in modules)}
+    assert (code, loaded) == (0, families)
+
+
+def test_smoothing_fd_and_path_layers_import_no_scipy(tmp_path):
+    probe = (
+        "import sys, heatkato.potentials, heatkato.mvi, heatkato.stochastics\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert _fresh_python(probe, [], tmp_path) == ["[]"]
 
 
 def test_semigroup_battery_loads_no_quadrature_special_or_optimize(tmp_path):

@@ -33,7 +33,7 @@ def coulomb_kato_oracle(t):
 def test_smoothed_abs_matches_first_moment_oracle():
     w = P.RadialPower(E3, ORIGIN, 1.0)
     for s in (1e-6, 1e-3, 0.3):
-        sv = K.smoothed_abs(ENG3, w, s, ORIGIN)
+        sv = P.smoothed_abs(ENG3, w, s, ORIGIN)
         assert sv.value == pytest.approx(math.sqrt(2 / (math.pi * s)), rel=2e-5)
 
 
@@ -43,7 +43,7 @@ ORACLE_S = np.logspace(-9, 0, 10)
 
 
 def _smoothed_at(w, d):
-    return K.smoothed_abs(ENG3, w, ORACLE_S, G.make_point(E3, [d, 0.0, 0.0])).value
+    return P.smoothed_abs(ENG3, w, ORACLE_S, G.make_point(E3, [d, 0.0, 0.0])).value
 
 
 @pytest.mark.parametrize("d", [2e-3, 0.05, 0.5, 2.0])
@@ -102,7 +102,7 @@ def test_circle_smoothing_matches_quad(d, s):
     # scale; a rule with break points at fixed offsets was 4.4e-5 off at
     # s = 1e-3
     w = P.RadialPower(CIRCLE, G.circle_point(d), 0.5)
-    got = K.smoothed_abs(ENG_CIRCLE, w, s, G.circle_point(0.0)).value
+    got = P.smoothed_abs(ENG_CIRCLE, w, s, G.circle_point(0.0)).value
     assert abs(got / _circle_smoothing_by_quad(s, d, 0.5) - 1.0) <= 1e-5
 
 
@@ -131,15 +131,15 @@ def test_windowed_constant_takes_the_two_point_rule(spec):
             off = np.zeros(model.tangent_dim)
             off[0] = d
             x = G.exp_map(model, o, off)
-            got = K.smoothed_abs(eng, windowed, ss, x).value
-            ref = K.smoothed_abs(eng, scaled, ss, x).value
+            got = P.smoothed_abs(eng, windowed, ss, x).value
+            ref = P.smoothed_abs(eng, scaled, ss, x).value
             assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), (R, d, got, ref)
 
 
 def test_default_grid_and_pair_are_built_once_and_read_only():
     w = P.RadialPower(E3, ORIGIN, 0.5)
-    grid = K._default_y_grid(ENG3, w, 1.0, [ORIGIN])
-    assert K._default_y_grid(ENG3, w, 1.0, [ORIGIN]) is grid
+    grid = P._default_y_grid(ENG3, w, 1.0, [ORIGIN])
+    assert P._default_y_grid(ENG3, w, 1.0, [ORIGIN]) is grid
     with pytest.raises(ValueError):
         grid.weights[0] = 1.0
     pair = K.control_pair_from_on_diag(HK.make_engine(E3))
@@ -154,11 +154,11 @@ def test_default_grid_and_pair_are_built_once_and_read_only():
 
 def test_smoothed_abs_takes_one_s_or_an_array():
     w = P.RadialPower(E3, ORIGIN, 1.0)
-    one = K.smoothed_abs(ENG3, w, 1e-3, ORIGIN)
+    one = P.smoothed_abs(ENG3, w, 1e-3, ORIGIN)
     assert isinstance(one.value, float) and isinstance(one.tail_bound, float)
-    batch = K.smoothed_abs(ENG3, w, np.array([1e-3]), ORIGIN)
+    batch = P.smoothed_abs(ENG3, w, np.array([1e-3]), ORIGIN)
     assert batch.value.shape == (1,) and batch.value[0] == one.value
-    assert K.smoothed_abs(ENG3, w, np.array([]), ORIGIN).value.shape == (0,)
+    assert P.smoothed_abs(ENG3, w, np.array([]), ORIGIN).value.shape == (0,)
 
 
 def test_kato_functional_constant_and_zero():
@@ -249,8 +249,8 @@ def test_grid_path_matches_two_point_path_at_the_center(spec, betas):
     for beta in betas:
         w = P.RadialPower(model, c, beta)
         grid_only = P.Sum((w, P.Scale(0.0, P.Indicator(model, G.BoxWindow(c, (1.0,) * model.dim)))))
-        two_point = K.smoothed_abs(eng, w, ss, c).value
-        grid = K.smoothed_abs(eng, grid_only, ss, c).value
+        two_point = P.smoothed_abs(eng, w, ss, c).value
+        grid = P.smoothed_abs(eng, grid_only, ss, c).value
         np.testing.assert_allclose(grid, two_point, rtol=1e-6, err_msg=f"beta={beta}")
 
 
@@ -395,8 +395,8 @@ def test_fd_eigen_solve_repeats_exactly():
     # 2-d: shift-invert; 3-d: Lanczos on the smallest eigenvalue
     for model, h in ((G.euclidean(2), 1 / 24), (G.euclidean(3), 1 / 8)):
         region = G.BallWindow(G.base_point(model), 1.0)
-        first = K.dirichlet_ground_energy(model, region, h, refinements=1)
-        again = K.dirichlet_ground_energy(model, region, h, refinements=1)
+        first = M.dirichlet_ground_energy(model, region, h, refinements=1)
+        again = M.dirichlet_ground_energy(model, region, h, refinements=1)
         assert first.raw == again.raw
 
 
@@ -405,7 +405,7 @@ def test_fd_box_3d_matches_discrete_closed_form():
     # lambda = sum_k (1 - cos(pi / (n_k + 1))) / h_k^2 with n_k interior nodes per axis
     e3 = G.euclidean(3)
     hw = (0.5, 0.4, 0.3)
-    res = K.dirichlet_ground_energy(e3, G.BoxWindow(G.base_point(e3), hw), 1 / 10, refinements=1)
+    res = M.dirichlet_ground_energy(e3, G.BoxWindow(G.base_point(e3), hw), 1 / 10, refinements=1)
     for j, raw in enumerate(res.raw):
         cells = [round(2 * w * 10) * 2**j for w in hw]
         exact = sum((1 - math.cos(math.pi / n)) / (2 * w / n) ** 2 for w, n in zip(hw, cells))
@@ -414,9 +414,9 @@ def test_fd_box_3d_matches_discrete_closed_form():
 
 def test_fd_ball_3d_matches_shift_invert(monkeypatch):
     seen = []
-    monkeypatch.setattr(K, "eigsh", lambda A, **kw: seen.append(A) or eigsh(A, **kw))
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", lambda A, **kw: seen.append(A) or eigsh(A, **kw))
     e3 = G.euclidean(3)
-    res = K.dirichlet_ground_energy(e3, G.BallWindow(G.base_point(e3), 1.0), 1 / 8, refinements=0)
+    res = M.dirichlet_ground_energy(e3, G.BallWindow(G.base_point(e3), 1.0), 1 / 8, refinements=0)
     (A,) = seen
     ref = eigsh(A, k=1, sigma=0.0, which="LM", v0=np.ones(A.shape[0]), return_eigenvectors=False)
     assert res.raw[0] == pytest.approx(float(ref[0]), rel=1e-12)
@@ -425,7 +425,7 @@ def test_fd_ball_3d_matches_shift_invert(monkeypatch):
 def _unfolded_ground_energy(m, level):
     # the same eigsh calls on the full lattice operator, with no fold: the
     # Kronecker sum of 1-d second differences, restricted to the mask's nodes
-    mask, hs = K._fd_mask(m, *level)
+    mask, hs = M._fd_mask(m, *level)
     eye = [sparse.identity(n, format="csr") for n in mask.shape]
     A = 0
     for k, (n, hk) in enumerate(zip(mask.shape, hs)):
@@ -440,7 +440,7 @@ def _unfolded_ground_energy(m, level):
 
 def _solved_sizes(monkeypatch):
     sizes = []
-    monkeypatch.setattr(K, "eigsh", lambda B, **kw: sizes.append(B.shape[0]) or eigsh(B, **kw))
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", lambda B, **kw: sizes.append(B.shape[0]) or eigsh(B, **kw))
     return sizes
 
 
@@ -451,7 +451,7 @@ def _solved_sizes(monkeypatch):
 def test_folded_box_solve_matches_the_kronecker_sum(hw, h):
     # N_k - 1 interior nodes on axis k: lambda = sum_k (2 / h_k^2) sin^2(pi / (2 N_k))
     model = G.euclidean(len(hw))
-    res = K.dirichlet_ground_energy(model, G.BoxWindow(G.base_point(model), hw), h, refinements=1)
+    res = M.dirichlet_ground_energy(model, G.BoxWindow(G.base_point(model), hw), h, refinements=1)
     assert len(res.raw) == 2
     for j, raw in enumerate(res.raw):
         cells = [max(4, round(2 * w / h)) * 2**j for w in hw]
@@ -462,11 +462,11 @@ def test_folded_box_solve_matches_the_kronecker_sum(hw, h):
 @pytest.mark.parametrize("m, R, h", [(2, 1.0, 1 / 48), (2, 0.5, 1 / 48), (3, 1.0, 1 / 12)])
 def test_fold_matches_the_unfolded_solve_on_the_default_balls(m, R, h, monkeypatch):
     model = G.euclidean(m)
-    _, levels, _ = K._fd_levels(model, G.BallWindow(G.base_point(model), R), h, 1)
+    _, levels, _ = M._fd_levels(model, G.BallWindow(G.base_point(model), R), h, 1)
     for level in levels:
-        mask, _ = K._fd_mask(m, *level)
+        mask, _ = M._fd_mask(m, *level)
         sizes = _solved_sizes(monkeypatch)
-        folded = K._fd_ground_energy(m, *level)
+        folded = M._fd_ground_energy(m, *level)
         # every axis folds: one unknown per node of the closed positive orthant
         assert sizes == [int(mask[tuple(slice(n // 2, None) for n in mask.shape)].sum())]
         assert folded == pytest.approx(_unfolded_ground_energy(m, level), rel=1e-12)
@@ -475,12 +475,12 @@ def test_fold_matches_the_unfolded_solve_on_the_default_balls(m, R, h, monkeypat
 def test_fold_is_the_identity_on_an_asymmetric_lattice(monkeypatch):
     # the lattice from c - R spaced 1/96 misses c + R, so no axis mirrors the mask
     e2 = G.euclidean(2)
-    _, levels, _ = K._fd_levels(e2, G.BallWindow(G.base_point(e2), 0.77), 1 / 48, 1)
+    _, levels, _ = M._fd_levels(e2, G.BallWindow(G.base_point(e2), 0.77), 1 / 48, 1)
     for level in levels:
-        mask, _ = K._fd_mask(2, *level)
+        mask, _ = M._fd_mask(2, *level)
         assert not any(np.array_equal(mask, np.flip(mask, k)) for k in range(2))
         sizes = _solved_sizes(monkeypatch)
-        folded = K._fd_ground_energy(2, *level)
+        folded = M._fd_ground_energy(2, *level)
         assert sizes == [int(mask.sum())]
         assert folded == pytest.approx(_unfolded_ground_energy(2, level), rel=1e-12)
 
@@ -491,14 +491,14 @@ def test_fd_operator_peak_memory_before_the_eigensolve(monkeypatch):
     def stop(*args, **kwargs):
         raise RuntimeError("stop before the eigensolve")
 
-    monkeypatch.setattr(K, "eigsh", stop)
-    _, levels, _ = K._fd_levels(E3, G.BallWindow(ORIGIN, 1.0), 1 / 48, 0)
-    nodes = math.prod(K._fd_axes(3, *levels[0][1:])[1])
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", stop)
+    _, levels, _ = M._fd_levels(E3, G.BallWindow(ORIGIN, 1.0), 1 / 48, 0)
+    nodes = math.prod(M._fd_axes(3, *levels[0][1:])[1])
     assert nodes == 97**3
     tracemalloc.start()
     try:
         with pytest.raises(RuntimeError, match="stop before"):
-            K._fd_ground_energy(3, *levels[0])
+            M._fd_ground_energy(3, *levels[0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -512,15 +512,15 @@ def test_fd_operator_is_exactly_symmetric(manifold):
     model = G.parse_manifold(manifold)
     sets = [region for _, region in cli._default_fk_sets(model)] + [G.BallWindow(G.base_point(model), 0.77)]
     for region in sets:
-        _, levels, _ = K._fd_levels(model, region, cli._fk_h({"h": "auto"}, model), 1)
+        _, levels, _ = M._fd_levels(model, region, cli._fk_h({"h": "auto"}, model), 1)
         for level in levels:
-            B = K._fd_operator(*K._fd_mask(model.dim, *level))
+            B = M._fd_operator(*M._fd_mask(model.dim, *level))
             assert (B != B.T).nnz == 0
 
 
 def _stacked_mask(m, inside_fn, lo, hi, h):
     # the reference: every lattice node's coordinates stacked into one array
-    hs, ns = K._fd_axes(m, lo, hi, h)
+    hs, ns = M._fd_axes(m, lo, hi, h)
     mesh = np.meshgrid(*[lo[k] + np.arange(ns[k]) * hs[k] for k in range(m)], indexing="ij")
     return inside_fn(np.stack([g.ravel() for g in mesh], axis=1)).reshape(mesh[0].shape)
 
@@ -534,9 +534,9 @@ def test_chunked_mask_equals_the_stacked_lattice_mask(manifold):
     o = G.base_point(model)
     sets = [region for _, region in cli._default_fk_sets(model)] + [G.BallWindow(o, 0.77)]
     for region in sets:
-        _, levels, _ = K._fd_levels(model, region, cli._fk_h({"h": "auto"}, model), 1)
+        _, levels, _ = M._fd_levels(model, region, cli._fk_h({"h": "auto"}, model), 1)
         for level in levels:
-            mask, _ = K._fd_mask(model.dim, *level)
+            mask, _ = M._fd_mask(model.dim, *level)
             assert mask.dtype == bool and np.array_equal(mask, _stacked_mask(model.dim, *level))
 
 
@@ -545,11 +545,11 @@ def test_coarse_grid_test_counts_the_full_lattice(m, h, monkeypatch):
     # 25 (2-d) and 27 (3-d) interior nodes pass the 20-node floor; their 9 and 8 orbits would not
     model = G.euclidean(m)
     ball = G.BallWindow(G.base_point(model), 1.0)
-    assert not K.fd_grid_too_coarse(model, ball, h)
+    assert not M.fd_grid_too_coarse(model, ball, h)
     sizes = _solved_sizes(monkeypatch)
-    res = K.dirichlet_ground_energy(model, ball, h, refinements=0)
-    assert sizes[0] < K._FD_MIN_NODES and math.isfinite(res.value)
-    assert K.fd_grid_too_coarse(model, ball, 0.4 if m == 2 else 1.0)
+    res = M.dirichlet_ground_energy(model, ball, h, refinements=0)
+    assert sizes[0] < M._FD_MIN_NODES and math.isfinite(res.value)
+    assert M.fd_grid_too_coarse(model, ball, 0.4 if m == 2 else 1.0)
 
 
 def test_admissible_q_rules():
@@ -607,7 +607,7 @@ def test_certificate_integral_past_float_range_of_the_time_factor():
 
 def test_disk_eigenvalue_within_half_percent():
     e2 = G.euclidean(2)
-    res = K.dirichlet_ground_energy(e2, G.BallWindow(G.base_point(e2), 1.0), 1 / 48, refinements=1)
+    res = M.dirichlet_ground_energy(e2, G.BallWindow(G.base_point(e2), 1.0), 1 / 48, refinements=1)
     exact = float(jn_zeros(0, 1)[0]) ** 2 / 2
     assert res.converged
     assert abs(res.value - exact) / exact < 0.005
@@ -616,7 +616,7 @@ def test_disk_eigenvalue_within_half_percent():
 def test_square_eigenvalue_exact_order2():
     e2 = G.euclidean(2)
     s = math.sqrt(math.pi) / 2
-    res = K.dirichlet_ground_energy(e2, G.BoxWindow(G.base_point(e2), (s, s)), 1 / 32, refinements=1)
+    res = M.dirichlet_ground_energy(e2, G.BoxWindow(G.base_point(e2), (s, s)), 1 / 32, refinements=1)
     exact = math.pi**2 / 2 * (1 / s**2 / 4 + 1 / s**2 / 4) * 2  # (1/2)(pi/L)^2 * 2 with L = 2s
     exact = 0.5 * 2 * (math.pi / (2 * s)) ** 2
     assert res.value == pytest.approx(exact, rel=1e-6)
@@ -631,7 +631,7 @@ def test_faber_krahn_verify_margins():
         (o2, G.BoxWindow(o2, (math.sqrt(math.pi) / 2,) * 2)),
         (o2, G.BoxWindow(o2, (0.8, 0.4))),
     ]
-    rep = K.faber_krahn_verify(e2, lambda x: 2.0, a, sets, h=1 / 48)
+    rep = M.faber_krahn_verify(e2, lambda x: 2.0, a, sets, h=1 / 48)
     assert rep.passed  # margins >= -tolerance
     # the ball is the equality case: its margin is ~0 within FD tolerance
     ball = rep.details[0]
@@ -641,13 +641,13 @@ def test_faber_krahn_verify_margins():
     assert square["margin"] > 0.2
     # test sets must stay inside B(x, R(x))
     with pytest.raises(DomainError):
-        K.faber_krahn_verify(e2, lambda x: 0.5, a, sets, h=1 / 48)
+        M.faber_krahn_verify(e2, lambda x: 0.5, a, sets, h=1 / 48)
 
 
 def test_faber_krahn_inconclusive_when_coarse():
     e2 = G.euclidean(2)
     o2 = G.base_point(e2)
-    rep = K.faber_krahn_verify(
+    rep = M.faber_krahn_verify(
         e2, lambda x: 2.0, M.faber_krahn_constant(2), [(o2, G.BallWindow(o2, 1.0))], h=1 / 6
     )
     assert rep.inconclusive
@@ -657,7 +657,7 @@ def test_faber_krahn_nan_constant_is_inconclusive():
     # min(inf, nan) is inf: a NaN margin must not slip through as a PASS
     e2 = G.euclidean(2)
     o2 = G.base_point(e2)
-    rep = K.faber_krahn_verify(e2, lambda x: 2.0, math.nan, [(o2, G.BoxWindow(o2, (0.5, 0.5)))], h=1 / 16)
+    rep = M.faber_krahn_verify(e2, lambda x: 2.0, math.nan, [(o2, G.BoxWindow(o2, (0.5, 0.5)))], h=1 / 16)
     assert not rep.passed
     assert rep.min_margin == -math.inf
     assert [e["reason"] for e in rep.inconclusive] == ["eigenvalue, rhs or margin is not finite"]
@@ -719,7 +719,7 @@ def test_got_q1_case_on_circle():
     w = P.cosine_potential(c)
     norm1 = P.lq_norm(w, 1.0, lambda p: pair.space_factor(p), grid).value
     for s in (0.05, 0.3, 1.0):
-        lhs = K.smoothed_abs(engc, w, s, G.circle_point(0.2)).value
+        lhs = P.smoothed_abs(engc, w, s, G.circle_point(0.2)).value
         assert lhs <= pair.time_factor(s) * norm1 + 1e-10
 
 
