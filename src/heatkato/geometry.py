@@ -12,9 +12,9 @@ and ball volume, one frozen class under ``ManifoldModel``:
 
 Each class owns its formulas: chart, distance, volumes, exponential map and
 Gaussian step, quadrature grids, the samplers' path chart, and the kernel
-facts the heat-kernel engine looks up (closed-form profile, mass tail, reach,
-diameter, allowed methods, and the kernel factors: a product's factors, a
-flat torus's periodic axes).  ``split`` cuts arrays by kernel factor.  The
+facts the heat-kernel engine looks up (closed-form profile, period, mass
+tail, reach, diameter, and the kernel factors: a product's factors, a flat
+torus's periodic axes).  ``split`` cuts arrays by kernel factor.  The
 module-level functions check arguments and hand the rest to the model;
 everything here is a pure function of its inputs.  scipy is imported inside
 the few functions that call it, since every command imports this module.
@@ -225,7 +225,6 @@ class _FlatChart(ManifoldModel):
 @dataclass(frozen=True)
 class Euclidean(_FlatChart):
     dim: int
-    kernel_methods = ("closed",)
 
     def describe(self) -> str:
         return f"euclidean:{self.dim}"
@@ -276,7 +275,6 @@ class Torus(_FlatChart):
     dim: int
     side_length: float
     compact = True
-    kernel_methods = ("imagesum", "series")
 
     def describe(self) -> str:
         return f"torus:{self.dim}:{self.side_length:g}"
@@ -343,7 +341,6 @@ class Circle(_Embedded):
     period = 2.0 * math.pi
     compact_resolution = 2.0 * math.pi / 256.0
     total_volume = 2.0 * math.pi
-    kernel_methods = ("imagesum", "series")
     origin = (1.0, 0.0)
     sphere_area_many = staticmethod(lambda r: np.where(r < math.pi, 2.0, 0.0))  # exact at the kink r = pi
 
@@ -399,7 +396,6 @@ class Sphere2(_Embedded):
     tangent_dim = 3
     compact_resolution = math.pi / 48.0
     total_volume = 4.0 * math.pi
-    kernel_methods = ("series",)
     origin = (0.0, 0.0, 1.0)
 
     def random_coords(self, rng, spread):
@@ -485,7 +481,6 @@ class Hyperbolic3(ManifoldModel):
     name = "hyperbolic3"
     dim = 3
     ricci_lower_bound = -2.0
-    kernel_methods = ("closed",)
     origin = (0.0, 0.0, 1.0)
 
     def validate(self, c):
@@ -571,7 +566,6 @@ class Hyperbolic3(ManifoldModel):
 class Product(ManifoldModel):
     factors: tuple
     kernel_factors = property(lambda self: self.factors)
-    kernel_methods = ("product",)
 
     dim = property(lambda self: sum(f.dim for f in self.factors))
     ricci_lower_bound = property(lambda self: min(f.ricci_lower_bound for f in self.factors))
@@ -655,16 +649,26 @@ class Product(ManifoldModel):
         return min(f.comparability_radius(b) for f in self.factors)
 
 
+# at m = 56 the Euclidean prefactor (2 pi t)^(-m/2) overflows at t = 1e-12
+MAX_DIM = 55
+
+
+def _dimension(m: int) -> int:
+    if not 1 <= m <= MAX_DIM:
+        raise DomainError(f"dimension must be in 1..{MAX_DIM}, got {m}")
+    return m
+
+
 def euclidean(m: int) -> ManifoldModel:
-    if m < 1:
-        raise DomainError("euclidean dimension must be >= 1")
-    return Euclidean(m)
+    return Euclidean(_dimension(m))
 
 
 def torus(m: int, side_length: float) -> ManifoldModel:
-    if m < 1 or side_length <= 0:
-        raise DomainError("torus needs dimension >= 1 and side length > 0")
-    return Torus(m, side_length)
+    # the volume L^m stays a normal double up to MAX_DIM (the kernel's tail
+    # bounds overflowed at L = 1e-300 and 1e300)
+    if not 1e-3 <= side_length <= 1e3:
+        raise DomainError(f"torus side length must be in [1e-3, 1e3], got {side_length:g}")
+    return Torus(_dimension(m), side_length)
 
 
 def circle() -> ManifoldModel:
@@ -680,6 +684,7 @@ def hyperbolic3() -> ManifoldModel:
 
 
 def product(left: ManifoldModel, right: ManifoldModel) -> ManifoldModel:
+    _dimension(left.dim + right.dim)
     return Product((left, right))
 
 

@@ -3,15 +3,15 @@
 The generator is fixed to (1/2) * Laplace-Beltrami throughout; there is
 deliberately no option to switch to the unhalved convention.
 
-Methods (``model.kernel_methods`` lists those that apply, "auto" first):
+The model fixes the method (``make_engine``):
 * Euclidean, Hyperbolic3: closed forms (the model's ``heat_profile``)
-* Circle, one-axis Torus: image sums over the period lattice (or Fourier series)
+* Circle, one-axis Torus: the image sum over the period lattice while
+  t < L^2 / (2 pi), the Fourier series from there on (``periodic_terms``)
 * Sphere2: zonal spectral series with Legendre three-term recurrence
 
 Every other model is a product of kernel factors (``model.kernel_factors``),
 and its kernel is the pointwise product of theirs: a Product of its factors,
-each with its own "auto" method; a flat Torus of dimension m >= 2 of m
-one-axis tori, each with the torus's method and cutoff.  Values, bounds, mass
+a flat Torus of dimension m >= 2 of m one-axis tori.  Values, bounds, mass
 and Chapman-Kolmogorov recurse on ``engine.factors``, so the kernel layer has
 two families, radial and product.
 """
@@ -36,7 +36,7 @@ LMAX_CAP = 20000  # most terms the adaptive sphere series takes
 
 class Method(Enum):
     CLOSED_FORM = "closed"
-    IMAGE_SUM = "imagesum"
+    PERIODIC = "periodic"
     SPECTRAL_SERIES = "series"
     PRODUCT_RULE = "product"
 
@@ -45,8 +45,6 @@ class Method(Enum):
 class HeatKernelEngine:
     model: ManifoldModel
     method: Method
-    image_radius: int | None = None  # explicit lattice radius K (None = adaptive)
-    series_lmax: int | None = None  # explicit series cutoff (None = adaptive)
     factors: tuple["HeatKernelEngine", ...] = ()
 
     @property
@@ -54,38 +52,31 @@ class HeatKernelEngine:
         return self.model.dim
 
 
-def make_engine(model: ManifoldModel, method: str = "auto") -> HeatKernelEngine:
-    """Build an evaluator; ``method`` is "auto" (the model's first kernel
-    method) or one of ``model.kernel_methods``, as "series[:lmax]",
-    "imagesum[:K]", "closed" or "product"."""
-    name, _, arg = method.partition(":")
-    name = name.strip().lower()
-    chosen = model.kernel_methods[0] if name == "auto" else name
-    if chosen not in {m.value for m in Method}:
-        raise DomainError(f"unknown kernel method {method!r}")
-    if chosen not in model.kernel_methods:
-        raise UnsupportedModelError(f"{model.describe()} takes kernel methods {model.kernel_methods}, not {name}")
-    if arg and not arg.strip().isdecimal():
-        raise DomainError(f"kernel method {method!r}: the cutoff must be a nonnegative integer")
-    number = int(arg) if arg and name in ("imagesum", "series") else None
-    factor_method = "auto" if chosen == Method.PRODUCT_RULE.value else method
-    return HeatKernelEngine(
-        model, Method(chosen),
-        image_radius=number if name == "imagesum" else None,
-        series_lmax=number if name == "series" else None,
-        factors=tuple(make_engine(f, factor_method) for f in model.kernel_factors),
-    )
+def make_engine(model: ManifoldModel) -> HeatKernelEngine:
+    """The model's kernel evaluator: a product of its kernel factors' engines,
+    else its closed form, periodic sum or sphere series."""
+    if model.kernel_factors:
+        method = Method.PRODUCT_RULE
+    elif hasattr(model, "heat_profile"):
+        method = Method.CLOSED_FORM
+    else:
+        method = Method.PERIODIC if model.period else Method.SPECTRAL_SERIES
+    return HeatKernelEngine(model, method, tuple(make_engine(f) for f in model.kernel_factors))
 
 
 # ---------------------------------------------------------------------------
 # building blocks
 
 
-def _image_radius(t: float, L: float, K: int | None) -> int:
-    if K is not None:
-        return K
-    # remaining terms fall below e^-45 of the Gaussian prefactor
-    return max(3, int(math.ceil(math.sqrt(2.0 * t * 45.0) / L)) + 1)
+def periodic_terms(t: float, L: float) -> tuple[bool, int]:
+    """How a periodic axis of period L sums its kernel at time t: (fourier, n).
+    Below t* = L^2 / (2 pi) the image sum over |k| <= n, its remaining terms
+    below e^-45 of the Gaussian prefactor; from t* on the Fourier series
+    through mode n, its first dropped mode with lambda t >= 40.  The two are
+    Poisson duals, so n <= 5 image pairs or 4 modes at every t."""
+    if t < L * L / (2.0 * math.pi):
+        return False, max(3, int(math.ceil(math.sqrt(2.0 * t * 45.0) / L)) + 1)
+    return True, max(1, int(math.ceil((L / (2.0 * math.pi)) * math.sqrt(2.0 * 40.0 / t))))
 
 
 def image_sum_tail(t: float, L: float, K: int) -> float:
@@ -95,17 +86,24 @@ def image_sum_tail(t: float, L: float, K: int) -> float:
     return lead / (1.0 - ratio)
 
 
-def wrapped_gaussian(dist, t: float, L: float, K: int | None = None):
-    """Heat kernel on a circle of circumference L at geodesic distance(s) d.
+def fourier_tail(t: float, L: float, K: int) -> float:
+    # sum_{k > K} 2 e^{-c k^2 t} / L, c = (2 pi / L)^2 / 2: from k = K + 1 on
+    # consecutive terms shrink by e^{-c (2k + 1) t} <= e^{-c (2K + 3) t}
+    c = 0.5 * (2.0 * math.pi / L) ** 2
+    return 2.0 * math.exp(-c * (K + 1) ** 2 * t) / (L * -math.expm1(-c * (2 * K + 3) * t))
+
+
+def wrapped_gaussian(dist, t: float, L: float, K: int):
+    """Heat kernel on a circle of circumference L at geodesic distance(s) d,
+    summed over the images |k| <= K.
 
     Terms are accumulated pairwise in k so the result is exactly symmetric
     under d -> -d regardless of float summation order.
     """
     d = np.abs(np.asarray(dist, dtype=float))
-    Keff = _image_radius(t, L, K)
     pref = 1.0 / math.sqrt(2.0 * math.pi * t)
     acc = np.exp(-d * d / (2.0 * t))
-    for k in range(1, Keff + 1):
+    for k in range(1, K + 1):
         acc = acc + np.exp(-((d + k * L) ** 2) / (2.0 * t)) + np.exp(-((d - k * L) ** 2) / (2.0 * t))
     return pref * acc
 
@@ -173,10 +171,9 @@ def eval_radial(engine: HeatKernelEngine, t: float, d) -> np.ndarray:
     if engine.method is Method.CLOSED_FORM:
         return model.heat_profile(t, d)
     if not model.period:
-        return sphere_series(t, np.cos(d), _series_cutoff(engine, t))
-    if engine.method is Method.SPECTRAL_SERIES:
-        return circle_fourier(d, t, model.period, _series_cutoff(engine, t))
-    return wrapped_gaussian(d, t, model.period, engine.image_radius)
+        return sphere_series(t, np.cos(d), sphere_lmax(t, SERIES_TOL, LMAX_CAP))
+    fourier, n = periodic_terms(t, model.period)
+    return (circle_fourier if fourier else wrapped_gaussian)(d, t, model.period, n)
 
 
 def eval_radial_rows(engine: HeatKernelEngine, ts, d) -> np.ndarray:
@@ -201,25 +198,12 @@ def eval_geodesic(engine: HeatKernelEngine, t: float, d) -> np.ndarray:
     return np.max(along, axis=0)
 
 
-def _series_cutoff(engine: HeatKernelEngine, t: float) -> int:
-    """The explicit series cutoff, else the adaptive one: on a periodic axis
-    the first dropped Fourier mode has lambda t >= 40, on the sphere the tail
-    bound falls below SERIES_TOL (up to LMAX_CAP)."""
-    if engine.series_lmax is not None:
-        return engine.series_lmax
-    L = engine.model.period
-    if L:
-        return max(1, int(math.ceil((L / (2.0 * math.pi)) * math.sqrt(2.0 * 40.0 / t))))
-    return sphere_lmax(t, SERIES_TOL, LMAX_CAP)
-
-
 def series_cap_exceeded(engine: HeatKernelEngine, t: float) -> bool:
-    """True when an adaptive sphere series (of the model or a factor) would stop
-    at its cap with a tail above SERIES_TOL at time t."""
+    """True when the sphere series (of the model or a factor) would stop at
+    its cap with a tail above SERIES_TOL at time t."""
     if engine.factors:
         return any(series_cap_exceeded(fe, t) for fe in engine.factors)
-    adaptive = engine.method is Method.SPECTRAL_SERIES and not engine.model.period
-    return adaptive and engine.series_lmax is None and sphere_tail_bound(LMAX_CAP, t) > SERIES_TOL
+    return engine.method is Method.SPECTRAL_SERIES and sphere_tail_bound(LMAX_CAP, t) > SERIES_TOL
 
 
 def eval_many(engine: HeatKernelEngine, t: float, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -261,14 +245,9 @@ def truncation_bound(engine: HeatKernelEngine, t: float) -> float:
         return total
     L = model.period
     if not L:
-        return sphere_tail_bound(_series_cutoff(engine, t), t)
-    if engine.method is Method.SPECTRAL_SERIES:
-        # sum_{k > K} 2 e^{-c k^2 t} / L, c = (2 pi / L)^2 / 2: from k = K + 1 on
-        # consecutive terms shrink by e^{-c (2k + 1) t} <= e^{-c (2K + 3) t}
-        K = _series_cutoff(engine, t)
-        c = 0.5 * (2.0 * math.pi / L) ** 2
-        return 2.0 * math.exp(-c * (K + 1) ** 2 * t) / (L * -math.expm1(-c * (2 * K + 3) * t))
-    return image_sum_tail(t, L, _image_radius(t, L, engine.image_radius))
+        return sphere_tail_bound(sphere_lmax(t, SERIES_TOL, LMAX_CAP), t)
+    fourier, n = periodic_terms(t, L)
+    return (fourier_tail if fourier else image_sum_tail)(t, L, n)
 
 
 # ---------------------------------------------------------------------------

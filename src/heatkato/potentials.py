@@ -925,16 +925,16 @@ def _parse(spec: str, model: ManifoldModel) -> Potential:
             else:
                 break
         inner = ":".join(parts[consumed:])
-        win = BallWindow(_center_point(fields, model), float(fields.get("r", 1.0)))
+        win = BallWindow(_center_point(fields, model), _extent(fields.get("r", "1"), "r"))
         return Windowed(model, _parse(inner, model), win)
     if head == "indicator":
         kindname = rest.split(":", 1)[0].strip().lower()
         fields = dict(_kv(part) for part in rest.split(":")[1:] if part)
         center = _center_point(fields, model)
         if kindname == "ball":
-            return Indicator(model, BallWindow(center, float(fields.get("r", 1.0))))
+            return Indicator(model, BallWindow(center, _extent(fields.get("r", "1"), "r")))
         if kindname == "box":
-            hw = tuple(float(v) for v in str(fields.get("w", "1")).split(","))
+            hw = tuple(_extent(v, "w") for v in fields.get("w", "1").split(","))
             if len(hw) == 1:
                 hw = hw * model.chart_dim
             if len(hw) != model.chart_dim:
@@ -959,6 +959,15 @@ def _kv(part: str) -> tuple[str, str]:
     if not sep:
         raise ManifestError(f"expected key=value, got {part!r}")
     return k.strip().lower(), v.strip()
+
+
+def _extent(text: str, key: str) -> float:
+    """A window radius or half-width: finite and > 0 (an empty window would
+    read as w = 0)."""
+    value = float(text)
+    if not (0.0 < value < math.inf):
+        raise DomainError(f"window {key} must be finite and > 0, got {text!r}")
+    return value
 
 
 def _center_point(fields: dict, model: ManifoldModel) -> Point:

@@ -202,10 +202,24 @@ def test_simulate_coarsens_by_stored_floats(monkeypatch):
     assert len(seen["sphere2"]) == 33
 
 
-def test_tolerance_scale_flows_through():
-    text = "manifold = circle\nchecks = kernel-check\ntolerance_scale = 10\n"
-    rep = run_text(text)
-    assert rep.checks[0].tolerance == pytest.approx(1e-3)  # 1e-4 series tol x 10
+@pytest.mark.parametrize("line", ["tolerance_scale = 10", "kernel.method = series:0"])
+def test_removed_kernel_and_tolerance_knobs_exit_two(line, tmp_path, capsys):
+    # a verdict depends only on the manifold, the potential and the check's
+    # parameters: there is no kernel method or tolerance scale to set
+    path = _write(tmp_path, f"manifold = circle\nchecks = kernel-check\n{line}\n")
+    assert cli.main(["run", path]) == 2
+    assert f"unknown key {line.split(' =')[0]!r}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", path, "--tolerance-scale", "10"])
+    assert exc.value.code == 2
+
+
+def test_readme_manifest_block_lists_every_top_level_key():
+    # the README's manifest example documents exactly the keys the parser takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Manifest format", 1)[1].split("```", 2)[1]
+    keys = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
+    assert {k for k in keys if not k.startswith("param.")} == cli._TOP_KEYS
 
 
 def test_run_battery_exit_codes():
@@ -235,6 +249,12 @@ def _write(tmp_path, text):
         ("kato-norm", "product(euclidean:1,circle)"),
         ("is-kato", "product(euclidean:1,euclidean:1)"),
         ("holder-check", "product(euclidean:1,circle)"),
+        # the two-point rule and the ball grids stop at m = 3
+        ("kernel-check", "euclidean:4"),
+        ("kernel-check", "product(euclidean:4,circle)"),
+        ("kato-norm", "euclidean:4"),
+        ("is-kato", "euclidean:4"),
+        ("holder-check", "euclidean:5"),
     ],
 )
 def test_unsupported_model_exit_two(check, manifold, capsys):
@@ -304,6 +324,8 @@ PRODUCT = "product(euclidean:1,circle)"
         ("kato-norm", "euclidean:3", "t=1e300"),
         ("coulomb", "euclidean:3", "r_values=1e300"),
         ("is-kato", "circle", "t_min=1e-300"),
+        ("control-pair", "euclidean:3", "t_min=1e-300"),
+        ("holder-check", "euclidean:3", "s_min=1e-300"),
         # past r = 350 the hyperbolic closed form leaves the normal doubles
         ("coulomb", "hyperbolic3", "r_values=400"),
         ("coulomb", "hyperbolic3", "r_values=1e6"),
@@ -314,6 +336,48 @@ def test_check_parameter_domains_exit_two(check, manifold, param, capsys):
     err = capsys.readouterr().err
     assert f"manifest error: param.{check}.{param.split('=')[0]}" in err and "Traceback" not in err
 
+
+
+@pytest.mark.parametrize(
+    "manifold, problem",
+    [
+        ("torus:2:inf", "torus side length"),
+        ("torus:2:nan", "torus side length"),
+        ("torus:2:1e-300", "torus side length"),
+        ("torus:2:1e300", "torus side length"),
+        ("euclidean:400", "dimension must be in 1..55"),
+        ("euclidean:100000000", "dimension must be in 1..55"),
+        ("torus:56:1", "dimension must be in 1..55"),
+        ("product(euclidean:30,euclidean:30)", "dimension must be in 1..55"),
+    ],
+)
+def test_manifold_spec_domains_exit_two(manifold, problem, capsys):
+    # each once ended in an OverflowError or ZeroDivisionError traceback
+    assert cli.main(["control-pair", "--manifold", manifold]) == 2
+    err = capsys.readouterr().err
+    assert problem in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "check, manifold, potential",
+    [
+        ("is-kato", "euclidean:3", "indicator:ball:r=-1"),
+        ("is-kato", "euclidean:3", "windowed:r=-1:radialpower:beta=1"),
+        ("is-kato", "euclidean:3", "indicator:ball:r=nan"),
+        ("is-kato", "euclidean:3", "indicator:ball:r=0"),
+        ("is-kato", "euclidean:3", "windowed:r=0:radialpower:beta=1"),
+        ("is-kato", "euclidean:3", "indicator:box:w=-1"),
+        ("holder-check", "torus:2:6.2832", "indicator:box:w=-1"),
+        ("kato-norm", "euclidean:3", "indicator:box:w=nan"),
+        ("kato-norm", "euclidean:3", "indicator:box:w=1,0,1"),
+    ],
+)
+def test_window_extent_domains_exit_two(check, manifold, potential, capsys):
+    # an empty or undefined window once read as w = 0 (PASS), a FAIL, or a numpy traceback
+    assert cli.main([check, "--manifold", manifold, "--potential", potential]) == 2
+    err = capsys.readouterr().err
+    assert "manifest error: potential: window" in err and "must be finite and > 0" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -407,6 +471,16 @@ def test_checks_pass_exit_zero(argv, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_long_time_kernel_check_on_a_short_period_is_fast():
+    # t = 1e4 is 6e8 times t* = L^2 / (2 pi): the image sum took 94,870 image
+    # pairs per value here (7.4 s), the Fourier series takes one mode
+    manifest = cli.ExperimentManifest(
+        manifold="torus:1:0.01", checks=["kernel-check"], params={"kernel-check": {"t_values": "1e4"}}
+    )
+    report = cli.run_manifest(manifest)
+    assert report.all_pass and report.checks[0].runtime_s < 0.1
+
+
 PROJECT_MC = ["project-check", "--manifold", PRODUCT, "--param", "n_paths=4000"]
 
 
@@ -439,9 +513,13 @@ def test_project_check_two_paths_pass(seed):
 
 @pytest.mark.parametrize("method", ["series:abc", "imagesum:-3"])
 def test_malformed_kernel_method_exit_two(method, capsys):
-    assert cli.main(["kernel-check", "--manifold", "circle", "--kernel-method", method]) == 2
+    # the kernel method follows from the model, so any --kernel-method is a
+    # usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["kernel-check", "--manifold", "circle", "--kernel-method", method])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "manifest error: kernel.method:" in err and "Traceback" not in err
+    assert "unrecognized arguments: --kernel-method" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -490,7 +568,7 @@ def test_feynman_kac_single_path_is_fail_with_reason():
         "param.feynman-kac.n_grid = 256\n"
     )
     model = G.parse_manifold("circle")
-    ctx = cli.CheckContext(model, HK.make_engine(model), manifest, 0, 1.0)
+    ctx = cli.CheckContext(model, HK.make_engine(model), manifest, 0)
     result = cli.run_check(ctx, "feynman-kac")
     assert result.verdict == "FAIL" and result.margin_min == -math.inf
     assert "no finite z-score" in result.values["reasons"][0]
@@ -545,9 +623,9 @@ def _scipy_loaded_by(argv, cwd):
     [
         (["list-batteries"], 0),
         (["--help"], 0),
-        (["kernel-check", "--manifold", "circle", "--kernel-method", "series:abc"], 2),
+        (["kernel-check", "--manifold", "torus:2:nan"], 2),
     ],
-    ids=["list-batteries", "help", "bad-kernel-method"],
+    ids=["list-batteries", "help", "bad-manifold-spec"],
 )
 def test_commands_without_numerics_load_no_scipy(argv, code, tmp_path):
     assert _scipy_loaded_by(argv, tmp_path) == (code, set())

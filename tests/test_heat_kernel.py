@@ -7,7 +7,7 @@ from scipy.special import eval_legendre
 
 from heatkato import geometry as G
 from heatkato import heat_kernel as HK
-from heatkato.errors import DomainError, UnsupportedModelError
+from heatkato.errors import DomainError
 
 ALL_SPECS = [
     "euclidean:2",
@@ -78,12 +78,15 @@ def test_sphere_long_time_limit():
 
 
 def test_circle_image_sum_vs_fourier_series():
-    # two structurally different representations of the same kernel
-    img = HK.make_engine(G.circle(), "imagesum")
-    four = HK.make_engine(G.circle(), "series")
-    d = np.linspace(0, math.pi, 9)
-    for t in (0.02, 0.3, 4.0):
-        assert np.max(np.abs(HK.eval_radial(img, t, d) - HK.eval_radial(four, t, d))) < 1e-13
+    # two structurally different representations of the same kernel, each
+    # with cutoffs past the ones the engine takes, on both sides of the
+    # switch t* = L^2 / (2 pi), far past it, and on a short period
+    for L, ts in ((2 * math.pi, (0.02, 0.3, 4.0, 2 * math.pi, 40.0, 1e6)), (0.01, (1e-6, 1.6e-5, 1e-4))):
+        d = np.linspace(0, L / 2, 9)
+        for t in ts:
+            images = HK.wrapped_gaussian(d, t, L, int(math.sqrt(90 * t) / L) + 4)
+            modes = HK.circle_fourier(d, t, L, int(L / (2 * math.pi) * math.sqrt(80 / t)) + 4)
+            assert np.max(np.abs(images - modes)) < 1e-13 * images[0], (L, t)  # relative to the peak
 
 
 def test_circle_mass_wrapped_sum_oracle():
@@ -145,16 +148,34 @@ _ZERO_CUTOFF_ROWS.append(("circle", 200.0, "imagesum:0"))
     ids=[f"{t}-{spec}" + ("" if method == "series:0" else f"-{method}") for spec, t, method in _ZERO_CUTOFF_ROWS],
 )
 def test_explicit_zero_cutoff_bound_covers_its_error(spec, t, method):
-    # series:0 keeps only the constant mode, imagesum:0 only the nearest
-    # image; the bound must cover what the cutoff drops
+    # series:0 keeps only the constant mode (sphere or Fourier series, one
+    # axis of the torus), imagesum:0 only the nearest image; each tail bound
+    # must cover what the cutoff drops
     model = G.parse_manifold(spec)
-    short, full = HK.make_engine(model, method), HK.make_engine(model)
-    x = G.base_point(model).coords
-    rng = np.random.default_rng(1)
-    ys = np.array([G.random_point(model, rng).coords for _ in range(50)] + [x])
-    err = np.max(np.abs(HK.eval_many(short, t, x, ys) - HK.eval_many(full, t, x, ys)))
-    assert err <= HK.truncation_bound(short, t) + HK.truncation_bound(full, t)
+    axis = model.kernel_factors[0] if model.kernel_factors else model
+    L = axis.period
+    d = np.linspace(0.0, L / 2 if L else math.pi, 51)
+    if not L:
+        short, bound = HK.sphere_series(t, np.cos(d), 0), HK.sphere_tail_bound(0, t)
+    elif method == "imagesum:0":
+        short, bound = HK.wrapped_gaussian(d, t, L, 0), HK.image_sum_tail(t, L, 0)
+    else:
+        short, bound = HK.circle_fourier(d, t, L, 0), HK.fourier_tail(t, L, 0)
+    full = HK.make_engine(axis)
+    err = np.max(np.abs(short - HK.eval_radial(full, t, d)))
+    assert err <= bound + HK.truncation_bound(full, t)
     assert err > 1e-3  # the dropped modes are not negligible here
+
+
+@pytest.mark.parametrize("L", [1e-3, 0.01, 2 * math.pi, 100.0, 1e3])
+def test_periodic_cutoff_stays_small_at_every_time(L):
+    # the image sum below t* = L^2 / (2 pi), the Fourier series from there on:
+    # at most 5 image pairs or 4 modes over the whole kernel-time domain
+    ts = np.logspace(-12, 6, 1801)
+    terms = [HK.periodic_terms(float(t), L) for t in ts]
+    assert max(n for fourier, n in terms if not fourier) <= 5
+    assert max(n for fourier, n in terms if fourier) <= 4
+    assert [fourier for fourier, _ in terms] == list(ts >= L * L / (2 * math.pi))
 
 
 def test_euclidean2_ck_by_direct_convolution_grid():
@@ -245,13 +266,16 @@ def test_time_domain_errors():
         HK.eval_kernel(eng, -1.0, G.base_point(G.euclidean(2)), G.base_point(G.euclidean(2)))
 
 
-def test_method_selection_errors():
-    with pytest.raises(UnsupportedModelError):
-        HK.make_engine(G.euclidean(2), "imagesum")
-    with pytest.raises(UnsupportedModelError):
-        HK.make_engine(G.hyperbolic3(), "series")
-    assert HK.make_engine(G.torus(2, 5.0), "series:40").series_lmax == 40
-    assert HK.make_engine(G.circle(), "imagesum:7").image_radius == 7
+def test_engine_method_follows_the_model():
+    methods = {spec: HK.make_engine(G.parse_manifold(spec)).method for spec in ALL_SPECS}
+    assert methods == {
+        "euclidean:2": HK.Method.CLOSED_FORM, "euclidean:3": HK.Method.CLOSED_FORM,
+        "torus:2:6.283185307179586": HK.Method.PRODUCT_RULE, "circle": HK.Method.PERIODIC,
+        "sphere2": HK.Method.SPECTRAL_SERIES, "hyperbolic3": HK.Method.CLOSED_FORM,
+        "product(euclidean:1,circle)": HK.Method.PRODUCT_RULE,
+    }
+    torus = HK.make_engine(G.torus(2, 5.0))
+    assert [axis.method for axis in torus.factors] == [HK.Method.PERIODIC] * 2
 
 
 TORUS = G.torus(2, 2 * math.pi)
@@ -290,19 +314,12 @@ def test_torus_kernel_is_the_product_of_its_axes():
     x = G.random_point(TORUS, rng).coords
     ys = np.array([G.random_point(TORUS, rng).coords for _ in range(40)] + [x])
     delta = TORUS.delta(x, ys)
+    L = TORUS.side_length
     for t in (1e-3, 0.05, 0.7):
-        axes = HK.wrapped_gaussian(delta[:, 0], t, TORUS.side_length)
-        axes = axes * HK.wrapped_gaussian(delta[:, 1], t, TORUS.side_length)
+        fourier, K = HK.periodic_terms(t, L)
+        assert not fourier
+        axes = HK.wrapped_gaussian(delta[:, 0], t, L, K) * HK.wrapped_gaussian(delta[:, 1], t, L, K)
         assert np.array_equal(HK.eval_many(eng, t, x, ys), axes)
-
-
-@pytest.mark.parametrize("method, field, value", [("series:40", "series_lmax", 40), ("imagesum:2", "image_radius", 2)])
-def test_torus_cutoff_reaches_each_axis(method, field, value):
-    eng = HK.make_engine(G.torus(2, 5.0), method)
-    assert len(eng.factors) == 2
-    for axis in eng.factors:
-        assert axis.model == G.torus(1, 5.0) and axis.method is eng.method
-        assert getattr(axis, field) == value
 
 
 def test_circle_mass_at_tiny_time_is_fast():
