@@ -328,6 +328,18 @@ def _qs(value, model):
     return "must be auto or a comma-separated list of admissible exponents (q >= 1 if m = 1, else q > m/2)"
 
 
+def _holder_s_floor(model):
+    """The least s holder-check probes: 0 on a radial kernel; on a grid of
+    spacing compact_resolution / 2 only the times it resolves, s >= (3 h)^2."""
+    return 0.0 if model.radial_kernel else (1.5 * model.compact_resolution) ** 2
+
+
+def _holder_times(p, model):
+    floor = _holder_s_floor(model)
+    problem = f"its grid on {model.describe()} resolves only s >= {floor:.4g}, past the bound's s <= 1"
+    return problem if floor > 1.0 else None
+
+
 def _check_holder(ctx: CheckContext, p: dict) -> CheckResult:
     from . import kato as kato_mod
 
@@ -335,13 +347,10 @@ def _check_holder(ctx: CheckContext, p: dict) -> CheckResult:
     w = ctx.potential("windowed:r=1.5:radialpower:beta=0.35")
     control = kato_mod.control_pair_from_on_diag(ctx.engine)
     qs = p["qs"] if p["qs"] != "auto" else list(kato_mod.default_qs(m))
-    s_min = p["s_min"]
+    s_min = max(p["s_min"], _holder_s_floor(ctx.model))
     grid = None
     if not ctx.model.radial_kernel:
-        # grid-quadrature models: only probe times the grid can resolve
-        res = ctx.model.compact_resolution / 2.0
-        grid = geom.build_grid(ctx.model, res, geom.FullWindow())
-        s_min = max(s_min, (3.0 * res) ** 2)
+        grid = geom.build_grid(ctx.model, ctx.model.compact_resolution / 2.0, geom.FullWindow())
     ss = np.logspace(math.log10(s_min), 0.0, p["n_s"])
     xs = [pot.center_of(w, ctx.model)] + _sample_points(ctx.model, 2, ctx.seed + 3)
     worst = math.inf
@@ -643,6 +652,7 @@ CHECKS: dict[str, CheckSpec] = {
         {"qs": (_auto_or_floats, "auto", _qs), "n_s": (int, 10, _at_least(1)), "s_min": (float, 1e-3, _UNIT_TIME)},
         "weighted-L^q smoothing bound margins",
         models=_KATO_MODELS,
+        check=_holder_times,
     ),
     "control-pair": CheckSpec(
         _check_control_pair,

@@ -118,7 +118,7 @@ class ManifoldModel:
     def box_grid(self, center: Point, halfwidth, h: float):
         raise UnsupportedModelError("box windows only on flat chart models")
 
-    def product_grid(self, window: "ProductWindow", resolution: float, n_dir: int | None):
+    def product_grid(self, window: "ProductWindow", resolution: float, n_dir: int | None) -> "QuadratureGrid":
         raise UnsupportedModelError("product window needs a product model")
 
     def cross_distance(self, rho: np.ndarray, theta: np.ndarray, d: float) -> np.ndarray:
@@ -304,6 +304,12 @@ class Torus(_FlatChart):
 
     def ball_volume(self, r):
         return _torus_section_area(r, self.side_length, self.dim)
+
+    def full_grid(self, resolution):
+        # the row-major tensor product of one axis grid per kernel factor
+        nodes, weights = self.full_nodes(resolution)
+        axes = tuple(f.full_grid(resolution) for f in self.kernel_factors)
+        return QuadratureGrid(self, nodes, weights, FullWindow(), resolution, axes)
 
     def full_nodes(self, resolution):
         L = self.side_length
@@ -629,7 +635,8 @@ class Product(ManifoldModel):
         nodes = np.concatenate(
             [np.repeat(gl.node_coords, nr, axis=0), np.tile(gr.node_coords, (nl, 1))], axis=1
         )
-        return nodes, (gl.weights[:, None] * gr.weights[None, :]).ravel()
+        weights = (gl.weights[:, None] * gr.weights[None, :]).ravel()
+        return QuadratureGrid(self, nodes, weights, window, resolution, (gl, gr))
 
     def _per_factor(self, method: str, a: np.ndarray, width: str) -> np.ndarray:
         parts = zip(self.factors, self.split(a, width))
@@ -908,11 +915,18 @@ class ProductWindow:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
+    """Nodes and weights over a window.  A full torus grid and a product grid
+    also keep the grids they are the tensor product of (``factors``, one per
+    kernel factor): node i * n_rest + j is factor node i beside rest node j,
+    the last factor running fastest, so a product kernel can be evaluated on
+    each factor's own nodes (``heat_kernel.eval_grid``)."""
+
     model: ManifoldModel
     node_coords: np.ndarray  # (n, chart_dim)
     weights: np.ndarray  # (n,)
     window: object
     resolution: float
+    factors: tuple = ()  # the factor grids, empty when the grid is no tensor product
 
     def __post_init__(self):
         if self.node_coords.shape[0] == 0:
@@ -959,7 +973,8 @@ def build_grid(model: ManifoldModel, resolution: float, window, n_dir: int | Non
 
     Ball windows are polar grids: composite-GL radial cells partition [0, radius]
     (so excising a centered ball drops whole cells) times a direction rule that
-    is spectrally accurate for smooth integrands."""
+    is spectrally accurate for smooth integrands.  Product windows are the
+    tensor product of the factor windows' grids, which the grid keeps."""
     if resolution <= 0:
         raise DomainError("resolution must be positive")
     if isinstance(window, FullWindow):
@@ -969,7 +984,7 @@ def build_grid(model: ManifoldModel, resolution: float, window, n_dir: int | Non
     elif isinstance(window, BoxWindow):
         nodes, weights = model.box_grid(window.center, window.halfwidth, resolution)
     elif isinstance(window, ProductWindow):
-        nodes, weights = model.product_grid(window, resolution, n_dir)
+        return model.product_grid(window, resolution, n_dir)
     else:
         raise DomainError(f"unknown window spec {window!r}")
     return QuadratureGrid(model, nodes, weights, window, resolution)

@@ -667,7 +667,10 @@ def _two_point_atom(engine, ss, x, ra, refinement=0):
 def _smoothed_grid(engine, w, ss, x, grid):
     """Grid quadrature for each s.  The ball excised around each singular set
     is integrated for all s at once by the near-field rule; the potential
-    values and the excision mask do not depend on s and are computed once."""
+    values and the excision mask do not depend on s and are computed once.
+    The kernel is built for one s at a time (``hk.eval_grid``: on a product or
+    torus grid one row per factor, multiplied out), so no s x node table is
+    held."""
     if grid is None:
         grid = _default_y_grid(engine, w, 1.0, [x])
     vals = np.abs(evaluate_many(w, grid.node_coords))
@@ -680,7 +683,7 @@ def _smoothed_grid(engine, w, ss, x, grid):
     balls = sum((_excised_ball(engine, sg, ss, x, eps) for sg in sings if sg.pair_cols is None), np.zeros(ss.size))
     values, tails = np.empty(ss.size), np.zeros(ss.size)
     for i, s in enumerate(ss):
-        p = hk.eval_many(engine, float(s), x.coords, grid.node_coords)
+        p = hk.eval_grid(engine, float(s), x.coords, grid)
         raw_mass = float(np.sum(grid.weights * p))
         base = float(np.sum(weights_kept * p[keep] * vals_kept))
         mass, merr = hk.kernel_mass(engine, float(s), x)

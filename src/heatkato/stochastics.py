@@ -301,10 +301,10 @@ def _nested_kernel_expectation(eng, grid, start: Point, times, fs) -> float:
         chunk = max(1, 2_000_000 // grid.size)
         for a in range(0, grid.size, chunk):
             b = min(a + chunk, grid.size)
-            K = np.stack([hk.eval_many(eng, dt, nodes[i], nodes) for i in range(a, b)])
+            K = np.stack([hk.eval_grid(eng, dt, nodes[i], grid) for i in range(a, b)])
             carried[a:b] = K @ (weights * vec)
         vec = np.asarray(fs[j - 1](nodes), dtype=float) * carried
-    p0 = hk.eval_many(eng, times[0], start.coords, nodes)
+    p0 = hk.eval_grid(eng, times[0], start.coords, grid)
     return float(np.sum(weights * p0 * vec))
 
 

@@ -97,6 +97,16 @@ def test_is_kato_margin_reads_both_criteria():
     assert res.margin_min == pytest.approx(res.values["gamma"] - 10.0)
 
 
+def test_pullback_on_a_triple_product_keeps_its_margin():
+    # 63^3 grid nodes, affordable because the kernel is three 63-node factor
+    # rows multiplied out per s
+    rep = run_text(
+        "manifold = product(product(circle,circle),circle)\n"
+        "potential = pullback:1:radialpower:beta=0.5\nchecks = is-kato\n"
+    )
+    assert rep.checks[0].passed and rep.checks[0].margin_min == 0.2899605867661603
+
+
 def test_parse_error_exit_two(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("manifold = circle\nwhat even is this line\n")
@@ -283,6 +293,14 @@ def test_feynman_kac_parameter_domains_exit_two(param, capsys):
                      "--param", param]) == 2
     err = capsys.readouterr().err
     assert f"param.feynman-kac.{param.split('=')[0]}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("manifold", ["torus:2:100", "torus:3:33"])
+def test_holder_check_refuses_torus_its_grid_cannot_resolve(manifold, capsys):
+    # the grid spacing L/96 puts the least resolved s at (3 L / 96)^2 > 1 once L > 32
+    assert cli.main(["holder-check", "--manifold", manifold]) == 2
+    err = capsys.readouterr().err
+    assert f"param.holder-check: its grid on {manifold} resolves only s >=" in err and "Traceback" not in err
 
 
 PRODUCT = "product(euclidean:1,circle)"

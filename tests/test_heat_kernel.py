@@ -322,6 +322,39 @@ def test_torus_kernel_is_the_product_of_its_axes():
         assert np.array_equal(HK.eval_many(eng, t, x, ys), axes)
 
 
+LINE_BALL = G.BallWindow(G.make_point(G.euclidean(1), [0.3]), 2.0)
+LINE_BOX = G.BoxWindow(G.make_point(G.euclidean(1), [0.3]), (1.5,))
+
+
+@pytest.mark.parametrize(
+    "spec, window, n_factors",
+    [
+        ("torus:2:6.2832", G.FullWindow(), 2),
+        ("torus:3:1", G.FullWindow(), 3),
+        ("product(circle,circle)", G.FullWindow(), 2),
+        ("product(product(circle,circle),circle)", G.FullWindow(), 2),
+        ("product(torus:2:6.2832,circle)", G.FullWindow(), 2),
+        ("product(euclidean:1,circle)", G.ProductWindow(LINE_BALL, G.FullWindow()), 2),
+        ("product(euclidean:1,circle)", G.ProductWindow(LINE_BOX, G.FullWindow()), 2),
+        # no tensor product recorded: eval_many on the node rows
+        ("sphere2", G.FullWindow(), 0),
+        ("euclidean:2", G.BallWindow(G.base_point(G.euclidean(2)), 3.0), 0),
+    ],
+)
+def test_grid_kernel_equals_eval_many_on_the_nodes(spec, window, n_factors):
+    model = G.parse_manifold(spec)
+    grid = G.build_grid(model, 0.1 if model.compact else 0.05, window)
+    assert len(grid.factors) == n_factors
+    if n_factors:
+        assert grid.size == math.prod(g.size for g in grid.factors)
+    eng = HK.make_engine(model)
+    rng = np.random.default_rng(3)
+    xs = [G.base_point(model).coords, G.random_point(model, rng, 1.0).coords, grid.node_coords[grid.size // 3]]
+    for t in (1e-3, 0.3, 5.0):
+        for x in xs:
+            assert np.array_equal(HK.eval_grid(eng, t, x, grid), HK.eval_many(eng, t, x, grid.node_coords))
+
+
 def test_circle_mass_at_tiny_time_is_fast():
     # cells at sigma / 4 reach only as far as the kernel does (about 0.5 ms;
     # 0.34 s when they spanned the whole circle)
