@@ -33,12 +33,13 @@ import numpy as np
 from . import __version__
 from . import geometry as geom
 from . import heat_kernel as hk
-from . import mvi as mvi_mod
 from . import potentials as pot
-from . import stochastics as st  # kato and semigroup load scipy: imported by the checks that call them
 from .errors import HeatKatoError, ManifestError
 from .geometry import BallWindow, BoxWindow, Circle, Euclidean, ManifoldModel, Product
 from .reporting import CheckResult, Report
+
+# kato and semigroup load scipy, and mvi and stochastics cost a compile on a
+# launch with no bytecode cache: each is imported by the functions that call it
 
 # ---------------------------------------------------------------------------
 # manifest
@@ -371,6 +372,7 @@ def _check_holder(ctx: CheckContext, p: dict) -> CheckResult:
 
 def _check_control_pair(ctx: CheckContext, p: dict) -> CheckResult:
     from . import kato as kato_mod
+    from . import mvi as mvi_mod
 
     ts = np.logspace(math.log10(p["t_min"]), 0.0, p["n_t"])
     xs = [geom.base_point(ctx.model)]
@@ -408,6 +410,8 @@ def _default_fk_sets(model: ManifoldModel):
 
 
 def _fk_radius(value, model):
+    from . import mvi as mvi_mod
+
     circum = max(mvi_mod._region_circumradius(model, x, region) for x, region in _default_fk_sets(model))
     if not (math.isfinite(value) and value >= circum - 1e-9):
         return f"must be finite and >= {circum:.6g}, the circumradius of the default test sets"
@@ -423,6 +427,8 @@ def _fk_h(p: dict, model: ManifoldModel) -> float:
 
 
 def _check_fk_verify(ctx: CheckContext, p: dict) -> CheckResult:
+    from . import mvi as mvi_mod
+
     a = mvi_mod.faber_krahn_constant(ctx.model.dim) * p["a_scale"]
     radius_fn = lambda x: p["radius"]
     h = _fk_h(p, ctx.model)
@@ -434,6 +440,8 @@ def _check_fk_verify(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_mvi(ctx: CheckContext, p: dict) -> CheckResult:
+    from . import mvi as mvi_mod
+
     a = mvi_mod.faber_krahn_constant(ctx.model.dim)
     cfg = mvi_mod.default_config(ctx.model, a, radius=p["radius"])
     rep = mvi_mod.mvi_sweep(cfg)
@@ -444,6 +452,8 @@ def _check_mvi(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_heat_bound(ctx: CheckContext, p: dict) -> CheckResult:
+    from . import mvi as mvi_mod
+
     a = mvi_mod.faber_krahn_constant(min(ctx.model.dim, 3))
     ts = np.logspace(math.log10(p["t_min"]), math.log10(p["t_max"]), p["n_t"])
     rep = mvi_mod.heat_bound_sweep(
@@ -457,6 +467,7 @@ def _check_heat_bound(ctx: CheckContext, p: dict) -> CheckResult:
 
 def _check_feynman_kac(ctx: CheckContext, p: dict) -> CheckResult:
     from . import semigroup as sg
+    from . import stochastics as st
 
     w = ctx.potential("cosine")
     ts = p["t_values"]
@@ -490,6 +501,8 @@ def _leaf_index(value, model):
 
 
 def _check_project(ctx: CheckContext, p: dict) -> CheckResult:
+    from . import stochastics as st
+
     leaf = pot.leaves(ctx.model)[p["leaf"]][0]
     w = ctx.potential("indicator:ball:r=1", target=leaf)
     x = geom.base_point(ctx.model)
@@ -506,6 +519,8 @@ def _check_project(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_kato_exponential(ctx: CheckContext, p: dict) -> CheckResult:
+    from . import stochastics as st
+
     w = ctx.potential("windowed:r=1:radialpower:beta=0.5")
     rep = st.kato_exponential_estimate(
         ctx.model, w, p["t_values"], p["deltas"], p["n_paths"], h=p["h"], seed=ctx.seed,
@@ -589,6 +604,8 @@ def _is_kato_times(p, model):
 
 
 def _fk_grid(p, model):
+    from . import mvi as mvi_mod
+
     regions = [region for _, region in _default_fk_sets(model)]
     h = _fk_h(p, model)
     if any(mvi_mod.fd_grid_too_fine(model, region, h) for region in regions):
@@ -599,6 +616,8 @@ def _fk_grid(p, model):
 
 
 def _fk_times(p, model):
+    from . import stochastics as st
+
     horizon = max(p["t_values"])
     if p["h"] > horizon:
         return f"h exceeds the largest t ({horizon:g})"
@@ -610,9 +629,17 @@ def _fk_times(p, model):
 
 
 def _project_walk(p, model):
+    from . import stochastics as st
+
     if p["n_paths"] and p["h"] > p["t"]:
         return f"h exceeds t = {p['t']:g}"
     return st.walk_problem(model, st.step_count(p["t"], p["h"]), False) if p["n_paths"] else None  # t recorded alone
+
+
+def _exponential_walk(p, model):
+    from . import stochastics as st
+
+    return st.walk_problem(model, st.step_count(max(p["t_values"]), p["h"]), True)
 
 
 CHECKS: dict[str, CheckSpec] = {
@@ -730,7 +757,7 @@ CHECKS: dict[str, CheckSpec] = {
             "h": (float, 2e-3, _POSITIVE),
         },
         "exponential moment table (delta, C(delta))",
-        check=lambda p, model: st.walk_problem(model, st.step_count(max(p["t_values"]), p["h"]), True),
+        check=_exponential_walk,
     ),
     "semigroup-bound": CheckSpec(
         _check_semigroup,
@@ -955,6 +982,8 @@ def main(argv: list | None = None) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import stochastics as st
+
     model = geom.parse_manifold(args.manifold)
     start = geom.base_point(model)
     steps_total = st.step_count(args.t, args.h)

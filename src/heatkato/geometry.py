@@ -46,6 +46,16 @@ def quad(*args, **kwargs):
     return quad(*args, **kwargs)
 
 
+def time_factor(f, t):
+    """f(t) for a time t, or f at each time of an array of times, shape kept,
+    computed with Python floats: numpy's array pow and exp differ from
+    Python's in the last bit on a few inputs, and a kernel row must not
+    depend on the batch of times it is computed in."""
+    if np.ndim(t) == 0:
+        return f(t)
+    return np.array([f(s) for s in t.ravel().tolist()]).reshape(t.shape)
+
+
 class ManifoldModel:
     """Base of the model classes; the defaults are those of a non-compact model
     with a radial kernel and no period."""
@@ -199,7 +209,29 @@ class _FlatChart(ManifoldModel):
         return np.zeros(self.dim)
 
     def distance_many(self, x, ys):
-        return np.linalg.norm(self.delta(x, ys), axis=1)
+        """The root of the squared axis displacements, built one axis at a
+        time into one n-vector and summed in np.add.reduce's order along a
+        row, so it equals np.linalg.norm(delta, axis=1) on C-ordered rows to
+        the bit: below 8 axes one after another; from 8 on, axis k into
+        partial sum k mod 8, the eight joined as a tree, then the last
+        m mod 8 axes one after another."""
+        m = self.dim
+
+        def square(k):
+            dk = self.delta(x[..., k], ys[:, k])
+            return np.multiply(dk, dk, out=dk)
+
+        tree = m - m % 8
+        if tree:
+            p = [square(k) for k in range(8)]
+            for k in range(8, tree):
+                p[k % 8] += square(k)
+            total = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
+        else:
+            total = square(0)
+        for k in range(max(tree, 1), m):
+            total += square(k)
+        return np.sqrt(total, out=total)
 
     def exp_many(self, xs, vs):
         return self.wrap(xs + vs)
@@ -258,8 +290,11 @@ class Euclidean(_FlatChart):
         sin_half_sq = np.sin(theta / 2.0) ** 2
         return np.sqrt((rho - d) ** 2 + 4.0 * rho * d * sin_half_sq)
 
-    def heat_profile(self, t: float, d: np.ndarray) -> np.ndarray:
-        return (2.0 * math.pi * t) ** (-self.dim / 2.0) * np.exp(-d * d / (2.0 * t))
+    def heat_profile(self, t, d: np.ndarray) -> np.ndarray:
+        """(2 pi t)^(-m/2) e^(-d^2/(2t)) at a time t, or at a column of times
+        (k, 1) broadcast against d; the prefactor per time by ``time_factor``."""
+        pref = time_factor(lambda s: (2.0 * math.pi * s) ** (-self.dim / 2.0), t)
+        return pref * np.exp(-d * d / (2.0 * t))
 
     def mass_tail(self, t, radius):
         from scipy.special import gammaincc
@@ -409,8 +444,14 @@ class Sphere2(_Embedded):
         return v / np.linalg.norm(v)
 
     def distance_many(self, x, ys):
-        cross = np.linalg.norm(np.cross(np.broadcast_to(x, ys.shape), ys), axis=1)
-        return np.arctan2(cross, ys @ x)
+        # |x cross y| from np.cross's three columns, their squares summed
+        # (c0^2 + c1^2) + c2^2 as np.linalg.norm sums a row
+        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+        y0, y1, y2 = ys[:, 0], ys[:, 1], ys[:, 2]
+        total = np.square(x1 * y2 - x2 * y1)
+        total += np.square(x2 * y0 - x0 * y2)
+        total += np.square(x0 * y1 - x1 * y0)
+        return np.arctan2(np.sqrt(total, out=total), ys @ x)
 
     def ball_volume(self, r):
         return 2.0 * math.pi * (1.0 - math.cos(min(r, math.pi)))
@@ -540,9 +581,12 @@ class Hyperbolic3(ManifoldModel):
         return 2.0 * np.arcsinh(np.sqrt(cosh_m1 / 2.0))
 
     def heat_profile(self, t, d):
-        # (2 pi t)^{-3/2} (d / sinh d) exp(-d^2/(2t) - t/2); d/sinh d written as
-        # 2 d e^{-d} / (1 - e^{-2d}) to stay stable for large d
-        pref = (2.0 * math.pi * t) ** -1.5 * math.exp(-t / 2.0)
+        """(2 pi t)^(-3/2) e^(-t/2) (d / sinh d) e^(-d^2/(2t)), multiplied in
+        that order, at a time t or a column of times (k, 1) broadcast against
+        d: the time factor per time by ``time_factor``, d / sinh d once for
+        the batch, written 2 d e^(-d) / (1 - e^(-2d)) to stay stable for
+        large d."""
+        pref = time_factor(lambda s: (2.0 * math.pi * s) ** -1.5 * math.exp(-s / 2.0), t)
         small = d < 1e-6
         ratio = np.empty_like(d)
         ds = d[~small]
@@ -743,7 +787,9 @@ def random_point(model: ManifoldModel, rng: np.random.Generator, spread: float =
 
 def distance_many(model: ManifoldModel, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Geodesic distances from chart coords ``x`` (d,) to rows of ``ys`` (n, d).
-    On Euclidean and Hyperbolic3 ``x`` may be (n, d) too, paired row by row."""
+    On Euclidean, Torus and Hyperbolic3 ``x`` may be (n, d) too, paired row
+    by row, and the squares are summed in a fixed order, so the last bit
+    does not depend on the memory order of the operands."""
     return model.distance_many(x, np.atleast_2d(ys))
 
 

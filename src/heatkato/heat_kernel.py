@@ -15,7 +15,8 @@ a flat Torus of dimension m >= 2 of m one-axis tori.  Values, bounds, mass
 and Chapman-Kolmogorov recurse on ``engine.factors``, so the kernel layer has
 two families, radial and product.  On a tensor-product grid (``eval_grid``)
 a product kernel is one row per factor, on that factor's nodes, multiplied
-out.
+out.  A batch of times (``eval_radial_rows``) is one call on a column of
+times, each row equal to its time's own value to the last bit.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from . import geometry as geom
 from . import quadrature
 from .errors import DomainError, UnsupportedModelError
-from .geometry import ManifoldModel, Point, QuadratureGrid
+from .geometry import ManifoldModel, Point, QuadratureGrid, time_factor
 
 SERIES_TOL = 1e-12  # tail the adaptive sphere series stops below
 LMAX_CAP = 20000  # most terms the adaptive sphere series takes
@@ -95,27 +96,30 @@ def fourier_tail(t: float, L: float, K: int) -> float:
     return 2.0 * math.exp(-c * (K + 1) ** 2 * t) / (L * -math.expm1(-c * (2 * K + 3) * t))
 
 
-def wrapped_gaussian(dist, t: float, L: float, K: int):
+def wrapped_gaussian(dist, t, L: float, K: int):
     """Heat kernel on a circle of circumference L at geodesic distance(s) d,
-    summed over the images |k| <= K.
+    summed over the images |k| <= K, at a time t or a column of times (k, 1)
+    that share each image's (d + kL)^2.
 
     Terms are accumulated pairwise in k so the result is exactly symmetric
     under d -> -d regardless of float summation order.
     """
     d = np.abs(np.asarray(dist, dtype=float))
-    pref = 1.0 / math.sqrt(2.0 * math.pi * t)
+    pref = time_factor(lambda s: 1.0 / math.sqrt(2.0 * math.pi * s), t)
     acc = np.exp(-d * d / (2.0 * t))
     for k in range(1, K + 1):
         acc = acc + np.exp(-((d + k * L) ** 2) / (2.0 * t)) + np.exp(-((d - k * L) ** 2) / (2.0 * t))
     return pref * acc
 
 
-def circle_fourier(dist, t: float, L: float, kmax: int):
+def circle_fourier(dist, t, L: float, kmax: int):
+    """The Fourier series of the same kernel through mode kmax, at a time t
+    or a column of times (k, 1) that share each mode's cosine."""
     d = np.asarray(dist, dtype=float)
     acc = np.ones_like(d)
     for k in range(1, kmax + 1):
         lam = 0.5 * (2.0 * math.pi * k / L) ** 2
-        acc = acc + 2.0 * math.exp(-lam * t) * np.cos(2.0 * math.pi * k * d / L)
+        acc = acc + time_factor(lambda s: 2.0 * math.exp(-lam * s), t) * np.cos(2.0 * math.pi * k * d / L)
     return acc / L
 
 
@@ -162,9 +166,12 @@ def sphere_series(t: float, cos_d, lmax: int):
 # evaluation
 
 
-def eval_radial(engine: HeatKernelEngine, t: float, d) -> np.ndarray:
-    """Kernel as a function of geodesic distance (radial models only)."""
-    if t <= 0:
+def eval_radial(engine: HeatKernelEngine, t, d) -> np.ndarray:
+    """Kernel as a function of geodesic distance (radial models only), at a
+    time t or at a column of times t (k, 1), one row per time, broadcast
+    against ``d``.  A column gives each row the values its time alone gives,
+    to the bit."""
+    if np.any(t <= 0):
         raise DomainError("time must be positive")
     model = engine.model
     d = np.asarray(d, dtype=float)
@@ -172,27 +179,48 @@ def eval_radial(engine: HeatKernelEngine, t: float, d) -> np.ndarray:
         raise UnsupportedModelError(f"the {model.describe()} kernel is not a function of distance alone")
     if engine.method is Method.CLOSED_FORM:
         return model.heat_profile(t, d)
+    if np.ndim(t):
+        return _radial_rows(engine, t, d)
     if not model.period:
         return sphere_series(t, np.cos(d), sphere_lmax(t, SERIES_TOL, LMAX_CAP))
     fourier, n = periodic_terms(t, model.period)
     return (circle_fourier if fourier else wrapped_gaussian)(d, t, model.period, n)
 
 
-def eval_radial_rows(engine: HeatKernelEngine, ts, d) -> np.ndarray:
-    """eval_geodesic(t_i, d) with one row per time t_i: a 1-d ``d`` is shared
-    by every row, a 2-d ``d`` gives row i its own distances."""
-    d = np.asarray(d, dtype=float)
-    rows = np.broadcast_to(d, (len(ts), d.shape[-1]))
-    out = np.empty(rows.shape)
-    for i, t in enumerate(ts):
-        out[i] = eval_geodesic(engine, float(t), rows[i])
+def _radial_rows(engine: HeatKernelEngine, t: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """eval_radial of a series or periodic model at a column of times: a
+    periodic sum once per group of times with the same ``periodic_terms``,
+    the sphere series once per time."""
+    out = np.empty(np.broadcast_shapes(t.shape, d.shape))
+    times = t.ravel().tolist()
+    L = engine.model.period
+    if not L:
+        cos_d = np.broadcast_to(np.cos(d), out.shape)
+        for i, s in enumerate(times):
+            out[i] = sphere_series(s, cos_d[i], sphere_lmax(s, SERIES_TOL, LMAX_CAP))
+        return out
+    groups: dict[tuple[bool, int], list[int]] = {}
+    for i, s in enumerate(times):
+        groups.setdefault(periodic_terms(s, L), []).append(i)
+    for (fourier, n), rows in groups.items():
+        d_rows = d[rows] if d.ndim == 2 else d
+        out[rows] = (circle_fourier if fourier else wrapped_gaussian)(d_rows, t[rows], L, n)
     return out
 
 
-def eval_geodesic(engine: HeatKernelEngine, t: float, d) -> np.ndarray:
+def eval_radial_rows(engine: HeatKernelEngine, ts, d) -> np.ndarray:
+    """eval_geodesic(t_i, d) with one row per time t_i: a 1-d ``d`` is shared
+    by every row, a 2-d ``d`` gives row i its own distances.  One
+    eval_geodesic call on the column of times."""
+    return eval_geodesic(engine, np.asarray(ts, dtype=float).reshape(-1, 1), np.asarray(d, dtype=float))
+
+
+def eval_geodesic(engine: HeatKernelEngine, t, d) -> np.ndarray:
     """p(t, x, y) for y at distance d from x along one kernel factor's
     geodesic, the other factors at their diagonal: the radial kernel itself
-    on a radial model, on a product the largest such value over its factors."""
+    on a radial model, on a product the largest such value over its factors.
+    At a column of times (as eval_radial) each factor's rows and on-diagonal
+    column are evaluated once for the batch."""
     if not engine.factors:
         return eval_radial(engine, t, d)
     diag = [on_diag(fe, t) for fe in engine.factors]
@@ -241,10 +269,12 @@ def eval_kernel(engine: HeatKernelEngine, t: float, x: Point, y: Point) -> float
 
 
 def on_diag(engine: HeatKernelEngine, t: float) -> float:
-    """p(t, x, x); x-independent on these homogeneous models."""
+    """p(t, x, x); x-independent on these homogeneous models.  At a column of
+    times (k, 1), a column."""
     if engine.factors:
         return math.prod(on_diag(fe, t) for fe in engine.factors)
-    return float(eval_radial(engine, t, np.array([0.0]))[0])
+    p = eval_radial(engine, t, np.array([0.0]))
+    return float(p[0]) if np.ndim(t) == 0 else p
 
 
 def truncation_bound(engine: HeatKernelEngine, t: float) -> float:

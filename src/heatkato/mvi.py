@@ -351,7 +351,7 @@ def _fd_levels(model: ManifoldModel, region, h: float, refinements: int):
         c = region.center.coords[:m]
         R = region.radius
         lo, hi = c - R, c + R
-        inside = lambda pts: np.linalg.norm(pts - c, axis=1) < R - 1e-12
+        inside = lambda pts: geom.distance_many(model, c, pts) < R - 1e-12
         return m, [(inside, lo, hi, h / (2.0**j)) for j in range(refinements + 1)], 1
     if isinstance(region, BoxWindow):
         c = np.asarray(region.center.coords[:m], dtype=float)

@@ -75,12 +75,10 @@ class DiscretizedOperator:
 
 
 def _periodic_second_difference(n: int, spacing: float) -> sparse.csr_matrix:
-    main = np.full(n, 2.0)
-    off = np.full(n, -1.0)
-    L = sparse.diags([main, off, off], [0, -1, 1], shape=(n, n), format="lil")
-    L[0, n - 1] = -1.0
-    L[n - 1, 0] = -1.0
-    return (L.tocsr()) / (spacing * spacing)
+    """The stencil (2, -1, -1) / spacing^2 with the wrap-around couplings as
+    the corner diagonals at offsets +-(n - 1); n >= 3."""
+    L = sparse.diags([2.0, -1.0, -1.0, -1.0, -1.0], [0, -1, 1, 1 - n, n - 1], shape=(n, n), format="csr")
+    return L / (spacing * spacing)
 
 
 def discretize(model: ManifoldModel, n: int, w: pot.Potential) -> DiscretizedOperator:

@@ -9,6 +9,7 @@ import time
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from heatkato import cli
@@ -16,6 +17,7 @@ from heatkato import geometry as G
 from heatkato import heat_kernel as HK
 from heatkato import mvi as M
 from heatkato import potentials as P
+from heatkato import stochastics as S
 from heatkato.errors import DomainError, ManifestError
 from heatkato.reporting import canonical_json
 
@@ -205,7 +207,7 @@ def test_simulate_coarsens_by_stored_floats(monkeypatch):
         seen[model.describe()] = record_times
         raise DomainError("stop before sampling")
 
-    monkeypatch.setattr(cli.st, "simulate", fake_simulate)
+    monkeypatch.setattr(S, "simulate", fake_simulate)
     for spec in ("euclidean:1", "sphere2"):
         assert cli.main(["simulate", "--manifold", spec, "--t", "1", "--h", "1e-4", "--n", "2000"]) == 2
     assert seen[G.euclidean(1).describe()] is None
@@ -513,7 +515,7 @@ def test_project_check_fails_when_the_monte_carlo_side_disagrees(potential, monk
     # no z-score: its Monte Carlo mean 3 must still fail against 1
     tripled = types.SimpleNamespace(**vars(P))
     tripled.evaluate_many = lambda w, pts: 3.0 * P.evaluate_many(w, pts)
-    monkeypatch.setattr(cli.st, "pot", tripled)
+    monkeypatch.setattr(S, "pot", tripled)
     assert cli.main(PROJECT_MC + potential) == 1
 
 
@@ -592,19 +594,40 @@ def test_feynman_kac_single_path_is_fail_with_reason():
     assert "no finite z-score" in result.values["reasons"][0]
 
 
-def test_bench_tracer_targets_exist():
-    # the benchmark wraps these module attributes; a rename here would
-    # otherwise break only a traced benchmark run
+def _bench_tracer():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_bench_tracer_targets_exist():
+    # the benchmark wraps these module attributes; a rename here would
+    # otherwise break only a traced benchmark run
+    tracer = _bench_tracer()
     missing = [
         (module, attr)
         for _, module, attr, _ in tracer.TARGETS
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert tracer.TARGETS and not missing, missing
+
+
+def test_bench_tracer_sees_one_kernel_call_per_batch_of_times():
+    # a batch of kernel times goes through the wrapped eval_radial once, and
+    # distance rows through the wrapped distance_many
+    e3 = G.euclidean(3)
+    with _bench_tracer().Tracer() as tr:
+        d = G.distance_many(e3, np.zeros(3), np.ones((40, 3)))
+        HK.eval_radial_rows(HK.make_engine(e3), [0.1, 0.2, 0.4], d)
+        HK.eval_radial_rows(HK.make_engine(G.parse_manifold("product(euclidean:1,circle)")), [0.1, 0.2], d)
+    layers = tr.layers()
+    assert layers["geometry.distance_many"]["rows"] == 40
+    # one call for the radial batch; on the product one per factor and one
+    # per factor's diagonal
+    assert layers["heat_kernel.eval_radial"]["calls"] == 1 + 4
+    assert layers["heat_kernel.eval_radial"]["points"] == 40 + 2 * 40 + 2
 
 
 # runs cli.main in a fresh interpreter, then prints the exit code and the
@@ -647,6 +670,23 @@ def _scipy_loaded_by(argv, cwd):
 )
 def test_commands_without_numerics_load_no_scipy(argv, code, tmp_path):
     assert _scipy_loaded_by(argv, tmp_path) == (code, set())
+
+
+_CHECK_MODULE_PROBE = """
+import sys
+from heatkato import cli
+try:
+    cli.main(sys.argv[1:])
+except SystemExit:  # --help
+    pass
+print(" ".join(m for m in ("heatkato.mvi", "heatkato.stochastics") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("argv", [["list-batteries"], ["--help"]], ids=["list-batteries", "help"])
+def test_commands_without_checks_load_neither_mvi_nor_stochastics(argv, tmp_path):
+    # each module costs a compile on a launch with no bytecode cache
+    assert _fresh_python(_CHECK_MODULE_PROBE, argv, tmp_path)[-1] == ""
 
 
 @pytest.mark.parametrize(

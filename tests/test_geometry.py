@@ -252,3 +252,40 @@ def test_empty_window_rejected():
         G.build_grid(G.euclidean(2), 0.1, G.FullWindow())  # non-compact needs a window
     with pytest.raises(DomainError):
         G.build_grid(G.euclidean(2), 0.1, G.BallWindow(G.base_point(G.euclidean(2)), 0.0))
+
+
+def _norm_rows(model, x, ys):
+    """The distance formulas the axis-by-axis sums must reproduce to the bit."""
+    if isinstance(model, G.Sphere2):
+        cross = np.linalg.norm(np.cross(np.broadcast_to(x, ys.shape), ys), axis=1)
+        return np.arctan2(cross, ys @ x)
+    return np.linalg.norm(model.delta(x, ys), axis=1)
+
+
+@pytest.mark.parametrize(
+    "spec", ["euclidean:1", "euclidean:2", "euclidean:3", "torus:2:1.3", "torus:3:2", "sphere2"]
+)
+def test_distance_rows_equal_the_norm_formulas_bit_for_bit(spec):
+    model = G.parse_manifold(spec)
+    rng = np.random.default_rng(11)
+    ys = np.array([G.random_point(model, rng, 3.0).coords for _ in range(257)])
+    x = G.random_point(model, rng, 3.0).coords
+    wide = np.repeat(ys, 2, axis=1)  # every other column: rows with a stride
+    for rows in (ys, np.asfortranarray(ys), wide[:, ::2], ys[::3]):
+        d = G.distance_many(model, x, rows)
+        assert np.array_equal(d, _norm_rows(model, x, rows))
+        if model.flat:  # and whatever the memory order of the rows
+            assert np.array_equal(d, _norm_rows(model, x, np.ascontiguousarray(rows)))
+    if model.flat:  # row-paired x
+        paired = ys[::-1].copy()
+        assert np.array_equal(G.distance_many(model, paired, ys), np.linalg.norm(model.delta(paired, ys), axis=1))
+
+
+@pytest.mark.parametrize("m", [7, 8, 13, 16, 55])
+def test_many_axes_sum_in_the_norm_order(m):
+    # from 8 axes on, np.linalg.norm sums a C-ordered row pairwise
+    model = G.euclidean(m)
+    rng = np.random.default_rng(m)
+    ys = rng.standard_normal((300, m)) * np.exp(rng.uniform(-8.0, 8.0, (300, m)))
+    x = rng.standard_normal(m)
+    assert np.array_equal(G.distance_many(model, x, ys), np.linalg.norm(ys - x, axis=1))

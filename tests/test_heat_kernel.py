@@ -377,3 +377,51 @@ def test_image_sum_symmetry_is_exact():
     x = G.make_point(G.torus(2, 5.0), [0.4, 3.0])
     y = G.make_point(G.torus(2, 5.0), [2.9, 0.7])
     assert HK.eval_kernel(tor, 0.3, x, y) == HK.eval_kernel(tor, 0.3, y, x)
+
+
+def _per_time(eng, ts, d):
+    rows = np.broadcast_to(d, (len(ts), d.shape[-1]))
+    return np.array([HK.eval_geodesic(eng, float(t), rows[i]) for i, t in enumerate(ts)])
+
+
+@pytest.mark.parametrize(
+    "spec, ts",
+    [
+        ("euclidean:1", [1e-12, 1e-4, 0.37, 3.0]),
+        ("euclidean:2", [1e-6, 0.01, 1.0, 40.0]),
+        ("euclidean:3", np.logspace(-9, 2, 23)),
+        ("hyperbolic3", np.logspace(-6, 1.5, 17)),
+        # t* = L^2 / (2 pi) splits the image sum from the Fourier series
+        ("circle", [1e-3, 0.5, 2 * math.pi - 1e-9, 2 * math.pi, 7.0, 60.0, 1e4]),
+        ("torus:1:0.01", [1e-7, 1.5e-5, 0.01**2 / (2 * math.pi), 2e-5, 1e-3]),
+        ("sphere2", [1e-3, 0.05, 0.7, 5.0]),
+        ("product(euclidean:1,circle)", [1e-3, 0.2, 6.0, 30.0]),
+        ("torus:2:1", [1e-3, 0.1, 0.2, 2.0]),
+    ],
+)
+def test_kernel_rows_equal_per_time_kernels_bit_for_bit(spec, ts):
+    eng = HK.make_engine(G.parse_manifold(spec))
+    rng = np.random.default_rng(3)
+    reach = min(eng.model.diameter, 4.0)
+    d = np.concatenate([[0.0, 1e-12, 3e-7, 1e-6, 2e-6], rng.uniform(0.0, reach, 120), [reach]])
+    ts = np.asarray(ts, dtype=float)
+    assert np.array_equal(HK.eval_radial_rows(eng, ts, d), _per_time(eng, ts, d))
+    own = rng.uniform(0.0, reach, (ts.size, 33))  # row i at its own distances
+    assert np.array_equal(HK.eval_radial_rows(eng, ts, own), _per_time(eng, ts, own))
+    # the batch is the same a row at a time, in any order
+    for i in rng.permutation(ts.size)[:3]:
+        assert np.array_equal(HK.eval_radial_rows(eng, ts[[i]], d)[0], _per_time(eng, ts, d)[i])
+
+
+def test_closed_form_rows_keep_the_per_time_formulas():
+    ts = np.logspace(-6, 1, 15)
+    d = np.concatenate([[0.0, 5e-7], np.linspace(1e-6, 6.0, 99)])
+    for m in (1, 2, 3):
+        expected = [(2.0 * math.pi * t) ** (-m / 2.0) * np.exp(-d * d / (2.0 * t)) for t in ts.tolist()]
+        assert np.array_equal(HK.eval_radial_rows(HK.make_engine(G.euclidean(m)), ts, d), expected)
+    with np.errstate(invalid="ignore"):
+        ratio = np.where(d < 1e-6, 1.0 - d**2 / 6.0, 2.0 * d * np.exp(-d) / (1.0 - np.exp(-2.0 * d)))
+    expected = [
+        (2.0 * math.pi * t) ** -1.5 * math.exp(-t / 2.0) * ratio * np.exp(-d * d / (2.0 * t)) for t in ts.tolist()
+    ]
+    assert np.array_equal(HK.eval_radial_rows(HK.make_engine(G.hyperbolic3()), ts, d), expected)

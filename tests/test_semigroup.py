@@ -260,3 +260,29 @@ def test_discretize_validation():
         SG.discretize(G.sphere2(), 32, ZERO)
     with pytest.raises(UnsupportedModelError):
         SG.discretize(G.euclidean(2), 32, ZERO)
+
+
+def _lil_second_difference(n, spacing):
+    # the stencil built entry by entry, corners set on a LIL matrix
+    off = np.full(n, -1.0)
+    L = sparse.diags([np.full(n, 2.0), off, off], [0, -1, 1], shape=(n, n), format="lil")
+    L[0, n - 1] = -1.0
+    L[n - 1, 0] = -1.0
+    return L.tocsr() / (spacing * spacing)
+
+
+def _same_csr(a, b):
+    return (a.shape, a.dtype, a.has_sorted_indices) == (b.shape, b.dtype, b.has_sorted_indices) and all(
+        np.array_equal(getattr(a, k), getattr(b, k)) for k in ("data", "indices", "indptr")
+    )
+
+
+@pytest.mark.parametrize("n", [8, 9, 192, 8192])
+def test_periodic_second_difference_equals_the_lil_build(n):
+    spacing = 2.0 * math.pi / n
+    lap = SG._periodic_second_difference(n, spacing)
+    assert isinstance(lap, sparse.csr_matrix) and _same_csr(lap, _lil_second_difference(n, spacing))
+    if n <= 192:  # the 2-d operator discretize builds on the torus
+        eye = sparse.identity(n, format="csr")
+        ref = _lil_second_difference(n, spacing)
+        assert _same_csr(sparse.kron(lap, eye) + sparse.kron(eye, lap), sparse.kron(ref, eye) + sparse.kron(eye, ref))
