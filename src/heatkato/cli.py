@@ -631,15 +631,17 @@ def _fk_times(p, model):
 def _project_walk(p, model):
     from . import stochastics as st
 
-    if p["n_paths"] and p["h"] > p["t"]:
+    if not p["n_paths"]:
+        return None
+    if p["h"] > p["t"]:
         return f"h exceeds t = {p['t']:g}"
-    return st.walk_problem(model, st.step_count(p["t"], p["h"]), False) if p["n_paths"] else None  # t recorded alone
+    return st.walk_problem(model, st.step_count(p["t"], p["h"]), False, p["n_paths"], 1)  # t recorded alone
 
 
 def _exponential_walk(p, model):
     from . import stochastics as st
 
-    return st.walk_problem(model, st.step_count(max(p["t_values"]), p["h"]), True)
+    return st.walk_problem(model, st.step_count(max(p["t_values"]), p["h"]), True, p["n_paths"], held=False)
 
 
 CHECKS: dict[str, CheckSpec] = {

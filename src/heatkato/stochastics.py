@@ -50,6 +50,9 @@ from .errors import DomainError, UnsupportedModelError
 from .geometry import ManifoldModel, Point, Product
 
 _MAX_STORE_BYTES = 600_000_000
+# normals a walk may draw: about 25 s of Philox draws alone on a 2-core
+# host, 33 times the largest benchmark walk (3e7 normals on sphere2)
+_MAX_NORMALS = 1_000_000_000
 # one block's working buffer: the normals that drive its curved paths, or the
 # chart rows Feynman-Kac evaluates a potential on
 _BLOCK_BYTES = 1 << 24
@@ -167,18 +170,27 @@ def step_count(t: float, h: float) -> int:
     return max(1, int(round(t / h)))
 
 
-def walk_problem(model: ManifoldModel, n_steps: int, full: bool, n_paths: int = 0, n_records: int = 0) -> str | None:
-    """Why an n_steps walk cannot be sampled, or None. A curved walk holds a
-    path's normals at once, and a walk recorded at every step (``full``) its
-    n_steps + 1 rows; either over _MAX_STORE_BYTES is refused before anything
-    is allocated.  So is, as ``simulate`` refuses it, an ensemble of n_paths
-    whose record (n_records rows a path; n_steps + 1 when ``full``) would."""
+def walk_problem(
+    model: ManifoldModel, n_steps: int, full: bool, n_paths: int = 0, n_records: int = 0, held: bool = True
+) -> str | None:
+    """Why a walk of n_paths paths of n_steps steps cannot be sampled, or
+    None, decided before anything is allocated or drawn. A curved walk holds
+    a path's normals at once, and a walk recorded at every step (``full``)
+    its n_steps + 1 rows; either over _MAX_STORE_BYTES is refused.  So is an
+    ensemble ``held`` whole, as ``simulate`` holds it, whose record (n_records
+    rows a path; n_steps + 1 when ``full``) would be, and any walk drawing
+    more than _MAX_NORMALS normals: n_records a path and axis on a flat walk
+    not ``full``, n_steps otherwise."""
     need = 8 * max((n_steps + 1) * model.path_dim if full else 0, 0 if model.flat else n_steps * model.tangent_dim)
     if need > _MAX_STORE_BYTES:
         return f"one path of {n_steps:,} steps would need {need / 1e9:.3g} GB; take a larger step h"
     need = 8 * n_paths * (n_steps + 1 if full else n_records) * model.path_dim
-    if need > _MAX_STORE_BYTES:
+    if held and need > _MAX_STORE_BYTES:
         return f"ensemble would need {need / 1e9:.1f} GB; take fewer paths, a larger step h or coarser record_times"
+    draws = n_paths * (n_records if model.flat and not full else n_steps) * model.tangent_dim
+    if draws > _MAX_NORMALS:
+        return (f"walk would draw {draws:.3g} normals, over the budget of {_MAX_NORMALS:.0e}; "
+                "take fewer paths or a larger step h")
     return None
 
 
@@ -422,7 +434,7 @@ def kato_exponential_estimate(
         raise DomainError("need at least one path")
     horizon = ts[-1]
     n_steps = step_count(horizon, h)
-    if problem := walk_problem(model, n_steps, True):
+    if problem := walk_problem(model, n_steps, True, N, held=False):
         raise DomainError(problem)
     block_size = min(block_size, _MAX_STORE_BYTES // (8 * (n_steps + 1) * model.path_dim))
     h_eff = horizon / n_steps

@@ -198,6 +198,22 @@ def test_simulate_walk_too_long_to_hold_exits_two(capsys):
     assert len(err.splitlines()) == 1 and "take a larger step h" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 3e10 normals on a curved walk, 1e11 on a full flat one; each fits the store
+        ["simulate", "--manifold", "sphere2", "--t", "1", "--h", "1e-5", "--n", "100000"],
+        ["kato-exponential", "--manifold", "euclidean:1", "--param", "h=1e-6", "--param", "n_paths=100000"],
+    ],
+)
+def test_walk_over_the_normals_budget_exits_two(argv, capsys):
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "normals, over the budget of 1e+09" in err and "Traceback" not in err
+
+
 def test_simulate_coarsens_by_stored_floats(monkeypatch):
     # 2000 paths x 10001 rows is 160 MB at one float per row (euclidean:1)
     # and 480 MB at sphere2's three: only the latter is coarsened

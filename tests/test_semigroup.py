@@ -1,11 +1,10 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, splu
 
 from heatkato import geometry as G
 from heatkato import heat_kernel as HK
@@ -101,7 +100,7 @@ def test_constant_potential_commutes():
 
 
 @pytest.mark.parametrize("t", [0.25, 1.0])
-def test_lanczos_free_cosine_mode_closed_form(t):
+def test_contour_free_cosine_mode_closed_form(t):
     n, k = 4096, 3  # above the dense limit, so e^{-tH} f runs through the contour rule
     op = SG.discretize(CIRCLE, n, ZERO)
     theta = 2 * math.pi * np.arange(n) / n
@@ -112,7 +111,7 @@ def test_lanczos_free_cosine_mode_closed_form(t):
 
 
 @pytest.mark.parametrize("t", [0.25, 1.0])
-def test_lanczos_matches_spectral_sum_on_cosine_operator(t):
+def test_contour_matches_spectral_sum_on_cosine_operator(t):
     op = SG.discretize(CIRCLE, 8192, P.cosine_potential(CIRCLE))
     ones = np.ones(op.size)
     got = SG.semigroup_apply(op, t, ones)
@@ -122,12 +121,10 @@ def test_lanczos_matches_spectral_sum_on_cosine_operator(t):
     assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-8
 
 
-def test_contour_rule_matches_exponential_on_the_half_line(monkeypatch):
-    # a diagonal A with shift 0 and t = 1 returns the scalar rule r(x) itself
-    monkeypatch.setattr(SG, "ground_energy", lambda op: 0.0)
+def test_contour_rule_matches_exponential_on_the_half_line():
+    # a diagonal A solves as b / (z + x): the rule returns the scalar r(x) itself
     x = np.concatenate([[0.0], np.logspace(-8, 9, 400)])
-    op = SimpleNamespace(matrix=sparse.diags(x).tocsr())
-    r = SG._contour_expm(op, 1.0, np.ones(x.size))
+    r = SG._contour_rule(lambda z, b: b / (z + x), np.ones(x.size))
     assert np.max(np.abs(r - np.exp(-x))) <= 1e-13
 
 
@@ -143,6 +140,58 @@ def test_contour_matches_spectral_sum_in_deep_narrow_well(t):
     assert lam.min() > -1.0 and lam.max() > 400.0  # modes past the 60th weigh < e^{-200}
     ref = V @ (np.exp(-t * lam) * (V.T @ ones))
     assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-8
+
+
+_CIRCLE_POTENTIALS = ["cosine", "scale:-60:indicator:ball:r=0.01"]
+
+
+def _shifted(op, t):
+    # A = t (H - E_0), the operator the contour rule solves with
+    return t * (op.matrix.tocsc() - SG.ground_energy(op) * sparse.identity(op.size, format="csc"))
+
+
+@pytest.mark.parametrize("spec", _CIRCLE_POTENTIALS)
+@pytest.mark.parametrize("n", [2049, 2050, 8192])
+def test_cyclic_solve_residual_on_the_circle(n, spec):
+    # normwise backward error of every contour solve: the residual, taken by
+    # the sparse matrix, against ||z + A|| ||x|| + ||f|| (||A|| is 3.4e6 t at
+    # n = 8192, so rounding alone leaves ||r|| near 1e-10 ||f|| for any solver)
+    op = SG.discretize(CIRCLE, n, P.parse_potential(spec, CIRCLE))
+    f = 1.0 + np.cos(2 * math.pi * np.arange(n) / n) + np.random.default_rng(n).random(n)
+    for t in (0.25, 1.0):
+        A = _shifted(op, t)
+        solve = SG._cyclic_solver(A)
+        norm_a = abs(A).sum(axis=1).max()
+        for z in SG._CONTOUR_Z:
+            x = solve(z, f.astype(complex))
+            r = z * x + A @ x - f
+            scale = (abs(z) + norm_a) * np.max(np.abs(x)) + np.max(np.abs(f))
+            assert np.max(np.abs(r)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("spec", _CIRCLE_POTENTIALS)
+@pytest.mark.parametrize("n", [2049, 2050, 8192])
+def test_circle_contour_needs_no_sparse_lu(monkeypatch, n, spec):
+    def refuse(*args, **kwargs):
+        raise AssertionError("splu called on the circle")
+
+    monkeypatch.setattr(SG, "splu", refuse)
+    op = SG.discretize(CIRCLE, n, P.parse_potential(spec, CIRCLE))
+    g = SG.semigroup_apply(op, 0.5, np.ones(op.size))
+    assert np.all(np.isfinite(g)) and np.min(g) > 0.0
+
+
+def test_torus_contour_keeps_the_sparse_lu_rule():
+    # the 2-d torus result, bit for bit, of one splu per node summed over the rule
+    tor = G.torus(2, 2 * math.pi)
+    op = SG.discretize(tor, 48, P.cosine_potential(tor))
+    f = np.random.default_rng(1).standard_normal(op.size)
+    eye = sparse.identity(op.size, format="csc")
+    for t in (0.1, 0.5):
+        A = _shifted(op, t)
+        acc = sum(w * splu(z * eye + A).solve(f.astype(complex)) for z, w in zip(SG._CONTOUR_Z, SG._CONTOUR_W))
+        ref = math.exp(-t * SG.ground_energy(op)) * acc.imag
+        assert np.array_equal(SG.semigroup_apply(op, t, f), ref)
 
 
 def test_contour_matches_dense_on_2d_torus():

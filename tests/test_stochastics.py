@@ -448,6 +448,21 @@ def test_kato_exponential_blocks_fit_the_store(monkeypatch):
         S.kato_exponential_estimate(*args, h=1e-4, seed=3)
 
 
+def test_walk_budget_counts_the_normals_drawn():
+    # a sparse flat walk draws one normal per record and axis, every other
+    # walk one per step and axis; a walk past 1e9 normals is refused
+    assert S.walk_problem(E1, 10**6, False, 10**4, 33) is None
+    assert S.walk_problem(E1, 10**6, True, 1000, held=False) is None
+    assert "normals" in S.walk_problem(E1, 10**6, True, 1001, held=False)
+    assert "ensemble would need" in S.walk_problem(E1, 10**6, True, 1001)
+    s2 = G.sphere2()  # three tangent axes, one normal a step each on a curved walk
+    assert s2.tangent_dim == 3
+    assert S.walk_problem(s2, 10**5, False, 3333, 1) is None
+    assert "draw 1e+09 normals" in S.walk_problem(s2, 10**5, False, 3334, 1)
+    with pytest.raises(DomainError, match="normals"):  # refused before any path is drawn
+        S.kato_exponential_estimate(CIRCLE, P.Constant(0.8), [0.5], [2.0], 3 * 10**6, h=1e-3, seed=0)
+
+
 def test_fdd_single_sample_fails():
     ens = S.simulate(CIRCLE, G.circle_point(0.3), 0.2, 1e-2, 1, seed=1, record_times=[0.2])
     rep = S.fdd_check(ens, [0.2], [[lambda ch: ch[:, 0]]])
