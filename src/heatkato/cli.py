@@ -357,8 +357,7 @@ def _check_holder(ctx: CheckContext, p: dict) -> CheckResult:
     worst = math.inf
     tol = 0.0
     per_q = {}
-    for q in qs:
-        rep = kato_mod.holder_bound_check(ctx.engine, control, w, q, ss, xs, grid=grid)
+    for q, rep in zip(qs, kato_mod.holder_bound_check(ctx.engine, control, w, qs, ss, xs, grid=grid)):
         per_q[f"q={q:g}"] = rep
         if not rep.rhs_divergent:
             worst = min(worst, rep.min_margin)
@@ -598,7 +597,7 @@ def _kernel_times(p, model):
 def _is_kato_times(p, model):
     if p["t_min"] == p["t_max"]:
         return "t_min and t_max must differ"
-    # N(t) integrates s over [s_min, t] only: at t <= s_min it reads 0
+    # N(t) integrates s over [s_min, t] only: is_kato refuses t <= s_min
     low = min(p["t_min"], p["t_max"]) <= p["s_min"]
     return f"t_min and t_max must exceed s_min = {p['s_min']:g}" if low else None
 

@@ -226,7 +226,7 @@ class KatoVerdict:
 
 def _s_breaks(t: float, s_min: float) -> np.ndarray:
     if t <= s_min:
-        return np.array([s_min, t]) if t > s_min else np.array([])
+        return np.array([])
     k = max(1, int(math.ceil(math.log2(t / s_min))))
     pts = [t * 2.0 ** (-j) for j in range(k + 1)]
     pts = [max(p, s_min) for p in pts]
@@ -270,6 +270,26 @@ def _kato_core(engine, w, t, x_grid, s_min):
         if total > best:
             best, best_tail = total, float(s_weights @ sv.tail_bound)
     return best, best_tail
+
+
+def _sweep_breaks(ts, s_min: float) -> np.ndarray:
+    """One dyadic ladder for a sweep of t > s_min: _s_breaks(max(ts), s_min)
+    with every t inserted as a break.  Under each t it has at least the cells
+    of _s_breaks(t, s_min)."""
+    return np.union1d(_s_breaks(float(np.max(ts)), s_min), ts)
+
+
+def _kato_ladder(engine, w, ts, x, s_min):
+    """(N(t) over [s_min, t], quadrature tail allowance) at x for every t in
+    ts, read off _sweep_breaks: |w| is smoothed once on the ladder's nodes,
+    and N(t) is the running sum of the cell integrals up to t."""
+    breaks = _sweep_breaks(ts, s_min)
+    s_nodes, s_weights = qd.gl_nodes(breaks)
+    sv = smoothed_abs(engine, w, s_nodes, x)
+    ends = np.searchsorted(breaks, ts) - 1  # the cell that ends at t
+    cells = (s_weights * np.stack([sv.value, sv.tail_bound])).reshape(2, breaks.size - 1, -1).sum(axis=2)
+    values, tails = np.cumsum(cells, axis=1)[:, ends]
+    return values, tails
 
 
 def _short_time_remainder(engine, w, s_min):
@@ -336,13 +356,18 @@ def is_kato(
 
     ``values`` are the dyadic-quadrature estimates of N(t); ``tail_bounds``
     carry the additive allowance (short-time remainder bound plus quadrature
-    tails).  PASS requires clear decay of the estimates: N(t_min) below
-    threshold_ratio * N(t_max) and a positive fitted exponent.  The verdict is
-    numerical evidence only, never a proof.
+    tails).  One ladder serves the sweep (``_sweep_breaks``): |w| is smoothed
+    once per x-sample on its nodes and every N(t) is read off the running
+    sum of its cells; the x-sample with the largest N(t_max) gives the curve.
+    Every t must exceed s_min.  PASS requires clear decay of the estimates:
+    N(t_min) below threshold_ratio * N(t_max) and a positive fitted exponent.
+    The verdict is numerical evidence only, never a proof.
     """
     ts = np.asarray(sorted(set(float(t) for t in t_sequence), reverse=True), dtype=float)
     if ts.size < 2:
         raise DomainError("need at least two t values")
+    if ts[-1] <= s_min:
+        raise DomainError(f"every t must exceed s_min = {s_min:g}: N(t) integrates s over [s_min, t]")
     model = engine.model
     if _inner_divergent(w):
         curve = KatoFunctionalCurve(ts, np.full(ts.size, math.inf), np.full(ts.size, math.inf), True)
@@ -354,18 +379,10 @@ def is_kato(
         # in the verdict via decay failure
         rem = 0.0
     # the functional is largest at the potential center for the radial battery;
-    # rank the x-samples once at the largest t, then sweep the winner
-    t0 = float(ts[0])
-    scored = [(_kato_core(engine, w, t0, [x], s_min), x) for x in x_samples]
-    scored.sort(key=lambda it: -it[0][0])
-    (v0, tb0), x_best = scored[0]
-    values, tails = [v0], [tb0 + rem]
-    for t in ts[1:]:
-        v, tb = _kato_core(engine, w, float(t), [x_best], s_min)
-        values.append(v)
-        tails.append(tb + rem)
-    values = np.array(values)
-    tails = np.array(tails)
+    # rank the x-samples by N(t_max) and keep the winner's curve
+    curves = [_kato_ladder(engine, w, ts, x, s_min) for x in x_samples]
+    values, tails = max(curves, key=lambda c: c[0][0])
+    tails = tails + rem
     finite = np.isfinite(values) & (values > 0)
     gamma = 0.0
     if finite.sum() >= 2:
@@ -414,33 +431,44 @@ def holder_bound_check(
     engine: hk.HeatKernelEngine,
     control: KatoControlPair,
     w: pot.Potential,
-    q: float,
+    q: float | Sequence[float],
     s_samples: Sequence[float],
     x_samples: Sequence[Point],
     grid: QuadratureGrid | None = None,
-) -> HolderReport:
+) -> HolderReport | list[HolderReport]:
     """min over samples of RHS - LHS for
-    int p(s,x,y)|w(y)| dmu <= time(s)^{1/q} (int |w|^q space dmu)^{1/q}."""
+    int p(s,x,y)|w(y)| dmu <= time(s)^{1/q} (int |w|^q space dmu)^{1/q}.
+
+    ``q`` is one exponent (one report back) or a sequence of them (a list
+    back, one report per q).  The left side does not depend on q: the norms
+    of every q come from one ``lq_norm`` call and |w| is smoothed once per
+    x-sample for all of them, so each report equals that of its own call."""
     model = engine.model
-    require_admissible(model.dim, q)
+    qs = [q] if np.ndim(q) == 0 else list(q)
+    for qk in qs:
+        require_admissible(model.dim, qk)
     norm_grid = grid or pot._default_y_grid(engine, w, max(s_samples), list(x_samples))
-    wq = pot.lq_norm(w, q, control.space_factor, norm_grid)
-    if wq.diverges:
-        return HolderReport(q, math.inf, 0.0, True, 0)
-    ss = np.asarray(s_samples, dtype=float)
-    if not np.all((ss > 0.0) & (ss <= 1.0)):
-        raise DomainError("the bound is calibrated for s in (0, 1]")
-    rhs = np.array([control.time_factor(float(s)) ** (1.0 / q) for s in ss]) * wq.value
-    worst = math.inf
-    tail_worst = 0.0
-    for x in x_samples:
-        sv = smoothed_abs(engine, w, ss, x, grid=grid)
-        # builtin min and max skip a NaN margin, as a scalar comparison would
-        worst = min([worst, *(rhs - sv.value).tolist()])
-        tail_worst = max([tail_worst, *sv.tail_bound.tolist()])
-    n_samples = ss.size * len(x_samples)
-    tol = max(1e-8, 10.0 * tail_worst)
-    return HolderReport(q, worst, tol, False, n_samples)
+    norms = pot.lq_norm(w, qs, control.space_factor, norm_grid)
+    reports = [HolderReport(qk, math.inf, 0.0, True, 0) for qk in qs]
+    finite = [j for j, wq in enumerate(norms) if not wq.diverges]
+    if finite:
+        ss = np.asarray(s_samples, dtype=float)
+        if not np.all((ss > 0.0) & (ss <= 1.0)):
+            raise DomainError("the bound is calibrated for s in (0, 1]")
+        times = [control.time_factor(float(s)) for s in ss]
+        rhs = {j: np.array([tf ** (1.0 / qs[j]) for tf in times]) * norms[j].value for j in finite}
+        worst = dict.fromkeys(finite, math.inf)
+        tail_worst = 0.0
+        for x in x_samples:
+            sv = smoothed_abs(engine, w, ss, x, grid=grid)
+            for j in finite:
+                # builtin min and max skip a NaN margin, as a scalar comparison would
+                worst[j] = min([worst[j], *(rhs[j] - sv.value).tolist()])
+            tail_worst = max([tail_worst, *sv.tail_bound.tolist()])
+        tol = max(1e-8, 10.0 * tail_worst)
+        for j in finite:
+            reports[j] = HolderReport(qs[j], worst[j], tol, False, ss.size * len(x_samples))
+    return reports[0] if np.ndim(q) == 0 else reports
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def test_pullback_on_a_triple_product_keeps_its_margin():
         "manifold = product(product(circle,circle),circle)\n"
         "potential = pullback:1:radialpower:beta=0.5\nchecks = is-kato\n"
     )
-    assert rep.checks[0].passed and rep.checks[0].margin_min == 0.2899605867661603
+    assert rep.checks[0].passed and rep.checks[0].margin_min == 0.2899605870051697
 
 
 def test_parse_error_exit_two(tmp_path):

@@ -6,9 +6,9 @@ checks that no battery runs, and one case per model the batteries leave
 out or touch only in part.  A refactor that keeps verdicts, margins and
 values bit-identical leaves these files untouched.  To regenerate after an
 intended change, run ``python tests/test_golden_reports.py [case ...]``; with
-no case named it rewrites them all.  A mismatch lists every JSON path that
-moved, with its old and new value, so the change can be reported field by
-field.
+no case named it rewrites them all, and it prints every JSON path that moved
+in the files it rewrites.  A mismatch lists the same paths, with their old and
+new values, so the change can be reported field by field.
 """
 
 import json
@@ -86,4 +86,9 @@ if __name__ == "__main__":
         sys.exit(f"unknown cases {unknown}; the cases are {sorted(CASES)}")
     GOLDEN.mkdir(exist_ok=True)
     for case in cases:
-        (GOLDEN / f"{case}.json").write_text(_report(case))
+        path, got = GOLDEN / f"{case}.json", _report(case)
+        if path.exists() and path.read_text() != got:
+            print(f"{case}.json moved:")
+            for line in _moved(json.loads(path.read_text()), json.loads(got)) or ["formatting only"]:
+                print(f"  {line}")
+        path.write_text(got)

@@ -107,13 +107,13 @@ def test_circle_smoothing_matches_quad(d, s):
 
 
 def test_is_kato_builds_few_two_point_rules(monkeypatch):
-    # one rule per (x, t) serves all of that t's s-nodes
+    # one rule per x-sample serves the s-nodes of the whole sweep
     calls = []
     rule = Q.two_point_integral
     monkeypatch.setattr(Q, "two_point_integral", lambda *a, **k: calls.append(1) or rule(*a, **k))
     K.is_kato(ENG3, P.RadialPower(E3, ORIGIN, 1.0), TS)
     n_x = len(K._center_and_offsets(P.RadialPower(E3, ORIGIN, 1.0), E3, (0.5, 1.5)))
-    assert 0 < len(calls) <= 3 * n_x
+    assert 0 < len(calls) <= n_x
 
 
 @pytest.mark.parametrize("spec", ["euclidean:3", "hyperbolic3"])
@@ -207,6 +207,57 @@ def test_is_kato_bounded_and_coulomb():
     assert verdict.passed and verdict.gamma == pytest.approx(1.0, abs=0.05)
     curve, verdict = K.is_kato(ENG3, P.make_coulomb_potential(E3, ORIGIN), TS)
     assert verdict.passed and verdict.gamma == pytest.approx(0.5, abs=0.1)
+
+
+def test_is_kato_smooths_once_per_x_sample(monkeypatch):
+    # one ladder serves the whole sweep: 3 x-samples, 3 smoothings
+    calls = []
+    smooth = K.smoothed_abs
+    monkeypatch.setattr(K, "smoothed_abs", lambda *a, **k: calls.append(1) or smooth(*a, **k))
+    w = P.RadialPower(E3, ORIGIN, 1.0)
+    K.is_kato(ENG3, w, TS)
+    assert len(calls) == len(K._center_and_offsets(w, E3, (0.5, 1.5))) == 3
+
+
+def test_sweep_ladder_has_the_cells_of_each_t():
+    rng = np.random.default_rng(25)
+    for _ in range(2000):
+        s_min = 10.0 ** rng.uniform(-10, -2)
+        ts = s_min * 10.0 ** rng.uniform(1e-3, 10, size=rng.integers(2, 12))
+        breaks = K._sweep_breaks(ts, s_min)
+        for t in ts:
+            assert np.count_nonzero(breaks <= t) - 1 >= K._s_breaks(t, s_min).size - 1
+
+
+E2, H3 = G.euclidean(2), G.hyperbolic3()
+KATO_CASES = {
+    "coulomb": (ENG3, P.make_coulomb_potential(E3, ORIGIN)),
+    "beta0.5": (ENG3, P.RadialPower(E3, ORIGIN, 0.5)),
+    "beta1.5": (ENG3, P.RadialPower(E3, ORIGIN, 1.5)),
+    "indicator": (ENG3, P.Indicator(E3, G.BallWindow(ORIGIN, 1.0))),
+    "euclidean2": (HK.make_engine(E2), P.RadialPower(E2, G.base_point(E2), 1.0)),
+    "hyperbolic3": (HK.make_engine(H3), P.RadialPower(H3, G.base_point(H3), 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KATO_CASES))
+def test_sweep_ladder_matches_the_ladder_of_each_t(case):
+    # the sweep's ladder is finer under each t than that t's own ladder, so
+    # the curve agrees with one _kato_core per t at the x-sample that wins at
+    # t_max, to the s-quadrature error
+    eng, w = KATO_CASES[case]
+    xs = K._center_and_offsets(w, eng.model, (0.5, 1.5))
+    best = max(xs, key=lambda x: K._kato_core(eng, w, float(max(TS)), [x], 1e-9)[0])
+    curve, _ = K.is_kato(eng, w, TS)
+    own = [K._kato_core(eng, w, float(t), [best], 1e-9)[0] for t in curve.t_values]
+    assert np.allclose(curve.values, own, rtol=1e-6, atol=0.0)
+
+
+def test_is_kato_refuses_times_at_or_below_s_min():
+    w = P.RadialPower(E3, ORIGIN, 1.0)
+    for ts, s_min in (([1e-9, 0.1], 1e-9), ([0.05, 0.2], 0.1), ([-0.1, 0.2], 1e-9)):
+        with pytest.raises(DomainError, match="s_min"):
+            K.is_kato(ENG3, w, ts, s_min=s_min)
 
 
 def test_is_kato_divergent_inner_integral():
@@ -699,6 +750,32 @@ def test_holder_bound_battery():
     # zero potential: both sides vanish
     rep0 = K.holder_bound_check(ENG3, control, P.Sum(()), 2.0, [0.5], [ORIGIN])
     assert rep0.min_margin == 0.0
+
+
+@pytest.mark.parametrize("spec", ["euclidean:3", "torus:2:6.2832", "sphere2"])
+def test_holder_bound_check_of_a_q_sequence_repeats_each_single_q(spec, monkeypatch):
+    # euclidean:3 takes the two-point rule, the torus the grid; q = 9 diverges
+    # in 3-d (beta q >= m) and sits among finite exponents
+    model = G.parse_manifold(spec)
+    eng = HK.make_engine(model)
+    c = G.base_point(model)
+    w = P.Windowed(model, P.RadialPower(model, c, 0.35), G.BallWindow(c, 1.5))
+    control = K.control_pair_from_on_diag(eng)
+    grid = None if model.radial_kernel else G.build_grid(model, model.compact_resolution / 2.0, G.FullWindow())
+    qs = [1.6, 2.0, 9.0] if model.dim == 3 else [1.1, 2.0, 5.0]
+    ss, xs = [0.05, 0.3, 1.0], [c, G.exp_map(model, c, [0.4] * model.tangent_dim)]
+    single = [K.holder_bound_check(eng, control, w, q, ss, xs, grid=grid) for q in qs]
+    calls = []
+
+    def counted(f):
+        return lambda *a, **k: calls.append(f.__name__) or f(*a, **k)
+
+    monkeypatch.setattr(P, "lq_norm", counted(P.lq_norm))
+    monkeypatch.setattr(K, "smoothed_abs", counted(K.smoothed_abs))
+    batch = K.holder_bound_check(eng, control, w, qs, ss, xs, grid=grid)
+    assert batch == single
+    assert sorted(calls) == ["lq_norm"] + ["smoothed_abs"] * len(xs)
+    assert [rep.rhs_divergent for rep in batch] == [q == 9.0 for q in qs]
 
 
 def test_holder_bound_constant_on_compact():

@@ -6,6 +6,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh, splu
 
+from heatkato import cli
 from heatkato import geometry as G
 from heatkato import heat_kernel as HK
 from heatkato import potentials as P
@@ -291,6 +292,34 @@ def test_riesz_thorin_margins():
     op = SG.discretize(CIRCLE, 160, w)
     rep2 = SG.riesz_thorin_check(op, 0.5, [0.25, 0.5, 0.75])
     assert rep2.min_margin >= -1e-10
+
+
+def _expm_calls(monkeypatch) -> list:
+    calls = []
+    expm = SG.DiscretizedOperator.expm
+    monkeypatch.setattr(SG.DiscretizedOperator, "expm", lambda op, t: calls.append(t) or expm(op, t))
+    return calls
+
+
+def test_q_norm_of_a_q_sequence_repeats_each_single_q(monkeypatch):
+    op = SG.discretize(CIRCLE, 64, P.cosine_potential(CIRCLE))
+    qs = [1, 2, 3.0, np.inf, "inf"]
+    single = [SG.q_norm(op, 0.4, q) for q in qs]
+    calls = _expm_calls(monkeypatch)
+    assert SG.q_norm(op, 0.4, qs) == single and len(calls) == 1
+    # q = 2 is spectral and t = 0 the identity: no matrix
+    assert SG.q_norm(op, 0.4, [2, 2.0]) == [single[1]] * 2
+    assert SG.q_norm(op, 0.0, qs) == [1.0] * len(qs)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("check, n_expm", [("semigroup-bound", 9), ("riesz-thorin", 1)])
+def test_default_checks_build_each_matrix_once_per_t(check, n_expm, monkeypatch):
+    # semigroup-bound: three t > 0, each one e^{-tH} for the norm table and
+    # one per operator for the domination margin; riesz-thorin: one t
+    calls = _expm_calls(monkeypatch)
+    (result,) = cli.run_manifest(cli.ExperimentManifest(manifold="circle", checks=[check])).checks
+    assert result.passed and len(calls) == n_expm
 
 
 def test_torus_discretization():
