@@ -247,29 +247,18 @@ def kato_functional(
 ) -> float:
     """max over the x-grid of int_0^t int p(s,x,y) |w(y)| dmu(y) ds.
 
-    The s-integral uses geometric (dyadic) subdivision down to s_min; the
-    remainder over (0, s_min) is bounded through a control pair and included
-    in the returned value.
+    The s-integral uses geometric (dyadic) subdivision down to s_min (the
+    ladder ``is_kato`` sweeps, for one t); the remainder over (0, s_min) is
+    bounded through a control pair and included in the returned value.
     """
     if t <= 0:
         raise DomainError("t must be positive")
     rem = _short_time_remainder(engine, w, s_min)
-    core, _ = _kato_core(engine, w, t, x_grid, s_min)
-    return core + rem
-
-
-def _kato_core(engine, w, t, x_grid, s_min):
-    """(max over x of the dyadic part over [s_min, t], quadrature tail allowance)."""
     if _inner_divergent(w):
-        return math.inf, math.inf
-    s_nodes, s_weights = qd.gl_nodes(_s_breaks(t, s_min))
-    best, best_tail = 0.0, 0.0
-    for x in x_grid:
-        sv = smoothed_abs(engine, w, s_nodes, x)
-        total = float(s_weights @ sv.value)
-        if total > best:
-            best, best_tail = total, float(s_weights @ sv.tail_bound)
-    return best, best_tail
+        return math.inf + rem
+    # builtin max, started at 0.0, skips a NaN total
+    core = max([0.0, *(float(_kato_ladder(engine, w, [t], x, s_min)[0][0]) for x in x_grid)])
+    return core + rem
 
 
 def _sweep_breaks(ts, s_min: float) -> np.ndarray:
@@ -282,13 +271,15 @@ def _sweep_breaks(ts, s_min: float) -> np.ndarray:
 def _kato_ladder(engine, w, ts, x, s_min):
     """(N(t) over [s_min, t], quadrature tail allowance) at x for every t in
     ts, read off _sweep_breaks: |w| is smoothed once on the ladder's nodes,
-    and N(t) is the running sum of the cell integrals up to t."""
+    and N(t) is the quadrature over the nodes below t.  For one t the ladder
+    is _s_breaks(t, s_min), which is how kato_functional uses it (no cell,
+    so 0, when t <= s_min)."""
     breaks = _sweep_breaks(ts, s_min)
     s_nodes, s_weights = qd.gl_nodes(breaks)
     sv = smoothed_abs(engine, w, s_nodes, x)
-    ends = np.searchsorted(breaks, ts) - 1  # the cell that ends at t
-    cells = (s_weights * np.stack([sv.value, sv.tail_bound])).reshape(2, breaks.size - 1, -1).sum(axis=2)
-    values, tails = np.cumsum(cells, axis=1)[:, ends]
+    ends = np.searchsorted(s_nodes, ts)  # t is a break: the nodes below it
+    values = np.array([s_weights[:m] @ sv.value[:m] for m in ends])
+    tails = np.array([s_weights[:m] @ sv.tail_bound[:m] for m in ends])
     return values, tails
 
 
@@ -357,8 +348,8 @@ def is_kato(
     ``values`` are the dyadic-quadrature estimates of N(t); ``tail_bounds``
     carry the additive allowance (short-time remainder bound plus quadrature
     tails).  One ladder serves the sweep (``_sweep_breaks``): |w| is smoothed
-    once per x-sample on its nodes and every N(t) is read off the running
-    sum of its cells; the x-sample with the largest N(t_max) gives the curve.
+    once per x-sample on its nodes and every N(t) is the quadrature over its
+    nodes below t; the x-sample with the largest N(t_max) gives the curve.
     Every t must exceed s_min.  PASS requires clear decay of the estimates:
     N(t_min) below threshold_ratio * N(t_max) and a positive fitted exponent.
     The verdict is numerical evidence only, never a proof.

@@ -170,16 +170,16 @@ def semigroup_apply(op: DiscretizedOperator, t: float, f: np.ndarray) -> np.ndar
     f = np.asarray(f, dtype=float)
     if t == 0.0:
         return f.copy()
-    return _propagator(op, t)(f)
+    return _propagate(op, t, [f])[0]
 
 
-def _propagator(op: DiscretizedOperator, t: float):
-    """f -> e^{-tH} f at one t > 0, for many f: the dense matrix, built once
-    here, up to _DENSE_LIMIT nodes; the contour rule above it."""
+def _propagate(op: DiscretizedOperator, t: float, fs) -> list:
+    """[e^{-tH} f for f in fs] at one t > 0: one dense matrix, built here and
+    freed on return, up to _DENSE_LIMIT nodes; the contour rule above it."""
     if op.size > _DENSE_LIMIT:
-        return lambda f: _contour_expm(op, t, f)
+        return [_contour_expm(op, t, f) for f in fs]
     M = op.expm(t)
-    return lambda f: M @ f
+    return [M @ f for f in fs]
 
 
 def ground_energy(op: DiscretizedOperator) -> float:
@@ -319,17 +319,21 @@ def bop_bound_check(
 
 
 def _domination_margin(op_minus, op_full, ts, seed) -> float:
-    """min of e^{-tH_-}|f| - |e^{-tH}f| over four random f and every t > 0,
-    each operator's propagator built once per t."""
+    """min of e^{-tH_-}|f| - |e^{-tH}f| over four random f and every t > 0.
+    Each distinct operator's e^{-tH} is built once per t, one at a time."""
     rng = np.random.default_rng(seed or 1234)
     fs = [rng.standard_normal(op_full.size) for _ in range(4)]
+    abs_fs = [np.abs(f) for f in fs]
     worst = math.inf
     for t in ts:
         if t == 0:
             continue
-        full, minus = _propagator(op_full, t), _propagator(op_minus, t)
-        for f in fs:
-            worst = min(worst, float(np.min(minus(np.abs(f)) - np.abs(full(f)))))
+        if op_minus is op_full:
+            images = _propagate(op_full, t, fs + abs_fs)
+        else:
+            images = _propagate(op_full, t, fs) + _propagate(op_minus, t, abs_fs)
+        for full_f, minus_abs_f in zip(images[: len(fs)], images[len(fs) :]):
+            worst = min(worst, float(np.min(minus_abs_f - np.abs(full_f))))
     return worst
 
 

@@ -243,13 +243,13 @@ KATO_CASES = {
 @pytest.mark.parametrize("case", sorted(KATO_CASES))
 def test_sweep_ladder_matches_the_ladder_of_each_t(case):
     # the sweep's ladder is finer under each t than that t's own ladder, so
-    # the curve agrees with one _kato_core per t at the x-sample that wins at
+    # the curve agrees with one ladder per t at the x-sample that wins at
     # t_max, to the s-quadrature error
     eng, w = KATO_CASES[case]
     xs = K._center_and_offsets(w, eng.model, (0.5, 1.5))
-    best = max(xs, key=lambda x: K._kato_core(eng, w, float(max(TS)), [x], 1e-9)[0])
+    best = max(xs, key=lambda x: K._kato_ladder(eng, w, [max(TS)], x, 1e-9)[0][0])
     curve, _ = K.is_kato(eng, w, TS)
-    own = [K._kato_core(eng, w, float(t), [best], 1e-9)[0] for t in curve.t_values]
+    own = [K._kato_ladder(eng, w, [t], best, 1e-9)[0][0] for t in curve.t_values]
     assert np.allclose(curve.values, own, rtol=1e-6, atol=0.0)
 
 

@@ -313,13 +313,31 @@ def test_q_norm_of_a_q_sequence_repeats_each_single_q(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("check, n_expm", [("semigroup-bound", 9), ("riesz-thorin", 1)])
+@pytest.mark.parametrize("check, n_expm", [("semigroup-bound", 6), ("riesz-thorin", 1)])
 def test_default_checks_build_each_matrix_once_per_t(check, n_expm, monkeypatch):
     # semigroup-bound: three t > 0, each one e^{-tH} for the norm table and
-    # one per operator for the domination margin; riesz-thorin: one t
+    # one for the domination margin, whose two sides share one operator;
+    # riesz-thorin: one t
     calls = _expm_calls(monkeypatch)
     (result,) = cli.run_manifest(cli.ExperimentManifest(manifold="circle", checks=[check])).checks
     assert result.passed and len(calls) == n_expm
+
+
+def test_domination_margin_of_two_operators_repeats_semigroup_apply(monkeypatch):
+    # with op_full given, each t builds one matrix per operator
+    spike = P.absolute(P.RadialPower(CIRCLE, G.circle_point(0.0), 0.5))
+    op_minus = SG.discretize(CIRCLE, 96, P.Scale(-1.0, spike))
+    op_full = SG.discretize(CIRCLE, 96, P.Sum((P.cosine_potential(CIRCLE), P.Scale(-1.0, spike))))
+    ts = [0.0, 0.5, 1.0]
+    rng = np.random.default_rng(7)
+    fs = [rng.standard_normal(96) for _ in range(4)]
+    want = min(
+        float(np.min(SG.semigroup_apply(op_minus, t, np.abs(f)) - np.abs(SG.semigroup_apply(op_full, t, f))))
+        for t in ts[1:]
+        for f in fs
+    )
+    calls = _expm_calls(monkeypatch)
+    assert SG._domination_margin(op_minus, op_full, ts, 7) == want and len(calls) == 4
 
 
 def test_torus_discretization():
