@@ -35,7 +35,7 @@ from . import geometry as geom
 from . import heat_kernel as hk
 from . import potentials as pot
 from .errors import HeatKatoError, ManifestError
-from .geometry import BallWindow, BoxWindow, Circle, Euclidean, ManifoldModel, Product
+from .geometry import BallWindow, BoxWindow, Euclidean, ManifoldModel, Product, Torus
 from .reporting import CheckResult, Report
 
 # kato and semigroup load scipy, and mvi and stochastics cost a compile on a
@@ -189,7 +189,7 @@ _EUCLIDEAN_2_3 = (
 )
 
 
-_CIRCLE = ("circle", lambda model: isinstance(model, Circle))
+_CIRCLE = ("circle or torus:1:L", lambda model: isinstance(model, Torus) and model.dim == 1)
 
 
 def _low_radial(model: ManifoldModel) -> bool:
@@ -470,7 +470,7 @@ def _check_feynman_kac(ctx: CheckContext, p: dict) -> CheckResult:
 
     w = ctx.potential("cosine")
     ts = p["t_values"]
-    start = geom.circle_point(0.0)
+    start = geom.base_point(ctx.model)
     ens = st.simulate(ctx.model, start, max(ts), p["h"], p["n_paths"], ctx.seed)
     op = sg.discretize(ctx.model, p["n_grid"], w)
     node = 0  # start sits at grid node 0
@@ -989,7 +989,7 @@ def _cmd_simulate(args) -> int:
     start = geom.base_point(model)
     steps_total = st.step_count(args.t, args.h)
     record = None
-    if args.dump_paths is None and args.n * (steps_total + 1) * model.path_dim * 8 > 2e8:
+    if args.dump_paths is None and args.n * (steps_total + 1) * model.chart_dim * 8 > 2e8:
         record = list(np.linspace(0.0, args.t, 33))
     ens = st.simulate(model, start, args.t, args.h, args.n, args.seed, record_times=record)
     final = ens.chart_at(len(ens.record_times) - 1)

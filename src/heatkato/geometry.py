@@ -4,17 +4,17 @@ Each built-in geometry is a homogeneous model space with closed-form distance
 and ball volume, one frozen class under ``ManifoldModel``:
 
 * ``Euclidean(m)``         -- flat R^m in Cartesian coordinates
-* ``Torus(m, L)``          -- cube [0, L)^m with opposite faces identified
-* ``Circle()``             -- unit circle, points stored as embedded unit vectors
+* ``Torus(m, L)``          -- cube [0, L)^m with opposite faces identified;
+                              the circle is ``Torus(1, 2 pi)``, a point its angle
 * ``Sphere2()``            -- unit 2-sphere, points stored as embedded unit vectors
 * ``Hyperbolic3()``        -- upper half-space {z > 0} with metric (dx^2+dy^2+dz^2)/z^2
 * ``Product((a, b))``      -- Riemannian product, chart coords concatenated
 
 Each class owns its formulas: chart, distance, volumes, exponential map and
-Gaussian step, quadrature grids, the samplers' path chart, and the kernel
-facts the heat-kernel engine looks up (closed-form profile, period, mass
-tail, reach, diameter, and the kernel factors: a product's factors, a flat
-torus's periodic axes).  ``split`` cuts arrays by kernel factor.  The
+Gaussian step, quadrature grids, and the kernel facts the heat-kernel engine
+looks up (closed-form profile, period, mass tail, reach, diameter, and the
+kernel factors: a product's factors, a flat torus's periodic axes).  Sample
+paths are stored in the chart, so the samplers' rows are chart rows.  ``split`` cuts arrays by kernel factor.  The
 module-level functions check arguments and hand the rest to the model;
 everything here is a pure function of its inputs.  scipy is imported inside
 the few functions that call it, since every command imports this module.
@@ -72,11 +72,10 @@ class ManifoldModel:
     compact_resolution = 0.1  # default full-grid spacing
     total_volume = math.inf
 
-    # lengths of a chart point, a chart tangent vector (ambient for embedded
-    # models) and a sample-path row (the circle stores its angle)
+    # lengths of a chart point (a sample-path row too) and a chart tangent
+    # vector (ambient on the sphere)
     chart_dim = property(lambda self: self.dim)
     tangent_dim = property(lambda self: self.dim)
-    path_dim = property(lambda self: self.chart_dim)
 
     def describe(self) -> str:
         return self.name
@@ -141,27 +140,19 @@ class ManifoldModel:
         """Geodesic random walk from chart point ``start``: step k of row j is
         driven by the normals z[j, k] (z is (B, n_steps, tangent_dim)), and the
         path rows after the steps in ``record_idx`` are written to ``out``
-        (B, len(record_idx), path_dim)."""
+        (B, len(record_idx), chart_dim)."""
         slot = {int(k): j for j, k in enumerate(record_idx)}
         X = np.broadcast_to(start, (len(z), start.size)).copy()
         if 0 in slot:
-            out[:, slot[0], :] = self.path_from_chart(X)
+            out[:, slot[0], :] = X
         for k in range(z.shape[1]):
             X = exp_many(self, X, tangent_from_normals(self, X, z[:, k, :], h))
             if k + 1 in slot:
-                out[:, slot[k + 1], :] = self.path_from_chart(X)
-
-    # the samplers' path chart: the chart itself except on the circle (stored
-    # as its angle) and products of it
-    chart_from_path = path_from_chart = staticmethod(lambda a: a)
+                out[:, slot[k + 1], :] = X
 
     def wrap_path(self, paths: np.ndarray) -> None:
-        """Fold path rows back into the path chart in place after a flat walk
-        (the circle and the torus; nothing to do elsewhere)."""
-
-    def path_distance_many(self, x: np.ndarray, paths: np.ndarray) -> np.ndarray:
-        """Geodesic distances from chart coords ``x`` to path rows."""
-        return distance_many(self, x, paths)
+        """Fold chart rows back into the chart in place after a flat walk
+        (a torus axis; nothing to do elsewhere)."""
 
     # heat-kernel facts
     def mass_tail(self, t: float, radius: float) -> float:
@@ -208,17 +199,25 @@ class _FlatChart(ManifoldModel):
     def base_coords(self) -> np.ndarray:
         return np.zeros(self.dim)
 
+    def axis_gap(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """A new array of the displacements ys - x along one axis; only its
+        square enters a distance."""
+        return ys - x
+
     def distance_many(self, x, ys):
-        """The root of the squared axis displacements, built one axis at a
-        time into one n-vector and summed in np.add.reduce's order along a
-        row, so it equals np.linalg.norm(delta, axis=1) on C-ordered rows to
-        the bit: below 8 axes one after another; from 8 on, axis k into
-        partial sum k mod 8, the eight joined as a tree, then the last
-        m mod 8 axes one after another."""
+        """The root of the squared axis gaps, built one axis at a time into
+        one n-vector and summed in np.add.reduce's order along a row, so it
+        equals np.linalg.norm of the gap rows on C-ordered rows to the bit:
+        below 8 axes one after another; from 8 on, axis k into partial sum
+        k mod 8, the eight joined as a tree, then the last m mod 8 axes one
+        after another.  The order of the rows in memory does not enter."""
         m = self.dim
+        if m == 1:  # sqrt(g * g) is |g| in binary floating point
+            g = self.axis_gap(x[..., 0], ys[:, 0])
+            return np.abs(g, out=g)
 
         def square(k):
-            dk = self.delta(x[..., k], ys[:, k])
+            dk = self.axis_gap(x[..., k], ys[:, k])
             return np.multiply(dk, dk, out=dk)
 
         tree = m - m % 8
@@ -318,7 +317,8 @@ class Torus(_FlatChart):
     # the product of one periodic axis per chart axis
     kernel_factors = property(lambda self: (Torus(1, self.side_length),) * self.dim if self.dim > 1 else ())
     diameter = property(lambda self: self.side_length * math.sqrt(self.dim) / 2.0)
-    compact_resolution = property(lambda self: self.side_length / 48.0)
+    # a circle keeps 256 nodes a period
+    compact_resolution = property(lambda self: self.side_length / (256.0 if self.dim == 1 else 48.0))
     total_volume = property(lambda self: self.side_length**self.dim)
 
     def wrap(self, chart):
@@ -330,12 +330,23 @@ class Torus(_FlatChart):
         np.mod(paths, self.side_length, out=paths)
 
     def delta(self, x, ys):
-        # signed displacement folded into [-L/2, L/2)
+        # signed displacement folded into [-L/2, L/2), for box windows
         L = self.side_length
         return np.mod(ys - x + L / 2.0, L) - L / 2.0
 
+    def axis_gap(self, x, ys):
+        # min(|ys - x|, L - |ys - x|), folded in place: chart coords lie in
+        # [0, L], so |ys - x| <= L
+        d = np.abs(ys - x)
+        return np.minimum(d, self.side_length - d, out=d)
+
     def random_coords(self, rng, spread):
         return rng.uniform(0.0, self.side_length, self.dim)
+
+    def sphere_area_many(self, r):
+        if self.dim == 1:  # two points out to the half period, none beyond: exact at the kink
+            return np.where(r < self.side_length / 2.0, 2.0, 0.0)
+        return super().sphere_area_many(r)
 
     def ball_volume(self, r):
         return _torus_section_area(r, self.side_length, self.dim)
@@ -358,86 +369,26 @@ class Torus(_FlatChart):
         return self.side_length / 2.0
 
 
-class _Embedded(ManifoldModel):
-    """Unit vectors in R^(dim+1): Circle and Sphere2."""
-
+@dataclass(frozen=True)
+class Sphere2(ManifoldModel):
+    # Ric = g on the unit 2-sphere; 0 is still a valid lower bound and matches
+    # the flat-comparison conventions used elsewhere.  Points are stored as
+    # embedded unit vectors in R^3.
+    name = "sphere2"
+    dim = 2
     compact = True
     diameter = math.pi
+    chart_dim = 3
+    tangent_dim = 3
+    compact_resolution = math.pi / 48.0
+    total_volume = 4.0 * math.pi
+    origin = (0.0, 0.0, 1.0)
 
     def validate(self, c):
         n = np.linalg.norm(c)
         if abs(n - 1.0) > _UNIT_TOL:
             raise InvalidPointError(f"embedded point has norm {n}, expected 1")
         return c / n
-
-
-@dataclass(frozen=True)
-class Circle(_Embedded):
-    name = "circle"
-    dim = 1
-    chart_dim = 2
-    tangent_dim = 1
-    path_dim = 1  # stored as the angle
-    flat = True
-    period = 2.0 * math.pi
-    compact_resolution = 2.0 * math.pi / 256.0
-    total_volume = 2.0 * math.pi
-    origin = (1.0, 0.0)
-    sphere_area_many = staticmethod(lambda r: np.where(r < math.pi, 2.0, 0.0))  # exact at the kink r = pi
-
-    def random_coords(self, rng, spread):
-        return circle_point(rng.uniform(0.0, 2 * math.pi)).coords
-
-    def distance_many(self, x, ys):
-        cross = np.abs(x[0] * ys[:, 1] - x[1] * ys[:, 0])
-        return np.arctan2(cross, ys @ x)
-
-    def ball_volume(self, r):
-        return min(2.0 * r, 2.0 * math.pi)
-
-    def exp_many(self, xs, vs):
-        a = vs[:, 0]
-        ca, sa = np.cos(a), np.sin(a)
-        return np.stack([ca * xs[:, 0] - sa * xs[:, 1], sa * xs[:, 0] + ca * xs[:, 1]], axis=1)
-
-    def full_nodes(self, resolution):
-        n = max(4, int(round(2.0 * math.pi / resolution)))
-        theta = np.arange(n) * (2.0 * math.pi / n)
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1), np.full(n, 2.0 * math.pi / n)
-
-    def chart_from_path(self, paths):
-        a = paths[..., 0]
-        return np.stack([np.cos(a), np.sin(a)], axis=-1)
-
-    def path_from_chart(self, chart):
-        return np.arctan2(chart[..., 1], chart[..., 0])[..., None]
-
-    def wrap_path(self, paths):
-        paths += math.pi
-        np.mod(paths, 2.0 * math.pi, out=paths)
-        paths -= math.pi
-
-    def path_distance_many(self, x, paths):
-        # stored angles lie in [-pi, pi], so |theta - theta_c| <= 2 pi
-        d = paths[:, 0] - math.atan2(x[1], x[0])
-        np.abs(d, out=d)
-        return np.minimum(d, 2.0 * math.pi - d, out=d)
-
-    def comparability_radius(self, b):
-        return math.pi
-
-
-@dataclass(frozen=True)
-class Sphere2(_Embedded):
-    # Ric = g on the unit 2-sphere; 0 is still a valid lower bound and matches
-    # the flat-comparison conventions used elsewhere.
-    name = "sphere2"
-    dim = 2
-    chart_dim = 3
-    tangent_dim = 3
-    compact_resolution = math.pi / 48.0
-    total_volume = 4.0 * math.pi
-    origin = (0.0, 0.0, 1.0)
 
     def random_coords(self, rng, spread):
         v = rng.standard_normal(3)
@@ -623,7 +574,6 @@ class Product(ManifoldModel):
     flat = property(lambda self: all(f.flat for f in self.factors))
     chart_dim = property(lambda self: sum(f.chart_dim for f in self.factors))
     tangent_dim = property(lambda self: sum(f.tangent_dim for f in self.factors))
-    path_dim = property(lambda self: sum(f.path_dim for f in self.factors))
     total_volume = property(lambda self: self.factors[0].total_volume * self.factors[1].total_volume)
 
     def describe(self) -> str:
@@ -638,18 +588,12 @@ class Product(ManifoldModel):
     def random_coords(self, rng, spread):
         return np.concatenate([random_point(f, rng, spread).coords for f in self.factors])
 
-    def _root_sum_squares(self, dist, x, ys, width):
+    def distance_many(self, x, ys):
         total = np.zeros(ys.shape[0])
-        for f, xf, yf in zip(self.factors, self.split(x), self.split(ys, width)):
-            d = dist(f, xf, yf)
+        for f, xf, yf in zip(self.factors, self.split(x), self.split(ys)):
+            d = distance_many(f, xf, yf)
             total += d * d
         return np.sqrt(total)
-
-    def distance_many(self, x, ys):
-        return self._root_sum_squares(distance_many, x, ys, "chart_dim")
-
-    def path_distance_many(self, x, paths):
-        return self._root_sum_squares(lambda f, xf, yf: f.path_distance_many(xf, yf), x, paths, "path_dim")
 
     def ball_volume(self, r):
         # mu(B) = int_0^r V_left'(s) V_right(sqrt(r^2-s^2)) ds
@@ -682,18 +626,8 @@ class Product(ManifoldModel):
         weights = (gl.weights[:, None] * gr.weights[None, :]).ravel()
         return QuadratureGrid(self, nodes, weights, window, resolution, (gl, gr))
 
-    def _per_factor(self, method: str, a: np.ndarray, width: str) -> np.ndarray:
-        parts = zip(self.factors, self.split(a, width))
-        return np.concatenate([getattr(f, method)(part) for f, part in parts], axis=-1)
-
-    def chart_from_path(self, paths):
-        return self._per_factor("chart_from_path", paths, "path_dim")
-
-    def path_from_chart(self, chart):
-        return self._per_factor("path_from_chart", chart, "chart_dim")
-
     def wrap_path(self, paths):
-        for f, part in zip(self.factors, self.split(paths, "path_dim")):
+        for f, part in zip(self.factors, self.split(paths)):
             f.wrap_path(part)
 
     def comparability_radius(self, b):
@@ -723,7 +657,8 @@ def torus(m: int, side_length: float) -> ManifoldModel:
 
 
 def circle() -> ManifoldModel:
-    return Circle()
+    """The unit circle R / 2 pi Z: the one-axis torus of side 2 pi."""
+    return torus(1, 2.0 * math.pi)
 
 
 def sphere2() -> ManifoldModel:
@@ -773,7 +708,8 @@ def base_point(model: ManifoldModel) -> Point:
 
 
 def circle_point(theta: float) -> Point:
-    return Point(np.array([math.cos(theta), math.sin(theta)]))
+    """The point of angle theta on ``circle()``, wrapped into [0, 2 pi)."""
+    return make_point(circle(), [theta])
 
 
 def random_point(model: ManifoldModel, rng: np.random.Generator, spread: float = 2.0) -> Point:

@@ -5,8 +5,9 @@ deliberately no option to switch to the unhalved convention.
 
 The model fixes the method (``make_engine``):
 * Euclidean, Hyperbolic3: closed forms (the model's ``heat_profile``)
-* Circle, one-axis Torus: the image sum over the period lattice while
-  t < L^2 / (2 pi), the Fourier series from there on (``periodic_terms``)
+* one-axis Torus (the circle is ``torus:1:2pi``): the image sum over the
+  period lattice while t < L^2 / (2 pi), the Fourier series from there on
+  (``periodic_terms``)
 * Sphere2: zonal spectral series with Legendre three-term recurrence
 
 Every other model is a product of kernel factors (``model.kernel_factors``),

@@ -193,13 +193,17 @@ def doubling_check(model: ManifoldModel) -> float:
 
 
 def _center_and_offsets(w: pot.Potential, model: ManifoldModel, offsets) -> list[Point]:
-    """The potential's center, then one point per offset along the first axis."""
+    """The potential's center, then one point per offset along the first
+    axis, less any within 1e-12 of an earlier one (on a torus of period 1
+    the offsets 0.5 and 1.5 reach one point)."""
     c = pot.center_of(w, model)
     xs = [c]
     for off in offsets:
         v = np.zeros(model.tangent_dim)
         v[0] = off
-        xs.append(geom.exp_map(model, c, v))
+        x = geom.exp_map(model, c, v)
+        if min(geom.distance(model, x, y) for y in xs) > 1e-12:
+            xs.append(x)
     return xs
 
 

@@ -4,6 +4,8 @@ kernel smoothing int p(s, x, y) |w(y)| dmu(y) and the Coulomb potential.
 
 Potentials are immutable descriptor trees.  Evaluation returns +inf exactly at
 singular centers (never a silent overflow); this module imports no scipy at load.
+Every model stores a sample path's rows in its chart, so grid nodes and path
+rows take the same evaluation, singular sets and capping.
 """
 
 from __future__ import annotations
@@ -207,98 +209,84 @@ def absolute(w: Potential) -> Potential:
 # product leaf bookkeeping
 
 
-def leaves(model: ManifoldModel, off: int = 0, width: str = "chart_dim") -> list[tuple[ManifoldModel, int]]:
-    """Flatten a product tree into (leaf model, offset) pairs; the offsets
-    count chart columns, or path columns with ``width="path_dim"``."""
+def leaves(model: ManifoldModel, off: int = 0) -> list[tuple[ManifoldModel, int]]:
+    """Flatten a product tree into (leaf model, chart column offset) pairs."""
     if not model.factors:
         return [(model, off)]
     left, right = model.factors
-    return leaves(left, off, width) + leaves(right, off + getattr(left, width), width)
+    return leaves(left, off) + leaves(right, off + left.chart_dim)
 
 
-def _leaf_slice(model: ManifoldModel, index: int, width: str = "chart_dim") -> tuple[ManifoldModel, slice]:
-    ls = leaves(model, 0, width)
+def _leaf_slice(model: ManifoldModel, index: int) -> tuple[ManifoldModel, slice]:
+    ls = leaves(model)
     if not 0 <= index < len(ls):
         raise DomainError(f"factor index {index} out of range for {model.describe()}")
     leaf, off = ls[index]
-    return leaf, slice(off, off + getattr(leaf, width))
-
-
-def _width(path: bool) -> str:
-    return "path_dim" if path else "chart_dim"
-
-
-def _distances(model: ManifoldModel, x: np.ndarray, ys: np.ndarray, path: bool) -> np.ndarray:
-    """Distances from chart coords x to rows of ys: chart rows, or the
-    samplers' path rows when ``path``."""
-    return model.path_distance_many(x, ys) if path else geom.distance_many(model, x, ys)
+    return leaf, slice(off, off + leaf.chart_dim)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-def evaluate_many(w: Potential, ys: np.ndarray, path: bool = False) -> np.ndarray:
-    """Vectorized evaluation on chart coordinate rows, or with ``path`` on
-    the samplers' path rows (``PathEnsemble.positions``): radial atoms take
-    the model's distance to path rows, and only box windows and two-body
-    terms turn them into chart rows."""
+def evaluate_many(w: Potential, ys: np.ndarray) -> np.ndarray:
+    """Vectorized evaluation on chart coordinate rows (sample-path rows
+    included)."""
     ys = np.atleast_2d(ys)
     if isinstance(w, Constant):
         return np.full(ys.shape[0], float(w.value))
     if isinstance(w, RadialPower):
-        d = _distances(w.model, w.center.coords, ys, path)
+        d = geom.distance_many(w.model, w.center.coords, ys)
         with np.errstate(divide="ignore"):
             return np.where(d > 0.0, w.coefficient * d ** (-w.beta), np.inf * np.sign(w.coefficient))
     if isinstance(w, Indicator):
         win = w.window
         if isinstance(win, BallWindow):
-            d = _distances(w.model, win.center.coords, ys, path)
+            d = geom.distance_many(w.model, win.center.coords, ys)
             return (d <= win.radius).astype(float)
         if isinstance(win, BoxWindow):
             hw = np.asarray(win.halfwidth, dtype=float)
-            delta = w.model.delta(win.center.coords, w.model.chart_from_path(ys) if path else ys)
+            delta = w.model.delta(win.center.coords, ys)
             return np.all(np.abs(delta) <= hw, axis=1).astype(float)
         raise DomainError(f"indicator window {win!r} not supported")
     if isinstance(w, CoulombPotential):
-        d = _distances(w.model, w.center.coords, ys, path)
+        d = geom.distance_many(w.model, w.center.coords, ys)
         out = np.where(d > 0.0, w.profile(np.maximum(d, 1e-300)), np.inf)
         return out
     if isinstance(w, TwoBody):
         left = w.model.factors[0]
-        ys = w.model.chart_from_path(ys) if path else ys
         d = geom.distance_many(left, ys[:, : left.chart_dim], ys[:, left.chart_dim :])
         return np.where(d > 0.0, w.profile(np.maximum(d, 1e-300)), np.inf)
     if isinstance(w, Pullback):
         if isinstance(w.index, tuple):
             i, j = w.index
-            _, si = _leaf_slice(w.model, i, _width(path))
-            _, sj = _leaf_slice(w.model, j, _width(path))
+            _, si = _leaf_slice(w.model, i)
+            _, sj = _leaf_slice(w.model, j)
             sub = np.concatenate([ys[:, si], ys[:, sj]], axis=1)
-            return evaluate_many(w.inner, sub, path)
-        _, s = _leaf_slice(w.model, int(w.index), _width(path))
-        return evaluate_many(w.inner, ys[:, s], path)
+            return evaluate_many(w.inner, sub)
+        _, s = _leaf_slice(w.model, int(w.index))
+        return evaluate_many(w.inner, ys[:, s])
     if isinstance(w, RadialFunction):
-        d = _distances(w.model, w.center.coords, ys, path)
+        d = geom.distance_many(w.model, w.center.coords, ys)
         return np.asarray(w.profile(d), dtype=float)
     if isinstance(w, Windowed):
-        inside = evaluate_many(Indicator(w.model, w.window), ys, path)
-        return evaluate_many(w.inner, ys, path) * inside
+        inside = evaluate_many(Indicator(w.model, w.window), ys)
+        return evaluate_many(w.inner, ys) * inside
     if isinstance(w, Sum):
         if not w.terms:
             return np.zeros(ys.shape[0])
-        acc = evaluate_many(w.terms[0], ys, path)
+        acc = evaluate_many(w.terms[0], ys)
         for term in w.terms[1:]:
-            acc = acc + evaluate_many(term, ys, path)
+            acc = acc + evaluate_many(term, ys)
         return acc
     if isinstance(w, Scale):
-        return w.factor * evaluate_many(w.inner, ys, path)
+        return w.factor * evaluate_many(w.inner, ys)
     if isinstance(w, PosPart):
-        return np.maximum(evaluate_many(w.inner, ys, path), 0.0)
+        return np.maximum(evaluate_many(w.inner, ys), 0.0)
     if isinstance(w, NegPart):
-        return np.maximum(-evaluate_many(w.inner, ys, path), 0.0)
+        return np.maximum(-evaluate_many(w.inner, ys), 0.0)
     if isinstance(w, AbsVal):
-        return np.abs(evaluate_many(w.inner, ys, path))
+        return np.abs(evaluate_many(w.inner, ys))
     raise DomainError(f"unknown potential {w!r}")
 
 
@@ -318,18 +306,14 @@ class SingularityInfo:
     profile: Callable[[np.ndarray], np.ndarray]  # local |w| as a function of distance
     cols: np.ndarray  # the full-row columns of the leaf coordinates
     pair_cols: tuple | None = None  # for diagonal (two-body) singular sets
-    path: bool = False  # the columns index path rows, not chart rows
 
     def distances(self, ys: np.ndarray) -> np.ndarray:
         ys = np.atleast_2d(ys)
         if self.pair_cols is not None:
             ci, cj = self.pair_cols
-            a, b = ys[:, _run(ci)], ys[:, _run(cj)]
-            if self.path:
-                a, b = self.model.chart_from_path(a), self.model.chart_from_path(b)
-            d = geom.distance_many(self.model, a, b)
+            d = geom.distance_many(self.model, ys[:, _run(ci)], ys[:, _run(cj)])
             return d / math.sqrt(2.0)  # distance to the diagonal in the product metric
-        return _distances(self.model, self.center.coords, ys[:, _run(self.cols)], self.path)
+        return geom.distance_many(self.model, self.center.coords, ys[:, _run(self.cols)])
 
 
 def _run(cols: np.ndarray):
@@ -337,21 +321,17 @@ def _run(cols: np.ndarray):
     return slice(cols[0], cols[-1] + 1) if np.all(np.diff(cols) == 1) else cols
 
 
-def singularities(
-    w: Potential, scale: float = 1.0, cols: np.ndarray | None = None, path: bool = False
-) -> list[SingularityInfo]:
+def singularities(w: Potential, scale: float = 1.0, cols: np.ndarray | None = None) -> list[SingularityInfo]:
     """The point and diagonal singular sets of w; ``cols`` maps the chart
-    columns of w's model into the full chart (identity when None), or with
-    ``path`` its path columns into the full path row."""
-    width = _width(path)
+    columns of w's model into the full chart (identity when None)."""
     if isinstance(w, (Pullback, RadialPower, CoulombPotential, TwoBody, Windowed)) and cols is None:
-        cols = np.arange(getattr(w.model, width))
+        cols = np.arange(w.model.chart_dim)
     if isinstance(w, (RadialPower, CoulombPotential)):
         ra, sc = w.radial(), abs(scale)
-        return [SingularityInfo(w.model, ra.center, ra.beta, lambda r, p=ra.profile: sc * p(r), cols, path=path)]
+        return [SingularityInfo(w.model, ra.center, ra.beta, lambda r, p=ra.profile: sc * p(r), cols)]
     if isinstance(w, TwoBody):
         left, _ = w.model.factors
-        cl = getattr(left, width)
+        cl = left.chart_dim
         sc = abs(scale)
         return [
             SingularityInfo(
@@ -361,52 +341,48 @@ def singularities(
                 lambda r, s=sc, p=w.profile: s * np.abs(p(r)),
                 cols,
                 pair_cols=(cols[:cl], cols[cl : 2 * cl]),
-                path=path,
             )
         ]
     if isinstance(w, Pullback):
         index = w.index if isinstance(w.index, tuple) else (int(w.index),)
-        sub = np.concatenate([np.arange(getattr(w.model, width))[_leaf_slice(w.model, i, width)[1]] for i in index])
-        return singularities(w.inner, scale, cols[sub], path)
+        sub = np.concatenate([np.arange(w.model.chart_dim)[_leaf_slice(w.model, i)[1]] for i in index])
+        return singularities(w.inner, scale, cols[sub])
     if isinstance(w, Windowed):
         # a set that is not a point of the window's chart (a diagonal, or a
         # pullback's subspace) is kept unchecked
         return [
             s
-            for s in singularities(w.inner, scale, cols, path)
+            for s in singularities(w.inner, scale, cols)
             if s.pair_cols is not None
             or not np.array_equal(s.cols, cols)
             or evaluate_many(Indicator(w.model, w.window), s.center.coords[None, :])[0] > 0
         ]
     if isinstance(w, Sum):
-        return [s for term in w.terms for s in singularities(term, scale, cols, path)]
+        return [s for term in w.terms for s in singularities(term, scale, cols)]
     if isinstance(w, Scale):
-        return singularities(w.inner, scale * w.factor, cols, path)
+        return singularities(w.inner, scale * w.factor, cols)
     if isinstance(w, (PosPart, NegPart, AbsVal)):
-        return singularities(w.inner, scale, cols, path)
+        return singularities(w.inner, scale, cols)
     return []
 
 
-def singular_distance_many(w: Potential, ys: np.ndarray, path: bool = False) -> np.ndarray:
-    """Distance from each row (chart rows, or path rows with ``path``) to
-    the nearest singular set (inf if none)."""
+def singular_distance_many(w: Potential, ys: np.ndarray) -> np.ndarray:
+    """Distance from each chart row to the nearest singular set (inf if none)."""
     ys = np.atleast_2d(ys)
     d = np.full(ys.shape[0], np.inf)
-    for s in singularities(w, path=path):
+    for s in singularities(w):
         d = np.minimum(d, s.distances(ys))
     return d
 
 
-def capped_values(
-    w: Potential, ys: np.ndarray, eps: float, path: bool = False
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(values, near, cap): w on chart rows (path rows with ``path``), finite
+def capped_values(w: Potential, ys: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(values, near, cap): w on chart rows, finite
     everywhere.  Within eps of a singular set a value keeps its sign and
     |value| is capped at the sum of the singular profiles at eps (``cap``; 0
     when no row is near); any other non-finite value becomes 0."""
-    vals = evaluate_many(w, ys, path)
+    vals = evaluate_many(w, ys)
     sings = singularities(w)
-    near = singular_distance_many(w, ys, path) < eps if sings else np.zeros(len(vals), dtype=bool)
+    near = singular_distance_many(w, ys) < eps if sings else np.zeros(len(vals), dtype=bool)
     cap = 0.0
     if np.any(near):
         cap = sum(float(s.profile(np.array([eps]))[0]) for s in sings)
@@ -540,9 +516,7 @@ def lq_norm(
         eps = 2.0 * grid.resolution
         vals = np.abs(evaluate_many(w, grid.node_coords))
         wvals = _weight_values(weight, grid)
-        keep = np.ones(grid.size, dtype=bool)
-        for s in singularities(w):
-            keep &= s.distances(grid.node_coords) >= eps
+        keep = singular_distance_many(w, grid.node_coords) >= eps
         node_w, node_v, node_wv = grid.weights[keep], vals[keep], wvals[keep]
         # a pullback's singular set is a subspace: excised nodewise, no ball
         balls = [
@@ -676,9 +650,7 @@ def _smoothed_grid(engine, w, ss, x, grid):
     vals = np.abs(evaluate_many(w, grid.node_coords))
     sings = singularities(w)
     eps = 2.0 * grid.resolution
-    keep = np.ones(grid.size, dtype=bool)
-    for sg in sings:
-        keep &= sg.distances(grid.node_coords) >= eps
+    keep = singular_distance_many(w, grid.node_coords) >= eps
     weights_kept, vals_kept = grid.weights[keep], vals[keep]
     balls = sum((_excised_ball(engine, sg, ss, x, eps) for sg in sings if sg.pair_cols is None), np.zeros(ss.size))
     values, tails = np.empty(ss.size), np.zeros(ss.size)

@@ -26,13 +26,14 @@ into its output rows; a curved walk's normals go to one buffer of at most
 _BLOCK_BYTES (at least one path), filled a few paths at a time; per-path
 streams make that split invisible in the output.
 
+Paths are stored in the model's chart, wrapped into it after a flat walk
+(on the circle, ``torus:1:2pi``, each row is one angle in [0, 2 pi)).
+
 Path functionals: Feynman-Kac and the exponential Kato estimate integrate w
 along paths by one routine (``_path_integrals``), a block of paths at a
 time, sized like the normals buffer.  Each block is evaluated on the stored
-path rows (``potentials.capped_values`` with ``path=True``): on the circle
-the distance to a center is |theta - theta_c| folded at pi, with no chart
-rows built, and a path's trapezoid does not depend on its neighbours, so the
-split is invisible too.
+rows (``potentials.capped_values``), and a path's trapezoid does not depend
+on its neighbours, so the split is invisible too.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ _MAX_STORE_BYTES = 600_000_000
 # host, 33 times the largest benchmark walk (3e7 normals on sphere2)
 _MAX_NORMALS = 1_000_000_000
 # one block's working buffer: the normals that drive its curved paths, or the
-# chart rows Feynman-Kac evaluates a potential on
+# rows Feynman-Kac evaluates a potential on, charged two floats a row (a row's
+# distance and value)
 _BLOCK_BYTES = 1 << 24
 _CAPPED_WARNING = 0.01  # capped-path fraction above which a path estimate is flagged unreliable
 _FOUR_SIGMA_TAIL = 6.33e-5  # P(|Z| > 4) for a standard normal Z
@@ -80,12 +82,12 @@ class PathEnsemble:
     n_paths: int
     seed: int
     record_times: np.ndarray  # actual recorded times (multiples of step)
-    positions: np.ndarray  # (n_paths, n_records, path_dim)
+    positions: np.ndarray  # (n_paths, n_records, chart_dim)
     step_warning: bool
     full: bool
 
     def chart_at(self, time_index: int) -> np.ndarray:
-        return self.model.chart_from_path(self.positions[:, time_index, :])
+        return self.positions[:, time_index, :]
 
     def time_index(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.record_times - t)))
@@ -107,16 +109,11 @@ class PathEnsemble:
         model = self.model
         if not isinstance(model, Product):
             raise UnsupportedModelError("projection needs a product ensemble")
-        ls = pot.leaves(model, width="path_dim")
-        leaf, off = ls[leaf_index]
-        w = leaf.path_dim
-        if len(model.factors) == len(ls):
-            start_chart = geom.split_point(model, self.start)[leaf_index]
-        else:
-            start_chart = Point(leaf.chart_from_path(self.positions[0, 0, off : off + w][None, :])[0])
+        leaf, off = pot.leaves(model)[leaf_index]
+        cols = slice(off, off + leaf.chart_dim)
         return PathEnsemble(
-            leaf, start_chart, self.step, self.horizon, self.n_paths, self.seed,
-            self.record_times, self.positions[:, :, off : off + w], self.step_warning, self.full,
+            leaf, Point(self.start.coords[cols]), self.step, self.horizon, self.n_paths, self.seed,
+            self.record_times, self.positions[:, :, cols], self.step_warning, self.full,
         )
 
 
@@ -151,7 +148,7 @@ def _block_paths(model, start_path, n_steps, h, seed, i0, i1, record_idx, out):
         _fill_normals(seed, i0, z)
         z *= scale
         np.cumsum(z, axis=1, out=z)
-        out += model.path_from_chart(start_path[None, :])[0]
+        out += start_path
         model.wrap_path(out)
         return
     rows = min(i1 - i0, max(1, _BLOCK_BYTES // (8 * n_steps * model.tangent_dim)))
@@ -181,10 +178,10 @@ def walk_problem(
     rows a path; n_steps + 1 when ``full``) would be, and any walk drawing
     more than _MAX_NORMALS normals: n_records a path and axis on a flat walk
     not ``full``, n_steps otherwise."""
-    need = 8 * max((n_steps + 1) * model.path_dim if full else 0, 0 if model.flat else n_steps * model.tangent_dim)
+    need = 8 * max((n_steps + 1) * model.chart_dim if full else 0, 0 if model.flat else n_steps * model.tangent_dim)
     if need > _MAX_STORE_BYTES:
         return f"one path of {n_steps:,} steps would need {need / 1e9:.3g} GB; take a larger step h"
-    need = 8 * n_paths * (n_steps + 1 if full else n_records) * model.path_dim
+    need = 8 * n_paths * (n_steps + 1 if full else n_records) * model.chart_dim
     if held and need > _MAX_STORE_BYTES:
         return f"ensemble would need {need / 1e9:.1f} GB; take fewer paths, a larger step h or coarser record_times"
     draws = n_paths * (n_records if model.flat and not full else n_steps) * model.tangent_dim
@@ -226,7 +223,7 @@ def simulate(
     warning = bool(not model.flat and h_eff > 0.01)
     record_idx = np.arange(n_steps + 1) if full else np.array(record_idx, dtype=int)
     start_path = start.coords.copy()
-    positions = np.empty((N, len(record_idx), model.path_dim))
+    positions = np.empty((N, len(record_idx), model.chart_dim))
     for i0 in range(0, N, block_size):
         i1 = min(i0 + block_size, N)
         _block_paths(model, start_path, n_steps, h_eff, seed, i0, i1, record_idx, positions[i0:i1])
@@ -335,29 +332,29 @@ class FeynmanKacEstimate:
 
 
 def _path_integrals(
-    w: pot.Potential, model: ManifoldModel, positions: np.ndarray, h: float, steps: Sequence[int] | None = None
+    w: pot.Potential, positions: np.ndarray, h: float, steps: Sequence[int] | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Trapezoid integrals of w along paths recorded at every step h.
 
-    ``positions`` is (N, R, path_dim).  With ``steps`` None the integral runs
+    ``positions`` is (N, R, chart_dim).  With ``steps`` None the integral runs
     over the whole path (one column, numpy's pairwise row sum); otherwise up
     to each of the step indices in ``steps`` (one column each, read off one
     running sum).  Returns (integrals (N, columns), capped-path mask (N,),
     cap).  w is evaluated on the path rows themselves
     (``potentials.capped_values`` with eps = sqrt(h)); a path is capped when
     one of its rows lies within eps of a singular set, and ``cap`` is 0 when
-    none does.  The paths go a block of at most _BLOCK_BYTES at a time; a
-    path's integral does not depend on the paths beside it, so that split is
-    invisible in the output."""
+    none does.  The paths go a block of at most _BLOCK_BYTES at a time, two
+    floats a row; a path's integral does not depend on the paths beside it,
+    so that split is invisible in the output."""
     N, R, _ = positions.shape
     eps = math.sqrt(h)
     integrals = np.empty((N, 1 if steps is None else len(steps)))
     capped = np.empty(N, dtype=bool)
     cap = 0.0
-    rows = max(1, _BLOCK_BYTES // (8 * R * model.chart_dim))
+    rows = max(1, _BLOCK_BYTES // (16 * R))
     for a in range(0, N, rows):
         b = min(a + rows, N)
-        vals, near, block_cap = pot.capped_values(w, positions[a:b].reshape((b - a) * R, -1), eps, path=True)
+        vals, near, block_cap = pot.capped_values(w, positions[a:b].reshape((b - a) * R, -1), eps)
         vals = vals.reshape(b - a, R)
         capped[a:b] = near.reshape(b - a, R).any(axis=1)
         cap = max(cap, block_cap)
@@ -383,7 +380,7 @@ def feynman_kac(
     """
     if not ensemble.full:
         raise DomainError("feynman_kac needs an ensemble recorded at every step")
-    integrals, capped_paths, cap_val = _path_integrals(w, ensemble.model, ensemble.positions, ensemble.step)
+    integrals, capped_paths, cap_val = _path_integrals(w, ensemble.positions, ensemble.step)
     terminal = np.ones(ensemble.n_paths)
     if f is not None:
         terminal = np.asarray(f(ensemble.chart_at(len(ensemble.record_times) - 1)), dtype=float)
@@ -436,7 +433,7 @@ def kato_exponential_estimate(
     n_steps = step_count(horizon, h)
     if problem := walk_problem(model, n_steps, True, N, held=False):
         raise DomainError(problem)
-    block_size = min(block_size, _MAX_STORE_BYTES // (8 * (n_steps + 1) * model.path_dim))
+    block_size = min(block_size, _MAX_STORE_BYTES // (8 * (n_steps + 1) * model.chart_dim))
     h_eff = horizon / n_steps
     t_idx = [max(1, int(round(t / h_eff))) for t in ts]
     acc_mean = np.zeros(len(ts))
@@ -445,9 +442,9 @@ def kato_exponential_estimate(
     start_path = geom.base_point(model).coords.copy()
     for i0 in range(0, N, block_size):
         i1 = min(i0 + block_size, N)
-        block = np.empty((i1 - i0, n_steps + 1, model.path_dim))
+        block = np.empty((i1 - i0, n_steps + 1, model.chart_dim))
         _block_paths(model, start_path, n_steps, h_eff, seed, i0, i1, np.arange(n_steps + 1), block)
-        integrals, capped_paths, block_cap = _path_integrals(w_minus, model, block, h_eff, t_idx)
+        integrals, capped_paths, block_cap = _path_integrals(w_minus, block, h_eff, t_idx)
         n_capped += int(np.count_nonzero(capped_paths))
         cap = max(cap, block_cap)
         for j in range(len(ts)):

@@ -209,8 +209,8 @@ def test_criterion_6_stochastics():
         c = G.circle()
         ens = S.simulate(c, G.circle_point(0.3), 0.5, h, N, seed=11, record_times=[0.2, 0.5])
         rep = S.fdd_check(ens, [0.2, 0.5], [
-            [lambda ch: ch[:, 0], lambda ch: ch[:, 1]],
-            [lambda ch: np.ones(ch.shape[0]), lambda ch: ch[:, 0]],
+            [lambda ch: np.cos(ch[:, 0]), lambda ch: np.sin(ch[:, 0])],
+            [lambda ch: np.ones(ch.shape[0]), lambda ch: np.cos(ch[:, 0])],
         ])
         assert rep.max_abs_z < 4.0
         # euclidean plane

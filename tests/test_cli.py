@@ -570,13 +570,15 @@ def test_dimensions_without_special_cases_run(check, manifold, capsys):
 
 
 def test_project_check_potential_validated_on_selected_leaf(capsys):
-    # a center on the circle leaf is valid for leaf=1 and rejected for leaf 0
-    pot = "radialpower:beta=0.5:center=1,0"
-    assert cli.main(["project-check", "--manifold", PRODUCT, "--param", "leaf=1", "--potential", pot]) == 0
-    assert cli.main(["project-check", "--manifold", PRODUCT, "--potential", pot]) == 2
-    # a center on the line leaf is an input error once leaf=1 selects the circle
-    assert cli.main(["project-check", "--manifold", PRODUCT, "--param", "leaf=1",
-                     "--potential", "radialpower:beta=0.5:center=0.5"]) == 2
+    # a center on the circle leaf (one angle) is valid for leaf=1 and rejected
+    # for the plane leaf 0
+    plane_circle = "product(euclidean:2,circle)"
+    pot = "radialpower:beta=0.5:center=0.5"
+    assert cli.main(["project-check", "--manifold", plane_circle, "--param", "leaf=1", "--potential", pot]) == 0
+    assert cli.main(["project-check", "--manifold", plane_circle, "--potential", pot]) == 2
+    # a center on the plane leaf is an input error once leaf=1 selects the circle
+    assert cli.main(["project-check", "--manifold", plane_circle, "--param", "leaf=1",
+                     "--potential", "radialpower:beta=0.5:center=0.5,0"]) == 2
     err = capsys.readouterr().err
     assert err.count("manifest error: potential:") == 2 and "Traceback" not in err
 

@@ -145,12 +145,10 @@ def test_ball_volume_vs_indicator_quadrature(spec):
 
 
 def _full_res(model):
-    if isinstance(model, G.Circle):
-        return 2 * math.pi / 512
     if isinstance(model, G.Sphere2):
         return math.pi / 96
     if isinstance(model, G.Torus):
-        return model.side_length / 96
+        return model.side_length / (512 if model.dim == 1 else 96)
     return 0.05
 
 
@@ -160,7 +158,8 @@ def test_exp_map_flat_cases():
     assert np.allclose(p.coords, [1.5, 1.0])
     c = G.circle()
     q = G.exp_map(c, G.circle_point(0.3), [0.4])
-    assert np.allclose(q.coords, [math.cos(0.7), math.sin(0.7)], atol=1e-15)
+    assert np.allclose(q.coords, [0.7], atol=1e-15)
+    assert G.exp_map(c, G.circle_point(6.0), [0.5]).coords == pytest.approx([6.5 - 2 * math.pi], abs=1e-15)
 
 
 def test_exp_map_sphere_half_great_circle():
@@ -178,8 +177,10 @@ def test_exp_map_preserves_charts_and_distance(seed):
         x = G.random_point(model, rng)
         v = rng.standard_normal(model.tangent_dim) * 0.3
         y = G.exp_map(model, x, v)
-        if isinstance(model, (G.Circle, G.Sphere2)):
+        if isinstance(model, G.Sphere2):
             assert abs(np.linalg.norm(y.coords) - 1.0) < 1e-12
+        if isinstance(model, G.Torus):
+            assert np.all((y.coords >= 0.0) & (y.coords < model.side_length))
         if isinstance(model, G.Hyperbolic3):
             assert y.coords[2] > 0
             vg = np.linalg.norm(v) / x.coords[2]
@@ -255,15 +256,20 @@ def test_empty_window_rejected():
 
 
 def _norm_rows(model, x, ys):
-    """The distance formulas the axis-by-axis sums must reproduce to the bit."""
+    """The distance formulas the axis-by-axis sums must reproduce to the bit:
+    on a torus the norm of the gaps min(|ys - x|, L - |ys - x|)."""
     if isinstance(model, G.Sphere2):
         cross = np.linalg.norm(np.cross(np.broadcast_to(x, ys.shape), ys), axis=1)
         return np.arctan2(cross, ys @ x)
+    if isinstance(model, G.Torus):
+        gap = np.abs(ys - x)
+        return np.linalg.norm(np.minimum(gap, model.side_length - gap), axis=1)
     return np.linalg.norm(model.delta(x, ys), axis=1)
 
 
 @pytest.mark.parametrize(
-    "spec", ["euclidean:1", "euclidean:2", "euclidean:3", "torus:2:1.3", "torus:3:2", "sphere2"]
+    "spec",
+    ["euclidean:1", "euclidean:2", "euclidean:3", "torus:2:1.3", "torus:3:2", "sphere2", "circle", "torus:1:0.7"],
 )
 def test_distance_rows_equal_the_norm_formulas_bit_for_bit(spec):
     model = G.parse_manifold(spec)
@@ -278,7 +284,7 @@ def test_distance_rows_equal_the_norm_formulas_bit_for_bit(spec):
             assert np.array_equal(d, _norm_rows(model, x, np.ascontiguousarray(rows)))
     if model.flat:  # row-paired x
         paired = ys[::-1].copy()
-        assert np.array_equal(G.distance_many(model, paired, ys), np.linalg.norm(model.delta(paired, ys), axis=1))
+        assert np.array_equal(G.distance_many(model, paired, ys), _norm_rows(model, paired, ys))
 
 
 @pytest.mark.parametrize("m", [7, 8, 13, 16, 55])

@@ -116,6 +116,21 @@ def test_is_kato_builds_few_two_point_rules(monkeypatch):
     assert 0 < len(calls) <= n_x
 
 
+def test_is_kato_smooths_each_distinct_x_once(monkeypatch):
+    # the offsets 0.5 and 1.5 reach one point of a unit-period torus, so the
+    # sweep smooths the center and one offset, and keeps the same curve
+    torus = G.parse_manifold("torus:3:1")
+    eng, w, ts = HK.make_engine(torus), P.RadialPower(torus, G.base_point(torus), 1.0), [0.1, 0.01, 1e-3]
+    calls = []
+    smoothed = K.smoothed_abs
+    monkeypatch.setattr(K, "smoothed_abs", lambda *a, **k: calls.append(a[3]) or smoothed(*a, **k))
+    curve, _ = K.is_kato(eng, w, ts)
+    assert len(calls) == 2 and G.distance(torus, calls[0], calls[1]) == 0.5
+    twice = max((K._kato_ladder(eng, w, curve.t_values, x, 1e-9) for x in calls + calls[1:]),
+                key=lambda c: c[0][0])
+    assert np.array_equal(curve.values, twice[0])
+
+
 @pytest.mark.parametrize("spec", ["euclidean:3", "hyperbolic3"])
 def test_windowed_constant_takes_the_two_point_rule(spec):
     # Windowed(Constant(2), ball) and Scale(2, Indicator(ball)) are one function

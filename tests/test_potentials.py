@@ -371,10 +371,10 @@ def test_pullback_singular_sets_read_their_own_columns():
     ys = np.array([G.random_point(prod, rng).coords for _ in range(5)])
     swapped = G.parse_manifold("product(circle,euclidean:1)")
     cases = [
-        ("pullback:1,0:radialpower:beta=0.5:center=1,0,0.5",
-         G.distance_many(swapped, np.array([1.0, 0.0, 0.5]), np.concatenate([ys[:, 1:3], ys[:, :1]], axis=1))),
-        ("pullback:1:pullback:0:radialpower:beta=0.5:center=0,1",
-         G.distance_many(G.circle(), np.array([0.0, 1.0]), ys[:, 1:3])),
+        ("pullback:1,0:radialpower:beta=0.5:center=0,0.5",
+         G.distance_many(swapped, np.array([0.0, 0.5]), np.concatenate([ys[:, 1:2], ys[:, :1]], axis=1))),
+        ("pullback:1:pullback:0:radialpower:beta=0.5:center=1.5",
+         G.distance_many(G.circle(), np.array([1.5]), ys[:, 1:2])),
         ("windowed:r=1:pullback:0:radialpower:beta=0.5", np.abs(ys[:, 0])),
     ]
     for spec, expected in cases:
@@ -385,16 +385,17 @@ def test_pullback_singular_sets_read_their_own_columns():
 def test_box_indicator_on_a_product():
     prod = G.parse_manifold("product(euclidean:1,circle)")
     w = P.parse_potential("indicator:box:w=0.5", prod)
-    inside, outside = G.base_point(prod).coords, G.make_point(prod, [2.0, 1.0, 0.0]).coords
+    inside, outside = G.base_point(prod).coords, G.make_point(prod, [2.0, 0.0]).coords
     assert list(P.evaluate_many(w, np.array([inside, outside]))) == [1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
-# path rows (the samplers' stored angles) against chart rows
+# path rows (the samplers' stored angles) against chart points and against
+# the circle embedded in the plane
 
 CIRCLE = G.circle()
 E1_CIRCLE = G.parse_manifold("product(euclidean:1,circle)")
-CIRCLE_E1 = G.parse_manifold("product(circle,euclidean:1)")  # path and chart columns differ past the circle
+CIRCLE_E1 = G.parse_manifold("product(circle,euclidean:1)")  # the circle's column comes first
 
 
 def _circle_potentials(tc):
@@ -406,7 +407,7 @@ def _circle_potentials(tc):
         "radial-function": cos,
         "radial-power": rp,
         "ball": P.Indicator(CIRCLE, G.BallWindow(c, 0.7)),
-        "box": P.Indicator(CIRCLE, G.BoxWindow(c, (0.5, 0.5))),
+        "box": P.Indicator(CIRCLE, G.BoxWindow(c, (0.5,))),
         "windowed-constant": P.Windowed(CIRCLE, P.Constant(2.0), G.BallWindow(c, 1.0)),
         "windowed-power": P.Windowed(CIRCLE, rp, G.BallWindow(c, 1.0)),
         "sum-scale": P.Sum((cos, P.Scale(-2.0, rp))),
@@ -418,7 +419,7 @@ def _circle_potentials(tc):
 
 def _product_potentials(tc):
     c = G.circle_point(tc)
-    cc = ",".join(repr(float(v)) for v in c.coords)
+    cc = repr(float(c.coords[0]))
     specs = [
         f"pullback:1,0:radialpower:beta=0.5:center={cc},0.3",
         f"pullback:1:pullback:0:radialpower:beta=0.5:center={cc}",
@@ -434,7 +435,7 @@ def _product_potentials(tc):
 
 
 def _swapped_potentials(tc):
-    cc = ",".join(repr(float(v)) for v in G.circle_point(tc).coords)
+    cc = repr(float(G.circle_point(tc).coords[0]))
     specs = [
         f"pullback:0:cosine:center={cc}",
         "pullback:1:radialpower:beta=0.5:center=0.3",
@@ -444,11 +445,11 @@ def _swapped_potentials(tc):
 
 
 def _angles(tc, n=400, seed=0):
-    """Random stored angles, the +-pi seam, and angles within eps = 0.05 of
-    the center (wrapped into [-pi, pi) as the sampler stores them)."""
+    """Angles as a walk leaves them before it wraps (in [-pi, pi)), the
+    0 / 2 pi seam, and angles within eps = 0.05 of the center."""
     rng = np.random.default_rng(seed)
-    near = np.mod(tc + np.array([0.0, 1e-3, -1e-3, 0.02, -0.03]) + math.pi, 2 * math.pi) - math.pi
-    seam = [-math.pi, math.pi, np.nextafter(-math.pi, 0.0), np.nextafter(math.pi, 0.0)]
+    near = tc + np.array([0.0, 1e-3, -1e-3, 0.02, -0.03])
+    seam = [0.0, -np.nextafter(0.0, 1.0), 2 * math.pi, np.nextafter(2 * math.pi, 0.0)]
     return np.concatenate([rng.uniform(-math.pi, math.pi, n), seam, near])
 
 
@@ -468,48 +469,62 @@ def _path_cases():
 _PATH_CASES = list(_path_cases())
 
 
+def _walk_rows(model, rows):
+    """The rows as the sampler stores them: wrapped in place after a flat walk."""
+    out = rows.copy()
+    model.wrap_path(out)
+    return out
+
+
 @pytest.mark.parametrize("case", _PATH_CASES, ids=[c[0] for c in _PATH_CASES])
-def test_path_rows_evaluate_as_chart_rows(case, monkeypatch):
-    # with the circle's path distance routed through the chart, path rows and
-    # chart rows run the same arithmetic: every class, window, pullback and
-    # singular set reads its own columns
-    _, _, w, paths, model = case
-    monkeypatch.setattr(G.Circle, "path_distance_many",
-                        lambda self, x, p: G.distance_many(self, x, self.chart_from_path(p)))
-    chart = model.chart_from_path(paths)
+def test_path_rows_evaluate_as_chart_rows(case):
+    # the sampler's in-place wrap and point validation put a row at the same
+    # chart coordinates, so a stored path row and the point it stands for
+    # evaluate alike to the bit: every class, window, pullback and singular
+    # set reads its own columns
+    _, _, w, rows, model = case
+    chart = np.array([G.make_point(model, row).coords for row in rows])
     with np.errstate(divide="ignore", invalid="ignore"):
-        got = P.capped_values(w, paths, 0.05, path=True)
+        got = P.capped_values(w, _walk_rows(model, rows), 0.05)
         want = P.capped_values(w, chart, 0.05)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
 
+def _embedded_distance(original):
+    """One-axis tori of side 2 pi measured as the unit circle in the plane:
+    atan2(|x cross y|, x . y) of the embedded points."""
+
+    def distance_many(self, x, ys):
+        if self.dim != 1 or self.side_length != 2 * math.pi:
+            return original(self, x, ys)
+        a, b = x[..., 0], ys[:, 0]
+        x0, x1, y0, y1 = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+        return np.arctan2(np.abs(x0 * y1 - x1 * y0), x0 * y0 + x1 * y1)
+    return distance_many
+
+
 @pytest.mark.parametrize("case", _PATH_CASES, ids=[c[0] for c in _PATH_CASES])
-def test_path_rows_agree_with_chart_rows(case):
-    _, tc, w, paths, model = case
-    chart = model.chart_from_path(paths)
+def test_path_rows_agree_with_chart_rows(case, monkeypatch):
+    # the folded angle distance against the circle embedded in the plane
+    _, _, w, rows, model = case
+    paths = _walk_rows(model, rows)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals, near, cap = P.capped_values(w, paths, 0.05, path=True)
-        want, want_near, want_cap = P.capped_values(w, chart, 0.05)
+        vals, near, cap = P.capped_values(w, paths, 0.05)
+        monkeypatch.setattr(G.Torus, "distance_many", _embedded_distance(G.Torus.distance_many))
+        want, want_near, want_cap = P.capped_values(w, paths, 0.05)
     assert np.array_equal(near, want_near) and cap == want_cap
-    diff = np.abs(vals - want)
-    if tc == 0.0:
-        # centered at angle 0 both distances are |theta| to within one ulp, so
-        # is a circle atom's value; a sum, a scaling or the product's root sum
-        # of squares rounds once more
-        atom = model is CIRCLE and not isinstance(w, (P.Sum, P.Scale, P.AbsVal))
-        assert np.all(diff <= (1 if atom else 2) * np.spacing(np.maximum(np.abs(vals), np.abs(want))))
-    else:
-        # off it the two distances differ by up to two ulps of pi (both are
-        # rounded: the center's angle, or the chart's cos and sin), which a
-        # profile's slope carries into the values
-        assert np.max(diff) <= 32 * np.spacing(np.max(np.abs(want)))
+    # the two distances differ by up to two ulps of pi (both are rounded: the
+    # folded difference, or the embedding's cos and sin), which a profile's
+    # slope carries into the values
+    assert np.max(np.abs(vals - want)) <= 32 * np.spacing(np.max(np.abs(want)))
 
 
 def test_path_distance_within_two_ulps_of_pi():
-    theta = _angles(2.0, n=20000)[:, None]
+    theta = _walk_rows(CIRCLE, _angles(2.0, n=20000)[:, None])
+    embedded = _embedded_distance(None)
     for tc in (0.0, 1.0, 2.0, -2.5, math.pi):
         x = G.circle_point(tc).coords
-        d = CIRCLE.path_distance_many(x, theta)
+        d = G.distance_many(CIRCLE, x, theta)
         assert np.all((d >= 0.0) & (d <= math.pi))
-        assert np.max(np.abs(d - G.distance_many(CIRCLE, x, CIRCLE.chart_from_path(theta)))) <= 2 * np.spacing(math.pi)
+        assert np.max(np.abs(d - embedded(CIRCLE, x, theta))) <= 2 * np.spacing(math.pi)

@@ -56,8 +56,8 @@ def test_circle_chi_square_against_wrapped_gaussian():
     t = 0.7
     start = G.circle_point(0.4)
     ens = S.simulate(CIRCLE, start, t, 1e-3, N, seed=5, record_times=[t])
-    angles = np.arctan2(ens.chart_at(-1 + len(ens.record_times))[:, 1],
-                        ens.chart_at(len(ens.record_times) - 1)[:, 0])
+    # stored angles lie in [0, 2 pi); bin them in [-pi, pi)
+    angles = np.mod(ens.chart_at(len(ens.record_times) - 1)[:, 0] + math.pi, 2 * math.pi) - math.pi
     K = 24
     edges = np.linspace(-math.pi, math.pi, K + 1)
     counts, _ = np.histogram(angles, bins=edges)
@@ -65,8 +65,7 @@ def test_circle_chi_square_against_wrapped_gaussian():
     expected = np.empty(K)
     for j in range(K):
         mids = np.linspace(edges[j], edges[j + 1], 9)
-        dens = HK.eval_many(eng, t, start.coords,
-                            np.stack([np.cos(mids), np.sin(mids)], axis=1))
+        dens = HK.eval_many(eng, t, start.coords, np.mod(mids, 2 * math.pi)[:, None])
         expected[j] = np.trapezoid(dens, mids) * N
     stat = float(np.sum((counts - expected) ** 2 / expected))
     assert stat < chi2.ppf(0.99, K - 1)
@@ -85,7 +84,7 @@ def test_sphere_first_eigenfunction_decay():
 def test_weak_convergence_h_halving_on_circle():
     # exact-in-distribution increments: halving h moves estimates within noise
     t = 0.6
-    f = lambda ch: ch[:, 0]
+    f = lambda ch: np.cos(ch[:, 0])
     est = []
     for h in (4e-3, 2e-3):
         ens = S.simulate(CIRCLE, G.circle_point(0.0), t, h, 20000, seed=9, record_times=[t])
@@ -101,8 +100,8 @@ def test_fdd_mass_and_two_times():
     one = lambda ch: np.ones(ch.shape[0])
     rep = S.fdd_check(ens, [0.2, 0.6], [
         [one, one],
-        [lambda ch: ch[:, 0], lambda ch: ch[:, 1]],  # low-order Fourier modes
-        [lambda ch: ch[:, 1], lambda ch: ch[:, 0] * ch[:, 1]],
+        [lambda ch: np.cos(ch[:, 0]), lambda ch: np.sin(ch[:, 0])],  # low-order Fourier modes
+        [lambda ch: np.sin(ch[:, 0]), lambda ch: np.cos(ch[:, 0]) * np.sin(ch[:, 0])],
     ])
     assert rep.quad_values[0] == pytest.approx(1.0, abs=1e-9)
     assert rep.max_abs_z < 4.0
@@ -114,17 +113,17 @@ def test_fdd_two_time_quadrature_oracle():
     eng = HK.make_engine(CIRCLE)
     n = 512
     ang = np.arange(n) * (2 * math.pi / n)
-    nodes = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    nodes = ang[:, None]
     wq = 2 * math.pi / n
     start = G.circle_point(0.0)
     p1 = HK.eval_many(eng, t1, start.coords, nodes)
-    f1 = nodes[:, 0]
+    f1 = np.cos(ang)
     inner = np.array([
-        np.sum(wq * HK.eval_many(eng, t2 - t1, nodes[i], nodes) * nodes[:, 1]) for i in range(n)
+        np.sum(wq * HK.eval_many(eng, t2 - t1, nodes[i], nodes) * np.sin(ang)) for i in range(n)
     ])
     oracle = float(np.sum(wq * p1 * f1 * inner))
     ens = S.simulate(CIRCLE, start, t2, 2e-3, 4000, seed=2, record_times=[t1, t2])
-    rep = S.fdd_check(ens, [t1, t2], [[lambda ch: ch[:, 0], lambda ch: ch[:, 1]]])
+    rep = S.fdd_check(ens, [t1, t2], [[lambda ch: np.cos(ch[:, 0]), lambda ch: np.sin(ch[:, 0])]])
     assert rep.quad_values[0] == pytest.approx(oracle, abs=1e-8)
 
 
@@ -144,7 +143,7 @@ def test_feynman_kac_trivial_cases():
     assert est.value == pytest.approx(math.exp(-1.0), abs=1e-14)
     assert est.std_error == pytest.approx(0.0, abs=1e-14)
     # positivity with nonnegative terminal data
-    est2 = S.feynman_kac(ens, P.cosine_potential(CIRCLE), f=lambda ch: np.abs(ch[:, 0]))
+    est2 = S.feynman_kac(ens, P.cosine_potential(CIRCLE), f=lambda ch: np.abs(np.cos(ch[:, 0])))
     assert est2.value >= 0.0
 
 
@@ -239,7 +238,7 @@ def test_projected_ensemble_matches_direct_factor_fdd():
     model = G.parse_manifold("product(euclidean:1,circle)")
     ens = S.simulate(model, G.base_point(model), 0.5, 2e-3, 20000, seed=21, record_times=[0.5])
     proj = ens.project(1)
-    rep = S.fdd_check(proj, [0.5], [[lambda ch: ch[:, 0]], [lambda ch: ch[:, 1]]])
+    rep = S.fdd_check(proj, [0.5], [[lambda ch: np.cos(ch[:, 0])], [lambda ch: np.sin(ch[:, 0])]])
     assert rep.max_abs_z < 4.0
 
 
@@ -321,10 +320,10 @@ def _reference_flat_paths(model, start, t, h, N, seed, record_idx):
         z = np.stack([S.path_generator(seed, i).standard_normal((len(record_idx), model.tangent_dim))
                       for i in range(N)]) * np.sqrt(np.diff(record_idx, prepend=0) * h_eff)[:, None]
         out = np.cumsum(z, axis=1)
-    out += model.path_from_chart(start.coords[None, :])[0]
-    for leaf, off in P.leaves(model, width="path_dim"):
-        if isinstance(leaf, G.Circle):
-            out[..., off] = np.mod(out[..., off] + math.pi, 2.0 * math.pi) - math.pi
+    out += start.coords
+    for leaf, off in P.leaves(model):
+        if isinstance(leaf, G.Torus):
+            out[..., off : off + leaf.dim] = np.mod(out[..., off : off + leaf.dim], leaf.side_length)
     return out
 
 
@@ -385,11 +384,11 @@ def test_streamed_feynman_kac_matches_unstreamed(monkeypatch):
     e3 = G.euclidean(3)
     w = P.RadialPower(e3, G.base_point(e3), 1.0)
     ens = S.simulate(e3, G.base_point(e3), 0.05, 1e-3, 101, seed=8)
-    vals, near, cap = P.capped_values(w, ens.positions.reshape(101 * 51, 3), math.sqrt(ens.step), path=True)
+    vals, near, cap = P.capped_values(w, ens.positions.reshape(101 * 51, 3), math.sqrt(ens.step))
     vals, capped = vals.reshape(101, 51), near.reshape(101, 51).any(axis=1)
     integral = ens.step * (np.sum(vals, axis=1) - 0.5 * vals[:, 0] - 0.5 * vals[:, -1])
     weights = np.exp(-integral)
-    monkeypatch.setattr(S, "_BLOCK_BYTES", 8 * 51 * 3 * 7)  # blocks of 7 paths
+    monkeypatch.setattr(S, "_BLOCK_BYTES", 16 * 51 * 7)  # blocks of 7 paths, two floats a row
     est = S.feynman_kac(ens, w)
     assert est.capped_fraction > 0.0 and cap > 0.0
     assert est.value == float(np.mean(weights))
@@ -398,15 +397,17 @@ def test_streamed_feynman_kac_matches_unstreamed(monkeypatch):
     assert est.cap_value == cap
 
 
-def test_feynman_kac_on_the_circle_evaluates_stored_angles(monkeypatch):
+def test_feynman_kac_on_the_circle_evaluates_stored_angles():
+    # the stored angles lie in [0, 2 pi), and the distance to the center is
+    # their difference folded at pi: the trapezoid of cos of that distance
     ens = S.simulate(CIRCLE, G.circle_point(1.0), 0.2, 2e-3, 50, seed=3)
-    want = S.feynman_kac(ens, P.cosine_potential(CIRCLE))
-
-    def no_chart(self, paths):
-        raise AssertionError("chart rows built")
-
-    monkeypatch.setattr(G.Circle, "chart_from_path", no_chart)
-    assert S.feynman_kac(ens, P.cosine_potential(CIRCLE)) == want
+    theta = ens.positions[:, :, 0]
+    assert np.all((theta >= 0.0) & (theta < 2 * math.pi))
+    gap = np.abs(theta - 1.0)
+    vals = np.cos(np.minimum(gap, 2 * math.pi - gap))
+    weights = np.exp(-ens.step * (np.sum(vals, axis=1) - 0.5 * vals[:, 0] - 0.5 * vals[:, -1]))
+    est = S.feynman_kac(ens, P.cosine_potential(CIRCLE, G.circle_point(1.0)))
+    assert est.value == float(np.mean(weights))
 
 
 def test_feynman_kac_and_kato_exponential_share_one_integral():
@@ -415,7 +416,7 @@ def test_feynman_kac_and_kato_exponential_share_one_integral():
     w = P.Windowed(e3, P.RadialPower(e3, G.base_point(e3), 1.0, 0.3), G.BallWindow(G.base_point(e3), 1.0))
     rep = S.kato_exponential_estimate(e3, P.Scale(-1.0, w), [0.1], [2.0], 200, h=2e-3, seed=4)
     ens = S.simulate(e3, G.base_point(e3), 0.1, 2e-3, 200, seed=4)
-    integrals, _, _ = S._path_integrals(w, e3, ens.positions, ens.step, [50])
+    integrals, _, _ = S._path_integrals(w, ens.positions, ens.step, [50])
     assert rep.sup_estimate[0] == float(np.sum(np.exp(-integrals[:, 0]))) / 200
     fk = S.feynman_kac(ens, w)
     assert fk.value == pytest.approx(rep.sup_estimate[0], rel=1e-14)
