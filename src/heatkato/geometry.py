@@ -14,10 +14,11 @@ Each class owns its formulas: chart, distance, volumes, exponential map and
 Gaussian step, quadrature grids, and the kernel facts the heat-kernel engine
 looks up (closed-form profile, period, mass tail, reach, diameter, and the
 kernel factors: a product's factors, a flat torus's periodic axes).  Sample
-paths are stored in the chart, so the samplers' rows are chart rows.  ``split`` cuts arrays by kernel factor.  The
-module-level functions check arguments and hand the rest to the model;
-everything here is a pure function of its inputs.  scipy is imported inside
-the few functions that call it, since every command imports this module.
+paths are stored in the chart, so the samplers' rows are chart rows.
+``split`` cuts arrays by kernel factor.  The module-level functions check
+arguments and hand the rest to the model; everything here is a pure
+function of its inputs.  scipy is imported inside the few functions that
+call it, since every command imports this module.
 """
 
 from __future__ import annotations
@@ -95,8 +96,11 @@ class ManifoldModel:
             i += w
         return out
 
-    def delta(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Chart displacements ys - x (folded into the fundamental cell on a torus)."""
+    def axis_gap(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """A new array of the chart displacements ys - x along one axis (its
+        absolute value folded into [0, L/2] on a torus); a flat model's
+        distance is the root of their squares, a box window bounds their
+        absolute values."""
         return ys - x
 
     def sphere_area_many(self, r: np.ndarray) -> np.ndarray:
@@ -199,11 +203,6 @@ class _FlatChart(ManifoldModel):
     def base_coords(self) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def axis_gap(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """A new array of the displacements ys - x along one axis; only its
-        square enters a distance."""
-        return ys - x
-
     def distance_many(self, x, ys):
         """The root of the squared axis gaps, built one axis at a time into
         one n-vector and summed in np.add.reduce's order along a row, so it
@@ -212,9 +211,6 @@ class _FlatChart(ManifoldModel):
         k mod 8, the eight joined as a tree, then the last m mod 8 axes one
         after another.  The order of the rows in memory does not enter."""
         m = self.dim
-        if m == 1:  # sqrt(g * g) is |g| in binary floating point
-            g = self.axis_gap(x[..., 0], ys[:, 0])
-            return np.abs(g, out=g)
 
         def square(k):
             dk = self.axis_gap(x[..., k], ys[:, k])
@@ -311,7 +307,10 @@ class Torus(_FlatChart):
     compact = True
 
     def describe(self) -> str:
-        return f"torus:{self.dim}:{self.side_length:g}"
+        side = f"{self.side_length:g}"
+        if float(side) != self.side_length:  # e.g. the circle's 2 pi
+            side = repr(self.side_length)
+        return f"torus:{self.dim}:{side}"
 
     period = property(lambda self: self.side_length)
     # the product of one periodic axis per chart axis
@@ -328,11 +327,6 @@ class Torus(_FlatChart):
 
     def wrap_path(self, paths):
         np.mod(paths, self.side_length, out=paths)
-
-    def delta(self, x, ys):
-        # signed displacement folded into [-L/2, L/2), for box windows
-        L = self.side_length
-        return np.mod(ys - x + L / 2.0, L) - L / 2.0
 
     def axis_gap(self, x, ys):
         # min(|ys - x|, L - |ys - x|), folded in place: chart coords lie in

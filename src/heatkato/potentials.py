@@ -245,9 +245,14 @@ def evaluate_many(w: Potential, ys: np.ndarray) -> np.ndarray:
             d = geom.distance_many(w.model, win.center.coords, ys)
             return (d <= win.radius).astype(float)
         if isinstance(win, BoxWindow):
-            hw = np.asarray(win.halfwidth, dtype=float)
-            delta = w.model.delta(win.center.coords, ys)
-            return np.all(np.abs(delta) <= hw, axis=1).astype(float)
+            # each chart axis's gap within its half-width, the gap taken by
+            # the axis's own leaf (folded on a torus axis)
+            c, hw = win.center.coords, win.halfwidth
+            inside = np.ones(ys.shape[0], dtype=bool)
+            for leaf, off in leaves(w.model):
+                for k in range(off, off + leaf.chart_dim):
+                    inside &= np.abs(leaf.axis_gap(c[k], ys[:, k])) <= hw[k]
+            return inside.astype(float)
         raise DomainError(f"indicator window {win!r} not supported")
     if isinstance(w, CoulombPotential):
         d = geom.distance_many(w.model, w.center.coords, ys)

@@ -234,6 +234,14 @@ def test_manifold_invariants():
     assert prod.ricci_lower_bound == -2.0
 
 
+def test_a_torus_describes_a_spec_of_itself():
+    # the side prints short where that round-trips, in full where it does not
+    assert G.circle().describe() == "torus:1:6.283185307179586"
+    assert G.parse_manifold("torus:2:6.2832").describe() == "torus:2:6.2832"
+    for model in (G.circle(), G.parse_manifold("product(euclidean:1,circle)"), G.torus(3, 0.1 + 0.2)):
+        assert G.parse_manifold(model.describe()) == model
+
+
 def test_parse_manifold_round_trip_and_errors():
     for spec in ALL_SPECS:
         model = G.parse_manifold(spec)
@@ -264,7 +272,7 @@ def _norm_rows(model, x, ys):
     if isinstance(model, G.Torus):
         gap = np.abs(ys - x)
         return np.linalg.norm(np.minimum(gap, model.side_length - gap), axis=1)
-    return np.linalg.norm(model.delta(x, ys), axis=1)
+    return np.linalg.norm(ys - x, axis=1)
 
 
 @pytest.mark.parametrize(

@@ -389,6 +389,20 @@ def test_box_indicator_on_a_product():
     assert list(P.evaluate_many(w, np.array([inside, outside]))) == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("spec", ["product(euclidean:1,circle)", "product(circle,euclidean:1)", "circle"])
+def test_a_box_reaches_across_the_circle_seam(spec):
+    # centered at angle 0, a box of half-width 0.5 holds the angles on both
+    # sides of the 0 / 2 pi seam, and the Windowed form agrees
+    model = G.parse_manifold(spec)
+    col = 0 if spec.startswith(("circle", "product(circle")) else 1
+    rows = np.zeros((5, model.chart_dim))
+    rows[:, col] = [0.0, 0.4, 2 * math.pi - 0.1, 2 * math.pi - 0.6, 0.6]
+    expected = [1.0, 1.0, 1.0, 0.0, 0.0]
+    for potential in ("indicator:box:w=0.5", "windowed:r=100:indicator:box:w=0.5"):
+        w = P.parse_potential(potential, model)
+        assert list(P.evaluate_many(w, rows)) == expected, potential
+
+
 # ---------------------------------------------------------------------------
 # path rows (the samplers' stored angles) against chart points and against
 # the circle embedded in the plane
