@@ -138,7 +138,9 @@ class ManifoldModel:
         raise UnsupportedModelError(f"no two-point reduction on {self.describe()}")
 
     def gaussian_step(self, xs, z, h):
-        return math.sqrt(h) * z  # identity metric in the chart
+        # identity metric in the chart; on sphere2 an ambient step, which
+        # exp_many projects onto the tangent plane
+        return math.sqrt(h) * z
 
     def random_walk(self, start, z, h, record_idx, out):
         """Geodesic random walk from chart point ``start``: step k of row j is
@@ -326,7 +328,10 @@ class Torus(_FlatChart):
     validate = wrap
 
     def wrap_path(self, paths):
-        np.mod(paths, self.side_length, out=paths)
+        # fold only off-chart entries, bit for bit np.mod's result (which turns -0.0 into +0.0)
+        L = self.side_length
+        outside = (paths < 0.0) | (paths >= L) | np.signbit(paths)
+        np.mod(paths, L, out=paths, where=outside)
 
     def axis_gap(self, x, ys):
         # min(|ys - x|, L - |ys - x|), folded in place: chart coords lie in
@@ -396,7 +401,8 @@ class Sphere2(ManifoldModel):
         total = np.square(x1 * y2 - x2 * y1)
         total += np.square(x2 * y0 - x0 * y2)
         total += np.square(x0 * y1 - x1 * y0)
-        return np.arctan2(np.sqrt(total, out=total), ys @ x)
+        # cos d summed (y0 x0 + y1 x1) + y2 x2, whatever the memory order of ys
+        return np.arctan2(np.sqrt(total, out=total), (y0 * x0 + y1 * x1) + y2 * x2)
 
     def ball_volume(self, r):
         return 2.0 * math.pi * (1.0 - math.cos(min(r, math.pi)))
@@ -413,12 +419,9 @@ class Sphere2(ManifoldModel):
         out = np.cos(norm)[:, None] * xs + (np.sin(norm) / safe)[:, None] * v
         return out / np.linalg.norm(out, axis=1, keepdims=True)
 
-    def gaussian_step(self, xs, z, h):
-        v = z - np.sum(z * xs, axis=1, keepdims=True) * xs
-        return math.sqrt(h) * v
-
     def random_walk(self, start, z, h, record_idx, out):
-        # gaussian_step then exp_many, fused and in place on (3, B) component
+        # gaussian_step (sqrt(h) z, ambient) then exp_many (which projects it
+        # onto the tangent plane once), fused and in place on (3, B) component
         # rows with the same operations in the same order, so each row is
         # bit-identical to the two-call loop (a row sum over axis 1 of a
         # (B, 3) array is ((a0 + a1) + a2), and so is a norm's square)
@@ -426,7 +429,7 @@ class Sphere2(ManifoldModel):
         B = len(z)
         x = np.empty((3, B))
         x[:] = start[:, None]
-        zk, prod, step = np.empty((3, B)), np.empty((3, B)), np.empty((3, B))
+        prod, step = np.empty((3, B)), np.empty((3, B))
         dot, c, s = np.empty(B), np.empty(B), np.empty(B)
         root_h = math.sqrt(h)
 
@@ -436,11 +439,8 @@ class Sphere2(ManifoldModel):
         if 0 in slot:
             out[:, slot[0], :] = x.T
         for k in range(z.shape[1]):
-            zk[:] = z[:, k, :].T  # one strided gather, then contiguous rows
-            row_sum(np.multiply(zk, x, out=prod))  # tangent projection of z
-            np.subtract(zk, np.multiply(dot, x, out=prod), out=step)
-            step *= root_h
-            row_sum(np.multiply(step, x, out=prod))  # exp_many's own projection
+            np.multiply(z[:, k, :].T, root_h, out=step)  # strided read, contiguous rows out
+            row_sum(np.multiply(step, x, out=prod))  # exp_many's tangent projection
             step -= np.multiply(dot, x, out=prod)
             row_sum(np.multiply(step, step, out=prod))
             np.sqrt(dot, out=dot)
@@ -850,7 +850,8 @@ def exp_map(model: ManifoldModel, x: Point, v: Sequence[float]) -> Point:
 def tangent_from_normals(model: ManifoldModel, xs: np.ndarray, z: np.ndarray, h: float) -> np.ndarray:
     """Turn standard normals ``z`` (n, tangent_dim) into metric-Gaussian steps.
 
-    The result has covariance h * (metric identity) on each tangent space, so
+    The result, or on sphere2 its tangent projection (which ``exp_many``
+    takes), has covariance h * (metric identity) on each tangent space, so
     one exp_map step advances the geodesic random walk by time h.
     """
     return model.gaussian_step(xs, z, h)

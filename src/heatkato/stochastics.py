@@ -31,9 +31,10 @@ Paths are stored in the model's chart, wrapped into it after a flat walk
 
 Path functionals: Feynman-Kac and the exponential Kato estimate integrate w
 along paths by one routine (``_path_integrals``), a block of paths at a
-time, sized like the normals buffer.  Each block is evaluated on the stored
-rows (``potentials.capped_values``), and a path's trapezoid does not depend
-on its neighbours, so the split is invisible too.
+time, at most _INTEGRAL_ROWS path rows (about 1 MiB of temporaries, so a
+block stays in cache).  Each block is evaluated on the stored rows
+(``potentials.capped_values``), and a path's trapezoid does not depend on
+its neighbours, so the split is invisible too.
 """
 
 from __future__ import annotations
@@ -54,10 +55,11 @@ _MAX_STORE_BYTES = 600_000_000
 # normals a walk may draw: about 25 s of Philox draws alone on a 2-core
 # host, 33 times the largest benchmark walk (3e7 normals on sphere2)
 _MAX_NORMALS = 1_000_000_000
-# one block's working buffer: the normals that drive its curved paths, or the
-# rows Feynman-Kac evaluates a potential on, charged two floats a row (a row's
-# distance and value)
+# the normals buffer that drives a block of curved paths
 _BLOCK_BYTES = 1 << 24
+# path rows _path_integrals evaluates at once: about 1 MiB at two floats a row,
+# so a block's temporaries stay in cache (512 KiB and 1 MiB blocks ran fastest)
+_INTEGRAL_ROWS = 1 << 16
 _CAPPED_WARNING = 0.01  # capped-path fraction above which a path estimate is flagged unreliable
 _FOUR_SIGMA_TAIL = 6.33e-5  # P(|Z| > 4) for a standard normal Z
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -343,15 +345,15 @@ def _path_integrals(
     cap).  w is evaluated on the path rows themselves
     (``potentials.capped_values`` with eps = sqrt(h)); a path is capped when
     one of its rows lies within eps of a singular set, and ``cap`` is 0 when
-    none does.  The paths go a block of at most _BLOCK_BYTES at a time, two
-    floats a row; a path's integral does not depend on the paths beside it,
-    so that split is invisible in the output."""
+    none does.  The paths go a block of at most _INTEGRAL_ROWS rows at a time
+    (at least one path); a path's integral does not depend on the paths
+    beside it, so that split is invisible in the output."""
     N, R, _ = positions.shape
     eps = math.sqrt(h)
     integrals = np.empty((N, 1 if steps is None else len(steps)))
     capped = np.empty(N, dtype=bool)
     cap = 0.0
-    rows = max(1, _BLOCK_BYTES // (16 * R))
+    rows = max(1, _INTEGRAL_ROWS // R)
     for a in range(0, N, rows):
         b = min(a + rows, N)
         vals, near, block_cap = pot.capped_values(w, positions[a:b].reshape((b - a) * R, -1), eps)

@@ -266,9 +266,9 @@ def test_empty_window_rejected():
 def _norm_rows(model, x, ys):
     """The distance formulas the axis-by-axis sums must reproduce to the bit:
     on a torus the norm of the gaps min(|ys - x|, L - |ys - x|)."""
-    if isinstance(model, G.Sphere2):
+    if isinstance(model, G.Sphere2):  # cos d as a row sum ((a0 + a1) + a2), not a BLAS dot
         cross = np.linalg.norm(np.cross(np.broadcast_to(x, ys.shape), ys), axis=1)
-        return np.arctan2(cross, ys @ x)
+        return np.arctan2(cross, np.sum(ys * x, axis=1))
     if isinstance(model, G.Torus):
         gap = np.abs(ys - x)
         return np.linalg.norm(np.minimum(gap, model.side_length - gap), axis=1)
@@ -288,11 +288,31 @@ def test_distance_rows_equal_the_norm_formulas_bit_for_bit(spec):
     for rows in (ys, np.asfortranarray(ys), wide[:, ::2], ys[::3]):
         d = G.distance_many(model, x, rows)
         assert np.array_equal(d, _norm_rows(model, x, rows))
-        if model.flat:  # and whatever the memory order of the rows
-            assert np.array_equal(d, _norm_rows(model, x, np.ascontiguousarray(rows)))
+        # and whatever the memory order of the rows
+        assert np.array_equal(d, G.distance_many(model, x, np.ascontiguousarray(rows)))
     if model.flat:  # row-paired x
         paired = ys[::-1].copy()
         assert np.array_equal(G.distance_many(model, paired, ys), _norm_rows(model, paired, ys))
+
+
+@pytest.mark.parametrize("spec", ["circle", "torus:1:0.7", "torus:3:2"])
+def test_torus_fold_equals_np_mod_bit_for_bit(spec):
+    # wrap_path folds only the off-chart entries; the result must be np.mod's,
+    # signbits and NaN bits included, in every memory layout
+    model = G.parse_manifold(spec)
+    L = model.side_length
+    rng = np.random.default_rng(3)
+    edges = np.array([-0.0, 0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, L, -L, 2 * L + 1e-9,
+                      np.nextafter(L, 0.0), -1e-300])
+    walk = np.cumsum(rng.standard_normal((40, 30)) * 0.3 * L, axis=1)
+    cases = [np.resize(edges, (4, 3 * model.dim)), walk[:, : 3 * model.dim]]
+    for vals in cases:
+        wide = np.repeat(vals, 2, axis=1)
+        for paths in (vals.copy(), np.asfortranarray(vals), wide[:, ::2]):
+            with np.errstate(invalid="ignore"):  # np.mod(+-inf, L) is NaN
+                want = np.mod(paths, L)
+                model.wrap_path(paths)
+            assert np.array_equal(paths.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("m", [7, 8, 13, 16, 55])

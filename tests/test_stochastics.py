@@ -388,13 +388,46 @@ def test_streamed_feynman_kac_matches_unstreamed(monkeypatch):
     vals, capped = vals.reshape(101, 51), near.reshape(101, 51).any(axis=1)
     integral = ens.step * (np.sum(vals, axis=1) - 0.5 * vals[:, 0] - 0.5 * vals[:, -1])
     weights = np.exp(-integral)
-    monkeypatch.setattr(S, "_BLOCK_BYTES", 16 * 51 * 7)  # blocks of 7 paths, two floats a row
+    monkeypatch.setattr(S, "_INTEGRAL_ROWS", 51 * 7)  # blocks of 7 paths
     est = S.feynman_kac(ens, w)
     assert est.capped_fraction > 0.0 and cap > 0.0
     assert est.value == float(np.mean(weights))
     assert est.std_error == float(np.std(weights, ddof=1) / math.sqrt(101))
     assert est.capped_fraction == float(np.mean(capped))
     assert est.cap_value == cap
+
+
+def test_path_integral_blocks_leave_the_estimates_unchanged(monkeypatch):
+    # a truncated ensemble's paths are strided rows, copied a block at a time:
+    # blocks of 1 and 7 paths give what the default block gives, bit for bit
+    w = P.cosine_potential(CIRCLE, G.circle_point(1.0))
+    ens = S.simulate(CIRCLE, G.circle_point(0.3), 0.2, 2e-3, 60, seed=9).truncated(0.1)
+    assert not ens.positions.flags.c_contiguous
+
+    def run():
+        kato = S.kato_exponential_estimate(CIRCLE, P.Scale(-1.0, w), [0.05, 0.1], [2.0], 60, seed=9)
+        return S.feynman_kac(ens, w, f=lambda ch: np.cos(ch[:, 0])), kato
+
+    default = run()
+    for paths in (1, 7):
+        monkeypatch.setattr(S, "_INTEGRAL_ROWS", 51 * paths)  # 51 rows a path, in both estimates
+        assert run() == default
+
+
+def test_feynman_kac_memory_stays_within_one_block():
+    # the integral's temporaries are one cache-sized block, not the 8 MB
+    # ensemble several times over
+    ens = S.simulate(CIRCLE, G.circle_point(1.0), 1.0, 2e-3, 2000, seed=1)
+    assert ens.positions.shape == (2000, 501, 1)
+    w = P.cosine_potential(CIRCLE)
+    tracemalloc.start()
+    try:
+        S.feynman_kac(ens.truncated(0.5), w)
+        S.feynman_kac(ens, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_feynman_kac_on_the_circle_evaluates_stored_angles():
