@@ -27,19 +27,22 @@ import time
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from . import geometry as geom
-from . import heat_kernel as hk
-from . import potentials as pot
 from .errors import HeatKatoError, ManifestError
-from .geometry import BallWindow, BoxWindow, Euclidean, ManifoldModel, Product, Torus
 from .reporting import CheckResult, Report
 
-# kato and semigroup load scipy, and mvi and stochastics cost a compile on a
-# launch with no bytecode cache: each is imported by the functions that call it
+if TYPE_CHECKING:
+    from .geometry import ManifoldModel
+    from .heat_kernel import HeatKernelEngine
+    from .potentials import Potential
+
+# numpy and every numerical layer are imported by the functions that call
+# them: kato and semigroup load scipy, and numpy, geometry, heat_kernel and
+# potentials are half of a launch with no bytecode cache, which
+# list-batteries, --help and a usage error decided before a model is parsed
+# do not need
 
 # ---------------------------------------------------------------------------
 # manifest
@@ -120,10 +123,16 @@ def parse_manifest_text(text: str) -> ExperimentManifest:
 
 
 def load_manifest(path: str) -> ExperimentManifest:
-    return parse_manifest_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ManifestError(f"cannot read {path}: {exc.strerror or exc}") from None
+    return parse_manifest_text(text)
 
 
 def validate_manifest(manifest: ExperimentManifest) -> None:
+    from . import geometry as geom
+
     model = geom.parse_manifold(manifest.manifold)
     for name in manifest.checks:
         if name not in CHECKS:
@@ -148,6 +157,8 @@ def validate_manifest(manifest: ExperimentManifest) -> None:
         if problem:
             raise ManifestError(f"param.{name}: {problem}")
     if manifest.potential is not None:
+        from . import potentials as pot
+
         target = model
         if manifest.checks == ["project-check"]:
             target = pot.leaves(model)[_params(manifest, "project-check")["leaf"]][0]
@@ -164,11 +175,13 @@ def validate_manifest(manifest: ExperimentManifest) -> None:
 @dataclass
 class CheckContext:
     model: ManifoldModel
-    engine: hk.HeatKernelEngine
+    engine: HeatKernelEngine
     manifest: ExperimentManifest
     seed: int
 
-    def potential(self, default_spec: str, target: ManifoldModel | None = None) -> pot.Potential:
+    def potential(self, default_spec: str, target: ManifoldModel | None = None) -> Potential:
+        from . import potentials as pot
+
         spec = self.manifest.potential or default_spec
         return pot.parse_potential(spec, target or self.model)
 
@@ -183,13 +196,32 @@ class CheckSpec:
     check: object = None  # (params, model) -> a problem of the whole parameter set, or None
 
 
-_EUCLIDEAN_2_3 = (
-    "euclidean:2 or euclidean:3",
-    lambda model: isinstance(model, Euclidean) and model.dim in (2, 3),
-)
+def _euclidean_2_3(model: ManifoldModel) -> bool:
+    from .geometry import Euclidean
+
+    return isinstance(model, Euclidean) and model.dim in (2, 3)
 
 
-_CIRCLE = ("circle or torus:1:L", lambda model: isinstance(model, Torus) and model.dim == 1)
+def _circle(model: ManifoldModel) -> bool:
+    from .geometry import Torus
+
+    return isinstance(model, Torus) and model.dim == 1
+
+
+def _product(model: ManifoldModel) -> bool:
+    from .geometry import Product
+
+    return isinstance(model, Product)
+
+
+def _coulomb_model(model: ManifoldModel) -> bool:
+    from .potentials import _coulomb_supported
+
+    return _coulomb_supported(model)
+
+
+_EUCLIDEAN_2_3 = ("euclidean:2 or euclidean:3", _euclidean_2_3)
+_CIRCLE = ("circle or torus:1:L", _circle)
 
 
 def _low_radial(model: ManifoldModel) -> bool:
@@ -257,11 +289,17 @@ def _params(manifest: ExperimentManifest, name: str) -> dict:
 
 
 def _sample_points(model, n, seed):
+    import numpy as np
+
+    from . import geometry as geom
+
     rng = np.random.default_rng(seed)
     return [geom.random_point(model, rng, 1.2) for _ in range(n)]
 
 
 def _check_kernel(ctx: CheckContext, p: dict) -> CheckResult:
+    from . import heat_kernel as hk
+
     ts = p["t_values"]
     pts = _sample_points(ctx.model, p["n_points"], ctx.seed + 1)
     rep = hk.check_consistency(ctx.engine, ts, pts)
@@ -285,6 +323,7 @@ def _default_radial_spec(model: ManifoldModel) -> str:
 
 def _check_kato_norm(ctx: CheckContext, p: dict) -> CheckResult:
     from . import kato as kato_mod
+    from . import potentials as pot
 
     w = ctx.potential(_default_radial_spec(ctx.model))
     xs = [pot.center_of(w, ctx.model)] + _sample_points(ctx.model, p["n_x"] - 1, ctx.seed + 2)
@@ -296,6 +335,8 @@ def _check_kato_norm(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_is_kato(ctx: CheckContext, p: dict) -> CheckResult:
+    import numpy as np
+
     from . import kato as kato_mod
 
     w = ctx.potential(_default_radial_spec(ctx.model))
@@ -342,7 +383,11 @@ def _holder_times(p, model):
 
 
 def _check_holder(ctx: CheckContext, p: dict) -> CheckResult:
+    import numpy as np
+
+    from . import geometry as geom
     from . import kato as kato_mod
+    from . import potentials as pot
 
     m = ctx.model.dim
     w = ctx.potential("windowed:r=1.5:radialpower:beta=0.35")
@@ -370,6 +415,9 @@ def _check_holder(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_control_pair(ctx: CheckContext, p: dict) -> CheckResult:
+    import numpy as np
+
+    from . import geometry as geom
     from . import kato as kato_mod
     from . import mvi as mvi_mod
 
@@ -396,7 +444,9 @@ def _check_control_pair(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _default_fk_sets(model: ManifoldModel):
-    o = geom.base_point(model)
+    from .geometry import BallWindow, BoxWindow, base_point
+
+    o = base_point(model)
     if model.dim == 2:
         s = math.sqrt(math.pi) / 2.0
         return [
@@ -451,6 +501,9 @@ def _check_mvi(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_heat_bound(ctx: CheckContext, p: dict) -> CheckResult:
+    import numpy as np
+
+    from . import geometry as geom
     from . import mvi as mvi_mod
 
     a = mvi_mod.faber_krahn_constant(min(ctx.model.dim, 3))
@@ -465,6 +518,9 @@ def _check_heat_bound(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_feynman_kac(ctx: CheckContext, p: dict) -> CheckResult:
+    import numpy as np
+
+    from . import geometry as geom
     from . import semigroup as sg
     from . import stochastics as st
 
@@ -495,11 +551,15 @@ def _check_feynman_kac(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _leaf_index(value, model):
-    n = len(pot.leaves(model))
+    from .potentials import leaves
+
+    n = len(leaves(model))
     return None if 0 <= value < n else f"must be a leaf index in 0..{n - 1}"
 
 
 def _check_project(ctx: CheckContext, p: dict) -> CheckResult:
+    from . import geometry as geom
+    from . import potentials as pot
     from . import stochastics as st
 
     leaf = pot.leaves(ctx.model)[p["leaf"]][0]
@@ -533,6 +593,9 @@ def _check_kato_exponential(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_semigroup(ctx: CheckContext, p: dict) -> CheckResult:
+    import numpy as np
+
+    from . import potentials as pot
     from . import semigroup as sg
 
     w_minus = ctx.potential("radialpower:beta=0.5")
@@ -561,6 +624,11 @@ def _check_riesz(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_coulomb(ctx: CheckContext, p: dict) -> CheckResult:
+    import numpy as np
+
+    from . import geometry as geom
+    from . import potentials as pot
+
     o = geom.base_point(ctx.model)
     profile = pot.coulomb_profile(ctx.model)
     tol = p["rel_tol"]
@@ -583,12 +651,16 @@ def _check_coulomb(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _coulomb_distances(values, model):
+    from .geometry import Hyperbolic3
+
     # on hyperbolic3 the closed form e^{-r} / (4 pi sinh r) is a normal double up to r = 350
-    top = 350.0 if isinstance(model, geom.Hyperbolic3) else 1e6
+    top = 350.0 if isinstance(model, Hyperbolic3) else 1e6
     return _list_of(lambda v: 0 < v <= top, f"in (0, {top:g}]")(values, model)
 
 
 def _kernel_times(p, model):
+    from . import heat_kernel as hk
+
     engine = hk.make_engine(model)
     capped = [t for t in p["t_values"] if hk.series_cap_exceeded(engine, t)]
     return f"t_values {capped} need more than {hk.LMAX_CAP} series terms" if capped else None
@@ -745,7 +817,7 @@ CHECKS: dict[str, CheckSpec] = {
             "h": (float, 2e-3, _POSITIVE),
         },
         "projection bound for product projections",
-        models=("a product manifold", lambda model: isinstance(model, Product)),
+        models=("a product manifold", _product),
         check=_project_walk,
     ),
     "kato-exponential": CheckSpec(
@@ -788,7 +860,7 @@ CHECKS: dict[str, CheckSpec] = {
         {"r_values": (_floats, "0.1,1,10", _coulomb_distances),
          "rel_tol": (float, 1e-6, _POSITIVE)},
         "Coulomb potential quadrature against the closed form",
-        models=("euclidean:3 or hyperbolic3", pot._coulomb_supported),
+        models=("euclidean:3 or hyperbolic3", _coulomb_model),
     ),
 }
 
@@ -840,7 +912,10 @@ def run_check(ctx: CheckContext, name: str) -> CheckResult:
 
 
 def run_manifest(manifest: ExperimentManifest) -> Report:
-    validate_manifest(manifest)
+    validate_manifest(manifest)  # first: a manifest it refuses loads no kernel layer
+    from . import geometry as geom
+    from . import heat_kernel as hk
+
     model = geom.parse_manifold(manifest.manifold)
     ctx = CheckContext(model, hk.make_engine(model), manifest, manifest.seed)
     results = [run_check(ctx, name) for name in manifest.checks]
@@ -853,17 +928,26 @@ def run_manifest(manifest: ExperimentManifest) -> Report:
     )
 
 
+def _open_output(path: str):
+    """``path`` opened for writing, its directory made first; a path that
+    cannot be opened is a usage error (exit 2), not a traceback."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", newline="")
+    except OSError as exc:  # a file in the way, a directory, no permission
+        raise HeatKatoError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def write_outputs(report: Report, manifest: ExperimentManifest):
     out = manifest.out
     if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(report.to_json())
+        with _open_output(out) as fh:
+            fh.write(report.to_json())
     if manifest.emit_csv and out:
         stem = Path(out).with_suffix("")
         for check in report.checks:
             for sname, data in check.series.items():
-                path = Path(f"{stem}.{check.name}.{sname}.csv")
-                with path.open("w", newline="") as fh:
+                with _open_output(f"{stem}.{check.name}.{sname}.csv") as fh:
                     writer = csv.writer(fh)
                     writer.writerow(data["columns"])
                     writer.writerows(data["rows"])
@@ -877,6 +961,17 @@ def _print_summary(report: Report):
 
 # ---------------------------------------------------------------------------
 # entry point
+
+
+def _at_least_one(text: str) -> int:
+    """An argument that counts rows: an integer >= 1, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def _apply_overrides(manifest: ExperimentManifest, args) -> ExperimentManifest:
@@ -908,7 +1003,7 @@ def main(argv: list | None = None) -> int:
     sim_p.add_argument("--seed", type=int, default=0)
     sim_p.add_argument("--out", default=None)
     sim_p.add_argument("--dump-paths", default=None, help="CSV path for (path, t, coords...) rows")
-    sim_p.add_argument("--max-dump-rows", type=int, default=1_000_000)
+    sim_p.add_argument("--max-dump-rows", type=_at_least_one, default=1_000_000)
 
     for name, spec in CHECKS.items():
         cp = sub.add_parser(name, help=spec.description)
@@ -953,7 +1048,8 @@ def main(argv: list | None = None) -> int:
                     "reports": [r.to_dict() for r in reports],
                     "all_pass": all_ok,
                 }
-                Path(args.out).write_text(json.dumps(combined, sort_keys=True, indent=2) + "\n")
+                with _open_output(args.out) as fh:
+                    fh.write(json.dumps(combined, sort_keys=True, indent=2) + "\n")
             return 0 if all_ok else 1
         if args.command == "simulate":
             return _cmd_simulate(args)
@@ -983,6 +1079,9 @@ def main(argv: list | None = None) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    import numpy as np
+
+    from . import geometry as geom
     from . import stochastics as st
 
     model = geom.parse_manifold(args.manifold)
@@ -1005,13 +1104,14 @@ def _cmd_simulate(args) -> int:
     }
     text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        with _open_output(args.out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     if args.dump_paths:
         rows_per_path = len(ens.record_times)
         max_paths = max(1, args.max_dump_rows // rows_per_path)
-        with Path(args.dump_paths).open("w", newline="") as fh:
+        with _open_output(args.dump_paths) as fh:
             writer = csv.writer(fh)
             writer.writerow(["path", "t"] + [f"x{i}" for i in range(ens.positions.shape[2])])
             for i in range(min(ens.n_paths, max_paths)):

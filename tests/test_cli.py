@@ -118,6 +118,43 @@ def test_parse_error_exit_two(tmp_path):
     assert cli.main(["run", str(missing_key)]) == 2
 
 
+SIMULATE = ["simulate", "--manifold", "circle", "--t", "0.02", "--h", "0.01", "--n", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "no-such-manifest.txt"], ["run", "."], SIMULATE + ["--out", "a-file/summary.json"],
+     SIMULATE + ["--dump-paths", "a-file/paths.csv"]],
+    ids=["missing-manifest", "manifest-is-a-directory", "out-under-a-file", "dump-under-a-file"],
+)
+def test_paths_that_cannot_be_opened_exit_two_with_one_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-file").write_text("")
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run-battery", "stochastic", "--out", "new/battery.json"], SIMULATE + ["--out", "new/summary.json"],
+     SIMULATE + ["--dump-paths", "new/paths.csv"]],
+    ids=["run-battery-out", "simulate-out", "simulate-dump-paths"],
+)
+def test_outputs_in_a_missing_directory_are_written(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    assert (tmp_path / argv[-1]).stat().st_size > 0
+
+
+@pytest.mark.parametrize("rows", ["0", "-1", "many"])
+def test_simulate_max_dump_rows_below_one_exits_two(rows, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(SIMULATE + ["--max-dump-rows", rows])
+    assert exc.value.code == 2
+    assert "--max-dump-rows: must be an integer >= 1" in capsys.readouterr().err
+
+
 def test_determinism_same_manifest_and_seed():
     text = """
 manifold = circle
@@ -648,17 +685,23 @@ def test_bench_tracer_sees_one_kernel_call_per_batch_of_times():
     assert layers["heat_kernel.eval_radial"]["points"] == 40 + 2 * 40 + 2
 
 
-# runs cli.main in a fresh interpreter, then prints the exit code and the
-# scipy modules that the command loaded
-_IMPORT_PROBE = """
+# numpy (about 0.08 s) and heatkato layers that each cost a compile on a
+# launch with no bytecode cache
+_LAYERS = ("numpy", "heatkato.geometry", "heatkato.heat_kernel", "heatkato.potentials", "heatkato.mvi",
+           "heatkato.stochastics")
+
+# runs cli.main in a fresh interpreter, then prints the exit code, the scipy
+# modules and the _LAYERS that the command loaded
+_IMPORT_PROBE = f"""
 import sys
 from heatkato import cli
 try:
     code = cli.main(sys.argv[1:])
-except SystemExit as exc:  # --help
+except SystemExit as exc:  # --help, a usage error
     code = exc.code
 print(code)
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(" ".join(m for m in {_LAYERS!r} if m in sys.modules))
 """
 
 
@@ -672,39 +715,32 @@ def _fresh_python(code, argv, cwd):
     return proc.stdout.split("\n")[:-1]
 
 
-def _scipy_loaded_by(argv, cwd):
-    *_, code, modules = _fresh_python(_IMPORT_PROBE, argv, cwd)
-    return int(code), set(modules.split())
+def _loaded_by(argv, cwd):
+    """The exit code, scipy modules and _LAYERS of one command in a fresh interpreter."""
+    *_, code, modules, layers = _fresh_python(_IMPORT_PROBE, argv, cwd)
+    return int(code), set(modules.split()), set(layers.split())
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, layers",
     [
-        (["list-batteries"], 0),
-        (["--help"], 0),
-        (["kernel-check", "--manifold", "torus:2:nan"], 2),
+        (["list-batteries"], 0, set()),
+        (["--help"], 0, set()),
+        (["is-kato", "--help"], 0, set()),
+        (["kernel-check"], 2, set()),
+        (["run-battery", "no-such-battery"], 2, set()),
+        (["is-kato", "--manifold", "circle", "--param", "bogus=1"], 2, set()),
+        (["run", "syntax-error.txt"], 2, set()),
+        (["run", "no-such-manifest.txt"], 2, set()),
+        # a launch decided by a model loads what parsing it takes
+        (["kernel-check", "--manifold", "torus:2:nan"], 2, {"numpy", "heatkato.geometry"}),
     ],
-    ids=["list-batteries", "help", "bad-manifold-spec"],
+    ids=["list-batteries", "help", "is-kato-help", "missing-manifold", "unknown-battery", "unknown-param",
+         "manifest-syntax-error", "missing-manifest", "bad-manifold-spec"],
 )
-def test_commands_without_numerics_load_no_scipy(argv, code, tmp_path):
-    assert _scipy_loaded_by(argv, tmp_path) == (code, set())
-
-
-_CHECK_MODULE_PROBE = """
-import sys
-from heatkato import cli
-try:
-    cli.main(sys.argv[1:])
-except SystemExit:  # --help
-    pass
-print(" ".join(m for m in ("heatkato.mvi", "heatkato.stochastics") if m in sys.modules))
-"""
-
-
-@pytest.mark.parametrize("argv", [["list-batteries"], ["--help"]], ids=["list-batteries", "help"])
-def test_commands_without_checks_load_neither_mvi_nor_stochastics(argv, tmp_path):
-    # each module costs a compile on a launch with no bytecode cache
-    assert _fresh_python(_CHECK_MODULE_PROBE, argv, tmp_path)[-1] == ""
+def test_commands_without_numerics_load_no_scipy(argv, code, layers, tmp_path):
+    (tmp_path / "syntax-error.txt").write_text("manifold = circle\nchecks = kernel-check\nno equals sign\n")
+    assert _loaded_by(argv, tmp_path) == (code, set(), layers)
 
 
 @pytest.mark.parametrize(
@@ -714,7 +750,7 @@ def test_commands_without_checks_load_neither_mvi_nor_stochastics(argv, tmp_path
 def test_faber_krahn_commands_in_closed_form_load_no_scipy(argv, tmp_path):
     # the Faber-Krahn constant lives in mvi; its Bessel zero has a closed form
     # at m = 1 and m = 3, so neither kato nor scipy is loaded
-    assert _scipy_loaded_by(argv, tmp_path) == (0, set())
+    assert _loaded_by(argv, tmp_path)[:2] == (0, set())
 
 
 _SCIPY_FAMILIES = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse")
@@ -735,7 +771,7 @@ def test_commands_load_only_the_scipy_families_they_call(argv, families, tmp_pat
     # which of quad, the root finders, special functions and sparse matrices
     # a cold start pays for; only checks that call quad load heatkato.kato
     (tmp_path / "fk-mvi.txt").write_text("manifold = euclidean:3\nchecks = fk-verify, mvi-sweep\n")
-    code, modules = _scipy_loaded_by(argv, tmp_path)
+    code, modules, _ = _loaded_by(argv, tmp_path)
     loaded = {f for f in _SCIPY_FAMILIES if any(m == f or m.startswith(f + ".") for m in modules)}
     assert (code, loaded) == (0, families)
 
@@ -750,7 +786,7 @@ def test_smoothing_fd_and_path_layers_import_no_scipy(tmp_path):
 
 def test_semigroup_battery_loads_no_quadrature_special_or_optimize(tmp_path):
     # the semigroup checks need only scipy's linear algebra
-    code, modules = _scipy_loaded_by(["run-battery", "semigroup"], tmp_path)
+    code, modules, _ = _loaded_by(["run-battery", "semigroup"], tmp_path)
     assert code == 0 and "scipy.sparse.linalg" in modules
     heavy = ("scipy.integrate", "scipy.special", "scipy.optimize")
     assert not [m for m in modules if m.startswith(heavy)]
