@@ -743,6 +743,13 @@ def test_commands_without_numerics_load_no_scipy(argv, code, layers, tmp_path):
     assert _loaded_by(argv, tmp_path) == (code, set(), layers)
 
 
+@pytest.mark.parametrize("argv", [["list-batteries"], ["--help"]], ids=["list-batteries", "help"])
+def test_commands_without_checks_load_neither_mvi_nor_stochastics(argv, tmp_path):
+    # each module costs a compile on a launch with no bytecode cache
+    code, _, layers = _loaded_by(argv, tmp_path)
+    assert code == 0 and not layers & {"heatkato.mvi", "heatkato.stochastics"}
+
+
 @pytest.mark.parametrize(
     "argv", [["heat-bound", "--manifold", "circle"], ["mvi-sweep", "--manifold", "euclidean:3"]],
     ids=["heat-bound-circle", "mvi-sweep-euclidean3"],
