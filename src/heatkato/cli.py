@@ -124,9 +124,11 @@ def parse_manifest_text(text: str) -> ExperimentManifest:
 
 def load_manifest(path: str) -> ExperimentManifest:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:  # missing, a directory, unreadable
         raise ManifestError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
     return parse_manifest_text(text)
 
 
@@ -928,14 +930,25 @@ def run_manifest(manifest: ExperimentManifest) -> Report:
     )
 
 
-def _open_output(path: str):
+def _open_output(path: str, mode: str = "w"):
     """``path`` opened for writing, its directory made first; a path that
     cannot be opened is a usage error (exit 2), not a traceback."""
     try:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        return open(path, "w", newline="")
+        return open(path, mode, newline="")
     except OSError as exc:  # a file in the way, a directory, no permission
         raise HeatKatoError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _check_outputs(*paths) -> None:
+    """Exit 2 before any numerics when an output path cannot be opened: each
+    is opened for appending and closed again, and a file that this made is
+    removed, so the run writes its outputs as before."""
+    for path in filter(None, paths):
+        made = not Path(path).exists()
+        _open_output(path, "a").close()
+        if made:
+            Path(path).unlink()
 
 
 def write_outputs(report: Report, manifest: ExperimentManifest):
@@ -1020,6 +1033,7 @@ def main(argv: list | None = None) -> int:
             return 0
         if args.command == "run":
             manifest = _apply_overrides(load_manifest(args.manifest), args)
+            _check_outputs(manifest.out)
             report = run_manifest(manifest)
             write_outputs(report, manifest)
             _print_summary(report)
@@ -1027,6 +1041,7 @@ def main(argv: list | None = None) -> int:
         if args.command == "run-battery":
             if args.name not in BATTERIES:
                 raise ManifestError(f"unknown battery {args.name!r}; see list-batteries")
+            _check_outputs(args.out)
             all_ok = True
             reports = []
             for entry in BATTERIES[args.name]:
@@ -1052,6 +1067,7 @@ def main(argv: list | None = None) -> int:
                     fh.write(json.dumps(combined, sort_keys=True, indent=2) + "\n")
             return 0 if all_ok else 1
         if args.command == "simulate":
+            _check_outputs(args.out, args.dump_paths)
             return _cmd_simulate(args)
         # single-check subcommands
         manifest = ExperimentManifest(
@@ -1066,6 +1082,7 @@ def main(argv: list | None = None) -> int:
             if k not in CHECKS[args.command].params:
                 raise ManifestError(f"check {args.command!r} has no parameter {k!r}")
             manifest.params.setdefault(args.command, {})[k] = v
+        _check_outputs(manifest.out)
         report = run_manifest(manifest)
         write_outputs(report, manifest)
         _print_summary(report)

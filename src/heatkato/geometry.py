@@ -24,7 +24,7 @@ call it, since every command imports this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -890,6 +890,41 @@ class ProductWindow:
     right: object
 
 
+def _axis_models(model: ManifoldModel) -> list:
+    """The leaf model whose ``axis_gap`` serves each chart axis, in chart order."""
+    if model.factors:
+        return [leaf for f in model.factors for leaf in _axis_models(f)]
+    return [model] * model.chart_dim
+
+
+def axis_gaps(model: ManifoldModel, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """|ys - x| along each chart axis, (n, chart_dim), each axis by its own
+    leaf (folded on a torus axis)."""
+    ys = np.atleast_2d(ys)
+    return np.abs(np.stack([leaf.axis_gap(x[k], ys[:, k]) for k, leaf in enumerate(_axis_models(model))], axis=1))
+
+
+def in_window(model: ManifoldModel, window, ys: np.ndarray) -> np.ndarray:
+    """Which chart rows lie in a ball (distance to the center at most the
+    radius) or a box (every axis gap at most its half-width)."""
+    if isinstance(window, BallWindow):
+        return distance_many(model, window.center.coords, ys) <= window.radius
+    if isinstance(window, BoxWindow):
+        return np.all(axis_gaps(model, window.center.coords, ys) <= np.asarray(window.halfwidth), axis=1)
+    raise DomainError(f"window {window!r} not supported")
+
+
+def window_within(model: ManifoldModel, inner, outer) -> bool:
+    """True when ``inner`` lies inside ``outer`` by the triangle inequality:
+    a ball in a ball, a box in a box; False for any other pair."""
+    if isinstance(inner, BallWindow) and isinstance(outer, BallWindow):
+        return distance(model, inner.center, outer.center) + inner.radius <= outer.radius
+    if isinstance(inner, BoxWindow) and isinstance(outer, BoxWindow):
+        gap = axis_gaps(model, outer.center.coords, inner.center.coords)[0]
+        return bool(np.all(gap + np.asarray(inner.halfwidth) <= np.asarray(outer.halfwidth)))
+    return False
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Nodes and weights over a window.  A full torus grid and a product grid
@@ -904,6 +939,7 @@ class QuadratureGrid:
     window: object
     resolution: float
     factors: tuple = ()  # the factor grids, empty when the grid is no tensor product
+    _inside: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.node_coords.shape[0] == 0:
@@ -917,6 +953,20 @@ class QuadratureGrid:
     @property
     def size(self) -> int:
         return self.node_coords.shape[0]
+
+    def nodes_in(self, window) -> np.ndarray | slice:
+        """The nodes ``in_window``: a slice when they run in one block (a
+        ball concentric with a polar grid is a prefix), else their indices.
+        Found once per window and kept with the grid, which many calls share."""
+        extent = window.radius if isinstance(window, BallWindow) else tuple(window.halfwidth)
+        key = (type(window), tuple(window.center.coords), extent)
+        take = self._inside.get(key)
+        if take is None:
+            take = np.flatnonzero(in_window(self.model, window, self.node_coords))
+            if take.size and take[-1] - take[0] + 1 == take.size:
+                take = slice(take[0], take[-1] + 1)
+            self._inside[key] = take
+        return take
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(4)

@@ -240,20 +240,7 @@ def evaluate_many(w: Potential, ys: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return np.where(d > 0.0, w.coefficient * d ** (-w.beta), np.inf * np.sign(w.coefficient))
     if isinstance(w, Indicator):
-        win = w.window
-        if isinstance(win, BallWindow):
-            d = geom.distance_many(w.model, win.center.coords, ys)
-            return (d <= win.radius).astype(float)
-        if isinstance(win, BoxWindow):
-            # each chart axis's gap within its half-width, the gap taken by
-            # the axis's own leaf (folded on a torus axis)
-            c, hw = win.center.coords, win.halfwidth
-            inside = np.ones(ys.shape[0], dtype=bool)
-            for leaf, off in leaves(w.model):
-                for k in range(off, off + leaf.chart_dim):
-                    inside &= np.abs(leaf.axis_gap(c[k], ys[:, k])) <= hw[k]
-            return inside.astype(float)
-        raise DomainError(f"indicator window {win!r} not supported")
+        return geom.in_window(w.model, w.window, ys).astype(float)
     if isinstance(w, CoulombPotential):
         d = geom.distance_many(w.model, w.center.coords, ys)
         out = np.where(d > 0.0, w.profile(np.maximum(d, 1e-300)), np.inf)
@@ -454,6 +441,23 @@ def sup_abs(w: Potential, outside: tuple[Point, float] | None = None) -> float:
     return total
 
 
+def support(w: Potential, model: ManifoldModel):
+    """A window outside which w vanishes, read off the tree like ``sup_abs``
+    and ``singularities``; None when none is known.  Indicators and windowed
+    atoms give their window, scalings and sign parts pass their inner
+    support through, and a sum gives the one window among its terms' that
+    covers them all."""
+    if isinstance(w, (Indicator, Windowed)):
+        return w.window
+    if isinstance(w, (Scale, PosPart, NegPart, AbsVal)):
+        return support(w.inner, model)
+    if isinstance(w, Sum):
+        wins = [support(term, model) for term in w.terms]
+        if all(win is not None for win in wins):
+            return next((c for c in wins if all(geom.window_within(model, win, c) for win in wins)), None)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # weighted L^q norms with singularity excision
 
@@ -466,15 +470,17 @@ class WeightedLqNorm:
     excised_nodes: int
 
 
-def _weight_values(weight, grid: QuadratureGrid) -> np.ndarray:
+def _weight_values(weight, nodes: np.ndarray, take) -> np.ndarray:
+    """The weight at ``nodes``, the grid nodes ``take`` selects."""
+    n = nodes.shape[0]
     if weight is None:
-        return np.ones(grid.size)
+        return np.ones(n)
     if callable(weight):
-        return np.broadcast_to(np.asarray(weight(grid.node_coords), dtype=float), (grid.size,))
+        return np.broadcast_to(np.asarray(weight(nodes), dtype=float), (n,))
     arr = np.asarray(weight, dtype=float)
     if arr.shape == ():
-        return np.full(grid.size, float(arr))
-    return arr
+        return np.full(n, float(arr))
+    return arr[take]
 
 
 def _weight_at(weight, model: ManifoldModel, p: Point) -> float:
@@ -495,6 +501,14 @@ def lq_norm(
     grid: QuadratureGrid,
 ) -> WeightedLqNorm | list[WeightedLqNorm]:
     """(integral |w|^q * weight dmu)^(1/q) over the grid window.
+
+    The sums visit only the grid nodes of supp(w) (``support``, read off the
+    potential tree like ``sup_abs`` and ``singularities``), widened to hold
+    the nodes excised around its singular points; every other node adds
+    exactly 0, so leaving it out moves a value only through the order of
+    summation.  The nodes of a support are found once per grid
+    (``QuadratureGrid.nodes_in``), and not at all when the grid's window lies
+    inside the support.
 
     ``q`` is one exponent (one ``WeightedLqNorm`` back) or a sequence of them
     (a list back); |w|, the weight and the excision are evaluated once for
@@ -519,10 +533,12 @@ def lq_norm(
     finite = [j for j, qk in enumerate(qs) if all(s.beta * qk < s.model.dim for s in sings)]
     if finite:
         eps = 2.0 * grid.resolution
-        vals = np.abs(evaluate_many(w, grid.node_coords))
-        wvals = _weight_values(weight, grid)
-        keep = singular_distance_many(w, grid.node_coords) >= eps
-        node_w, node_v, node_wv = grid.weights[keep], vals[keep], wvals[keep]
+        take = _support_nodes(w, grid, eps)
+        nodes = grid.node_coords[take]
+        vals = np.abs(evaluate_many(w, nodes))
+        wvals = _weight_values(weight, nodes, take)
+        keep = singular_distance_many(w, nodes) >= eps
+        node_w, node_v, node_wv = grid.weights[take][keep], vals[keep], wvals[keep]
         # a pullback's singular set is a subspace: excised nodewise, no ball
         balls = [
             (s, _weight_at(weight, model, s.center), _smooth_rest_at(sings, s.center))
@@ -538,6 +554,34 @@ def lq_norm(
                 correction += wc * (val + rest**qk * geom.ball_volume_radial(s.model, eps))
             norms[j] = WeightedLqNorm(qk, (base + correction) ** (1.0 / qk), False, int(np.sum(~keep)))
     return norms[0] if np.ndim(q) == 0 else norms
+
+
+def _support_nodes(w, grid, eps):
+    """The grid nodes ``lq_norm`` visits (``grid.nodes_in``): those of the
+    support, widened to hold every node within eps of a singular point.
+    All of them (``slice(None)``) when no support is known, when the grid's
+    window lies inside it, or when a singular set is no point of the chart
+    (a diagonal or a pullback's subspace is excised wherever it runs)."""
+    model = grid.model
+    win = support(w, model)
+    if win is None or geom.window_within(model, grid.window, win):
+        return slice(None)
+    sings = singularities(w)
+    if any(s.pair_cols is not None or len(s.cols) < model.chart_dim for s in sings):
+        return slice(None)
+    if sings:
+        # an excised node lies within eps of a center inside win; the 1e-9
+        # covers the rounding of the triangle inequality
+        centers = np.array([s.center.coords for s in sings])
+        if isinstance(win, BallWindow):
+            reach = float(np.max(geom.distance_many(model, win.center.coords, centers))) + eps
+            win = BallWindow(win.center, max(win.radius, reach * (1.0 + 1e-9)))
+        elif model.flat:  # a box: each axis gap is at most the distance
+            reach = np.max(geom.axis_gaps(model, win.center.coords, centers), axis=0) + eps
+            win = BoxWindow(win.center, tuple(np.maximum(win.halfwidth, reach * (1.0 + 1e-9))))
+        else:
+            return slice(None)
+    return grid.nodes_in(win)
 
 
 def _smooth_rest_at(sings: list[SingularityInfo], center: Point) -> float:

@@ -123,13 +123,15 @@ SIMULATE = ["simulate", "--manifold", "circle", "--t", "0.02", "--h", "0.01", "-
 
 @pytest.mark.parametrize(
     "argv",
-    [["run", "no-such-manifest.txt"], ["run", "."], SIMULATE + ["--out", "a-file/summary.json"],
-     SIMULATE + ["--dump-paths", "a-file/paths.csv"]],
-    ids=["missing-manifest", "manifest-is-a-directory", "out-under-a-file", "dump-under-a-file"],
+    [["run", "no-such-manifest.txt"], ["run", "."], ["run", "not-utf8.txt"],
+     SIMULATE + ["--out", "a-file/summary.json"], SIMULATE + ["--dump-paths", "a-file/paths.csv"]],
+    ids=["missing-manifest", "manifest-is-a-directory", "manifest-not-utf8", "out-under-a-file",
+         "dump-under-a-file"],
 )
 def test_paths_that_cannot_be_opened_exit_two_with_one_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a-file").write_text("")
+    (tmp_path / "not-utf8.txt").write_bytes(b"\xff\xfem\x00a\x00n\x00")  # UTF-16 with its byte-order mark
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
@@ -145,6 +147,12 @@ def test_outputs_in_a_missing_directory_are_written(argv, tmp_path, monkeypatch)
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 0
     assert (tmp_path / argv[-1]).stat().st_size > 0
+
+
+def test_an_output_checked_before_a_refused_manifest_is_not_left_behind(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["kernel-check", "--manifold", "torus:2:nan", "--out", "new/report.json"]) == 2
+    assert not (tmp_path / "new" / "report.json").exists()
 
 
 @pytest.mark.parametrize("rows", ["0", "-1", "many"])
@@ -732,14 +740,26 @@ def _loaded_by(argv, cwd):
         (["is-kato", "--manifold", "circle", "--param", "bogus=1"], 2, set()),
         (["run", "syntax-error.txt"], 2, set()),
         (["run", "no-such-manifest.txt"], 2, set()),
+        (["run", "not-utf8.txt"], 2, set()),
+        # an output path that cannot be opened stops the launch before the numerics
+        (["run", "kernel-check.txt", "--out", "a-file/x.json"], 2, set()),
+        (["run-battery", "stochastic", "--out", "a-file/x.json"], 2, set()),
+        (["kernel-check", "--manifold", "circle", "--out", "a-file/x.json"], 2, set()),
+        (SIMULATE + ["--out", "a-file/x.json"], 2, set()),
+        (SIMULATE + ["--dump-paths", "a-file/x.csv"], 2, set()),
         # a launch decided by a model loads what parsing it takes
         (["kernel-check", "--manifold", "torus:2:nan"], 2, {"numpy", "heatkato.geometry"}),
     ],
     ids=["list-batteries", "help", "is-kato-help", "missing-manifold", "unknown-battery", "unknown-param",
-         "manifest-syntax-error", "missing-manifest", "bad-manifold-spec"],
+         "manifest-syntax-error", "missing-manifest", "manifest-not-utf8", "run-out-under-a-file",
+         "run-battery-out-under-a-file", "check-out-under-a-file", "simulate-out-under-a-file",
+         "simulate-dump-under-a-file", "bad-manifold-spec"],
 )
 def test_commands_without_numerics_load_no_scipy(argv, code, layers, tmp_path):
     (tmp_path / "syntax-error.txt").write_text("manifold = circle\nchecks = kernel-check\nno equals sign\n")
+    (tmp_path / "not-utf8.txt").write_bytes(b"\xff\xfem\x00a\x00n\x00")
+    (tmp_path / "kernel-check.txt").write_text("manifold = circle\nchecks = kernel-check\n")
+    (tmp_path / "a-file").write_text("")
     assert _loaded_by(argv, tmp_path) == (code, set(), layers)
 
 

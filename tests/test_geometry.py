@@ -323,3 +323,26 @@ def test_many_axes_sum_in_the_norm_order(m):
     ys = rng.standard_normal((300, m)) * np.exp(rng.uniform(-8.0, 8.0, (300, m)))
     x = rng.standard_normal(m)
     assert np.array_equal(G.distance_many(model, x, ys), np.linalg.norm(ys - x, axis=1))
+
+
+def test_nodes_in_a_window_are_found_once_and_a_concentric_ball_is_a_prefix():
+    e3 = G.euclidean(3)
+    c = G.make_point(e3, [0.3, -0.2, 0.1])
+    grid = G.build_grid(e3, 0.1, G.BallWindow(c, 2.0))
+    ball = G.BallWindow(c, 0.75)
+    take = grid.nodes_in(ball)
+    inside = G.distance_many(e3, c.coords, grid.node_coords) <= 0.75
+    assert isinstance(take, slice) and take.start == 0 and take.stop == inside.sum() and inside[take].all()
+    assert grid.nodes_in(G.BallWindow(G.make_point(e3, c.coords), 0.75)) is take  # kept per window
+    box = G.BoxWindow(G.make_point(e3, [1.0, 0.0, 0.0]), (0.4, 0.3, 0.2))
+    assert np.array_equal(grid.nodes_in(box), np.flatnonzero(G.in_window(e3, box, grid.node_coords)))
+
+
+def test_window_within_by_the_triangle_inequality():
+    t2 = G.torus(2, 6.0)
+    c, near_seam = G.make_point(t2, [0.1, 3.0]), G.make_point(t2, [5.9, 3.0])
+    assert G.window_within(t2, G.BallWindow(near_seam, 0.5), G.BallWindow(c, 0.8))  # 0.2 apart across the seam
+    assert not G.window_within(t2, G.BallWindow(near_seam, 0.7), G.BallWindow(c, 0.8))
+    assert G.window_within(t2, G.BoxWindow(near_seam, (0.3, 0.5)), G.BoxWindow(c, (0.5, 0.5)))
+    assert not G.window_within(t2, G.BoxWindow(near_seam, (0.3, 0.6)), G.BoxWindow(c, (0.5, 0.5)))
+    assert not G.window_within(t2, G.BallWindow(c, 0.1), G.BoxWindow(c, (0.5, 0.5)))  # no mixed pairs

@@ -29,6 +29,8 @@ CASES = {
 }
 CASES["kato-norm-euclidean3"] = ("euclidean:3", ["kato-norm"], {})
 CASES["holder-check-torus2"] = ("torus:2:6.2832", ["holder-check"], {})
+# the default windowed potential's norm on a non-compact radial model's y-grid
+CASES["holder-check-euclidean3"] = ("euclidean:3", ["holder-check"], {})
 # one case per model class the batteries leave out or touch only in part
 CASES["sphere2"] = (
     "sphere2",

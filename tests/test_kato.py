@@ -793,6 +793,37 @@ def test_holder_bound_check_of_a_q_sequence_repeats_each_single_q(spec, monkeypa
     assert [rep.rhs_divergent for rep in batch] == [q == 9.0 for q in qs]
 
 
+def test_holder_norm_evaluates_the_radial_power_on_its_window_nodes_only(monkeypatch):
+    # the y-grid reaches the kernel's tail (384,000 nodes); |w| vanishes
+    # outside B(c, 1.5), so the norm visits only the nodes inside it
+    c = G.make_point(E3, [0.3, -0.2, 0.1])
+    w = P.Windowed(E3, P.RadialPower(E3, c, 0.35), G.BallWindow(c, 1.5))
+    control = K.control_pair_from_on_diag(ENG3)
+    ss, xs = np.logspace(-3, 0, 4), [c, G.exp_map(E3, c, [0.8, 0.0, 0.0])]
+    grid = P._default_y_grid(ENG3, w, 1.0, xs)
+    window_nodes = int(np.sum(G.distance_many(E3, c.coords, grid.node_coords) <= 1.5))
+    rows = []
+
+    def counted(v, ys, evaluate=P.evaluate_many):
+        if isinstance(v, P.RadialPower):
+            rows.append(np.atleast_2d(ys).shape[0])
+        return evaluate(v, ys)
+
+    monkeypatch.setattr(P, "evaluate_many", counted)
+    assert K.holder_bound_check(ENG3, control, w, 2.0, ss, xs).passed
+    assert grid.size == 384_000 and 0 < sum(rows) <= window_nodes < grid.size // 9
+
+
+def test_short_time_remainder_makes_no_selection_pass(monkeypatch):
+    # its grid is the ball B(c, 3) that windows w: every node is in the support
+    c = G.make_point(E3, [0.3, -0.2, 0.1])
+    calls = []
+    monkeypatch.setattr(G.QuadratureGrid, "nodes_in", lambda grid, window: calls.append("nodes_in"))
+    monkeypatch.setattr(P, "lq_norm", lambda *a, f=P.lq_norm: calls.append("lq_norm") or f(*a))
+    assert math.isfinite(K._short_time_remainder(ENG3, P.RadialPower(E3, c, 1.5), 1e-6))
+    assert calls == ["lq_norm"]
+
+
 def test_holder_bound_constant_on_compact():
     c = G.circle()
     engc = HK.make_engine(c)

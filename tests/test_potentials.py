@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 from heatkato import geometry as G
 from heatkato import heat_kernel as HK
 from heatkato import potentials as P
+from heatkato import quadrature as Q
 from heatkato.errors import DomainError, HeatKatoError, ManifestError, SingularityError, UnsupportedModelError
 
 E3 = G.euclidean(3)
@@ -149,6 +151,95 @@ def test_lq_norm_array_weight_matches_per_node_sum():
 
     assert P.lq_norm(sing, 2.0, three, grid).value == P.lq_norm(sing, 2.0, 3.0, grid).value
     assert seen == [(grid.size, 3), (1, 3)]
+
+
+@functools.cache
+def _norm_grid(name):
+    """(grid, center): a grid and a point near its middle (on the torus, at the seam)."""
+    if name == "euclidean3-y-grid":
+        c = G.make_point(E3, [0.3, -0.2, 0.1])
+        w = P.Windowed(E3, P.RadialPower(E3, c, 0.35), G.BallWindow(c, 1.5))
+        return P._default_y_grid(HK.make_engine(E3), w, 1.0, [c]), c
+    if name == "hyperbolic3-ball":
+        h3 = G.hyperbolic3()
+        c = G.make_point(h3, [0.2, 0.1, 1.3])
+        return G.build_grid(h3, 0.1, G.BallWindow(c, 2.0)), c
+    if name == "torus2-full":
+        t2 = G.torus(2, 6.2832)
+        return G.build_grid(t2, t2.compact_resolution, G.FullWindow()), G.make_point(t2, [0.05, 6.25])
+    pr = G.product(G.euclidean(1), G.circle())
+    window = G.ProductWindow(G.BallWindow(G.make_point(G.euclidean(1), [0.0]), 2.0), G.FullWindow())
+    return G.build_grid(pr, 0.1, window), G.make_point(pr, [0.1, 6.2])
+
+
+def _ball_atom(m, c):
+    return P.Windowed(m, P.RadialPower(m, c, 0.9), G.BallWindow(c, 1.0))
+
+
+def _box(m, c, hw):
+    return G.BoxWindow(c, (hw,) * m.chart_dim)
+
+
+# (name, potential from the model, the center c and a point `at` a distance from c)
+NORM_ROWS = [
+    ("windowed-ball", lambda m, c, at: _ball_atom(m, c)),
+    ("windowed-box", lambda m, c, at: P.Windowed(m, P.RadialPower(m, c, 0.9), _box(m, c, 0.7))),
+    ("indicator-ball", lambda m, c, at: P.Indicator(m, G.BallWindow(at(0.3), 0.8))),
+    ("indicator-box", lambda m, c, at: P.Indicator(m, _box(m, at(0.3), 0.5))),
+    ("scale", lambda m, c, at: P.Scale(-2.0, _ball_atom(m, c))),
+    ("absval", lambda m, c, at: P.AbsVal(P.Scale(-1.0, _ball_atom(m, c)))),
+    ("pospart", lambda m, c, at: P.PosPart(_ball_atom(m, c))),
+    ("sum-nested-windows",
+     lambda m, c, at: P.Sum((_ball_atom(m, c), P.Windowed(m, P.Constant(0.5), G.BallWindow(at(0.3), 0.4))))),
+    ("sum-apart-windows",
+     lambda m, c, at: P.Sum((P.Windowed(m, P.RadialPower(m, c, 0.9), G.BallWindow(c, 0.5)),
+                             P.Windowed(m, P.RadialPower(m, at(1.5), 0.9), G.BallWindow(at(1.5), 0.4))))),
+    ("center-outside-window",
+     lambda m, c, at: P.Windowed(m, P.RadialPower(m, at(1.2), 0.9), G.BallWindow(c, 0.6))),
+    ("center-near-window-edge",
+     lambda m, c, at: P.Windowed(m, P.RadialPower(m, at(0.95), 0.9), G.BallWindow(c, 1.0))),
+]
+
+
+def _reference_lq(w, qs, weight, grid):
+    """lq_norm summed over every node of the grid: |w|^q * weight, the nodes
+    within twice the resolution of a singular set excised and the point
+    singularities' balls added back from their profiles."""
+    eps = 2.0 * grid.resolution
+    vals = np.abs(P.evaluate_many(w, grid.node_coords))
+    keep = P.singular_distance_many(w, grid.node_coords) >= eps
+    sings = [s for s in P.singularities(w) if s.pair_cols is None]
+    out = []
+    for q in qs:
+        if any(s.beta * q >= s.model.dim for s in sings):
+            out.append(P.WeightedLqNorm(q, math.inf, True, 0))
+            continue
+        base = float(np.sum((grid.weights * vals**q * weight(grid.node_coords))[keep]))
+        for s in sings:
+            gaps = [(o, float(o.distances(s.center.coords[None, :])[0])) for o in sings]
+            rest = sum(float(o.profile(np.array([d]))[0]) for o, d in gaps if d > 1e-12)
+            ball = Q.near_field_integral(s.model, np.ones_like, lambda r: s.profile(r) ** q, 0.0, eps, s.beta * q)
+            base += float(weight(s.center.coords[None, :])[0]) * (ball + rest**q * G.ball_volume_radial(s.model, eps))
+        out.append(P.WeightedLqNorm(q, base ** (1.0 / q), False, int(np.sum(~keep))))
+    return out
+
+
+@pytest.mark.parametrize("row", [r[0] for r in NORM_ROWS])
+@pytest.mark.parametrize("grid_name", ["euclidean3-y-grid", "hyperbolic3-ball", "torus2-full", "product-e1-circle"])
+def test_lq_norm_on_the_support_equals_the_sum_over_every_node(grid_name, row):
+    grid, c = _norm_grid(grid_name)
+    model = grid.model
+    direction = np.eye(model.tangent_dim)[0]
+    w = dict(NORM_ROWS)[row](model, c, lambda r: G.exp_map(model, c, r * direction))
+    weight = lambda ys: 1.0 + 0.01 * np.sum(ys**2, axis=1)
+    qs = [1.0, 2.0, 3.5]
+    want = _reference_lq(w, qs, weight, grid)
+    # node values as an array weight too, where no excised center needs the weight
+    weights = [weight] + ([] if P.singularities(w) else [weight(grid.node_coords)])
+    for got in (P.lq_norm(w, qs, wt, grid) for wt in weights):
+        for g, r in zip(got, want):
+            assert (g.diverges, g.excised_nodes) == (r.diverges, r.excised_nodes)
+            assert g.value == r.value or abs(g.value - r.value) <= 1e-14 * abs(r.value)
 
 
 def test_excised_lq_matches_brute_force_refined():
