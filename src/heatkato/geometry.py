@@ -125,7 +125,9 @@ class ManifoldModel:
         nodes, weights = self.full_nodes(resolution)
         return QuadratureGrid(self, nodes, weights, FullWindow(), resolution)
 
-    def ball_grid(self, center: Point, radius: float, h: float, n_dir: int | None):
+    def polar_nodes(self, center: Point, rho: np.ndarray, w_rho: np.ndarray, n_dir: int | None):
+        """Nodes and weights of a polar grid around ``center``: the radial
+        nodes ``rho`` (weights ``w_rho``) outer, the directions inner."""
         raise UnsupportedModelError(f"ball window not supported on {self.describe()}")
 
     def box_grid(self, center: Point, halfwidth, h: float):
@@ -183,8 +185,8 @@ def _largest_radius(ok, hi: float) -> float:
     return lo
 
 
-def _radial_cells(radius: float, h: float):
-    return gl_nodes(np.linspace(0.0, radius, max(6, int(math.ceil(radius / h))) + 1))
+def _radial_breaks(radius: float, h: float) -> np.ndarray:
+    return np.linspace(0.0, radius, max(6, int(math.ceil(radius / h))) + 1)
 
 
 def _exp_polar(model, c, vs, radial_weights, w_dir):
@@ -264,7 +266,7 @@ class Euclidean(_FlatChart):
     def ball_volume(self, r: float) -> float:
         return _omega(self.dim) * r**self.dim
 
-    def ball_grid(self, center, radius, h, n_dir):
+    def polar_nodes(self, center, rho, w_rho, n_dir):
         m = self.dim
         if m == 1:
             dirs = np.array([[1.0], [-1.0]])
@@ -278,7 +280,6 @@ class Euclidean(_FlatChart):
             dirs, w_dir = _sphere_directions(n_dir or 20)
         else:
             raise UnsupportedModelError("ball grids implemented for m <= 3")
-        rho, w_rho = _radial_cells(radius, h)
         nodes = center.coords[None, None, :] + rho[:, None, None] * dirs[None, :, :]
         weights = (w_rho * rho ** (m - 1))[:, None] * w_dir[None, :]
         return nodes.reshape(-1, m), weights.ravel()
@@ -512,9 +513,8 @@ class Hyperbolic3(ManifoldModel):
         # chart metric is z^-2 * id, so g-covariance h*id means chart scale z*sqrt(h)
         return math.sqrt(h) * xs[:, 2:3] * z
 
-    def ball_grid(self, center, radius, h, n_dir):
+    def polar_nodes(self, center, rho, w_rho, n_dir):
         c = center.coords
-        rho, w_rho = _radial_cells(radius, h)
         dirs, w_dir = _sphere_directions(n_dir or 20)
         # chart tangent of g-norm rho in direction omega has chart length z*rho
         vs = (rho[:, None, None] * dirs[None, :, :]) * c[2]
@@ -1007,14 +1007,29 @@ def build_grid(model: ManifoldModel, resolution: float, window, n_dir: int | Non
     if isinstance(window, FullWindow):
         return model.full_grid(resolution)
     if isinstance(window, BallWindow):
-        nodes, weights = model.ball_grid(window.center, window.radius, resolution, n_dir)
-    elif isinstance(window, BoxWindow):
+        return ball_grid_prefix(model, window, resolution, n_dir, window.radius)
+    if isinstance(window, BoxWindow):
         nodes, weights = model.box_grid(window.center, window.halfwidth, resolution)
     elif isinstance(window, ProductWindow):
         return model.product_grid(window, resolution, n_dir)
     else:
         raise DomainError(f"unknown window spec {window!r}")
     return QuadratureGrid(model, nodes, weights, window, resolution)
+
+
+def ball_grid_prefix(model: ManifoldModel, window: BallWindow, resolution: float, n_dir, reach: float):
+    """The first nodes of ``build_grid``'s polar grid over a ball, through
+    the first radial cell that reaches past ``reach``: the same cells of
+    [0, radius], directions and node order, so every node and weight equals
+    the full grid's to the bit (the radial cells are outer, and each node is
+    computed from its own cell and direction alone).  Its window is the ball
+    out to that cell's outer break, which holds every node of the full grid
+    within ``reach`` of the center and no node past the break."""
+    breaks = _radial_breaks(window.radius, resolution)
+    k = min(int(np.searchsorted(breaks, reach, side="right")), breaks.size - 1)
+    nodes, weights = model.polar_nodes(window.center, *gl_nodes(breaks[: k + 1]), n_dir)
+    cut = window if k == breaks.size - 1 else BallWindow(window.center, float(breaks[k]))
+    return QuadratureGrid(model, nodes, weights, cut, resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -449,10 +449,18 @@ def check_consistency(
     )
 
 
+def on_diag_sweep(engine: HeatKernelEngine, t_values) -> list[tuple[float, float]]:
+    """(t, p(t, x, x)) as Python floats for each time of a sweep, from one
+    ``on_diag`` call on the column of times; each value is its time's own
+    ``on_diag`` to the bit."""
+    ts = np.asarray(t_values, dtype=float)
+    return list(zip(ts.tolist(), on_diag(engine, ts[:, None]).ravel().tolist()))
+
+
 def on_diag_upper(engine: HeatKernelEngine, t_values) -> float:
     """Empirical sup of t^{m/2} p(t, x, x) over the sweep (x-independent here)."""
     m = engine.dim
-    return max(float(t) ** (m / 2.0) * on_diag(engine, float(t)) for t in t_values)
+    return max(t ** (m / 2.0) * diag for t, diag in on_diag_sweep(engine, t_values))
 
 
 def heat_bound_constant(engine: HeatKernelEngine, radius_fn, a: float, t_values, x_samples) -> float:
@@ -460,9 +468,8 @@ def heat_bound_constant(engine: HeatKernelEngine, radius_fn, a: float, t_values,
     sweep sup of p(t,x,x) a^{m/2} min(t, R(x)^2)^{m/2}."""
     m = engine.dim
     best = 0.0
-    for t in t_values:
-        diag = on_diag(engine, float(t))
+    for t, diag in on_diag_sweep(engine, t_values):
         for x in x_samples:
             Rx = radius_fn(x)
-            best = max(best, diag * a ** (m / 2.0) * min(float(t), Rx * Rx) ** (m / 2.0))
+            best = max(best, diag * a ** (m / 2.0) * min(t, Rx * Rx) ** (m / 2.0))
     return best

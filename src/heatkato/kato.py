@@ -105,14 +105,13 @@ def verify_control_pair(
     details = []
     worst = math.inf
     spaces = [_space_at(pair, x) for x in x_samples]
-    for t in t_values:
-        if not 0.0 < t <= 1.0:
-            raise DomainError("control pairs are calibrated on (0, 1]")
-        supval = hk.on_diag(engine, float(t))
+    if not all(0.0 < t <= 1.0 for t in t_values):
+        raise DomainError("control pairs are calibrated on (0, 1]")
+    for t, supval in hk.on_diag_sweep(engine, t_values):
         for space in spaces:
-            bound = space * pair.time_factor(float(t))
+            bound = space * pair.time_factor(t)
             margin = bound - supval
-            details.append({"t": float(t), "margin": margin})
+            details.append({"t": t, "margin": margin})
             worst = min(worst, margin)
     return PairVerification(worst, len(details), details)
 
@@ -160,10 +159,7 @@ def control_pair_li_yau(engine: hk.HeatKernelEngine, t_values: Sequence[float] |
     m = model.dim
     ts = np.asarray(t_values if t_values is not None else np.logspace(-4, 0, 60), dtype=float)
     vol1 = geom.ball_volume_radial(model, 1.0)
-    C5 = 0.0
-    for t in ts:
-        diag = hk.on_diag(engine, float(t))
-        C5 = max(C5, diag * vol1 * float(t) ** (m / 2.0))
+    C5 = max([0.0, *(diag * vol1 * t ** (m / 2.0) for t, diag in hk.on_diag_sweep(engine, ts))])
     pair = KatoControlPair(
         model,
         space_factor=lambda x, C5=C5, v=vol1: C5 / v,
@@ -437,12 +433,17 @@ def holder_bound_check(
     ``q`` is one exponent (one report back) or a sequence of them (a list
     back, one report per q).  The left side does not depend on q: the norms
     of every q come from one ``lq_norm`` call and |w| is smoothed once per
-    x-sample for all of them, so each report equals that of its own call."""
+    x-sample for all of them, so each report equals that of its own call.
+
+    Without a ``grid`` the norm takes ``potentials._norm_grid``: the
+    kernel-reach y-grid cut one radial cell past w's support and excision
+    band.  The cut keeps every node the norm reads, at the same indices, so
+    each norm equals the whole grid's to the bit."""
     model = engine.model
     qs = [q] if np.ndim(q) == 0 else list(q)
     for qk in qs:
         require_admissible(model.dim, qk)
-    norm_grid = grid or pot._default_y_grid(engine, w, max(s_samples), list(x_samples))
+    norm_grid = grid or pot._norm_grid(engine, w, max(s_samples), list(x_samples))
     norms = pot.lq_norm(w, qs, control.space_factor, norm_grid)
     reports = [HolderReport(qk, math.inf, 0.0, True, 0) for qk in qs]
     finite = [j for j, wq in enumerate(norms) if not wq.diverges]

@@ -508,7 +508,9 @@ def lq_norm(
     exactly 0, so leaving it out moves a value only through the order of
     summation.  The nodes of a support are found once per grid
     (``QuadratureGrid.nodes_in``), and not at all when the grid's window lies
-    inside the support.
+    inside the support.  A polar grid cut one radial cell past that widened
+    support (``_norm_grid``) holds the same nodes at the same indices in the
+    same order, so its sums equal the whole grid's to the bit.
 
     ``q`` is one exponent (one ``WeightedLqNorm`` back) or a sequence of them
     (a list back); |w|, the weight and the excision are evaluated once for
@@ -558,30 +560,35 @@ def lq_norm(
 
 def _support_nodes(w, grid, eps):
     """The grid nodes ``lq_norm`` visits (``grid.nodes_in``): those of the
-    support, widened to hold every node within eps of a singular point.
-    All of them (``slice(None)``) when no support is known, when the grid's
-    window lies inside it, or when a singular set is no point of the chart
-    (a diagonal or a pullback's subspace is excised wherever it runs)."""
-    model = grid.model
+    window ``_norm_window`` gives, or all of them (``slice(None)``) when it
+    gives none or the grid's window lies inside it."""
+    win = _norm_window(w, grid.model, eps)
+    if win is None or geom.window_within(grid.model, grid.window, win):
+        return slice(None)
+    return grid.nodes_in(win)
+
+
+def _norm_window(w, model, eps):
+    """The support of w, widened to hold every node within eps of a singular
+    point; None when no support is known or when a singular set is no point
+    of the chart (a diagonal or a pullback's subspace is excised wherever it
+    runs)."""
     win = support(w, model)
-    if win is None or geom.window_within(model, grid.window, win):
-        return slice(None)
     sings = singularities(w)
-    if any(s.pair_cols is not None or len(s.cols) < model.chart_dim for s in sings):
-        return slice(None)
+    if win is None or any(s.pair_cols is not None or len(s.cols) < model.chart_dim for s in sings):
+        return None
     if sings:
         # an excised node lies within eps of a center inside win; the 1e-9
         # covers the rounding of the triangle inequality
         centers = np.array([s.center.coords for s in sings])
         if isinstance(win, BallWindow):
             reach = float(np.max(geom.distance_many(model, win.center.coords, centers))) + eps
-            win = BallWindow(win.center, max(win.radius, reach * (1.0 + 1e-9)))
-        elif model.flat:  # a box: each axis gap is at most the distance
+            return BallWindow(win.center, max(win.radius, reach * (1.0 + 1e-9)))
+        if model.flat:  # a box: each axis gap is at most the distance
             reach = np.max(geom.axis_gaps(model, win.center.coords, centers), axis=0) + eps
-            win = BoxWindow(win.center, tuple(np.maximum(win.halfwidth, reach * (1.0 + 1e-9))))
-        else:
-            return slice(None)
-    return grid.nodes_in(win)
+            return BoxWindow(win.center, tuple(np.maximum(win.halfwidth, reach * (1.0 + 1e-9))))
+        return None
+    return win
 
 
 def _smooth_rest_at(sings: list[SingularityInfo], center: Point) -> float:
@@ -739,23 +746,59 @@ def _excised_ball(engine, sg, ss, x, eps):
 
 
 def _default_y_grid(engine, w, t_max, x_samples) -> QuadratureGrid:
+    """The grid over the whole compact model, or else the polar grid around
+    w's center out to the kernel's reach at t_max past the farthest x-sample
+    (120 radial cells), which smoothing by p(t, x, .) needs in full."""
     model = engine.model
     if model.compact:
         return _shared_grid(model, model.compact_resolution, None, 0.0)
+    return _shared_grid(model, *_y_ball(model, w, t_max, x_samples))
+
+
+def _norm_grid(engine, w, t_max, x_samples) -> QuadratureGrid:
+    """The grid an L^q norm of w takes in place of ``_default_y_grid``: on a
+    non-compact model with a known ``_norm_window``, that grid's nodes
+    through the first radial cell past the window's farthest point
+    (``geom.ball_grid_prefix``), else the whole grid.  They are every node
+    ``lq_norm`` reads on the whole grid, at the same indices and to the bit,
+    so each norm sums the same nodes in the same order; the nodes where
+    |w| = 0 are never built."""
+    model = engine.model
+    if model.compact:
+        return _default_y_grid(engine, w, t_max, x_samples)
+    resolution, center, radius = _y_ball(model, w, t_max, x_samples)
+    win = _norm_window(w, model, 2.0 * resolution)
+    if isinstance(win, BallWindow):
+        extent = win.radius
+    elif isinstance(win, BoxWindow) and model.flat:  # the box's farthest corner
+        extent = math.hypot(*win.halfwidth)
+    else:
+        return _shared_grid(model, resolution, center, radius)
+    # the farthest point of the window from the grid's center; the 1e-9
+    # covers the rounding of the triangle inequality
+    reach = geom.distance(model, Point(np.array(center)), win.center) + extent
+    return _shared_grid(model, resolution, center, radius, reach=reach * (1.0 + 1e-9))
+
+
+def _y_ball(model, w, t_max, x_samples) -> tuple[float, tuple, float]:
+    """(resolution, center, radius) of ``_default_y_grid`` on a non-compact model."""
     center = center_of(w, model)
     spread = max((geom.distance(model, center, x) for x in x_samples), default=0.0)
     radius = spread + model.kernel_reach(t_max) + 2.0
-    return _shared_grid(model, radius / 120.0, tuple(center.coords), radius)
+    return radius / 120.0, tuple(center.coords), radius
 
 
 @lru_cache(maxsize=8)
 def _shared_grid(
-    model: ManifoldModel, resolution: float, center: tuple | None, radius: float, n_dir: int | None = None
+    model: ManifoldModel, resolution: float, center: tuple | None, radius: float, n_dir=None, reach=math.inf
 ) -> QuadratureGrid:
     """The grid over the whole compact model (center None) or over a ball,
-    built once; its arrays are read-only because every caller shares them."""
-    window = geom.FullWindow() if center is None else BallWindow(Point(np.array(center)), radius)
-    grid = geom.build_grid(model, resolution, window, n_dir)
+    cut past ``reach`` (``geom.ball_grid_prefix``), built once; its arrays
+    are read-only because every caller shares them."""
+    if center is None:
+        grid = geom.build_grid(model, resolution, geom.FullWindow())
+    else:
+        grid = geom.ball_grid_prefix(model, BallWindow(Point(np.array(center)), radius), resolution, n_dir, reach)
     grid.node_coords.flags.writeable = False
     grid.weights.flags.writeable = False
     return grid

@@ -2,7 +2,8 @@
 
 ``circle`` is the one-axis torus of side 2 pi, so the two spellings build the
 same model and every check reads the same numbers: the canonical reports
-differ only in the manifest that names the spelling.
+differ only in the manifest that names the spelling.  A flat torus written as
+a product of tori in another factor order or nesting is the same model too.
 """
 
 import json
@@ -37,3 +38,37 @@ def test_periodic_kernel_is_exactly_symmetric(manifold):
     # order of x and y
     (check,) = _report(manifold, ["kernel-check"])["checks"]
     assert check["values"]["symmetry_residual"] == 0.0
+
+
+# the three-axis torus of side 1 in three spellings; is-kato and holder-check
+# read the same numbers in each.  kato-norm's N moves in its last bit when
+# the one-axis factor comes first (the factor kernels multiply in nesting
+# order), so its row compares only the spellings that nest alike.
+TORUS_PRODUCTS = [
+    "product(torus:1:1,torus:2:1)",
+    "product(torus:2:1,torus:1:1)",
+    "product(product(torus:1:1,torus:1:1),torus:1:1)",
+]
+
+
+@pytest.mark.parametrize(
+    "check, params, spellings",
+    [
+        ("is-kato", {"is-kato": {"n_t": "3"}}, TORUS_PRODUCTS),
+        ("holder-check", {"holder-check": {"n_s": "3"}}, TORUS_PRODUCTS),
+        ("kato-norm", {"kato-norm": {"n_x": "1"}}, TORUS_PRODUCTS[1:]),
+    ],
+    ids=["is-kato", "holder-check", "kato-norm"],
+)
+def test_torus_products_in_any_factor_order_or_nesting_agree(check, params, spellings):
+    reports = [_report(spec, [check], params) for spec in spellings]
+    for spec, report in zip(spellings, reports):
+        assert report["manifest"]["manifold"] == spec
+        report["manifest"]["manifold"] = None
+    assert all(report == reports[0] for report in reports[1:])
+
+
+def test_is_kato_on_a_product_of_lines_exits_two(capsys):
+    # euclidean:1 x euclidean:1 is non-compact with no radial kernel: no Kato model
+    assert cli.main(["is-kato", "--manifold", "product(euclidean:1,euclidean:1)"]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1

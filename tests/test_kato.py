@@ -814,6 +814,63 @@ def test_holder_norm_evaluates_the_radial_power_on_its_window_nodes_only(monkeyp
     assert grid.size == 384_000 and 0 < sum(rows) <= window_nodes < grid.size // 9
 
 
+@pytest.mark.parametrize("spec, bound_mib", [("euclidean:3", 4.5), ("hyperbolic3", 17.0)])
+def test_holder_check_memory_stays_near_the_support(spec, bound_mib):
+    # the norm's grid stops one radial cell past supp(w): the whole
+    # kernel-reach y-grid (384,000 nodes, 17.7 MiB on euclidean:3 and 68 MiB
+    # with hyperbolic3's exp maps) is never built
+    model = G.parse_manifold(spec)
+    eng = HK.make_engine(model)
+    w = P.parse_potential("windowed:r=1.5:radialpower:beta=0.35", model)
+    control = K.control_pair_from_on_diag(eng)
+    xs = [P.center_of(w, model), G.random_point(model, np.random.default_rng(4), 1.2)]
+    P._shared_grid.cache_clear()  # the grid is built inside the measurement
+    tracemalloc.start()
+    try:
+        reports = K.holder_bound_check(eng, control, w, [1.6, 2.0, 5.0], np.logspace(-3, 0, 10), xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(rep.passed for rep in reports)
+    assert peak <= bound_mib * 2**20
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["euclidean:2", "euclidean:3", "hyperbolic3", "sphere2", "circle", "torus:3:1", "product(euclidean:1,circle)"],
+)
+def test_on_diagonal_sweeps_equal_their_per_time_loops(spec):
+    # one on_diag call on the column of times; each constant and margin is
+    # the one the per-time loop gives, to the bit
+    model = G.parse_manifold(spec)
+    eng = HK.make_engine(model)
+    m = model.dim
+    ts = np.logspace(-4, 0, 60)
+    diag = [HK.on_diag(eng, float(t)) for t in ts]
+    assert HK.on_diag_upper(eng, ts) == max(float(t) ** (m / 2.0) * d for t, d in zip(ts, diag))
+    pair = K.control_pair_li_yau(eng, ts)
+    vol1 = G.ball_volume_radial(model, 1.0)
+    C5 = 0.0
+    for t, d in zip(ts, diag):
+        C5 = max(C5, d * vol1 * float(t) ** (m / 2.0))
+    assert pair.constants["C5"] == C5
+    xs = [G.base_point(model), G.random_point(model, np.random.default_rng(3), 1.0)]
+    want = [
+        {"t": float(t), "margin": K._space_at(pair, x) * pair.time_factor(float(t)) - d}
+        for t, d in zip(ts, diag)
+        for x in xs
+    ]
+    ver = K.verify_control_pair(eng, pair, ts, xs)
+    assert ver.details == want and ver.min_margin == min(row["margin"] for row in want)
+    radius_fn = lambda x: 0.3 + 0.2 * abs(float(x.coords[0]))
+    best = 0.0
+    for t, d in zip(ts, diag):
+        for x in xs:
+            Rx = radius_fn(x)
+            best = max(best, d * 0.7 ** (m / 2.0) * min(float(t), Rx * Rx) ** (m / 2.0))
+    assert HK.heat_bound_constant(eng, radius_fn, 0.7, ts, xs) == best
+
+
 def test_short_time_remainder_makes_no_selection_pass(monkeypatch):
     # its grid is the ball B(c, 3) that windows w: every node is in the support
     c = G.make_point(E3, [0.3, -0.2, 0.1])

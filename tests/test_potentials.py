@@ -242,6 +242,74 @@ def test_lq_norm_on_the_support_equals_the_sum_over_every_node(grid_name, row):
             assert g.value == r.value or abs(g.value - r.value) <= 1e-14 * abs(r.value)
 
 
+def _support_cut_cases(model):
+    """(label, w, x-samples) with a known support: concentric with the
+    y-grid, off its center, and a singular center eps / 4 inside the
+    support's edge, whose excised ball ``_norm_window`` widens it to hold."""
+    o = G.base_point(model)
+    xs = [o, G.random_point(model, np.random.default_rng(5), 1.2)]
+    eps = 2.0 * P._y_ball(model, P.Constant(1.0), 1.0, xs)[0]  # the y-grid around o
+    c = G.random_point(model, np.random.default_rng(6), 0.6)
+    s = G.random_point(model, np.random.default_rng(7), 0.6)
+    edge = G.distance(model, c, s) + 0.25 * eps
+    power = lambda p: P.RadialPower(model, p, 0.35)
+    cases = [
+        ("concentric", P.Windowed(model, power(c), G.BallWindow(c, 1.5)), [c, xs[1]]),
+        ("off-center", P.Windowed(model, power(s), G.BallWindow(c, 1.0)), xs),
+        ("widened", P.Windowed(model, power(s), G.BallWindow(c, edge)), xs),
+    ]
+    if model.flat:
+        cases.append(("box", P.Windowed(model, power(s), G.BoxWindow(c, (0.7,) * model.dim)), xs))
+    return cases, eps
+
+
+@pytest.mark.parametrize("spec", ["euclidean:2", "euclidean:3", "hyperbolic3"])
+def test_norm_grid_is_a_prefix_of_the_y_grid_with_the_same_norms(spec):
+    # the cut grid's nodes and weights are the y-grid's first ones, and
+    # lq_norm reads the same nodes of both, so every norm is equal to the bit
+    model = G.parse_manifold(spec)
+    eng = HK.make_engine(model)
+    weight = lambda ys: 1.0 + 0.25 * np.tanh(ys[:, 0])
+    qs = [1.6, 2.0, 5.0] if model.dim == 3 else [1.1, 2.0, 5.0]
+    cases, eps = _support_cut_cases(model)
+    for label, w, xs in cases:
+        full, cut = P._default_y_grid(eng, w, 1.0, xs), P._norm_grid(eng, w, 1.0, xs)
+        n = cut.size
+        assert n < full.size // 4 and cut.resolution == full.resolution, label
+        assert np.array_equal(cut.node_coords, full.node_coords[:n]), label
+        assert np.array_equal(cut.weights, full.weights[:n]), label
+        got, want = P.lq_norm(w, qs, weight, cut), P.lq_norm(w, qs, weight, full)
+        assert got == want and want[0].excised_nodes > 0, label
+        if label == "widened":
+            assert P._norm_window(w, model, eps).radius > w.window.radius
+
+
+@pytest.mark.parametrize("spec", ["euclidean:3", "hyperbolic3"])
+def test_norm_grid_without_a_known_support_is_the_whole_y_grid(spec):
+    model = G.parse_manifold(spec)
+    eng = HK.make_engine(model)
+    c = G.random_point(model, np.random.default_rng(6), 0.6)
+    xs = [c]
+    windows = [G.BallWindow(c, 0.5), G.BallWindow(G.exp_map(model, c, [0.1] * 3), 0.5)]
+    unwindowed = P.RadialPower(model, c, 0.35)
+    crossing = P.Sum(tuple(P.Windowed(model, unwindowed, win) for win in windows))  # no window covers both
+    for w in (unwindowed, crossing, P.Constant(1.0)):
+        assert P.support(w, model) is None
+        assert P._norm_grid(eng, w, 1.0, xs) is P._default_y_grid(eng, w, 1.0, xs)
+
+
+def test_grid_smoothing_keeps_the_whole_y_grid(monkeypatch):
+    # p(s, x, .) reaches past supp(w): the smoothing grid is not cut
+    c = G.make_point(E3, [0.3, -0.2, 0.1])
+    w = P.Windowed(E3, P.Constant(2.0), G.BoxWindow(c, (0.5, 0.5, 0.5)))  # no radial form: grid smoothing
+    eng = HK.make_engine(E3)
+    grids = []
+    monkeypatch.setattr(P, "_norm_grid", None)
+    monkeypatch.setattr(P, "_default_y_grid", lambda *a, f=P._default_y_grid: grids.append(f(*a)) or grids[-1])
+    P.smoothed_abs(eng, w, [0.1], c)
+    assert [g.size for g in grids] == [384_000] and grids[0].window.radius == P._y_ball(E3, w, 1.0, [c])[2]
+
+
 def test_excised_lq_matches_brute_force_refined():
     # spec property: within 2% of a fine-grid brute force for beta*q < 0.9 m
     w = P.RadialPower(E3, ORIGIN, 0.9)  # q=2: beta q = 1.8 < 2.7
