@@ -803,6 +803,47 @@ def test_commands_load_only_the_scipy_families_they_call(argv, families, tmp_pat
     assert (code, loaded) == (0, families)
 
 
+_QUAD_LAYERS = {"numpy", "heatkato.geometry", "heatkato.heat_kernel", "heatkato.potentials", "heatkato.mvi"}
+_CIRCLE_SG = ["--manifold", "circle", "--param", "n_grid=16"]
+
+
+@pytest.mark.parametrize(
+    "argv, families, layers",
+    [
+        (["kernel-check", "--manifold", "circle", "--param", "t_values=0.1", "--param", "n_points=1"], set(),
+         {"numpy", "heatkato.geometry", "heatkato.heat_kernel"}),
+        (["kato-norm", "--manifold", "euclidean:3", "--param", "n_x=1", "--param", "t=0.01"],
+         set(_SCIPY_FAMILIES), _QUAD_LAYERS),
+        (["is-kato", "--manifold", "euclidean:3", "--param", "n_t=2"], set(_SCIPY_FAMILIES), _QUAD_LAYERS),
+        (["holder-check", "--manifold", "euclidean:3", "--param", "n_s=2", "--param", "qs=2"],
+         set(_SCIPY_FAMILIES), _QUAD_LAYERS),
+        (["control-pair", "--manifold", "euclidean:3", "--param", "n_t=2"], set(_SCIPY_FAMILIES), _QUAD_LAYERS),
+        (["control-pair", "--manifold", "euclidean:3", "--param", "n_t=2", "--param", "source=fk"],
+         set(_SCIPY_FAMILIES), _QUAD_LAYERS),
+        (["coulomb", "--manifold", "euclidean:3", "--param", "r_values=1"], set(_SCIPY_FAMILIES),
+         {"numpy", "heatkato.geometry", "heatkato.heat_kernel", "heatkato.potentials"}),
+        (["feynman-kac", "--manifold", "circle", "--param", "n_paths=100", "--param", "t_values=0.02",
+          "--param", "h=0.01", "--param", "n_grid=64"], {"scipy.sparse"},
+         {"numpy", "heatkato.geometry", "heatkato.heat_kernel", "heatkato.potentials", "heatkato.stochastics"}),
+        (["kato-exponential", "--manifold", "euclidean:1", "--param", "n_paths=100", "--param", "t_values=0.02",
+          "--param", "deltas=2", "--param", "h=0.01"], set(),
+         {"numpy", "heatkato.geometry", "heatkato.heat_kernel", "heatkato.potentials", "heatkato.stochastics"}),
+        (["semigroup-bound", *_CIRCLE_SG, "--param", "t_values=0.5", "--param", "deltas=2"], {"scipy.sparse"},
+         {"numpy", "heatkato.geometry", "heatkato.heat_kernel", "heatkato.potentials"}),
+        (["riesz-thorin", *_CIRCLE_SG, "--param", "r_values=0.5"], {"scipy.sparse"},
+         {"numpy", "heatkato.geometry", "heatkato.heat_kernel", "heatkato.potentials"}),
+    ],
+    ids=["kernel-check", "kato-norm", "is-kato", "holder-check", "control-pair", "control-pair-fk", "coulomb",
+         "feynman-kac", "kato-exponential", "semigroup-bound", "riesz-thorin"],
+)
+def test_each_check_loads_its_scipy_families_and_layers(argv, families, layers, tmp_path):
+    # a check run alone on tiny parameters: the scipy families and layers its
+    # cold start pays for
+    code, modules, loaded = _loaded_by(argv, tmp_path)
+    found = {f for f in _SCIPY_FAMILIES if any(m == f or m.startswith(f + ".") for m in modules)}
+    assert (code, found, loaded) == (0, families, layers)
+
+
 def test_smoothing_fd_and_path_layers_import_no_scipy(tmp_path):
     probe = (
         "import sys, heatkato.potentials, heatkato.mvi, heatkato.stochastics\n"
