@@ -3,8 +3,10 @@ potentials, Feynman-Kac functionals and Schrodinger semigroup bounds on model
 Riemannian manifolds.
 
 Importing the package loads no submodule: ``heatkato.kato`` and the other
-submodule attributes load on first access, so a CLI command pays only for the
-layers it uses (only ``kato`` and ``semigroup`` import scipy at load).
+submodule attributes load on first access.  ``heatkato.cli`` reaches every
+numerical layer this way, as ``heatkato.<layer>.<name>``, so a command pays
+only for the layers it uses (only ``kato`` and ``semigroup`` import scipy at
+load).
 """
 
 import importlib

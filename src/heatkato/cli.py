@@ -7,7 +7,7 @@ per line, ``#`` comments.  Keys:
                       | circle | product(a,b)
     potential       = e.g. radialpower:beta=1:center=0,0,0   (optional)
     checks          = comma-separated subset of the check registry
-    seed            = integer
+    seed            = integer in [0, 2^64)
     out             = report path (JSON)
     emit_csv        = true | false       (plot series next to the report)
     param.<check>.<key> = value          (check-specific numerics)
@@ -24,25 +24,28 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import heatkato
+
 from . import __version__
 from .errors import HeatKatoError, ManifestError
-from .reporting import CheckResult, Report
+from .reporting import CheckResult, Report, worst_of
 
 if TYPE_CHECKING:
     from .geometry import ManifoldModel
     from .heat_kernel import HeatKernelEngine
     from .potentials import Potential
 
-# numpy and every numerical layer are imported by the functions that call
-# them: kato and semigroup load scipy, and numpy, geometry, heat_kernel and
-# potentials are half of a launch with no bytecode cache, which
-# list-batteries, --help and a usage error decided before a model is parsed
-# do not need
+# every numerical layer is reached as heatkato.<layer>.<name>, which the
+# package loads at its first access, and numpy is imported by the functions
+# that use it: kato and semigroup load scipy, and numpy, geometry,
+# heat_kernel and potentials are half of a launch with no bytecode cache,
+# which list-batteries, --help and a usage error decided before a model is
+# parsed do not need
 
 # ---------------------------------------------------------------------------
 # manifest
@@ -106,9 +109,9 @@ def parse_manifest_text(text: str) -> ExperimentManifest:
             fields["checks"] = [c.strip() for c in value.split(",") if c.strip()]
         elif key == "seed":
             try:
-                fields["seed"] = int(value)
-            except ValueError:
-                raise ManifestError(f"seed must be an integer, got {value!r}", lineno, col)
+                fields["seed"] = _seed(value)
+            except argparse.ArgumentTypeError as exc:
+                raise ManifestError(f"seed {exc}", lineno, col)
         elif key == "emit_csv":
             if value.lower() not in ("true", "false"):
                 raise ManifestError(f"emit_csv must be true or false, got {value!r}", lineno, col)
@@ -133,9 +136,7 @@ def load_manifest(path: str) -> ExperimentManifest:
 
 
 def validate_manifest(manifest: ExperimentManifest) -> None:
-    from . import geometry as geom
-
-    model = geom.parse_manifold(manifest.manifold)
+    model = heatkato.geometry.parse_manifold(manifest.manifold)
     for name in manifest.checks:
         if name not in CHECKS:
             raise ManifestError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
@@ -159,13 +160,11 @@ def validate_manifest(manifest: ExperimentManifest) -> None:
         if problem:
             raise ManifestError(f"param.{name}: {problem}")
     if manifest.potential is not None:
-        from . import potentials as pot
-
         target = model
         if manifest.checks == ["project-check"]:
-            target = pot.leaves(model)[_params(manifest, "project-check")["leaf"]][0]
+            target = heatkato.potentials.leaves(model)[_params(manifest, "project-check")["leaf"]][0]
         try:
-            pot.parse_potential(manifest.potential, target)
+            heatkato.potentials.parse_potential(manifest.potential, target)
         except HeatKatoError as exc:
             raise ManifestError(f"potential: {exc}")
 
@@ -182,10 +181,7 @@ class CheckContext:
     seed: int
 
     def potential(self, default_spec: str, target: ManifoldModel | None = None) -> Potential:
-        from . import potentials as pot
-
-        spec = self.manifest.potential or default_spec
-        return pot.parse_potential(spec, target or self.model)
+        return heatkato.potentials.parse_potential(self.manifest.potential or default_spec, target or self.model)
 
 
 @dataclass
@@ -198,32 +194,10 @@ class CheckSpec:
     check: object = None  # (params, model) -> a problem of the whole parameter set, or None
 
 
-def _euclidean_2_3(model: ManifoldModel) -> bool:
-    from .geometry import Euclidean
-
-    return isinstance(model, Euclidean) and model.dim in (2, 3)
-
-
-def _circle(model: ManifoldModel) -> bool:
-    from .geometry import Torus
-
-    return isinstance(model, Torus) and model.dim == 1
-
-
-def _product(model: ManifoldModel) -> bool:
-    from .geometry import Product
-
-    return isinstance(model, Product)
-
-
-def _coulomb_model(model: ManifoldModel) -> bool:
-    from .potentials import _coulomb_supported
-
-    return _coulomb_supported(model)
-
-
-_EUCLIDEAN_2_3 = ("euclidean:2 or euclidean:3", _euclidean_2_3)
-_CIRCLE = ("circle or torus:1:L", _circle)
+_EUCLIDEAN_2_3 = (
+    "euclidean:2 or euclidean:3", lambda m: isinstance(m, heatkato.geometry.Euclidean) and m.dim in (2, 3)
+)
+_CIRCLE = ("circle or torus:1:L", lambda m: isinstance(m, heatkato.geometry.Torus) and m.dim == 1)
 
 
 def _low_radial(model: ManifoldModel) -> bool:
@@ -264,9 +238,8 @@ _TIME = _domain(lambda v: 1e-12 <= v <= 1e6, "in [1e-12, 1e6]")
 
 
 def _n_grid(value, model):
-    from .semigroup import _DENSE_LIMIT
-
-    return None if 8 <= value <= _DENSE_LIMIT else f"must be in 8..{_DENSE_LIMIT}"
+    limit = heatkato.semigroup._DENSE_LIMIT
+    return None if 8 <= value <= limit else f"must be in 8..{limit}"
 
 
 def _at_least(k):
@@ -293,27 +266,24 @@ def _params(manifest: ExperimentManifest, name: str) -> dict:
 def _sample_points(model, n, seed):
     import numpy as np
 
-    from . import geometry as geom
-
     rng = np.random.default_rng(seed)
-    return [geom.random_point(model, rng, 1.2) for _ in range(n)]
+    return [heatkato.geometry.random_point(model, rng, 1.2) for _ in range(n)]
 
 
 def _check_kernel(ctx: CheckContext, p: dict) -> CheckResult:
-    from . import heat_kernel as hk
-
     ts = p["t_values"]
     pts = _sample_points(ctx.model, p["n_points"], ctx.seed + 1)
-    rep = hk.check_consistency(ctx.engine, ts, pts)
-    series_free = ctx.engine.method in (hk.Method.CLOSED_FORM,)
-    ck_tol = 1e-6 if series_free else 1e-4
+    rep = heatkato.heat_kernel.check_consistency(ctx.engine, ts, pts)
+    ck_tol = 1e-6 if ctx.engine.method == heatkato.heat_kernel.Method.CLOSED_FORM else 1e-4
     mass_tol = 1e-6
     sym_tol = max(2.0 * rep.truncation_bound, 1e-12)
-    margin = min(
-        mass_tol - rep.mass_defect, ck_tol - rep.ck_residual, sym_tol - rep.symmetry_residual
-    )
+    margin, reason = worst_of(min, math.inf, {
+        "mass_defect": [mass_tol - rep.mass_defect],
+        "ck_residual": [ck_tol - rep.ck_residual],
+        "symmetry_residual": [sym_tol - rep.symmetry_residual],
+    })
     return CheckResult(
-        margin >= 0, margin, max(mass_tol, ck_tol), rep,
+        margin >= 0, margin, max(mass_tol, ck_tol), rep if reason is None else {**asdict(rep), "reasons": [reason]},
         sweep={"t_values": ts, "n_points": p["n_points"]},
     )
 
@@ -324,26 +294,23 @@ def _default_radial_spec(model: ManifoldModel) -> str:
 
 
 def _check_kato_norm(ctx: CheckContext, p: dict) -> CheckResult:
-    from . import kato as kato_mod
-    from . import potentials as pot
-
     w = ctx.potential(_default_radial_spec(ctx.model))
-    xs = [pot.center_of(w, ctx.model)] + _sample_points(ctx.model, p["n_x"] - 1, ctx.seed + 2)
-    val = kato_mod.kato_functional(ctx.engine, w, p["t"], xs, s_min=p["s_min"])
+    xs = [heatkato.potentials.center_of(w, ctx.model)] + _sample_points(ctx.model, p["n_x"] - 1, ctx.seed + 2)
+    val = heatkato.kato.kato_functional(ctx.engine, w, p["t"], xs, s_min=p["s_min"])
+    finite = math.isfinite(val)
     return CheckResult(
-        math.isfinite(val), 0.0 if math.isfinite(val) else -math.inf, 0.0,
-        {"t": p["t"], "N": val}, sweep={"n_x": p["n_x"], "s_min": p["s_min"]},
+        finite, 0.0 if finite else -math.inf, 0.0,
+        {"t": p["t"], "N": val, **({} if finite else {"reasons": [f"N(t) = {val} is not finite"]})},
+        sweep={"n_x": p["n_x"], "s_min": p["s_min"]},
     )
 
 
 def _check_is_kato(ctx: CheckContext, p: dict) -> CheckResult:
     import numpy as np
 
-    from . import kato as kato_mod
-
     w = ctx.potential(_default_radial_spec(ctx.model))
     ts = np.logspace(math.log10(p["t_min"]), math.log10(p["t_max"]), p["n_t"])
-    curve, verdict = kato_mod.is_kato(
+    curve, verdict = heatkato.kato.is_kato(
         ctx.engine, w, ts, threshold_ratio=p["threshold_ratio"], gamma_min=p["gamma_min"],
         s_min=p["s_min"],
     )
@@ -365,9 +332,8 @@ def _check_is_kato(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _qs(value, model):
-    from . import kato as kato_mod
-
-    if value == "auto" or (value and all(math.isfinite(q) and kato_mod.admissible_q(model.dim, q) for q in value)):
+    admissible = heatkato.kato.admissible_q
+    if value == "auto" or (value and all(math.isfinite(q) and admissible(model.dim, q) for q in value)):
         return None
     return "must be auto or a comma-separated list of admissible exponents (q >= 1 if m = 1, else q > m/2)"
 
@@ -387,30 +353,25 @@ def _holder_times(p, model):
 def _check_holder(ctx: CheckContext, p: dict) -> CheckResult:
     import numpy as np
 
-    from . import geometry as geom
-    from . import kato as kato_mod
-    from . import potentials as pot
-
-    m = ctx.model.dim
     w = ctx.potential("windowed:r=1.5:radialpower:beta=0.35")
-    control = kato_mod.control_pair_from_on_diag(ctx.engine)
-    qs = p["qs"] if p["qs"] != "auto" else list(kato_mod.default_qs(m))
+    control = heatkato.kato.control_pair_from_on_diag(ctx.engine)
+    qs = p["qs"] if p["qs"] != "auto" else list(heatkato.kato.default_qs(ctx.model.dim))
     s_min = max(p["s_min"], _holder_s_floor(ctx.model))
     grid = None
     if not ctx.model.radial_kernel:
-        grid = geom.build_grid(ctx.model, ctx.model.compact_resolution / 2.0, geom.FullWindow())
+        grid = heatkato.geometry.build_grid(
+            ctx.model, ctx.model.compact_resolution / 2.0, heatkato.geometry.FullWindow()
+        )
     ss = np.logspace(math.log10(s_min), 0.0, p["n_s"])
-    xs = [pot.center_of(w, ctx.model)] + _sample_points(ctx.model, 2, ctx.seed + 3)
-    worst = math.inf
-    tol = 0.0
-    per_q = {}
-    for q, rep in zip(qs, kato_mod.holder_bound_check(ctx.engine, control, w, qs, ss, xs, grid=grid)):
-        per_q[f"q={q:g}"] = rep
-        if not rep.rhs_divergent:
-            worst = min(worst, rep.min_margin)
-            tol = max(tol, rep.tolerance)
+    xs = [heatkato.potentials.center_of(w, ctx.model)] + _sample_points(ctx.model, 2, ctx.seed + 3)
+    reps = heatkato.kato.holder_bound_check(ctx.engine, control, w, qs, ss, xs, grid=grid)
+    kept = [rep for rep in reps if not rep.rhs_divergent]
+    worst, reason = worst_of(min, math.inf, {f"margin at q={rep.q:g}": [rep.min_margin] for rep in kept})
+    tol, tol_reason = worst_of(max, 0.0, {f"tolerance at q={rep.q:g}": [rep.tolerance] for rep in kept})
+    per_q = {f"q={q:g}": rep for q, rep in zip(qs, reps)}
+    reasons = [r for r in (reason, tol_reason) if r]
     return CheckResult(
-        worst >= -tol, worst, tol, per_q,
+        worst >= -tol, worst, tol, {**per_q, **({"reasons": reasons} if reasons else {})},
         sweep={"qs": qs, "n_s": p["n_s"], "s_min": s_min},
         empirical_constants=dict(control.constants),
     )
@@ -419,22 +380,18 @@ def _check_holder(ctx: CheckContext, p: dict) -> CheckResult:
 def _check_control_pair(ctx: CheckContext, p: dict) -> CheckResult:
     import numpy as np
 
-    from . import geometry as geom
-    from . import kato as kato_mod
-    from . import mvi as mvi_mod
-
     ts = np.logspace(math.log10(p["t_min"]), 0.0, p["n_t"])
-    xs = [geom.base_point(ctx.model)]
+    xs = [heatkato.geometry.base_point(ctx.model)]
     if p["source"] == "liyau":
-        pair = kato_mod.control_pair_li_yau(ctx.engine, t_values=ts)
+        pair = heatkato.kato.control_pair_li_yau(ctx.engine, t_values=ts)
     elif p["source"] == "fk":
-        fk = kato_mod.FaberKrahnControlPair(
-            kato_mod.constant_radius_fn(ctx.model), mvi_mod.faber_krahn_constant(ctx.model.dim)
+        fk = heatkato.kato.FaberKrahnControlPair(
+            heatkato.kato.constant_radius_fn(ctx.model), heatkato.mvi.faber_krahn_constant(ctx.model.dim)
         )
-        pair, _ = kato_mod.control_pair_from_faber_krahn(fk, ctx.engine)
+        pair, _ = heatkato.kato.control_pair_from_faber_krahn(fk, ctx.engine)
     else:
-        pair = kato_mod.control_pair_from_on_diag(ctx.engine, ts)
-    ver = kato_mod.verify_control_pair(ctx.engine, pair, ts, xs)
+        pair = heatkato.kato.control_pair_from_on_diag(ctx.engine, ts)
+    ver = heatkato.kato.verify_control_pair(ctx.engine, pair, ts, xs)
     certs_ok = all(math.isfinite(v) for v in pair.certificates.values())
     margin = ver.min_margin if certs_ok else -math.inf
     return CheckResult(
@@ -446,24 +403,16 @@ def _check_control_pair(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _default_fk_sets(model: ManifoldModel):
-    from .geometry import BallWindow, BoxWindow, base_point
-
-    o = base_point(model)
+    ball, box = heatkato.geometry.BallWindow, heatkato.geometry.BoxWindow
+    o = heatkato.geometry.base_point(model)
     if model.dim == 2:
         s = math.sqrt(math.pi) / 2.0
-        return [
-            (o, BallWindow(o, 1.0)),
-            (o, BallWindow(o, 0.5)),
-            (o, BoxWindow(o, (s, s))),
-            (o, BoxWindow(o, (0.8, 0.4))),
-        ]
-    return [(o, BallWindow(o, 1.0)), (o, BoxWindow(o, (0.7, 0.7, 0.7)))]
+        return [(o, ball(o, 1.0)), (o, ball(o, 0.5)), (o, box(o, (s, s))), (o, box(o, (0.8, 0.4)))]
+    return [(o, ball(o, 1.0)), (o, box(o, (0.7, 0.7, 0.7)))]
 
 
 def _fk_radius(value, model):
-    from . import mvi as mvi_mod
-
-    circum = max(mvi_mod._region_circumradius(model, x, region) for x, region in _default_fk_sets(model))
+    circum = max(heatkato.mvi._region_circumradius(model, x, region) for x, region in _default_fk_sets(model))
     if not (math.isfinite(value) and value >= circum - 1e-9):
         return f"must be finite and >= {circum:.6g}, the circumradius of the default test sets"
     return None
@@ -478,12 +427,9 @@ def _fk_h(p: dict, model: ManifoldModel) -> float:
 
 
 def _check_fk_verify(ctx: CheckContext, p: dict) -> CheckResult:
-    from . import mvi as mvi_mod
-
-    a = mvi_mod.faber_krahn_constant(ctx.model.dim) * p["a_scale"]
-    radius_fn = lambda x: p["radius"]
+    a = heatkato.mvi.faber_krahn_constant(ctx.model.dim) * p["a_scale"]
     h = _fk_h(p, ctx.model)
-    rep = mvi_mod.faber_krahn_verify(ctx.model, radius_fn, a, _default_fk_sets(ctx.model), h=h)
+    rep = heatkato.mvi.faber_krahn_verify(ctx.model, lambda x: p["radius"], a, _default_fk_sets(ctx.model), h=h)
     return CheckResult(
         rep.passed, rep.min_margin, rep.tolerance, rep.to_dict(),
         sweep={"h": h, "a_scale": p["a_scale"]}, empirical_constants={"a": a},
@@ -491,11 +437,8 @@ def _check_fk_verify(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_mvi(ctx: CheckContext, p: dict) -> CheckResult:
-    from . import mvi as mvi_mod
-
-    a = mvi_mod.faber_krahn_constant(ctx.model.dim)
-    cfg = mvi_mod.default_config(ctx.model, a, radius=p["radius"])
-    rep = mvi_mod.mvi_sweep(cfg)
+    a = heatkato.mvi.faber_krahn_constant(ctx.model.dim)
+    rep = heatkato.mvi.mvi_sweep(heatkato.mvi.default_config(ctx.model, a, radius=p["radius"]))
     return CheckResult(
         rep.stable and math.isfinite(rep.c_emp), 0.10 - rep.drift, 0.0, rep,
         sweep=rep.sweep, empirical_constants={"C_emp": rep.c_emp},
@@ -505,14 +448,10 @@ def _check_mvi(ctx: CheckContext, p: dict) -> CheckResult:
 def _check_heat_bound(ctx: CheckContext, p: dict) -> CheckResult:
     import numpy as np
 
-    from . import geometry as geom
-    from . import mvi as mvi_mod
-
-    a = mvi_mod.faber_krahn_constant(min(ctx.model.dim, 3))
+    a = heatkato.mvi.faber_krahn_constant(min(ctx.model.dim, 3))
     ts = np.logspace(math.log10(p["t_min"]), math.log10(p["t_max"]), p["n_t"])
-    rep = mvi_mod.heat_bound_sweep(
-        ctx.engine, lambda x: p["radius"], a, ts, [geom.base_point(ctx.model)]
-    )
+    xs = [heatkato.geometry.base_point(ctx.model)]
+    rep = heatkato.mvi.heat_bound_sweep(ctx.engine, lambda x: p["radius"], a, ts, xs)
     return CheckResult(
         rep.stable and math.isfinite(rep.c_hat), 0.10 - rep.drift, 0.0, rep,
         sweep=rep.sweep, empirical_constants={"C_hat": rep.c_hat, "a": a},
@@ -522,23 +461,19 @@ def _check_heat_bound(ctx: CheckContext, p: dict) -> CheckResult:
 def _check_feynman_kac(ctx: CheckContext, p: dict) -> CheckResult:
     import numpy as np
 
-    from . import geometry as geom
-    from . import semigroup as sg
-    from . import stochastics as st
-
     w = ctx.potential("cosine")
     ts = p["t_values"]
-    start = geom.base_point(ctx.model)
-    ens = st.simulate(ctx.model, start, max(ts), p["h"], p["n_paths"], ctx.seed)
-    op = sg.discretize(ctx.model, p["n_grid"], w)
+    start = heatkato.geometry.base_point(ctx.model)
+    ens = heatkato.stochastics.simulate(ctx.model, start, max(ts), p["h"], p["n_paths"], ctx.seed)
+    op = heatkato.semigroup.discretize(ctx.model, p["n_grid"], w)
     node = 0  # start sits at grid node 0
     worst = math.inf
     rows = []
     reasons = []
     for t in ts:
         sub = ens.truncated(t)
-        est = st.feynman_kac(sub, w)
-        spectral = float(sg.semigroup_apply(op, t, np.ones(op.size))[node])
+        est = heatkato.stochastics.feynman_kac(sub, w)
+        spectral = float(heatkato.semigroup.semigroup_apply(op, t, np.ones(op.size))[node])
         se = est.std_error
         z = (est.value - spectral) / se if math.isfinite(se) and se > 0 else math.nan
         if not math.isfinite(z):
@@ -553,21 +488,15 @@ def _check_feynman_kac(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _leaf_index(value, model):
-    from .potentials import leaves
-
-    n = len(leaves(model))
+    n = len(heatkato.potentials.leaves(model))
     return None if 0 <= value < n else f"must be a leaf index in 0..{n - 1}"
 
 
 def _check_project(ctx: CheckContext, p: dict) -> CheckResult:
-    from . import geometry as geom
-    from . import potentials as pot
-    from . import stochastics as st
-
-    leaf = pot.leaves(ctx.model)[p["leaf"]][0]
+    leaf = heatkato.potentials.leaves(ctx.model)[p["leaf"]][0]
     w = ctx.potential("indicator:ball:r=1", target=leaf)
-    x = geom.base_point(ctx.model)
-    rep = st.elworthy_projection_check(
+    x = heatkato.geometry.base_point(ctx.model)
+    rep = heatkato.stochastics.elworthy_projection_check(
         ctx.model, p["leaf"], w, p["t"], x, N=p["n_paths"], h=p["h"], seed=ctx.seed
     )
     margin = rep.rhs_quad - rep.lhs_quad
@@ -580,10 +509,8 @@ def _check_project(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_kato_exponential(ctx: CheckContext, p: dict) -> CheckResult:
-    from . import stochastics as st
-
     w = ctx.potential("windowed:r=1:radialpower:beta=0.5")
-    rep = st.kato_exponential_estimate(
+    rep = heatkato.stochastics.kato_exponential_estimate(
         ctx.model, w, p["t_values"], p["deltas"], p["n_paths"], h=p["h"], seed=ctx.seed,
     )
     finite = all(math.isfinite(e["C"]) for e in rep.table) and not rep.overflowed
@@ -595,14 +522,10 @@ def _check_kato_exponential(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_semigroup(ctx: CheckContext, p: dict) -> CheckResult:
-    import numpy as np
-
-    from . import potentials as pot
-    from . import semigroup as sg
-
+    sg, pot = heatkato.semigroup, heatkato.potentials
     w_minus = ctx.potential("radialpower:beta=0.5")
     op_minus = sg.discretize(ctx.model, p["n_grid"], pot.Scale(-1.0, pot.absolute(w_minus)))
-    bound = sg.bop_bound_check(op_minus, p["t_values"], p["deltas"], qs=(1, 2, 4, np.inf), seed=ctx.seed)
+    bound = sg.bop_bound_check(op_minus, p["t_values"], p["deltas"], qs=(1, 2, 4, math.inf), seed=ctx.seed)
     tol = 1e-10
     return CheckResult(
         bound.min_margin >= -tol and bound.domination_margin >= -tol,
@@ -613,11 +536,8 @@ def _check_semigroup(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _check_riesz(ctx: CheckContext, p: dict) -> CheckResult:
-    from . import semigroup as sg
-
-    w = ctx.potential("cosine")
-    op = sg.discretize(ctx.model, p["n_grid"], w)
-    rep = sg.riesz_thorin_check(op, p["t"], p["r_values"])
+    op = heatkato.semigroup.discretize(ctx.model, p["n_grid"], ctx.potential("cosine"))
+    rep = heatkato.semigroup.riesz_thorin_check(op, p["t"], p["r_values"])
     tol = 1e-10
     return CheckResult(
         rep.min_margin >= -tol, rep.min_margin, tol, rep,
@@ -628,11 +548,9 @@ def _check_riesz(ctx: CheckContext, p: dict) -> CheckResult:
 def _check_coulomb(ctx: CheckContext, p: dict) -> CheckResult:
     import numpy as np
 
-    from . import geometry as geom
-    from . import potentials as pot
-
+    geom = heatkato.geometry
     o = geom.base_point(ctx.model)
-    profile = pot.coulomb_profile(ctx.model)
+    profile = heatkato.potentials.coulomb_profile(ctx.model)
     tol = p["rel_tol"]
     worst = math.inf
     rows = []
@@ -641,7 +559,7 @@ def _check_coulomb(ctx: CheckContext, p: dict) -> CheckResult:
         v[0] = r  # the metric is the identity at the base point
         y = geom.exp_map(ctx.model, o, v)
         d = geom.distance(ctx.model, o, y)
-        cv = pot.coulomb(ctx.engine, o, y, tol=min(tol / 10.0, 1e-8))
+        cv = heatkato.potentials.coulomb(ctx.engine, o, y, tol=min(tol / 10.0, 1e-8))
         closed = float(profile(np.array([d]))[0])
         rel = abs(cv.value - closed) / closed
         rows.append([d, cv.value, closed, rel, cv.tail_bound])
@@ -653,16 +571,13 @@ def _check_coulomb(ctx: CheckContext, p: dict) -> CheckResult:
 
 
 def _coulomb_distances(values, model):
-    from .geometry import Hyperbolic3
-
     # on hyperbolic3 the closed form e^{-r} / (4 pi sinh r) is a normal double up to r = 350
-    top = 350.0 if isinstance(model, Hyperbolic3) else 1e6
+    top = 350.0 if isinstance(model, heatkato.geometry.Hyperbolic3) else 1e6
     return _list_of(lambda v: 0 < v <= top, f"in (0, {top:g}]")(values, model)
 
 
 def _kernel_times(p, model):
-    from . import heat_kernel as hk
-
+    hk = heatkato.heat_kernel
     engine = hk.make_engine(model)
     capped = [t for t in p["t_values"] if hk.series_cap_exceeded(engine, t)]
     return f"t_values {capped} need more than {hk.LMAX_CAP} series terms" if capped else None
@@ -677,20 +592,17 @@ def _is_kato_times(p, model):
 
 
 def _fk_grid(p, model):
-    from . import mvi as mvi_mod
-
+    mvi = heatkato.mvi
     regions = [region for _, region in _default_fk_sets(model)]
     h = _fk_h(p, model)
-    if any(mvi_mod.fd_grid_too_fine(model, region, h) for region in regions):
-        return f"h leaves more than {mvi_mod._FD_MAX_NODES:,} lattice nodes in the finest grid of a test set"
+    if any(mvi.fd_grid_too_fine(model, region, h) for region in regions):
+        return f"h leaves more than {mvi._FD_MAX_NODES:,} lattice nodes in the finest grid of a test set"
     h = max(h, 1.0 / 12.0)  # all finer h pass on the default sets; keeps 3-d masks small
-    coarse = any(mvi_mod.fd_grid_too_coarse(model, region, h) for region in regions)
+    coarse = any(mvi.fd_grid_too_coarse(model, region, h) for region in regions)
     return "h leaves too few grid nodes in the smallest test set" if coarse else None
 
 
 def _fk_times(p, model):
-    from . import stochastics as st
-
     horizon = max(p["t_values"])
     if p["h"] > horizon:
         return f"h exceeds the largest t ({horizon:g})"
@@ -698,22 +610,21 @@ def _fk_times(p, model):
     off = [t for t in p["t_values"] if abs(round(t / step) * step - t) > 1e-9 + 1e-9 * t]
     if off:
         return f"t_values {off} are not multiples of the step {step:g}"
+    st = heatkato.stochastics
     return st.walk_problem(model, st.step_count(horizon, p["h"]), True, p["n_paths"])  # as simulate refuses it
 
 
 def _project_walk(p, model):
-    from . import stochastics as st
-
     if not p["n_paths"]:
         return None
     if p["h"] > p["t"]:
         return f"h exceeds t = {p['t']:g}"
+    st = heatkato.stochastics
     return st.walk_problem(model, st.step_count(p["t"], p["h"]), False, p["n_paths"], 1)  # t recorded alone
 
 
 def _exponential_walk(p, model):
-    from . import stochastics as st
-
+    st = heatkato.stochastics
     return st.walk_problem(model, st.step_count(max(p["t_values"]), p["h"]), True, p["n_paths"], held=False)
 
 
@@ -819,7 +730,7 @@ CHECKS: dict[str, CheckSpec] = {
             "h": (float, 2e-3, _POSITIVE),
         },
         "projection bound for product projections",
-        models=("a product manifold", _product),
+        models=("a product manifold", lambda m: isinstance(m, heatkato.geometry.Product)),
         check=_project_walk,
     ),
     "kato-exponential": CheckSpec(
@@ -862,7 +773,7 @@ CHECKS: dict[str, CheckSpec] = {
         {"r_values": (_floats, "0.1,1,10", _coulomb_distances),
          "rel_tol": (float, 1e-6, _POSITIVE)},
         "Coulomb potential quadrature against the closed form",
-        models=("euclidean:3 or hyperbolic3", _coulomb_model),
+        models=("euclidean:3 or hyperbolic3", lambda m: heatkato.potentials._coulomb_supported(m)),
     ),
 }
 
@@ -915,11 +826,8 @@ def run_check(ctx: CheckContext, name: str) -> CheckResult:
 
 def run_manifest(manifest: ExperimentManifest) -> Report:
     validate_manifest(manifest)  # first: a manifest it refuses loads no kernel layer
-    from . import geometry as geom
-    from . import heat_kernel as hk
-
-    model = geom.parse_manifold(manifest.manifold)
-    ctx = CheckContext(model, hk.make_engine(model), manifest, manifest.seed)
+    model = heatkato.geometry.parse_manifold(manifest.manifold)
+    ctx = CheckContext(model, heatkato.heat_kernel.make_engine(model), manifest, manifest.seed)
     results = [run_check(ctx, name) for name in manifest.checks]
     return Report(
         manifest=manifest.to_dict(),
@@ -976,15 +884,25 @@ def _print_summary(report: Report):
 # entry point
 
 
-def _at_least_one(text: str) -> int:
-    """An argument that counts rows: an integer >= 1, else a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _integer_in(low: int, high: float, what: str):
+    """An argument type: an integer in [low, high), else a usage error that
+    says it must be <what>."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_at_least_one = _integer_in(1, math.inf, "an integer >= 1")  # counts rows
+# the seeds numpy's generators and the path sampler both take as they are
+_seed = _integer_in(0, 2**64, "an integer in [0, 2^64)")
 
 
 def _apply_overrides(manifest: ExperimentManifest, args) -> ExperimentManifest:
@@ -1003,7 +921,7 @@ def main(argv: list | None = None) -> int:
                                       ("run-battery", "name", "run a built-in battery")):
         run_p = sub.add_parser(command, help=helptext)
         run_p.add_argument(target)
-        run_p.add_argument("--seed", type=int, default=None)
+        run_p.add_argument("--seed", type=_seed, default=None)
         run_p.add_argument("--out", default=None)
 
     sub.add_parser("list-batteries", help="print battery names")
@@ -1013,7 +931,7 @@ def main(argv: list | None = None) -> int:
     sim_p.add_argument("--t", type=float, required=True)
     sim_p.add_argument("--h", type=float, default=1e-3)
     sim_p.add_argument("--n", type=int, default=1000)
-    sim_p.add_argument("--seed", type=int, default=0)
+    sim_p.add_argument("--seed", type=_seed, default=0)
     sim_p.add_argument("--out", default=None)
     sim_p.add_argument("--dump-paths", default=None, help="CSV path for (path, t, coords...) rows")
     sim_p.add_argument("--max-dump-rows", type=_at_least_one, default=1_000_000)
@@ -1022,7 +940,7 @@ def main(argv: list | None = None) -> int:
         cp = sub.add_parser(name, help=spec.description)
         cp.add_argument("--manifold", required=True)
         cp.add_argument("--potential", default=None)
-        cp.add_argument("--seed", type=int, default=0)
+        cp.add_argument("--seed", type=_seed, default=0)
         cp.add_argument("--out", default=None)
         cp.add_argument("--param", action="append", default=[], help="key=value override")
 
@@ -1098,9 +1016,7 @@ def main(argv: list | None = None) -> int:
 def _cmd_simulate(args) -> int:
     import numpy as np
 
-    from . import geometry as geom
-    from . import stochastics as st
-
+    geom, st = heatkato.geometry, heatkato.stochastics
     model = geom.parse_manifold(args.manifold)
     start = geom.base_point(model)
     steps_total = st.step_count(args.t, args.h)

@@ -33,6 +33,7 @@ from . import geometry as geom
 from . import quadrature
 from .errors import DomainError, UnsupportedModelError
 from .geometry import ManifoldModel, Point, QuadratureGrid, time_factor
+from .reporting import worst_of
 
 SERIES_TOL = 1e-12  # tail the adaptive sphere series stops below
 LMAX_CAP = 20000  # most terms the adaptive sphere series takes
@@ -415,7 +416,7 @@ def check_consistency(
     t_samples = list(t_samples)
     if not t_samples or not point_samples:
         raise DomainError("need nonempty samples")
-    mass_defect = 0.0
+    defects = []
     tail_max = 0.0
     trunc = 0.0
     for t in t_samples:
@@ -425,20 +426,21 @@ def check_consistency(
             tail_max = max(tail_max, tail)
             # expected mass 1 (all built-ins are stochastically complete);
             # the defect is charged after the analytic tail allowance
-            mass_defect = max(mass_defect, max(abs(mass - 1.0) - tail, 0.0))
-    ck = 0.0
+            defects.append(max(abs(mass - 1.0) - tail, 0.0))
+    mass_defect, _ = worst_of(max, 0.0, {"mass_defect": defects})
     n = len(point_samples)
+    ck_residuals = []
     for i, t in enumerate(t_samples):
         s = t_samples[(i + 1) % len(t_samples)]
         x = point_samples[i % n]
         y = point_samples[(i + 1) % n]
         conv, direct, allowance = chapman_kolmogorov(engine, t, s, x, y)
-        ck = max(ck, max(abs(conv - direct) - allowance, 0.0))
-    sym = 0.0
-    for i, x in enumerate(point_samples):
-        y = point_samples[(i + 1) % n]
-        for t in t_samples:
-            sym = max(sym, abs(eval_kernel(engine, t, x, y) - eval_kernel(engine, t, y, x)))
+        ck_residuals.append(max(abs(conv - direct) - allowance, 0.0))
+    ck, _ = worst_of(max, 0.0, {"ck_residual": ck_residuals})
+    pairs = [(x, point_samples[(i + 1) % n]) for i, x in enumerate(point_samples)]
+    sym, _ = worst_of(max, 0.0, {"symmetry_residual": [
+        abs(eval_kernel(engine, t, x, y) - eval_kernel(engine, t, y, x)) for x, y in pairs for t in t_samples
+    ]})
     return KernelCheckReport(
         mass_defect=mass_defect,
         ck_residual=ck,

@@ -28,6 +28,7 @@ from .errors import DomainError, UnsupportedModelError
 from .geometry import BallWindow, Euclidean, ManifoldModel, Point, QuadratureGrid
 from .mvi import dirichlet_ground_energy  # unused here: the benchmark's tracer wraps it at this address
 from .potentials import smoothed_abs
+from .reporting import worst_of
 
 
 def admissible_q(m: int, q: float) -> bool:
@@ -159,7 +160,7 @@ def control_pair_li_yau(engine: hk.HeatKernelEngine, t_values: Sequence[float] |
     m = model.dim
     ts = np.asarray(t_values if t_values is not None else np.logspace(-4, 0, 60), dtype=float)
     vol1 = geom.ball_volume_radial(model, 1.0)
-    C5 = max([0.0, *(diag * vol1 * t ** (m / 2.0) for t, diag in hk.on_diag_sweep(engine, ts))])
+    C5, _ = worst_of(max, 0.0, {"C5": (diag * vol1 * t ** (m / 2.0) for t, diag in hk.on_diag_sweep(engine, ts))})
     pair = KatoControlPair(
         model,
         space_factor=lambda x, C5=C5, v=vol1: C5 / v,
@@ -256,8 +257,7 @@ def kato_functional(
     rem = _short_time_remainder(engine, w, s_min)
     if _inner_divergent(w):
         return math.inf + rem
-    # builtin max, started at 0.0, skips a NaN total
-    core = max([0.0, *(float(_kato_ladder(engine, w, [t], x, s_min)[0][0]) for x in x_grid)])
+    core, _ = worst_of(max, 0.0, {"N(t)": (float(_kato_ladder(engine, w, [t], x, s_min)[0][0]) for x in x_grid)})
     return core + rem
 
 
@@ -458,10 +458,10 @@ def holder_bound_check(
         for x in x_samples:
             sv = smoothed_abs(engine, w, ss, x, grid=grid)
             for j in finite:
-                # builtin min and max skip a NaN margin, as a scalar comparison would
-                worst[j] = min([worst[j], *(rhs[j] - sv.value).tolist()])
-            tail_worst = max([tail_worst, *sv.tail_bound.tolist()])
-        tol = max(1e-8, 10.0 * tail_worst)
+                # a NaN margin stays NaN: min over [nan, ...] keeps its first element
+                worst[j], _ = worst_of(min, worst[j], {"margin": (rhs[j] - sv.value).tolist()})
+            tail_worst, _ = worst_of(max, tail_worst, {"tail bound": sv.tail_bound.tolist()})
+        tol, _ = worst_of(max, 1e-8, {"tolerance": [10.0 * tail_worst]})
         for j in finite:
             reports[j] = HolderReport(qs[j], worst[j], tol, False, ss.size * len(x_samples))
     return reports[0] if np.ndim(q) == 0 else reports

@@ -5,6 +5,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import chain
+
+
+def worst_of(reduce, start: float, quantities: dict) -> tuple[float, str | None]:
+    """``reduce`` (the builtin max or min) over ``start`` and the values of
+    each named quantity, in order: (the result, None).  The builtins skip a
+    NaN that does not come first, so a NaN statistic could read as a pass;
+    here a NaN in any quantity gives (nan, "<its name> is NaN")."""
+    pools = {name: list(values) for name, values in quantities.items()}
+    for name, values in pools.items():
+        if any(v != v for v in values):
+            return math.nan, f"{name} is NaN"
+    return reduce([start, *chain.from_iterable(pools.values())]), None
 
 
 def _jsonable(obj):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -88,6 +89,22 @@ out = {out}
     data = json.loads(out.read_text())
     assert data["checks"][0]["verdict"] == "FAIL"
     assert data["all_pass"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [(["kernel-check", "--manifold", "hyperbolic3", "--param", "t_values=1000"], "mass_defect is NaN"),
+     (["kato-norm", "--manifold", "hyperbolic3", "--param", "t=1000"], "N(t) = nan is not finite")],
+    ids=["kernel-check", "kato-norm"],
+)
+def test_a_nan_statistic_fails_with_its_reason(argv, reason, tmp_path):
+    # past t = 1e3 the hyperbolic sphere area overflows and the kernel mass
+    # reads NaN; the builtin max once skipped it and both commands PASSed
+    out = tmp_path / "rep.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(argv + ["--out", str(out)]) == 1
+    values = json.loads(out.read_text())["checks"][0]["values"]
+    assert values["reasons"] == [reason]
 
 
 def test_is_kato_margin_reads_both_criteria():
@@ -747,20 +764,48 @@ def _loaded_by(argv, cwd):
         (["kernel-check", "--manifold", "circle", "--out", "a-file/x.json"], 2, set()),
         (SIMULATE + ["--out", "a-file/x.json"], 2, set()),
         (SIMULATE + ["--dump-paths", "a-file/x.csv"], 2, set()),
+        # a seed outside [0, 2^64), which numpy's generators or the path sampler would not take as it is
+        (["kernel-check", "--manifold", "circle", "--seed", "-1"], 2, set()),
+        (["run-battery", "semigroup", "--seed", "-1"], 2, set()),
+        (["run", "kernel-check.txt", "--seed", "-1"], 2, set()),
+        (SIMULATE + ["--seed", str(2**64)], 2, set()),
+        (["run", "negative-seed.txt"], 2, set()),
         # a launch decided by a model loads what parsing it takes
         (["kernel-check", "--manifold", "torus:2:nan"], 2, {"numpy", "heatkato.geometry"}),
     ],
     ids=["list-batteries", "help", "is-kato-help", "missing-manifold", "unknown-battery", "unknown-param",
          "manifest-syntax-error", "missing-manifest", "manifest-not-utf8", "run-out-under-a-file",
          "run-battery-out-under-a-file", "check-out-under-a-file", "simulate-out-under-a-file",
-         "simulate-dump-under-a-file", "bad-manifold-spec"],
+         "simulate-dump-under-a-file", "check-negative-seed", "battery-negative-seed", "run-negative-seed",
+         "simulate-seed-past-2^64", "manifest-negative-seed", "bad-manifold-spec"],
 )
 def test_commands_without_numerics_load_no_scipy(argv, code, layers, tmp_path):
     (tmp_path / "syntax-error.txt").write_text("manifold = circle\nchecks = kernel-check\nno equals sign\n")
     (tmp_path / "not-utf8.txt").write_bytes(b"\xff\xfem\x00a\x00n\x00")
     (tmp_path / "kernel-check.txt").write_text("manifold = circle\nchecks = kernel-check\n")
+    (tmp_path / "negative-seed.txt").write_text("manifold = circle\nchecks = kernel-check\nseed = -1\n")
     (tmp_path / "a-file").write_text("")
     assert _loaded_by(argv, tmp_path) == (code, set(), layers)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5"])
+def test_manifest_seed_outside_the_samplers_range_is_refused_at_its_line(seed):
+    with pytest.raises(ManifestError, match=r"line 3, column 7: seed must be an integer in \[0, 2\^64\)"):
+        cli.parse_manifest_text(f"manifold = circle\nchecks = kernel-check\nseed = {seed}\n")
+    assert cli.parse_manifest_text(f"manifold = circle\nchecks =\nseed = {2**64 - 1}\n").seed == 2**64 - 1
+
+
+def test_cli_functions_import_nothing_but_numpy():
+    # the numerical layers are reached as heatkato.<layer>, which the package
+    # loads at first access; numpy, not a package submodule, is the one
+    # import left inside a function
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    lazy = {
+        (node.lineno, ast.unparse(node))
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    assert [(line, text) for line, text in sorted(lazy) if text != "import numpy as np"] == []
 
 
 @pytest.mark.parametrize("argv", [["list-batteries"], ["--help"]], ids=["list-batteries", "help"])

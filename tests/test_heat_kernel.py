@@ -426,3 +426,29 @@ def test_closed_form_rows_keep_the_per_time_formulas():
         (2.0 * math.pi * t) ** -1.5 * math.exp(-t / 2.0) * ratio * np.exp(-d * d / (2.0 * t)) for t in ts.tolist()
     ]
     assert np.array_equal(HK.eval_radial_rows(HK.make_engine(G.hyperbolic3()), ts, d), expected)
+
+
+def _nan_at_time(fn, bad):
+    """``fn(engine, t, ...)`` with its value, or the first of its values, NaN at t = bad."""
+
+    def poisoned(engine, t, *rest):
+        out = fn(engine, t, *rest)
+        if t != bad:
+            return out
+        return (math.nan, *out[1:]) if isinstance(out, tuple) else math.nan
+
+    return poisoned
+
+
+@pytest.mark.parametrize(
+    "target, field",
+    [("kernel_mass", "mass_defect"), ("chapman_kolmogorov", "ck_residual"), ("eval_kernel", "symmetry_residual")],
+)
+def test_check_consistency_keeps_a_nan_residual(target, field, monkeypatch):
+    # the NaN comes second, where a builtin max started at 0.0 skipped it
+    engine = HK.make_engine(G.circle())
+    monkeypatch.setattr(HK, target, _nan_at_time(getattr(HK, target), 0.3))
+    rep = HK.check_consistency(engine, [0.1, 0.3], [G.circle_point(0.2), G.circle_point(1.4)])
+    assert math.isnan(getattr(rep, field))
+    others = {"mass_defect", "ck_residual", "symmetry_residual"} - {field}
+    assert all(math.isfinite(getattr(rep, f)) for f in others)

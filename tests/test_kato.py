@@ -955,3 +955,33 @@ def test_classical_sample_inside_excised_ball_rejected(m):
     v[0] = eps / 2
     with pytest.raises(DomainError):
         K.classical_kato_functional(e, P.RadialPower(e, o, 1.0), r, [G.exp_map(e, o, v)])
+
+
+def test_li_yau_c5_keeps_a_nan_on_diagonal_value(monkeypatch):
+    monkeypatch.setattr(HK, "on_diag_sweep", lambda engine, ts: [(0.1, 1.0), (0.2, math.nan), (0.4, 2.0)])
+    assert math.isnan(K.control_pair_li_yau(ENG3, t_values=[0.1, 0.2, 0.4]).constants["C5"])
+
+
+def test_kato_functional_keeps_a_nan_over_x(monkeypatch):
+    ladder = K._kato_ladder
+    far = G.make_point(E3, [0.7, 0, 0])
+    poisoned = lambda e, w, ts, x, s: ([math.nan], [0.0]) if x is far else ladder(e, w, ts, x, s)
+    monkeypatch.setattr(K, "_kato_ladder", poisoned)
+    assert math.isnan(K.kato_functional(ENG3, P.RadialPower(E3, ORIGIN, 1.0), 0.1, [ORIGIN, far]))
+
+
+@pytest.mark.parametrize("field", ["value", "tail_bound"])
+def test_holder_bound_check_keeps_a_nan_margin_and_tail(field, monkeypatch):
+    smoothed = K.smoothed_abs
+
+    def poisoned(*args, **kw):
+        sv = smoothed(*args, **kw)
+        bad = np.array(getattr(sv, field), dtype=float)
+        bad[1] = math.nan
+        return P.SmoothedValue(**{"value": sv.value, "tail_bound": sv.tail_bound, field: bad})
+
+    monkeypatch.setattr(K, "smoothed_abs", poisoned)
+    control = K.control_pair_from_on_diag(ENG3)
+    w = P.Windowed(E3, P.RadialPower(E3, ORIGIN, 0.35), G.BallWindow(ORIGIN, 1.5))
+    rep = K.holder_bound_check(ENG3, control, w, 2.0, [1e-3, 0.1, 1.0], [ORIGIN])
+    assert math.isnan(rep.min_margin if field == "value" else rep.tolerance) and not rep.passed

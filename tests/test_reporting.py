@@ -4,7 +4,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from heatkato.reporting import CheckResult, _jsonable
+from heatkato.reporting import CheckResult, _jsonable, worst_of
 
 
 @dataclass
@@ -45,3 +45,11 @@ def test_check_result_dict_carries_the_record_and_a_verdict():
     assert d["values"] == {"x": 0.25, "pair": [1, 2]} and d["verdict"] == "PASS"
     assert "series" not in d and "passed" not in d
     assert CheckResult(False, -math.inf, 0.0).verdict == "FAIL"
+
+
+def test_worst_of_reduces_in_order_and_names_a_nan():
+    assert worst_of(max, 0.0, {"a": [1.0, 3.0], "b": iter([2.0])}) == (3.0, None)
+    assert worst_of(min, math.inf, {}) == (math.inf, None)
+    assert max([0.0, math.nan, 1.0]) == 1.0  # what the builtin alone gives
+    value, reason = worst_of(max, 0.0, {"a": [1.0], "b": [2.0, np.float64("nan")]})
+    assert math.isnan(value) and reason == "b is NaN"
