@@ -396,7 +396,8 @@ def _check_control_pair(ctx: CheckContext, p: dict) -> CheckResult:
     margin = ver.min_margin if certs_ok else -math.inf
     return CheckResult(
         margin >= -1e-12, margin, 1e-12,
-        {"certificates": {f"q={q:g}": v for q, v in pair.certificates.items()}},
+        {"certificates": {f"q={q:g}": v for q, v in pair.certificates.items()},
+         **({"reasons": [ver.reason]} if ver.reason else {})},
         sweep={"t_min": float(ts.min()), "n_t": int(ts.size), "pair": pair.description},
         empirical_constants=dict(pair.constants),
     )
@@ -453,7 +454,8 @@ def _check_heat_bound(ctx: CheckContext, p: dict) -> CheckResult:
     xs = [heatkato.geometry.base_point(ctx.model)]
     rep = heatkato.mvi.heat_bound_sweep(ctx.engine, lambda x: p["radius"], a, ts, xs)
     return CheckResult(
-        rep.stable and math.isfinite(rep.c_hat), 0.10 - rep.drift, 0.0, rep,
+        rep.stable and math.isfinite(rep.c_hat), 0.10 - rep.drift, 0.0,
+        {**asdict(rep), "reasons": ["C_hat is NaN"]} if math.isnan(rep.c_hat) else rep,
         sweep=rep.sweep, empirical_constants={"C_hat": rep.c_hat, "a": a},
     )
 

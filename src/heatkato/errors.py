@@ -21,6 +21,10 @@ class SingularityError(HeatKatoError):
     """Evaluation exactly at a singular point."""
 
 
+class ConvergenceError(HeatKatoError):
+    """An iterative solve reached its step cap without converging."""
+
+
 class ManifestError(HeatKatoError):
     """Experiment manifest failed to parse or validate."""
 

@@ -469,9 +469,7 @@ def heat_bound_constant(engine: HeatKernelEngine, radius_fn, a: float, t_values,
     """Empirical C in sup_y p(t,x,y) <= C a^{-m/2} min(t, R(x)^2)^{-m/2}: the
     sweep sup of p(t,x,x) a^{m/2} min(t, R(x)^2)^{m/2}."""
     m = engine.dim
-    best = 0.0
-    for t, diag in on_diag_sweep(engine, t_values):
-        for x in x_samples:
-            Rx = radius_fn(x)
-            best = max(best, diag * a ** (m / 2.0) * min(t, Rx * Rx) ** (m / 2.0))
-    return best
+    radii = [radius_fn(x) for x in x_samples]
+    terms = (diag * a ** (m / 2.0) * min(t, Rx * Rx) ** (m / 2.0)
+             for t, diag in on_diag_sweep(engine, t_values) for Rx in radii)
+    return worst_of(max, 0.0, {"C_hat": terms})[0]

@@ -91,6 +91,7 @@ class PairVerification:
     min_margin: float
     n_samples: int
     details: list
+    reason: str | None = None  # "<quantity> is NaN" for a NaN margin
 
 
 def verify_control_pair(
@@ -103,8 +104,7 @@ def verify_control_pair(
 
     The sup over y is the on-diagonal value for every built-in model (the
     kernels are radially decreasing; checked independently by sup_bound)."""
-    details = []
-    worst = math.inf
+    details, margins = [], {}
     spaces = [_space_at(pair, x) for x in x_samples]
     if not all(0.0 < t <= 1.0 for t in t_values):
         raise DomainError("control pairs are calibrated on (0, 1]")
@@ -113,8 +113,9 @@ def verify_control_pair(
             bound = space * pair.time_factor(t)
             margin = bound - supval
             details.append({"t": t, "margin": margin})
-            worst = min(worst, margin)
-    return PairVerification(worst, len(details), details)
+            margins.setdefault(f"margin at t={t:g}", []).append(margin)
+    worst, reason = worst_of(min, math.inf, margins)
+    return PairVerification(worst, len(details), details, reason)
 
 
 def _space_at(pair: KatoControlPair, x: Point) -> float:

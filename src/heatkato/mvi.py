@@ -3,14 +3,16 @@ Faber-Krahn constant a that both take, and its finite-difference check.
 
 Test solutions are heat-kernel columns u(s, y) = p(s, y, y0): they are exact
 nonnegative solutions of the heat equation, so no PDE solver enters and every
-cell ratio is pure quadrature.  Every command loads this module, so scipy is
-imported inside the functions that call it.
+cell ratio is pure quadrature.  The Faber-Krahn check's Dirichlet eigenvalues
+take a closed form on lattice-aligned boxes and a Lanczos recurrence in
+numpy on 3-d balls; scipy, imported inside the functions that call it, solves
+only 2-d balls and finds the Bessel zeros of dimension 4 and up.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -18,8 +20,9 @@ import numpy as np
 from . import geometry as geom
 from . import heat_kernel as hk
 from . import quadrature as qd
-from .errors import DomainError, UnsupportedModelError
+from .errors import ConvergenceError, DomainError, UnsupportedModelError
 from .geometry import BallWindow, BoxWindow, Euclidean, ManifoldModel, Point, Torus
+from .reporting import worst_of
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,7 @@ def heat_bound_sweep(
     c2 = hk.heat_bound_constant(engine, radius_fn, a, dense, x_samples)
     drift = abs(c2 - c1) / max(c1, 1e-300)
     return HeatBoundSweep(
-        c_hat=max(c1, c2),
+        c_hat=worst_of(max, 0.0, {"C_hat": [c1, c2]})[0],
         drift=drift,
         stable=drift <= 0.10,
         sweep={"t_min": float(ts.min()), "t_max": float(ts.max()), "n_t": int(ts.size), "n_x": len(x_samples)},
@@ -205,11 +208,15 @@ def faber_krahn_constant(m: int) -> float:
 
 def _first_bessel_zero(nu: float) -> float:
     """First positive zero j of J_nu, nu = m/2 - 1.  scipy is imported only
-    for the orders without a closed form."""
+    for the orders without a closed form or a tabulated value (m >= 4)."""
     if nu == -0.5:
         return math.pi / 2.0  # J_{-1/2}(x) is a multiple of cos(x) / sqrt(x)
     if nu == 0.5:
         return math.pi  # J_{1/2}(x) is a multiple of sin(x) / sqrt(x)
+    if nu == 0.0:
+        # j_{0,1} as scipy.special.jn_zeros(0, 1) returns it, one ulp below the
+        # correctly rounded 2.404825557695773: the 2-d constant keeps its bits
+        return 2.4048255576957724
     from scipy.special import jn_zeros, jv
 
     if nu == int(nu):
@@ -234,8 +241,8 @@ _FD_MIN_NODES = 20  # fewest interior nodes a finite-difference solve accepts
 # most lattice nodes a finest grid may hold. The mask takes a byte a node plus
 # about 7 MB of coordinates (1.6 bytes a node in all on the 3-d unit ball at
 # h = 1/48, whose finest grid has 193^3 = 7.2e6 nodes); assembling the
-# operator on the fundamental domain then peaks at about 21 bytes a node
-# before the eigensolve (153 MB there; tracemalloc, numpy 2.4)
+# operator on the fundamental domain then peaks at about 12 bytes a node
+# before the eigensolve (87 MB there; tracemalloc, numpy 2.4)
 _FD_MAX_NODES = 10_000_000
 _FD_MASK_ROWS = 65_536  # lattice nodes whose coordinates _fd_mask holds at once (about 7 MB)
 
@@ -264,8 +271,12 @@ def _fd_mask(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h):
 
 
 def _fd_operator(mask: np.ndarray, hs):
-    """B = P^T A P as a CSC matrix, A the finite-difference -(1/2) Laplace with
-    Dirichlet conditions on the mask's nodes, built on its fundamental domain alone.
+    """B = P^T A P in ELL form, A the finite-difference -(1/2) Laplace with
+    Dirichlet conditions on the mask's nodes, built on its fundamental domain
+    alone: (diagonal, neighbours, coefficients), where neighbours and
+    coefficients hold one row per lattice direction (up and down each axis)
+    and (B x)_a = diagonal x_a + sum_d coefficients[d, a] x[neighbours[d, a]].
+    A missing neighbour reads index len(x), where a product pads x with 0.
 
     Axis k folds when the mask equals its own reflection along k, and P is the
     (nodes x orbits) matrix whose columns are orbit indicators divided by
@@ -280,57 +291,111 @@ def _fd_operator(mask: np.ndarray, hs):
     The unknowns are the mask's nodes with index >= n_k // 2 on every folding
     axis, in C order; an orbit has 2 nodes per folding axis, 1 on an odd
     axis's mirror plane. B_ab = -n(a -> b) / (2 h_k^2) sqrt(|a| / |b|) for the
-    n(a -> b) lattice neighbours of a's node in orbit b. Orbit sizes are
-    powers of 2, so B is exactly symmetric."""
+    n(a -> b) lattice neighbours of a's node in orbit b: a down neighbour
+    across the first slab of a folding axis is its mirror, the second slab
+    (odd n_k) or the node itself. Orbit sizes are powers of 2, so B is
+    exactly symmetric."""
     m = mask.ndim
     folds = [np.array_equal(mask, np.flip(mask, k)) for k in range(m)]
     dom = mask[tuple(slice(n // 2 if f else 0, None) for n, f in zip(mask.shape, folds))]
     count = int(dom.sum())
-    index = np.full(dom.shape, -1, dtype=np.int32)  # _FD_MAX_NODES fits
+    index = np.full(dom.shape, count)
     index[dom] = np.arange(count)
     size = np.ones(dom.shape)
-    diag = np.arange(count, dtype=np.int32)
-    rows, cols, coefs = [diag], [diag], [np.full(count, sum(1.0 / (hk * hk) for hk in hs))]
+    neighbours, scales = [], []
     for k, n in enumerate(mask.shape):
         cut = lambda lo, hi: (slice(None),) * k + (slice(lo, hi),)
-        below = index
-        if folds[k]:  # below the first slab lies its mirror: the second slab (odd n_k) or itself
-            below = np.concatenate([index[cut(n % 2, n % 2 + 1)], index], axis=k)
+        edge = np.full_like(index[cut(0, 1)], count)
+        mirror = edge
+        if folds[k]:
+            mirror = index[cut(n % 2, n % 2 + 1)]
             size *= 2.0
             size[cut(0, 1)] /= 1 + n % 2  # an odd axis's mirror plane is its own image
-        for a, b in ((index[cut(0, -1)], index[cut(1, None)]), (below[cut(1, None)], below[cut(0, -1)])):
-            both = (a >= 0) & (b >= 0)  # each domain node a and its neighbour b above, then below
-            rows.append(a[both])
-            cols.append(b[both])
-            coefs.append(np.full(rows[-1].size, -1.0 / (2.0 * hs[k] * hs[k])))
-    size = size[dom]
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(coefs) * np.sqrt(size[rows] / size[cols])
+        neighbours += [np.concatenate([index[cut(1, None)], edge], axis=k)[dom],
+                       np.concatenate([mirror, index[cut(0, -1)]], axis=k)[dom]]
+        scales += [-1.0 / (2.0 * hs[k] * hs[k])] * 2
+    neighbours = np.stack(neighbours)
+    size = np.append(size[dom], 1.0)  # the missing neighbour's entry is any positive number
+    coefs = np.array(scales)[:, None] * np.sqrt(size[:count] / size[neighbours])
+    return sum(1.0 / (hk * hk) for hk in hs), neighbours, coefs
+
+
+def _fd_matrix(diagonal: float, neighbours: np.ndarray, coefs: np.ndarray):
+    """``_fd_operator``'s B as a scipy CSC matrix: its diagonal, then each
+    direction's entries, summed where they meet."""
     from scipy import sparse
 
+    count = neighbours.shape[1]
+    d, a = np.nonzero(neighbours < count)
+    rows = np.concatenate([np.arange(count), a])
+    cols = np.concatenate([np.arange(count), neighbours[d, a]])
+    vals = np.concatenate([np.full(count, diagonal), coefs[d, a]])
     return sparse.coo_matrix((vals, (rows, cols)), shape=(count, count)).tocsc()
+
+
+_LANCZOS_TOL = 1e-10  # stop once |beta_k s_k1| <= tol theta_1
+_LANCZOS_MAX_STEPS = 4096
+
+
+def _lanczos_ground_energy(diagonal: float, neighbours: np.ndarray, coefs: np.ndarray) -> tuple[float, int]:
+    """(smallest eigenvalue of ``_fd_operator``'s B, Lanczos steps taken),
+    from a plain three-term Lanczos recurrence started at the ones vector.
+
+    Without reorthogonalization the basis loses orthogonality, but the
+    extreme Ritz value stays reliable (Paige 1980): once the residual bound
+    |beta_k s_k1| of the smallest Ritz pair of the k x k tridiagonal T_k is
+    small, theta_1 has converged. T_k's eigenpairs are computed only at steps
+    8, 10, 13, 17, ... (each about 1.25 times the last), at a breakdown
+    (beta_k = 0), at step k = len(x) and at step _LANCZOS_MAX_STEPS, where the
+    bound is tested; a ConvergenceError if it still fails at the last."""
+    count = neighbours.shape[1]
+    padded = np.zeros(count + 1)  # padded[count] stays 0: the value at a missing neighbour
+    v_prev, v = np.zeros(count), np.full(count, 1.0 / math.sqrt(count))
+    alphas, betas = [], []
+    beta, check = 0.0, 8
+    for k in range(1, _LANCZOS_MAX_STEPS + 1):
+        padded[:count] = v
+        w = diagonal * v
+        for nb, c in zip(neighbours, coefs):
+            w += c * padded[nb]
+        w -= beta * v_prev
+        alpha = float(w @ v)
+        w -= alpha * v
+        beta = math.sqrt(float(w @ w))
+        alphas.append(alpha)
+        betas.append(beta)
+        if beta == 0.0 or k in (check, count, _LANCZOS_MAX_STEPS):
+            off = betas[:-1]
+            theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(off, -1) + np.diag(off, 1))
+            if beta * abs(s[-1, 0]) <= _LANCZOS_TOL * theta[0]:
+                return float(theta[0]), k
+            check = math.ceil(1.25 * check)
+        v_prev, v = v, w / beta
+    raise ConvergenceError(f"Lanczos did not converge in {_LANCZOS_MAX_STEPS} steps on {count} unknowns")
 
 
 def _fd_ground_energy(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h) -> float:
     """Smallest eigenvalue of the finite-difference Dirichlet operator on the
-    lattice's interior nodes, solved as ``_fd_operator``'s B; the 2-d
-    shift-invert branch's 150 000 limit reads the folded count."""
+    lattice's interior nodes. A full lattice block (every box) separates into
+    1-d second differences and takes their closed form; any other mask is
+    solved as ``_fd_operator``'s B: by Lanczos in 3-d, by scipy in 2-d, where
+    a Lanczos recurrence needs thousands of steps and the factorization of
+    shift-invert fills in little (its 150 000 limit reads the folded count)."""
     mask, hs = _fd_mask(m, inside_fn, lo, hi, h)
     if int(mask.sum()) < _FD_MIN_NODES:
         raise DomainError("grid too coarse for the region")
-    B = _fd_operator(mask, hs)
+    if mask.all():  # n_k interior nodes on axis k: sum_k (2 / h_k^2) sin^2(pi / (2 (n_k + 1)))
+        return sum(2.0 / (hk * hk) * math.sin(math.pi / (2 * (n + 1))) ** 2 for hk, n in zip(hs, mask.shape))
+    op = _fd_operator(mask, hs)
+    if m == 3:
+        return _lanczos_ground_energy(*op)[0]
+    B = _fd_matrix(*op)
     from scipy.sparse.linalg import eigsh
 
     n = B.shape[0]
-    if m == 2 and n <= 150_000:
-        # 2-d fill-in is mild; shift-invert is exact and fast
-        # a fixed start vector keeps the result a function of the matrix alone
-        lam = eigsh(B, k=1, sigma=0.0, which="LM", v0=np.ones(n), return_eigenvectors=False)
-        return float(lam[0])
-    # 3-d factors fill in badly; implicitly restarted Lanczos needs only B @ v
-    lam = eigsh(B, k=1, which="SA", v0=np.ones(n), return_eigenvectors=False)
-    return float(lam[0])
+    # a fixed start vector keeps the result a function of the matrix alone
+    kw = {"sigma": 0.0, "which": "LM"} if n <= 150_000 else {"which": "SA"}
+    return float(eigsh(B, k=1, v0=np.ones(n), return_eigenvectors=False, **kw)[0])
 
 
 def _fd_levels(model: ManifoldModel, region, h: float, refinements: int):
@@ -423,6 +488,7 @@ class FaberKrahnReport:
     tolerance: float
     inconclusive: list
     details: list
+    reasons: list = field(default_factory=list)  # "<quantity> is NaN" for a NaN margin or gap
 
     @property
     def passed(self) -> bool:
@@ -434,6 +500,7 @@ class FaberKrahnReport:
             "tolerance": self.tolerance,
             "inconclusive": self.inconclusive,
             "n_sets": len(self.details),
+            **({"reasons": self.reasons} if self.reasons else {}),
         }
 
 
@@ -447,8 +514,6 @@ def faber_krahn_verify(
     """Checks min spec(H_U) >= a vol(U)^{-2/m} on each test set (ball/box inside
     B(x, R(x))) by finite-difference Dirichlet eigenvalues."""
     details, inconclusive = [], []
-    worst = math.inf
-    tol = 0.0
     for x, region in test_sets:
         Rx = radius_fn(x)
         circum = _region_circumradius(model, x, region)
@@ -459,7 +524,6 @@ def faber_krahn_verify(
         rhs = a * vol ** (-2.0 / model.dim)
         margin = res.value - rhs
         fd_tol = abs(res.raw[-1] - res.raw[-2]) if len(res.raw) >= 2 else 0.1 * res.value
-        tol = max(tol, fd_tol + 1e-9)
         entry = {
             "region": region.describe(),
             "eigenvalue": res.value,
@@ -473,8 +537,10 @@ def faber_krahn_verify(
         if not (finite and res.converged):
             reason = "finite differences not converged" if finite else "eigenvalue, rhs or margin is not finite"
             inconclusive.append({**entry, "reason": reason})
-        worst = min(worst, margin if finite else -math.inf)  # min(inf, nan) would be inf
-    return FaberKrahnReport(worst, tol, inconclusive, details)
+    worst, reason = worst_of(min, math.inf, {f"margin of set {i}, {e['region']}": [e["margin"]]
+                                             for i, e in enumerate(details)})
+    tol, tol_reason = worst_of(max, 0.0, {"fd_gap": [e["fd_gap"] + 1e-9 for e in details]})
+    return FaberKrahnReport(worst, tol, inconclusive, details, [r for r in (reason, tol_reason) if r])
 
 
 def _region_circumradius(model: ManifoldModel, x: Point, region) -> float:

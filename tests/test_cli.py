@@ -107,6 +107,37 @@ def test_a_nan_statistic_fails_with_its_reason(argv, reason, tmp_path):
     assert values["reasons"] == [reason]
 
 
+def _nan_on_diagonal_at(i):
+    def poison(monkeypatch):
+        sweep = HK.on_diag_sweep
+        nan_at_i = lambda engine, ts: [(t, math.nan if j == i else d) for j, (t, d) in enumerate(sweep(engine, ts))]
+        monkeypatch.setattr(HK, "on_diag_sweep", nan_at_i)
+    return poison
+
+
+def _nan_eigenvalue(monkeypatch):
+    monkeypatch.setattr(M, "_lanczos_ground_energy", lambda *op: (math.nan, 0))
+
+
+@pytest.mark.parametrize(
+    "argv, poison, reasons",
+    [(["control-pair", "--manifold", "euclidean:3", "--param", "t_min=0.01", "--param", "n_t=3"],
+      _nan_on_diagonal_at(0), ["margin at t=0.01 is NaN"]),
+     (["heat-bound", "--manifold", "euclidean:3"], _nan_on_diagonal_at(1), ["C_hat is NaN"]),
+     (["fk-verify", "--manifold", "euclidean:3"], _nan_eigenvalue,
+      ["margin of set 0, ball(r=1) is NaN", "fd_gap is NaN"])],
+    ids=["control-pair", "heat-bound", "fk-verify"],
+)
+def test_a_nan_kernel_value_or_eigenvalue_fails_with_its_reason(argv, poison, reasons, monkeypatch, tmp_path):
+    # one on-diagonal kernel value or one eigenvalue made NaN: the builtin
+    # min and max skipped a NaN that did not come first, and control-pair and
+    # heat-bound PASSed
+    poison(monkeypatch)
+    out = tmp_path / "rep.json"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert json.loads(out.read_text())["checks"][0]["values"]["reasons"] == reasons
+
+
 def test_is_kato_margin_reads_both_criteria():
     # the decay ratio passes here and the fitted exponent does not: the
     # margin once read the ratio alone and reported a FAIL at +0.3
@@ -816,12 +847,15 @@ def test_commands_without_checks_load_neither_mvi_nor_stochastics(argv, tmp_path
 
 
 @pytest.mark.parametrize(
-    "argv", [["heat-bound", "--manifold", "circle"], ["mvi-sweep", "--manifold", "euclidean:3"]],
-    ids=["heat-bound-circle", "mvi-sweep-euclidean3"],
+    "argv",
+    [["heat-bound", "--manifold", "circle"], ["mvi-sweep", "--manifold", "euclidean:3"],
+     ["heat-bound", "--manifold", "euclidean:2"], ["mvi-sweep", "--manifold", "euclidean:2"]],
+    ids=["heat-bound-circle", "mvi-sweep-euclidean3", "heat-bound-euclidean2", "mvi-sweep-euclidean2"],
 )
 def test_faber_krahn_commands_in_closed_form_load_no_scipy(argv, tmp_path):
     # the Faber-Krahn constant lives in mvi; its Bessel zero has a closed form
-    # at m = 1 and m = 3, so neither kato nor scipy is loaded
+    # at m = 1 and m = 3 and a tabulated value at m = 2, so neither kato nor
+    # scipy is loaded
     assert _loaded_by(argv, tmp_path)[:2] == (0, set())
 
 
@@ -833,8 +867,8 @@ _SCIPY_FAMILIES = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.
     [
         (["run-battery", "stochastic"], set()),
         (["project-check", "--manifold", PRODUCT, "--param", "n_paths=400"], set()),
-        (["fk-verify", "--manifold", "euclidean:3"], {"scipy.sparse"}),
-        (["run", "fk-mvi.txt"], {"scipy.sparse"}),
+        (["fk-verify", "--manifold", "euclidean:3"], set()),
+        (["run", "fk-mvi.txt"], set()),
         (["run-battery", "paper-core"], set(_SCIPY_FAMILIES)),
     ],
     ids=["stochastic-battery", "project-check", "fk-verify", "fk-verify-mvi-sweep-manifest", "paper-core-battery"],
@@ -846,6 +880,7 @@ def test_commands_load_only_the_scipy_families_they_call(argv, families, tmp_pat
     code, modules, _ = _loaded_by(argv, tmp_path)
     loaded = {f for f in _SCIPY_FAMILIES if any(m == f or m.startswith(f + ".") for m in modules)}
     assert (code, loaded) == (0, families)
+    assert families or not modules  # no family: no scipy module at all
 
 
 _QUAD_LAYERS = {"numpy", "heatkato.geometry", "heatkato.heat_kernel", "heatkato.potentials", "heatkato.mvi"}

@@ -17,7 +17,7 @@ from heatkato import kato as K
 from heatkato import mvi as M
 from heatkato import potentials as P
 from heatkato import quadrature as Q
-from heatkato.errors import DomainError, UnsupportedModelError
+from heatkato.errors import ConvergenceError, DomainError, UnsupportedModelError
 
 E3 = G.euclidean(3)
 ORIGIN = G.base_point(E3)
@@ -458,7 +458,7 @@ def test_classical_near_field_at_center_in_the_plane():
 
 
 def test_fd_eigen_solve_repeats_exactly():
-    # 2-d: shift-invert; 3-d: Lanczos on the smallest eigenvalue
+    # 2-d: scipy's shift-invert; 3-d: the package's Lanczos recurrence from the ones vector
     for model, h in ((G.euclidean(2), 1 / 24), (G.euclidean(3), 1 / 8)):
         region = G.BallWindow(G.base_point(model), 1.0)
         first = M.dirichlet_ground_energy(model, region, h, refinements=1)
@@ -478,14 +478,42 @@ def test_fd_box_3d_matches_discrete_closed_form():
         assert raw == pytest.approx(exact, rel=1e-12)
 
 
-def test_fd_ball_3d_matches_shift_invert(monkeypatch):
-    seen = []
-    monkeypatch.setattr("scipy.sparse.linalg.eigsh", lambda A, **kw: seen.append(A) or eigsh(A, **kw))
-    e3 = G.euclidean(3)
-    res = M.dirichlet_ground_energy(e3, G.BallWindow(G.base_point(e3), 1.0), 1 / 8, refinements=0)
-    (A,) = seen
-    ref = eigsh(A, k=1, sigma=0.0, which="LM", v0=np.ones(A.shape[0]), return_eigenvectors=False)
-    assert res.raw[0] == pytest.approx(float(ref[0]), rel=1e-12)
+@pytest.mark.parametrize(
+    "h, refinements, reference",
+    [(1 / 8, 0, {"sigma": 0.0, "which": "LM"}), (1 / 24, 1, {"which": "SA"})],
+    ids=["shift-invert-h=1/8", "arpack-h=1/24"],
+)
+def test_fd_ball_3d_matches_scipy_eigsh(h, refinements, reference):
+    # the Lanczos recurrence against scipy on the same folded operator; at
+    # h = 1/24 the finer level has 60 583 unknowns and ARPACK was the solver
+    _, levels, _ = M._fd_levels(E3, G.BallWindow(ORIGIN, 1.0), h, refinements)
+    for level in levels:
+        B = M._fd_matrix(*M._fd_operator(*M._fd_mask(3, *level)))
+        ref = eigsh(B, k=1, v0=np.ones(B.shape[0]), return_eigenvectors=False, **reference)
+        assert M._fd_ground_energy(3, *level) == pytest.approx(float(ref[0]), rel=1e-12)
+
+
+def test_lanczos_steps_on_the_default_3d_ball():
+    # a convergence regression shows as a step count, not a timing
+    _, levels, _ = M._fd_levels(E3, G.BallWindow(ORIGIN, 1.0), cli._fk_h({"h": "auto"}, E3), 1)
+    steps = [M._lanczos_ground_energy(*M._fd_operator(*M._fd_mask(3, *level)))[1] for level in levels]
+    assert steps == [69, 137]
+
+
+def test_lanczos_past_its_step_cap_fails_the_check(monkeypatch):
+    monkeypatch.setattr(M, "_LANCZOS_MAX_STEPS", 20)
+    with pytest.raises(ConvergenceError, match="did not converge in 20 steps"):
+        M.dirichlet_ground_energy(E3, G.BallWindow(ORIGIN, 1.0), 1 / 12, refinements=0)
+    report = cli.run_manifest(cli.ExperimentManifest(manifold="euclidean:3", checks=["fk-verify"]))
+    (check,) = report.checks
+    assert not check.passed and "did not converge" in check.values["error"]
+
+
+def test_full_lattice_blocks_take_the_closed_form(monkeypatch):
+    # every box level is a full block: no operator is assembled
+    monkeypatch.setattr(M, "_fd_operator", None)
+    for model, hw in ((G.euclidean(2), (0.8, 0.4)), (E3, (0.7, 0.7, 0.7))):
+        assert M.dirichlet_ground_energy(model, G.BoxWindow(G.base_point(model), hw), 1 / 12).converged
 
 
 def _unfolded_ground_energy(m, level):
@@ -505,8 +533,11 @@ def _unfolded_ground_energy(m, level):
 
 
 def _solved_sizes(monkeypatch):
+    # the unknowns of each solve: scipy's eigsh in 2-d, the Lanczos recurrence in 3-d
     sizes = []
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", lambda B, **kw: sizes.append(B.shape[0]) or eigsh(B, **kw))
+    lanczos = M._lanczos_ground_energy
+    monkeypatch.setattr(M, "_lanczos_ground_energy", lambda *op: sizes.append(op[1].shape[1]) or lanczos(*op))
     return sizes
 
 
@@ -557,7 +588,7 @@ def test_fd_operator_peak_memory_before_the_eigensolve(monkeypatch):
     def stop(*args, **kwargs):
         raise RuntimeError("stop before the eigensolve")
 
-    monkeypatch.setattr("scipy.sparse.linalg.eigsh", stop)
+    monkeypatch.setattr(M, "_lanczos_ground_energy", stop)
     _, levels, _ = M._fd_levels(E3, G.BallWindow(ORIGIN, 1.0), 1 / 48, 0)
     nodes = math.prod(M._fd_axes(3, *levels[0][1:])[1])
     assert nodes == 97**3
@@ -580,7 +611,7 @@ def test_fd_operator_is_exactly_symmetric(manifold):
     for region in sets:
         _, levels, _ = M._fd_levels(model, region, cli._fk_h({"h": "auto"}, model), 1)
         for level in levels:
-            B = M._fd_operator(*M._fd_mask(model.dim, *level))
+            B = M._fd_matrix(*M._fd_operator(*M._fd_mask(model.dim, *level)))
             assert (B != B.T).nnz == 0
 
 
@@ -650,6 +681,7 @@ def test_doubling_inequality_sampled():
 
 def test_faber_krahn_constants():
     j01 = float(jn_zeros(0, 1)[0])
+    assert M._first_bessel_zero(0.0) == j01  # the tabulated float is scipy's, to the bit
     assert M.faber_krahn_constant(2) == pytest.approx(0.5 * j01**2 * math.pi, rel=1e-12)
     assert M.faber_krahn_constant(3) == pytest.approx(
         0.5 * math.pi**2 * (4 * math.pi / 3) ** (2 / 3), rel=1e-12
@@ -725,7 +757,7 @@ def test_faber_krahn_nan_constant_is_inconclusive():
     o2 = G.base_point(e2)
     rep = M.faber_krahn_verify(e2, lambda x: 2.0, math.nan, [(o2, G.BoxWindow(o2, (0.5, 0.5)))], h=1 / 16)
     assert not rep.passed
-    assert rep.min_margin == -math.inf
+    assert math.isnan(rep.min_margin) and rep.reasons == ["margin of set 0, box(hw=(0.5, 0.5)) is NaN"]
     assert [e["reason"] for e in rep.inconclusive] == ["eigenvalue, rhs or margin is not finite"]
 
 
