@@ -441,7 +441,8 @@ def _check_mvi(ctx: CheckContext, p: dict) -> CheckResult:
     a = heatkato.mvi.faber_krahn_constant(ctx.model.dim)
     rep = heatkato.mvi.mvi_sweep(heatkato.mvi.default_config(ctx.model, a, radius=p["radius"]))
     return CheckResult(
-        rep.stable and math.isfinite(rep.c_emp), 0.10 - rep.drift, 0.0, rep,
+        rep.stable and math.isfinite(rep.c_emp), 0.10 - rep.drift, 0.0,
+        {**asdict(rep), "reasons": ["C_emp is NaN"]} if math.isnan(rep.c_emp) else rep,
         sweep=rep.sweep, empirical_constants={"C_emp": rep.c_emp},
     )
 

@@ -462,7 +462,7 @@ def on_diag_sweep(engine: HeatKernelEngine, t_values) -> list[tuple[float, float
 def on_diag_upper(engine: HeatKernelEngine, t_values) -> float:
     """Empirical sup of t^{m/2} p(t, x, x) over the sweep (x-independent here)."""
     m = engine.dim
-    return max(t ** (m / 2.0) * diag for t, diag in on_diag_sweep(engine, t_values))
+    return worst_of(max, 0.0, {"C": (t ** (m / 2.0) * diag for t, diag in on_diag_sweep(engine, t_values))})[0]
 
 
 def heat_bound_constant(engine: HeatKernelEngine, radius_fn, a: float, t_values, x_samples) -> float:

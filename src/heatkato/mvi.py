@@ -96,9 +96,7 @@ def mvi_sweep(config: MviSweepConfig) -> MviReport:
     x = config.center
 
     def run(ns: int, cell_scale: float):
-        best = 0.0
-        worst = {}
-        count = 0
+        cells = []
         for off in config.source_offsets:
             v = np.zeros(model.tangent_dim)
             v[0] = off * config.radius
@@ -123,17 +121,15 @@ def mvi_sweep(config: MviSweepConfig) -> MviReport:
                             * tau ** (1.0 + m / 2.0)
                             / denom
                         )
-                        count += 1
-                        if ratio > best:
-                            best = ratio
-                            worst = {"tau": tau, "t": t, "q": q, "source_offset": off, "ratio": ratio}
-        return best, worst, count
+                        cells.append({"tau": tau, "t": t, "q": q, "source_offset": off, "ratio": ratio})
+        best, _ = worst_of(max, 0.0, {"C_emp": [c["ratio"] for c in cells]})
+        return best, max(cells, key=lambda c: c["ratio"], default={}), len(cells)
 
     c1, worst, n_cells = run(6, 1.0)
     c2, _, _ = run(12, 0.5)
     drift = abs(c2 - c1) / max(c1, 1e-300)
     return MviReport(
-        c_emp=max(c1, c2),
+        c_emp=worst_of(max, 0.0, {"C_emp": [c1, c2]})[0],
         n_cells=n_cells,
         drift=drift,
         stable=drift <= 0.10,

@@ -2,7 +2,11 @@
 along product projections, sums and sign decompositions; weighted L^q norms,
 kernel smoothing int p(s, x, y) |w(y)| dmu(y) and the Coulomb potential.
 
-Potentials are immutable descriptor trees.  Evaluation returns +inf exactly at
+Potentials are immutable descriptor trees of eight classes.  Every
+one-center potential (a radial power, a Coulomb term, cos of the distance)
+is one ``RadialAtom``, a profile of the distance to its center; an
+indicator is a windowed constant; one ``SignPart`` takes the positive part,
+the negative part or the absolute value.  Evaluation returns +inf exactly at
 singular centers (never a silent overflow); this module imports no scipy at load.
 Every model stores a sample path's rows in its chart, so grid nodes and path
 rows take the same evaluation, singular sets and capping.
@@ -37,10 +41,6 @@ class Radial:
     beta: float = 0.0
 
 
-def _abs_of(profile):
-    return lambda r: np.abs(profile(np.asarray(r, float)))
-
-
 class Potential:
     """Base class; concrete variants below."""
 
@@ -59,47 +59,28 @@ class Constant(Potential):
 
 
 @dataclass(frozen=True)
-class RadialPower(Potential):
-    """w(y) = coefficient * d(y, center)^(-beta), beta > 0."""
-
-    model: ManifoldModel
-    center: Point
-    beta: float
-    coefficient: float = 1.0
-
-    def __post_init__(self):
-        if not self.beta > 0:
-            raise DomainError("radial power exponent must be positive")
-        if not math.isfinite(self.coefficient):
-            raise DomainError("radial power coefficient must be finite")
-
-    def radial(self):
-        c, b = abs(self.coefficient), self.beta
-        return Radial(self.center, lambda r: c * np.asarray(r, float) ** (-b), math.inf, b)
-
-
-@dataclass(frozen=True)
-class Indicator(Potential):
-    model: ManifoldModel
-    window: object  # BallWindow or BoxWindow
-
-    def radial(self):
-        if not isinstance(self.window, BallWindow):
-            return None
-        R = self.window.radius
-        return Radial(self.window.center, lambda r: (np.asarray(r, float) <= R).astype(float), R)
-
-
-@dataclass(frozen=True)
-class CoulombPotential(Potential):
-    """w(y) = profile(d(y, center)); profile(d) ~ 1/(4 pi d) near zero."""
+class RadialAtom(Potential):
+    """w(y) = profile(d(y, center)).  With beta > 0 the atom is singular like
+    d^(-beta) and reads +-inf (the profile's sign) at the center; otherwise
+    ``sup`` bounds |w|."""
 
     model: ManifoldModel
     center: Point
     profile: Callable[[np.ndarray], np.ndarray]
+    beta: float = 0.0
+    sup: float = math.inf
 
     def radial(self):
-        return Radial(self.center, _abs_of(self.profile), math.inf, 1.0)
+        return Radial(self.center, lambda r: np.abs(self.profile(np.asarray(r, float))), math.inf, self.beta)
+
+
+def RadialPower(model: ManifoldModel, center: Point, beta: float, coefficient: float = 1.0) -> RadialAtom:
+    """w(y) = coefficient * d(y, center)^(-beta), beta > 0."""
+    if not beta > 0:
+        raise DomainError("radial power exponent must be positive")
+    if not math.isfinite(coefficient):
+        raise DomainError("radial power coefficient must be finite")
+    return RadialAtom(model, center, lambda r: coefficient * np.asarray(r, float) ** (-beta), beta)
 
 
 @dataclass(frozen=True)
@@ -119,30 +100,16 @@ class Pullback(Potential):
     inner: Potential
 
 
-@dataclass(frozen=True)
-class RadialFunction(Potential):
-    """Smooth bounded w(y) = profile(d(y, center)), e.g. cos of the distance."""
-
-    model: ManifoldModel
-    center: Point
-    profile: Callable[[np.ndarray], np.ndarray]
-    sup: float
-    name: str = "radial"
-
-    def radial(self):
-        return Radial(self.center, _abs_of(self.profile))
-
-
-def cosine_potential(model: ManifoldModel, center: Point | None = None) -> RadialFunction:
+def cosine_potential(model: ManifoldModel, center: Point | None = None) -> RadialAtom:
     """w(y) = cos(d(y, center)); on the circle with the default center this is
     cos(theta)."""
     c = center if center is not None else geom.base_point(model)
-    return RadialFunction(model, c, np.cos, 1.0, "cos-distance")
+    return RadialAtom(model, c, np.cos, sup=1.0)
 
 
 @dataclass(frozen=True)
 class Windowed(Potential):
-    """inner * indicator(window); keeps singular potentials inside L^q."""
+    """inner on the window, 0 outside it; keeps singular potentials inside L^q."""
 
     model: ManifoldModel
     inner: Potential
@@ -163,6 +130,11 @@ class Windowed(Potential):
         )
 
 
+def Indicator(model: ManifoldModel, window) -> Windowed:
+    """1 on a BallWindow or BoxWindow, 0 outside it."""
+    return Windowed(model, Constant(1.0), window)
+
+
 @dataclass(frozen=True)
 class Sum(Potential):
     terms: tuple
@@ -179,30 +151,23 @@ class Scale(Potential):
 
 
 @dataclass(frozen=True)
-class PosPart(Potential):
-    inner: Potential
+class SignPart(Potential):
+    """max(w, 0), max(-w, 0) or |w| of the inner w, as ``part`` names."""
 
-
-@dataclass(frozen=True)
-class NegPart(Potential):
-    inner: Potential
-
-
-@dataclass(frozen=True)
-class AbsVal(Potential):
+    part: str  # "positive", "negative" or "absolute"
     inner: Potential
 
 
 def positive_part(w: Potential) -> Potential:
-    return PosPart(w)
+    return SignPart("positive", w)
 
 
 def negative_part(w: Potential) -> Potential:
-    return NegPart(w)
+    return SignPart("negative", w)
 
 
 def absolute(w: Potential) -> Potential:
-    return AbsVal(w)
+    return SignPart("absolute", w)
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +200,11 @@ def evaluate_many(w: Potential, ys: np.ndarray) -> np.ndarray:
     ys = np.atleast_2d(ys)
     if isinstance(w, Constant):
         return np.full(ys.shape[0], float(w.value))
-    if isinstance(w, RadialPower):
+    if isinstance(w, RadialAtom):
         d = geom.distance_many(w.model, w.center.coords, ys)
         with np.errstate(divide="ignore"):
-            return np.where(d > 0.0, w.coefficient * d ** (-w.beta), np.inf * np.sign(w.coefficient))
-    if isinstance(w, Indicator):
-        return geom.in_window(w.model, w.window, ys).astype(float)
-    if isinstance(w, CoulombPotential):
-        d = geom.distance_many(w.model, w.center.coords, ys)
-        out = np.where(d > 0.0, w.profile(np.maximum(d, 1e-300)), np.inf)
-        return out
+            vals = np.asarray(w.profile(d), dtype=float)
+        return np.where(d > 0.0, vals, np.inf * np.sign(vals)) if w.beta > 0 else vals
     if isinstance(w, TwoBody):
         left = w.model.factors[0]
         d = geom.distance_many(left, ys[:, : left.chart_dim], ys[:, left.chart_dim :])
@@ -258,12 +218,8 @@ def evaluate_many(w: Potential, ys: np.ndarray) -> np.ndarray:
             return evaluate_many(w.inner, sub)
         _, s = _leaf_slice(w.model, int(w.index))
         return evaluate_many(w.inner, ys[:, s])
-    if isinstance(w, RadialFunction):
-        d = geom.distance_many(w.model, w.center.coords, ys)
-        return np.asarray(w.profile(d), dtype=float)
     if isinstance(w, Windowed):
-        inside = evaluate_many(Indicator(w.model, w.window), ys)
-        return evaluate_many(w.inner, ys) * inside
+        return np.where(geom.in_window(w.model, w.window, ys), evaluate_many(w.inner, ys), 0.0)
     if isinstance(w, Sum):
         if not w.terms:
             return np.zeros(ys.shape[0])
@@ -273,12 +229,9 @@ def evaluate_many(w: Potential, ys: np.ndarray) -> np.ndarray:
         return acc
     if isinstance(w, Scale):
         return w.factor * evaluate_many(w.inner, ys)
-    if isinstance(w, PosPart):
-        return np.maximum(evaluate_many(w.inner, ys), 0.0)
-    if isinstance(w, NegPart):
-        return np.maximum(-evaluate_many(w.inner, ys), 0.0)
-    if isinstance(w, AbsVal):
-        return np.abs(evaluate_many(w.inner, ys))
+    if isinstance(w, SignPart):
+        v = evaluate_many(w.inner, ys)
+        return np.abs(v) if w.part == "absolute" else np.maximum(v if w.part == "positive" else -v, 0.0)
     raise DomainError(f"unknown potential {w!r}")
 
 
@@ -316,9 +269,9 @@ def _run(cols: np.ndarray):
 def singularities(w: Potential, scale: float = 1.0, cols: np.ndarray | None = None) -> list[SingularityInfo]:
     """The point and diagonal singular sets of w; ``cols`` maps the chart
     columns of w's model into the full chart (identity when None)."""
-    if isinstance(w, (Pullback, RadialPower, CoulombPotential, TwoBody, Windowed)) and cols is None:
+    if isinstance(w, (Pullback, RadialAtom, TwoBody, Windowed)) and cols is None:
         cols = np.arange(w.model.chart_dim)
-    if isinstance(w, (RadialPower, CoulombPotential)):
+    if isinstance(w, RadialAtom) and w.beta > 0:
         ra, sc = w.radial(), abs(scale)
         return [SingularityInfo(w.model, ra.center, ra.beta, lambda r, p=ra.profile: sc * p(r), cols)]
     if isinstance(w, TwoBody):
@@ -347,13 +300,13 @@ def singularities(w: Potential, scale: float = 1.0, cols: np.ndarray | None = No
             for s in singularities(w.inner, scale, cols)
             if s.pair_cols is not None
             or not np.array_equal(s.cols, cols)
-            or evaluate_many(Indicator(w.model, w.window), s.center.coords[None, :])[0] > 0
+            or geom.in_window(w.model, w.window, s.center.coords[None, :])[0]
         ]
     if isinstance(w, Sum):
         return [s for term in w.terms for s in singularities(term, scale, cols)]
     if isinstance(w, Scale):
         return singularities(w.inner, scale * w.factor, cols)
-    if isinstance(w, (PosPart, NegPart, AbsVal)):
+    if isinstance(w, SignPart):
         return singularities(w.inner, scale, cols)
     return []
 
@@ -397,13 +350,13 @@ def terms(w: Potential, scale: float = 1.0) -> list[tuple[float, Potential]]:
 
 
 def center_of(w: Potential, model: ManifoldModel) -> Point:
-    """The center of the first radial (on a radial-kernel model) or indicator
-    atom, else the model's base point."""
+    """The center of the first radial atom (on a radial-kernel model) or
+    windowed constant, else the model's base point."""
     for _, atom in terms(w):
         ra = atom.radial() if model.radial_kernel else None
         if ra is not None:
             return ra.center
-        if isinstance(atom, Indicator):
+        if isinstance(atom, Windowed) and isinstance(atom.inner, Constant):
             return atom.window.center
     return geom.base_point(model)
 
@@ -411,11 +364,16 @@ def center_of(w: Potential, model: ManifoldModel) -> Point:
 def _atom_sup(atom: Potential) -> float:
     if isinstance(atom, Constant):
         return abs(atom.value)
-    if isinstance(atom, Indicator):
-        return 1.0
-    if isinstance(atom, RadialFunction):
+    if isinstance(atom, RadialAtom):
         return atom.sup
     if isinstance(atom, Windowed):
+        # a singular (decreasing) profile centered outside a ball window is
+        # largest at the ball's nearest point
+        ra = atom.inner.radial()
+        if isinstance(atom.window, BallWindow) and ra is not None and ra.beta > 0:
+            gap = geom.distance(atom.model, ra.center, atom.window.center) - atom.window.radius
+            if gap > 0.0:
+                return float(ra.profile(np.array([gap]))[0])
         return sup_abs(atom.inner)
     return math.inf
 
@@ -443,13 +401,13 @@ def sup_abs(w: Potential, outside: tuple[Point, float] | None = None) -> float:
 
 def support(w: Potential, model: ManifoldModel):
     """A window outside which w vanishes, read off the tree like ``sup_abs``
-    and ``singularities``; None when none is known.  Indicators and windowed
-    atoms give their window, scalings and sign parts pass their inner
+    and ``singularities``; None when none is known.  Windowed atoms give
+    their window, scalings and sign parts pass their inner
     support through, and a sum gives the one window among its terms' that
     covers them all."""
-    if isinstance(w, (Indicator, Windowed)):
+    if isinstance(w, Windowed):
         return w.window
-    if isinstance(w, (Scale, PosPart, NegPart, AbsVal)):
+    if isinstance(w, (Scale, SignPart)):
         return support(w.inner, model)
     if isinstance(w, Sum):
         wins = [support(term, model) for term in w.terms]
@@ -888,8 +846,10 @@ def coulomb_profile(model: ManifoldModel) -> Callable[[np.ndarray], np.ndarray]:
     return lambda d: np.exp(-d) / (4.0 * math.pi * np.sinh(d))
 
 
-def make_coulomb_potential(model: ManifoldModel, center: Point) -> CoulombPotential:
-    return CoulombPotential(model, center, coulomb_profile(model))
+def make_coulomb_potential(model: ManifoldModel, center: Point) -> RadialAtom:
+    """The Coulomb potential about ``center``: its closed-form profile of the
+    distance, ~ 1/(4 pi d) near zero."""
+    return RadialAtom(model, center, coulomb_profile(model), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -923,7 +883,7 @@ def many_body_assemble(
     terms: list[Potential] = []
     for i in range(l1):
         for y in nuclei:
-            attract = CoulombPotential(base, y, profile)
+            attract = RadialAtom(base, y, profile, 1.0)
             if l1 == 1:
                 terms.append(Scale(-1.0, attract))
             else:

@@ -115,6 +115,11 @@ def _nan_on_diagonal_at(i):
     return poison
 
 
+def _nan_cylinder_integral(monkeypatch):
+    cylinder = M._cylinder_integral
+    monkeypatch.setattr(M, "_cylinder_integral", lambda *args: cylinder(*args) * math.nan)
+
+
 def _nan_eigenvalue(monkeypatch):
     monkeypatch.setattr(M, "_lanczos_ground_energy", lambda *op: (math.nan, 0))
 
@@ -125,8 +130,9 @@ def _nan_eigenvalue(monkeypatch):
       _nan_on_diagonal_at(0), ["margin at t=0.01 is NaN"]),
      (["heat-bound", "--manifold", "euclidean:3"], _nan_on_diagonal_at(1), ["C_hat is NaN"]),
      (["fk-verify", "--manifold", "euclidean:3"], _nan_eigenvalue,
-      ["margin of set 0, ball(r=1) is NaN", "fd_gap is NaN"])],
-    ids=["control-pair", "heat-bound", "fk-verify"],
+      ["margin of set 0, ball(r=1) is NaN", "fd_gap is NaN"]),
+     (["mvi-sweep", "--manifold", "euclidean:2"], _nan_cylinder_integral, ["C_emp is NaN"])],
+    ids=["control-pair", "heat-bound", "fk-verify", "mvi-sweep"],
 )
 def test_a_nan_kernel_value_or_eigenvalue_fails_with_its_reason(argv, poison, reasons, monkeypatch, tmp_path):
     # one on-diagonal kernel value or one eigenvalue made NaN: the builtin
@@ -582,11 +588,16 @@ def test_fk_verify_validator_and_run_share_h(monkeypatch):
         ["is-kato", "--manifold", "product(circle,circle)", "--potential", "pullback:0:radialpower:beta=0.5"],
         ["coulomb", "--manifold", "hyperbolic3", "--param", "r_values=40"],
         ["coulomb", "--manifold", "hyperbolic3", "--param", "r_values=100"],
+        *([check, "--manifold", "torus:2:6.2832", "--potential", "windowed:r=1:center=3,3:radialpower:beta=1"]
+          for check in ("holder-check", "kato-norm", "is-kato")),
+        ["kato-norm", "--manifold", "euclidean:3", "--potential", "windowed:r=1:center=3,0,0:radialpower:beta=1"],
     ],
     ids=[
         "kernel-check-torus-small-t", "control-pair-fk-circle", "control-pair-fk-product",
         "is-kato-torus2", "is-kato-circle-circle", "is-kato-circle-circle-pullback",
         "coulomb-hyperbolic3-r40", "coulomb-hyperbolic3-r100",
+        "holder-check-torus2-window-off-singularity", "kato-norm-torus2-window-off-singularity",
+        "is-kato-torus2-window-off-singularity", "kato-norm-euclidean3-window-off-singularity",
     ],
 )
 def test_checks_pass_exit_zero(argv, capsys):
@@ -595,7 +606,10 @@ def test_checks_pass_exit_zero(argv, capsys):
     # comparability radii; L^q potentials with q > m/2 on flat products are
     # Kato (the grid path once bounded their excised ball by p(s,x,x) times
     # its L^1 mass); the Coulomb quadrature once stopped at an absolute
-    # floor above e^{-2r}
+    # floor above e^{-2r}; a window that leaves out its power's center reads
+    # 0 there (inf times the window's 0 once read NaN on the torus grid node
+    # at the center) and is bounded by the power at the ball's nearest point
+    # (the whole-space sup once made N(t) inf)
     assert cli.main(argv) == 0
     assert "Traceback" not in capsys.readouterr().err
 

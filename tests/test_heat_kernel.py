@@ -258,6 +258,16 @@ def test_on_diag_upper():
     assert math.isfinite(HK.on_diag_upper(s2, np.logspace(-2, 0, 10)))
 
 
+def test_on_diag_upper_keeps_a_nan(monkeypatch):
+    # the builtin max skipped a NaN that did not come first: C read
+    # 0.06349363593424097 with the second time's value NaN
+    sweep = HK.on_diag_sweep
+    monkeypatch.setattr(HK, "on_diag_sweep", lambda engine, ts: [
+        (t, math.nan if j == 1 else d) for j, (t, d) in enumerate(sweep(engine, ts))
+    ])
+    assert math.isnan(HK.on_diag_upper(HK.make_engine(G.euclidean(3)), np.logspace(-2, 0, 3)))
+
+
 def test_time_domain_errors():
     eng = HK.make_engine(G.euclidean(2))
     with pytest.raises(DomainError):

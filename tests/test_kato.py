@@ -837,7 +837,7 @@ def test_holder_norm_evaluates_the_radial_power_on_its_window_nodes_only(monkeyp
     rows = []
 
     def counted(v, ys, evaluate=P.evaluate_many):
-        if isinstance(v, P.RadialPower):
+        if isinstance(v, P.RadialAtom):
             rows.append(np.atleast_2d(ys).shape[0])
         return evaluate(v, ys)
 

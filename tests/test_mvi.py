@@ -79,6 +79,25 @@ def test_per_cell_ratios_below_c_emp():
     assert rep.worst_cell["q"] in cfg.q_values
 
 
+def test_a_nan_cell_makes_c_emp_nan(monkeypatch):
+    # the second cylinder integral's first q made NaN: the sweep's "ratio >
+    # best" once skipped that cell and reported c_emp 3.699348891233105 over
+    # 24 cells, stable, so mvi-sweep PASSed
+    cylinder, calls = M._cylinder_integral, []
+
+    def nan_in_second_call(*args):
+        out = cylinder(*args)
+        calls.append(None)
+        if len(calls) == 2:
+            out[0] = math.nan
+        return out
+
+    monkeypatch.setattr(M, "_cylinder_integral", nan_in_second_call)
+    cfg = M.MviSweepConfig(E2, G.base_point(E2), 1.0, M.faber_krahn_constant(2), (1.0, 0.5), (1.25, 2.0), (1.0, 2.0))
+    rep = M.mvi_sweep(cfg)
+    assert math.isnan(rep.c_emp) and rep.n_cells == 24 and not rep.stable
+
+
 def test_heat_bound_flat_closed_form():
     eng = HK.make_engine(E3)
     a = M.faber_krahn_constant(3)

@@ -187,8 +187,8 @@ NORM_ROWS = [
     ("indicator-ball", lambda m, c, at: P.Indicator(m, G.BallWindow(at(0.3), 0.8))),
     ("indicator-box", lambda m, c, at: P.Indicator(m, _box(m, at(0.3), 0.5))),
     ("scale", lambda m, c, at: P.Scale(-2.0, _ball_atom(m, c))),
-    ("absval", lambda m, c, at: P.AbsVal(P.Scale(-1.0, _ball_atom(m, c)))),
-    ("pospart", lambda m, c, at: P.PosPart(_ball_atom(m, c))),
+    ("absval", lambda m, c, at: P.absolute(P.Scale(-1.0, _ball_atom(m, c)))),
+    ("pospart", lambda m, c, at: P.positive_part(_ball_atom(m, c))),
     ("sum-nested-windows",
      lambda m, c, at: P.Sum((_ball_atom(m, c), P.Windowed(m, P.Constant(0.5), G.BallWindow(at(0.3), 0.4))))),
     ("sum-apart-windows",
@@ -372,6 +372,13 @@ def test_windowed_potential():
     assert P.evaluate(w, G.make_point(E3, [0.5, 0, 0])) == 2.0
     assert P.evaluate(w, G.make_point(E3, [2.0, 0, 0])) == 0.0
     assert len(P.singularities(w)) == 1
+    # a window that leaves out the power's center reads 0 there, not inf
+    # times the window's 0 (NaN), and |w| is bounded by the power at the
+    # ball's nearest point, not by its sup (inf)
+    far = G.make_point(E3, [3.0, 0, 0])
+    w = P.Windowed(E3, P.RadialPower(E3, far, 1.0, -2.0), G.BallWindow(ORIGIN, 1.0))
+    assert P.evaluate(w, far) == 0.0 and P.singularities(w) == []
+    assert P.sup_abs(w) == 1.0 and P.sup_abs(P.Scale(3.0, w)) == 3.0
 
 
 def test_parse_potential_round_trips():
@@ -584,9 +591,9 @@ def _circle_potentials(tc):
         "windowed-constant": P.Windowed(CIRCLE, P.Constant(2.0), G.BallWindow(c, 1.0)),
         "windowed-power": P.Windowed(CIRCLE, rp, G.BallWindow(c, 1.0)),
         "sum-scale": P.Sum((cos, P.Scale(-2.0, rp))),
-        "pos": P.PosPart(P.Scale(-1.0, cos)),
-        "neg": P.NegPart(cos),
-        "abs": P.AbsVal(P.Scale(-3.0, rp)),
+        "pos": P.positive_part(P.Scale(-1.0, cos)),
+        "neg": P.negative_part(cos),
+        "abs": P.absolute(P.Scale(-3.0, rp)),
     }
 
 
