@@ -42,10 +42,10 @@ if TYPE_CHECKING:
 
 # every numerical layer is reached as heatkato.<layer>.<name>, which the
 # package loads at its first access, and numpy is imported by the functions
-# that use it: kato and semigroup load scipy, and numpy, geometry,
-# heat_kernel and potentials are half of a launch with no bytecode cache,
-# which list-batteries, --help and a usage error decided before a model is
-# parsed do not need
+# that use it: only semigroup loads scipy, and numpy, geometry, heat_kernel
+# and potentials are half of a launch with no bytecode cache, which
+# list-batteries, --help and a usage error decided before a model is parsed
+# do not need
 
 # ---------------------------------------------------------------------------
 # manifest

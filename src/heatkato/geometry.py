@@ -38,9 +38,10 @@ _UNIT_TOL = 1e-9  # max drift from the unit sphere before a point is rejected
 def quad(*args, **kwargs):
     """``scipy.integrate.quad``, imported at the first call.
 
-    Importing scipy.integrate takes about 0.6 s, and most commands integrate
-    no scalar function.  ``potentials`` imports this same function; both
-    modules call it by bare name.
+    Only two ball volumes call it: a flat torus's once the ball reaches past
+    its cube's edges (m >= 3), and a product's.  scipy.integrate costs about
+    0.17 s on top of numpy and scipy.sparse.  ``kato`` and ``potentials``
+    import this same function and do not call it.
     """
     from scipy.integrate import quad
 
@@ -295,9 +296,17 @@ class Euclidean(_FlatChart):
         return pref * np.exp(-d * d / (2.0 * t))
 
     def mass_tail(self, t, radius):
-        from scipy.special import gammaincc
-
-        return float(gammaincc(self.dim / 2.0, radius * radius / (2.0 * t)))
+        """Q(m/2, x) = P(chi^2_m > 2x), x = radius^2 / (2t): upward from
+        Q(1/2, x) = erfc(sqrt x) or Q(1, x) = e^(-x) by
+        Q(a + 1, x) = Q(a, x) + x^a e^(-x) / Gamma(a + 1), every term positive."""
+        x = radius * radius / (2.0 * t)
+        if x == 0.0:
+            return 1.0
+        a, q = (0.5, math.erfc(math.sqrt(x))) if self.dim % 2 else (1.0, math.exp(-x))
+        while a < self.dim / 2.0:
+            q += math.exp(a * math.log(x) - x - math.lgamma(a + 1.0))
+            a += 1.0
+        return q
 
     def comparability_radius(self, b: float) -> float:
         return math.inf  # chart metric = identity everywhere
@@ -540,13 +549,11 @@ class Hyperbolic3(ManifoldModel):
         return pref * ratio * np.exp(-d * d / (2.0 * t))
 
     def mass_tail(self, t, radius):
-        from scipy.special import erfc
-
         # integrand is below (2 pi t)^{-3/2} 2 pi rho e^{-(rho-t)^2/(2t)}
         pref = (2.0 * math.pi * t) ** -1.5 * 2.0 * math.pi
         u = radius - t
         g = t * math.exp(-u * u / (2.0 * t))
-        e = t * math.sqrt(math.pi * t / 2.0) * float(erfc(u / math.sqrt(2.0 * t)))
+        e = t * math.sqrt(math.pi * t / 2.0) * math.erfc(u / math.sqrt(2.0 * t))
         return min(1.0, pref * (g + e))
 
     def kernel_reach(self, t):

@@ -243,16 +243,42 @@ def _jacobi_rule(n: int, exponent: float) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss rule for the weight t^exponent on [0, 1], each weight
     divided by t^exponent at its node: sum(w * h(t)) integrates h itself when
     h / t^exponent is smooth.  Built on first use; the arrays are read-only
-    because every caller shares them.  scipy.special is imported here, so
-    that importing this module does not load it."""
-    from scipy.special import roots_jacobi
+    because every caller shares them.
 
-    x, w = roots_jacobi(n, 0.0, exponent)
-    t = 0.5 * (1.0 + x)
-    w = w / 2.0 ** (exponent + 1.0) / t**exponent
+    The nodes are the zeros of P_n^(0,b)(2t - 1), b = exponent: the
+    eigenvalues of the Jacobi matrix (Golub and Welsch, Math. Comp. 23, 1969),
+    then two Newton steps on the polynomial written in t, which keep the nodes
+    near 0 accurate relative to their size.  With alpha = 0 the Gauss weight
+    is 2^(b+1) / ((1 - x^2) P_n'(x)^2) at x = 2t - 1."""
+    b = exponent
+    k = np.arange(1, n)
+    c = 2.0 * k + b
+    diag = np.append(b / (b + 2.0), b * b / (c * (c + 2.0)))
+    off = 2.0 * k * (k + b) / (c * np.sqrt((c + 1.0) * (c - 1.0)))
+    t = 0.5 * (1.0 + np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)))
+    for _ in range(2):
+        p, dp = _jacobi_and_slope(n, b, t)
+        t = t - p / (2.0 * dp)
+    _, dp = _jacobi_and_slope(n, b, t)
+    w = 1.0 / (4.0 * t * (1.0 - t) * dp * dp) / t**b
     t.flags.writeable = False
     w.flags.writeable = False
     return t, w
+
+
+def _jacobi_and_slope(n: int, b: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n^(0,b)(x) and dP_n/dx at x = 2t - 1, by the three-term recurrence
+    in t and (2n + b)(1 - x^2) P_n' = n(-b - (2n + b)x) P_n + 2n(n + b) P_{n-1}.
+    (k - 1 + b) is summed in that order: (k + b) - 1 loses digits as b nears -1."""
+    prev, p = np.ones_like(t), (b + 2.0) * t - (b + 1.0)
+    for k in range(2, n + 1):
+        c = 2.0 * k + b
+        a = c * (c - 2.0)
+        prev, p = p, ((c - 1.0) * (2.0 * a * t - (a + b * b)) * p - 2.0 * (k - 1) * (k - 1 + b) * c * prev) / (
+            2.0 * k * (k + b) * (c - 2.0)
+        )
+    dp = (2.0 * n * (n - (2 * n + b) * t) * p + 2.0 * n * (n + b) * prev) / ((2 * n + b) * 4.0 * t * (1.0 - t))
+    return p, dp
 
 
 def excision_radius(scale):

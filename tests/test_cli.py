@@ -614,6 +614,16 @@ def test_checks_pass_exit_zero(argv, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_kato_norm_samples_the_window_that_leaves_out_its_power_center():
+    # center_of once gave the power's center, outside the window, where the
+    # functional reads N(0.1) = 5e-10; at the window's center it reads 0.0333
+    spec = "windowed:r=1:center=3,0,0:radialpower:beta=1"
+    e3 = G.euclidean(3)
+    assert list(P.center_of(P.parse_potential(spec, e3), e3).coords) == [3.0, 0.0, 0.0]
+    report = cli.run_manifest(cli.ExperimentManifest(manifold="euclidean:3", checks=["kato-norm"], potential=spec))
+    assert report.all_pass and report.checks[0].values["N"] >= 0.0332
+
+
 def test_long_time_kernel_check_on_a_short_period_is_fast():
     # t = 1e4 is 6e8 times t* = L^2 / (2 pi): the image sum took 94,870 image
     # pairs per value here (7.4 s), the Fourier series takes one mode
@@ -883,13 +893,13 @@ _SCIPY_FAMILIES = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.
         (["project-check", "--manifold", PRODUCT, "--param", "n_paths=400"], set()),
         (["fk-verify", "--manifold", "euclidean:3"], set()),
         (["run", "fk-mvi.txt"], set()),
-        (["run-battery", "paper-core"], set(_SCIPY_FAMILIES)),
+        (["run-battery", "paper-core"], {"scipy.sparse"}),
     ],
     ids=["stochastic-battery", "project-check", "fk-verify", "fk-verify-mvi-sweep-manifest", "paper-core-battery"],
 )
 def test_commands_load_only_the_scipy_families_they_call(argv, families, tmp_path):
     # which of quad, the root finders, special functions and sparse matrices
-    # a cold start pays for; only checks that call quad load heatkato.kato
+    # a cold start pays for; the Kato checks and Coulomb load none of them
     (tmp_path / "fk-mvi.txt").write_text("manifold = euclidean:3\nchecks = fk-verify, mvi-sweep\n")
     code, modules, _ = _loaded_by(argv, tmp_path)
     loaded = {f for f in _SCIPY_FAMILIES if any(m == f or m.startswith(f + ".") for m in modules)}
@@ -897,7 +907,7 @@ def test_commands_load_only_the_scipy_families_they_call(argv, families, tmp_pat
     assert families or not modules  # no family: no scipy module at all
 
 
-_QUAD_LAYERS = {"numpy", "heatkato.geometry", "heatkato.heat_kernel", "heatkato.potentials", "heatkato.mvi"}
+_KATO_LAYERS = {"numpy", "heatkato.geometry", "heatkato.heat_kernel", "heatkato.potentials", "heatkato.mvi"}
 _CIRCLE_SG = ["--manifold", "circle", "--param", "n_grid=16"]
 
 
@@ -906,15 +916,17 @@ _CIRCLE_SG = ["--manifold", "circle", "--param", "n_grid=16"]
     [
         (["kernel-check", "--manifold", "circle", "--param", "t_values=0.1", "--param", "n_points=1"], set(),
          {"numpy", "heatkato.geometry", "heatkato.heat_kernel"}),
-        (["kato-norm", "--manifold", "euclidean:3", "--param", "n_x=1", "--param", "t=0.01"],
-         set(_SCIPY_FAMILIES), _QUAD_LAYERS),
-        (["is-kato", "--manifold", "euclidean:3", "--param", "n_t=2"], set(_SCIPY_FAMILIES), _QUAD_LAYERS),
-        (["holder-check", "--manifold", "euclidean:3", "--param", "n_s=2", "--param", "qs=2"],
-         set(_SCIPY_FAMILIES), _QUAD_LAYERS),
-        (["control-pair", "--manifold", "euclidean:3", "--param", "n_t=2"], set(_SCIPY_FAMILIES), _QUAD_LAYERS),
-        (["control-pair", "--manifold", "euclidean:3", "--param", "n_t=2", "--param", "source=fk"],
-         set(_SCIPY_FAMILIES), _QUAD_LAYERS),
-        (["coulomb", "--manifold", "euclidean:3", "--param", "r_values=1"], set(_SCIPY_FAMILIES),
+        (["kernel-check", "--manifold", "euclidean:3", "--param", "t_values=0.1", "--param", "n_points=1"], set(),
+         {"numpy", "heatkato.geometry", "heatkato.heat_kernel"}),
+        (["kernel-check", "--manifold", "hyperbolic3", "--param", "t_values=1", "--param", "n_points=1"], set(),
+         {"numpy", "heatkato.geometry", "heatkato.heat_kernel"}),
+        (["kato-norm", "--manifold", "euclidean:3", "--param", "n_x=1", "--param", "t=0.01"], set(), _KATO_LAYERS),
+        (["is-kato", "--manifold", "euclidean:3", "--param", "n_t=2"], set(), _KATO_LAYERS),
+        (["holder-check", "--manifold", "euclidean:3", "--param", "n_s=2", "--param", "qs=2"], set(), _KATO_LAYERS),
+        (["control-pair", "--manifold", "euclidean:3", "--param", "n_t=2"], set(), _KATO_LAYERS),
+        (["control-pair", "--manifold", "euclidean:3", "--param", "n_t=2", "--param", "source=fk"], set(),
+         _KATO_LAYERS),
+        (["coulomb", "--manifold", "euclidean:3", "--param", "r_values=1"], set(),
          {"numpy", "heatkato.geometry", "heatkato.heat_kernel", "heatkato.potentials"}),
         (["feynman-kac", "--manifold", "circle", "--param", "n_paths=100", "--param", "t_values=0.02",
           "--param", "h=0.01", "--param", "n_grid=64"], {"scipy.sparse"},
@@ -927,8 +939,9 @@ _CIRCLE_SG = ["--manifold", "circle", "--param", "n_grid=16"]
         (["riesz-thorin", *_CIRCLE_SG, "--param", "r_values=0.5"], {"scipy.sparse"},
          {"numpy", "heatkato.geometry", "heatkato.heat_kernel", "heatkato.potentials"}),
     ],
-    ids=["kernel-check", "kato-norm", "is-kato", "holder-check", "control-pair", "control-pair-fk", "coulomb",
-         "feynman-kac", "kato-exponential", "semigroup-bound", "riesz-thorin"],
+    ids=["kernel-check", "kernel-check-euclidean3", "kernel-check-hyperbolic3", "kato-norm", "is-kato",
+         "holder-check", "control-pair", "control-pair-fk", "coulomb", "feynman-kac", "kato-exponential",
+         "semigroup-bound", "riesz-thorin"],
 )
 def test_each_check_loads_its_scipy_families_and_layers(argv, families, layers, tmp_path):
     # a check run alone on tiny parameters: the scipy families and layers its
@@ -940,7 +953,7 @@ def test_each_check_loads_its_scipy_families_and_layers(argv, families, layers, 
 
 def test_smoothing_fd_and_path_layers_import_no_scipy(tmp_path):
     probe = (
-        "import sys, heatkato.potentials, heatkato.mvi, heatkato.stochastics\n"
+        "import sys, heatkato.potentials, heatkato.mvi, heatkato.stochastics, heatkato.kato\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     assert _fresh_python(probe, [], tmp_path) == ["[]"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaincc
 
 from heatkato import geometry as G
 from heatkato.errors import DomainError, InvalidPointError, ManifestError
@@ -346,3 +347,15 @@ def test_window_within_by_the_triangle_inequality():
     assert G.window_within(t2, G.BoxWindow(near_seam, (0.3, 0.5)), G.BoxWindow(c, (0.5, 0.5)))
     assert not G.window_within(t2, G.BoxWindow(near_seam, (0.3, 0.6)), G.BoxWindow(c, (0.5, 0.5)))
     assert not G.window_within(t2, G.BallWindow(c, 0.1), G.BoxWindow(c, (0.5, 0.5)))  # no mixed pairs
+
+
+@pytest.mark.parametrize("m", range(1, 56))
+def test_euclidean_mass_tail_matches_the_regularized_gamma(m):
+    # Q(m/2, x) by the upward recurrence from erfc or e^-x, x = r^2 / (2t)
+    e = G.euclidean(m)
+    t = 0.37
+    for x in np.concatenate([[0.0], np.logspace(-10, math.log10(700.0), 120)]):
+        r = math.sqrt(2.0 * t * x)
+        ref = float(gammaincc(m / 2.0, r * r / (2.0 * t)))
+        if ref > 1e-300:
+            assert e.mass_tail(t, r) == pytest.approx(ref, rel=1e-12, abs=0.0), (x, ref)

@@ -7,7 +7,7 @@ import pytest
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.sparse.linalg import eigsh
-from scipy.special import erf, gamma, jn_zeros
+from scipy.special import erf, gamma, jn_zeros, roots_jacobi
 from scipy.stats import chi2, ncx2
 
 from heatkato import cli
@@ -429,6 +429,27 @@ def test_near_field_rule_matches_quad(spec):
                 got = Q.near_field_integral(model, kernel, profile, d, eps, beta)
                 ref = _quad_near_field(model, kernel, profile, d, eps)
                 assert abs(got - ref) <= max(1e-9 * abs(ref), 1e-13), (beta, s, d, got, ref)
+
+
+@pytest.mark.parametrize("n", [12, 24, 48])
+def test_jacobi_rule_integrates_monomials_against_its_weight(n):
+    # sum w t^b t^k = 1/(k + b + 1) for k <= 2n - 2, b over (-1, 53]
+    for b in np.linspace(-0.9999, 53.0, 61):
+        t, w = Q._jacobi_rule(n, float(b))
+        for k in range(2 * n - 1):
+            assert abs(np.sum(w * t**b * t**k) * (k + b + 1.0) - 1.0) <= 5e-12, (b, k)
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_jacobi_rule_matches_scipy(n):
+    # below b = -0.9 scipy's own rule drifts (its monomials are off by 5e-8 at
+    # b = -0.9999), so the monomial table is the reference there
+    for b in np.linspace(-0.9, 53.0, 50):
+        t, w = Q._jacobi_rule(n, float(b))
+        x, ws = roots_jacobi(n, 0.0, b)
+        ts = 0.5 * (1.0 + x)
+        ws = ws / 2.0 ** (b + 1.0) / ts**b
+        assert np.max(np.abs(t - ts)) <= 5e-12 and np.max(np.abs(w - ws) / ws) <= 5e-12, b
 
 
 def test_near_field_rule_stops_at_window_edge():
@@ -901,6 +922,36 @@ def test_on_diagonal_sweeps_equal_their_per_time_loops(spec):
             Rx = radius_fn(x)
             best = max(best, d * 0.7 ** (m / 2.0) * min(float(t), Rx * Rx) ** (m / 2.0))
     assert HK.heat_bound_constant(eng, radius_fn, 0.7, ts, xs) == best
+
+
+@pytest.mark.parametrize("spec, beta", [("euclidean:1", 0.5), ("euclidean:2", 1.2), ("euclidean:3", 1.0),
+                                        ("euclidean:3", 1.8), ("hyperbolic3", 1.0)])
+def test_short_time_remainder_matches_quad(spec, beta, monkeypatch):
+    # int_0^1 (s_min u)^(-m/(2q)) du in closed form against scipy's quad of
+    # the on-diagonal pair's time factor, for every norm the bound weighs
+    model = G.parse_manifold(spec)
+    eng = HK.make_engine(model)
+    c = G.base_point(model)
+    w = P.RadialPower(model, c, beta)
+    norms, lq_norm = [], P.lq_norm
+
+    def recorded(*args, **kwargs):
+        out = lq_norm(*args, **kwargs)
+        norms.extend(out)
+        return out
+
+    monkeypatch.setattr(P, "lq_norm", recorded)
+    s_min = 1e-6
+    got = K._short_time_remainder(eng, w, s_min)
+    pair = K.control_pair_from_on_diag(eng)
+    sup_out = P.sup_abs(w, outside=(c, 3.0))
+
+    def bound(wq):
+        time = lambda u: pair.time_factor(max(s_min * u, 1e-300)) ** (1.0 / wq.q)
+        return wq.value * s_min * quad(time, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)[0] + s_min * sup_out
+
+    assert norms and math.isfinite(got)
+    assert got == pytest.approx(min(bound(wq) for wq in norms if not wq.diverges), rel=1e-9)
 
 
 def test_short_time_remainder_makes_no_selection_pass(monkeypatch):

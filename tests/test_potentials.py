@@ -78,6 +78,25 @@ def test_coulomb_hyperbolic_finite_with_tail():
     assert got.value == pytest.approx(closed, rel=1e-9)
 
 
+@pytest.mark.parametrize("model", [E3, G.hyperbolic3()], ids=["euclidean3", "hyperbolic3"])
+def test_coulomb_matches_its_closed_form_over_the_distance_range(model):
+    # the fixed rule in v = -log(s)/2 against 1/(4 pi d) and e^-d/(4 pi sinh d).
+    # The hyperbolic kernel's factor d / sinh d, computed as
+    # 2d e^-d / (1 - e^-2d), carries up to about eps / (2d) of its own below d = 1
+    eng = HK.make_engine(model)
+    o = G.base_point(model)
+    profile = P.coulomb_profile(model)
+    for d in np.logspace(-4, math.log10(350.0), 80):
+        y = G.exp_map(model, o, [d, 0.0, 0.0])
+        r = G.distance(model, o, y)
+        closed = float(profile(np.array([r]))[0])
+        allowance = 1e-13 + (0.0 if model.flat else 1.2e-16 / r)
+        for tol in (1e-8, 1e-10, 1e-20):
+            got = P.coulomb(eng, o, y, tol=tol)
+            assert abs(got.value - closed) <= allowance * closed, (r, tol, got.value, closed)
+            assert 0.0 <= got.tail_bound <= tol * got.value, (r, tol, got.tail_bound)
+
+
 def test_coulomb_errors():
     eng = HK.make_engine(E3)
     with pytest.raises(SingularityError):
