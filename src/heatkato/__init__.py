@@ -5,7 +5,7 @@ Riemannian manifolds.
 Importing the package loads no submodule: ``heatkato.kato`` and the other
 submodule attributes load on first access.  ``heatkato.cli`` reaches every
 numerical layer this way, as ``heatkato.<layer>.<name>``, so a command pays
-only for the layers it uses (only ``semigroup`` imports scipy at load).
+only for the layers it uses; no layer imports scipy at load.
 """
 
 import importlib

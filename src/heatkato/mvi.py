@@ -5,8 +5,9 @@ Test solutions are heat-kernel columns u(s, y) = p(s, y, y0): they are exact
 nonnegative solutions of the heat equation, so no PDE solver enters and every
 cell ratio is pure quadrature.  The Faber-Krahn check's Dirichlet eigenvalues
 take a closed form on lattice-aligned boxes and a Lanczos recurrence in
-numpy on 3-d balls; scipy, imported inside the functions that call it, solves
-only 2-d balls and finds the Bessel zeros of dimension 4 and up.
+numpy on balls; scipy, imported inside the function that calls it, solves
+only 2-d balls above _FD_LANCZOS_2D folded unknowns.  The Faber-Krahn
+constant's Bessel zeros are tabulated.
 """
 
 from __future__ import annotations
@@ -198,32 +199,30 @@ def heat_bound_sweep(
 def faber_krahn_constant(m: int) -> float:
     """Sharp constant for -(1/2) Laplace with Dirichlet conditions: equality on
     balls, min spec(H_U) >= a vol(U)^{-2/m}."""
-    j = _first_bessel_zero(m / 2.0 - 1.0)
+    if not 1 <= m <= len(_BESSEL_ZEROS):
+        raise DomainError(f"dimension must be in 1..{len(_BESSEL_ZEROS)}, got {m}")
+    j = _BESSEL_ZEROS[m - 1]
     return 0.5 * j * j * geom._omega(m) ** (2.0 / m)
 
 
-def _first_bessel_zero(nu: float) -> float:
-    """First positive zero j of J_nu, nu = m/2 - 1.  scipy is imported only
-    for the orders without a closed form or a tabulated value (m >= 4)."""
-    if nu == -0.5:
-        return math.pi / 2.0  # J_{-1/2}(x) is a multiple of cos(x) / sqrt(x)
-    if nu == 0.5:
-        return math.pi  # J_{1/2}(x) is a multiple of sin(x) / sqrt(x)
-    if nu == 0.0:
-        # j_{0,1} as scipy.special.jn_zeros(0, 1) returns it, one ulp below the
-        # correctly rounded 2.404825557695773: the 2-d constant keeps its bits
-        return 2.4048255576957724
-    from scipy.special import jn_zeros, jv
-
-    if nu == int(nu):
-        return float(jn_zeros(int(nu), 1)[0])
-    from scipy.optimize import brentq
-
-    # half-integer order: J_nu > 0 on (0, j) and j > nu; bracket the first sign change
-    lo = nu
-    while jv(nu, lo + 0.5) > 0.0:
-        lo += 0.5
-    return brentq(lambda x: jv(nu, x), lo, lo + 0.5, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+# the first positive zero of J_{m/2 - 1} for m = 1..MAX_DIM: pi/2 and pi at
+# m = 1 and 3 (J_{-1/2} and J_{1/2} are multiples of cos(x) / sqrt(x) and
+# sin(x) / sqrt(x)), the others as scipy 1.17 returns them, bit for bit:
+# jn_zeros at integer orders, brentq on jv at half-integer ones (m = 2 one ulp
+# below the correctly rounded 2.404825557695773)
+_BESSEL_ZEROS = (
+    math.pi / 2.0, 2.4048255576957724, math.pi, 3.8317059702075125, 4.493409457909064,
+    5.135622301840683, 5.76345919689455, 6.380161895923984, 6.98793200050052, 7.588342434503804,
+    8.182561452571242, 8.771483815959954, 9.355812111042747, 9.936109524217686, 10.512835408093999,
+    11.086370019245084, 11.657032192516372, 12.225092264004656, 12.790781711972121, 13.35430047743533,
+    13.915822610504895, 14.47550068655454, 15.033469303743438, 15.589847884455486, 16.14474294230134,
+    16.698249933848246, 17.250454784125967, 17.80143515328244, 18.35126149594727, 18.899997953174022,
+    19.447703108094732, 19.994430629816385, 20.54022982504821, 21.085146113064717, 21.62922143659036,
+    22.172494618826327, 22.715001674972243, 23.256776085110037, 23.7978490341283, 24.338249623407176,
+    24.87800505820719, 25.41714081407252, 25.955680785040137, 26.493647416019034, 27.03106182135002,
+    27.567943891262235, 28.104312387697078, 28.640185030763963, 29.175578576919047, 29.710508889811234,
+    30.244991004615454, 30.779039186567267, 31.312666984322405, 31.845887278687318, 32.37871232720014,
+)
 
 
 @dataclass
@@ -329,12 +328,33 @@ def _fd_matrix(diagonal: float, neighbours: np.ndarray, coefs: np.ndarray):
     return sparse.coo_matrix((vals, (rows, cols)), shape=(count, count)).tocsc()
 
 
-_LANCZOS_TOL = 1e-10  # stop once |beta_k s_k1| <= tol theta_1
+_LANCZOS_TOL = 1e-10  # stop once |beta_k s_k1| <= tol |theta_1|
 _LANCZOS_MAX_STEPS = 4096
+# most folded unknowns a 2-d operator takes Lanczos for. Below it Lanczos
+# costs less than eigsh plus the 0.2 s import of scipy.sparse.linalg (the unit
+# disk at h = 1/128: 12 985 unknowns, 528 steps in 0.23 s against 0.11 s);
+# above it the steps grow to thousands (45 466 unknowns: 4.4 s against 0.41 s)
+_FD_LANCZOS_2D = 12_000
 
 
-def _lanczos_ground_energy(diagonal: float, neighbours: np.ndarray, coefs: np.ndarray) -> tuple[float, int]:
-    """(smallest eigenvalue of ``_fd_operator``'s B, Lanczos steps taken),
+def _fd_product(diagonal: float, neighbours: np.ndarray, coefs: np.ndarray):
+    """(x -> B x, unknowns) for ``_fd_operator``'s B in ELL form."""
+    count = neighbours.shape[1]
+    padded = np.zeros(count + 1)  # padded[count] stays 0: the value at a missing neighbour
+
+    def product(v):
+        padded[:count] = v
+        w = diagonal * v
+        for nb, c in zip(neighbours, coefs):
+            w += c * padded[nb]
+        return w
+
+    return product, count
+
+
+def _lanczos_ground_energy(product, count: int) -> tuple[float, int]:
+    """(smallest eigenvalue of the symmetric operator ``product``, a function
+    returning a new array B x, on ``count`` unknowns; Lanczos steps taken),
     from a plain three-term Lanczos recurrence started at the ones vector.
 
     Without reorthogonalization the basis loses orthogonality, but the
@@ -342,18 +362,13 @@ def _lanczos_ground_energy(diagonal: float, neighbours: np.ndarray, coefs: np.nd
     |beta_k s_k1| of the smallest Ritz pair of the k x k tridiagonal T_k is
     small, theta_1 has converged. T_k's eigenpairs are computed only at steps
     8, 10, 13, 17, ... (each about 1.25 times the last), at a breakdown
-    (beta_k = 0), at step k = len(x) and at step _LANCZOS_MAX_STEPS, where the
+    (beta_k = 0), at step k = count and at step _LANCZOS_MAX_STEPS, where the
     bound is tested; a ConvergenceError if it still fails at the last."""
-    count = neighbours.shape[1]
-    padded = np.zeros(count + 1)  # padded[count] stays 0: the value at a missing neighbour
     v_prev, v = np.zeros(count), np.full(count, 1.0 / math.sqrt(count))
     alphas, betas = [], []
     beta, check = 0.0, 8
     for k in range(1, _LANCZOS_MAX_STEPS + 1):
-        padded[:count] = v
-        w = diagonal * v
-        for nb, c in zip(neighbours, coefs):
-            w += c * padded[nb]
+        w = product(v)
         w -= beta * v_prev
         alpha = float(w @ v)
         w -= alpha * v
@@ -363,7 +378,7 @@ def _lanczos_ground_energy(diagonal: float, neighbours: np.ndarray, coefs: np.nd
         if beta == 0.0 or k in (check, count, _LANCZOS_MAX_STEPS):
             off = betas[:-1]
             theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(off, -1) + np.diag(off, 1))
-            if beta * abs(s[-1, 0]) <= _LANCZOS_TOL * theta[0]:
+            if beta * abs(s[-1, 0]) <= _LANCZOS_TOL * abs(theta[0]):
                 return float(theta[0]), k
             check = math.ceil(1.25 * check)
         v_prev, v = v, w / beta
@@ -374,17 +389,18 @@ def _fd_ground_energy(m: int, inside_fn, lo: np.ndarray, hi: np.ndarray, h) -> f
     """Smallest eigenvalue of the finite-difference Dirichlet operator on the
     lattice's interior nodes. A full lattice block (every box) separates into
     1-d second differences and takes their closed form; any other mask is
-    solved as ``_fd_operator``'s B: by Lanczos in 3-d, by scipy in 2-d, where
-    a Lanczos recurrence needs thousands of steps and the factorization of
-    shift-invert fills in little (its 150 000 limit reads the folded count)."""
+    solved as ``_fd_operator``'s B by Lanczos, except in 2-d above
+    _FD_LANCZOS_2D folded unknowns, where the recurrence needs thousands of
+    steps and scipy's eigsh solves it (its 150 000 limit reads the folded
+    count too)."""
     mask, hs = _fd_mask(m, inside_fn, lo, hi, h)
     if int(mask.sum()) < _FD_MIN_NODES:
         raise DomainError("grid too coarse for the region")
     if mask.all():  # n_k interior nodes on axis k: sum_k (2 / h_k^2) sin^2(pi / (2 (n_k + 1)))
         return sum(2.0 / (hk * hk) * math.sin(math.pi / (2 * (n + 1))) ** 2 for hk, n in zip(hs, mask.shape))
     op = _fd_operator(mask, hs)
-    if m == 3:
-        return _lanczos_ground_energy(*op)[0]
+    if m == 3 or op[1].shape[1] <= _FD_LANCZOS_2D:
+        return _lanczos_ground_energy(*_fd_product(*op))[0]
     B = _fd_matrix(*op)
     from scipy.sparse.linalg import eigsh
 

@@ -22,9 +22,10 @@ def worst_of(reduce, start: float, quantities: dict) -> tuple[float, str | None]
 
 def _jsonable(obj):
     """JSON-ready copy of a report value; a dataclass record becomes the dict
-    of its fields."""
+    of its fields, less a ``reasons`` field that holds none."""
     if is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)
+                if f.name != "reasons" or getattr(obj, f.name)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

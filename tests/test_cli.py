@@ -18,6 +18,7 @@ from heatkato import geometry as G
 from heatkato import heat_kernel as HK
 from heatkato import mvi as M
 from heatkato import potentials as P
+from heatkato import semigroup as SG
 from heatkato import stochastics as S
 from heatkato.errors import DomainError, ManifestError
 from heatkato.reporting import canonical_json
@@ -448,6 +449,7 @@ PRODUCT = "product(euclidean:1,circle)"
         ("semigroup-bound", "circle", "deltas=1"),
         ("riesz-thorin", "circle", "t=-1"),
         ("riesz-thorin", "circle", "r_values=0.5,1"),
+        ("feynman-kac", "circle", "n_grid=7"),
         ("mvi-sweep", "euclidean:2", "radius=0"),
         ("coulomb", "euclidean:3", "rel_tol=-1"),
         ("coulomb", "euclidean:3", "r_values=0"),
@@ -893,13 +895,13 @@ _SCIPY_FAMILIES = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.
         (["project-check", "--manifold", PRODUCT, "--param", "n_paths=400"], set()),
         (["fk-verify", "--manifold", "euclidean:3"], set()),
         (["run", "fk-mvi.txt"], set()),
-        (["run-battery", "paper-core"], {"scipy.sparse"}),
+        (["run-battery", "paper-core"], set()),
     ],
     ids=["stochastic-battery", "project-check", "fk-verify", "fk-verify-mvi-sweep-manifest", "paper-core-battery"],
 )
 def test_commands_load_only_the_scipy_families_they_call(argv, families, tmp_path):
     # which of quad, the root finders, special functions and sparse matrices
-    # a cold start pays for; the Kato checks and Coulomb load none of them
+    # a cold start pays for; no built-in battery loads any of them
     (tmp_path / "fk-mvi.txt").write_text("manifold = euclidean:3\nchecks = fk-verify, mvi-sweep\n")
     code, modules, _ = _loaded_by(argv, tmp_path)
     loaded = {f for f in _SCIPY_FAMILIES if any(m == f or m.startswith(f + ".") for m in modules)}
@@ -926,22 +928,24 @@ _CIRCLE_SG = ["--manifold", "circle", "--param", "n_grid=16"]
         (["control-pair", "--manifold", "euclidean:3", "--param", "n_t=2"], set(), _KATO_LAYERS),
         (["control-pair", "--manifold", "euclidean:3", "--param", "n_t=2", "--param", "source=fk"], set(),
          _KATO_LAYERS),
+        # the Faber-Krahn constant's Bessel zero at m = 4 is tabulated
+        (["control-pair", "--manifold", "euclidean:4", "--param", "n_t=2", "--param", "source=fk"], set(),
+         _KATO_LAYERS),
         (["coulomb", "--manifold", "euclidean:3", "--param", "r_values=1"], set(),
          {"numpy", "heatkato.geometry", "heatkato.heat_kernel", "heatkato.potentials"}),
         (["feynman-kac", "--manifold", "circle", "--param", "n_paths=100", "--param", "t_values=0.02",
-          "--param", "h=0.01", "--param", "n_grid=64"], {"scipy.sparse"},
-         {"numpy", "heatkato.geometry", "heatkato.heat_kernel", "heatkato.potentials", "heatkato.stochastics"}),
+          "--param", "h=0.01", "--param", "n_grid=64"], set(),
+         {"numpy", "heatkato.geometry", "heatkato.heat_kernel", "heatkato.potentials", "heatkato.mvi",
+          "heatkato.stochastics"}),
         (["kato-exponential", "--manifold", "euclidean:1", "--param", "n_paths=100", "--param", "t_values=0.02",
           "--param", "deltas=2", "--param", "h=0.01"], set(),
          {"numpy", "heatkato.geometry", "heatkato.heat_kernel", "heatkato.potentials", "heatkato.stochastics"}),
-        (["semigroup-bound", *_CIRCLE_SG, "--param", "t_values=0.5", "--param", "deltas=2"], {"scipy.sparse"},
-         {"numpy", "heatkato.geometry", "heatkato.heat_kernel", "heatkato.potentials"}),
-        (["riesz-thorin", *_CIRCLE_SG, "--param", "r_values=0.5"], {"scipy.sparse"},
-         {"numpy", "heatkato.geometry", "heatkato.heat_kernel", "heatkato.potentials"}),
+        (["semigroup-bound", *_CIRCLE_SG, "--param", "t_values=0.5", "--param", "deltas=2"], set(), _KATO_LAYERS),
+        (["riesz-thorin", *_CIRCLE_SG, "--param", "r_values=0.5"], set(), _KATO_LAYERS),
     ],
     ids=["kernel-check", "kernel-check-euclidean3", "kernel-check-hyperbolic3", "kato-norm", "is-kato",
-         "holder-check", "control-pair", "control-pair-fk", "coulomb", "feynman-kac", "kato-exponential",
-         "semigroup-bound", "riesz-thorin"],
+         "holder-check", "control-pair", "control-pair-fk", "control-pair-fk-euclidean4", "coulomb", "feynman-kac",
+         "kato-exponential", "semigroup-bound", "riesz-thorin"],
 )
 def test_each_check_loads_its_scipy_families_and_layers(argv, families, layers, tmp_path):
     # a check run alone on tiny parameters: the scipy families and layers its
@@ -953,18 +957,28 @@ def test_each_check_loads_its_scipy_families_and_layers(argv, families, layers, 
 
 def test_smoothing_fd_and_path_layers_import_no_scipy(tmp_path):
     probe = (
-        "import sys, heatkato.potentials, heatkato.mvi, heatkato.stochastics, heatkato.kato\n"
+        "import sys, heatkato.potentials, heatkato.mvi, heatkato.stochastics, heatkato.kato, heatkato.semigroup\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     assert _fresh_python(probe, [], tmp_path) == ["[]"]
 
 
 def test_semigroup_battery_loads_no_quadrature_special_or_optimize(tmp_path):
-    # the semigroup checks need only scipy's linear algebra
-    code, modules, _ = _loaded_by(["run-battery", "semigroup"], tmp_path)
-    assert code == 0 and "scipy.sparse.linalg" in modules
-    heavy = ("scipy.integrate", "scipy.special", "scipy.optimize")
-    assert not [m for m in modules if m.startswith(heavy)]
+    # the semigroup checks solve in numpy alone: no scipy module at all
+    assert _loaded_by(["run-battery", "semigroup"], tmp_path)[:2] == (0, set())
+
+
+def test_feynman_kac_grid_past_the_store_budget_is_refused_before_any_allocation(monkeypatch, capsys):
+    # n_grid nodes of contour work arrays against the path sampler's store budget
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(SG, "discretize", refuse)
+    monkeypatch.setattr(S, "simulate", refuse)
+    limit = S._MAX_STORE_BYTES // SG._CONTOUR_NODE_BYTES
+    for n_grid in (limit + 1, 10**12):
+        assert cli.main(["feynman-kac", "--manifold", "circle", "--param", f"n_grid={n_grid}"]) == 2
+        assert f"param.feynman-kac.n_grid = {n_grid}: must be in 8..{limit}" in capsys.readouterr().err
 
 
 def test_package_submodules_load_on_first_access(tmp_path):

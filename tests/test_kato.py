@@ -7,7 +7,8 @@ import pytest
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.sparse.linalg import eigsh
-from scipy.special import erf, gamma, jn_zeros, roots_jacobi
+from scipy.optimize import brentq
+from scipy.special import erf, gamma, jn_zeros, jv, roots_jacobi
 from scipy.stats import chi2, ncx2
 
 from heatkato import cli
@@ -479,7 +480,7 @@ def test_classical_near_field_at_center_in_the_plane():
 
 
 def test_fd_eigen_solve_repeats_exactly():
-    # 2-d: scipy's shift-invert; 3-d: the package's Lanczos recurrence from the ones vector
+    # the package's Lanczos recurrence from the ones vector, in 2-d and 3-d
     for model, h in ((G.euclidean(2), 1 / 24), (G.euclidean(3), 1 / 8)):
         region = G.BallWindow(G.base_point(model), 1.0)
         first = M.dirichlet_ground_energy(model, region, h, refinements=1)
@@ -517,8 +518,47 @@ def test_fd_ball_3d_matches_scipy_eigsh(h, refinements, reference):
 def test_lanczos_steps_on_the_default_3d_ball():
     # a convergence regression shows as a step count, not a timing
     _, levels, _ = M._fd_levels(E3, G.BallWindow(ORIGIN, 1.0), cli._fk_h({"h": "auto"}, E3), 1)
-    steps = [M._lanczos_ground_energy(*M._fd_operator(*M._fd_mask(3, *level)))[1] for level in levels]
+    steps = [M._lanczos_ground_energy(*M._fd_product(*M._fd_operator(*M._fd_mask(3, *level))))[1] for level in levels]
     assert steps == [69, 137]
+
+
+def _eigsh_fd_ground_energy(B, **kw):
+    # scipy's eigsh on the folded operator from the ones vector, shift-invert by default
+    kw = kw or {"sigma": 0.0, "which": "LM"}
+    return float(eigsh(B, k=1, v0=np.ones(B.shape[0]), return_eigenvectors=False, **kw)[0])
+
+
+def test_lanczos_matches_eigsh_on_every_default_2d_level():
+    # fk-verify's default balls on euclidean:2 (471 to 7324 folded unknowns)
+    # take the Lanczos recurrence; its steps stay within the first hundreds
+    e2 = G.euclidean(2)
+    h = cli._fk_h({"h": "auto"}, e2)
+    solved = 0
+    for _, region in cli._default_fk_sets(e2):
+        for level in M._fd_levels(e2, region, h, 1)[1]:
+            mask, hs = M._fd_mask(2, *level)
+            if mask.all():
+                continue  # a box: the closed form
+            op = M._fd_operator(mask, hs)
+            assert op[1].shape[1] <= M._FD_LANCZOS_2D
+            value, steps = M._lanczos_ground_energy(*M._fd_product(*op))
+            assert steps <= 422 and M._fd_ground_energy(2, *level) == value
+            assert value == pytest.approx(_eigsh_fd_ground_energy(M._fd_matrix(*op)), rel=1e-12)
+            solved += 1
+    assert solved == 4
+
+
+def test_2d_level_above_the_lanczos_crossover_keeps_scipy_eigsh(monkeypatch):
+    # the unit disk at h = 1/128 folds to 12 985 unknowns: eigsh's shift-invert, bit for bit
+    def refuse(*args):
+        raise AssertionError("Lanczos above the crossover")
+
+    e2 = G.euclidean(2)
+    (level,) = M._fd_levels(e2, G.BallWindow(G.base_point(e2), 1.0), 1 / 128, 0)[1]
+    B = M._fd_matrix(*M._fd_operator(*M._fd_mask(2, *level)))
+    assert B.shape[0] == 12_985 > M._FD_LANCZOS_2D
+    monkeypatch.setattr(M, "_lanczos_ground_energy", refuse)
+    assert M._fd_ground_energy(2, *level) == _eigsh_fd_ground_energy(B)
 
 
 def test_lanczos_past_its_step_cap_fails_the_check(monkeypatch):
@@ -554,11 +594,11 @@ def _unfolded_ground_energy(m, level):
 
 
 def _solved_sizes(monkeypatch):
-    # the unknowns of each solve: scipy's eigsh in 2-d, the Lanczos recurrence in 3-d
+    # the unknowns of each solve: the Lanczos recurrence, or scipy's eigsh on large 2-d operators
     sizes = []
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", lambda B, **kw: sizes.append(B.shape[0]) or eigsh(B, **kw))
     lanczos = M._lanczos_ground_energy
-    monkeypatch.setattr(M, "_lanczos_ground_energy", lambda *op: sizes.append(op[1].shape[1]) or lanczos(*op))
+    monkeypatch.setattr(M, "_lanczos_ground_energy", lambda product, count: sizes.append(count) or lanczos(product, count))
     return sizes
 
 
@@ -702,7 +742,10 @@ def test_doubling_inequality_sampled():
 
 def test_faber_krahn_constants():
     j01 = float(jn_zeros(0, 1)[0])
-    assert M._first_bessel_zero(0.0) == j01  # the tabulated float is scipy's, to the bit
+    assert M._BESSEL_ZEROS[1] == j01  # the tabulated float is scipy's, to the bit
+    for m in (0, G.MAX_DIM + 1):
+        with pytest.raises(DomainError):
+            M.faber_krahn_constant(m)
     assert M.faber_krahn_constant(2) == pytest.approx(0.5 * j01**2 * math.pi, rel=1e-12)
     assert M.faber_krahn_constant(3) == pytest.approx(
         0.5 * math.pi**2 * (4 * math.pi / 3) ** (2 / 3), rel=1e-12
@@ -710,11 +753,28 @@ def test_faber_krahn_constants():
 
 
 
+def _scipy_bessel_zero(nu):
+    # jn_zeros at integer orders; brentq on jv past the first sign change at half-integer ones
+    if nu == int(nu):
+        return float(jn_zeros(int(nu), 1)[0])
+    lo = nu
+    while jv(nu, lo + 0.5) > 0.0:
+        lo += 0.5
+    return brentq(lambda x: jv(nu, x), lo, lo + 0.5, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("m", range(1, G.MAX_DIM + 1))
+def test_tabulated_bessel_zeros_are_scipys(m):
+    # every dimension to the bit, but the closed forms pi/2 and pi at m = 1 and 3
+    want = {1: math.pi / 2, 3: math.pi}.get(m) or _scipy_bessel_zero(m / 2 - 1)
+    assert M._BESSEL_ZEROS[m - 1] == want
+
+
 def test_faber_krahn_constant_at_half_integer_orders():
     # m = 1: j = pi/2, omega_1 = 2, so a = pi^2/2; m = 5: j is the first zero
     # of the spherical Bessel j_1, tan x = x
     assert M.faber_krahn_constant(1) == pytest.approx(math.pi**2 / 2, rel=1e-15)
-    j = M._first_bessel_zero(1.5)
+    j = M._BESSEL_ZEROS[4]
     assert math.tan(j) == pytest.approx(j, rel=1e-12) and 4.0 < j < 5.0
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.linalg import eigh
+from scipy.linalg import eigh, solve_banded
 from scipy.sparse.linalg import eigsh, splu
 
 from heatkato import cli
@@ -17,6 +17,31 @@ CIRCLE = G.circle()
 ZERO = P.Sum(())
 
 
+def _lil_second_difference(n, spacing):
+    # the stencil built entry by entry, corners set on a LIL matrix
+    off = np.full(n, -1.0)
+    L = sparse.diags([np.full(n, 2.0), off, off], [0, -1, 1], shape=(n, n), format="lil")
+    L[0, n - 1] = -1.0
+    L[n - 1, 0] = -1.0
+    return L.tocsr() / (spacing * spacing)
+
+
+def _lil_operator(op):
+    # -(1/2) Laplace from the LIL-built stencil, a Kronecker sum on the 2-d torus
+    lap = _lil_second_difference(op.n, op.spacing)
+    if op.model.dim == 2:
+        eye = sparse.identity(op.n, format="csr")
+        lap = sparse.kron(lap, eye) + sparse.kron(eye, lap)
+    return 0.5 * lap
+
+
+def _reference_matrix(op):
+    # scipy's H = -(1/2) Laplace + w: the LIL-built stencil with the operator's diagonal
+    H = _lil_operator(op).tolil()
+    H.setdiag(op.diagonal)
+    return H.tocsc()
+
+
 def test_free_laplacian_spectrum_and_row_sums():
     op = SG.discretize(CIRCLE, 128, ZERO)
     lam, _ = op.eig()
@@ -26,8 +51,7 @@ def test_free_laplacian_spectrum_and_row_sums():
     expected = sorted((1 - math.cos(k * dx)) / dx**2 for k in range(-64, 64))
     assert np.allclose(sorted(lam), expected[:128], atol=1e-8)
     # pure-Laplacian rows sum to zero
-    lap = op.matrix - 0 * op.matrix
-    assert np.max(np.abs(lap.sum(axis=1))) < 1e-9
+    assert np.max(np.abs(op.dense().sum(axis=1))) < 1e-9
 
 
 def test_constant_shift_exact():
@@ -58,12 +82,13 @@ def test_sparse_ground_energy_repeats_exactly():
 
 def test_sparse_ground_energy_solved_once_per_operator(monkeypatch):
     calls = []
+    lanczos = SG._lanczos_ground_energy
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return eigsh(*args, **kwargs)
+        return lanczos(*args, **kwargs)
 
-    monkeypatch.setattr(SG, "eigsh", counted)
+    monkeypatch.setattr(SG, "_lanczos_ground_energy", counted)
     op = SG.discretize(CIRCLE, 4096, P.cosine_potential(CIRCLE))
     first = SG.ground_energy(op)
     SG.semigroup_apply(op, 0.25, np.ones(op.size))
@@ -117,7 +142,7 @@ def test_contour_matches_spectral_sum_on_cosine_operator(t):
     ones = np.ones(op.size)
     got = SG.semigroup_apply(op, t, ones)
     sigma = op.potential_floor - 1.0
-    lam, V = eigsh(op.matrix.tocsc(), k=60, sigma=sigma, which="LM", v0=ones)
+    lam, V = eigsh(_reference_matrix(op), k=60, sigma=sigma, which="LM", v0=ones)
     ref = V @ (np.exp(-t * lam) * (V.T @ ones))  # modes past the 60th weigh < e^{-110}
     assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-8
 
@@ -125,7 +150,7 @@ def test_contour_matches_spectral_sum_on_cosine_operator(t):
 def test_contour_rule_matches_exponential_on_the_half_line():
     # a diagonal A solves as b / (z + x): the rule returns the scalar r(x) itself
     x = np.concatenate([[0.0], np.logspace(-8, 9, 400)])
-    r = SG._contour_rule(lambda z, b: b / (z + x), np.ones(x.size))
+    r = SG._contour_rule(lambda b: b / (SG._CONTOUR_Z[:, None] + x), np.ones(x.size))
     assert np.max(np.abs(r - np.exp(-x))) <= 1e-13
 
 
@@ -137,7 +162,7 @@ def test_contour_matches_spectral_sum_in_deep_narrow_well(t):
     op = SG.discretize(CIRCLE, 8192, w)
     ones = np.ones(op.size)
     got = SG.semigroup_apply(op, t, ones)
-    lam, V = eigsh(op.matrix.tocsc(), k=60, sigma=op.potential_floor - 1.0, which="LM", v0=ones)
+    lam, V = eigsh(_reference_matrix(op), k=60, sigma=op.potential_floor - 1.0, which="LM", v0=ones)
     assert lam.min() > -1.0 and lam.max() > 400.0  # modes past the 60th weigh < e^{-200}
     ref = V @ (np.exp(-t * lam) * (V.T @ ones))
     assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-8
@@ -148,7 +173,7 @@ _CIRCLE_POTENTIALS = ["cosine", "scale:-60:indicator:ball:r=0.01"]
 
 def _shifted(op, t):
     # A = t (H - E_0), the operator the contour rule solves with
-    return t * (op.matrix.tocsc() - SG.ground_energy(op) * sparse.identity(op.size, format="csc"))
+    return t * (_reference_matrix(op) - SG.ground_energy(op) * sparse.identity(op.size, format="csc"))
 
 
 @pytest.mark.parametrize("spec", _CIRCLE_POTENTIALS)
@@ -161,10 +186,10 @@ def test_cyclic_solve_residual_on_the_circle(n, spec):
     f = 1.0 + np.cos(2 * math.pi * np.arange(n) / n) + np.random.default_rng(n).random(n)
     for t in (0.25, 1.0):
         A = _shifted(op, t)
-        solve = SG._cyclic_solver(A)
+        s = SG.ground_energy(op)
+        solve = SG._cyclic_solver(t * (op.diagonal - s), t * op.coupling, SG._CONTOUR_Z)
         norm_a = abs(A).sum(axis=1).max()
-        for z in SG._CONTOUR_Z:
-            x = solve(z, f.astype(complex))
+        for z, x in zip(SG._CONTOUR_Z, solve(f.astype(complex))):
             r = z * x + A @ x - f
             scale = (abs(z) + norm_a) * np.max(np.abs(x)) + np.max(np.abs(f))
             assert np.max(np.abs(r)) <= 1e-14 * scale
@@ -176,10 +201,55 @@ def test_circle_contour_needs_no_sparse_lu(monkeypatch, n, spec):
     def refuse(*args, **kwargs):
         raise AssertionError("splu called on the circle")
 
-    monkeypatch.setattr(SG, "splu", refuse)
+    monkeypatch.setattr(SG, "_splu_solver", refuse)
     op = SG.discretize(CIRCLE, n, P.parse_potential(spec, CIRCLE))
     g = SG.semigroup_apply(op, 0.5, np.ones(op.size))
     assert np.all(np.isfinite(g)) and np.min(g) > 0.0
+
+
+def _eigsh_ground_energy(op):
+    # scipy's shift-invert from the ones vector, below the spectrum
+    sigma = min(op.potential_floor, 0.0) - 1.0
+    lam = eigsh(_reference_matrix(op), k=1, sigma=sigma, which="LM", v0=np.ones(op.size), return_eigenvectors=False)
+    return float(lam[0])
+
+
+def _banded_contour(op, t, f):
+    # the contour rule with scipy: one banded LU per node for f and the corner
+    # vector, Sherman-Morrison for the corners, E_0 from eigsh
+    s = _eigsh_ground_energy(op)
+    A = t * (_reference_matrix(op) - s * sparse.identity(op.size, format="csc"))
+    n, c = op.size, A[0, op.size - 1]
+    ab = np.zeros((3, n), dtype=complex)
+    ab[0, 1:], ab[2, :-1] = A.diagonal(1), A.diagonal(-1)
+    diag = A.diagonal()
+    diag[[0, -1]] -= c
+    u = np.zeros(n)
+    u[[0, -1]] = 1.0
+    acc = 0
+    for z, w in zip(SG._CONTOUR_Z, SG._CONTOUR_W):
+        ab[1] = z + diag
+        y, q = solve_banded((1, 1), ab, np.column_stack((f.astype(complex), u))).T
+        acc = acc + w * (y - (c * (y[0] + y[-1]) / (1.0 + c * (q[0] + q[-1]))) * q)
+    return math.exp(-t * s) * acc.imag
+
+
+@pytest.mark.parametrize("spec", _CIRCLE_POTENTIALS)
+def test_circle_contour_matches_the_banded_scipy_rule(spec):
+    # the cyclic reduction against banded LU solves: they share the
+    # conditioning floor of ||A|| = 3.4e6 t at n = 8192
+    op = SG.discretize(CIRCLE, 8192, P.parse_potential(spec, CIRCLE))
+    f = 1.0 + np.cos(2 * math.pi * np.arange(op.size) / op.size)
+    for t in (0.25, 0.5, 1.0):
+        ref = _banded_contour(op, t, f)
+        assert np.max(np.abs(SG.semigroup_apply(op, t, f) - ref) / np.abs(ref)) < 1e-9
+
+
+@pytest.mark.parametrize("spec", _CIRCLE_POTENTIALS)
+@pytest.mark.parametrize("n", [2049, 8192])
+def test_lanczos_ground_energy_matches_eigsh(n, spec):
+    op = SG.discretize(CIRCLE, n, P.parse_potential(spec, CIRCLE))
+    assert SG.ground_energy(op) == pytest.approx(_eigsh_ground_energy(op), rel=1e-9)
 
 
 def test_torus_contour_keeps_the_sparse_lu_rule():
@@ -190,8 +260,8 @@ def test_torus_contour_keeps_the_sparse_lu_rule():
     eye = sparse.identity(op.size, format="csc")
     for t in (0.1, 0.5):
         A = _shifted(op, t)
-        acc = sum(w * splu(z * eye + A).solve(f.astype(complex)) for z, w in zip(SG._CONTOUR_Z, SG._CONTOUR_W))
-        ref = math.exp(-t * SG.ground_energy(op)) * acc.imag
+        rows = np.array([splu((z * eye + A).tocsc()).solve(f.astype(complex)) for z in SG._CONTOUR_Z])
+        ref = math.exp(-t * SG.ground_energy(op)) * (SG._CONTOUR_W @ rows).imag
         assert np.array_equal(SG.semigroup_apply(op, t, f), ref)
 
 
@@ -200,7 +270,7 @@ def test_contour_matches_dense_on_2d_torus():
     op = SG.discretize(tor, 48, P.cosine_potential(tor))
     assert op.size > SG._DENSE_LIMIT
     f = np.random.default_rng(0).standard_normal(op.size)
-    lam, U = eigh(op.matrix.toarray())
+    lam, U = eigh(_reference_matrix(op).toarray())
     for t in (0.1, 0.5):
         ref = U @ (np.exp(-t * lam) * (U.T @ f))
         assert np.max(np.abs(SG.semigroup_apply(op, t, f) - ref)) < 1e-12
@@ -268,7 +338,7 @@ def test_capped_attractive_node_keeps_its_sign():
     spike = P.absolute(P.RadialPower(CIRCLE, G.circle_point(0.0), 0.5))
     op = SG.discretize(CIRCLE, 192, P.Scale(-1.0, spike))
     assert op.capped_nodes == 1 and op.cap_value > 0.0
-    node0 = op.matrix[0, 0] - 1.0 / op.spacing**2  # minus the Laplacian's diagonal
+    node0 = op.diagonal[0] - 1.0 / op.spacing**2  # minus the Laplacian's diagonal
     assert node0 == pytest.approx(-op.cap_value, rel=1e-12)
     assert op.potential_floor == -op.cap_value
 
@@ -337,7 +407,7 @@ def test_domination_margin_of_two_operators_repeats_semigroup_apply(monkeypatch)
         for f in fs
     )
     calls = _expm_calls(monkeypatch)
-    assert SG._domination_margin(op_minus, op_full, ts, 7) == want and len(calls) == 4
+    assert SG._domination_margin(op_minus, op_full, ts, 7) == (want, None) and len(calls) == 4
 
 
 def test_torus_discretization():
@@ -358,27 +428,68 @@ def test_discretize_validation():
         SG.discretize(G.euclidean(2), 32, ZERO)
 
 
-def _lil_second_difference(n, spacing):
-    # the stencil built entry by entry, corners set on a LIL matrix
-    off = np.full(n, -1.0)
-    L = sparse.diags([np.full(n, 2.0), off, off], [0, -1, 1], shape=(n, n), format="lil")
-    L[0, n - 1] = -1.0
-    L[n - 1, 0] = -1.0
-    return L.tocsr() / (spacing * spacing)
-
-
-def _same_csr(a, b):
-    return (a.shape, a.dtype, a.has_sorted_indices) == (b.shape, b.dtype, b.has_sorted_indices) and all(
-        np.array_equal(getattr(a, k), getattr(b, k)) for k in ("data", "indices", "indptr")
-    )
+def _stencil_csr(op):
+    # the operator's diagonal and neighbour couplings as one CSR matrix
+    rows, cols = op.neighbours()
+    idx = np.arange(op.size)
+    data = np.concatenate([op.diagonal, np.full(rows.size, op.coupling)])
+    return sparse.csr_matrix((data, (np.concatenate([idx, rows]), np.concatenate([idx, cols]))), shape=(op.size,) * 2)
 
 
 @pytest.mark.parametrize("n", [8, 9, 192, 8192])
 def test_periodic_second_difference_equals_the_lil_build(n):
-    spacing = 2.0 * math.pi / n
-    lap = SG._periodic_second_difference(n, spacing)
-    assert isinstance(lap, sparse.csr_matrix) and _same_csr(lap, _lil_second_difference(n, spacing))
-    if n <= 192:  # the 2-d operator discretize builds on the torus
-        eye = sparse.identity(n, format="csr")
-        ref = _lil_second_difference(n, spacing)
-        assert _same_csr(sparse.kron(lap, eye) + sparse.kron(eye, lap), sparse.kron(ref, eye) + sparse.kron(eye, ref))
+    # with no potential H is half the LIL-built second difference, entry by
+    # entry; on the torus its Kronecker sum
+    models = [CIRCLE] + ([G.torus(2, 2 * math.pi)] if n <= 192 else [])
+    for model in models:
+        op = SG.discretize(model, n, ZERO)
+        ref = _lil_operator(op).tocsr()
+        got = _stencil_csr(op)
+        assert got.shape == ref.shape and got.nnz == ref.nnz == op.size * (1 + 2 * model.dim)
+        assert (got != ref).nnz == 0
+        if op.size <= SG._DENSE_LIMIT:  # the matrix the dense path diagonalizes
+            assert np.array_equal(op.dense(), ref.toarray())
+
+
+def _manifest_check(check, params=None):
+    manifest = cli.ExperimentManifest(manifold="circle", checks=[check], params={check: params or {}})
+    (result,) = cli.run_manifest(manifest).checks
+    return result
+
+
+def test_a_nan_norm_fails_semigroup_bound_with_its_reason(monkeypatch):
+    # the builtin min skipped a NaN q = 4 norm, and the check PASSed with margin 0.1502
+    q_norm = SG.q_norm
+    monkeypatch.setattr(SG, "q_norm", lambda op, t, qs: [math.nan if q == 4 else v
+                                                          for q, v in zip(qs, q_norm(op, t, qs))])
+    result = _manifest_check("semigroup-bound")
+    assert not result.passed and math.isnan(result.margin_min)
+    assert result.to_dict()["values"]["reasons"] == ["margin at q=4 is NaN"]
+
+
+def test_a_nan_propagated_vector_fails_semigroup_bound_with_its_reason(monkeypatch):
+    propagate = SG._propagate
+
+    def poisoned(op, t, fs):
+        images = propagate(op, t, fs)
+        images[0][3] = math.nan
+        return images
+
+    monkeypatch.setattr(SG, "_propagate", poisoned)
+    result = _manifest_check("semigroup-bound")
+    assert not result.passed and math.isnan(result.values.domination_margin)
+    assert result.values.reasons == ["domination margin is NaN"]
+
+
+def test_nan_interpolated_norms_fail_riesz_thorin_with_their_reason(monkeypatch):
+    # every interpolated norm NaN once gave PASS with margin_min = inf
+    monkeypatch.setattr(SG, "_boyd_q_norm", lambda M, q: math.nan)
+    result = _manifest_check("riesz-thorin")
+    assert not result.passed and math.isnan(result.margin_min)
+    assert result.to_dict()["values"]["reasons"] == ["margin at r=0.25 is NaN"]
+
+
+def test_reports_without_a_nan_carry_no_reasons():
+    for check in ("semigroup-bound", "riesz-thorin"):
+        result = _manifest_check(check)
+        assert result.passed and "reasons" not in result.to_dict()["values"]
