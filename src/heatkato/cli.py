@@ -22,6 +22,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -955,22 +956,14 @@ def main(argv: list | None = None) -> int:
         cp.add_argument("--param", action="append", default=[], help="key=value override")
 
     args = parser.parse_args(argv)
+    code = 0
     try:
         if args.command == "list-batteries":
             sys.stdout.write(list_batteries())
-            return 0
-        if args.command == "run":
-            manifest = _apply_overrides(load_manifest(args.manifest), args)
-            _check_outputs(manifest.out)
-            report = run_manifest(manifest)
-            write_outputs(report, manifest)
-            _print_summary(report)
-            return 0 if report.all_pass else 1
-        if args.command == "run-battery":
+        elif args.command == "run-battery":
             if args.name not in BATTERIES:
                 raise ManifestError(f"unknown battery {args.name!r}; see list-batteries")
             _check_outputs(args.out)
-            all_ok = True
             reports = []
             for entry in BATTERIES[args.name]:
                 manifest = ExperimentManifest(
@@ -981,46 +974,54 @@ def main(argv: list | None = None) -> int:
                 manifest = _apply_overrides(manifest, args)
                 manifest.out = None
                 report = run_manifest(manifest)
+                code = max(code, 0 if report.all_pass else 1)
                 print(f"== {entry['manifold']} ==")
                 _print_summary(report)
-                all_ok &= report.all_pass
                 reports.append(report)
             if args.out:
                 combined = {
                     "battery": args.name,
                     "reports": [r.to_dict() for r in reports],
-                    "all_pass": all_ok,
+                    "all_pass": code == 0,
                 }
                 with _open_output(args.out) as fh:
                     fh.write(json.dumps(combined, sort_keys=True, indent=2) + "\n")
-            return 0 if all_ok else 1
-        if args.command == "simulate":
+        elif args.command == "simulate":
             _check_outputs(args.out, args.dump_paths)
-            return _cmd_simulate(args)
-        # single-check subcommands
-        manifest = ExperimentManifest(
-            manifold=args.manifold,
-            checks=[args.command],
-            potential=args.potential,
-            seed=args.seed,
-            out=args.out,
-        )
-        for kv in args.param:
-            k, _, v = kv.partition("=")
-            if k not in CHECKS[args.command].params:
-                raise ManifestError(f"check {args.command!r} has no parameter {k!r}")
-            manifest.params.setdefault(args.command, {})[k] = v
-        _check_outputs(manifest.out)
-        report = run_manifest(manifest)
-        write_outputs(report, manifest)
-        _print_summary(report)
-        return 0 if report.all_pass else 1
+            code = _cmd_simulate(args)
+        else:  # a manifest, or a single-check subcommand
+            if args.command == "run":
+                manifest = _apply_overrides(load_manifest(args.manifest), args)
+            else:
+                manifest = ExperimentManifest(
+                    manifold=args.manifold,
+                    checks=[args.command],
+                    potential=args.potential,
+                    seed=args.seed,
+                    out=args.out,
+                )
+                for kv in args.param:
+                    k, _, v = kv.partition("=")
+                    if k not in CHECKS[args.command].params:
+                        raise ManifestError(f"check {args.command!r} has no parameter {k!r}")
+                    manifest.params.setdefault(args.command, {})[k] = v
+            _check_outputs(manifest.out)
+            report = run_manifest(manifest)
+            write_outputs(report, manifest)
+            code = 0 if report.all_pass else 1
+            _print_summary(report)
+        sys.stdout.flush()  # a reader that has exited shows here, not at the exit's flush
+    except BrokenPipeError:
+        # stdout's reader has exited (``list-batteries | head -0``): end quietly
+        # with the verdict's code, with stdout on devnull for the exit's flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except ManifestError as exc:
         print(f"manifest error: {exc}", file=sys.stderr)
         return 2
     except HeatKatoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 def _cmd_simulate(args) -> int:

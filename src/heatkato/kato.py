@@ -191,19 +191,25 @@ def doubling_check(model: ManifoldModel) -> float:
     return worst
 
 
-def _center_and_offsets(w: pot.Potential, model: ManifoldModel, offsets) -> list[Point]:
-    """The potential's center, then one point per offset along the first
-    axis, less any within 1e-12 of an earlier one (on a torus of period 1
-    the offsets 0.5 and 1.5 reach one point)."""
-    c = pot.center_of(w, model)
-    xs = [c]
-    for off in offsets:
-        v = np.zeros(model.tangent_dim)
-        v[0] = off
-        x = geom.exp_map(model, c, v)
-        if min(geom.distance(model, x, y) for y in xs) > 1e-12:
-            xs.append(x)
-    return xs
+def _center_and_offsets(w: pot.Potential, model: ManifoldModel, offsets, xs=None) -> list[Point]:
+    """The potential's center (or the points xs), then one point per offset
+    from the first along the first axis, then every point singular center
+    of w, less any point within 1e-12 of an earlier one (on a torus of
+    period 1 the offsets 0.5 and 1.5 reach one point).  N(t) is a sup over
+    x, and an atom is largest at its own center; a pullback's center is the
+    base point with its factor's columns replaced."""
+    xs = [pot.center_of(w, model)] if xs is None else list(xs)
+    xs += [geom.exp_map(model, xs[0], off * np.eye(model.tangent_dim)[0]) for off in offsets]
+    for s in pot.singularities(w):
+        if s.pair_cols is None:
+            c = geom.base_point(model).coords.copy()
+            c[s.cols] = s.center.coords
+            xs.append(Point(c))
+    out = []
+    for x in xs:
+        if all(geom.distance(model, x, y) > 1e-12 for y in out):
+            out.append(x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +243,12 @@ def _s_breaks(t: float, s_min: float) -> np.ndarray:
     return np.array(sorted(set(pts)))
 
 
-def _inner_divergent(w: pot.Potential) -> bool:
-    return any(s.beta >= s.model.dim for s in pot.singularities(w) if s.pair_cols is None)
+def _inner_divergent(w: pot.Potential, cap: float = math.inf) -> bool:
+    """A point singularity of w with beta >= min(m, cap), m its model's
+    dimension: with cap inf, p(s, x, .)|w| is not integrable at it; with
+    cap 2, the classical h_m-weighted integral (beta + m - 2 >= m for
+    m >= 2, and beta >= 1 = m for the windowed-L^1 case m = 1)."""
+    return any(s.beta >= min(s.model.dim, cap) for s in pot.singularities(w) if s.pair_cols is None)
 
 
 def kato_functional(
@@ -248,7 +258,8 @@ def kato_functional(
     x_grid: Sequence[Point],
     s_min: float = 1e-6,
 ) -> float:
-    """max over the x-grid of int_0^t int p(s,x,y) |w(y)| dmu(y) ds.
+    """max over the x-grid and w's singular centers of
+    int_0^t int p(s,x,y) |w(y)| dmu(y) ds.
 
     The s-integral uses geometric (dyadic) subdivision down to s_min (the
     ladder ``is_kato`` sweeps, for one t); the remainder over (0, s_min) is
@@ -257,9 +268,10 @@ def kato_functional(
     if t <= 0:
         raise DomainError("t must be positive")
     rem = _short_time_remainder(engine, w, s_min)
-    if _inner_divergent(w):
+    if _inner_divergent(w) or not math.isfinite(rem):
         return math.inf + rem
-    core, _ = worst_of(max, 0.0, {"N(t)": (float(_kato_ladder(engine, w, [t], x, s_min)[0][0]) for x in x_grid)})
+    xs = _center_and_offsets(w, engine.model, (), x_grid)
+    core, _ = worst_of(max, 0.0, {"N(t)": (float(_kato_ladder(engine, w, [t], x, s_min)[0][0]) for x in xs)})
     return core + rem
 
 
@@ -288,9 +300,13 @@ def _kato_ladder(engine, w, ts, x, s_min):
 def _short_time_remainder(engine, w, s_min):
     """Bound for int_0^{s_min} of the smoothed potential: s_min * sup|w| when w
     is bounded, otherwise the windowed L^q norm against the control pair (with
-    q chosen to minimize the bound) plus the outside sup times s_min."""
+    q chosen to minimize the bound) plus the outside sup times s_min.  For
+    w = u o pi pulled back through one factor it is u's bound on the factor,
+    since the fibers carry kernel mass at most 1."""
     if s_min <= 0:
         return 0.0
+    if (pulled := pot.pulled_back(w, engine.model)) is not None:
+        return _short_time_remainder(hk.make_engine(pulled[0]), pulled[2], s_min)
     model = engine.model
     m = model.dim
     sup_w = pot.sup_abs(w)
@@ -302,12 +318,10 @@ def _short_time_remainder(engine, w, s_min):
     if m == 1:
         q_candidates = [1.0, 0.5 * (1.0 + 1.0 / beta_max)] if beta_max < 1.0 else []
     else:
+        # bounds improve toward the upper endpoint until the norm blows up;
+        # with hi <= m/2 no candidate is admissible
         hi = m / beta_max if beta_max > 0 else m / 2.0 + 4.0
-        if hi <= m / 2.0:
-            q_candidates = []
-        else:
-            # bounds improve toward the upper endpoint until the norm blows up
-            q_candidates = [m / 2.0 + f * (hi - m / 2.0) for f in (0.3, 0.5, 0.7, 0.85, 0.95)]
+        q_candidates = [m / 2.0 + f * (hi - m / 2.0) for f in (0.3, 0.5, 0.7, 0.85, 0.95)]
     q_candidates = [q for q in q_candidates if admissible_q(m, q) and beta_max * q < m]
     if not q_candidates:
         return math.inf  # no admissible q gives a finite weighted norm
@@ -347,7 +361,9 @@ def is_kato(
     tails).  One ladder serves the sweep (``_sweep_breaks``): |w| is smoothed
     once per x-sample on its nodes and every N(t) is the quadrature over its
     nodes below t; the x-sample with the largest N(t_max) gives the curve.
-    Every t must exceed s_min.  PASS requires clear decay of the estimates:
+    The x-samples are w's center, two offsets from it and every singular
+    center of w.  Every t must exceed s_min.  An infinite short-time
+    remainder FAILs.  PASS requires clear decay of the estimates:
     N(t_min) below threshold_ratio * N(t_max) and a positive fitted exponent.
     The verdict is numerical evidence only, never a proof.
     """
@@ -357,16 +373,12 @@ def is_kato(
     if ts[-1] <= s_min:
         raise DomainError(f"every t must exceed s_min = {s_min:g}: N(t) integrates s over [s_min, t]")
     model = engine.model
-    if _inner_divergent(w):
-        curve = KatoFunctionalCurve(ts, np.full(ts.size, math.inf), np.full(ts.size, math.inf), True)
-        return curve, KatoVerdict(False, "numerical evidence", 0.0, math.inf, ["divergent smoothing integral"])
-    x_samples = _center_and_offsets(w, model, (0.5, 1.5))
     rem = _short_time_remainder(engine, w, s_min)
-    if not math.isfinite(rem):
-        # the values then cover s >= s_min only; the divergence is reflected
-        # in the verdict via decay failure
-        rem = 0.0
-    # the functional is largest at the potential center for the radial battery;
+    if _inner_divergent(w) or not math.isfinite(rem):
+        # no admissible q puts |w| in L^q, so nothing bounds N(t) near s = 0
+        curve = KatoFunctionalCurve(ts, np.full(ts.size, math.inf), np.full(ts.size, math.inf), True)
+        return curve, KatoVerdict(False, "numerical evidence", 0.0, math.inf, ["N(t) = inf: no finite L^q bound"])
+    x_samples = _center_and_offsets(w, model, (0.5, 1.5))
     # rank the x-samples by N(t_max) and keep the winner's curve
     curves = [_kato_ladder(engine, w, ts, x, s_min) for x in x_samples]
     values, tails = max(curves, key=lambda c: c[0][0])
@@ -381,18 +393,15 @@ def is_kato(
         ratio = math.inf if diverges else 0.0
     else:
         ratio = float(values[-1] / values[0])  # N(t_min) / N(t_max)
-    reasons = []
-    passed = True
+    reasons = []  # the failed criteria
     if diverges:
-        passed = False
         reasons.append("functional not finite on the sweep")
     else:
         if ratio > threshold_ratio:
-            passed = False
             reasons.append(f"N(t_min)/N(t_max)={ratio:.3g} above threshold {threshold_ratio}")
         if gamma < gamma_min:
-            passed = False
             reasons.append(f"fitted exponent {gamma:.3g} below {gamma_min}")
+    passed = not reasons
     if passed:
         reasons.append(f"decay ratio {ratio:.3g}, fitted exponent {gamma:.3g}")
     return curve, KatoVerdict(passed, "numerical evidence", gamma, ratio, reasons)
@@ -477,14 +486,6 @@ def h_weight(m: int, r) -> np.ndarray:
     return np.maximum(r, 1e-300) ** (2.0 - m)
 
 
-def _classical_divergent(w: pot.Potential, m: int) -> bool:
-    """The h_m-weighted integral at a power singularity diverges when
-    beta + (m - 2) >= m for m >= 2 (i.e. beta >= 2), and when beta >= 1 = m
-    for the windowed-L^1 case m = 1."""
-    thresh = 2.0 if m >= 2 else 1.0
-    return any(s.beta >= thresh for s in pot.singularities(w) if s.pair_cols is None)
-
-
 def classical_kato_functional(
     model: ManifoldModel,
     w: pot.Potential,
@@ -501,7 +502,7 @@ def classical_kato_functional(
     m = model.dim
     if r <= 0:
         raise DomainError("radius must be positive")
-    if _classical_divergent(w, m):
+    if _inner_divergent(w, 2.0):
         return math.inf
 
     if m == 1:
@@ -563,7 +564,7 @@ def classical_is_kato(
     """(radii, values, verdict) for the h_m characterization; verdict mirrors
     is_kato: the value at the smallest radius at most 1/4 of that at the largest."""
     rs = np.asarray(sorted(set(map(float, r_sequence)), reverse=True))
-    if _classical_divergent(w, model.dim):
+    if _inner_divergent(w, 2.0):
         return rs, np.full(rs.size, math.inf), False
     xs = _center_and_offsets(w, model, (0.5,))
     vals = np.array([classical_kato_functional(model, w, float(r), xs) for r in rs])

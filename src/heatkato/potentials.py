@@ -183,12 +183,28 @@ def leaves(model: ManifoldModel, off: int = 0) -> list[tuple[ManifoldModel, int]
     return leaves(left, off) + leaves(right, off + left.chart_dim)
 
 
-def _leaf_slice(model: ManifoldModel, index: int) -> tuple[ManifoldModel, slice]:
+def factor_of(model: ManifoldModel, index) -> tuple[ManifoldModel, np.ndarray]:
+    """The factor a pullback index names, a leaf (an int) or the product of a
+    leaf pair (i, j), and its columns of the product chart.  An index out of
+    range raises IndexError, which ``parse_potential`` reports as a
+    ManifestError."""
     ls = leaves(model)
-    if not 0 <= index < len(ls):
-        raise DomainError(f"factor index {index} out of range for {model.describe()}")
-    leaf, off = ls[index]
-    return leaf, slice(off, off + leaf.chart_dim)
+    idx = index if isinstance(index, tuple) else (index,)
+    if len(idx) > 2 or not all(0 <= i < len(ls) for i in idx):
+        raise IndexError(f"factor index {index} out of range for {model.describe()}")
+    parts = [ls[i] for i in idx]
+    cols = np.concatenate([np.arange(off, off + f.chart_dim) for f, off in parts])
+    return parts[0][0] if len(parts) == 1 else geom.product(parts[0][0], parts[1][0]), cols
+
+
+def pulled_back(w: Potential, model: ManifoldModel) -> tuple[ManifoldModel, np.ndarray, Potential] | None:
+    """(factor, columns, u) when w = u o pi, pi the projection of ``model``
+    onto the factor one pullback index names (``factor_of``): every term of
+    w pulls back through that index.  None otherwise."""
+    atoms = terms(w)
+    if not atoms or any(not isinstance(a, Pullback) for _, a in atoms) or len({a.index for _, a in atoms}) > 1:
+        return None
+    return (*factor_of(model, atoms[0][1].index), Sum(tuple(Scale(c, a.inner) for c, a in atoms)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +227,7 @@ def evaluate_many(w: Potential, ys: np.ndarray) -> np.ndarray:
         d = geom.distance_many(left, ys[:, : left.chart_dim], ys[:, left.chart_dim :])
         return np.where(d > 0.0, w.profile(np.maximum(d, 1e-300)), np.inf)
     if isinstance(w, Pullback):
-        if isinstance(w.index, tuple):
-            i, j = w.index
-            _, si = _leaf_slice(w.model, i)
-            _, sj = _leaf_slice(w.model, j)
-            sub = np.concatenate([ys[:, si], ys[:, sj]], axis=1)
-            return evaluate_many(w.inner, sub)
-        _, s = _leaf_slice(w.model, int(w.index))
-        return evaluate_many(w.inner, ys[:, s])
+        return evaluate_many(w.inner, ys[:, _run(factor_of(w.model, w.index)[1])])
     if isinstance(w, Windowed):
         return np.where(geom.in_window(w.model, w.window, ys), evaluate_many(w.inner, ys), 0.0)
     if isinstance(w, Sum):
@@ -290,9 +299,7 @@ def singularities(w: Potential, scale: float = 1.0, cols: np.ndarray | None = No
             )
         ]
     if isinstance(w, Pullback):
-        index = w.index if isinstance(w.index, tuple) else (int(w.index),)
-        sub = np.concatenate([np.arange(w.model.chart_dim)[_leaf_slice(w.model, i)[1]] for i in index])
-        return singularities(w.inner, scale, cols[sub])
+        return singularities(w.inner, scale, cols[factor_of(w.model, w.index)[1]])
     if isinstance(w, Windowed):
         # a set that is not a point of the window's chart (a diagonal, or a
         # pullback's subspace) is kept unchecked
@@ -434,7 +441,9 @@ class WeightedLqNorm:
 
 
 def _weight_values(weight, nodes: np.ndarray, take) -> np.ndarray:
-    """The weight at ``nodes``, the grid nodes ``take`` selects."""
+    """The weight at ``nodes``, the grid nodes ``take`` selects; with take
+    None, at points off the grid (an excised center), where an array of node
+    values has no value."""
     n = nodes.shape[0]
     if weight is None:
         return np.ones(n)
@@ -443,18 +452,9 @@ def _weight_values(weight, nodes: np.ndarray, take) -> np.ndarray:
     arr = np.asarray(weight, dtype=float)
     if arr.shape == ():
         return np.full(n, float(arr))
+    if take is None:
+        raise DomainError("array weights cannot be extrapolated to excised centers")
     return arr[take]
-
-
-def _weight_at(weight, model: ManifoldModel, p: Point) -> float:
-    if weight is None:
-        return 1.0
-    if callable(weight):
-        return float(np.broadcast_to(weight(p.coords[None, :]), (1,))[0])
-    arr = np.asarray(weight, dtype=float)
-    if arr.shape == ():
-        return float(arr)
-    raise DomainError("array weights cannot be extrapolated to excised centers")
 
 
 def lq_norm(
@@ -506,7 +506,7 @@ def lq_norm(
         node_w, node_v, node_wv = grid.weights[take][keep], vals[keep], wvals[keep]
         # a pullback's singular set is a subspace: excised nodewise, no ball
         balls = [
-            (s, _weight_at(weight, model, s.center), _smooth_rest_at(sings, s.center))
+            (s, float(_weight_values(weight, s.center.coords[None, :], None)[0]), _smooth_rest_at(sings, s.center))
             for s in sings
             if np.array_equal(s.cols, np.arange(model.chart_dim))
         ]
@@ -586,12 +586,15 @@ def smoothed_abs(
     """integral of p(s, x, y) |w(y)| dmu(y), for one s or an array of s.
 
     On the radial-kernel models, radial potential atoms use the exact
-    axisymmetric two-point reduction, one cell set per atom for all s.
-    Everything else falls back to grid quadrature.  On both paths the ball
-    excised around a singular center is integrated for all s at once by the
-    near-field rule (``quadrature.near_field_integral``); away from the
-    center the grid stays approximate at small s.  ``refinement`` halves
-    the two-point cell caps (for error estimation).
+    axisymmetric two-point reduction, one cell set per atom for all s.  A
+    potential u o pi pulled back through one factor (``pulled_back``) is u
+    smoothed on that factor by its own rule and grid (``grid`` is not read),
+    times the fiber's mass.  Everything else falls back to grid quadrature.
+    On both paths the ball excised around a singular center is integrated
+    for all s at once by the near-field rule
+    (``quadrature.near_field_integral``); away from the center the grid stays
+    approximate at small s.  ``refinement`` halves the two-point cell caps
+    (for error estimation).
     """
     ss = np.atleast_1d(np.asarray(s, dtype=float))
     value, tail = _smoothed(engine, w, ss, x, grid, refinement) if ss.size else (ss, ss)
@@ -606,6 +609,14 @@ def _smoothed(engine, w, ss, x, grid, refinement):
     total, tail = np.zeros(ss.size), np.zeros(ss.size)
     if not atoms:
         return total, tail
+    if (pulled := pulled_back(w, engine.model)) is not None:
+        # the fibers of a product projection are totally geodesic, so the
+        # kernel factors: P_s(u o pi)(x) = P_s u(x on the factor) times the
+        # kernel's mass over the other leaves
+        factor, cols, u = pulled
+        value, vtail = _smoothed(hk.make_engine(factor), u, ss, Point(x.coords[cols]), None, refinement)
+        mass, merr = fiber_mass(engine.model, cols, ss, x)
+        return value * mass, vtail * mass + (value + vtail) * merr
     if not engine.model.radial_kernel or any(
         not isinstance(atom, Constant) and atom.radial() is None for _, atom in atoms
     ):
@@ -692,20 +703,28 @@ def _smoothed_grid(engine, w, ss, x, grid):
 
 def _excised_ball(engine, sg, ss, x, eps):
     """int p(s, x, y) |w(y)| within eps of a singular set, for each s: the
-    near-field rule on the ball of the leaf the set is a point of, against
-    that leaf's kernel along a factor geodesic.  A pullback's set is a tube;
-    its ball takes the other leaves' kernel mass (they run "auto" kernels)."""
-    tube = len(sg.cols) < engine.model.chart_dim
-    leaf = hk.make_engine(sg.model) if tube else engine
+    near-field rule on the ball of the model the set is a point of, against
+    that model's kernel along a geodesic, times the mass of the fiber
+    (``fiber_mass``; 1 unless the set is a pullback's tube on the grid)."""
+    leaf = hk.make_engine(sg.model)
     d = float(sg.distances(x.coords[None, :])[0])
     kernel = lambda r: hk.eval_radial_rows(leaf, ss, r)
     ball = qd.near_field_integral(sg.model, kernel, sg.profile, d, eps, sg.beta, np.sqrt(ss))
-    for f, off in leaves(engine.model) if tube else ():
-        if off != sg.cols[0]:
-            xf = Point(x.coords[off : off + f.chart_dim])
-            ball = ball * np.array([hk.kernel_mass(hk.make_engine(f), float(s), xf)[0] for s in ss])
-    return ball
+    return ball * fiber_mass(engine.model, sg.cols, ss, x)[0]
 
+
+def fiber_mass(model: ManifoldModel, cols: np.ndarray, ss: np.ndarray, x: Point) -> tuple[np.ndarray, np.ndarray]:
+    """(mass, error allowance) for each s of the kernel p(s, x, .) over the
+    leaves of ``model`` outside the chart columns ``cols``: the fiber through
+    x of the projection onto the factor at those columns.  The masses
+    multiply and their allowances add."""
+    mass, err = np.ones(ss.size), np.zeros(ss.size)
+    for f, off in leaves(model):
+        if off not in cols:
+            xf = Point(x.coords[off : off + f.chart_dim])
+            m, e = np.array([hk.kernel_mass(hk.make_engine(f), float(s), xf) for s in ss]).T
+            mass, err = mass * m, err + e
+    return mass, err
 
 
 def _default_y_grid(engine, w, t_max, x_samples) -> QuadratureGrid:
@@ -925,16 +944,8 @@ def _parse(spec: str, model: ManifoldModel) -> Potential:
         return Scale(float(factor), _parse(inner, model))
     if head == "pullback":
         idx, _, inner = rest.partition(":")
-        idx = idx.strip()
-        if "," in idx:
-            i, j = (int(v) for v in idx.split(","))
-            ls = leaves(model)
-            if min(i, j) < 0:
-                raise ManifestError(f"negative factor index in {idx!r}")
-            pair = geom.product(ls[i][0], ls[j][0])
-            return Pullback(model, (i, j), _parse(inner, pair))
-        leaf, _ = _leaf_slice(model, int(idx))
-        return Pullback(model, int(idx), _parse(inner, leaf))
+        index = tuple(int(v) for v in idx.split(",")) if "," in idx else int(idx)
+        return Pullback(model, index, _parse(inner, factor_of(model, index)[0]))
     if head == "windowed":
         # leading key=value fields configure the ball; the remainder is the inner spec
         parts = rest.split(":")

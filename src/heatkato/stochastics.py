@@ -112,7 +112,7 @@ class PathEnsemble:
         if not isinstance(model, Product):
             raise UnsupportedModelError("projection needs a product ensemble")
         leaf, off = pot.leaves(model)[leaf_index]
-        cols = slice(off, off + leaf.chart_dim)
+        cols = slice(off, off + leaf.chart_dim)  # a view of the stored paths, not a copy
         return PathEnsemble(
             leaf, Point(self.start.coords[cols]), self.step, self.horizon, self.n_paths, self.seed,
             self.record_times, self.positions[:, :, cols], self.step_warning, self.full,
@@ -508,42 +508,29 @@ def elworthy_projection_check(
     """Both sides of the projection bound for the canonical factor projection:
     smoothing of w o pi on the product against smoothing of w on the factor.
 
-    The left side uses the factorization of the product kernel (the fiber
-    integral contributes the factor masses); the optional Monte-Carlo route
-    estimates the left side from projected product paths.
+    The left side is ``potentials.smoothed_abs`` of the pullback on the
+    product, the rule every check runs (the factor's smoothing times the
+    fiber's kernel mass); the optional Monte-Carlo route estimates it from
+    projected product paths.
     """
     if not isinstance(model, Product):
         raise UnsupportedModelError("projection check needs a product model")
-    ls = pot.leaves(model)
-    leaf, off = ls[leaf_index]
+    leaf, cols = pot.factor_of(model, leaf_index)
     leaf_eng = hk.make_engine(leaf)
-    xi = Point(x.coords[off : off + leaf.chart_dim])
+    xi = Point(x.coords[cols])
     inner = pot.smoothed_abs(leaf_eng, w, t, xi)
     refined = pot.smoothed_abs(leaf_eng, w, t, xi, refinement=1)
+    pulled = pot.smoothed_abs(hk.make_engine(model), pot.Pullback(model, leaf_index, w), t, x, refinement=1)
     quad_err = abs(refined.value - inner.value)
-    rhs = refined.value
-    mass_total, mass_err = 1.0, 0.0
-    for j, (lm, loff) in enumerate(ls):
-        if j == leaf_index:
-            continue
-        eng_j = hk.make_engine(lm)
-        mj, ej = hk.kernel_mass(eng_j, t, Point(x.coords[loff : loff + lm.chart_dim]))
-        mass_total *= mj
-        mass_err += ej
-    lhs = refined.value * mass_total
-    tol = (
-        inner.tail_bound * (1.0 + mass_total)
-        + mass_err * max(refined.value, 1.0)
-        + 3.0 * quad_err
-    )
+    rhs, lhs = refined.value, pulled.value
+    tol = inner.tail_bound + pulled.tail_bound + 3.0 * quad_err
     mc_val = mc_err = mc_z = None
     if N > 0:
         ens = simulate(model, x, t, h, N, seed, record_times=[t])
         proj = ens.project(leaf_index)
         chart = proj.chart_at(len(proj.record_times) - 1)
         vals = np.abs(pot.evaluate_many(w, chart))
-        vals = np.where(np.isfinite(vals), vals, np.nan)
-        ok = ~np.isnan(vals)
+        ok = np.isfinite(vals)
         n_ok = int(ok.sum())
         mc_val = float(np.mean(vals[ok]))
         mc_err = float(np.std(vals[ok], ddof=1) / math.sqrt(n_ok))

@@ -155,13 +155,14 @@ def test_is_kato_margin_reads_both_criteria():
 
 
 def test_pullback_on_a_triple_product_keeps_its_margin():
-    # 63^3 grid nodes, affordable because the kernel is three 63-node factor
-    # rows multiplied out per s
+    # a pullback through one leaf is smoothed on that leaf, so the product
+    # reads the circle's margin (its 63^3-node grid once read 0.2899605870051697)
     rep = run_text(
         "manifold = product(product(circle,circle),circle)\n"
         "potential = pullback:1:radialpower:beta=0.5\nchecks = is-kato\n"
     )
-    assert rep.checks[0].passed and rep.checks[0].margin_min == 0.2899605870051697
+    leaf = run_text("manifold = circle\npotential = radialpower:beta=0.5\nchecks = is-kato\n")
+    assert rep.checks[0].passed and rep.checks[0].margin_min == leaf.checks[0].margin_min == 0.2905428804017881
 
 
 def test_parse_error_exit_two(tmp_path):
@@ -626,6 +627,39 @@ def test_kato_norm_samples_the_window_that_leaves_out_its_power_center():
     assert report.all_pass and report.checks[0].values["N"] >= 0.0332
 
 
+TWO_CENTERS = "sum[radialpower:beta=1:center=0,0,0;radialpower:beta={}:center=0,2,0]"
+
+
+@pytest.mark.parametrize(
+    "manifold, potential, floor",
+    [
+        ("euclidean:3", TWO_CENTERS.format(1.5), 1.9676),
+        ("torus:2:6.283185307179586", "radialpower:beta=1:center=1,2", 0.78),
+        ("product(torus:2:6.283185307179586,circle)", "pullback:0:radialpower:beta=1:center=1,2", 0.78),
+    ],
+    ids=["two-centers", "torus-off-center", "pullback-off-center"],
+)
+def test_kato_norm_samples_every_singular_center(manifold, potential, floor):
+    # N(t) is a sup over x.  The x-samples once missed every center but the
+    # first (and on a grid model, any center off the base point): the sum
+    # read N(0.1) = 0.687 though its b = 1.5 atom alone reads 1.9676 at its
+    # center, and the off-center torus atom 0.187 against 0.8253 centered
+    report = cli.run_manifest(cli.ExperimentManifest(manifold=manifold, checks=["kato-norm"], potential=potential))
+    assert report.all_pass and report.checks[0].values["N"] >= floor
+
+
+@pytest.mark.parametrize("b", ["2.0", "2.2", "2.9"])
+def test_is_kato_fails_when_no_q_bounds_the_short_time_remainder(b):
+    # |w| of the b >= 1.5 atom is in no L^q with q > 3/2, so nothing bounds N
+    # near s = 0; the remainder was once set to 0, and the decay at the
+    # beta = 1 center PASSed the sum at about 0.26
+    report = cli.run_manifest(
+        cli.ExperimentManifest(manifold="euclidean:3", checks=["is-kato"], potential=TWO_CENTERS.format(b))
+    )
+    check = report.checks[0]
+    assert not check.passed and check.values["reasons"] == ["N(t) = inf: no finite L^q bound"]
+
+
 def test_long_time_kernel_check_on_a_short_period_is_fast():
     # t = 1e4 is 6e8 times t* = L^2 / (2 pi): the image sum took 94,870 image
     # pairs per value here (7.4 s), the Fourier series takes one mode
@@ -990,3 +1024,20 @@ def test_package_submodules_load_on_first_access(tmp_path):
     )
     assert _fresh_python(probe, [], tmp_path) == ["[]", "is_kato", "AttributeError"]
     assert G.quad is P.quad  # one lazy scipy quad, called by bare name in both modules
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["list-batteries"], 0), (["is-kato", "--manifold", "circle", "--param", "gamma_min=10"], 1)],
+    ids=["list-batteries", "is-kato-fail"],
+)
+def test_a_closed_stdout_ends_quietly_with_the_verdicts_code(argv, code, tmp_path):
+    # `list-batteries | head -0` once ended in a BrokenPipeError traceback and
+    # exit 1, the code the contract keeps for a failed check
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "heatkato.cli", *argv], cwd=tmp_path, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader exits before the run writes a byte
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=300) == code and err == ""

@@ -11,6 +11,9 @@ import json
 import pytest
 
 from heatkato import cli
+from heatkato import geometry as G
+from heatkato import potentials as P
+from heatkato.errors import ManifestError
 from heatkato.reporting import canonical_json
 
 
@@ -72,3 +75,43 @@ def test_is_kato_on_a_product_of_lines_exits_two(capsys):
     # euclidean:1 x euclidean:1 is non-compact with no radial kernel: no Kato model
     assert cli.main(["is-kato", "--manifold", "product(euclidean:1,euclidean:1)"]) == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+# pullback:i:w on a product against w on the factor it names.  The projection
+# onto a factor is a Riemannian submersion with totally geodesic fibers, so
+# the product kernel factors and N(u o pi; t) = N(u; t), sup over x included:
+# the product's report is the leaf's, to the fiber's kernel mass (1 within
+# rounding).  The off-center row needs the lifted singular center among the
+# product's x-samples.
+SUBMERSIONS = [
+    ("product(torus:2:6.283185307179586,circle)", 0, "torus:2:6.283185307179586", "radialpower:beta=1"),
+    ("product(torus:2:6.283185307179586,circle)", 0, "torus:2:6.283185307179586", "radialpower:beta=1:center=1,2"),
+    ("product(circle,circle)", 0, "circle", "radialpower:beta=0.5"),
+    ("product(circle,circle)", 1, "circle", "radialpower:beta=0.5"),
+    ("product(torus:2:1,torus:1:1)", 0, "torus:2:1", "radialpower:beta=1"),
+    ("product(product(circle,circle),circle)", 1, "circle", "radialpower:beta=0.5"),
+]
+
+
+def _check(manifold, check, potential):
+    manifest = cli.ExperimentManifest(manifold=manifold, checks=[check], potential=potential)
+    return cli.run_manifest(manifest).checks[0]
+
+
+@pytest.mark.parametrize(
+    "product, index, leaf, w", SUBMERSIONS, ids=[f"{p}-{i}-{w}" for p, i, _, w in SUBMERSIONS]
+)
+def test_a_pullback_reads_its_factors_report(product, index, leaf, w):
+    pulled = f"pullback:{index}:{w}"
+    n_prod, n_leaf = (_check(m, "kato-norm", v).values["N"] for m, v in ((product, pulled), (leaf, w)))
+    assert n_prod == pytest.approx(n_leaf, rel=1e-14, abs=0.0)
+    k_prod, k_leaf = (_check(m, "is-kato", v) for m, v in ((product, pulled), (leaf, w)))
+    assert k_prod.verdict == k_leaf.verdict == "PASS"
+    assert k_prod.margin_min == pytest.approx(k_leaf.margin_min, rel=1e-14, abs=0.0)
+
+
+def test_a_pullback_index_out_of_range_is_a_manifest_error():
+    # the one factor-index rule keeps a malformed spec a ManifestError
+    for spec in ("pullback:0,7:constant:1", "pullback:2:constant:1", "pullback:-1:constant:1"):
+        with pytest.raises(ManifestError):
+            P.parse_potential(spec, G.parse_manifold("product(circle,circle)"))

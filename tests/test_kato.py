@@ -1128,3 +1128,17 @@ def test_holder_bound_check_keeps_a_nan_margin_and_tail(field, monkeypatch):
     w = P.Windowed(E3, P.RadialPower(E3, ORIGIN, 0.35), G.BallWindow(ORIGIN, 1.5))
     rep = K.holder_bound_check(ENG3, control, w, 2.0, [1e-3, 0.1, 1.0], [ORIGIN])
     assert math.isnan(rep.min_margin if field == "value" else rep.tolerance) and not rep.passed
+
+
+@pytest.mark.parametrize("check", ["kato-norm", "is-kato"])
+def test_a_pullback_never_builds_a_grid_of_its_product(check, monkeypatch):
+    # u o pi is smoothed on u's factor, its remainder bounded there too: no
+    # 63^3-node grid of the triple product, whatever the grid cache holds
+    built = []
+    build = G.build_grid
+    monkeypatch.setattr(G, "build_grid", lambda model, *a, **k: built.append(model) or build(model, *a, **k))
+    P._shared_grid.cache_clear()
+    for manifold in ("product(torus:2:6.283185307179586,circle)", "product(product(circle,circle),circle)"):
+        manifest = cli.ExperimentManifest(manifold, [check], potential="pullback:0:radialpower:beta=0.5")
+        assert cli.run_manifest(manifest).checks[0].passed
+    assert built and not any(isinstance(model, G.Product) for model in built)
