@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -34,7 +34,7 @@ import heatkato
 
 from . import __version__
 from .errors import HeatKatoError, ManifestError
-from .reporting import CheckResult, Report, worst_of
+from .reporting import CheckResult, Report
 
 if TYPE_CHECKING:
     from .geometry import ManifoldModel
@@ -283,17 +283,12 @@ def _check_kernel(ctx: CheckContext, p: dict) -> CheckResult:
     pts = _sample_points(ctx.model, p["n_points"], ctx.seed + 1)
     rep = heatkato.heat_kernel.check_consistency(ctx.engine, ts, pts)
     ck_tol = 1e-6 if ctx.engine.method == heatkato.heat_kernel.Method.CLOSED_FORM else 1e-4
-    mass_tol = 1e-6
     sym_tol = max(2.0 * rep.truncation_bound, 1e-12)
-    margin, reason = worst_of(min, math.inf, {
-        "mass_defect": [mass_tol - rep.mass_defect],
-        "ck_residual": [ck_tol - rep.ck_residual],
-        "symmetry_residual": [sym_tol - rep.symmetry_residual],
-    })
-    return CheckResult(
-        margin >= 0, margin, max(mass_tol, ck_tol), rep if reason is None else {**asdict(rep), "reasons": [reason]},
-        sweep={"t_values": ts, "n_points": p["n_points"]},
-    )
+    margins = {"mass_defect": 1e-6 - rep.mass_defect, "ck_residual": ck_tol - rep.ck_residual,
+               "symmetry_residual": sym_tol - rep.symmetry_residual}
+    # each margin nets out its allowance, so each tolerance is 0
+    criteria = {name: (margin, 0.0) for name, margin in margins.items()}
+    return CheckResult(criteria, rep, sweep={"t_values": ts, "n_points": p["n_points"]})
 
 
 def _default_radial_spec(model: ManifoldModel) -> str:
@@ -306,11 +301,9 @@ def _check_kato_norm(ctx: CheckContext, p: dict) -> CheckResult:
     xs = [heatkato.potentials.center_of(w, ctx.model)] + _sample_points(ctx.model, p["n_x"] - 1, ctx.seed + 2)
     val = heatkato.kato.kato_functional(ctx.engine, w, p["t"], xs, s_min=p["s_min"])
     finite = math.isfinite(val)
-    return CheckResult(
-        finite, 0.0 if finite else -math.inf, 0.0,
-        {"t": p["t"], "N": val, **({} if finite else {"reasons": [f"N(t) = {val} is not finite"]})},
-        sweep={"n_x": p["n_x"], "s_min": p["s_min"]},
-    )
+    values = {"t": p["t"], "N": val, **({} if finite else {"reasons": [f"N(t) = {val} is not finite"]})}
+    criteria = {"N(t) finite": (0.0 if finite else -math.inf, 0.0)}
+    return CheckResult(criteria, values, sweep={"n_x": p["n_x"], "s_min": p["s_min"]})
 
 
 def _check_is_kato(ctx: CheckContext, p: dict) -> CheckResult:
@@ -322,19 +315,10 @@ def _check_is_kato(ctx: CheckContext, p: dict) -> CheckResult:
         ctx.engine, w, ts, threshold_ratio=p["threshold_ratio"], gamma_min=p["gamma_min"],
         s_min=p["s_min"],
     )
-    rows = [
-        [float(t), float(v), float(b)]
-        for t, v, b in zip(curve.t_values, curve.values, curve.tail_bounds)
-    ]
+    rows = [[float(t), float(v), float(b)] for t, v, b in zip(curve.t_values, curve.values, curve.tail_bounds)]
+    values = {k: getattr(verdict, k) for k in ("gamma", "decay_ratio", "reasons", "label")}
     return CheckResult(
-        verdict.passed, min(p["threshold_ratio"] - verdict.decay_ratio, verdict.gamma - p["gamma_min"]), 0.0,
-        {
-            "gamma": verdict.gamma,
-            "decay_ratio": verdict.decay_ratio,
-            "reasons": verdict.reasons,
-            "label": verdict.label,
-        },
-        sweep={"t_min": p["t_min"], "t_max": p["t_max"], "n_t": p["n_t"]},
+        verdict.criteria, values, sweep={"t_min": p["t_min"], "t_max": p["t_max"], "n_t": p["n_t"]},
         series={"kato_curve": {"columns": ["t", "N", "tail_bound"], "rows": rows}},
     )
 
@@ -354,32 +338,31 @@ def _holder_s_floor(model):
 
 def _holder_times(p, model):
     floor = _holder_s_floor(model)
-    problem = f"its grid on {model.describe()} resolves only s >= {floor:.4g}, past the bound's s <= 1"
-    return problem if floor > 1.0 else None
+    if floor > 1.0:
+        return f"its grid on {model.describe()} resolves only s >= {floor:.4g}, past the bound's s <= 1"
+    geom = heatkato.geometry
+    size = 0 if model.radial_kernel else geom.full_grid_size(model, model.compact_resolution / 2.0)
+    if size > geom.MAX_GRID_NODES:
+        return f"its grid on {model.describe()} would have {size} nodes, above {geom.MAX_GRID_NODES:,}"
+    return None
 
 
 def _check_holder(ctx: CheckContext, p: dict) -> CheckResult:
     import numpy as np
 
+    geom, model = heatkato.geometry, ctx.model
     w = ctx.potential("windowed:r=1.5:radialpower:beta=0.35")
     control = heatkato.kato.control_pair_from_on_diag(ctx.engine)
-    qs = p["qs"] if p["qs"] != "auto" else list(heatkato.kato.default_qs(ctx.model.dim))
-    s_min = max(p["s_min"], _holder_s_floor(ctx.model))
-    grid = None
-    if not ctx.model.radial_kernel:
-        grid = heatkato.geometry.build_grid(
-            ctx.model, ctx.model.compact_resolution / 2.0, heatkato.geometry.FullWindow()
-        )
+    qs = p["qs"] if p["qs"] != "auto" else list(heatkato.kato.default_qs(model.dim))
+    s_min = max(p["s_min"], _holder_s_floor(model))
+    # the grid _holder_times counts; a radial kernel needs none
+    grid = None if model.radial_kernel else geom.build_grid(model, model.compact_resolution / 2.0, geom.FullWindow())
     ss = np.logspace(math.log10(s_min), 0.0, p["n_s"])
-    xs = [heatkato.potentials.center_of(w, ctx.model)] + _sample_points(ctx.model, 2, ctx.seed + 3)
+    xs = [heatkato.potentials.center_of(w, model)] + _sample_points(model, 2, ctx.seed + 3)
     reps = heatkato.kato.holder_bound_check(ctx.engine, control, w, qs, ss, xs, grid=grid)
-    kept = [rep for rep in reps if not rep.rhs_divergent]
-    worst, reason = worst_of(min, math.inf, {f"margin at q={rep.q:g}": [rep.min_margin] for rep in kept})
-    tol, tol_reason = worst_of(max, 0.0, {f"tolerance at q={rep.q:g}": [rep.tolerance] for rep in kept})
-    per_q = {f"q={q:g}": rep for q, rep in zip(qs, reps)}
-    reasons = [r for r in (reason, tol_reason) if r]
     return CheckResult(
-        worst >= -tol, worst, tol, {**per_q, **({"reasons": reasons} if reasons else {})},
+        {name: c for rep in reps for name, c in rep.criteria.items()},
+        {f"q={q:g}": rep for q, rep in zip(qs, reps)},
         sweep={"qs": qs, "n_s": p["n_s"], "s_min": s_min},
         empirical_constants=dict(control.constants),
     )
@@ -401,9 +384,8 @@ def _check_control_pair(ctx: CheckContext, p: dict) -> CheckResult:
         pair = heatkato.kato.control_pair_from_on_diag(ctx.engine, ts)
     ver = heatkato.kato.verify_control_pair(ctx.engine, pair, ts, xs)
     certs_ok = all(math.isfinite(v) for v in pair.certificates.values())
-    margin = ver.min_margin if certs_ok else -math.inf
     return CheckResult(
-        margin >= -1e-12, margin, 1e-12,
+        {"margin": (ver.min_margin if certs_ok else -math.inf, 1e-12)},
         {"certificates": {f"q={q:g}": v for q, v in pair.certificates.items()},
          **({"reasons": [ver.reason]} if ver.reason else {})},
         sweep={"t_min": float(ts.min()), "n_t": int(ts.size), "pair": pair.description},
@@ -439,20 +421,16 @@ def _check_fk_verify(ctx: CheckContext, p: dict) -> CheckResult:
     a = heatkato.mvi.faber_krahn_constant(ctx.model.dim) * p["a_scale"]
     h = _fk_h(p, ctx.model)
     rep = heatkato.mvi.faber_krahn_verify(ctx.model, lambda x: p["radius"], a, _default_fk_sets(ctx.model), h=h)
-    return CheckResult(
-        rep.passed, rep.min_margin, rep.tolerance, rep.to_dict(),
-        sweep={"h": h, "a_scale": p["a_scale"]}, empirical_constants={"a": a},
-    )
+    sweep = {"h": h, "a_scale": p["a_scale"]}
+    return CheckResult(rep.criteria, rep.to_dict(), sweep=sweep, empirical_constants={"a": a})
 
 
 def _check_mvi(ctx: CheckContext, p: dict) -> CheckResult:
     a = heatkato.mvi.faber_krahn_constant(ctx.model.dim)
     rep = heatkato.mvi.mvi_sweep(heatkato.mvi.default_config(ctx.model, a, radius=p["radius"]))
-    return CheckResult(
-        rep.stable and math.isfinite(rep.c_emp), 0.10 - rep.drift, 0.0,
-        {**asdict(rep), "reasons": ["C_emp is NaN"]} if math.isnan(rep.c_emp) else rep,
-        sweep=rep.sweep, empirical_constants={"C_emp": rep.c_emp},
-    )
+    # C_emp drifts at most 10 % under doubling; a NaN C_emp makes the drift NaN
+    criteria = {"C_emp": (0.10 - rep.drift, 0.0)}
+    return CheckResult(criteria, rep, sweep=rep.sweep, empirical_constants={"C_emp": rep.c_emp})
 
 
 def _check_heat_bound(ctx: CheckContext, p: dict) -> CheckResult:
@@ -462,11 +440,8 @@ def _check_heat_bound(ctx: CheckContext, p: dict) -> CheckResult:
     ts = np.logspace(math.log10(p["t_min"]), math.log10(p["t_max"]), p["n_t"])
     xs = [heatkato.geometry.base_point(ctx.model)]
     rep = heatkato.mvi.heat_bound_sweep(ctx.engine, lambda x: p["radius"], a, ts, xs)
-    return CheckResult(
-        rep.stable and math.isfinite(rep.c_hat), 0.10 - rep.drift, 0.0,
-        {**asdict(rep), "reasons": ["C_hat is NaN"]} if math.isnan(rep.c_hat) else rep,
-        sweep=rep.sweep, empirical_constants={"C_hat": rep.c_hat, "a": a},
-    )
+    constants = {"C_hat": rep.c_hat, "a": a}
+    return CheckResult({"C_hat": (0.10 - rep.drift, 0.0)}, rep, sweep=rep.sweep, empirical_constants=constants)
 
 
 def _check_feynman_kac(ctx: CheckContext, p: dict) -> CheckResult:
@@ -478,9 +453,7 @@ def _check_feynman_kac(ctx: CheckContext, p: dict) -> CheckResult:
     ens = heatkato.stochastics.simulate(ctx.model, start, max(ts), p["h"], p["n_paths"], ctx.seed)
     op = heatkato.semigroup.discretize(ctx.model, p["n_grid"], w)
     node = 0  # start sits at grid node 0
-    worst = math.inf
-    rows = []
-    reasons = []
+    criteria, rows, reasons = {}, [], []
     for t in ts:
         sub = ens.truncated(t)
         est = heatkato.stochastics.feynman_kac(sub, w)
@@ -490,9 +463,9 @@ def _check_feynman_kac(ctx: CheckContext, p: dict) -> CheckResult:
         if not math.isfinite(z):
             reasons.append(f"t={t:g}: no finite z-score (mc {est.value}, standard error {se})")
         rows.append([t, est.value, se, spectral, z])
-        worst = min(worst, 4.0 - abs(z) if math.isfinite(z) else -math.inf)
+        criteria[f"z at t={t:g}"] = (4.0 - abs(z) if math.isfinite(z) else -math.inf, 0.0)
     return CheckResult(
-        worst >= 0, worst, 0.0, {"rows": rows, **({"reasons": reasons} if reasons else {})},
+        criteria, {"rows": rows, **({"reasons": reasons} if reasons else {})},
         sweep={"n_paths": p["n_paths"], "h": p["h"], "n_grid": p["n_grid"]},
         series={"feynman_kac": {"columns": ["t", "mc", "stderr", "spectral", "z"], "rows": rows}},
     )
@@ -510,13 +483,7 @@ def _check_project(ctx: CheckContext, p: dict) -> CheckResult:
     rep = heatkato.stochastics.elworthy_projection_check(
         ctx.model, p["leaf"], w, p["t"], x, N=p["n_paths"], h=p["h"], seed=ctx.seed
     )
-    margin = rep.rhs_quad - rep.lhs_quad
-    if rep.mc_z is not None:  # the Monte Carlo side's 4-sigma margin, as the fdd checks report it
-        margin = min(margin, 4.0 - abs(rep.mc_z) if math.isfinite(rep.mc_z) else -math.inf)
-    return CheckResult(
-        rep.passed, margin, rep.quad_tolerance, rep,
-        sweep={"t": p["t"], "leaf": p["leaf"], "n_paths": p["n_paths"]},
-    )
+    return CheckResult(rep.criteria, rep, sweep={"t": p["t"], "leaf": p["leaf"], "n_paths": p["n_paths"]})
 
 
 def _check_kato_exponential(ctx: CheckContext, p: dict) -> CheckResult:
@@ -526,7 +493,7 @@ def _check_kato_exponential(ctx: CheckContext, p: dict) -> CheckResult:
     )
     finite = all(math.isfinite(e["C"]) for e in rep.table) and not rep.overflowed
     return CheckResult(
-        finite, 0.0 if finite else -math.inf, 0.0, rep,
+        {"C(delta) finite": (0.0 if finite else -math.inf, 0.0)}, rep,
         sweep={"n_paths": p["n_paths"], "h": p["h"]},
         empirical_constants={f"C(delta={e['delta']:g})": e["C"] for e in rep.table},
     )
@@ -537,10 +504,8 @@ def _check_semigroup(ctx: CheckContext, p: dict) -> CheckResult:
     w_minus = ctx.potential("radialpower:beta=0.5")
     op_minus = sg.discretize(ctx.model, p["n_grid"], pot.Scale(-1.0, pot.absolute(w_minus)))
     bound = sg.bop_bound_check(op_minus, p["t_values"], p["deltas"], qs=(1, 2, 4, math.inf), seed=ctx.seed)
-    tol = 1e-10
-    margin, _ = worst_of(min, math.inf, {"margins": [bound.min_margin, bound.domination_margin]})
     return CheckResult(
-        margin >= -tol, margin, tol, bound,
+        {"margin": (bound.min_margin, 1e-10), "domination margin": (bound.domination_margin, 1e-10)}, bound,
         sweep={"n_grid": p["n_grid"]},
         empirical_constants={f"C(delta={e['delta']:g})": e["C"] for e in bound.table},
     )
@@ -549,11 +514,7 @@ def _check_semigroup(ctx: CheckContext, p: dict) -> CheckResult:
 def _check_riesz(ctx: CheckContext, p: dict) -> CheckResult:
     op = heatkato.semigroup.discretize(ctx.model, p["n_grid"], ctx.potential("cosine"))
     rep = heatkato.semigroup.riesz_thorin_check(op, p["t"], p["r_values"])
-    tol = 1e-10
-    return CheckResult(
-        rep.min_margin >= -tol, rep.min_margin, tol, rep,
-        sweep={"t": p["t"], "n_grid": p["n_grid"]},
-    )
+    return CheckResult({"margin": (rep.min_margin, 1e-10)}, rep, sweep={"t": p["t"], "n_grid": p["n_grid"]})
 
 
 def _check_coulomb(ctx: CheckContext, p: dict) -> CheckResult:
@@ -563,8 +524,7 @@ def _check_coulomb(ctx: CheckContext, p: dict) -> CheckResult:
     o = geom.base_point(ctx.model)
     profile = heatkato.potentials.coulomb_profile(ctx.model)
     tol = p["rel_tol"]
-    worst = math.inf
-    rows = []
+    criteria, rows = {}, []
     for r in p["r_values"]:
         v = np.zeros(ctx.model.tangent_dim)
         v[0] = r  # the metric is the identity at the base point
@@ -574,9 +534,10 @@ def _check_coulomb(ctx: CheckContext, p: dict) -> CheckResult:
         closed = float(profile(np.array([d]))[0])
         rel = abs(cv.value - closed) / closed
         rows.append([d, cv.value, closed, rel, cv.tail_bound])
-        worst = min(worst, tol - rel)
+        # the margin nets out rel_tol, so the tolerance is 0
+        criteria[f"rel_err at r={r:g}"] = (tol - rel, 0.0)
     return CheckResult(
-        worst >= 0, worst, tol, {"rows": rows}, sweep={"r_values": p["r_values"]},
+        criteria, {"rows": rows}, sweep={"r_values": p["r_values"]},
         series={"coulomb": {"columns": ["d", "quadrature", "closed_form", "rel_err", "tail"], "rows": rows}},
     )
 
@@ -828,9 +789,11 @@ def run_check(ctx: CheckContext, name: str) -> CheckResult:
     spec = CHECKS[name]
     t0 = time.perf_counter()
     try:
-        result = replace(spec.runner(ctx, _params(ctx.manifest, name)), name=name, inequality=spec.inequality)
+        result = spec.runner(ctx, _params(ctx.manifest, name))
+        result.inequality = spec.inequality
     except HeatKatoError as exc:
-        result = CheckResult(False, -math.inf, 0.0, {"error": str(exc)}, name=name)
+        result = CheckResult({"error": (-math.inf, 0.0)}, {"error": str(exc)})
+    result.name = name
     result.runtime_s = time.perf_counter() - t0
     return result
 

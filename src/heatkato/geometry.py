@@ -617,7 +617,7 @@ class Product(ManifoldModel):
         gl = build_grid(self.factors[0], resolution, window.left, n_dir)
         gr = build_grid(self.factors[1], resolution, window.right, n_dir)
         nl, nr = gl.size, gr.size
-        if nl * nr > 2_000_000:
+        if nl * nr > MAX_GRID_NODES:
             raise DomainError(
                 f"product grid would have {nl * nr} nodes; coarsen the factor windows"
             )
@@ -637,6 +637,14 @@ class Product(ManifoldModel):
 
 # at m = 56 the Euclidean prefactor (2 pi t)^(-m/2) overflows at t = 1e-12
 MAX_DIM = 55
+MAX_GRID_NODES = 2_000_000  # the most nodes a product grid may hold
+
+
+def full_grid_size(model: ManifoldModel, resolution: float) -> int:
+    """The node count of ``model.full_grid(resolution)``, without building it."""
+    if model.kernel_factors:
+        return math.prod(full_grid_size(f, resolution) for f in model.kernel_factors)
+    return model.full_nodes(resolution)[0].shape[0]
 
 
 def _dimension(m: int) -> int:

@@ -29,7 +29,7 @@ from .geometry import BallWindow, Euclidean, ManifoldModel, Point, QuadratureGri
 from .geometry import quad  # unused here: the benchmark's tracer wraps it at this address
 from .mvi import dirichlet_ground_energy  # unused here: the benchmark's tracer wraps it at this address
 from .potentials import smoothed_abs
-from .reporting import worst_of
+from .reporting import Judged, worst_of
 
 
 def admissible_q(m: int, q: float) -> bool:
@@ -225,12 +225,16 @@ class KatoFunctionalCurve:
 
 
 @dataclass
-class KatoVerdict:
-    passed: bool
+class KatoVerdict(Judged):
     label: str  # always "numerical evidence"
     gamma: float  # power-law fit N(t) ~ c t^gamma
     decay_ratio: float
     reasons: list
+    threshold_ratio: float
+    gamma_min: float
+
+    criteria = property(lambda self: {"decay ratio": (self.threshold_ratio - self.decay_ratio, 0.0),
+                                      "fitted exponent": (self.gamma - self.gamma_min, 0.0)})
 
 
 def _s_breaks(t: float, s_min: float) -> np.ndarray:
@@ -316,7 +320,8 @@ def _short_time_remainder(engine, w, s_min):
     sings = [s for s in pot.singularities(w) if s.pair_cols is None]
     beta_max = max((s.beta for s in sings), default=0.0)
     if m == 1:
-        q_candidates = [1.0, 0.5 * (1.0 + 1.0 / beta_max)] if beta_max < 1.0 else []
+        # q = 1 and midway to 1 / beta_max, past which |w|^q is not integrable
+        q_candidates = [1.0] + ([0.5 * (1.0 + 1.0 / beta_max)] if beta_max > 0 else [])
     else:
         # bounds improve toward the upper endpoint until the norm blows up;
         # with hi <= m/2 no candidate is admissible
@@ -377,7 +382,8 @@ def is_kato(
     if _inner_divergent(w) or not math.isfinite(rem):
         # no admissible q puts |w| in L^q, so nothing bounds N(t) near s = 0
         curve = KatoFunctionalCurve(ts, np.full(ts.size, math.inf), np.full(ts.size, math.inf), True)
-        return curve, KatoVerdict(False, "numerical evidence", 0.0, math.inf, ["N(t) = inf: no finite L^q bound"])
+        reasons = ["N(t) = inf: no finite L^q bound"]
+        return curve, KatoVerdict("numerical evidence", 0.0, math.inf, reasons, threshold_ratio, gamma_min)
     x_samples = _center_and_offsets(w, model, (0.5, 1.5))
     # rank the x-samples by N(t_max) and keep the winner's curve
     curves = [_kato_ladder(engine, w, ts, x, s_min) for x in x_samples]
@@ -401,10 +407,10 @@ def is_kato(
             reasons.append(f"N(t_min)/N(t_max)={ratio:.3g} above threshold {threshold_ratio}")
         if gamma < gamma_min:
             reasons.append(f"fitted exponent {gamma:.3g} below {gamma_min}")
-    passed = not reasons
-    if passed:
+    result = KatoVerdict("numerical evidence", gamma, ratio, reasons, threshold_ratio, gamma_min)
+    if result.passed:
         reasons.append(f"decay ratio {ratio:.3g}, fitted exponent {gamma:.3g}")
-    return curve, KatoVerdict(passed, "numerical evidence", gamma, ratio, reasons)
+    return curve, result
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +418,7 @@ def is_kato(
 
 
 @dataclass
-class HolderReport:
+class HolderReport(Judged):
     q: float
     min_margin: float
     tolerance: float
@@ -420,8 +426,8 @@ class HolderReport:
     n_samples: int
 
     @property
-    def passed(self) -> bool:
-        return self.rhs_divergent or self.min_margin >= -self.tolerance
+    def criteria(self) -> dict:  # none where the right side diverges: the bound holds trivially
+        return {} if self.rhs_divergent else {f"margin at q={self.q:g}": (self.min_margin, self.tolerance)}
 
 
 def holder_bound_check(

@@ -23,7 +23,7 @@ from . import heat_kernel as hk
 from . import quadrature as qd
 from .errors import ConvergenceError, DomainError, UnsupportedModelError
 from .geometry import BallWindow, BoxWindow, Euclidean, ManifoldModel, Point, Torus
-from .reporting import worst_of
+from .reporting import Judged, worst_of
 
 
 @dataclass(frozen=True)
@@ -495,7 +495,7 @@ def region_volume(model: ManifoldModel, region) -> float:
 
 
 @dataclass
-class FaberKrahnReport:
+class FaberKrahnReport(Judged):
     min_margin: float
     tolerance: float
     inconclusive: list
@@ -503,8 +503,9 @@ class FaberKrahnReport:
     reasons: list = field(default_factory=list)  # "<quantity> is NaN" for a NaN margin or gap
 
     @property
-    def passed(self) -> bool:
-        return not self.inconclusive and self.min_margin >= -self.tolerance
+    def criteria(self) -> dict:  # an inconclusive set (not converged, or not finite) fails
+        return {"eigenvalue margin": (self.min_margin, self.tolerance),
+                **({"every set conclusive": (-math.inf, 0.0)} if self.inconclusive else {})}
 
     def to_dict(self) -> dict:
         return {

@@ -378,6 +378,8 @@ def _atom_sup(atom: Potential) -> float:
         return abs(atom.value)
     if isinstance(atom, RadialAtom):
         return atom.sup
+    if isinstance(atom, SignPart):  # |part(w)| <= |w|
+        return sup_abs(atom.inner)
     if isinstance(atom, Windowed):
         # a singular (decreasing) profile centered outside a ball window is
         # largest at the ball's nearest point

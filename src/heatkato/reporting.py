@@ -1,10 +1,14 @@
-"""Structured check results and deterministic JSON reports."""
+"""Structured check results, the one verdict rule and deterministic JSON
+reports.  Every PASS/FAIL is ``judge``'s over named (margin, tolerance)
+criteria, so a verdict always equals margin_min >= -tolerance; a margin that
+already nets out its allowance (kernel-check's residuals, coulomb's relative
+error) takes tolerance 0."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from itertools import chain
 
 
@@ -18,6 +22,27 @@ def worst_of(reduce, start: float, quantities: dict) -> tuple[float, str | None]
         if any(v != v for v in values):
             return math.nan, f"{name} is NaN"
     return reduce([start, *chain.from_iterable(pools.values())]), None
+
+
+def judge(criteria: dict) -> tuple[bool, float, float, str | None]:
+    """The verdict of named criteria, name -> (margin, tolerance), each
+    holding when margin >= -tolerance: (passed, margin, tolerance, None) of
+    the binding criterion, the one with the least slack margin + tolerance.
+    A NaN slack binds and fails with "<name> is NaN"; no criteria is a PASS
+    at margin inf and tolerance 0."""
+    margin, tolerance = math.inf, 0.0
+    for name, (m, tol) in criteria.items():
+        if math.isnan(m + tol):
+            return False, m, tol, f"{name} is NaN"
+        if m + tol < margin + tolerance:
+            margin, tolerance = m, tol
+    return margin >= -tolerance, margin, tolerance, None
+
+
+class Judged:
+    """A layer record whose ``criteria`` property decides ``passed`` by ``judge``."""
+
+    passed = property(lambda self: judge(self.criteria)[0])
 
 
 def _jsonable(obj):
@@ -43,12 +68,12 @@ def _jsonable(obj):
 
 @dataclass
 class CheckResult:
-    """One check's outcome.  A runner decides the first seven fields;
-    ``cli.run_check`` adds the name, the inequality and the runtime."""
+    """One check's outcome.  A runner gives the criteria and the four fields
+    after them, ``cli.run_check`` the name, inequality and runtime; passed,
+    margin_min, tolerance and a NaN reason for a record without reasons are
+    ``judge``'s."""
 
-    passed: bool
-    margin_min: float
-    tolerance: float
+    criteria: dict = field(default_factory=dict)  # name -> (margin, tolerance)
     values: object = field(default_factory=dict)  # a report record or a dict
     sweep: dict = field(default_factory=dict)
     empirical_constants: dict = field(default_factory=dict)
@@ -56,13 +81,22 @@ class CheckResult:
     name: str = ""
     inequality: str = ""  # the inequality being tested, verbatim
     runtime_s: float = 0.0
+    passed: bool = field(init=False)
+    margin_min: float = field(init=False)
+    tolerance: float = field(init=False)
+
+    def __post_init__(self):
+        self.passed, self.margin_min, self.tolerance, reason = judge(self.criteria)
+        values = self.values
+        if reason and not (values.get("reasons") if isinstance(values, dict) else getattr(values, "reasons", None)):
+            self.values = {**(values if isinstance(values, dict) else asdict(values)), "reasons": [reason]}
 
     @property
     def verdict(self) -> str:
         return "PASS" if self.passed else "FAIL"
 
     def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("passed", "series")}
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("passed", "series", "criteria")}
         return _jsonable({**d, "verdict": self.verdict})
 
 

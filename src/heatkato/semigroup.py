@@ -7,12 +7,11 @@ puts between neighbouring nodes. e^{-tH} f comes from the dense
 eigendecomposition (np.linalg.eigh) up to _DENSE_LIMIT nodes and, above it,
 from a fixed 24-node rational rule on a Talbot contour (12 complex shifted
 solves) on t(H - E_0) (_contour_expm), E_0 the ground energy from a Lanczos
-recurrence on (H - sigma)^{-1} (mvi's, through the same shifted solves). On
-the circle the shifted systems are cyclic tridiagonal: all of them are solved
-together by odd-even cyclic reduction, with the two corners by
-Sherman-Morrison. 2-d tori take one sparse LU per shift from scipy, imported
-by the function that uses it; no CLI command reaches it, and nothing here
-imports scipy at load.
+recurrence on (H - sigma)^{-1} (mvi's, through the same shifted solves).
+Above _DENSE_LIMIT only the circle is discretized: its shifted systems are
+cyclic tridiagonal, all of them solved together by odd-even cyclic
+reduction, with the two corners by Sherman-Morrison.  A 2-d torus is refused
+above _DENSE_LIMIT nodes.  Nothing here imports scipy.
 
 Grid L^q norms use cell-volume weights, so q = 1 and q = infinity are exact
 duals on the uniform grids used here.
@@ -100,7 +99,8 @@ class DiscretizedOperator:
 
 def discretize(model: ManifoldModel, n: int, w: pot.Potential) -> DiscretizedOperator:
     """Periodic finite-difference H = -(1/2) Laplace + w on the circle or a
-    flat torus of dimension <= 2, n nodes per axis (the model's full grid).
+    flat torus of dimension <= 2, n nodes per axis (the model's full grid);
+    a 2-d torus up to _DENSE_LIMIT nodes.
 
     The potential is sampled at the nodes by ``potentials.capped_values``
     with eps half a cell (capped node count and cap reported)."""
@@ -108,6 +108,8 @@ def discretize(model: ManifoldModel, n: int, w: pot.Potential) -> DiscretizedOpe
         raise DomainError("need at least 8 nodes per axis")
     if not model.period or model.dim > 2:
         raise UnsupportedModelError("discretize supports the circle and flat tori of dimension <= 2")
+    if model.dim == 2 and n * n > _DENSE_LIMIT:
+        raise DomainError(f"a 2-d torus takes at most {_DENSE_LIMIT} nodes, not {n * n}")
     spacing = model.period / n
     coords, _ = model.full_nodes(spacing)
     vals, near, cap = pot.capped_values(w, coords, spacing / 2.0)
@@ -192,39 +194,18 @@ def _cyclic_solver(diagonal: np.ndarray, off: float, shifts: np.ndarray):
     return solve
 
 
-def _splu_solver(op: DiscretizedOperator, diagonal: np.ndarray, off: float, shifts: np.ndarray):
-    """solve(b) = the rows (z + A)^{-1} b, z in shifts, for A with the given
-    diagonal and op's stencil scaled to ``off``: one sparse LU per shift
-    (2-d tori)."""
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
-
-    rows, cols = op.neighbours()
-    A = sparse.coo_matrix((np.full(rows.size, off), (rows, cols)), shape=(op.size, op.size)).tocsc()
-    lus = [splu((A + sparse.diags(z + diagonal)).tocsc()) for z in shifts]
-    return lambda b: np.array([lu.solve(b) for lu in lus])
-
-
-def _shifted_solver(op: DiscretizedOperator, diagonal: np.ndarray, off: float, shifts: np.ndarray):
-    """solve(b) = the rows (z + A)^{-1} b, z in shifts, A the operator with
-    op's stencil, the given diagonal and the coupling ``off``."""
-    if op.model.dim == 1:
-        return _cyclic_solver(diagonal, off, shifts)
-    return _splu_solver(op, diagonal, off, shifts)
-
-
 def _contour_expm(op: DiscretizedOperator, t: float, fs) -> list:
     """[e^{-tH} f for f in fs] by the midpoint rule on the cotangent (Talbot)
     contour of Trefethen, Weideman & Schmelzer (BIT 46, 2006).
 
     With s = ground_energy(op), A = t(H - s) >= 0 and
     e^{-tH} f = e^{-ts} (1/2 pi i) int e^z (z + A)^{-1} f dz, halved to 12
-    complex solves by conjugate symmetry (_contour_rule), reduced or factored
-    once for every f. The scalar rule's absolute error is 2e-14 on
+    complex solves by conjugate symmetry (_contour_rule), reduced once for
+    every f. The scalar rule's absolute error is 2e-14 on
     {0} u [1e-8, 1e9] and 5e-14 down to x = -0.01 (rounding in s); a cruder
     lower bound s' of H would scale it by e^{t(s - s')}."""
     s = ground_energy(op)
-    solve = _shifted_solver(op, t * (op.diagonal - s), t * op.coupling, _CONTOUR_Z)
+    solve = _cyclic_solver(t * (op.diagonal - s), t * op.coupling, _CONTOUR_Z)
     return [math.exp(-t * s) * _contour_rule(solve, f) for f in fs]
 
 
@@ -254,7 +235,7 @@ def ground_energy(op: DiscretizedOperator) -> float:
     if op._ground is None:  # one Lanczos run per operator, like the dense eig
         # shift strictly below the spectrum: H >= -||w_-||_inf on the grid
         sigma = float(min(op.potential_floor, 0.0)) - 1.0
-        solve = _shifted_solver(op, op.diagonal, op.coupling, np.array([-sigma]))
+        solve = _cyclic_solver(op.diagonal, op.coupling, np.array([-sigma]))
         # the smallest eigenvalue of -(H - sigma)^{-1} is -1 / (E_0 - sigma)
         theta, _ = _lanczos_ground_energy(lambda x: -solve(x)[0], op.size)
         op._ground = sigma - 1.0 / theta

@@ -50,6 +50,7 @@ from . import heat_kernel as hk
 from . import potentials as pot
 from .errors import DomainError, UnsupportedModelError
 from .geometry import ManifoldModel, Point, Product
+from .reporting import Judged
 
 _MAX_STORE_BYTES = 600_000_000
 # normals a walk may draw: about 25 s of Philox draws alone on a 2-core
@@ -477,7 +478,7 @@ def kato_exponential_estimate(
 
 
 @dataclass
-class ProjectionReport:
+class ProjectionReport(Judged):
     lhs_quad: float
     rhs_quad: float
     defect: float
@@ -487,12 +488,14 @@ class ProjectionReport:
     mc_z: float | None
 
     @property
-    def passed(self) -> bool:
-        # the Monte Carlo side must also agree with the factor smoothing within
-        # 4 sigma, the fdd checks' rule; a NaN z fails
-        tol = self.quad_tolerance + 3.0 * (self.mc_std_error or 0.0)
-        mc_ok = self.mc_z is None or abs(self.mc_z) <= 4.0
-        return mc_ok and self.lhs_quad <= self.rhs_quad + max(tol, 1e-12)
+    def criteria(self) -> dict:
+        """The bound within the quadrature and Monte-Carlo allowance; with
+        paths, also their 4-sigma margin, the fdd checks' rule."""
+        tol = max(self.quad_tolerance + 3.0 * (self.mc_std_error or 0.0), 1e-12)
+        criteria = {"projection bound": (self.rhs_quad - self.lhs_quad, tol)}
+        if self.mc_z is not None:
+            criteria["Monte Carlo z"] = (4.0 - abs(self.mc_z) if math.isfinite(self.mc_z) else -math.inf, 0.0)
+        return criteria
 
 
 def elworthy_projection_check(

@@ -422,6 +422,16 @@ def test_holder_check_refuses_torus_its_grid_cannot_resolve(manifold, capsys):
     assert f"param.holder-check: its grid on {manifold} resolves only s >=" in err and "Traceback" not in err
 
 
+def test_holder_check_refuses_a_grid_over_the_node_limit(capsys):
+    # 126^3 = 2000376 nodes at spacing 0.05, refused before a kernel is loaded;
+    # torus:3:2pi's 96^3 = 884736 stay under the limit and run
+    assert cli.main(["holder-check", "--manifold", "product(torus:2:6.283185307179586,circle)"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "would have 2000376 nodes, above 2,000,000" in err
+    assert cli.main(["holder-check", "--manifold", "torus:3:6.283185307179586"]) == 0
+    assert "[PASS] holder-check" in capsys.readouterr().out
+
+
 PRODUCT = "product(euclidean:1,circle)"
 
 

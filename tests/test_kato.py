@@ -1024,6 +1024,17 @@ def test_short_time_remainder_makes_no_selection_pass(monkeypatch):
     assert calls == ["lq_norm"]
 
 
+def test_short_time_remainder_of_a_bounded_sign_part_is_finite():
+    # |1| is bounded by its inner constant; it once had no sup, no singular
+    # center and so beta_max = 0, which the 1-d exponent candidates divided by
+    circle = G.circle()
+    eng, w = HK.make_engine(circle), P.absolute(P.Constant(1.0))
+    assert K._short_time_remainder(eng, w, 1e-6) == 1e-6
+    assert math.isfinite(K.kato_functional(eng, w, 0.1, [G.base_point(circle)]))
+    curve, verdict = K.is_kato(eng, w, TS)
+    assert np.all(np.isfinite(curve.values)) and math.isfinite(verdict.gamma) and verdict.passed
+
+
 def test_holder_bound_constant_on_compact():
     c = G.circle()
     engc = HK.make_engine(c)

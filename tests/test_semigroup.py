@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.linalg import eigh, solve_banded
-from scipy.sparse.linalg import eigsh, splu
+from scipy.linalg import solve_banded
+from scipy.sparse.linalg import eigsh
 
 from heatkato import cli
 from heatkato import geometry as G
@@ -197,13 +197,13 @@ def test_cyclic_solve_residual_on_the_circle(n, spec):
 
 @pytest.mark.parametrize("spec", _CIRCLE_POTENTIALS)
 @pytest.mark.parametrize("n", [2049, 2050, 8192])
-def test_circle_contour_needs_no_sparse_lu(monkeypatch, n, spec):
-    def refuse(*args, **kwargs):
-        raise AssertionError("splu called on the circle")
-
-    monkeypatch.setattr(SG, "_splu_solver", refuse)
+def test_circle_contour_runs_on_the_cyclic_solver(monkeypatch, n, spec):
+    calls = []
+    cyclic = SG._cyclic_solver
+    monkeypatch.setattr(SG, "_cyclic_solver", lambda *args: calls.append(1) or cyclic(*args))
     op = SG.discretize(CIRCLE, n, P.parse_potential(spec, CIRCLE))
     g = SG.semigroup_apply(op, 0.5, np.ones(op.size))
+    assert len(calls) == 2  # the ground energy's Lanczos recurrence, then the contour
     assert np.all(np.isfinite(g)) and np.min(g) > 0.0
 
 
@@ -252,28 +252,13 @@ def test_lanczos_ground_energy_matches_eigsh(n, spec):
     assert SG.ground_energy(op) == pytest.approx(_eigsh_ground_energy(op), rel=1e-9)
 
 
-def test_torus_contour_keeps_the_sparse_lu_rule():
-    # the 2-d torus result, bit for bit, of one splu per node summed over the rule
+def test_a_2d_torus_above_the_dense_limit_is_refused():
+    # 45^2 = 2025 nodes take the dense path; 46^2 = 2116 would need the sparse
+    # solves that only the circle has
     tor = G.torus(2, 2 * math.pi)
-    op = SG.discretize(tor, 48, P.cosine_potential(tor))
-    f = np.random.default_rng(1).standard_normal(op.size)
-    eye = sparse.identity(op.size, format="csc")
-    for t in (0.1, 0.5):
-        A = _shifted(op, t)
-        rows = np.array([splu((z * eye + A).tocsc()).solve(f.astype(complex)) for z in SG._CONTOUR_Z])
-        ref = math.exp(-t * SG.ground_energy(op)) * (SG._CONTOUR_W @ rows).imag
-        assert np.array_equal(SG.semigroup_apply(op, t, f), ref)
-
-
-def test_contour_matches_dense_on_2d_torus():
-    tor = G.torus(2, 2 * math.pi)
-    op = SG.discretize(tor, 48, P.cosine_potential(tor))
-    assert op.size > SG._DENSE_LIMIT
-    f = np.random.default_rng(0).standard_normal(op.size)
-    lam, U = eigh(_reference_matrix(op).toarray())
-    for t in (0.1, 0.5):
-        ref = U @ (np.exp(-t * lam) * (U.T @ f))
-        assert np.max(np.abs(SG.semigroup_apply(op, t, f) - ref)) < 1e-12
+    assert SG.discretize(tor, 45, P.cosine_potential(tor)).size <= SG._DENSE_LIMIT
+    with pytest.raises(DomainError, match="at most 2048 nodes, not 2116"):
+        SG.discretize(tor, 46, P.cosine_potential(tor))
 
 
 def test_semigroup_property_on_grid():
@@ -436,11 +421,11 @@ def _stencil_csr(op):
     return sparse.csr_matrix((data, (np.concatenate([idx, rows]), np.concatenate([idx, cols]))), shape=(op.size,) * 2)
 
 
-@pytest.mark.parametrize("n", [8, 9, 192, 8192])
+@pytest.mark.parametrize("n", [8, 9, 45, 192, 8192])
 def test_periodic_second_difference_equals_the_lil_build(n):
     # with no potential H is half the LIL-built second difference, entry by
-    # entry; on the torus its Kronecker sum
-    models = [CIRCLE] + ([G.torus(2, 2 * math.pi)] if n <= 192 else [])
+    # entry; on the torus, discretized up to _DENSE_LIMIT nodes, its Kronecker sum
+    models = [CIRCLE] + ([G.torus(2, 2 * math.pi)] if n * n <= SG._DENSE_LIMIT else [])
     for model in models:
         op = SG.discretize(model, n, ZERO)
         ref = _lil_operator(op).tocsr()
