@@ -574,16 +574,21 @@ def _fk_grid(p, model):
     return "h leaves too few grid nodes in the smallest test set" if coarse else None
 
 
-def _fk_times(p, model):
+def _step_times(p):
+    """Why paths of step h cannot be read at every t in t_values, or None: h
+    is at most the largest t, and each t a multiple of the walk's step."""
     horizon = max(p["t_values"])
     if p["h"] > horizon:
         return f"h exceeds the largest t ({horizon:g})"
-    step = horizon / max(1, round(horizon / p["h"]))  # the paths' step, as simulate takes it
+    step = horizon / heatkato.stochastics.step_count(horizon, p["h"])
     off = [t for t in p["t_values"] if abs(round(t / step) * step - t) > 1e-9 + 1e-9 * t]
-    if off:
-        return f"t_values {off} are not multiples of the step {step:g}"
+    return f"t_values {off} are not multiples of the step {step:g}" if off else None
+
+
+def _fk_times(p, model):
     st = heatkato.stochastics
-    return st.walk_problem(model, st.step_count(horizon, p["h"]), True, p["n_paths"])  # as simulate refuses it
+    steps = st.step_count(max(p["t_values"]), p["h"])
+    return _step_times(p) or st.walk_problem(model, steps, True, p["n_paths"])  # as simulate refuses it
 
 
 def _project_walk(p, model):
@@ -597,7 +602,8 @@ def _project_walk(p, model):
 
 def _exponential_walk(p, model):
     st = heatkato.stochastics
-    return st.walk_problem(model, st.step_count(max(p["t_values"]), p["h"]), True, p["n_paths"], held=False)
+    steps = st.step_count(max(p["t_values"]), p["h"])
+    return _step_times(p) or st.walk_problem(model, steps, True, p["n_paths"], held=False)
 
 
 CHECKS: dict[str, CheckSpec] = {

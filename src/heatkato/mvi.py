@@ -54,7 +54,6 @@ class MviReport:
     c_emp: float
     n_cells: int
     drift: float  # relative change of c_emp under quadrature refinement
-    stable: bool
     worst_cell: dict
     sweep: dict
 
@@ -88,9 +87,9 @@ def mvi_sweep(config: MviSweepConfig) -> MviReport:
     """Empirical constant sup over cells of
     u(t,x)^q a^{m/2} tau^{1+m/2} / integral of u^q over the backward cylinder.
 
-    The sweep is repeated at doubled quadrature resolution; a drift above 10%
-    flags the report as unstable (the bound guarantees a uniform constant, so
-    drift indicates a quadrature artifact)."""
+    The sweep is repeated at doubled quadrature resolution and the relative
+    change is reported as ``drift`` (the bound guarantees a uniform constant,
+    so drift indicates a quadrature artifact)."""
     model = config.model
     m = model.dim
     engine = hk.make_engine(model)
@@ -133,7 +132,6 @@ def mvi_sweep(config: MviSweepConfig) -> MviReport:
         c_emp=worst_of(max, 0.0, {"C_emp": [c1, c2]})[0],
         n_cells=n_cells,
         drift=drift,
-        stable=drift <= 0.10,
         worst_cell=worst,
         sweep={
             "tau": list(config.tau_values),
@@ -166,7 +164,6 @@ def default_config(model: ManifoldModel, a: float, radius: float = 1.0) -> MviSw
 class HeatBoundSweep:
     c_hat: float
     drift: float  # relative change under sweep doubling
-    stable: bool
     sweep: dict
 
 
@@ -187,7 +184,6 @@ def heat_bound_sweep(
     return HeatBoundSweep(
         c_hat=worst_of(max, 0.0, {"C_hat": [c1, c2]})[0],
         drift=drift,
-        stable=drift <= 0.10,
         sweep={"t_min": float(ts.min()), "t_max": float(ts.max()), "n_t": int(ts.size), "n_x": len(x_samples)},
     )
 

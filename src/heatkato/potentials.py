@@ -378,7 +378,7 @@ def _atom_sup(atom: Potential) -> float:
         return abs(atom.value)
     if isinstance(atom, RadialAtom):
         return atom.sup
-    if isinstance(atom, SignPart):  # |part(w)| <= |w|
+    if isinstance(atom, (SignPart, Pullback)):  # |part(w)| <= |w|, and u o pi takes u's values
         return sup_abs(atom.inner)
     if isinstance(atom, Windowed):
         # a singular (decreasing) profile centered outside a ball window is
@@ -671,12 +671,14 @@ def _two_point_atom(engine, ss, x, ra, refinement=0):
 
 
 def _smoothed_grid(engine, w, ss, x, grid):
-    """Grid quadrature for each s.  The ball excised around each singular set
-    is integrated for all s at once by the near-field rule; the potential
-    values and the excision mask do not depend on s and are computed once.
-    The kernel is built for one s at a time (``hk.eval_grid``: on a product or
-    torus grid one row per factor, multiplied out), so no s x node table is
-    held."""
+    """Grid quadrature for each s, one rule for every potential: the kept-node
+    sum divided by the kernel's grid mass, times its true mass, plus the balls
+    excised within 2h of each singular set (the near-field rule, all s at
+    once).  A kernel narrower than the grid puts its whole grid mass on the
+    node at x, so the ratio gives back |w(x)|.  The allowance is the mass's
+    error times the largest kept |w|.  The values and the mask are computed
+    once; the kernel is built for one s at a time (``hk.eval_grid``), so no
+    s x node table is held."""
     if grid is None:
         grid = _default_y_grid(engine, w, 1.0, [x])
     vals = np.abs(evaluate_many(w, grid.node_coords))
@@ -685,21 +687,16 @@ def _smoothed_grid(engine, w, ss, x, grid):
     keep = singular_distance_many(w, grid.node_coords) >= eps
     weights_kept, vals_kept = grid.weights[keep], vals[keep]
     balls = sum((_excised_ball(engine, sg, ss, x, eps) for sg in sings if sg.pair_cols is None), np.zeros(ss.size))
-    values, tails = np.empty(ss.size), np.zeros(ss.size)
+    vmax = float(np.max(vals_kept, initial=0.0))
+    values, tails = np.empty(ss.size), np.empty(ss.size)
     for i, s in enumerate(ss):
         p = hk.eval_grid(engine, float(s), x.coords, grid)
         raw_mass = float(np.sum(grid.weights * p))
         base = float(np.sum(weights_kept * p[keep] * vals_kept))
         mass, merr = hk.kernel_mass(engine, float(s), x)
-        if not sings and raw_mass > 0.0:
-            # self-normalize so an under-resolved kernel still reports the
-            # kernel-weighted average times the true mass
-            values[i], tails[i] = base / raw_mass * mass, merr * float(np.max(vals))
-        else:
-            # singular case: the node sum normalized by the same mass ratio
-            # within a guard band, plus the balls
-            factor = min(max(mass / raw_mass, 0.25), 4.0) if raw_mass > 0.0 else 1.0
-            values[i] = base * factor + balls[i]
+        # divide first: a subnormal grid mass would overflow mass / raw_mass
+        values[i] = (base / raw_mass * mass if raw_mass > 0.0 else base) + balls[i]
+        tails[i] = merr * vmax
     return values, tails
 
 

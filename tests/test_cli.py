@@ -535,6 +535,9 @@ def test_window_extent_domains_exit_two(check, manifold, potential, capsys):
         ("fk-verify", "euclidean:2", ["h=1"]),
         ("feynman-kac", "circle", ["t_values=0.25", "h=0.5"]),
         ("feynman-kac", "circle", ["t_values=0.25,0.3", "h=0.1"]),
+        # one step of 1 would read a single estimate for every t
+        ("kato-exponential", "euclidean:1", ["h=5", "n_paths=200"]),
+        ("kato-exponential", "euclidean:1", ["h=0.3", "n_paths=200"]),
         ("project-check", PRODUCT, ["n_paths=100", "h=0.5"]),
         ("kernel-check", "sphere2", ["t_values=1e-9"]),
         ("kernel-check", "product(sphere2,circle)", ["t_values=1e-9"]),

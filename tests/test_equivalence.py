@@ -71,6 +71,14 @@ def test_torus_products_in_any_factor_order_or_nesting_agree(check, params, spel
     assert all(report == reports[0] for report in reports[1:])
 
 
+def test_is_kato_reads_the_three_torus_alike_as_a_product_and_as_one_torus():
+    # the product's grid is coarser (h = 0.1 against 1/48), so the margins
+    # agree only to the grid; the product once FAILed at -0.3223
+    prod, torus = (_check(m, "is-kato", None) for m in ("product(torus:2:1,torus:1:1)", "torus:3:1"))
+    assert prod.verdict == torus.verdict == "PASS"
+    assert prod.margin_min == pytest.approx(torus.margin_min, abs=1e-3)
+
+
 def test_is_kato_on_a_product_of_lines_exits_two(capsys):
     # euclidean:1 x euclidean:1 is non-compact with no radial kernel: no Kato model
     assert cli.main(["is-kato", "--manifold", "product(euclidean:1,euclidean:1)"]) == 2

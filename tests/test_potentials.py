@@ -31,6 +31,14 @@ def test_pullback_depends_only_on_projected_coordinate():
     assert a == b == 2.0
 
 
+@pytest.mark.parametrize(
+    "spec, sup", [("pullback:0:constant:2", 2.0), ("sum[pullback:0:cosine;pullback:1:constant:3]", 4.0)]
+)
+def test_sup_abs_of_a_pullback_is_its_inner_bound(spec, sup):
+    model = G.parse_manifold("product(torus:2:6.283185307179586,circle)")
+    assert P.sup_abs(P.parse_potential(spec, model)) == sup
+
+
 def test_sign_parts():
     w = P.Sum((P.Constant(-2.0), P.Indicator(E3, G.BallWindow(ORIGIN, 1.0))))
     y_in = G.make_point(E3, [0.5, 0, 0])
